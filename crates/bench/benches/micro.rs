@@ -49,9 +49,8 @@ fn bench_htm(c: &mut Criterion) {
 }
 
 fn bench_snapshot(c: &mut Criterion) {
-    // Snapshot/restore strategies over a populated memory: the clone
-    // baseline pays O(written cells) per checkpoint, the journal pays
-    // O(stores in the speculative region).
+    // Journal rollback and commit over a populated memory: both pay
+    // O(stores in the speculative region), never O(heap).
     let mut g = c.benchmark_group("snapshot");
     let populated = || {
         let mut m = Memory::new();
@@ -60,16 +59,6 @@ fn bench_snapshot(c: &mut Criterion) {
         }
         m
     };
-    g.bench_function("clone_restore_4k_cells_8_writes", |b| {
-        let mut mem = populated();
-        b.iter(|| {
-            let snap = black_box(mem.clone());
-            for i in 0..8u64 {
-                mem.store(Addr(i * 8), 999);
-            }
-            mem = black_box(snap);
-        });
-    });
     g.bench_function("journal_rollback_8_writes", |b| {
         let mut mem = populated();
         let mut j = WriteJournal::new();

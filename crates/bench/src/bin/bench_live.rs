@@ -8,11 +8,10 @@
 //! ```
 //!
 //! One row per app: wall-clock (best of three, serial) for the default
-//! undo-journal policy, the write-buffer oracle, and the old full-memory
-//! clone-snapshot baseline, plus the undo-vs-clone speedup. Detection
-//! outputs are asserted bit-identical across all three policies before
-//! any timing is reported — the policies may only differ in simulator
-//! wall-clock, never in results.
+//! undo-journal policy and the write-buffer oracle, plus the
+//! undo-vs-buffer speedup. Detection outputs are asserted bit-identical
+//! across both policies before any timing is reported — the policies may
+//! only differ in simulator wall-clock, never in results.
 
 use std::time::Instant;
 
@@ -77,19 +76,14 @@ fn main() {
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 
     let mut rows = Vec::new();
-    let mut speedups_clone = Vec::new();
     let mut speedups_buffer = Vec::new();
     let total_start = Instant::now();
     for w in all_workloads(workers) {
         let (undo_ns, undo) = time_policy(&w, seed, VersionPolicy::Undo);
         let (buffer_ns, buffer) = time_policy(&w, seed, VersionPolicy::Buffer);
-        let (clone_ns, clone) = time_policy(&w, seed, VersionPolicy::CloneSnapshot);
         assert_identical_outputs(w.name, VersionPolicy::Buffer, &undo, &buffer);
-        assert_identical_outputs(w.name, VersionPolicy::CloneSnapshot, &undo, &clone);
 
-        let vs_clone = clone_ns as f64 / undo_ns.max(1) as f64;
         let vs_buffer = buffer_ns as f64 / undo_ns.max(1) as f64;
-        speedups_clone.push(vs_clone);
         speedups_buffer.push(vs_buffer);
         rows.push(vec![
             ("app", JsonValue::Str(w.name.to_string())),
@@ -100,8 +94,6 @@ fn main() {
             ),
             ("undo_wall_ns", JsonValue::Int(undo_ns)),
             ("buffer_wall_ns", JsonValue::Int(buffer_ns)),
-            ("clone_wall_ns", JsonValue::Int(clone_ns)),
-            ("speedup_vs_clone", JsonValue::Num(round3(vs_clone))),
             ("speedup_vs_buffer", JsonValue::Num(round3(vs_buffer))),
         ]);
     }
@@ -113,10 +105,6 @@ fn main() {
         (
             "wall_ns",
             JsonValue::Int(total_start.elapsed().as_nanos() as u64),
-        ),
-        (
-            "speedup_vs_clone",
-            JsonValue::Num(round3(geomean(&speedups_clone))),
         ),
         (
             "speedup_vs_buffer",

@@ -19,10 +19,11 @@ use std::time::Instant;
 
 use txrace::{RunOutcome, Scheme};
 use txrace_bench::{
-    geomean, json_rows, map_cells, pool_width, record_workload, replay_scheme,
-    replay_schemes_fanout, run_scheme, JsonValue,
+    geomean, json_rows, pool_width, record_workload, replay_scheme, replay_schemes_fanout,
+    run_scheme, JsonValue,
 };
 use txrace_hb::RaceReport;
+use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, by_name, Workload};
 
 /// Timed repetitions per strategy; the minimum is reported.
@@ -63,7 +64,7 @@ fn cells(spec: &FigSpec) -> Vec<(usize, Scheme)> {
 /// The old strategy: every cell re-executes the program live.
 fn reexec(spec: &FigSpec) -> Vec<CellResult> {
     let grid = cells(spec);
-    map_cells(pool_width(), &grid, |_, (u, scheme)| {
+    par_map(pool_width(), &grid, |_, (u, scheme)| {
         let (w, seed) = &spec.units[*u];
         CellResult::of(&run_scheme(w, scheme.clone(), *seed))
     })
@@ -71,11 +72,11 @@ fn reexec(spec: &FigSpec) -> Vec<CellResult> {
 
 /// The pipeline strategy: record each unit once, replay every scheme.
 fn replayed(spec: &FigSpec) -> Vec<CellResult> {
-    let logs = map_cells(pool_width(), &spec.units, |_, (w, seed)| {
+    let logs = par_map(pool_width(), &spec.units, |_, (w, seed)| {
         record_workload(w, *seed)
     });
     let grid = cells(spec);
-    map_cells(pool_width(), &grid, |_, (u, scheme)| {
+    par_map(pool_width(), &grid, |_, (u, scheme)| {
         let (w, seed) = &spec.units[*u];
         CellResult::of(&replay_scheme(w, &logs[*u], scheme.clone(), *seed))
     })
@@ -103,7 +104,7 @@ fn scheme_label(s: &Scheme) -> String {
 /// cell results in [`cells`] grid order plus per-consumer wall-time /
 /// event-count rows (the shard-imbalance observability).
 fn fanned(spec: &FigSpec) -> (Vec<CellResult>, Vec<ConsumerRow>) {
-    let logs = map_cells(pool_width(), &spec.units, |_, (w, seed)| {
+    let logs = par_map(pool_width(), &spec.units, |_, (w, seed)| {
         record_workload(w, *seed)
     });
     let mut results = Vec::new();

@@ -9,8 +9,9 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{map_cells, pool_width, run_scheme, Table};
+use txrace_bench::{pool_width, run_scheme, Table};
 use txrace_hb::RaceSet;
+use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
     // only the cumulative merge below is order-sensitive, and it consumes
     // the results in input (run-number) order.
     let run_seeds: Vec<u64> = (1..=runs).collect();
-    let outs = map_cells(pool_width(), &run_seeds, |_, &run| {
+    let outs = par_map(pool_width(), &run_seeds, |_, &run| {
         run_scheme(&w, Scheme::txrace(), run)
     });
     let mut cumulative = RaceSet::new();

@@ -8,9 +8,8 @@
 //! ```
 
 use txrace::{recall, Scheme};
-use txrace_bench::{
-    map_cells, pool_width, record_workload, replay_schemes_fanout, run_scheme, Table,
-};
+use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 const RACY_APPS: &[&str] = &[
@@ -39,7 +38,7 @@ fn main() {
     // (an active engine that steers execution) still runs live.
     let mut apps = all_workloads(workers);
     apps.retain(|w| RACY_APPS.contains(&w.name));
-    let rows = map_cells(pool_width(), &apps, |_, w| {
+    let rows = par_map(pool_width(), &apps, |_, w| {
         let log = record_workload(w, seed);
         let schemes = [
             Scheme::Tsan,

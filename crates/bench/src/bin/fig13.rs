@@ -13,9 +13,8 @@
 //! probabilistic).
 
 use txrace::{recall, Scheme};
-use txrace_bench::{
-    map_cells, pool_width, record_workload, replay_schemes_fanout, run_scheme, Table,
-};
+use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
@@ -29,7 +28,7 @@ fn main() {
     // Phase 1: record the program ONCE per seed. Every sampling rate and
     // the TSan truth below replay these traces instead of re-executing.
     let seeds: Vec<u64> = (0..nseeds).collect();
-    let logs = map_cells(pool_width(), &seeds, |_, &seed| record_workload(&w, seed));
+    let logs = par_map(pool_width(), &seeds, |_, &seed| record_workload(&w, seed));
 
     // Phase 2: one fan-out pass per seed carries the TSan truth plus all
     // eleven sampling rates over that seed's shared trace — twelve
@@ -55,7 +54,7 @@ fn main() {
         })
         .collect();
     // TxRace steers execution, so its per-seed cells still run live.
-    let tx_recalls = map_cells(pool_width(), &seeds, |si, &seed| {
+    let tx_recalls = par_map(pool_width(), &seeds, |si, &seed| {
         let out = run_scheme(&w, Scheme::txrace(), seed);
         recall(&out.races, &per_seed[si].0)
     });

@@ -10,7 +10,8 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{fmt_x, geomean, map_cells, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, pool_width, run_scheme, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
         .iter()
         .flat_map(|&name| counts.iter().map(move |&workers| (name, workers)))
         .collect();
-    let outs = map_cells(pool_width(), &grid, |_, &(name, workers)| {
+    let outs = par_map(pool_width(), &grid, |_, &(name, workers)| {
         let w = txrace_workloads::by_name(name, workers).expect("known app");
         run_scheme(&w, Scheme::txrace(), seed)
     });

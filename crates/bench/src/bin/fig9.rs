@@ -8,7 +8,8 @@
 //! ```
 
 use txrace::{LoopcutMode, Scheme};
-use txrace_bench::{fmt_x, geomean, map_cells, paper, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, paper, pool_width, run_scheme, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
@@ -32,7 +33,7 @@ fn main() {
     let grid: Vec<(usize, Scheme)> = (0..apps.len())
         .flat_map(|a| schemes.iter().map(move |s| (a, s.clone())))
         .collect();
-    let outs = map_cells(pool_width(), &grid, |_, (a, s)| {
+    let outs = par_map(pool_width(), &grid, |_, (a, s)| {
         run_scheme(&apps[*a], s.clone(), seed)
     });
     for (w, row) in apps.iter().zip(outs.chunks(schemes.len())) {

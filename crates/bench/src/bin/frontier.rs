@@ -19,7 +19,8 @@
 //! it renders a table plus per-budget geomean/recall summaries.
 
 use txrace::{recall, Detector, Scheme, StaticPruneMode};
-use txrace_bench::{fmt_x, geomean, json_rows, map_cells, paper, pool_width, JsonValue, Table};
+use txrace_bench::{fmt_x, geomean, json_rows, paper, pool_width, JsonValue, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 /// Budget grid, as multipliers over the uninstrumented baseline. The
@@ -60,7 +61,7 @@ fn main() {
 
     // Truth runs: one always-on TxRace+FullFlow run per app, reused by
     // every budget point of that app.
-    let truths = map_cells(pool_width(), &apps, |_, w| {
+    let truths = par_map(pool_width(), &apps, |_, w| {
         let cfg = w
             .config(Scheme::txrace(), seed)
             .with_prune(StaticPruneMode::FullFlow);
@@ -74,7 +75,7 @@ fn main() {
     let grid: Vec<(usize, f64)> = (0..apps.len())
         .flat_map(|ai| BUDGETS.iter().map(move |&b| (ai, b)))
         .collect();
-    let cells: Vec<Cell> = map_cells(pool_width(), &grid, |_, &(ai, budget)| {
+    let cells: Vec<Cell> = par_map(pool_width(), &grid, |_, &(ai, budget)| {
         let w = &apps[ai];
         let truth = &truths[ai];
         let out = Detector::new(w.config(Scheme::production(budget), seed)).run(&w.program);

@@ -11,9 +11,10 @@
 
 use txrace::{Detector, RunOutcome, Scheme, SiteClassTable, StaticPruneMode};
 use txrace_bench::{
-    evaluate_app, fmt_x, geomean, json_rows, map_cells, paper, pool_width, AppResult, EvalOptions,
-    JsonValue, Table,
+    evaluate_app, fmt_x, geomean, json_rows, paper, pool_width, AppResult, EvalOptions, JsonValue,
+    Table,
 };
+use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, Workload};
 
 /// A "TxRace+SA" run: static pruning on top of the default TxRace
@@ -100,7 +101,7 @@ fn main() {
         None => got,
     };
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| eval_cell(w, seed));
+    let results = par_map(pool_width(), &apps, |_, w| eval_cell(w, seed));
     for (w, c) in apps.iter().zip(results) {
         let r = &c.base;
         let htm = r.txrace.htm.expect("txrace stats");
@@ -180,7 +181,7 @@ fn main() {
 fn print_json(workers: usize, seed: u64) {
     let mut rows = Vec::new();
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| eval_cell(w, seed));
+    let results = par_map(pool_width(), &apps, |_, w| eval_cell(w, seed));
     for (w, c) in apps.iter().zip(results) {
         let r = &c.base;
         let h = r.txrace.htm.expect("txrace stats");

@@ -7,7 +7,8 @@
 //! cargo run --release -p txrace-bench --bin table2 [workers] [seed]
 //! ```
 
-use txrace_bench::{evaluate_app, geomean, map_cells, paper, pool_width, EvalOptions, Table};
+use txrace_bench::{evaluate_app, geomean, paper, pool_width, EvalOptions, Table};
+use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
     // One pool cell per app; results come back in input order, so the
     // rendered table is byte-identical to a serial run.
     let apps = all_workloads(workers);
-    let results = map_cells(pool_width(), &apps, |_, w| {
+    let results = par_map(pool_width(), &apps, |_, w| {
         evaluate_app(
             w,
             EvalOptions {

@@ -473,7 +473,7 @@ fn main() {
             .unwrap_or_default();
         match e.kind {
             TraceEventKind::BarrierRelease => {
-                let (b, arrivals) = log.release_arrivals(e.arg);
+                let (b, arrivals) = log.barriers().release_arrivals(e.arg);
                 println!(
                     "  {i:>7}  {:<16} barrier {} releasing {} thread(s)",
                     "barrier-release",

@@ -16,7 +16,7 @@ pub mod runner;
 pub use cache::{
     args_after_cache_flag, cache_stats, clear_trace_cache, disable_trace_cache, CacheStats,
 };
-pub use pool::{map_cells, pool_width};
+pub use pool::pool_width;
 pub use report::{fmt_x, geomean, json_rows, JsonValue, Table};
 pub use runner::{
     evaluate_app, record_workload, record_workload_uncached, replay_scheme, replay_schemes_fanout,

@@ -1,58 +1,11 @@
-//! A tiny job pool for fanning independent benchmark cells across cores.
+//! The pool width of the benchmark binaries.
 //!
 //! Every table/figure in the evaluation is a grid of independent
 //! (workload × seed × config) cells; each cell is a deterministic
-//! detector run. The pool executes the cells on `std::thread` workers
-//! pulling indices from a shared atomic counter, then reassembles the
-//! results **in input order**, so the rendered report is byte-identical
-//! to a serial run regardless of worker count or completion order.
-//!
-//! No work-stealing, channels, or external dependencies: cells are
-//! coarse (milliseconds to seconds each), so a single fetch-add per cell
-//! is free compared to the work it dispatches.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Runs `f(index, &item)` over all `items`, fanning across `pool_workers`
-/// OS threads, and returns the results in input order.
-///
-/// `pool_workers <= 1` (or a single item) degenerates to a plain serial
-/// loop on the calling thread — the reference behaviour the parallel
-/// path must reproduce byte-for-byte.
-pub fn map_cells<T, R, F>(pool_workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = pool_workers.min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker filled every claimed slot")
-        })
-        .collect()
-}
+//! detector run. The binaries fan the cells across cores with
+//! [`txrace_sim::par_map`], which returns results **in input order**, so
+//! the rendered report is byte-identical to a serial run regardless of
+//! width or completion order.
 
 /// The pool width used by the benchmark binaries: `TXRACE_POOL` if set
 /// (0 or 1 forces serial execution), otherwise the machine's available
@@ -71,33 +24,22 @@ pub fn pool_width() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txrace_sim::par_map;
 
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..97).collect();
-        let f = |i: usize, &x: &u64| -> u64 { x.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64) };
-        let serial = map_cells(1, &items, f);
+        let f = |i: usize, x: &u64| x.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64);
+        let serial = par_map(1, &items, f);
         for workers in [2, 3, 8, 64] {
-            assert_eq!(serial, map_cells(workers, &items, f), "workers={workers}");
+            assert_eq!(serial, par_map(workers, &items, f), "workers={workers}");
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let none: Vec<u32> = vec![];
-        assert!(map_cells(8, &none, |_, &x| x).is_empty());
-        assert_eq!(map_cells(8, &[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn results_keep_input_order_under_contention() {
-        let items: Vec<usize> = (0..200).collect();
-        let out = map_cells(16, &items, |i, &x| {
-            // Vary per-cell latency so completion order scrambles.
-            std::thread::sleep(std::time::Duration::from_micros((x % 7) as u64));
-            i * 2
-        });
-        assert_eq!(out, (0..200).map(|i| i * 2).collect::<Vec<_>>());
+        assert!(par_map(8, Vec::<u32>::new(), |_, x| x).is_empty());
+        assert_eq!(par_map(8, [7u32], |_, x| x + 1), vec![8]);
     }
 
     #[test]

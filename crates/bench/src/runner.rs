@@ -128,7 +128,7 @@ pub struct FanoutOutcome {
 
 /// Replays one recorded trace of `w` under every scheme in `schemes`
 /// concurrently — a single [`txrace_sim::fan_out`] pass over the shared
-/// log on `width` scoped threads — and returns the outcomes in scheme
+/// log on up to `width` pool workers — and returns the outcomes in scheme
 /// order. Each outcome is byte-identical to the serial
 /// [`replay_scheme`] result for that scheme: consumers are pure
 /// observers with private state, so concurrency cannot change what any

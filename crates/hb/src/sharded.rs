@@ -16,8 +16,9 @@
 //!   accesses, both of which its owning shard sees completely — hence
 //!   every per-access verdict is identical to the serial detector's.
 //! * **Reports merge deterministically.** Each shard tags its reports
-//!   with the global index of the triggering event (indices come from
-//!   the [`ShardPlan`], so shards agree without counting events).
+//!   with its own ordinal of the triggering access; the driver maps that
+//!   ordinal to the access's global event index through the shard's
+//!   [`ShardPlan`] slice, so shards agree without seeing each other.
 //!   Concatenating the per-shard report lists in shard order and
 //!   stable-sorting by event index reconstructs the serial discovery
 //!   order exactly; feeding that sequence through a fresh [`RaceSet`]
@@ -28,20 +29,23 @@
 //! Since the sync-indexed rework, shards do **not** replay the log:
 //! [`ShardPlan::build`] derives a [`SyncIndex`] plus per-shard
 //! [`AccessPartition`] slices in one pass over the decoded log, and each
-//! shard consumes (its slice + the shared sync stream) through the
-//! two-cursor merge of
-//! [`replay_indexed`](txrace_sim::replay_indexed). Per-shard work is
-//! O(accesses/W + sync) instead of O(all events), and the decode +
-//! partition happens once per log regardless of the shard count.
+//! shard is a plain [`TraceConsumer`] fed (its slice + the shared sync
+//! stream) through the two-cursor merge of [`SyncIndex::replay_merged`].
+//! Per-shard work is O(accesses/W + sync) instead of O(all events), and
+//! the decode + partition happens once per log regardless of the shard
+//! count. Shards run on [`par_map`], so never more at once than there
+//! are cores.
 //!
 //! Sharding supports [`ShadowMode::Exact`] only: `Cells` mode draws
 //! evictions from a single global RNG stream whose state depends on the
 //! interleaved access order across *all* addresses, which no
 //! partitioning can reproduce.
 
+use std::time::Instant;
+
 use txrace_sim::{
-    fan_out_indexed, Addr, AccessPartition, BarrierId, ChanId, CondId, EventLog, IndexedAccess,
-    IndexedConsumer, LockId, SiteId, SyncIndex, ThreadId,
+    par_map, AccessPartition, Addr, BarrierId, ChanId, CondId, EventLog, LockId, SiteId, SyncIndex,
+    ThreadId, TraceConsumer,
 };
 
 use crate::fasttrack::{FastTrack, ShadowMode};
@@ -150,65 +154,129 @@ pub struct ShardStats {
     pub wall_ns: u64,
 }
 
-/// One FastTrack shard: full sync state, 1/W of the shadow state.
-///
-/// A pure [`IndexedConsumer`]: the plan already routed its accesses, so
-/// there is no ownership check and no event counting on the hot path —
-/// report tags come from the pre-computed global indices.
-struct FtShard {
-    ft: FastTrack,
-    /// `(global event index, report)` in within-shard discovery order.
-    tagged: Vec<(u64, RaceReport)>,
+/// A detector whose report list only grows, so a shard can tag each new
+/// report with the access that produced it.
+trait ReportLog {
+    type Report: Copy + Send;
+    fn report_log(&self) -> &[Self::Report];
 }
 
-impl FtShard {
-    fn new(threads: usize) -> Self {
-        FtShard {
-            ft: FastTrack::new(threads, ShadowMode::Exact),
+impl ReportLog for FastTrack {
+    type Report = RaceReport;
+    fn report_log(&self) -> &[RaceReport] {
+        self.races().reports()
+    }
+}
+
+impl ReportLog for Lockset {
+    type Report = LocksetReport;
+    fn report_log(&self) -> &[LocksetReport] {
+        self.reports()
+    }
+}
+
+/// One shard: a detector with the full sync state and 1/W of the
+/// per-variable state. The plan already routed its accesses, so there is
+/// no ownership check on the hot path; reports are tagged with the
+/// shard's own access ordinal `k`, which [`run_shards`] maps to a global
+/// event index through `slice[k].0`.
+struct Shard<D: ReportLog> {
+    det: D,
+    /// Accesses seen so far (the next access's ordinal).
+    accesses: usize,
+    /// `(access ordinal, report)` in within-shard discovery order.
+    tagged: Vec<(usize, D::Report)>,
+}
+
+impl<D: TraceConsumer + ReportLog> Shard<D> {
+    fn check(&mut self, access: impl FnOnce(&mut D)) {
+        let before = self.det.report_log().len();
+        access(&mut self.det);
+        let k = self.accesses;
+        self.tagged
+            .extend(self.det.report_log()[before..].iter().map(|&r| (k, r)));
+        self.accesses += 1;
+    }
+}
+
+impl<D: TraceConsumer + ReportLog> TraceConsumer for Shard<D> {
+    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        self.check(|d| d.read(t, site, addr));
+    }
+    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        self.check(|d| d.write(t, site, addr));
+    }
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.det.acquire(t, site, l);
+    }
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.det.release(t, site, l);
+    }
+    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.det.signal(t, site, c);
+    }
+    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.det.wait(t, site, c);
+    }
+    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.det.spawn(t, site, child);
+    }
+    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.det.join(t, site, child);
+    }
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+        self.det.barrier_release(b, arrivals);
+    }
+    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.det.chan_send(t, site, ch);
+    }
+    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.det.chan_recv(t, site, ch);
+    }
+}
+
+/// Runs one shard per plan slice on [`par_map`] and merges their reports
+/// into serial discovery order. Returns the finished detectors and their
+/// stats in shard order, and the merged reports.
+fn run_shards<D>(
+    plan: &ShardPlan,
+    make: impl Fn() -> D + Sync,
+) -> (Vec<D>, Vec<ShardStats>, Vec<D::Report>)
+where
+    D: TraceConsumer + ReportLog + Send,
+{
+    let runs = par_map(plan.shards(), plan.partition().slices(), |shard, slice| {
+        let mut s = Shard {
+            det: make(),
+            accesses: 0,
             tagged: Vec::new(),
-        }
-    }
-}
-
-impl IndexedConsumer for FtShard {
-    fn access(&mut self, a: &IndexedAccess) {
-        let before = self.ft.races().reports().len();
-        if a.is_write {
-            self.ft.write(a.thread, a.site, a.addr);
-        } else {
-            self.ft.read(a.thread, a.site, a.addr);
-        }
-        for r in &self.ft.races().reports()[before..] {
-            self.tagged.push((a.idx, *r));
-        }
-    }
-    fn acquire(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_acquire(t, l);
-    }
-    fn release(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_release(t, l);
-    }
-    fn signal(&mut self, _idx: u64, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.signal(t, c);
-    }
-    fn wait(&mut self, _idx: u64, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.wait(t, c);
-    }
-    fn spawn(&mut self, _idx: u64, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.spawn(t, child);
-    }
-    fn join(&mut self, _idx: u64, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.join(t, child);
-    }
-    fn barrier_release(&mut self, _idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.ft.barrier_arrivals(b, arrivals);
-    }
-    fn chan_send(&mut self, _idx: u64, t: ThreadId, _site: SiteId, ch: ChanId) {
-        self.ft.chan_send(t, ch);
-    }
-    fn chan_recv(&mut self, _idx: u64, t: ThreadId, _site: SiteId, ch: ChanId) {
-        self.ft.chan_recv(t, ch);
-    }
+        };
+        let t0 = Instant::now();
+        plan.sync().replay_merged(slice, &mut s);
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        let stats = ShardStats {
+            shard,
+            events: plan.shard_events(shard),
+            checks: s.accesses as u64,
+            races_found: s.tagged.len() as u64,
+            wall_ns,
+        };
+        let tagged: Vec<(u64, D::Report)> =
+            s.tagged.into_iter().map(|(k, r)| (slice[k].0, r)).collect();
+        (s.det, stats, tagged)
+    });
+    let mut tagged = Vec::new();
+    let (dets, stats) = runs
+        .into_iter()
+        .map(|(det, stats, t)| {
+            tagged.extend(t);
+            (det, stats)
+        })
+        .unzip();
+    // Stable sort: same-event reports all come from one shard (an
+    // address has one owner), so their within-shard order survives.
+    tagged.sort_by_key(|&(idx, _)| idx);
+    (dets, stats, tagged.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Result of a sharded FastTrack replay pass.
@@ -228,8 +296,8 @@ pub struct ShardedFtOutcome {
 
 /// FastTrack with shadow state partitioned across `workers` shards.
 ///
-/// `run` indexes the log ([`ShardPlan::build`]) and merges the per-shard
-/// verdicts; the outcome is byte-identical to a serial
+/// [`ShardedFastTrack::run_with_plan`] merges the per-shard verdicts;
+/// the outcome is byte-identical to a serial
 /// `FastTrack::new(threads, ShadowMode::Exact)` replay of the same log
 /// (races, report order, check totals). See the module docs for the
 /// equivalence argument and why `Cells` mode is excluded.
@@ -248,107 +316,20 @@ impl ShardedFastTrack {
         }
     }
 
-    /// Indexes `log` and runs all shards on scoped threads.
-    pub fn run(&self, log: &EventLog) -> ShardedFtOutcome {
-        self.run_with_plan(&ShardPlan::build(log, self.workers))
-    }
-
-    /// [`ShardedFastTrack::run`] with the shards executed sequentially
-    /// on the calling thread. Shards are fully independent, so the
-    /// outcome is identical to the threaded path — this exists for
-    /// single-core hosts (threading cannot help there) and for clean
-    /// per-shard [`ShardStats::wall_ns`] measurements, which the
-    /// threaded path pollutes with preemption whenever shards outnumber
-    /// cores.
-    pub fn run_serial(&self, log: &EventLog) -> ShardedFtOutcome {
-        self.run_with_plan_serial(&ShardPlan::build(log, self.workers))
-    }
-
-    /// Runs the shards over an existing plan on scoped threads — the
-    /// entry point for harnesses that amortize one [`ShardPlan`] across
-    /// several detectors or repetitions.
+    /// Runs the shards over `plan` (built with [`ShardPlan::build`] for
+    /// this worker count); one plan serves any number of detectors and
+    /// repetitions.
     pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedFtOutcome {
-        self.run_plan(plan, true)
-    }
-
-    /// [`ShardedFastTrack::run_with_plan`], sequentially on the calling
-    /// thread.
-    pub fn run_with_plan_serial(&self, plan: &ShardPlan) -> ShardedFtOutcome {
-        self.run_plan(plan, false)
-    }
-
-    fn run_plan(&self, plan: &ShardPlan, parallel: bool) -> ShardedFtOutcome {
         assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let consumers: Vec<FtShard> = (0..self.workers).map(|_| FtShard::new(self.threads)).collect();
-        let reports = fan_out_indexed(plan.sync(), plan.partition(), consumers, parallel);
-        let mut tagged: Vec<(u64, RaceReport)> = Vec::new();
-        let mut shards = Vec::with_capacity(self.workers);
-        let mut checks = 0;
-        let mut sync_ops = 0;
-        for r in reports {
-            let w = r.consumer;
-            shards.push(ShardStats {
-                shard: r.shard,
-                events: r.events,
-                checks: w.ft.checks(),
-                races_found: w.tagged.len() as u64,
-                wall_ns: r.wall_ns,
-            });
-            checks += w.ft.checks();
-            sync_ops = w.ft.sync_ops();
-            tagged.extend(w.tagged);
-        }
-        // Stable sort: same-event reports all come from one shard (an
-        // address has one owner), so their within-shard order survives.
-        tagged.sort_by_key(|&(idx, _)| idx);
-        let races: RaceSet = tagged.into_iter().map(|(_, r)| r).collect();
+        let (dets, shards, reports) =
+            run_shards(plan, || FastTrack::new(self.threads, ShadowMode::Exact));
         ShardedFtOutcome {
-            races,
-            checks,
-            sync_ops,
+            races: reports.into_iter().collect(),
+            checks: shards.iter().map(|s| s.checks).sum(),
+            sync_ops: dets.last().map_or(0, FastTrack::sync_ops),
             shards,
         }
     }
-}
-
-/// One lockset shard: full held-lock state, 1/W of the variable state.
-struct LsShard {
-    ls: Lockset,
-    checks: u64,
-    tagged: Vec<(u64, LocksetReport)>,
-}
-
-impl LsShard {
-    fn new(threads: usize) -> Self {
-        LsShard {
-            ls: Lockset::new(threads),
-            checks: 0,
-            tagged: Vec::new(),
-        }
-    }
-}
-
-impl IndexedConsumer for LsShard {
-    fn access(&mut self, a: &IndexedAccess) {
-        self.checks += 1;
-        let before = self.ls.reports().len();
-        if a.is_write {
-            self.ls.write(a.thread, a.site, a.addr);
-        } else {
-            self.ls.read(a.thread, a.site, a.addr);
-        }
-        for r in &self.ls.reports()[before..] {
-            self.tagged.push((a.idx, *r));
-        }
-    }
-    fn acquire(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_acquire(t, l);
-    }
-    fn release(&mut self, _idx: u64, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_release(t, l);
-    }
-    // Eraser is blind to every other form of synchronization (signals,
-    // barriers, channels, fork/join) — the defaults ignore them.
 }
 
 /// Result of a sharded lockset replay pass.
@@ -380,51 +361,11 @@ impl ShardedLockset {
         }
     }
 
-    /// Indexes `log` and runs all shards on scoped threads.
-    pub fn run(&self, log: &EventLog) -> ShardedLsOutcome {
-        self.run_with_plan(&ShardPlan::build(log, self.workers))
-    }
-
-    /// [`ShardedLockset::run`] with the shards executed sequentially on
-    /// the calling thread — identical outcome, clean per-shard timing
-    /// (see [`ShardedFastTrack::run_serial`]).
-    pub fn run_serial(&self, log: &EventLog) -> ShardedLsOutcome {
-        self.run_with_plan_serial(&ShardPlan::build(log, self.workers))
-    }
-
-    /// Runs the shards over an existing plan on scoped threads.
+    /// Runs the shards over `plan` (built for this worker count).
     pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedLsOutcome {
-        self.run_plan(plan, true)
-    }
-
-    /// [`ShardedLockset::run_with_plan`], sequentially on the calling
-    /// thread.
-    pub fn run_with_plan_serial(&self, plan: &ShardPlan) -> ShardedLsOutcome {
-        self.run_plan(plan, false)
-    }
-
-    fn run_plan(&self, plan: &ShardPlan, parallel: bool) -> ShardedLsOutcome {
         assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let consumers: Vec<LsShard> = (0..self.workers).map(|_| LsShard::new(self.threads)).collect();
-        let reports = fan_out_indexed(plan.sync(), plan.partition(), consumers, parallel);
-        let mut tagged: Vec<(u64, LocksetReport)> = Vec::new();
-        let mut shards = Vec::with_capacity(self.workers);
-        for r in reports {
-            let w = r.consumer;
-            shards.push(ShardStats {
-                shard: r.shard,
-                events: r.events,
-                checks: w.checks,
-                races_found: w.tagged.len() as u64,
-                wall_ns: r.wall_ns,
-            });
-            tagged.extend(w.tagged);
-        }
-        tagged.sort_by_key(|&(idx, _)| idx);
-        ShardedLsOutcome {
-            reports: tagged.into_iter().map(|(_, r)| r).collect(),
-            shards,
-        }
+        let (_, shards, reports) = run_shards(plan, || Lockset::new(self.threads));
+        ShardedLsOutcome { reports, shards }
     }
 }
 
@@ -476,17 +417,12 @@ mod tests {
             let mut serial = FastTrack::new(n, ShadowMode::Exact);
             log.replay(&mut serial);
             for workers in [1, 2, 3, 4, 8] {
-                let out = ShardedFastTrack::new(n, workers).run(&log);
+                let plan = ShardPlan::build(&log, workers);
+                let out = ShardedFastTrack::new(n, workers).run_with_plan(&plan);
                 assert_eq!(
                     out.races.reports(),
                     serial.races().reports(),
                     "seed={seed} workers={workers}"
-                );
-                let seq = ShardedFastTrack::new(n, workers).run_serial(&log);
-                assert_eq!(
-                    seq.races.reports(),
-                    out.races.reports(),
-                    "sequential and threaded shard execution must agree"
                 );
                 assert_eq!(out.checks, serial.checks(), "seed={seed} workers={workers}");
                 assert_eq!(out.sync_ops, serial.sync_ops());
@@ -503,15 +439,14 @@ mod tests {
             let (log, n) = racy_log(seed);
             let mut serial = Lockset::new(n);
             log.replay(&mut serial);
-            for workers in [1, 2, 4, 8] {
-                let out = ShardedLockset::new(n, workers).run(&log);
+            for workers in [1, 2, 3, 4, 8] {
+                let plan = ShardPlan::build(&log, workers);
+                let out = ShardedLockset::new(n, workers).run_with_plan(&plan);
                 assert_eq!(
                     out.reports,
                     serial.reports(),
                     "seed={seed} workers={workers}"
                 );
-                let seq = ShardedLockset::new(n, workers).run_serial(&log);
-                assert_eq!(seq.reports, out.reports);
             }
         }
     }
@@ -523,7 +458,7 @@ mod tests {
         assert_eq!(plan.shards(), 4);
         assert_eq!(plan.threads(), n);
         let ft_a = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
-        let ft_b = ShardedFastTrack::new(n, 4).run_with_plan_serial(&plan);
+        let ft_b = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         assert_eq!(ft_a.races.reports(), ft_b.races.reports());
         let ls = ShardedLockset::new(n, 4).run_with_plan(&plan);
         let mut serial_ls = Lockset::new(n);
@@ -542,7 +477,7 @@ mod tests {
     fn shard_stats_expose_sliced_event_counts() {
         let (log, n) = racy_log(5);
         let plan = ShardPlan::build(&log, 4);
-        let out = ShardedFastTrack::new(n, 4).run_with_plan_serial(&plan);
+        let out = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         let sync_len = plan.sync().len() as u64;
         let mut sliced_total = 0;
         for s in &out.shards {

@@ -8,7 +8,7 @@ use crate::txn::{Txn, TxnState};
 
 /// How a transaction's stores are versioned while it is in flight.
 ///
-/// All three policies are observationally equivalent — doom order, abort
+/// Both policies are observationally equivalent — doom order, abort
 /// statistics, and every value any non-doomed access observes are
 /// bit-identical (verified by `tests/rollback_equivalence.rs`) — they
 /// differ only in what the simulator pays per access and per abort.
@@ -25,19 +25,12 @@ pub enum VersionPolicy {
     /// buffer and reach memory only at commit. The previous
     /// implementation, kept as the equivalence oracle for the undo path.
     Buffer,
-    /// Undo mechanics in the HTM plus a full simulated-memory checkpoint
-    /// cloned by the engine at every transaction begin and again at
-    /// abort: the O(heap)-per-begin clone-snapshot baseline that
-    /// `bench_live` quantifies the journal against. Detection outputs
-    /// are still bit-identical (restore goes through the journal; the
-    /// clones are pure cost).
-    CloneSnapshot,
 }
 
 impl VersionPolicy {
     /// True when stores go to memory eagerly under an undo journal.
     pub fn is_eager(self) -> bool {
-        !matches!(self, VersionPolicy::Buffer)
+        self == VersionPolicy::Undo
     }
 }
 

@@ -381,9 +381,7 @@ mod tests {
             let got: Vec<(SiteId, Op)> = flat_t
                 .code
                 .iter()
-                .filter(|i| {
-                    !matches!(i.kind(), InstrKind::LoopEnter | InstrKind::LoopBack)
-                })
+                .filter(|i| !matches!(i.kind(), InstrKind::LoopEnter | InstrKind::LoopBack))
                 .map(|i| (i.site(), flat_t.decode_op(i)))
                 .collect();
             assert_eq!(got, want, "thread {t}");

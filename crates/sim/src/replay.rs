@@ -16,7 +16,7 @@
 //! back), so it stays a [`Runtime`] and is excluded from this boundary.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::addr::Addr;
@@ -24,7 +24,7 @@ use crate::exec::{Directive, OpEvent, Runtime};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
 use crate::ir::{Op, SyscallKind};
 use crate::mem::Memory;
-use crate::trace::{AccessPartition, EventLog, IndexedAccess, SyncIndex, TraceEventKind};
+use crate::trace::EventLog;
 
 /// A pure observer of one execution's schedule-visible event stream.
 ///
@@ -173,197 +173,79 @@ impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
     }
 }
 
-/// A consumer of the *indexed* replay path: one shard's view of a log,
-/// assembled from its [`AccessPartition`] slice plus the shared
-/// [`SyncIndex`] stream by [`replay_indexed`].
+/// The worker count of a pool over `items` jobs at `width`: at most one
+/// per job and one per core, since a worker beyond either only adds
+/// preemption. The core count is read once per process: the query reads
+/// cgroup files and costs tens of microseconds.
+fn pool_workers(width: usize, items: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let workers = width.min(items);
+    if workers <= 1 {
+        return workers;
+    }
+    workers.min(*CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get())))
+}
+
+/// Runs `f(index, item)` over all `items` on
+/// min(`width`, jobs, available parallelism) scoped threads and returns
+/// the results **in input order**, whatever the completion order — so a
+/// deterministic `f` gives byte-identical output at every width. One
+/// worker runs inline on the calling thread.
 ///
-/// Unlike [`TraceConsumer`], every method carries the event's global log
-/// position (`idx`) explicitly — shards no longer count events
-/// themselves, so a shard that sees only 1/S of the accesses still tags
-/// its reports with absolute positions, and the cross-shard merge by
-/// `idx` reproduces serial discovery order. Only the methods a sharded
-/// detector can act on exist: accesses (pre-decoded, one method) and the
-/// sync kinds. Atomics, barrier arrivals, compute, syscalls, and
-/// thread-done never reach an indexed consumer — they are no-ops for
-/// every per-variable detector, and skipping their dispatch entirely is
-/// where the indexed path's work reduction comes from.
-pub trait IndexedConsumer {
-    /// A routed data access (read or write), pre-decoded.
-    fn access(&mut self, a: &IndexedAccess) {
-        let _ = a;
-    }
-
-    /// Mutex `l` acquired.
-    fn acquire(&mut self, idx: u64, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (idx, t, site, l);
-    }
-
-    /// Mutex `l` released.
-    fn release(&mut self, idx: u64, t: ThreadId, site: SiteId, l: LockId) {
-        let _ = (idx, t, site, l);
-    }
-
-    /// Semaphore `c` posted.
-    fn signal(&mut self, idx: u64, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (idx, t, site, c);
-    }
-
-    /// A wait on `c` satisfied.
-    fn wait(&mut self, idx: u64, t: ThreadId, site: SiteId, c: CondId) {
-        let _ = (idx, t, site, c);
-    }
-
-    /// Thread `child` spawned by `t`.
-    fn spawn(&mut self, idx: u64, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (idx, t, site, child);
-    }
-
-    /// A join on `child` satisfied.
-    fn join(&mut self, idx: u64, t: ThreadId, site: SiteId, child: ThreadId) {
-        let _ = (idx, t, site, child);
-    }
-
-    /// Barrier `b` released all `arrivals`.
-    fn barrier_release(&mut self, idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let _ = (idx, b, arrivals);
-    }
-
-    /// A send into channel `ch` completed.
-    fn chan_send(&mut self, idx: u64, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (idx, t, site, ch);
-    }
-
-    /// A receive from channel `ch` completed.
-    fn chan_recv(&mut self, idx: u64, t: ThreadId, site: SiteId, ch: ChanId) {
-        let _ = (idx, t, site, ch);
-    }
-}
-
-/// Dispatches one sync-stream entry to `c`.
-fn dispatch_sync<C: IndexedConsumer>(sync: &SyncIndex, idx: u64, e: &crate::trace::TraceEvent, c: &mut C) {
-    let (t, site) = (e.thread, e.site);
-    match e.kind {
-        TraceEventKind::Acquire => c.acquire(idx, t, site, LockId(e.arg as u32)),
-        TraceEventKind::Release => c.release(idx, t, site, LockId(e.arg as u32)),
-        TraceEventKind::Signal => c.signal(idx, t, site, CondId(e.arg as u32)),
-        TraceEventKind::Wait => c.wait(idx, t, site, CondId(e.arg as u32)),
-        TraceEventKind::Spawn => c.spawn(idx, t, site, ThreadId(e.arg as u32)),
-        TraceEventKind::Join => c.join(idx, t, site, ThreadId(e.arg as u32)),
-        TraceEventKind::BarrierRelease => {
-            let (b, arrivals) = sync.release_arrivals(e.arg);
-            c.barrier_release(idx, b, arrivals);
-        }
-        TraceEventKind::ChanSend => c.chan_send(idx, t, site, ChanId(e.arg as u32)),
-        TraceEventKind::ChanRecv => c.chan_recv(idx, t, site, ChanId(e.arg as u32)),
-        other => unreachable!("non-sync kind {other:?} in a SyncIndex"),
-    }
-}
-
-/// Drives `consumer` through one shard's merged view of a log: its
-/// access slice interleaved with the shared sync stream, in global
-/// event-index order — the two-cursor merge of the indexed sharding
-/// path.
+/// Workers claim items through one shared counter: jobs here (replay
+/// groups, shards, benchmark cells) are coarse, so one fetch-add per job
+/// costs nothing next to the work it hands out.
 ///
-/// Both inputs are index-sorted by construction and an event is either
-/// an access or a sync event (indices are disjoint), so a strict `<`
-/// comparison fully determines the merge. The dispatched sequence is
-/// exactly the subsequence of the source log this consumer would have
-/// acted on under a full [`EventLog::replay`] walk, in the same order —
-/// which is why detectors built on this path produce byte-identical
-/// results while touching O(slice + sync) events instead of O(log).
-pub fn replay_indexed<C: IndexedConsumer>(
-    sync: &SyncIndex,
-    accesses: &[IndexedAccess],
-    consumer: &mut C,
-) {
-    let syncs = sync.events();
-    let (mut ai, mut si) = (0, 0);
-    while ai < accesses.len() && si < syncs.len() {
-        if accesses[ai].idx < syncs[si].0 {
-            consumer.access(&accesses[ai]);
-            ai += 1;
-        } else {
-            let (idx, e) = &syncs[si];
-            dispatch_sync(sync, *idx, e, consumer);
-            si += 1;
-        }
-    }
-    for a in &accesses[ai..] {
-        consumer.access(a);
-    }
-    for (idx, e) in &syncs[si..] {
-        dispatch_sync(sync, *idx, e, consumer);
-    }
-}
-
-/// One shard's result from a [`fan_out_indexed`] pass.
-#[derive(Debug)]
-pub struct IndexedShardReport<C> {
-    /// The consumer, after consuming its merged view.
-    pub consumer: C,
-    /// The shard this consumer served.
-    pub shard: usize,
-    /// Wall-clock nanoseconds of this shard's merge pass.
-    pub wall_ns: u64,
-    /// Events this shard dispatched: its access slice plus the shared
-    /// sync stream (*not* the full log length — the asymmetry is the
-    /// point of the indexed path).
-    pub events: u64,
-}
-
-/// Runs one [`IndexedConsumer`] per shard over (its slice of
-/// `partition` + the shared `sync` stream), the sharded counterpart of
-/// [`fan_out`].
+/// ```
+/// use txrace_sim::par_map;
 ///
-/// `consumers[i]` serves shard `i`; the vector length must equal
-/// `partition.shards()`. With `parallel`, shards run on scoped threads
-/// (they share only the read-only index); otherwise they run
-/// sequentially on the calling thread, which is the right mode on
-/// single-core hosts and for clean per-shard wall times. Results are in
-/// shard order either way, and the per-shard event sequences — hence
-/// detector outcomes — are identical in both modes.
-pub fn fan_out_indexed<C: IndexedConsumer + Send>(
-    sync: &SyncIndex,
-    partition: &AccessPartition,
-    consumers: Vec<C>,
-    parallel: bool,
-) -> Vec<IndexedShardReport<C>> {
-    assert_eq!(
-        consumers.len(),
-        partition.shards(),
-        "one consumer per shard"
-    );
-    let run_one = |shard: usize, mut consumer: C| -> IndexedShardReport<C> {
-        let slice = partition.slice(shard);
-        let t0 = Instant::now();
-        replay_indexed(sync, slice, &mut consumer);
-        IndexedShardReport {
-            consumer,
-            shard,
-            wall_ns: t0.elapsed().as_nanos() as u64,
-            events: slice.len() as u64 + sync.len() as u64,
-        }
+/// let squares = par_map(4, 0..10u64, |i, x| (i as u64) * x);
+/// assert_eq!(squares, (0..10).map(|x| x * x).collect::<Vec<_>>());
+/// ```
+pub fn par_map<T, R, F>(width: usize, items: impl IntoIterator<Item = T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let jobs: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let workers = pool_workers(width, jobs.len());
+    let take = |m: Mutex<Option<T>>| {
+        m.into_inner()
+            .expect("job poisoned")
+            .expect("job unclaimed")
     };
-    if !parallel || consumers.len() == 1 {
-        return consumers
+    if workers <= 1 {
+        return jobs
             .into_iter()
             .enumerate()
-            .map(|(s, c)| run_one(s, c))
+            .map(|(i, m)| f(i, take(m)))
             .collect();
     }
-    let mut slots: Vec<Option<IndexedShardReport<C>>> =
-        consumers.iter().map(|_| None).collect();
+    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for (shard, (slot, consumer)) in slots.iter_mut().zip(consumers).enumerate() {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                *slot = Some(run_one(shard, consumer));
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else { break };
+                let item = job
+                    .lock()
+                    .expect("job poisoned")
+                    .take()
+                    .expect("claimed once");
+                let r = f(i, item);
+                *slots[i].lock().expect("result slot poisoned") = Some(r);
             });
         }
     });
     slots
         .into_iter()
-        .map(|s| s.expect("every shard thread fills its slot"))
+        .map(|m| {
+            m.into_inner()
+                .expect("result slot poisoned")
+                .expect("every job ran")
+        })
         .collect()
 }
 
@@ -385,24 +267,17 @@ pub struct FanOutReport<C> {
     pub events: u64,
 }
 
-/// One fan-out group's consumers, tagged with their input indices so
-/// results scatter back to input order afterwards.
-type Bucket<C> = Vec<(usize, C)>;
-
-/// One fan-out group's finished reports, tagged like [`Bucket`].
-type GroupResult<C> = Vec<(usize, FanOutReport<C>)>;
-
 /// Replays one shared [`EventLog`] into every consumer — the
 /// multi-consumer fan-out of the parallel replay engine.
 ///
 /// Consumers are split round-robin into at most `width` groups; each
 /// group rides **one** broadcast pass over the log
 /// ([`EventLog::replay_many`]: every event decoded once, dispatched to
-/// the whole group), and groups run concurrently on scoped threads. The
-/// group count is additionally capped at the machine's available
-/// parallelism — an extra group means an extra walk of the log, which
-/// costs memory bandwidth without buying any concurrency once every
-/// core already has a walk.
+/// the whole group), and groups run concurrently on [`par_map`]. The
+/// group count is capped like the pool's workers, at the machine's
+/// available parallelism — an extra group means an extra walk of the
+/// log, which costs memory bandwidth without buying any concurrency once
+/// every core already has a walk.
 ///
 /// Each consumer observes the *identical* call sequence
 /// [`EventLog::replay`] produces, so results are byte-identical to a
@@ -439,73 +314,32 @@ pub fn fan_out<C: TraceConsumer + Send>(
     width: usize,
 ) -> Vec<FanOutReport<C>> {
     let n = consumers.len();
-    if n == 0 {
+    let groups = pool_workers(width.max(1), n);
+    if groups == 0 {
         return Vec::new();
     }
     let events = log.len() as u64;
-    let hw = std::thread::available_parallelism().map_or(1, |v| v.get());
-    let groups = width.clamp(1, hw).min(n);
-
     // Round-robin assignment; each bucket keeps its consumers' input
     // indices so results scatter back to input order afterwards.
-    let mut buckets: Vec<Bucket<C>> = (0..groups).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<(usize, C)>> = (0..groups).map(|_| Vec::new()).collect();
     for (i, c) in consumers.into_iter().enumerate() {
         buckets[i % groups].push((i, c));
     }
-    let run_group = |group: usize, bucket: Bucket<C>| -> GroupResult<C> {
+    let finished = par_map(groups, buckets, |group, bucket| {
         let (idxs, mut cs): (Vec<usize>, Vec<C>) = bucket.into_iter().unzip();
         let t0 = Instant::now();
         log.replay_many(&mut cs);
         let wall_ns = t0.elapsed().as_nanos() as u64;
+        let report = move |consumer| FanOutReport {
+            consumer,
+            group,
+            wall_ns,
+            events,
+        };
         idxs.into_iter()
-            .zip(cs)
-            .map(|(i, consumer)| {
-                (
-                    i,
-                    FanOutReport {
-                        consumer,
-                        group,
-                        wall_ns,
-                        events,
-                    },
-                )
-            })
-            .collect()
-    };
-
-    let finished: Vec<GroupResult<C>> = if groups == 1 {
-        vec![run_group(0, buckets.pop().expect("one bucket"))]
-    } else {
-        let jobs: Vec<Mutex<Option<Bucket<C>>>> =
-            buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let slots: Vec<Mutex<Option<GroupResult<C>>>> =
-            jobs.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..groups {
-                scope.spawn(|| loop {
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= jobs.len() {
-                        break;
-                    }
-                    let bucket = jobs[g]
-                        .lock()
-                        .expect("fan-out job poisoned")
-                        .take()
-                        .expect("each group is claimed once");
-                    *slots[g].lock().expect("fan-out slot poisoned") = Some(run_group(g, bucket));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("fan-out slot poisoned")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
-    };
+            .zip(cs.into_iter().map(report))
+            .collect::<Vec<_>>()
+    });
 
     let mut out: Vec<Option<FanOutReport<C>>> = (0..n).map(|_| None).collect();
     for (i, r) in finished.into_iter().flatten() {
@@ -663,6 +497,12 @@ mod tests {
         fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
             self.0.push(format!("relbar {b} x{}", arrivals.len()));
         }
+        fn chan_send(&mut self, t: ThreadId, _s: SiteId, ch: ChanId) {
+            self.0.push(format!("send {t} {ch}"));
+        }
+        fn chan_recv(&mut self, t: ThreadId, _s: SiteId, ch: ChanId) {
+            self.0.push(format!("recv {t} {ch}"));
+        }
         fn thread_done(&mut self, t: ThreadId) {
             self.0.push(format!("done {t}"));
         }
@@ -801,48 +641,9 @@ mod tests {
         assert!(fan_out(&log, none, 4).is_empty());
     }
 
-    /// Records the indexed call sequence as strings, for merge-order
-    /// assertions against the raw log.
-    #[derive(Default, Debug, PartialEq)]
-    struct IndexedScript(Vec<String>);
-
-    impl IndexedConsumer for IndexedScript {
-        fn access(&mut self, a: &IndexedAccess) {
-            let k = if a.is_write { "w" } else { "r" };
-            self.0.push(format!("{} {k} {} {}", a.idx, a.thread, a.addr));
-        }
-        fn acquire(&mut self, idx: u64, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("{idx} acq {t} {l}"));
-        }
-        fn release(&mut self, idx: u64, t: ThreadId, _s: SiteId, l: LockId) {
-            self.0.push(format!("{idx} rel {t} {l}"));
-        }
-        fn signal(&mut self, idx: u64, t: ThreadId, _s: SiteId, c: CondId) {
-            self.0.push(format!("{idx} sig {t} {c}"));
-        }
-        fn wait(&mut self, idx: u64, t: ThreadId, _s: SiteId, c: CondId) {
-            self.0.push(format!("{idx} wait {t} {c}"));
-        }
-        fn spawn(&mut self, idx: u64, t: ThreadId, _s: SiteId, u: ThreadId) {
-            self.0.push(format!("{idx} spawn {t} {u}"));
-        }
-        fn join(&mut self, idx: u64, t: ThreadId, _s: SiteId, u: ThreadId) {
-            self.0.push(format!("{idx} join {t} {u}"));
-        }
-        fn barrier_release(&mut self, idx: u64, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-            self.0.push(format!("{idx} relbar {b} x{}", arrivals.len()));
-        }
-        fn chan_send(&mut self, idx: u64, t: ThreadId, _s: SiteId, ch: ChanId) {
-            self.0.push(format!("{idx} send {t} {ch}"));
-        }
-        fn chan_recv(&mut self, idx: u64, t: ThreadId, _s: SiteId, ch: ChanId) {
-            self.0.push(format!("{idx} recv {t} {ch}"));
-        }
-    }
-
     /// A 3-thread log with locks, a barrier, channels, and enough
     /// distinct addresses that a partition spreads across shards.
-    fn indexed_fixture() -> EventLog {
+    fn sharding_fixture() -> EventLog {
         use crate::exec::StepLimit;
         use crate::trace::record_run;
 
@@ -856,7 +657,12 @@ mod tests {
             for &v in &vars {
                 tb.write(v, t as u64 + 1);
             }
-            tb.send(ch).lock(l).rmw(vars[0], 1).unlock(l).barrier(bar).recv(ch);
+            tb.send(ch)
+                .lock(l)
+                .rmw(vars[0], 1)
+                .unlock(l)
+                .barrier(bar)
+                .recv(ch);
             for &v in &vars {
                 tb.read(v);
             }
@@ -866,75 +672,75 @@ mod tests {
         record_run(&p, &mut sched, StepLimit::default())
     }
 
+    /// Forwards to a [`Script`] exactly what one shard acts on: its
+    /// routed reads and writes plus every sync event.
+    struct ShardView {
+        script: Script,
+        owns: Box<dyn Fn(Addr) -> bool>,
+    }
+
+    impl TraceConsumer for ShardView {
+        fn read(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+            if (self.owns)(a) {
+                self.script.read(t, s, a);
+            }
+        }
+        fn write(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+            if (self.owns)(a) {
+                self.script.write(t, s, a);
+            }
+        }
+        fn acquire(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+            self.script.acquire(t, s, l);
+        }
+        fn release(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+            self.script.release(t, s, l);
+        }
+        fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+            self.script.barrier_release(b, arrivals);
+        }
+        fn chan_send(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+            self.script.chan_send(t, s, ch);
+        }
+        fn chan_recv(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+            self.script.chan_recv(t, s, ch);
+        }
+    }
+
     #[test]
-    fn replay_indexed_merges_slice_and_sync_in_global_order() {
-        let log = indexed_fixture();
+    fn shard_merge_replays_slice_and_sync_in_log_order() {
+        use crate::trace::{AccessPartition, SyncIndex};
+
+        let log = sharding_fixture();
         let sync = SyncIndex::of(&log);
         let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
         for shards in [1usize, 2, 4] {
             let part = AccessPartition::of(&log, shards, route);
             for shard in 0..shards {
-                let mut got = IndexedScript::default();
-                replay_indexed(&sync, part.slice(shard), &mut got);
+                let mut got = Script::default();
+                sync.replay_merged(part.slice(shard), &mut got);
                 // Expected: the log's own order, restricted to this
                 // shard's accesses plus all sync events.
-                let mut want = IndexedScript::default();
-                for (i, e) in log.events().iter().enumerate() {
-                    let idx = i as u64;
-                    match e.kind {
-                        TraceEventKind::Read | TraceEventKind::Write
-                            if route(Addr(e.arg), shards) == shard =>
-                        {
-                            want.access(&IndexedAccess {
-                                idx,
-                                thread: e.thread,
-                                site: e.site,
-                                addr: Addr(e.arg),
-                                is_write: e.kind == TraceEventKind::Write,
-                            });
-                        }
-                        TraceEventKind::Acquire => {
-                            want.acquire(idx, e.thread, e.site, LockId(e.arg as u32))
-                        }
-                        TraceEventKind::Release => {
-                            want.release(idx, e.thread, e.site, LockId(e.arg as u32))
-                        }
-                        TraceEventKind::BarrierRelease => {
-                            let (bar, arr) = log.release_arrivals(e.arg);
-                            want.barrier_release(idx, bar, arr);
-                        }
-                        TraceEventKind::ChanSend => {
-                            want.chan_send(idx, e.thread, e.site, ChanId(e.arg as u32))
-                        }
-                        TraceEventKind::ChanRecv => {
-                            want.chan_recv(idx, e.thread, e.site, ChanId(e.arg as u32))
-                        }
-                        _ => {}
-                    }
-                }
-                assert_eq!(got, want, "shards={shards} shard={shard}");
+                let owns = Box::new(move |a: Addr| route(a, shards) == shard);
+                let mut want = ShardView {
+                    script: Script::default(),
+                    owns,
+                };
+                log.replay(&mut want);
+                assert!(got.0.iter().any(|s| s.starts_with("send")));
+                assert_eq!(got.0, want.script.0, "shards={shards} shard={shard}");
             }
         }
     }
 
     #[test]
-    fn fan_out_indexed_parallel_matches_sequential() {
-        let log = indexed_fixture();
-        let sync = SyncIndex::of(&log);
-        let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
-        for shards in [1usize, 2, 4, 8] {
-            let part = AccessPartition::of(&log, shards, route);
-            let mk = || (0..shards).map(|_| IndexedScript::default()).collect::<Vec<_>>();
-            let seq = fan_out_indexed(&sync, &part, mk(), false);
-            let par = fan_out_indexed(&sync, &part, mk(), true);
-            assert_eq!(seq.len(), shards);
-            for (s, p) in seq.iter().zip(&par) {
-                assert_eq!(s.shard, p.shard);
-                assert_eq!(s.consumer, p.consumer, "shards={shards}");
-                assert_eq!(s.events, part.slice(s.shard).len() as u64 + sync.len() as u64);
-                assert_eq!(s.events, p.events);
-            }
-        }
+    fn par_map_keeps_input_order_under_contention() {
+        let out = par_map(16, 0..200usize, |i, x| {
+            // Vary per-job latency so completion order scrambles.
+            std::thread::sleep(std::time::Duration::from_micros((x % 7) as u64));
+            i * 2
+        });
+        assert_eq!(out, (0..200).map(|i| i * 2).collect::<Vec<_>>());
     }
 
     #[test]

@@ -173,13 +173,59 @@ impl OpCensus {
     }
 }
 
+/// The barrier side table of a trace: every release's arrival list,
+/// stored once and addressed by the `arg` of its
+/// [`TraceEventKind::BarrierRelease`] event. [`EventLogBuilder`] fills it,
+/// and [`EventLog`] and [`SyncIndex`] replay through it.
+#[derive(Debug, Clone, Default)]
+pub struct BarrierTable {
+    arrivals: Vec<(ThreadId, SiteId)>,
+    /// `(barrier, start, len)` ranges into `arrivals`, in release order.
+    releases: Vec<(BarrierId, u32, u32)>,
+}
+
+impl BarrierTable {
+    /// Appends one release and returns the `arg` its event carries.
+    fn push(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) -> u64 {
+        let start = self.arrivals.len() as u32;
+        self.arrivals.extend_from_slice(arrivals);
+        self.releases.push((b, start, arrivals.len() as u32));
+        self.releases.len() as u64 - 1
+    }
+
+    /// The barrier and arrival list (in arrival order) of a
+    /// [`TraceEventKind::BarrierRelease`] event; pass the event's `arg`.
+    pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
+        let (b, start, len) = self.releases[release_idx as usize];
+        (b, &self.arrivals[start as usize..(start + len) as usize])
+    }
+
+    /// Rejects a decoded table that [`release_arrivals`] would index out
+    /// of bounds: a release event naming no release (`max_release` is the
+    /// largest `arg` of any), or a release range that overflows or runs
+    /// past the arrivals.
+    ///
+    /// [`release_arrivals`]: BarrierTable::release_arrivals
+    fn check(&self, max_release: Option<u64>) -> Result<(), String> {
+        if let Some(r) = max_release.filter(|&r| r >= self.releases.len() as u64) {
+            return Err(format!("barrier release {r} out of range"));
+        }
+        for &(b, start, len) in &self.releases {
+            match start.checked_add(len) {
+                Some(end) if end as usize <= self.arrivals.len() => {}
+                _ => return Err(format!("barrier {} arrivals out of range", b.0)),
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A [`TraceConsumer`] that accumulates the event stream of one run;
 /// [`record_run`] wraps it in [`Live`] and assembles the [`EventLog`].
 #[derive(Debug, Default)]
 pub struct EventLogBuilder {
     events: Vec<TraceEvent>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    barriers: BarrierTable,
 }
 
 impl EventLogBuilder {
@@ -240,10 +286,7 @@ impl TraceConsumer for EventLogBuilder {
     }
 
     fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let start = self.arrivals.len() as u32;
-        self.arrivals.extend_from_slice(arrivals);
-        let idx = self.releases.len() as u64;
-        self.releases.push((b, start, arrivals.len() as u32));
+        let idx = self.barriers.push(b, arrivals);
         self.push(
             TraceEventKind::BarrierRelease,
             ThreadId::default(),
@@ -282,8 +325,7 @@ impl TraceConsumer for EventLogBuilder {
 pub struct EventLog {
     threads: usize,
     events: Vec<TraceEvent>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    barriers: BarrierTable,
     census: OpCensus,
     result: RunResult,
     memory: Memory,
@@ -325,12 +367,9 @@ impl EventLog {
         &self.memory
     }
 
-    /// The arrival list of a [`TraceEventKind::BarrierRelease`] event
-    /// (pass the event's `arg`). Returns the barrier and its arrivals in
-    /// arrival order.
-    pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
-        let (b, start, len) = self.releases[release_idx as usize];
-        (b, &self.arrivals[start as usize..(start + len) as usize])
+    /// The barrier side table the log's release events index into.
+    pub fn barriers(&self) -> &BarrierTable {
+        &self.barriers
     }
 
     /// Serializes the log to a stable, self-describing byte format
@@ -365,13 +404,13 @@ impl EventLog {
             out.extend_from_slice(&e.site.0.to_le_bytes());
             put_u64(&mut out, e.arg);
         }
-        put_u64(&mut out, self.arrivals.len() as u64);
-        for &(t, s) in &self.arrivals {
+        put_u64(&mut out, self.barriers.arrivals.len() as u64);
+        for &(t, s) in &self.barriers.arrivals {
             out.extend_from_slice(&t.0.to_le_bytes());
             out.extend_from_slice(&s.0.to_le_bytes());
         }
-        put_u64(&mut out, self.releases.len() as u64);
-        for &(b, start, len) in &self.releases {
+        put_u64(&mut out, self.barriers.releases.len() as u64);
+        for &(b, start, len) in &self.barriers.releases {
             out.extend_from_slice(&b.0.to_le_bytes());
             out.extend_from_slice(&start.to_le_bytes());
             out.extend_from_slice(&len.to_le_bytes());
@@ -389,8 +428,10 @@ impl EventLog {
     /// # Errors
     ///
     /// A description of the corruption (bad magic, unknown version,
-    /// truncation, invalid event kind). Cache readers treat any error as
-    /// a miss and re-record.
+    /// truncation, invalid event kind or syscall code, a barrier release
+    /// that indexes past the side table). Every log this accepts replays
+    /// without panicking. Cache readers treat any error as a miss and
+    /// re-record.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
         let mut c = Cursor { b: bytes, pos: 0 };
         if c.u64()? != LOG_MAGIC {
@@ -421,15 +462,24 @@ impl EventLog {
         };
         let n_events = c.u64()? as usize;
         let mut events = Vec::with_capacity(n_events.min(bytes.len() / 17));
+        let mut max_release = None;
         for _ in 0..n_events {
             let code = c.u8()?;
             let kind = kind_from_code(code).ok_or_else(|| format!("bad event kind {code}"))?;
-            events.push(TraceEvent {
+            let e = TraceEvent {
                 kind,
                 thread: ThreadId(c.u32()?),
                 site: SiteId(c.u32()?),
                 arg: c.u64()?,
-            });
+            };
+            match kind {
+                TraceEventKind::Syscall if e.arg >= SYSCALL_CODES.len() as u64 => {
+                    return Err(format!("bad syscall code {}", e.arg));
+                }
+                TraceEventKind::BarrierRelease => max_release = max_release.max(Some(e.arg)),
+                _ => {}
+            }
+            events.push(e);
         }
         let n_arrivals = c.u64()? as usize;
         let mut arrivals = Vec::with_capacity(n_arrivals.min(bytes.len() / 8));
@@ -441,6 +491,8 @@ impl EventLog {
         for _ in 0..n_releases {
             releases.push((BarrierId(c.u32()?), c.u32()?, c.u32()?));
         }
+        let barriers = BarrierTable { arrivals, releases };
+        barriers.check(max_release)?;
         let n_cells = c.u64()? as usize;
         let mut memory = Memory::new();
         for _ in 0..n_cells {
@@ -454,8 +506,7 @@ impl EventLog {
         Ok(EventLog {
             threads,
             events,
-            arrivals,
-            releases,
+            barriers,
             census,
             result: RunResult { status, steps },
             memory,
@@ -466,34 +517,7 @@ impl EventLog {
     /// sequence is identical to what the consumer would have observed
     /// live inside [`Live`] during the recorded run.
     pub fn replay<C: TraceConsumer>(&self, consumer: &mut C) {
-        for e in &self.events {
-            let (t, site) = (e.thread, e.site);
-            match e.kind {
-                TraceEventKind::Read => consumer.read(t, site, Addr(e.arg)),
-                TraceEventKind::Write => consumer.write(t, site, Addr(e.arg)),
-                TraceEventKind::Rmw => consumer.rmw(t, site, Addr(e.arg)),
-                TraceEventKind::Acquire => consumer.acquire(t, site, LockId(e.arg as u32)),
-                TraceEventKind::Release => consumer.release(t, site, LockId(e.arg as u32)),
-                TraceEventKind::Signal => consumer.signal(t, site, CondId(e.arg as u32)),
-                TraceEventKind::Wait => consumer.wait(t, site, CondId(e.arg as u32)),
-                TraceEventKind::Spawn => consumer.spawn(t, site, ThreadId(e.arg as u32)),
-                TraceEventKind::Join => consumer.join(t, site, ThreadId(e.arg as u32)),
-                TraceEventKind::BarrierArrive => {
-                    consumer.barrier_arrive(t, site, BarrierId(e.arg as u32));
-                }
-                TraceEventKind::BarrierRelease => {
-                    let (b, arrivals) = self.release_arrivals(e.arg);
-                    consumer.barrier_release(b, arrivals);
-                }
-                TraceEventKind::ThreadDone => consumer.thread_done(t),
-                TraceEventKind::Compute => consumer.compute(t, site, e.arg as u32),
-                TraceEventKind::Syscall => {
-                    consumer.syscall(t, site, SYSCALL_CODES[e.arg as usize]);
-                }
-                TraceEventKind::ChanSend => consumer.chan_send(t, site, ChanId(e.arg as u32)),
-                TraceEventKind::ChanRecv => consumer.chan_recv(t, site, ChanId(e.arg as u32)),
-            }
-        }
+        self.replay_many(std::slice::from_mut(consumer));
     }
 
     /// Replays the log into *every* consumer in one pass over the event
@@ -509,91 +533,51 @@ impl EventLog {
     /// log through the cache N times and once.
     pub fn replay_many<C: TraceConsumer>(&self, consumers: &mut [C]) {
         for e in &self.events {
-            let (t, site) = (e.thread, e.site);
-            match e.kind {
-                TraceEventKind::Read => {
-                    for c in consumers.iter_mut() {
-                        c.read(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Write => {
-                    for c in consumers.iter_mut() {
-                        c.write(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Rmw => {
-                    for c in consumers.iter_mut() {
-                        c.rmw(t, site, Addr(e.arg));
-                    }
-                }
-                TraceEventKind::Acquire => {
-                    for c in consumers.iter_mut() {
-                        c.acquire(t, site, LockId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Release => {
-                    for c in consumers.iter_mut() {
-                        c.release(t, site, LockId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Signal => {
-                    for c in consumers.iter_mut() {
-                        c.signal(t, site, CondId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Wait => {
-                    for c in consumers.iter_mut() {
-                        c.wait(t, site, CondId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Spawn => {
-                    for c in consumers.iter_mut() {
-                        c.spawn(t, site, ThreadId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::Join => {
-                    for c in consumers.iter_mut() {
-                        c.join(t, site, ThreadId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::BarrierArrive => {
-                    for c in consumers.iter_mut() {
-                        c.barrier_arrive(t, site, BarrierId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::BarrierRelease => {
-                    let (b, arrivals) = self.release_arrivals(e.arg);
-                    for c in consumers.iter_mut() {
-                        c.barrier_release(b, arrivals);
-                    }
-                }
-                TraceEventKind::ThreadDone => {
-                    for c in consumers.iter_mut() {
-                        c.thread_done(t);
-                    }
-                }
-                TraceEventKind::Compute => {
-                    for c in consumers.iter_mut() {
-                        c.compute(t, site, e.arg as u32);
-                    }
-                }
-                TraceEventKind::Syscall => {
-                    for c in consumers.iter_mut() {
-                        c.syscall(t, site, SYSCALL_CODES[e.arg as usize]);
-                    }
-                }
-                TraceEventKind::ChanSend => {
-                    for c in consumers.iter_mut() {
-                        c.chan_send(t, site, ChanId(e.arg as u32));
-                    }
-                }
-                TraceEventKind::ChanRecv => {
-                    for c in consumers.iter_mut() {
-                        c.chan_recv(t, site, ChanId(e.arg as u32));
-                    }
-                }
-            }
+            deliver(e, &self.barriers, consumers);
         }
+    }
+}
+
+/// Delivers one event to every consumer in `consumers`, decoding it once:
+/// the one event dispatch under [`EventLog::replay`],
+/// [`EventLog::replay_many`] and [`SyncIndex::replay_merged`]. The `match`
+/// sits outside the per-consumer loop, and forced inlining lets a
+/// one-consumer caller drop the loop entirely.
+#[inline(always)]
+fn deliver<C: TraceConsumer>(e: &TraceEvent, barriers: &BarrierTable, consumers: &mut [C]) {
+    macro_rules! each {
+        (|$c:ident| $call:expr) => {
+            for $c in consumers.iter_mut() {
+                $call;
+            }
+        };
+    }
+    let (t, site) = (e.thread, e.site);
+    match e.kind {
+        TraceEventKind::Read => each!(|c| c.read(t, site, Addr(e.arg))),
+        TraceEventKind::Write => each!(|c| c.write(t, site, Addr(e.arg))),
+        TraceEventKind::Rmw => each!(|c| c.rmw(t, site, Addr(e.arg))),
+        TraceEventKind::Acquire => each!(|c| c.acquire(t, site, LockId(e.arg as u32))),
+        TraceEventKind::Release => each!(|c| c.release(t, site, LockId(e.arg as u32))),
+        TraceEventKind::Signal => each!(|c| c.signal(t, site, CondId(e.arg as u32))),
+        TraceEventKind::Wait => each!(|c| c.wait(t, site, CondId(e.arg as u32))),
+        TraceEventKind::Spawn => each!(|c| c.spawn(t, site, ThreadId(e.arg as u32))),
+        TraceEventKind::Join => each!(|c| c.join(t, site, ThreadId(e.arg as u32))),
+        TraceEventKind::BarrierArrive => {
+            each!(|c| c.barrier_arrive(t, site, BarrierId(e.arg as u32)))
+        }
+        TraceEventKind::BarrierRelease => {
+            let (b, arrivals) = barriers.release_arrivals(e.arg);
+            each!(|c| c.barrier_release(b, arrivals))
+        }
+        TraceEventKind::ThreadDone => each!(|c| c.thread_done(t)),
+        TraceEventKind::Compute => each!(|c| c.compute(t, site, e.arg as u32)),
+        TraceEventKind::Syscall => {
+            let kind = SYSCALL_CODES[e.arg as usize];
+            each!(|c| c.syscall(t, site, kind))
+        }
+        TraceEventKind::ChanSend => each!(|c| c.chan_send(t, site, ChanId(e.arg as u32))),
+        TraceEventKind::ChanRecv => each!(|c| c.chan_recv(t, site, ChanId(e.arg as u32))),
     }
 }
 
@@ -620,22 +604,21 @@ fn is_sync_kind(kind: TraceEventKind) -> bool {
 }
 
 /// The sync side-stream of one [`EventLog`]: every synchronization /
-/// channel event paired with its global event index, plus copies of the
-/// barrier side tables so the stream replays without the log in hand.
+/// channel event paired with its global event index, plus a copy of the
+/// barrier side table so the stream replays without the log in hand.
 ///
 /// A `SyncIndex` is **derived at decode time** ([`SyncIndex::of`]) and
 /// never serialized: the wire format stays the flat v2 event stream, and
 /// a corrupted or adversarial index can never disagree with the log it
 /// was built from. Shards consume this shared stream plus their own
 /// [`AccessPartition`] slice through a two-cursor merge
-/// ([`crate::replay::replay_indexed`]), so per-shard work is
+/// ([`SyncIndex::replay_merged`]), so per-shard work is
 /// O(accesses/shards + sync) instead of O(all events).
 #[derive(Debug, Clone)]
 pub struct SyncIndex {
     /// `(global event index, event)` in log order.
     events: Vec<(u64, TraceEvent)>,
-    arrivals: Vec<(ThreadId, SiteId)>,
-    releases: Vec<(BarrierId, u32, u32)>,
+    barriers: BarrierTable,
     total_events: u64,
 }
 
@@ -651,8 +634,7 @@ impl SyncIndex {
             .collect();
         SyncIndex {
             events,
-            arrivals: log.arrivals.clone(),
-            releases: log.releases.clone(),
+            barriers: log.barriers.clone(),
             total_events: log.len() as u64,
         }
     }
@@ -677,45 +659,60 @@ impl SyncIndex {
         self.total_events
     }
 
-    /// The arrival list of a [`TraceEventKind::BarrierRelease`] event
-    /// (pass the event's `arg`), mirroring
-    /// [`EventLog::release_arrivals`].
-    pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
-        let (b, start, len) = self.releases[release_idx as usize];
-        (b, &self.arrivals[start as usize..(start + len) as usize])
+    /// The barrier side table, a copy of the source log's.
+    pub fn barriers(&self) -> &BarrierTable {
+        &self.barriers
+    }
+
+    /// Drives `consumer` through one shard's view of the log: `accesses`
+    /// (an [`AccessPartition`] slice) merged with this sync stream in
+    /// global event-index order.
+    ///
+    /// Both streams are index-sorted by construction and an event is
+    /// either an access or a sync event (indices are disjoint), so a
+    /// strict `<` fully determines the merge. The delivered sequence is
+    /// exactly the subsequence of the source log this shard acts on under
+    /// a full [`EventLog::replay`], in the same order, which is why
+    /// detectors fed this way produce byte-identical results while
+    /// touching O(slice + sync) events instead of O(log).
+    pub fn replay_merged<C: TraceConsumer>(
+        &self,
+        accesses: &[(u64, TraceEvent)],
+        consumer: &mut C,
+    ) {
+        let c = std::slice::from_mut(consumer);
+        let syncs = &self.events[..];
+        let (mut ai, mut si) = (0, 0);
+        while ai < accesses.len() && si < syncs.len() {
+            let e = if accesses[ai].0 < syncs[si].0 {
+                ai += 1;
+                &accesses[ai - 1].1
+            } else {
+                si += 1;
+                &syncs[si - 1].1
+            };
+            deliver(e, &self.barriers, c);
+        }
+        for (_, e) in accesses[ai..].iter().chain(&syncs[si..]) {
+            deliver(e, &self.barriers, c);
+        }
     }
 }
 
-/// One checkable data access (read or write), pre-decoded and tagged
-/// with its global event index. The unit of an [`AccessPartition`]
-/// slice: shards consume these directly instead of re-decoding and
-/// re-classifying raw [`TraceEvent`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexedAccess {
-    /// Global position in the source log's event stream.
-    pub idx: u64,
-    /// Executing thread.
-    pub thread: ThreadId,
-    /// Static site.
-    pub site: SiteId,
-    /// Resolved address.
-    pub addr: Addr,
-    /// True for writes.
-    pub is_write: bool,
-}
-
-/// The data accesses of one [`EventLog`], split into per-shard,
-/// index-tagged slices in a single pass ([`AccessPartition::of`]).
+/// The data accesses of one [`EventLog`], split into per-shard slices of
+/// `(global event index, event)` in a single pass
+/// ([`AccessPartition::of`]), the same entry type as
+/// [`SyncIndex::events`].
 ///
 /// Only plain reads and writes are partitioned: atomics never reach a
 /// checking detector (C11), so routing them would cost slice space for
 /// events every consumer ignores. Each access appears in exactly one
 /// slice (the partition property tests pin this), and slices are sorted
-/// by `idx` by construction because the partitioner walks the log once
+/// by index by construction because the partitioner walks the log once
 /// in order.
 #[derive(Debug, Clone)]
 pub struct AccessPartition {
-    slices: Vec<Vec<IndexedAccess>>,
+    slices: Vec<Vec<(u64, TraceEvent)>>,
 }
 
 impl AccessPartition {
@@ -725,21 +722,11 @@ impl AccessPartition {
     /// detectors, a layer above this crate.
     pub fn of(log: &EventLog, shards: usize, route: impl Fn(Addr, usize) -> usize) -> Self {
         let shards = shards.max(1);
-        let mut slices: Vec<Vec<IndexedAccess>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut slices: Vec<Vec<(u64, TraceEvent)>> = (0..shards).map(|_| Vec::new()).collect();
         for (i, e) in log.events.iter().enumerate() {
-            let is_write = match e.kind {
-                TraceEventKind::Read => false,
-                TraceEventKind::Write => true,
-                _ => continue,
-            };
-            let addr = Addr(e.arg);
-            slices[route(addr, shards)].push(IndexedAccess {
-                idx: i as u64,
-                thread: e.thread,
-                site: e.site,
-                addr,
-                is_write,
-            });
+            if matches!(e.kind, TraceEventKind::Read | TraceEventKind::Write) {
+                slices[route(Addr(e.arg), shards)].push((i as u64, *e));
+            }
         }
         AccessPartition { slices }
     }
@@ -749,8 +736,13 @@ impl AccessPartition {
         self.slices.len()
     }
 
+    /// Every shard's slice, in shard order.
+    pub fn slices(&self) -> &[Vec<(u64, TraceEvent)>] {
+        &self.slices
+    }
+
     /// Shard `shard`'s accesses, sorted by global event index.
-    pub fn slice(&self, shard: usize) -> &[IndexedAccess] {
+    pub fn slice(&self, shard: usize) -> &[(u64, TraceEvent)] {
         &self.slices[shard]
     }
 
@@ -776,8 +768,7 @@ pub fn record_run(p: &Program, sched: &mut dyn Scheduler, limit: StepLimit) -> E
     EventLog {
         threads: p.thread_count(),
         events: b.events,
-        arrivals: b.arrivals,
-        releases: b.releases,
+        barriers: b.barriers,
         census: OpCensus::of(p),
         result,
         memory: machine.memory().clone(),
@@ -1296,19 +1287,18 @@ mod tests {
             .map(|(i, e)| (i as u64, *e))
             .collect();
         assert_eq!(sync.events(), &want[..]);
-        assert!(want
-            .iter()
-            .any(|(_, e)| e.kind == TraceEventKind::ChanSend));
+        assert!(want.iter().any(|(_, e)| e.kind == TraceEventKind::ChanSend));
         assert!(want
             .iter()
             .any(|(_, e)| e.kind == TraceEventKind::BarrierRelease));
         // Barrier side tables replay without the log in hand.
         for (idx, e) in sync.events() {
             if e.kind == TraceEventKind::BarrierRelease {
-                let (b_from_sync, arr_from_sync) = sync.release_arrivals(e.arg);
-                let (b_from_log, arr_from_log) = log.release_arrivals(e.arg);
-                assert_eq!(b_from_sync, b_from_log, "idx={idx}");
-                assert_eq!(arr_from_sync, arr_from_log);
+                assert_eq!(
+                    sync.barriers().release_arrivals(e.arg),
+                    log.barriers().release_arrivals(e.arg),
+                    "idx={idx}"
+                );
             }
         }
     }
@@ -1330,20 +1320,51 @@ mod tests {
             for s in 0..shards {
                 let slice = part.slice(s);
                 assert!(
-                    slice.windows(2).all(|w| w[0].idx < w[1].idx),
+                    slice.windows(2).all(|w| w[0].0 < w[1].0),
                     "slices are index-sorted"
                 );
-                for a in slice {
-                    assert_eq!(route(a.addr, shards), s, "routed to the owner");
-                    assert!(seen.insert(a.idx), "each access on exactly one shard");
-                    let e = log.events()[a.idx as usize];
-                    assert_eq!(e.thread, a.thread);
-                    assert_eq!(e.site, a.site);
-                    assert_eq!(Addr(e.arg), a.addr);
-                    assert_eq!(e.kind == TraceEventKind::Write, a.is_write);
+                for &(idx, e) in slice {
+                    assert_eq!(route(Addr(e.arg), shards), s, "routed to the owner");
+                    assert!(seen.insert(idx), "each access on exactly one shard");
+                    assert_eq!(log.events()[idx as usize], e);
                 }
             }
         }
+    }
+
+    #[test]
+    fn replay_panicking_corruptions_are_decode_errors() {
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        // Layout: a 9-word header (status `Done` is one word), the event
+        // count, 17-byte events, then the arrival and release tables.
+        let event_arg = |i: usize| 80 + 17 * i + 9;
+        let first_release = 80 + 17 * log.len() + 8 + 8 * log.barriers.arrivals.len() + 8;
+        let nth = |kind| log.events().iter().position(|e| e.kind == kind).unwrap();
+        let corrupt = |at: usize, value: &[u8]| {
+            let mut b = bytes.clone();
+            b[at..at + value.len()].copy_from_slice(value);
+            EventLog::from_bytes(&b)
+        };
+        let releases = log.barriers.releases.len() as u64;
+        let release_arg = event_arg(nth(TraceEventKind::BarrierRelease));
+        assert!(corrupt(release_arg, &releases.to_le_bytes()).is_err());
+        let (start, len) = (first_release + 4, first_release + 8);
+        assert!(
+            corrupt(len, &u32::MAX.to_le_bytes()).is_err(),
+            "past the arrivals"
+        );
+        assert!(
+            corrupt(start, &u32::MAX.to_le_bytes()).is_err(),
+            "start + len overflows"
+        );
+        let syscall_arg = event_arg(nth(TraceEventKind::Syscall));
+        assert!(corrupt(syscall_arg, &4u64.to_le_bytes()).is_err());
+        // The offsets point at the intended fields.
+        assert_eq!(bytes[release_arg - 9], TraceEventKind::BarrierRelease as u8);
+        assert_eq!(bytes[syscall_arg - 9], TraceEventKind::Syscall as u8);
+        let first = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
+        assert_eq!(first, 2 << 32, "first release: start 0, two arrivals");
     }
 
     #[test]

@@ -26,9 +26,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use txrace_hb::{FastTrack, RaceSet, ShadowMode};
-use txrace_htm::{
-    AbortReason, AbortStatus, HtmConfig, HtmStats, HtmSystem, VersionPolicy, XbeginError,
-};
+use txrace_htm::{AbortReason, AbortStatus, HtmConfig, HtmStats, HtmSystem, XbeginError};
 use txrace_sim::CacheLine;
 use txrace_sim::{
     Addr, BarrierId, Directive, Interner, LoopId, Memory, Op, OpEvent, RegionId, Runtime, SiteId,
@@ -199,11 +197,6 @@ pub struct TxRaceEngine {
     breakdown: CycleBreakdown,
     mode: Vec<Mode>,
     snaps: Vec<Option<(Snapshot, RegionId)>>,
-    /// [`VersionPolicy::CloneSnapshot`] only: the full-memory checkpoint
-    /// cloned at transaction begin (and again on abort). Pure modeled
-    /// cost — restoration always goes through the HTM's undo journal, so
-    /// detection outputs are identical across policies.
-    clone_snaps: Vec<Option<Memory>>,
     pending_slow: Vec<Option<(RegionId, SlowTrigger)>>,
     txn_base_acc: Vec<u64>,
     retry_count: Vec<u32>,
@@ -313,7 +306,6 @@ impl TxRaceEngine {
             breakdown: CycleBreakdown::default(),
             mode: vec![Mode::Outside; n],
             snaps: vec![None; n],
-            clone_snaps: vec![None; n],
             pending_slow: vec![None; n],
             txn_base_acc: vec![0; n],
             retry_count: vec![0; n],
@@ -511,7 +503,6 @@ impl TxRaceEngine {
         self.breakdown.baseline += self.txn_base_acc[ti];
         self.txn_base_acc[ti] = 0;
         self.retry_count[ti] = 0;
-        self.clone_snaps[ti] = None;
     }
 
     /// Consumes any pending slow-path demand for thread `ti`, entering
@@ -572,13 +563,6 @@ impl TxRaceEngine {
                 // O(1): the interpreter snapshot is pc + loop stack, and
                 // memory rollback state is the HTM's journal watermark.
                 self.snaps[ti] = Some((ev.snapshot(), r));
-                if self.htm.config().version == VersionPolicy::CloneSnapshot {
-                    // Baseline policy: checkpoint the whole simulated
-                    // memory at every begin (the O(heap) cost the journal
-                    // removes). black_box keeps the clone from being
-                    // optimized away — it is never read back.
-                    self.clone_snaps[ti] = Some(std::hint::black_box(mem.clone()));
-                }
                 self.breakdown.txn_mgmt += self.cost.xbegin;
                 self.htm_cycles += self.cost.xbegin;
                 self.loopcut.on_txn_start(t);
@@ -634,7 +618,6 @@ impl TxRaceEngine {
                 debug_assert_eq!(cur, r, "TxEnd region mismatch (slow)");
                 self.retry_count[ti] = 0;
                 self.snaps[ti] = None;
-                self.clone_snaps[ti] = None;
                 self.last_cut_loop[ti] = None;
                 self.slow_hint[ti] = None;
                 self.mode[ti] = Mode::Outside;
@@ -677,11 +660,6 @@ impl TxRaceEngine {
         if self.htm.in_txn(t) {
             let s = self.htm.abort_rollback(t);
             debug_assert_eq!(s, status);
-        }
-        if self.htm.config().version == VersionPolicy::CloneSnapshot {
-            // Baseline policy: the abort path re-checkpoints memory (the
-            // second O(heap) clone the journal removes).
-            self.clone_snaps[ti] = Some(std::hint::black_box(mem.clone()));
         }
         let r = self.snaps[ti].as_ref().expect("abort without a snapshot").1;
         let reason = status.reason();

@@ -1,15 +1,13 @@
 //! The undo-log correctness contract: every versioning policy produces
 //! bit-identical detection results.
 //!
-//! The live TxRace path keeps three interchangeable ways to version
+//! The live TxRace path keeps two interchangeable ways to version
 //! speculative state — the eager [`VersionPolicy::Undo`] journal (the
-//! default), the lazy [`VersionPolicy::Buffer`] write buffer (the
-//! oracle), and [`VersionPolicy::CloneSnapshot`] (the old full-memory
-//! clone, kept as a modeled-cost baseline for `bench_live`). They differ
-//! only in *simulator* wall-clock; everything observable — race sets,
-//! cycle breakdowns, abort mixes, engine counters, final memory, run
-//! results — must match exactly. Checked on all bundled workloads and on
-//! randomly generated programs.
+//! default) and the lazy [`VersionPolicy::Buffer`] write buffer (the
+//! oracle). They differ only in *simulator* wall-clock; everything
+//! observable — race sets, cycle breakdowns, abort mixes, engine
+//! counters, final memory, run results — must match exactly. Checked on
+//! all bundled workloads and on randomly generated programs.
 
 use proptest::prelude::*;
 use txrace::{Detector, RunConfig, RunOutcome, Scheme};
@@ -17,26 +15,15 @@ use txrace_htm::{HtmConfig, VersionPolicy};
 use txrace_sim::Program;
 use txrace_workloads::{all_workloads, random_program, GenConfig};
 
-const POLICIES: [VersionPolicy; 3] = [
-    VersionPolicy::Undo,
-    VersionPolicy::Buffer,
-    VersionPolicy::CloneSnapshot,
-];
-
 fn run_with_policy(mut cfg: RunConfig, p: &Program, version: VersionPolicy) -> RunOutcome {
     cfg.htm = HtmConfig { version, ..cfg.htm };
     Detector::new(cfg).run(p)
 }
 
-/// Asserts that `out` (some policy) matches `oracle` (Buffer) on every
+/// Asserts that `out` (Undo) matches `oracle` (Buffer) on every
 /// observable the detector reports.
-fn assert_outcomes_identical(
-    app: &str,
-    policy: VersionPolicy,
-    oracle: &RunOutcome,
-    out: &RunOutcome,
-) {
-    let tag = format!("{app} [{policy:?} vs Buffer]");
+fn assert_outcomes_identical(app: &str, oracle: &RunOutcome, out: &RunOutcome) {
+    let tag = format!("{app} [Undo vs Buffer]");
     assert_eq!(
         oracle.races.reports(),
         out.races.reports(),
@@ -61,10 +48,8 @@ fn assert_outcomes_identical(
 fn check_policies(app: &str, p: &Program, cfg_of: impl Fn() -> RunConfig) {
     let oracle = run_with_policy(cfg_of(), p, VersionPolicy::Buffer);
     assert!(oracle.htm.is_some(), "{app}: expected a TxRace run");
-    for policy in [VersionPolicy::Undo, VersionPolicy::CloneSnapshot] {
-        let out = run_with_policy(cfg_of(), p, policy);
-        assert_outcomes_identical(app, policy, &oracle, &out);
-    }
+    let out = run_with_policy(cfg_of(), p, VersionPolicy::Undo);
+    assert_outcomes_identical(app, &oracle, &out);
 }
 
 #[test]
@@ -89,22 +74,13 @@ fn default_policy_is_the_undo_journal() {
     // `bench_live`'s speedup claim is about the *default* live path; keep
     // the default honest.
     assert_eq!(HtmConfig::default().version, VersionPolicy::Undo);
-    for &policy in &POLICIES {
-        // Every policy stays constructible (the oracle and the baseline
-        // must not rot away).
-        let _ = HtmConfig {
-            version: policy,
-            ..HtmConfig::default()
-        };
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random programs: journaled rollback is bit-identical to the
-    /// write-buffer oracle and to clone snapshots through the full
-    /// TxRace pipeline.
+    /// write-buffer oracle through the full TxRace pipeline.
     #[test]
     fn random_programs_roll_back_identically(
         gen_seed in 0u64..400,
@@ -113,15 +89,13 @@ proptest! {
         let p = random_program(&GenConfig::default(), gen_seed);
         let cfg_of = || RunConfig::new(Scheme::txrace(), sched_seed);
         let oracle = run_with_policy(cfg_of(), &p, VersionPolicy::Buffer);
-        for policy in [VersionPolicy::Undo, VersionPolicy::CloneSnapshot] {
-            let out = run_with_policy(cfg_of(), &p, policy);
-            prop_assert_eq!(oracle.races.reports(), out.races.reports());
-            prop_assert_eq!(&oracle.breakdown, &out.breakdown);
-            prop_assert_eq!(&oracle.htm, &out.htm);
-            prop_assert_eq!(&oracle.engine, &out.engine);
-            prop_assert_eq!(oracle.checks, out.checks);
-            prop_assert_eq!(&oracle.memory, &out.memory);
-            prop_assert_eq!(&oracle.run, &out.run);
-        }
+        let out = run_with_policy(cfg_of(), &p, VersionPolicy::Undo);
+        prop_assert_eq!(oracle.races.reports(), out.races.reports());
+        prop_assert_eq!(&oracle.breakdown, &out.breakdown);
+        prop_assert_eq!(&oracle.htm, &out.htm);
+        prop_assert_eq!(&oracle.engine, &out.engine);
+        prop_assert_eq!(oracle.checks, out.checks);
+        prop_assert_eq!(&oracle.memory, &out.memory);
+        prop_assert_eq!(&oracle.run, &out.run);
     }
 }
