@@ -68,7 +68,9 @@ pub use lint::{lint, LintIssue};
 pub use mem::{JournalMark, Memory, WriteJournal};
 pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
 pub use sched::{FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler};
-pub use summary::{dynamic_site_counts, summarize, ChanSiteUse, Phase, ProgramSummary, SiteAccess};
+pub use summary::{
+    dynamic_site_counts, summarize, ChanSiteUse, LockSet, Phase, ProgramSummary, SiteAccess,
+};
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
     TraceEvent, TraceEventKind, LOG_VERSION,

@@ -13,8 +13,13 @@
 //! (for example, a loop body with a net lock-depth change), the summary
 //! under-approximates — it claims fewer locks held and a wider footprint
 //! never a narrower one — so downstream pruning stays sound.
+//!
+//! The walk is dense: lock depths live in a vector indexed by
+//! [`LockId`], the held set is a [`LockSet`] bitset maintained
+//! incrementally, and loop entry states are saved on one reusable stack,
+//! so a record costs one footprint vector and no lock-set allocation
+//! (for programs with at most 64 locks).
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use crate::addr::Addr;
@@ -55,9 +60,87 @@ pub struct SiteAccess {
     /// enclosing loop (mirroring the interpreter's addressing).
     pub addrs: Vec<Addr>,
     /// Locks held at *every* dynamic occurrence of this site.
-    pub locks: BTreeSet<LockId>,
+    pub locks: LockSet,
     /// Single-threaded-phase classification.
     pub phase: Phase,
+}
+
+/// A set of locks: a bitset over dense [`LockId`]s. Locks `0..64` live
+/// inline, so the sets of programs with at most 64 locks never allocate.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LockSet {
+    /// Word 0: locks `0..64`.
+    low: u64,
+    /// Words `1..`: locks `64..`, grown only when such a lock is added.
+    high: Vec<u64>,
+}
+
+impl LockSet {
+    /// The empty set.
+    pub fn new() -> Self {
+        LockSet::default()
+    }
+
+    /// Adds `l`.
+    pub fn insert(&mut self, l: LockId) {
+        let (k, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
+        if k == 0 {
+            self.low |= bit;
+        } else {
+            if self.high.len() < k {
+                self.high.resize(k, 0);
+            }
+            self.high[k - 1] |= bit;
+        }
+    }
+
+    /// Removes `l` (a no-op when absent).
+    pub fn remove(&mut self, l: LockId) {
+        let (k, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
+        if k == 0 {
+            self.low &= !bit;
+        } else if let Some(w) = self.high.get_mut(k - 1) {
+            *w &= !bit;
+        }
+    }
+
+    /// Whether `l` is in the set.
+    pub fn contains(&self, l: LockId) -> bool {
+        self.word(l.index() / 64) & (1u64 << (l.index() % 64)) != 0
+    }
+
+    /// True when no lock is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.iter().all(|&w| w == 0)
+    }
+
+    /// Word `k` of the bitset (locks `64k..64k + 64`); zero past the end.
+    pub fn word(&self, k: usize) -> u64 {
+        match k {
+            0 => self.low,
+            _ => self.high.get(k - 1).copied().unwrap_or(0),
+        }
+    }
+
+    /// Number of stored words: every lock in the set is below
+    /// `64 * word_count()`.
+    pub fn word_count(&self) -> usize {
+        1 + self.high.len()
+    }
+
+    /// The locks, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = LockId> + '_ {
+        (0..self.word_count()).flat_map(move |k| {
+            let mut w = self.word(k);
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let b = w.trailing_zeros();
+                    w &= w - 1;
+                    LockId((k * 64) as u32 + b)
+                })
+            })
+        })
+    }
 }
 
 /// The static summary of one channel-operation site (a `ChanSend` or
@@ -79,7 +162,8 @@ pub struct ChanSiteUse {
     pub dynamic_count: u64,
 }
 
-/// All access records of a program, in walk order.
+/// All access records of a program, in walk order: thread by thread in
+/// thread order, each thread's in program order.
 #[derive(Debug, Clone)]
 pub struct ProgramSummary {
     accesses: Vec<SiteAccess>,
@@ -135,11 +219,15 @@ pub fn summarize(p: &Program) -> ProgramSummary {
     let mut w = Walker {
         out: Vec::new(),
         chan_sites: Vec::new(),
-        held: BTreeMap::new(),
+        depth: Vec::new(),
+        held: LockSet::new(),
+        saved: Vec::new(),
     };
     for t in 0..p.thread_count() {
         let tid = ThreadId(t as u32);
-        w.held.clear();
+        w.depth.clear();
+        w.depth.resize(p.lock_count() as usize, 0);
+        w.held = LockSet::new();
         let stmts = p.thread(tid);
         if t == 0 {
             if let Some((pre_end, post_start)) = main_phase_split(p, stmts) {
@@ -224,8 +312,12 @@ fn collect_executed_joins(s: &Stmt, joined: &mut BTreeSet<u32>) {
 struct Walker {
     out: Vec<SiteAccess>,
     chan_sites: Vec<ChanSiteUse>,
-    /// Current lock-hold depth (a multiset; re-entrant depth tracked).
-    held: BTreeMap<LockId, u32>,
+    /// Current lock-hold depth per lock (re-entrant depth tracked).
+    depth: Vec<u32>,
+    /// The locks with a non-zero depth.
+    held: LockSet,
+    /// Lock depths on entry to each open loop, innermost last.
+    saved: Vec<u32>,
 }
 
 impl Walker {
@@ -247,7 +339,8 @@ impl Walker {
                         // other sites to conflict with).
                         continue;
                     }
-                    let before = self.held.clone();
+                    let mark = self.saved.len();
+                    self.saved.extend_from_slice(&self.depth);
                     let start = self.out.len();
                     self.walk(t, body, Some(*trips), mult * u64::from(*trips), phase);
                     // A body with a net lock-depth change makes the lock
@@ -256,21 +349,19 @@ impl Walker {
                     // strip every drifting lock both from the records made
                     // inside the loop and from the state carried past it
                     // (claiming a lock is NOT held is always sound).
-                    let drifting: Vec<LockId> = before
-                        .keys()
-                        .chain(self.held.keys())
-                        .copied()
-                        .filter(|l| {
-                            before.get(l).copied().unwrap_or(0)
-                                != self.held.get(l).copied().unwrap_or(0)
-                        })
-                        .collect();
-                    for l in &drifting {
+                    for l in 0..self.depth.len() {
+                        let before = self.saved.get(mark + l).copied().unwrap_or(0);
+                        if before == self.depth[l] {
+                            continue;
+                        }
+                        let l = LockId(l as u32);
                         for r in &mut self.out[start..] {
                             r.locks.remove(l);
                         }
+                        self.depth[l.index()] = 0;
                         self.held.remove(l);
                     }
+                    self.saved.truncate(mark);
                 }
             }
         }
@@ -296,23 +387,25 @@ impl Walker {
                 });
             }
             Op::Lock(l) => {
-                *self.held.entry(*l).or_insert(0) += 1;
+                if self.depth.len() <= l.index() {
+                    self.depth.resize(l.index() + 1, 0);
+                }
+                self.depth[l.index()] += 1;
+                self.held.insert(*l);
             }
             Op::Unlock(l) => {
                 // Unbalanced unlocks (flagged by the lint) saturate at
-                // zero rather than corrupting the map.
-                if let Some(d) = self.held.get_mut(l) {
+                // zero rather than corrupting the state.
+                if let Some(d) = self.depth.get_mut(l.index()) {
                     *d = d.saturating_sub(1);
+                    if *d == 0 {
+                        self.held.remove(*l);
+                    }
                 }
             }
             op if op.is_data_access() => {
                 let addrs = footprint(op, innermost_trips);
-                let locks = self
-                    .held
-                    .iter()
-                    .filter(|&(_, &d)| d > 0)
-                    .map(|(&l, _)| l)
-                    .collect();
+                let locks = self.held.clone();
                 self.out.push(SiteAccess {
                     site,
                     thread: t,
@@ -406,7 +499,7 @@ mod tests {
         b.thread(1).read(x);
         let p = b.build();
         let s = summarize(&p);
-        assert!(record(&s, &p, "locked").locks.contains(&l));
+        assert!(record(&s, &p, "locked").locks.contains(l));
         assert!(record(&s, &p, "unlocked").locks.is_empty());
     }
 
@@ -539,5 +632,49 @@ mod tests {
         let s = summarize(&p);
         let site = p.site("dead").unwrap();
         assert!(s.accesses().iter().all(|r| r.site != site));
+    }
+
+    #[test]
+    fn lock_set_spans_words() {
+        let mut s = LockSet::new();
+        assert!(s.is_empty() && s.word_count() == 1);
+        for l in [0, 63, 64, 130] {
+            s.insert(LockId(l));
+        }
+        assert_eq!(s.word_count(), 3);
+        assert!(s.contains(LockId(64)) && !s.contains(LockId(65)));
+        assert!(!s.contains(LockId(500)), "past the end is absent");
+        assert_eq!(
+            s.iter().map(|l| l.0).collect::<Vec<_>>(),
+            vec![0, 63, 64, 130]
+        );
+        assert_eq!((s.word(1), s.word(7)), (1, 0));
+        assert!(
+            !s.contains(LockId(128)),
+            "bit 0 of word 2 is not bit 2 of it"
+        );
+        for l in [0, 63, 64, 130] {
+            s.remove(LockId(l));
+        }
+        assert!(s.is_empty(), "high words may stay allocated but zero");
+    }
+
+    #[test]
+    fn drift_strips_only_the_drifting_lock() {
+        let mut b = ProgramBuilder::new(2);
+        let x = b.var("x");
+        let l = b.lock_id("l");
+        let m = b.lock_id("m");
+        b.thread(0).lock(m).loop_n(3, |tb| {
+            tb.lock(l).write_l(x, 1, "inside");
+        });
+        b.thread(0).read_l(x, "after").unlock(m);
+        b.thread(1).read(x);
+        let p = b.build();
+        let s = summarize(&p);
+        for label in ["inside", "after"] {
+            let locks: Vec<LockId> = record(&s, &p, label).locks.iter().collect();
+            assert_eq!(locks, vec![m], "{label}");
+        }
     }
 }

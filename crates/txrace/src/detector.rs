@@ -15,7 +15,7 @@ use crate::cost::{CostModel, CycleBreakdown};
 use crate::engine::{EngineConfig, EngineStats, TxRaceEngine};
 use crate::instrument::{instrument, instrument_pruned, InstrumentConfig, InstrumentedProgram};
 use crate::loopcut::{LoopcutMode, LoopcutProfile};
-use crate::sa::{SiteClassTable, StaticPruneMode};
+use crate::sa::{FlowAnalysis, SiteClassTable, StaticPruneMode};
 
 /// TxRace-specific options. Runtime tunables (the `K` threshold, the
 /// slow-path sampling rate, the loop-cut initial threshold, the prune
@@ -415,9 +415,10 @@ impl Detector {
     fn run_production(&self, program: &Program, mode: ProductionMode) -> RunOutcome {
         // Production always deploys the strongest static analysis: the
         // flow-sensitive prune table plus the watch set over the
-        // surviving may-race candidate sites.
-        let table = SiteClassTable::analyze_flow(program);
-        let watch = crate::sa::watch_sites(program, &table);
+        // surviving may-race candidate sites, both from one analysis.
+        let flow = FlowAnalysis::run(program);
+        let watch = flow.watch_sites();
+        let table = flow.table;
         let knobs = Knobs {
             prune: StaticPruneMode::FullFlow,
             ..self.cfg.knobs

@@ -1,6 +1,6 @@
 //! The dataflow framework: per-thread control-flow graphs over the
-//! structured IR, a worklist fixpoint engine, and the two flow-sensitive
-//! analyses built on them.
+//! structured IR, a round-robin fixpoint engine, and the two
+//! flow-sensitive analyses built on them.
 //!
 //! * **Must-lockset** ([`must_locksets`]): a forward dataflow through
 //!   `Lock`/`Unlock` with *intersection* as the meet, run to fixpoint
@@ -19,202 +19,291 @@
 //!   *witness mapping*, exposed via
 //!   [`SiteClassTable::witness_of`](super::SiteClassTable::witness_of)).
 //!
+//! **Layout.** The IR is branch-free, so a thread's graph is a chain in
+//! first-iteration order plus loop back edges; only the back edges are
+//! stored, in compressed sparse row form. The must-lockset state is one
+//! flat `nodes × locks` array of hold depths over the locks *that
+//! thread* touches, with graph and state buffers reused from thread to
+//! thread, and the result is a dense [`LockRows`] bitset per site — no
+//! allocation per node. One pass in node order costs
+//! `O((nodes + back edges) × locks)`. A thread without loops needs one
+//! pass; loops whose bodies never lower a depth (balanced, or
+//! re-acquiring) settle after one more, and each further pass must lower
+//! some depth (see below).
+//!
 //! **Termination.** The must-lockset state is a finite map from locks to
 //! hold depths. After a node's first visit, its input only ever
 //! *decreases* pointwise (the meet takes per-lock minima over more
 //! predecessor states), the transfer function is monotone (increment and
 //! saturating decrement both preserve `<=`), and depths are bounded
 //! below by zero — so every node's state strictly decreases at most a
-//! finite number of times and the worklist drains. The availability
+//! finite number of times and the passes stop. The availability
 //! analysis is a single structural walk (facts never cross a loop edge)
 //! and needs no fixpoint at all.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use txrace_sim::{LockId, Op, Program, SiteId, Stmt, ThreadId};
-
-/// One node of a thread's flow graph: a single static op occurrence.
-#[derive(Debug, Clone)]
-pub(super) struct FlowNode {
-    /// The op's static site.
-    pub site: SiteId,
-    /// The op itself.
-    pub op: Op,
-    /// Predecessor node indices (loop back edges included).
-    pub preds: Vec<u32>,
-    /// True if thread entry reaches this node directly (no op before it
-    /// on some path). Needed to seed the dataflow: an entry node whose
-    /// only *listed* preds are loop back edges would otherwise wait
-    /// forever for a predecessor to be visited first.
-    pub entry: bool,
-}
+use txrace_sim::{LockId, LockSet, Op, Program, SiteId, Stmt, ThreadId};
 
 /// The control-flow graph of one thread, derived from its structured
-/// statement tree: straight-line ops chain, a loop with `trips > 1` adds
-/// a back edge from its body's exit to its body's entry, and zero-trip
-/// loops contribute no nodes at all (dead code, matching the summary
-/// pass). Node order is execution order of the first iteration, so
-/// indices form a reverse postorder modulo back edges.
-#[derive(Debug)]
+/// statement tree: one node per static op occurrence, straight-line ops
+/// chain, a loop with `trips > 1` adds a back edge from its body's exit
+/// to its body's entry, and zero-trip loops contribute no nodes at all
+/// (dead code, matching the summary pass). Node order is execution order
+/// of the first iteration.
+///
+/// The IR is branch-free, so control enters and leaves every statement
+/// list through at most one node. Hence node 0 is the only node thread
+/// entry reaches, every other node `i` has the chain predecessor `i - 1`,
+/// and the only joins are loop headers, whose extra predecessors are
+/// back edges. The graph stores just those, in compressed sparse row
+/// form.
+#[derive(Debug, Default)]
 pub(super) struct ThreadGraph {
-    /// Nodes in first-iteration execution order.
-    pub nodes: Vec<FlowNode>,
+    /// Per node: its site and op.
+    ops: Vec<(SiteId, Op)>,
+    /// Back edges as `(from, to)`, in creation order.
+    back: Vec<(u32, u32)>,
+    /// Node `i`'s back-edge predecessors are
+    /// `back_preds[back_start[i]..back_start[i + 1]]`.
+    back_start: Vec<u32>,
+    back_preds: Vec<u32>,
 }
 
 impl ThreadGraph {
-    /// Builds the graph for thread `t` of `p`.
-    pub fn build(p: &Program, t: ThreadId) -> Self {
-        let mut nodes = Vec::new();
-        let _ = build_list(p.thread(t), Vec::new(), &mut nodes);
-        ThreadGraph { nodes }
+    /// Rebuilds the graph for thread `t` of `p`, reusing the buffers.
+    pub fn build(&mut self, p: &Program, t: ThreadId) {
+        self.ops.clear();
+        self.back.clear();
+        self.append(p.thread(t));
+        // Group the back edges by target: count into start[to + 2],
+        // prefix-sum so start[to + 1] is the target's first slot, then
+        // fill by advancing start[to + 1] to the target's end.
+        let start = &mut self.back_start;
+        start.clear();
+        start.resize(self.ops.len() + 2, 0);
+        for &(_, to) in &self.back {
+            start[to as usize + 2] += 1;
+        }
+        for i in 2..start.len() {
+            start[i] += start[i - 1];
+        }
+        self.back_preds.clear();
+        self.back_preds.resize(self.back.len(), 0);
+        for &(from, to) in &self.back {
+            let slot = &mut start[to as usize + 1];
+            self.back_preds[*slot as usize] = from;
+            *slot += 1;
+        }
+        start.pop();
     }
-}
 
-/// Appends `stmts` to `nodes` with `incoming` as the entry frontier.
-/// Returns `(entry_nodes, exit_frontier)`; `entry_nodes` is empty when
-/// the statement list creates no nodes (all-dead code).
-fn build_list(
-    stmts: &[Stmt],
-    incoming: Vec<u32>,
-    nodes: &mut Vec<FlowNode>,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut first: Vec<u32> = Vec::new();
-    let mut cur = incoming;
-    for s in stmts {
-        match s {
-            Stmt::Op { site, op } => {
-                let id = nodes.len() as u32;
-                let entry = cur.is_empty();
-                nodes.push(FlowNode {
-                    site: *site,
-                    op: *op,
-                    preds: std::mem::replace(&mut cur, vec![id]),
-                    entry,
-                });
-                if first.is_empty() {
-                    first.push(id);
+    /// Appends `stmts`. Returns the first node created, if any; the list's
+    /// exit is then the last node created.
+    fn append(&mut self, stmts: &[Stmt]) -> Option<u32> {
+        let mut first = None;
+        for s in stmts {
+            match s {
+                Stmt::Op { site, op } => {
+                    first.get_or_insert(self.ops.len() as u32);
+                    self.ops.push((*site, *op));
                 }
-            }
-            Stmt::Loop { trips: 0, .. } => {}
-            Stmt::Loop { trips, body, .. } => {
-                let (entry, exit) = build_list(body, cur.clone(), nodes);
-                if entry.is_empty() {
-                    continue; // body was all-dead: no nodes, state flows through
-                }
-                if *trips > 1 {
-                    // Back edge: each body-exit node feeds the body entry.
-                    for &e in &entry {
-                        for &x in &exit {
-                            nodes[e as usize].preds.push(x);
-                        }
+                Stmt::Loop { trips: 0, .. } => {}
+                Stmt::Loop { trips, body, .. } => {
+                    // An all-dead body creates no nodes: state flows through.
+                    let Some(entry) = self.append(body) else {
+                        continue;
+                    };
+                    if *trips > 1 {
+                        // Back edge: the body exit feeds the body entry.
+                        self.back.push((self.ops.len() as u32 - 1, entry));
                     }
-                }
-                cur = exit;
-                if first.is_empty() {
-                    first = entry;
+                    first.get_or_insert(entry);
                 }
             }
+        }
+        first
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Node `i`'s back-edge predecessors (beside the chain predecessor
+    /// `i - 1`).
+    pub fn back_preds(&self, i: usize) -> &[u32] {
+        &self.back_preds[self.back_start[i] as usize..self.back_start[i + 1] as usize]
+    }
+}
+
+/// Dense lock bitsets, one row per site: row `s` holds `width` words,
+/// bit `l % 64` of word `l / 64` set when lock `l` is in the set.
+#[derive(Debug)]
+pub(super) struct LockRows {
+    width: usize,
+    bits: Vec<u64>,
+}
+
+impl LockRows {
+    /// `rows` empty sets over locks `0..locks`.
+    fn new(rows: usize, locks: usize) -> Self {
+        let width = locks.div_ceil(64);
+        LockRows {
+            width,
+            bits: vec![0; rows * width],
         }
     }
-    (first, cur)
-}
 
-/// Lock-hold depths: the dataflow value. Absent means depth zero.
-type LockDepths = BTreeMap<LockId, u32>;
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.width..(r + 1) * self.width]
+    }
 
-/// Per-lock minimum of two depth maps (the meet: a lock is must-held
-/// only if held on both inputs).
-fn meet(a: &LockDepths, b: &LockDepths) -> LockDepths {
-    a.iter()
-        .filter_map(|(l, &da)| {
-            let d = da.min(b.get(l).copied().unwrap_or(0));
-            (d > 0).then_some((*l, d))
-        })
-        .collect()
-}
-
-/// Applies one op to the lock state.
-fn transfer(op: &Op, state: &mut LockDepths) {
-    match op {
-        Op::Lock(l) => *state.entry(*l).or_insert(0) += 1,
-        Op::Unlock(l) => {
-            // Unbalanced unlocks (flagged by the lint) saturate at zero.
-            if let Some(d) = state.get_mut(l) {
-                *d = d.saturating_sub(1);
-                if *d == 0 {
-                    state.remove(l);
-                }
-            }
+    /// Adds lock `l` to row `r`. A lock past the table's width is
+    /// dropped: claiming fewer locks held is always sound.
+    fn insert(&mut self, r: usize, l: LockId) {
+        let k = l.index() / 64;
+        if k < self.width {
+            self.bits[r * self.width + k] |= 1u64 << (l.index() % 64);
         }
-        // Everything else holds no lock. In particular channel send/recv
-        // establishes a happens-before edge but confers no mutual
-        // exclusion, so it must NOT enter the must-lockset — two sites
-        // "protected" only by talking on the same channel still race.
-        _ => {}
+    }
+
+    /// Adds every lock of `set` to row `r` (same width rule as
+    /// [`LockRows::insert`]).
+    pub fn union_with(&mut self, r: usize, set: &LockSet) {
+        for k in 0..self.width {
+            self.bits[r * self.width + k] |= set.word(k);
+        }
+    }
+
+    /// Whether rows `a` and `b` share no lock.
+    pub fn disjoint(&self, a: usize, b: usize) -> bool {
+        self.row(a).iter().zip(self.row(b)).all(|(x, y)| x & y == 0)
+    }
+
+    /// The locks of row `r`, ascending.
+    #[cfg(test)]
+    fn locks(&self, r: usize) -> Vec<LockId> {
+        (0..self.width * 64)
+            .filter(|&l| self.row(r)[l / 64] & (1u64 << (l % 64)) != 0)
+            .map(|l| LockId(l as u32))
+            .collect()
     }
 }
 
 /// The flow-sensitive must-lockset analysis: for every data-access site
-/// of `p`, the set of locks provably held at *every* dynamic occurrence.
-/// Sites under zero-trip loops are absent (dead code).
-pub(super) fn must_locksets(p: &Program) -> BTreeMap<SiteId, BTreeSet<LockId>> {
-    let mut out = BTreeMap::new();
+/// of `p`, the set of locks provably held at *every* dynamic occurrence,
+/// as one [`LockRows`] row per site. Rows of other sites, and of sites
+/// under zero-trip loops (dead code), are empty.
+pub(super) fn must_locksets(p: &Program) -> LockRows {
+    let mut out = LockRows::new(p.site_count() as usize, p.lock_count() as usize);
+    if p.lock_count() == 0 {
+        return out; // no lock is ever held
+    }
+    let mut g = ThreadGraph::default();
+    // Per-thread dense lock numbering: `local[l]` is lock l's column in
+    // this thread's state (u32::MAX when the thread never touches it),
+    // `global[c]` maps back.
+    let mut local: Vec<u32> = Vec::new();
+    let mut global: Vec<LockId> = Vec::new();
+    // Per node: `(column, +1 lock / -1 unlock)` of its op, if any.
+    let mut effect: Vec<Option<(usize, i8)>> = Vec::new();
+    // ins[i * w..(i + 1) * w]: hold depths on entry to node i.
+    let mut ins: Vec<u32> = Vec::new();
+    let mut acc: Vec<u32> = Vec::new();
     for t in 0..p.thread_count() {
-        let g = ThreadGraph::build(p, ThreadId(t as u32));
-        if g.nodes.is_empty() {
-            continue;
+        g.build(p, ThreadId(t as u32));
+        let n = g.len();
+        for &l in &global {
+            local[l.index()] = u32::MAX;
         }
-        let n = g.nodes.len();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, node) in g.nodes.iter().enumerate() {
-            for &pr in &node.preds {
-                succs[pr as usize].push(i as u32);
+        global.clear();
+        effect.clear();
+        for &(_, op) in &g.ops {
+            let (l, d) = match op {
+                Op::Lock(l) => (l, 1),
+                Op::Unlock(l) => (l, -1),
+                // Everything else holds no lock. In particular channel
+                // send/recv establishes a happens-before edge but confers
+                // no mutual exclusion, so it must NOT enter the
+                // must-lockset — two sites "protected" only by talking on
+                // the same channel still race.
+                _ => {
+                    effect.push(None);
+                    continue;
+                }
+            };
+            if local.len() <= l.index() {
+                local.resize(l.index() + 1, u32::MAX);
             }
+            if local[l.index()] == u32::MAX {
+                local[l.index()] = global.len() as u32;
+                global.push(l);
+            }
+            effect.push(Some((local[l.index()] as usize, d)));
         }
-        // ins[i] = lock state on entry to node i; None = not yet visited.
-        let mut ins: Vec<Option<LockDepths>> = vec![None; n];
-        let mut outs: Vec<Option<LockDepths>> = vec![None; n];
-        // Index order is reverse postorder modulo back edges, so one
-        // pass reaches near-fixpoint; back edges re-queue what's left.
-        let mut work: Vec<u32> = (0..n as u32).collect();
-        while let Some(i) = work.pop() {
-            let node = &g.nodes[i as usize];
-            // Meet over thread entry (nothing held) if it reaches this
-            // node, plus every *visited* predecessor; unvisited preds
-            // are top (no constraint yet) and re-queue us later.
-            let mut acc: Option<LockDepths> = node.entry.then(LockDepths::new);
-            for &pr in &node.preds {
-                if let Some(o) = &outs[pr as usize] {
-                    acc = Some(match acc {
-                        None => o.clone(),
-                        Some(a) => meet(&a, o),
-                    });
+        let w = global.len();
+        if w == 0 {
+            continue; // no lock ever held: every row stays empty
+        }
+        // The depths on leaving node `pr`, met into `acc` (or copied when
+        // `first`).
+        let meet_out = |ins: &[u32], acc: &mut [u32], pr: usize, first: bool| {
+            for (c, a) in acc.iter_mut().enumerate() {
+                let d = ins[pr * w + c];
+                let o = match effect[pr] {
+                    Some((col, 1)) if col == c => d + 1,
+                    // Unbalanced unlocks (flagged by the lint) saturate
+                    // at zero.
+                    Some((col, _)) if col == c => d.saturating_sub(1),
+                    _ => d,
+                };
+                *a = if first { o } else { (*a).min(o) };
+            }
+        };
+        ins.clear();
+        ins.resize(n * w, 0);
+        acc.resize(w, 0);
+        // Round-robin passes in node order. The chain predecessor is
+        // always already computed in the current pass. Back-edge
+        // predecessors come later in node order, so the first pass
+        // treats them as top (no constraint) and later passes re-meet
+        // them until no state changes. Without back edges the first pass
+        // is exact.
+        let mut pass = 0;
+        loop {
+            let mut changed = false;
+            for i in 0..n {
+                if i == 0 {
+                    acc.fill(0); // thread entry: nothing held
+                } else {
+                    meet_out(&ins, &mut acc, i - 1, true);
+                }
+                if pass > 0 {
+                    for &pr in g.back_preds(i) {
+                        meet_out(&ins, &mut acc, pr as usize, false);
+                    }
+                }
+                let row = &mut ins[i * w..(i + 1) * w];
+                if pass == 0 || row != acc.as_slice() {
+                    row.copy_from_slice(&acc);
+                    changed = true;
                 }
             }
-            let Some(input) = acc else {
-                continue; // nothing reaching it visited yet
-            };
-            if ins[i as usize].as_ref() == Some(&input) {
-                continue; // no change: successors already up to date
-            }
-            let mut o = input.clone();
-            transfer(&node.op, &mut o);
-            ins[i as usize] = Some(input);
-            let changed = outs[i as usize].as_ref() != Some(&o);
-            outs[i as usize] = Some(o);
-            if changed {
-                work.extend(succs[i as usize].iter().copied());
+            pass += 1;
+            if !changed || g.back.is_empty() {
+                break;
             }
         }
-        for (i, node) in g.nodes.iter().enumerate() {
-            if !node.op.is_data_access() {
+        for (i, &(site, op)) in g.ops.iter().enumerate() {
+            if !op.is_data_access() {
                 continue;
             }
-            let held = ins[i]
-                .as_ref()
-                .map(|m| m.keys().copied().collect())
-                .unwrap_or_default();
-            out.insert(node.site, held);
+            for (c, &l) in global.iter().enumerate() {
+                if ins[i * w + c] > 0 {
+                    out.insert(site.index(), l);
+                }
+            }
         }
     }
     out
@@ -314,11 +403,8 @@ mod tests {
     use super::*;
     use txrace_sim::ProgramBuilder;
 
-    fn locks_at(p: &Program, label: &str) -> BTreeSet<LockId> {
-        must_locksets(p)
-            .get(&p.site(label).expect("label exists"))
-            .cloned()
-            .unwrap_or_default()
+    fn locks_at(p: &Program, label: &str) -> Vec<LockId> {
+        must_locksets(p).locks(p.site(label).expect("label exists").index())
     }
 
     #[test]
@@ -331,13 +417,14 @@ mod tests {
         b.thread(0).loop_n(3, |tb| {
             tb.read(x).write(x, 2);
         });
-        let g = ThreadGraph::build(&b.build(), ThreadId(0));
-        assert_eq!(g.nodes.len(), 4);
+        let mut g = ThreadGraph::default();
+        g.build(&b.build(), ThreadId(0));
+        assert_eq!(g.len(), 4);
         // trips=1 loop: pure chain. trips=3 loop: entry node (index 2)
-        // has the chain pred and the body-exit back edge.
-        assert_eq!(g.nodes[1].preds, vec![0]);
-        assert_eq!(g.nodes[2].preds, vec![1, 3]);
-        assert_eq!(g.nodes[3].preds, vec![2]);
+        // has the body-exit back edge beside its chain pred.
+        for (i, want) in [[].as_slice(), &[], &[3], &[]].into_iter().enumerate() {
+            assert_eq!(g.back_preds(i), want, "node {i}");
+        }
     }
 
     #[test]
@@ -386,6 +473,26 @@ mod tests {
     }
 
     #[test]
+    fn back_edges_meet_away_a_lock_the_body_releases() {
+        // `l` is held twice on entry, and each outer trip releases it
+        // once after the write: the write runs unlocked on the third
+        // trip. Only the outer back edge carries that in, and the depth
+        // falls one step per pass (2, 1, 0), so this needs several passes.
+        let mut b = ProgramBuilder::new(1);
+        let x = b.var("x");
+        let l = b.lock_id("l");
+        b.thread(0).lock(l).lock(l);
+        b.thread(0).loop_n(3, |tb| {
+            tb.loop_n(2, |tb| {
+                tb.write_l(x, 1, "w");
+            });
+            tb.unlock(l);
+        });
+        let p = b.build();
+        assert!(locks_at(&p, "w").is_empty());
+    }
+
+    #[test]
     fn dead_loops_contribute_no_nodes_or_state() {
         let mut b = ProgramBuilder::new(1);
         let x = b.var("x");
@@ -396,8 +503,10 @@ mod tests {
         });
         b.thread(0).write_l(x, 1, "after").unlock(l);
         let p = b.build();
-        let locks = must_locksets(&p);
-        assert!(!locks.contains_key(&p.site("dead").unwrap()));
+        let mut g = ThreadGraph::default();
+        g.build(&p, ThreadId(0));
+        assert_eq!(g.len(), 3, "only lock, write, unlock have nodes");
+        assert!(locks_at(&p, "dead").is_empty());
         // The dead unlock must not leak into the live state.
         assert!(locks_at(&p, "after").contains(&l));
     }

@@ -69,7 +69,6 @@ mod phase;
 
 pub use pairs::{Confirmation, MayRacePairs};
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use txrace_hb::RacePair;
@@ -229,7 +228,8 @@ impl SiteClassTable {
     /// original single-layer analysis.
     pub fn analyze(p: &Program) -> Self {
         let summary = summarize(p);
-        let classes = escape::classify(p, summary.accesses());
+        let records = summary.accesses();
+        let classes = escape::classify(p, records, &escape::AddrBuckets::build(records));
         let witnesses = vec![None; classes.len()];
         SiteClassTable { classes, witnesses }
     }
@@ -313,69 +313,69 @@ impl FlowAnalysis {
     pub fn run(p: &Program) -> Self {
         let summary = summarize(p);
         let records = summary.accesses();
-        let mut classes = escape::classify(p, records);
+        let buckets = escape::AddrBuckets::build(records);
+        let mut classes = escape::classify(p, records, &buckets);
         let mut witnesses: Vec<Option<SiteId>> = vec![None; classes.len()];
 
-        // Effective must-locksets: summary locks (sound) plus whatever
-        // the dataflow fixpoint recovers (e.g. re-acquiring loops).
-        let flow_locks = flow::must_locksets(p);
-        let locks_of: Vec<BTreeSet<_>> = records
-            .iter()
-            .map(|r| {
-                let mut s = r.locks.clone();
-                if let Some(extra) = flow_locks.get(&r.site) {
-                    s.extend(extra.iter().copied());
-                }
-                s
-            })
-            .collect();
+        // Effective must-locksets, per site: summary locks (sound) plus
+        // whatever the dataflow fixpoint recovers (e.g. re-acquiring
+        // loops).
+        let mut locks = flow::must_locksets(p);
+        for r in records {
+            locks.union_with(r.site.index(), &r.locks);
+        }
 
         let mhp = phase::MhpOracle::build(p);
 
         // Conflicting pairs: cross-thread, both non-atomic and
         // concurrent, overlapping footprints, at least one write. Each
-        // is then resolved by a shared must-lock, resolved by MHP
-        // ordering, or *unsafe* (a may-race candidate).
-        let mut by_addr: BTreeMap<Addr, Vec<usize>> = BTreeMap::new();
-        for (i, r) in records.iter().enumerate() {
-            if r.phase != Phase::Concurrent || r.atomic {
-                continue;
-            }
-            for &a in &r.addrs {
-                by_addr.entry(a).or_default().push(i);
-            }
-        }
-        let mut conflicting: BTreeMap<(usize, usize), Addr> = BTreeMap::new();
-        for (&a, bucket) in &by_addr {
-            for (bi, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[bi + 1..] {
-                    if records[i].thread != records[j].thread
-                        && (records[i].writes || records[j].writes)
-                    {
-                        let key = (i.min(j), i.max(j));
-                        conflicting.entry(key).or_insert(a);
-                    }
-                }
-            }
-        }
+        // is resolved by a shared must-lock, resolved by MHP ordering, or
+        // *unsafe* (a may-race candidate). A pair whose footprints share
+        // several addresses is met once per shared address: the flags
+        // are idempotent, and the candidate set keeps the smallest
+        // address as the pair's witness.
         let mut has_conflict = vec![false; records.len()];
         let mut needed_mhp = vec![false; records.len()];
         let mut has_unsafe = vec![false; records.len()];
         let mut candidates: Vec<(RacePair, Addr)> = Vec::new();
-        for (&(i, j), &a) in &conflicting {
+        let mut resolve = |i: usize, j: usize, a: Addr| {
+            let (ri, rj) = (&records[i], &records[j]);
             has_conflict[i] = true;
             has_conflict[j] = true;
-            if !locks_of[i].is_disjoint(&locks_of[j]) {
-                continue; // mutual exclusion orders the pair
+            if !locks.disjoint(ri.site.index(), rj.site.index()) {
+                return; // mutual exclusion orders the pair
             }
-            if mhp.ordered(&records[i], &records[j]) {
+            if mhp.ordered(ri, rj) {
                 needed_mhp[i] = true;
                 needed_mhp[j] = true;
-                continue;
+                return;
             }
             has_unsafe[i] = true;
             has_unsafe[j] = true;
-            candidates.push((RacePair::new(records[i].site, records[j].site), a));
+            candidates.push((RacePair::new(ri.site, rj.site), a));
+        };
+        for (a, bucket) in buckets.iter() {
+            // Records are in walk order, thread by thread, so a bucket is
+            // a sequence of single-thread runs. A writer pairs with every
+            // record of the runs before its own and every reader of the
+            // runs after it: each conflicting pair is met once (a
+            // writer-writer pair from the later writer), in
+            // O(bucket + pairs).
+            let mut run_start = 0;
+            for run in
+                bucket.chunk_by(|&x, &y| records[x as usize].thread == records[y as usize].thread)
+            {
+                let run_end = run_start + run.len();
+                for &i in run.iter().filter(|&&i| records[i as usize].writes) {
+                    let after = bucket[run_end..]
+                        .iter()
+                        .filter(|&&j| !records[j as usize].writes);
+                    for &j in bucket[..run_start].iter().chain(after) {
+                        resolve(i as usize, j as usize, a);
+                    }
+                }
+                run_start = run_end;
+            }
         }
         let pairs = MayRacePairs::from_witnesses(candidates);
 
@@ -416,14 +416,18 @@ impl FlowAnalysis {
         // Benign atomics: lines still touched by surviving checks.
         // (Redundant sites' addresses equal their witnesses', so the
         // hot-line set is unchanged by the elision above.)
-        let hot_lines: BTreeSet<_> = records
+        let mut hot_lines: Vec<_> = records
             .iter()
             .filter(|r| !r.atomic && surviving(&classes, r.site))
             .flat_map(|r| r.addrs.iter().map(|a| a.line()))
             .collect();
+        hot_lines.sort_unstable();
+        hot_lines.dedup();
         for r in records.iter().filter(|r| r.atomic) {
             let benign = r.phase != Phase::Concurrent
-                || r.addrs.iter().all(|a| !hot_lines.contains(&a.line()));
+                || r.addrs
+                    .iter()
+                    .all(|a| hot_lines.binary_search(&a.line()).is_err());
             if benign && classes[r.site.index()] == SiteClass::PotentiallyRacy {
                 classes[r.site.index()] = SiteClass::RaceFree(RaceFreeReason::BenignAtomic);
             }
@@ -433,6 +437,12 @@ impl FlowAnalysis {
             table: SiteClassTable { classes, witnesses },
             pairs,
         }
+    }
+
+    /// The duty-cycled production mode's watch set for this analysis
+    /// (see [`watch_sites`]), derived without re-running it.
+    pub fn watch_sites(&self) -> Vec<SiteId> {
+        watch_set(&self.pairs, &self.table)
     }
 }
 
@@ -449,16 +459,20 @@ pub fn op_is_checkable(op: &Op) -> bool {
 /// that can re-arm full checking, because only these sites can ever
 /// appear in a FastTrack report. Sorted ascending, deduplicated.
 pub fn watch_sites(p: &Program, table: &SiteClassTable) -> Vec<SiteId> {
-    let pairs = MayRacePairs::analyze(p);
-    let mut sites: BTreeSet<SiteId> = BTreeSet::new();
-    for pr in pairs.pairs() {
-        for s in [pr.a, pr.b] {
-            if !table.is_race_free(s) {
-                sites.insert(s);
-            }
-        }
-    }
-    sites.into_iter().collect()
+    watch_set(&MayRacePairs::analyze(p), table)
+}
+
+/// The endpoints of `pairs` that `table` does not prove race-free,
+/// sorted ascending and deduplicated.
+fn watch_set(pairs: &MayRacePairs, table: &SiteClassTable) -> Vec<SiteId> {
+    let mut sites: Vec<SiteId> = pairs
+        .pairs()
+        .flat_map(|pr| [pr.a, pr.b])
+        .filter(|&s| !table.is_race_free(s))
+        .collect();
+    sites.sort_unstable();
+    sites.dedup();
+    sites
 }
 
 #[cfg(test)]
@@ -920,5 +934,308 @@ mod tests {
         assert_eq!(st.dyn_race_free, 1);
         assert!((st.static_pruned_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert!((st.pruned_fraction() - 1.0 / 19.0).abs() < 1e-12);
+    }
+
+    /// Edge cases of the dense layout: bitsets past one word, loops that
+    /// drift lock depths, memoized bucket safety, and empty arrays.
+    mod dense_layout {
+        use super::*;
+        use txrace_sim::LockId;
+
+        fn race_free(reason: RaceFreeReason) -> SiteClass {
+            SiteClass::RaceFree(reason)
+        }
+
+        /// A builder with `n` locks allocated, so `LockId(n - 1)` is valid.
+        fn with_locks(threads: usize, n: usize) -> (ProgramBuilder, Vec<LockId>) {
+            let mut b = ProgramBuilder::new(threads);
+            let locks = (0..n).map(|i| b.lock_id(&format!("l{i}"))).collect();
+            (b, locks)
+        }
+
+        #[test]
+        fn common_lock_past_the_first_word() {
+            // 70 locks: the only common lock is l66, in the second word.
+            let (mut b, l) = with_locks(2, 70);
+            let x = b.var("x");
+            b.thread(0)
+                .lock(l[3])
+                .lock(l[66])
+                .write_l(x, 1, "w0")
+                .unlock(l[66])
+                .unlock(l[3]);
+            b.thread(1).lock(l[66]).write_l(x, 2, "w1").unlock(l[66]);
+            let p = b.build();
+            let t = SiteClassTable::analyze(&p);
+            assert_eq!(class_of(&p, &t, "w0"), race_free(RaceFreeReason::Lockset));
+            assert_eq!(class_of(&p, &t, "w1"), race_free(RaceFreeReason::Lockset));
+            assert!(MayRacePairs::analyze(&p).is_empty());
+        }
+
+        #[test]
+        fn same_bit_in_different_words_is_no_common_lock() {
+            // l0 and l64 share bit 0 of their words; they are different
+            // locks and give no credit.
+            let (mut b, l) = with_locks(2, 65);
+            let x = b.var("x");
+            b.thread(0).lock(l[0]).write_l(x, 1, "w0").unlock(l[0]);
+            b.thread(1).lock(l[64]).write_l(x, 2, "w1").unlock(l[64]);
+            let p = b.build();
+            for t in [
+                SiteClassTable::analyze(&p),
+                SiteClassTable::analyze_flow(&p),
+            ] {
+                assert_eq!(class_of(&p, &t, "w0"), SiteClass::PotentiallyRacy);
+                assert_eq!(class_of(&p, &t, "w1"), SiteClass::PotentiallyRacy);
+            }
+            let mrp = MayRacePairs::analyze(&p);
+            assert!(mrp.contains(p.site("w0").unwrap(), p.site("w1").unwrap()));
+        }
+
+        #[test]
+        fn must_lockset_meet_spans_words() {
+            // Thread 0 re-acquires l67 every iteration (the summary drops
+            // it) and takes l2 only at the end of each; the fixpoint keeps
+            // l67 (second word) and meets l2 (first word) away, since the
+            // first trip reaches the writes without it.
+            let (mut b, l) = with_locks(2, 70);
+            let x = b.var("x");
+            let y = b.var("y");
+            b.thread(0).loop_n(3, |tb| {
+                tb.lock(l[67])
+                    .write_l(x, 1, "wx")
+                    .write_l(y, 1, "wy")
+                    .lock(l[2]);
+            });
+            b.thread(1)
+                .lock(l[67])
+                .write_l(x, 2, "ox")
+                .unlock(l[67])
+                .lock(l[2])
+                .write_l(y, 2, "oy")
+                .unlock(l[2]);
+            let p = b.build();
+            let base = SiteClassTable::analyze(&p);
+            assert_eq!(class_of(&p, &base, "wx"), SiteClass::PotentiallyRacy);
+            let t = SiteClassTable::analyze_flow(&p);
+            assert_eq!(
+                class_of(&p, &t, "wx"),
+                race_free(RaceFreeReason::MustLocked)
+            );
+            assert_eq!(
+                class_of(&p, &t, "ox"),
+                race_free(RaceFreeReason::MustLocked)
+            );
+            assert_eq!(class_of(&p, &t, "wy"), SiteClass::PotentiallyRacy);
+            assert_eq!(class_of(&p, &t, "oy"), SiteClass::PotentiallyRacy);
+            let mrp = MayRacePairs::analyze(&p);
+            assert_eq!(mrp.len(), 1);
+            assert!(mrp.contains(p.site("wy").unwrap(), p.site("oy").unwrap()));
+        }
+
+        #[test]
+        fn nested_loops_with_lock_drift() {
+            // Inner drift (thread 0): the write after `loop 3 { lock }`
+            // sees depth >= 1 on every path, inside a 2-trip outer loop.
+            // Outer drift (thread 2): the write before the outer body's
+            // lock runs unlocked on the first trip. Only the flow layer
+            // proves the first; nothing proves the second.
+            let mut b = ProgramBuilder::new(3);
+            let x = b.var("x");
+            let y = b.var("y");
+            let l = b.lock_id("l");
+            b.thread(0).loop_n(2, |tb| {
+                tb.loop_n(3, |tb| {
+                    tb.lock(l);
+                });
+                tb.write_l(x, 1, "after_inner");
+            });
+            b.thread(2).loop_n(4, |tb| {
+                tb.loop_n(2, |tb| {
+                    tb.write_l(y, 1, "before_lock");
+                });
+                tb.lock(l);
+            });
+            b.thread(1)
+                .lock(l)
+                .write_l(x, 2, "ox")
+                .write_l(y, 2, "oy")
+                .unlock(l);
+            let p = b.build();
+            let base = SiteClassTable::analyze(&p);
+            assert_eq!(
+                class_of(&p, &base, "after_inner"),
+                SiteClass::PotentiallyRacy
+            );
+            let t = SiteClassTable::analyze_flow(&p);
+            assert_eq!(
+                class_of(&p, &t, "after_inner"),
+                race_free(RaceFreeReason::MustLocked)
+            );
+            assert_eq!(
+                class_of(&p, &t, "ox"),
+                race_free(RaceFreeReason::MustLocked)
+            );
+            assert_eq!(class_of(&p, &t, "before_lock"), SiteClass::PotentiallyRacy);
+            assert_eq!(class_of(&p, &t, "oy"), SiteClass::PotentiallyRacy);
+        }
+
+        #[test]
+        fn four_threads_share_one_locked_array() {
+            // Every thread writes the same 8-element array under `l`:
+            // each address's bucket holds all four records, and the
+            // memoized bucket safety proves all of them.
+            let mut b = ProgramBuilder::new(4);
+            let arr = b.array("arr", 8);
+            let l = b.lock_id("l");
+            for t in 0..4 {
+                b.thread(t).loop_n(8, |tb| {
+                    tb.lock(l)
+                        .write_arr_l(arr, 8, t as u64, &format!("w{t}"))
+                        .unlock(l);
+                });
+            }
+            let p = b.build();
+            let base = SiteClassTable::analyze(&p);
+            let flow = FlowAnalysis::run(&p);
+            for t in 0..4 {
+                let w = format!("w{t}");
+                assert_eq!(class_of(&p, &base, &w), race_free(RaceFreeReason::Lockset));
+                assert_eq!(
+                    class_of(&p, &flow.table, &w),
+                    race_free(RaceFreeReason::Lockset)
+                );
+            }
+            assert!(flow.pairs.is_empty());
+
+            // One thread skips the lock: every address is poisoned, and
+            // the candidates are exactly the three pairs with the
+            // unlocked thread, each witnessed at the array's first element.
+            let mut b = ProgramBuilder::new(4);
+            let arr = b.array("arr", 8);
+            let l = b.lock_id("l");
+            for t in 0..4 {
+                b.thread(t).loop_n(8, |tb| {
+                    if t == 3 {
+                        tb.write_arr_l(arr, 8, 3, "w3");
+                    } else {
+                        tb.lock(l)
+                            .write_arr_l(arr, 8, t as u64, &format!("w{t}"))
+                            .unlock(l);
+                    }
+                });
+            }
+            let p = b.build();
+            let base = SiteClassTable::analyze(&p);
+            let flow = FlowAnalysis::run(&p);
+            for t in 0..4 {
+                let w = format!("w{t}");
+                assert_eq!(class_of(&p, &base, &w), SiteClass::PotentiallyRacy);
+                assert_eq!(class_of(&p, &flow.table, &w), SiteClass::PotentiallyRacy);
+            }
+            let w3 = p.site("w3").unwrap();
+            let pairs: Vec<RacePair> = flow.pairs.pairs().collect();
+            assert_eq!(pairs.len(), 3);
+            for t in 0..3 {
+                let pr = RacePair::new(p.site(&format!("w{t}")).unwrap(), w3);
+                assert!(pairs.contains(&pr));
+                assert_eq!(flow.pairs.witness_addr(pr), Some(arr));
+            }
+            assert_eq!(flow.watch_sites().len(), 4);
+        }
+
+        #[test]
+        fn zero_trip_loops_are_dead_and_hold_nothing() {
+            // A zero-trip loop's accesses are dead, its lock never
+            // executes, and its barrier never counts.
+            let mut b = ProgramBuilder::new(2);
+            let x = b.var("x");
+            let l = b.lock_id("l");
+            let bar = b.barrier_id("bar");
+            b.thread(0).loop_n(0, |tb| {
+                tb.lock(l).write_l(x, 9, "dead").barrier(bar);
+            });
+            b.thread(0).write_l(x, 1, "w0");
+            b.thread(1).write_l(x, 2, "w1").barrier(bar);
+            let p = b.build();
+            let flow = FlowAnalysis::run(&p);
+            assert_eq!(
+                class_of(&p, &flow.table, "dead"),
+                race_free(RaceFreeReason::Dead)
+            );
+            assert_eq!(class_of(&p, &flow.table, "w0"), SiteClass::PotentiallyRacy);
+            assert_eq!(class_of(&p, &flow.table, "w1"), SiteClass::PotentiallyRacy);
+            assert_eq!(flow.pairs.len(), 1);
+            // Everything in the program dead: no records, no pairs.
+            let mut b = ProgramBuilder::new(2);
+            let x = b.var("x");
+            for t in 0..2 {
+                b.thread(t).loop_n(0, |tb| {
+                    tb.write_l(x, 1, &format!("d{t}"));
+                });
+            }
+            let p = b.build();
+            let flow = FlowAnalysis::run(&p);
+            assert_eq!(
+                class_of(&p, &flow.table, "d0"),
+                race_free(RaceFreeReason::Dead)
+            );
+            assert!(flow.pairs.is_empty() && flow.watch_sites().is_empty());
+        }
+
+        #[test]
+        fn programs_without_locks_or_barriers() {
+            // No locks and no barriers: the lock rows and the interval
+            // arrays are empty, and the verdicts come from thread
+            // locality and the racy pair alone.
+            let mut b = ProgramBuilder::new(2);
+            let x = b.var("x");
+            let y = b.var("y");
+            b.thread(0).write_l(x, 1, "w0").write_l(y, 1, "local");
+            b.thread(1).read_l(x, "r1");
+            let p = b.build();
+            assert_eq!((p.lock_count(), p.barrier_count()), (0, 0));
+            let flow = FlowAnalysis::run(&p);
+            assert_eq!(class_of(&p, &flow.table, "w0"), SiteClass::PotentiallyRacy);
+            assert_eq!(class_of(&p, &flow.table, "r1"), SiteClass::PotentiallyRacy);
+            assert_eq!(
+                class_of(&p, &flow.table, "local"),
+                race_free(RaceFreeReason::ThreadLocal)
+            );
+            let pr = RacePair::new(p.site("w0").unwrap(), p.site("r1").unwrap());
+            assert_eq!(flow.pairs.witness_addr(pr), Some(x));
+
+            // Barriers but no locks, and locks but no barriers.
+            let mut b = ProgramBuilder::new(2);
+            let x = b.var("x");
+            let bar = b.barrier_id("bar");
+            b.thread(0).write_l(x, 1, "w0").barrier(bar);
+            b.thread(1).barrier(bar).write_l(x, 2, "w1");
+            let p = b.build();
+            let t = SiteClassTable::analyze_flow(&p);
+            assert_eq!(
+                class_of(&p, &t, "w0"),
+                race_free(RaceFreeReason::OrderedByPhase)
+            );
+            let mut b = ProgramBuilder::new(2);
+            let x = b.var("x");
+            let l = b.lock_id("l");
+            b.thread(0).lock(l).write_l(x, 1, "w0").unlock(l);
+            b.thread(1).lock(l).write_l(x, 2, "w1").unlock(l);
+            let p = b.build();
+            let t = SiteClassTable::analyze_flow(&p);
+            assert_eq!(class_of(&p, &t, "w1"), race_free(RaceFreeReason::Lockset));
+
+            // No data accesses at all.
+            let mut b = ProgramBuilder::new(2);
+            let l = b.lock_id("l");
+            b.thread(0).lock(l).unlock(l);
+            b.thread(1).compute(5);
+            let p = b.build();
+            let flow = FlowAnalysis::run(&p);
+            assert!(flow.pairs.is_empty());
+            assert_eq!(flow.table.stats(&p).data_sites, 0);
+            assert!(!flow.table.is_race_free(SiteId(0)));
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! pair whose endpoint's check was elided in favor of an earlier witness
 //! still appears under its own site id.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use txrace_hb::{RacePair, RaceSet, ShadowMode};
 use txrace_sim::explore::{explore_until, ExploreLimits};
@@ -26,9 +26,10 @@ use crate::cost::CostModel;
 /// The statically generated may-race candidate pairs of one program.
 #[derive(Debug, Clone, Default)]
 pub struct MayRacePairs {
-    /// One witness address per pair (the first overlapping footprint
-    /// address found).
-    by_pair: BTreeMap<RacePair, Addr>,
+    /// The pairs, sorted and unique, each with one witness address (the
+    /// smallest overlapping footprint address); searched by binary
+    /// search.
+    by_pair: Vec<(RacePair, Addr)>,
 }
 
 impl MayRacePairs {
@@ -39,30 +40,31 @@ impl MayRacePairs {
         super::FlowAnalysis::run(p).pairs
     }
 
-    /// Builds the set from `(pair, witness address)` tuples; the first
-    /// witness per pair is kept.
-    pub(super) fn from_witnesses(iter: impl IntoIterator<Item = (RacePair, Addr)>) -> Self {
-        let mut by_pair = BTreeMap::new();
-        for (pr, a) in iter {
-            by_pair.entry(pr).or_insert(a);
-        }
+    /// Builds the set from `(pair, witness address)` tuples; the
+    /// smallest witness per pair is kept.
+    pub(super) fn from_witnesses(mut by_pair: Vec<(RacePair, Addr)>) -> Self {
+        by_pair.sort_unstable();
+        by_pair.dedup_by_key(|&mut (pr, _)| pr);
         MayRacePairs { by_pair }
     }
 
     /// The candidate pairs, ascending.
     pub fn pairs(&self) -> impl Iterator<Item = RacePair> + '_ {
-        self.by_pair.keys().copied()
+        self.by_pair.iter().map(|&(pr, _)| pr)
     }
 
     /// A statically chosen overlapping address for `pair`, if it is a
     /// candidate.
     pub fn witness_addr(&self, pair: RacePair) -> Option<Addr> {
-        self.by_pair.get(&pair).copied()
+        self.by_pair
+            .binary_search_by_key(&pair, |&(pr, _)| pr)
+            .ok()
+            .map(|k| self.by_pair[k].1)
     }
 
     /// Whether `(x, y)` is a candidate (order-insensitive).
     pub fn contains(&self, x: SiteId, y: SiteId) -> bool {
-        self.by_pair.contains_key(&RacePair::new(x, y))
+        self.witness_addr(RacePair::new(x, y)).is_some()
     }
 
     /// Number of candidate pairs.
@@ -78,7 +80,7 @@ impl MayRacePairs {
     /// True iff every pair of `races` is a candidate — the soundness
     /// inclusion the generator promises for dynamically observed races.
     pub fn covers(&self, races: &RaceSet) -> bool {
-        races.pairs().all(|pr| self.by_pair.contains_key(&pr))
+        races.pairs().all(|pr| self.witness_addr(pr).is_some())
     }
 
     /// Exhaustively explores `p`'s interleavings with an exact FastTrack
@@ -106,7 +108,7 @@ impl MayRacePairs {
             },
             |_, rt, _| {
                 for pr in rt.consumer().races().pairs() {
-                    if self.by_pair.contains_key(&pr) {
+                    if self.witness_addr(pr).is_some() {
                         confirmed.insert(pr);
                     } else {
                         escaped.insert(pr);

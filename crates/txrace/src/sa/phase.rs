@@ -39,6 +39,11 @@
 //! counting and get no intervals; a dead barrier member merely makes
 //! later generations unreachable, which leaves every claim about code
 //! beyond them vacuously true.
+//!
+//! **Layout.** The intervals are two flat `sites × barriers` arrays (one
+//! for `lo`, one for `hi`) plus a per-site presence flag, filled by one
+//! structural walk per thread: `O(sites × barriers)` space and time, no
+//! per-site allocation.
 
 use std::collections::BTreeSet;
 
@@ -48,9 +53,9 @@ use txrace_sim::{Op, Program, SiteAccess, Stmt, ThreadId};
 /// The may-happen-in-parallel oracle for one program.
 #[derive(Debug)]
 pub(super) struct MhpOracle {
-    /// Per site index: per-barrier `[lo, hi]` arrival intervals; `None`
-    /// for sites without a record (dead code or non-data ops).
-    intervals: Vec<Option<(Vec<u64>, Vec<u64>)>>,
+    /// Per site index and barrier: the `[lo, hi]` arrival interval, at
+    /// `site * barriers + barrier`; meaningful only where `has_interval`.
+    intervals: Intervals,
     /// Per thread, per barrier: total arrivals across the whole run
     /// (zero rows for threads that never run).
     arrivals: Vec<Vec<u64>>,
@@ -73,13 +78,13 @@ impl MhpOracle {
         let nt = p.thread_count();
         let runs = running_threads(p);
 
-        let mut intervals: Vec<Option<(Vec<u64>, Vec<u64>)>> = vec![None; p.site_count() as usize];
+        let mut intervals = Intervals::new(p.site_count() as usize, nb);
         let mut arrivals = vec![vec![0u64; nb]; nt];
         for (t, total) in arrivals.iter_mut().enumerate() {
             if !runs[t] {
                 continue;
             }
-            walk_arrivals(p.thread(ThreadId(t as u32)), total, &mut intervals);
+            intervals.walk(p.thread(ThreadId(t as u32)), total, &mut Vec::new());
         }
 
         // Fork-join spans: top-level Spawn/Join positions per target.
@@ -140,12 +145,12 @@ impl MhpOracle {
     /// before every occurrence of `y` (see the module docs for the
     /// two-condition argument).
     fn barrier_before(&self, x: &SiteAccess, y: &SiteAccess) -> bool {
-        let (Some((_, xhi)), Some((ylo, _))) = (
-            self.intervals[x.site.index()].as_ref(),
-            self.intervals[y.site.index()].as_ref(),
-        ) else {
+        let iv = &self.intervals;
+        let (xs, ys) = (x.site.index(), y.site.index());
+        if !iv.has_interval[xs] || !iv.has_interval[ys] {
             return false;
-        };
+        }
+        let (xhi, ylo) = (iv.hi(xs), iv.lo(ys));
         let xt = &self.arrivals[x.thread.index()];
         (0..xt.len()).any(|b| xt[b] > xhi[b] && ylo[b] > xhi[b])
     }
@@ -240,44 +245,70 @@ fn spawns_in(stmts: &[Stmt]) -> BTreeSet<ThreadId> {
     out
 }
 
-/// Structural arrival walk for one thread: `cnt[b]` is the running
-/// arrival count; data-access sites snapshot it as `[lo, hi]`, and each
-/// enclosing multi-trip loop widens `hi` (and advances `cnt`) by
-/// `(trips - 1) * delta`. On return, `cnt` holds the thread's totals.
-fn walk_arrivals(stmts: &[Stmt], cnt: &mut [u64], intervals: &mut [Option<(Vec<u64>, Vec<u64>)>]) {
-    fn inner(
-        stmts: &[Stmt],
-        cnt: &mut [u64],
-        intervals: &mut [Option<(Vec<u64>, Vec<u64>)>],
-        recorded: &mut Vec<usize>,
-    ) {
+/// Flat per-site barrier arrival intervals.
+#[derive(Debug)]
+struct Intervals {
+    /// Barrier count: the row width of `lo` and `hi`.
+    barriers: usize,
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    /// Per site: whether the walk recorded an interval for it (a
+    /// data-access site of a running thread, outside dead code).
+    has_interval: Vec<bool>,
+}
+
+impl Intervals {
+    fn new(sites: usize, barriers: usize) -> Self {
+        Intervals {
+            barriers,
+            lo: vec![0; sites * barriers],
+            hi: vec![0; sites * barriers],
+            has_interval: vec![false; sites],
+        }
+    }
+
+    fn lo(&self, s: usize) -> &[u64] {
+        &self.lo[s * self.barriers..(s + 1) * self.barriers]
+    }
+
+    fn hi(&self, s: usize) -> &[u64] {
+        &self.hi[s * self.barriers..(s + 1) * self.barriers]
+    }
+
+    /// Structural arrival walk for one thread: `cnt[b]` is the running
+    /// arrival count; data-access sites snapshot it as `[lo, hi]` (and
+    /// are pushed on `recorded`), and each enclosing multi-trip loop
+    /// widens `hi` (and advances `cnt`) by `(trips - 1) * delta`. On
+    /// return, `cnt` holds the thread's totals.
+    fn walk(&mut self, stmts: &[Stmt], cnt: &mut [u64], recorded: &mut Vec<usize>) {
+        let nb = self.barriers;
         for s in stmts {
             match s {
                 Stmt::Op { site, op } => {
                     if let Op::Barrier(b) = op {
                         cnt[b.index()] += 1;
                     } else if op.is_data_access() {
-                        intervals[site.index()] = Some((cnt.to_vec(), cnt.to_vec()));
-                        recorded.push(site.index());
+                        let si = site.index();
+                        self.lo[si * nb..(si + 1) * nb].copy_from_slice(cnt);
+                        self.hi[si * nb..(si + 1) * nb].copy_from_slice(cnt);
+                        self.has_interval[si] = true;
+                        recorded.push(si);
                     }
                 }
                 Stmt::Loop { trips: 0, .. } => {}
                 Stmt::Loop { trips, body, .. } => {
                     let save = cnt.to_vec();
                     let mark = recorded.len();
-                    inner(body, cnt, intervals, recorded);
+                    self.walk(body, cnt, recorded);
                     let extra = u64::from(*trips) - 1;
                     if extra > 0 {
-                        for b in 0..cnt.len() {
+                        for b in 0..nb {
                             let delta = cnt[b] - save[b];
                             if delta == 0 {
                                 continue;
                             }
                             for &si in &recorded[mark..] {
-                                let (_, hi) = intervals[si]
-                                    .as_mut()
-                                    .expect("recorded sites have intervals");
-                                hi[b] += extra * delta;
+                                self.hi[si * nb + b] += extra * delta;
                             }
                             cnt[b] += extra * delta;
                         }
@@ -286,8 +317,6 @@ fn walk_arrivals(stmts: &[Stmt], cnt: &mut [u64], intervals: &mut [Option<(Vec<u
             }
         }
     }
-    let mut recorded = Vec::new();
-    inner(stmts, cnt, intervals, &mut recorded);
 }
 
 /// Records the top-level statement index for every site in `s`.
