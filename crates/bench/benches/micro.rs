@@ -16,10 +16,9 @@ fn bench_htm(c: &mut Criterion) {
     let mut g = c.benchmark_group("htm");
     g.bench_function("txn_begin_commit_empty", |b| {
         let mut htm = HtmSystem::new(HtmConfig::default(), 4);
-        let mut mem = Memory::new();
         b.iter(|| {
             htm.xbegin(ThreadId(0)).unwrap();
-            htm.xend(ThreadId(0), &mut mem).unwrap();
+            htm.xend(ThreadId(0)).unwrap();
         });
     });
     g.bench_function("txn_8_writes_commit", |b| {
@@ -30,7 +29,7 @@ fn bench_htm(c: &mut Criterion) {
             for i in 0..8u64 {
                 htm.write(ThreadId(0), &mut mem, Addr(0x1000 + i * 64), i);
             }
-            htm.xend(ThreadId(0), &mut mem).unwrap();
+            htm.xend(ThreadId(0)).unwrap();
         });
     });
     g.bench_function("conflict_scan_4_active_txns", |b| {

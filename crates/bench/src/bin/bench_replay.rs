@@ -2,8 +2,8 @@
 //! pure-observer sweeps behind Figures 11–13 done the old way (re-execute
 //! the program for every scheme) versus the pipeline way (record each
 //! (workload, seed) once, fan replay consumers across cores). Emits the
-//! machine-readable trajectory `BENCH_replay.json` in the same flat
-//! format as `BENCH_table1.json`.
+//! machine-readable trajectory `BENCH_replay.json` in the flat
+//! `json_rows` format the other JSON-emitting binaries share.
 //!
 //! ```text
 //! cargo run --release -p txrace-bench --bin bench_replay \

@@ -20,12 +20,14 @@
 //!   with an empty status word (an *unknown* abort), and transient events
 //!   with `RETRY` only.
 //! * **Isolated speculative stores**: a transaction's stores are never
-//!   observed by another thread and vanish on abort. By default stores go
-//!   to memory eagerly under a per-transaction undo journal that is
-//!   unwound the instant the transaction is doomed — before the
-//!   conflicting access proceeds — so isolation is preserved with O(1)
-//!   begin/commit and O(stores) rollback; a lazy write-buffer policy is
-//!   kept as the equivalence oracle (see [`VersionPolicy`]).
+//!   observed by another thread and vanish on abort. Stores go to memory
+//!   eagerly under a per-transaction undo journal
+//!   ([`txrace_sim::WriteJournal`]) that is unwound the instant the
+//!   transaction is doomed — before the conflicting access proceeds — so
+//!   isolation is preserved with O(1) begin/commit and O(stores)
+//!   rollback. The crate's property tests hold this against a lazy
+//!   write-buffer reference model (stores buffered per thread, applied
+//!   at commit, dropped on abort) on random scripts.
 //!
 //! Like the real hardware, the system reports *that* a transaction aborted
 //! and a status word — never which instruction, address, or other
@@ -47,7 +49,7 @@
 //! // wins + strong isolation) and unwinds t0's journal first.
 //! let _ = htm.read(t1, &mut mem, Addr(0x1008));
 //! assert!(htm.is_doomed(t0).is_some());
-//! assert!(htm.xend(t0, &mut mem).is_err());
+//! assert!(htm.xend(t0).is_err());
 //! assert_eq!(mem.load(Addr(0x1000)), 0); // rolled back
 //! ```
 
@@ -60,7 +62,5 @@ mod system;
 mod txn;
 
 pub use status::{AbortReason, AbortStatus};
-pub use system::{
-    ConflictOracle, ConflictRecord, HtmConfig, HtmStats, HtmSystem, VersionPolicy, XbeginError,
-};
+pub use system::{ConflictOracle, ConflictRecord, HtmConfig, HtmStats, HtmSystem, XbeginError};
 pub use txn::TxnState;

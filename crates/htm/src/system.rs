@@ -6,34 +6,6 @@ use txrace_sim::{Addr, CacheLine, InterruptKind, Memory, ThreadId};
 use crate::status::{AbortReason, AbortStatus};
 use crate::txn::{Txn, TxnState};
 
-/// How a transaction's stores are versioned while it is in flight.
-///
-/// Both policies are observationally equivalent — doom order, abort
-/// statistics, and every value any non-doomed access observes are
-/// bit-identical (verified by `tests/rollback_equivalence.rs`) — they
-/// differ only in what the simulator pays per access and per abort.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum VersionPolicy {
-    /// Eager in-place stores under a per-transaction undo journal
-    /// ([`txrace_sim::WriteJournal`]): transaction begin is an O(1)
-    /// journal mark, commit an O(1) truncate, rollback O(stores in the
-    /// transaction) — and transactional *reads* are plain memory loads
-    /// (no store-buffer lookup). The default.
-    #[default]
-    Undo,
-    /// Lazy write buffering: stores accumulate in a per-transaction
-    /// buffer and reach memory only at commit. The previous
-    /// implementation, kept as the equivalence oracle for the undo path.
-    Buffer,
-}
-
-impl VersionPolicy {
-    /// True when stores go to memory eagerly under an undo journal.
-    pub fn is_eager(self) -> bool {
-        self == VersionPolicy::Undo
-    }
-}
-
 /// Hardware parameters of the simulated HTM.
 ///
 /// Defaults model a Haswell L1D: transactional *writes* must fit the
@@ -53,9 +25,6 @@ pub struct HtmConfig {
     /// report the conflicting cache line to the aborted transaction.
     /// Commodity RTM does not do this; keep `false` for fidelity.
     pub report_conflict_address: bool,
-    /// How in-flight stores are versioned (undo journal vs write buffer);
-    /// observationally equivalent, see [`VersionPolicy`].
-    pub version: VersionPolicy,
 }
 
 impl Default for HtmConfig {
@@ -66,7 +35,6 @@ impl Default for HtmConfig {
             read_set_max_lines: 4096,
             max_concurrent_txns: 8,
             report_conflict_address: false,
-            version: VersionPolicy::default(),
         }
     }
 }
@@ -183,10 +151,13 @@ pub struct HtmSystem {
     /// ones) tracking the line in their read set. Together with
     /// `line_writers` this gives conflict scans an O(1) "no conflict
     /// possible" answer without probing every slot.
-    line_readers: Vec<u8>,
+    ///
+    /// The count must never wrap: a wrapped 0 would take that "no
+    /// conflict" exit and leave the line's transactions alive.
+    line_readers: Vec<u32>,
     /// Per-raw-line count of in-flight transactions tracking the line in
     /// their write set.
-    line_writers: Vec<u8>,
+    line_writers: Vec<u32>,
     stats: HtmStats,
     oracle: ConflictOracle,
 }
@@ -205,16 +176,14 @@ impl HtmSystem {
         }
     }
 
-    /// Pre-sizes every slot's write buffer and line bitsets for a
-    /// program whose raw addresses are below `addr_capacity` and raw
-    /// cache-line indices below `line_capacity` (both available from
-    /// `txrace_sim::Interner`), so the hot path never grows a table's
-    /// top level.
-    pub fn reserve_capacity(&mut self, addr_capacity: usize, line_capacity: usize) {
+    /// Pre-sizes every slot's line bitsets and the per-line occupancy
+    /// counters for a program whose raw cache-line indices are below
+    /// `line_capacity` (available from `txrace_sim::Interner`), so the
+    /// hot path never grows a table's top level.
+    pub fn reserve_capacity(&mut self, line_capacity: usize) {
         for slot in &mut self.slots {
             slot.txn.read_lines.reserve(line_capacity);
             slot.txn.write_lines.reserve(line_capacity);
-            slot.txn.write_buf.reserve(addr_capacity);
         }
         if self.line_readers.len() < line_capacity {
             self.line_readers.resize(line_capacity, 0);
@@ -225,7 +194,7 @@ impl HtmSystem {
     /// Increments a per-line occupancy counter, growing the table for
     /// lines beyond the reserved capacity.
     #[inline]
-    fn bump(counts: &mut Vec<u8>, line: CacheLine) {
+    fn bump(counts: &mut Vec<u32>, line: CacheLine) {
         let li = line.0 as usize;
         if li >= counts.len() {
             counts.resize(li + 1, 0);
@@ -235,7 +204,7 @@ impl HtmSystem {
 
     /// Returns a finished transaction's tracked lines to the occupancy
     /// counters (called with the slot's sets still intact, before reset).
-    fn release_lines(readers: &mut [u8], writers: &mut [u8], txn: &Txn) {
+    fn release_lines(readers: &mut [u32], writers: &mut [u32], txn: &Txn) {
         for l in txn.read_lines.iter() {
             readers[l.0 as usize] -= 1;
         }
@@ -354,10 +323,9 @@ impl HtmSystem {
         Ok(())
     }
 
-    /// Ends thread `t`'s transaction: makes its stores permanent (for the
-    /// journaled policies they are already in memory, so commit is an O(1)
-    /// truncate; under [`VersionPolicy::Buffer`] the buffered writes are
-    /// applied here), or reports the abort status.
+    /// Ends thread `t`'s transaction: makes its stores permanent (they are
+    /// already in memory, so commit is an O(1) journal truncate), or
+    /// reports the abort status.
     ///
     /// # Errors
     ///
@@ -367,24 +335,17 @@ impl HtmSystem {
     /// # Panics
     ///
     /// Panics if `t` has no transaction in flight.
-    pub fn xend(&mut self, t: ThreadId, mem: &mut Memory) -> Result<(), AbortStatus> {
-        let eager = self.cfg.version.is_eager();
+    pub fn xend(&mut self, t: ThreadId) -> Result<(), AbortStatus> {
         let slot = &mut self.slots[t.index()];
         assert!(slot.in_flight, "xend without a transaction in flight");
         slot.in_flight = false;
         let result = match slot.txn.doom {
             Some(status) => Err(status),
             None => {
-                if eager {
-                    // Journaled stores are already in memory; committing
-                    // is retiring the undo entries (`reset` truncates).
-                    let begin = slot.txn.begin;
-                    slot.txn.journal.commit_to(begin);
-                } else {
-                    for (addr, val) in slot.txn.write_buf.entries() {
-                        mem.store(addr, val);
-                    }
-                }
+                // Journaled stores are already in memory; committing is
+                // retiring the undo entries (`reset` truncates).
+                let begin = slot.txn.begin;
+                slot.txn.journal.commit_to(begin);
                 Ok(())
             }
         };
@@ -447,11 +408,10 @@ impl HtmSystem {
     /// non-transactional otherwise), returning the value observed.
     ///
     /// Takes `&mut Memory` because requester-wins conflict detection may
-    /// doom another transaction, and under the journaled policies dooming
-    /// unwinds the victim's eager stores before this read observes memory.
+    /// doom another transaction, and dooming unwinds the victim's eager
+    /// stores before this read observes memory.
     pub fn read(&mut self, t: ThreadId, mem: &mut Memory, addr: Addr) -> u64 {
         let line = addr.line();
-        let eager = self.cfg.version.is_eager();
         let slot = &self.slots[t.index()];
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
@@ -464,40 +424,21 @@ impl HtmSystem {
                     if txn.read_lines.len() >= cap {
                         // Capture before the self-doom: dooming unwinds
                         // this transaction's own journal.
-                        let val = if eager {
-                            mem.load(addr)
-                        } else {
-                            txn.write_buf.get(addr).unwrap_or_else(|| mem.load(addr))
-                        };
+                        let val = mem.load(addr);
                         self.doom(mem, t, AbortStatus::CAPACITY);
                         return val;
                     }
                     txn.read_lines.insert(line);
                     Self::bump(&mut self.line_readers, line);
                 }
-                if eager {
-                    // Own stores are already in place: a transactional
-                    // read is a plain load, no buffer lookup.
-                    mem.load(addr)
-                } else {
-                    let txn = &self.slots[t.index()].txn;
-                    txn.write_buf.get(addr).unwrap_or_else(|| mem.load(addr))
-                }
+                // Own stores are already in place: a transactional read
+                // is a plain load.
+                mem.load(addr)
             }
-            (true, Some(_)) => {
-                // Zombie execution inside a doomed transaction: no coherence
-                // effects. Under the journaled policies the undo log was
-                // unwound at doom time, so memory is the pre-transaction
-                // state; under buffering the dead buffer still answers.
-                if eager {
-                    mem.load(addr)
-                } else {
-                    slot.txn
-                        .write_buf
-                        .get(addr)
-                        .unwrap_or_else(|| mem.load(addr))
-                }
-            }
+            // Zombie execution inside a doomed transaction: no coherence
+            // effects, and the undo log was unwound at doom time, so
+            // memory is the pre-transaction state.
+            (true, Some(_)) => mem.load(addr),
             (false, _) => {
                 // Non-transactional read: strong isolation dooms writers
                 // (and unwinds their journals) before the load.
@@ -507,11 +448,10 @@ impl HtmSystem {
         }
     }
 
-    /// Performs a write by `t` (journaled in place or buffered if
-    /// transactional, per the version policy; direct otherwise).
+    /// Performs a write by `t` (journaled in place if transactional,
+    /// direct otherwise).
     pub fn write(&mut self, t: ThreadId, mem: &mut Memory, addr: Addr, val: u64) {
         let line = addr.line();
-        let eager = self.cfg.version.is_eager();
         let slot = &self.slots[t.index()];
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
@@ -521,21 +461,11 @@ impl HtmSystem {
                 }
                 let txn = &mut self.slots[t.index()].txn;
                 txn.accesses += 1;
-                if eager {
-                    mem.store_logged(addr, val, &mut txn.journal);
-                } else {
-                    txn.write_buf.insert(addr, val);
-                }
+                mem.store_logged(addr, val, &mut txn.journal);
             }
-            (true, Some(_)) => {
-                // Zombie store: under journaling it simply vanishes (the
-                // undo log is already unwound and must stay retired);
-                // under buffering it lands in the dead buffer.
-                if !eager {
-                    let txn = &mut self.slots[t.index()].txn;
-                    txn.write_buf.insert(addr, val);
-                }
-            }
+            // Zombie store: it simply vanishes (the undo log is already
+            // unwound and must stay retired).
+            (true, Some(_)) => {}
             (false, _) => {
                 self.conflict_scan(mem, t, line, true, false);
                 mem.store(addr, val);
@@ -546,59 +476,33 @@ impl HtmSystem {
     /// Performs an atomic fetch-add by `t`, returning the previous value.
     pub fn rmw(&mut self, t: ThreadId, mem: &mut Memory, addr: Addr, delta: u64) -> u64 {
         let line = addr.line();
-        let eager = self.cfg.version.is_eager();
         let slot = &self.slots[t.index()];
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
                 self.conflict_scan(mem, t, line, true, true);
                 // Reads and writes the line.
                 let cap = self.cfg.read_set_max_lines;
-                {
-                    let txn = &mut self.slots[t.index()].txn;
-                    if !txn.read_lines.contains(line) && txn.read_lines.len() >= cap {
-                        // Pre-doom capture: the self-doom below unwinds
-                        // this transaction's own journal.
-                        let old = if eager {
-                            mem.load(addr)
-                        } else {
-                            txn.write_buf.get(addr).unwrap_or_else(|| mem.load(addr))
-                        };
-                        self.doom(mem, t, AbortStatus::CAPACITY);
-                        return old;
-                    }
-                    if txn.read_lines.insert(line) {
-                        Self::bump(&mut self.line_readers, line);
-                    }
+                let txn = &mut self.slots[t.index()].txn;
+                // Loaded before any self-doom below unwinds this
+                // transaction's own journal.
+                let old = mem.load(addr);
+                if !txn.read_lines.contains(line) && txn.read_lines.len() >= cap {
+                    self.doom(mem, t, AbortStatus::CAPACITY);
+                    return old;
                 }
-                let old = if eager {
-                    mem.load(addr)
-                } else {
-                    let txn = &self.slots[t.index()].txn;
-                    txn.write_buf.get(addr).unwrap_or_else(|| mem.load(addr))
-                };
+                if txn.read_lines.insert(line) {
+                    Self::bump(&mut self.line_readers, line);
+                }
                 if !self.reserve_write_line(mem, t, line) {
                     return old;
                 }
                 let txn = &mut self.slots[t.index()].txn;
                 txn.accesses += 1;
-                if eager {
-                    mem.store_logged(addr, old.wrapping_add(delta), &mut txn.journal);
-                } else {
-                    txn.write_buf.insert(addr, old.wrapping_add(delta));
-                }
+                mem.store_logged(addr, old.wrapping_add(delta), &mut txn.journal);
                 old
             }
-            (true, Some(_)) => {
-                // Zombie rmw: observe without publishing (see `write`).
-                if eager {
-                    mem.load(addr)
-                } else {
-                    let txn = &mut self.slots[t.index()].txn;
-                    let old = txn.write_buf.get(addr).unwrap_or_else(|| mem.load(addr));
-                    txn.write_buf.insert(addr, old.wrapping_add(delta));
-                    old
-                }
-            }
+            // Zombie rmw: observe without publishing (see `write`).
+            (true, Some(_)) => mem.load(addr),
             (false, _) => {
                 self.conflict_scan(mem, t, line, true, false);
                 let old = mem.load(addr);
@@ -652,17 +556,17 @@ impl HtmSystem {
         // The counters overcount (they include doomed transactions), so a
         // zero here is exact while a nonzero only licenses the full scan.
         let li = line.0 as usize;
-        let writers = i32::from(self.line_writers.get(li).copied().unwrap_or(0));
+        let writers = self.line_writers.get(li).copied().unwrap_or(0);
         let (own_r, own_w) = if req.in_flight {
             (
-                i32::from(req.txn.read_lines.contains(line)),
-                i32::from(req.txn.write_lines.contains(line)),
+                u32::from(req.txn.read_lines.contains(line)),
+                u32::from(req.txn.write_lines.contains(line)),
             )
         } else {
             (0, 0)
         };
         let possible = if is_write {
-            let readers = i32::from(self.line_readers.get(li).copied().unwrap_or(0));
+            let readers = self.line_readers.get(li).copied().unwrap_or(0);
             readers > own_r || writers > own_w
         } else {
             writers > own_w
@@ -699,12 +603,10 @@ impl HtmSystem {
     /// Marks `victim`'s transaction aborted and updates statistics. The
     /// first doom wins; later ones do not overwrite the status.
     ///
-    /// Under the journaled policies this is also where isolation is
-    /// restored: the victim's undo log is unwound to its begin watermark
-    /// *before* the requester's own access proceeds, so no thread ever
-    /// observes a doomed transaction's stores.
+    /// This is also where isolation is restored: the victim's undo log is
+    /// unwound to its begin watermark *before* the requester's own access
+    /// proceeds, so no thread ever observes a doomed transaction's stores.
     fn doom(&mut self, mem: &mut Memory, victim: ThreadId, status: AbortStatus) {
-        let eager = self.cfg.version.is_eager();
         let slot = &mut self.slots[victim.index()];
         assert!(slot.in_flight, "dooming a thread without a transaction");
         let txn = &mut slot.txn;
@@ -712,10 +614,8 @@ impl HtmSystem {
             return;
         }
         txn.doom = Some(status);
-        if eager {
-            let begin = txn.begin;
-            txn.journal.rollback_to(mem, begin);
-        }
+        let begin = txn.begin;
+        txn.journal.rollback_to(mem, begin);
         match status.reason() {
             AbortReason::Conflict => self.stats.conflict_aborts += 1,
             AbortReason::Capacity => self.stats.capacity_aborts += 1,
@@ -738,33 +638,8 @@ mod tests {
         (HtmSystem::new(HtmConfig::default(), threads), Memory::new())
     }
 
-    fn fresh_with(version: VersionPolicy, threads: usize) -> (HtmSystem, Memory) {
-        let cfg = HtmConfig {
-            version,
-            ..HtmConfig::default()
-        };
-        (HtmSystem::new(cfg, threads), Memory::new())
-    }
-
     fn line_addr(line: u64) -> Addr {
         CacheLine(line).base()
-    }
-
-    #[test]
-    fn buffered_committed_writes_become_visible_atomically() {
-        // Buffer is the only policy where uncommitted stores are invisible
-        // to a direct memory probe (under journaling they are in place and
-        // isolation comes from doom-time rollback instead).
-        let (mut htm, mut mem) = fresh_with(VersionPolicy::Buffer, 1);
-        htm.xbegin(T0).unwrap();
-        htm.write(T0, &mut mem, line_addr(1), 11);
-        htm.write(T0, &mut mem, line_addr(2), 22);
-        assert_eq!(mem.load(line_addr(1)), 0);
-        assert_eq!(mem.load(line_addr(2)), 0);
-        htm.xend(T0, &mut mem).unwrap();
-        assert_eq!(mem.load(line_addr(1)), 11);
-        assert_eq!(mem.load(line_addr(2)), 22);
-        assert_eq!(htm.stats().committed, 1);
     }
 
     #[test]
@@ -781,7 +656,7 @@ mod tests {
         htm.write(T1, &mut mem, line_addr(2), 99);
         assert_eq!(mem.load(line_addr(1)), 7, "old value restored");
         assert_eq!(mem.load(line_addr(2)), 99, "requester's store wins");
-        assert!(htm.xend(T0, &mut mem).is_err());
+        assert!(htm.xend(T0).is_err());
     }
 
     #[test]
@@ -789,7 +664,7 @@ mod tests {
         let (mut htm, mut mem) = fresh(1);
         htm.xbegin(T0).unwrap();
         htm.write(T0, &mut mem, line_addr(1), 11);
-        htm.xend(T0, &mut mem).unwrap();
+        htm.xend(T0).unwrap();
         assert_eq!(mem.load(line_addr(1)), 11);
         assert_eq!(htm.stats().committed, 1);
         // The retired journal must not unwind a later doom's rollback past
@@ -798,7 +673,7 @@ mod tests {
         htm.write(T0, &mut mem, line_addr(1), 12);
         htm.interrupt(T0, &mut mem, InterruptKind::ContextSwitch);
         assert_eq!(mem.load(line_addr(1)), 11, "rollback stops at commit");
-        assert!(htm.xend(T0, &mut mem).is_err());
+        assert!(htm.xend(T0).is_err());
     }
 
     #[test]
@@ -822,11 +697,8 @@ mod tests {
         assert!(htm.is_doomed(T1).is_none());
         assert!(htm.is_doomed(T0).unwrap().contains(AbortStatus::CONFLICT));
         assert!(htm.is_doomed(T0).unwrap().contains(AbortStatus::RETRY));
-        assert!(htm.xend(T1, &mut mem).is_ok());
-        assert_eq!(
-            htm.xend(T0, &mut mem).unwrap_err().reason(),
-            AbortReason::Conflict
-        );
+        assert!(htm.xend(T1).is_ok());
+        assert_eq!(htm.xend(T0).unwrap_err().reason(), AbortReason::Conflict);
         assert_eq!(mem.load(line_addr(3)), 2);
     }
 
@@ -906,6 +778,30 @@ mod tests {
     }
 
     #[test]
+    fn strong_isolation_dooms_256_readers_of_one_line() {
+        // The per-line occupancy counters must not wrap: a wrapped count
+        // of 0 would take the conflict scan's fast exit and leave every
+        // reader alive.
+        let n = 256;
+        let cfg = HtmConfig {
+            max_concurrent_txns: n,
+            ..HtmConfig::default()
+        };
+        let mut htm = HtmSystem::new(cfg, n + 1);
+        let mut mem = Memory::new();
+        let flag = line_addr(12);
+        for t in 0..n as u32 {
+            htm.xbegin(ThreadId(t)).unwrap();
+            let _ = htm.read(ThreadId(t), &mut mem, flag);
+        }
+        htm.write(ThreadId(n as u32), &mut mem, flag, 1);
+        let doomed = (0..n as u32)
+            .filter(|&t| htm.is_doomed(ThreadId(t)).is_some())
+            .count();
+        assert_eq!(doomed, n, "a non-tx write must doom every reader");
+    }
+
+    #[test]
     fn strong_isolation_nontx_read_aborts_writer() {
         let (mut htm, mut mem) = fresh(2);
         htm.xbegin(T0).unwrap();
@@ -921,7 +817,7 @@ mod tests {
         htm.xbegin(T0).unwrap();
         htm.write(T0, &mut mem, line_addr(14), 99);
         htm.write(T1, &mut mem, line_addr(14), 1); // dooms T0
-        assert!(htm.xend(T0, &mut mem).is_err());
+        assert!(htm.xend(T0).is_err());
         assert_eq!(mem.load(line_addr(14)), 1);
     }
 
@@ -1022,7 +918,7 @@ mod tests {
         let (mut htm, mut mem) = fresh(1);
         htm.xbegin(T0).unwrap();
         htm.xabort(T0, &mut mem, 0x42);
-        let status = htm.xend(T0, &mut mem).unwrap_err();
+        let status = htm.xend(T0).unwrap_err();
         assert_eq!(status.explicit_code(), 0x42);
         assert_eq!(htm.stats().explicit_aborts, 1);
     }
@@ -1087,7 +983,7 @@ mod tests {
         let (mut htm, mut mem) = fresh(2);
         htm.xbegin(T0).unwrap();
         htm.write(T0, &mut mem, line_addr(5), 1);
-        htm.xend(T0, &mut mem).unwrap();
+        htm.xend(T0).unwrap();
         htm.xbegin(T1).unwrap();
         htm.write(T1, &mut mem, line_addr(5), 2);
         assert!(htm.is_doomed(T1).is_none());
@@ -1103,7 +999,7 @@ mod tests {
         // A non-tx READ by T1 hits T0's write set -> dooms T0.
         let _ = htm.read(T1, &mut mem, line_addr(9));
         assert!(htm.is_doomed(T0).is_some());
-        assert!(htm.xend(T0, &mut mem).is_err());
+        assert!(htm.xend(T0).is_err());
         assert_eq!(mem.load(line_addr(9)), 10, "rmw rolled back");
     }
 
@@ -1133,7 +1029,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "xend without a transaction")]
     fn xend_without_txn_panics() {
-        let (mut htm, mut mem) = fresh(1);
-        let _ = htm.xend(T0, &mut mem);
+        let (mut htm, _mem) = fresh(1);
+        let _ = htm.xend(T0);
     }
 }

@@ -1,18 +1,15 @@
 //! Per-thread transaction bookkeeping.
 //!
-//! The tracked read/write sets and the store buffer are the hottest
-//! structures in the simulator — every transactional access tests and
-//! updates them, and every conflict scan probes them once per active
-//! transaction. They are therefore kept data-oriented: line membership
-//! is a bitset indexed directly by the raw cache-line index (the
-//! program's line space is dense, see `txrace_sim::intern`), paired
-//! with an insertion-ordered list of touched lines so clearing costs
-//! O(footprint) instead of O(address space); the store buffer maps raw
-//! addresses to dense slots through a paged first-touch map
-//! ([`txrace_sim::AddrMap`], O(touched) space) and generation-stamps the
-//! slots so reuse across transactions needs no per-entry reset.
+//! The tracked read/write sets are the hottest structures in the
+//! simulator — every transactional access tests and updates them, and
+//! every conflict scan probes them once per active transaction. They are
+//! therefore kept data-oriented: line membership is a bitset indexed
+//! directly by the raw cache-line index (the program's line space is
+//! dense, see `txrace_sim::intern`), paired with an insertion-ordered
+//! list of touched lines so clearing costs O(footprint) instead of
+//! O(address space).
 
-use txrace_sim::{Addr, AddrMap, CacheLine, JournalMark, WriteJournal};
+use txrace_sim::{CacheLine, JournalMark, WriteJournal};
 
 use crate::status::AbortStatus;
 
@@ -89,80 +86,6 @@ impl LineSet {
     }
 }
 
-/// The transactional store buffer: raw addresses resolve to dense slots
-/// through a paged first-touch map, and the slots are generation-stamped
-/// so clearing is O(1) plus list reset. Slot ids persist across clears
-/// (they grow monotonically with the distinct addresses this slot's
-/// transactions ever buffered), so a recycled buffer keeps both its map
-/// and its tables.
-#[derive(Debug, Clone)]
-pub(crate) struct WriteBuf {
-    ids: AddrMap,
-    vals: Vec<u64>,
-    stamps: Vec<u64>,
-    generation: u64,
-    touched: Vec<Addr>,
-}
-
-impl Default for WriteBuf {
-    fn default() -> Self {
-        WriteBuf {
-            ids: AddrMap::new(),
-            vals: Vec::new(),
-            stamps: Vec::new(),
-            // Stamp 0 means "never written"; start at 1.
-            generation: 1,
-            touched: Vec::new(),
-        }
-    }
-}
-
-impl WriteBuf {
-    /// The buffered value at `addr`, if this transaction stored one.
-    #[inline]
-    pub(crate) fn get(&self, addr: Addr) -> Option<u64> {
-        let i = self.ids.get(addr)? as usize;
-        (self.stamps[i] == self.generation).then(|| self.vals[i])
-    }
-
-    /// Buffers `val` at `addr`.
-    #[inline]
-    pub(crate) fn insert(&mut self, addr: Addr, val: u64) {
-        let i = self.ids.resolve(addr) as usize;
-        if i == self.vals.len() {
-            self.vals.push(0);
-            self.stamps.push(0);
-        }
-        if self.stamps[i] != self.generation {
-            self.stamps[i] = self.generation;
-            self.touched.push(addr);
-        }
-        self.vals[i] = val;
-    }
-
-    /// Buffered `(addr, value)` pairs in first-store order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.touched.iter().map(|&a| {
-            (
-                a,
-                self.vals[self.ids.get(a).expect("touched is mapped") as usize],
-            )
-        })
-    }
-
-    /// Discards all buffered stores (O(1) plus list reset).
-    pub(crate) fn clear(&mut self) {
-        self.generation += 1;
-        self.touched.clear();
-    }
-
-    /// Pre-sizes the map's page table for raw addresses below
-    /// `addr_capacity` (8 bytes per 4096 addresses of span).
-    pub(crate) fn reserve(&mut self, addr_capacity: usize) {
-        self.ids.reserve_span(addr_capacity);
-    }
-}
-
 /// One in-flight transaction's tracked state.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Txn {
@@ -170,12 +93,8 @@ pub(crate) struct Txn {
     pub read_lines: LineSet,
     /// Lines written.
     pub write_lines: LineSet,
-    /// Buffered stores, applied to memory only on commit
-    /// ([`VersionPolicy::Buffer`](crate::VersionPolicy) only).
-    pub write_buf: WriteBuf,
-    /// Undo log of this transaction's eager in-place stores (the
-    /// journaled versioning policies): unwound at doom time, truncated
-    /// on commit.
+    /// Undo log of this transaction's eager in-place stores: unwound at
+    /// doom time, truncated on commit.
     pub journal: WriteJournal,
     /// Journal watermark taken at `xbegin`.
     pub begin: JournalMark,
@@ -215,7 +134,6 @@ impl Txn {
     pub(crate) fn reset(&mut self) {
         self.read_lines.clear();
         self.write_lines.clear();
-        self.write_buf.clear();
         self.journal.clear();
         self.begin = JournalMark::default();
         self.doom = None;
@@ -266,25 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn write_buf_overwrites_and_survives_clear() {
-        let mut b = WriteBuf::default();
-        assert_eq!(b.get(Addr(8)), None);
-        b.insert(Addr(8), 1);
-        b.insert(Addr(8), 2);
-        b.insert(Addr(64), 3);
-        assert_eq!(b.get(Addr(8)), Some(2));
-        assert_eq!(
-            b.entries().collect::<Vec<_>>(),
-            [(Addr(8), 2), (Addr(64), 3)]
-        );
-        b.clear();
-        assert_eq!(b.get(Addr(8)), None, "stale generation invisible");
-        assert_eq!(b.entries().count(), 0);
-        b.insert(Addr(8), 9);
-        assert_eq!(b.get(Addr(8)), Some(9));
-    }
-
-    #[test]
     fn reset_keeps_capacity_but_clears_state() {
         let mut t = Txn {
             set_occupancy: vec![2, 0, 1],
@@ -292,13 +191,11 @@ mod tests {
         };
         t.read_lines.insert(CacheLine(1));
         t.write_lines.insert(CacheLine(2));
-        t.write_buf.insert(Addr(128), 5);
         t.doom = Some(AbortStatus::CAPACITY);
         t.accesses = 7;
         t.reset();
         assert_eq!(t.state(), TxnState::Active);
         assert_eq!(t.footprint_lines(), 0);
-        assert_eq!(t.write_buf.get(Addr(128)), None);
         assert_eq!(t.accesses, 0);
         assert!(t.set_occupancy.iter().all(|&o| o == 0));
     }

@@ -3,15 +3,20 @@
 //! 1. Atomicity: a committed transaction's writes appear all at once; an
 //!    aborted transaction's writes never appear.
 //! 2. Isolation / strong isolation: no reader ever observes another
-//!    in-flight transaction's buffered write; conflicting non-transactional
-//!    accesses always doom the transaction (requester wins).
+//!    in-flight transaction's uncommitted write; conflicting
+//!    non-transactional accesses always doom the transaction (requester
+//!    wins).
 //! 3. Conflict soundness: overlapping conflicting accesses to one line
 //!    always doom at least one party.
+//!
+//! The HTM versions speculative stores with an eager undo journal. The
+//! reference model below is the other classic design, a lazy write
+//! buffer; random scripts must not tell the two apart.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use txrace_htm::{AbortReason, HtmConfig, HtmSystem, VersionPolicy};
+use txrace_htm::{AbortReason, AbortStatus, HtmConfig, HtmStats, HtmSystem};
 use txrace_sim::{Addr, CacheLine, Memory, ThreadId};
 
 /// The abstract script step applied to a random thread/address.
@@ -41,136 +46,189 @@ fn addr_of(slot: u64) -> Addr {
     CacheLine(slot / 2).base().offset(8 * (slot % 2))
 }
 
-/// A reference model: memory plus per-thread pending write logs, updated in
-/// lockstep with the real system using the real system's abort outcomes.
-#[derive(Default)]
-struct Model {
+/// The lazy write-buffer reference model of RTM versioning: committed
+/// memory plus one store buffer per thread, applied to memory on a
+/// successful `xend` and dropped on doom.
+///
+/// The model makes no conflict or capacity decisions of its own: after
+/// every step, [`BufferModel::sync_dooms`] copies each newly doomed
+/// transaction's status from the `HtmSystem` under test. Everything
+/// else — the values accesses observe, commit/abort outcomes, abort
+/// statistics and memory — the model derives independently.
+struct BufferModel {
     mem: BTreeMap<Addr, u64>,
-    pending: BTreeMap<u32, BTreeMap<Addr, u64>>,
+    txns: Vec<Option<ModelTxn>>,
+    max_txns: usize,
+    stats: HtmStats,
 }
 
-impl Model {
+#[derive(Default)]
+struct ModelTxn {
+    buf: BTreeMap<Addr, u64>,
+    doom: Option<AbortStatus>,
+}
+
+/// What one script step lets a program observe. Accesses inside a doomed
+/// transaction (zombies) are excluded: the TxRace engine never lets one
+/// execute (DESIGN.md §6, zombie freedom).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Obs {
+    Nothing,
+    Begun(bool),
+    Value(u64),
+    Ended(Result<(), AbortStatus>),
+}
+
+impl BufferModel {
+    fn new(threads: usize, cfg: &HtmConfig) -> Self {
+        BufferModel {
+            mem: BTreeMap::new(),
+            txns: (0..threads).map(|_| None).collect(),
+            max_txns: cfg.max_concurrent_txns,
+            stats: HtmStats::default(),
+        }
+    }
+
+    /// `t`'s live (in-flight, not doomed) transaction, if any.
+    fn live(&mut self, t: u32) -> Option<&mut ModelTxn> {
+        self.txns[t as usize].as_mut().filter(|x| x.doom.is_none())
+    }
+
+    fn is_zombie(&self, t: u32) -> bool {
+        self.txns[t as usize]
+            .as_ref()
+            .is_some_and(|x| x.doom.is_some())
+    }
+
+    /// The value `t` loads at `a`: its own buffered store, else memory.
     fn load(&self, t: u32, a: Addr) -> u64 {
-        if let Some(p) = self.pending.get(&t) {
-            if let Some(v) = p.get(&a) {
-                return *v;
+        let own = self.txns[t as usize].as_ref().and_then(|x| x.buf.get(&a));
+        own.or(self.mem.get(&a)).copied().unwrap_or(0)
+    }
+
+    /// The memory image an eager (in-place) implementation must hold:
+    /// committed memory overlaid with every live transaction's buffer.
+    fn in_place_image(&self) -> BTreeMap<Addr, u64> {
+        let mut image = self.mem.clone();
+        for x in self.txns.iter().flatten() {
+            image.extend(x.buf.iter().map(|(&a, &v)| (a, v)));
+        }
+        image
+    }
+
+    fn store(&mut self, t: u32, a: Addr, v: u64) {
+        match self.txns[t as usize].as_mut() {
+            Some(x) => {
+                x.buf.insert(a, v);
+            }
+            None => {
+                self.mem.insert(a, v);
             }
         }
-        self.mem.get(&a).copied().unwrap_or(0)
+    }
+
+    fn apply(&mut self, step: &Step) -> Obs {
+        match *step {
+            Step::Begin(t) => {
+                let open = self.txns.iter().flatten().count();
+                let ok = self.txns[t as usize].is_none() && open < self.max_txns;
+                if ok {
+                    self.txns[t as usize] = Some(ModelTxn::default());
+                }
+                Obs::Begun(ok)
+            }
+            Step::Read(t, slot) if !self.is_zombie(t) => Obs::Value(self.load(t, addr_of(slot))),
+            Step::Write(t, slot, v) if !self.is_zombie(t) => {
+                self.store(t, addr_of(slot), v);
+                Obs::Nothing
+            }
+            Step::Rmw(t, slot, delta) if !self.is_zombie(t) => {
+                let a = addr_of(slot);
+                let old = self.load(t, a);
+                self.store(t, a, old.wrapping_add(delta));
+                Obs::Value(old)
+            }
+            Step::End(t) => match self.txns[t as usize].take() {
+                None => Obs::Nothing,
+                Some(ModelTxn { doom: Some(s), .. }) => Obs::Ended(Err(s)),
+                Some(ModelTxn { buf, doom: None }) => {
+                    self.mem.extend(buf);
+                    self.stats.committed += 1;
+                    Obs::Ended(Ok(()))
+                }
+            },
+            Step::Read(..) | Step::Write(..) | Step::Rmw(..) => Obs::Nothing,
+        }
+    }
+
+    /// Dooms every live model transaction the HTM has doomed: its
+    /// buffer is dropped and the abort is counted once, by reason.
+    fn sync_dooms(&mut self, htm: &HtmSystem) {
+        for t in 0..self.txns.len() as u32 {
+            let Some(status) = htm.is_doomed(ThreadId(t)) else {
+                continue;
+            };
+            let Some(x) = self.live(t) else {
+                continue;
+            };
+            x.doom = Some(status);
+            x.buf.clear();
+            let s = &mut self.stats;
+            match status.reason() {
+                AbortReason::Conflict => s.conflict_aborts += 1,
+                AbortReason::Capacity => s.capacity_aborts += 1,
+                AbortReason::Unknown => s.unknown_aborts += 1,
+                AbortReason::Retry => s.retry_aborts += 1,
+                AbortReason::Explicit => s.explicit_aborts += 1,
+            }
+        }
+    }
+}
+
+/// Applies `step` to the system under test; observations mirror
+/// [`BufferModel::apply`].
+fn apply_htm(htm: &mut HtmSystem, mem: &mut Memory, step: &Step) -> Obs {
+    let observe = |zombie: bool, v: u64| if zombie { Obs::Nothing } else { Obs::Value(v) };
+    match *step {
+        Step::Begin(t) => Obs::Begun(htm.xbegin(ThreadId(t)).is_ok()),
+        Step::Read(t, slot) => {
+            let zombie = htm.is_doomed(ThreadId(t)).is_some();
+            observe(zombie, htm.read(ThreadId(t), mem, addr_of(slot)))
+        }
+        Step::Write(t, slot, v) => {
+            htm.write(ThreadId(t), mem, addr_of(slot), v);
+            Obs::Nothing
+        }
+        Step::Rmw(t, slot, delta) => {
+            let zombie = htm.is_doomed(ThreadId(t)).is_some();
+            observe(zombie, htm.rmw(ThreadId(t), mem, addr_of(slot), delta))
+        }
+        // `xend` without a transaction panics by contract.
+        Step::End(t) if !htm.in_txn(ThreadId(t)) => Obs::Nothing,
+        Step::End(t) => Obs::Ended(htm.xend(ThreadId(t))),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Run a random script; check that values read, values committed, and
-    /// rollback behaviour all match the reference model, and that no
-    /// transactional buffered value ever leaks to another thread.
+    /// Lockstep against the write-buffer model: every step observes what
+    /// the model predicts, and after every step memory holds exactly the
+    /// committed state plus the live transactions' in-place stores — a
+    /// doomed transaction's stores are gone before anyone can look.
     #[test]
     fn htm_matches_reference_model(script in proptest::collection::vec(step_strategy(3, 4), 1..120)) {
         let threads = 3usize;
-        let mut htm = HtmSystem::new(HtmConfig::default(), threads);
+        let cfg = HtmConfig::default();
+        let mut htm = HtmSystem::new(cfg, threads);
         let mut mem = Memory::new();
-        let mut model = Model::default();
-        let mut in_txn = vec![false; threads];
-
-        for step in script {
-            match step {
-                Step::Begin(t) => {
-                    let tid = ThreadId(t);
-                    if in_txn[t as usize] {
-                        prop_assert!(htm.xbegin(tid).is_err());
-                    } else if htm.xbegin(tid).is_ok() {
-                        in_txn[t as usize] = true;
-                        model.pending.insert(t, BTreeMap::new());
-                    }
-                }
-                Step::Read(t, slot) => {
-                    let tid = ThreadId(t);
-                    let a = addr_of(slot);
-                    let doomed_before = htm.is_doomed(tid).is_some();
-                    let v = htm.read(tid, &mut mem, a);
-                    // Isolation: an observed value is always explainable by
-                    // the model (own pending writes or global memory) —
-                    // never another thread's buffer.
-                    if !doomed_before {
-                        prop_assert_eq!(v, model.load(t, a), "read isolation violated");
-                    }
-                }
-                Step::Write(t, slot, val) => {
-                    let tid = ThreadId(t);
-                    let a = addr_of(slot);
-                    let doomed_before = htm.is_doomed(tid).is_some();
-                    htm.write(tid, &mut mem, a, val);
-                    if in_txn[t as usize] {
-                        if !doomed_before && htm.is_doomed(tid).is_none() {
-                            model.pending.get_mut(&t).expect("in txn").insert(a, val);
-                        }
-                    } else {
-                        model.mem.insert(a, val);
-                        prop_assert_eq!(mem.load(a), val, "non-tx write must be immediate");
-                    }
-                }
-                Step::Rmw(t, slot, delta) => {
-                    let tid = ThreadId(t);
-                    let a = addr_of(slot);
-                    let doomed_before = htm.is_doomed(tid).is_some();
-                    let expect_old = model.load(t, a);
-                    let old = htm.rmw(tid, &mut mem, a, delta);
-                    if in_txn[t as usize] {
-                        if !doomed_before && htm.is_doomed(tid).is_none() {
-                            prop_assert_eq!(old, expect_old);
-                            model.pending.get_mut(&t).expect("in txn")
-                                .insert(a, expect_old.wrapping_add(delta));
-                        }
-                    } else {
-                        prop_assert_eq!(old, expect_old);
-                        model.mem.insert(a, expect_old.wrapping_add(delta));
-                    }
-                }
-                Step::End(t) => {
-                    let tid = ThreadId(t);
-                    if !in_txn[t as usize] {
-                        continue; // xend without txn would panic by contract
-                    }
-                    in_txn[t as usize] = false;
-                    let pending = model.pending.remove(&t).expect("was in txn");
-                    match htm.xend(tid, &mut mem) {
-                        Ok(()) => {
-                            // Atomicity: every buffered write now visible.
-                            for (a, v) in pending {
-                                model.mem.insert(a, v);
-                                prop_assert_eq!(mem.load(a), v, "committed write lost");
-                            }
-                        }
-                        Err(_) => {
-                            // Aborted writes must not be visible unless some
-                            // other thread since overwrote the address; the
-                            // model simply drops them.
-                        }
-                    }
-                }
-            }
-        }
-
-        // Close out any still-in-flight transactions first: under the
-        // default journaled policy their live stores are already in place
-        // and only become permanent (or unwind) at xend.
-        for t in 0..threads as u32 {
-            if in_txn[t as usize] {
-                let pending = model.pending.remove(&t).expect("was in txn");
-                if htm.xend(ThreadId(t), &mut mem).is_ok() {
-                    for (a, v) in pending {
-                        model.mem.insert(a, v);
-                    }
-                }
-            }
-        }
-
-        // Final memory must match the model exactly for all committed and
-        // non-transactional state.
-        for (a, v) in model.mem.iter() {
-            prop_assert_eq!(mem.load(*a), *v, "final state diverged at {}", a);
+        let mut model = BufferModel::new(threads, &cfg);
+        for (i, step) in script.iter().enumerate() {
+            let got = apply_htm(&mut htm, &mut mem, step);
+            prop_assert_eq!(got, model.apply(step), "step {} {:?}", i, step);
+            model.sync_dooms(&htm);
+            let image: BTreeMap<Addr, u64> = mem.iter().collect();
+            prop_assert_eq!(image, model.in_place_image(), "memory after step {} {:?}", i, step);
         }
     }
 
@@ -208,67 +266,33 @@ proptest! {
         prop_assert_eq!(d0.expect("doomed").reason(), AbortReason::Conflict);
     }
 
-    /// Observational equivalence of the versioning policies: the same
-    /// script yields identical values at every non-doomed access,
-    /// identical commit/abort outcomes and statistics, and an identical
-    /// final committed memory — undo-journal rollback is indistinguishable
-    /// from lazy write buffering. (Doomed zombie accesses are excluded by
-    /// design: the engine never lets one execute.)
+    /// Observational equivalence of undo-journal versioning and the lazy
+    /// write-buffer model: the same script yields identical values at
+    /// every non-doomed access, identical begin and commit/abort
+    /// outcomes, identical abort statistics, and an identical final
+    /// memory (written cells included, so a rollback that leaves a ghost
+    /// cell behind fails).
     #[test]
     fn undo_and_buffer_policies_are_observationally_equivalent(
         script in proptest::collection::vec(step_strategy(3, 4), 1..120)
     ) {
-        let run = |version: VersionPolicy| {
-            let threads = 3usize;
-            let cfg = HtmConfig { version, ..HtmConfig::default() };
-            let mut htm = HtmSystem::new(cfg, threads);
-            let mut mem = Memory::new();
-            let mut in_txn = vec![false; threads];
-            let mut observed: Vec<u64> = Vec::new();
-            for step in script.iter() {
-                match *step {
-                    Step::Begin(t) => {
-                        if !in_txn[t as usize] && htm.xbegin(ThreadId(t)).is_ok() {
-                            in_txn[t as usize] = true;
-                        }
-                    }
-                    Step::Read(t, slot) => {
-                        let doomed = htm.is_doomed(ThreadId(t)).is_some();
-                        let v = htm.read(ThreadId(t), &mut mem, addr_of(slot));
-                        if !doomed {
-                            observed.push(v);
-                        }
-                    }
-                    Step::Write(t, slot, val) => {
-                        htm.write(ThreadId(t), &mut mem, addr_of(slot), val);
-                    }
-                    Step::Rmw(t, slot, delta) => {
-                        let doomed = htm.is_doomed(ThreadId(t)).is_some();
-                        let v = htm.rmw(ThreadId(t), &mut mem, addr_of(slot), delta);
-                        if !doomed {
-                            observed.push(v);
-                        }
-                    }
-                    Step::End(t) => {
-                        if in_txn[t as usize] {
-                            in_txn[t as usize] = false;
-                            observed.push(u64::from(htm.xend(ThreadId(t), &mut mem).is_ok()));
-                        }
-                    }
-                }
-            }
-            for t in 0..threads as u32 {
-                if in_txn[t as usize] {
-                    let _ = htm.xend(ThreadId(t), &mut mem);
-                }
-            }
-            (observed, *htm.stats(), mem)
-        };
-        let undo = run(VersionPolicy::Undo);
-        let buffer = run(VersionPolicy::Buffer);
-        prop_assert_eq!(undo.0, buffer.0, "observed values diverged");
-        prop_assert_eq!(undo.1, buffer.1, "abort statistics diverged");
-        prop_assert_eq!(undo.2, buffer.2, "final memory diverged");
+        let threads = 3usize;
+        let cfg = HtmConfig::default();
+        let mut htm = HtmSystem::new(cfg, threads);
+        let mut mem = Memory::new();
+        let mut model = BufferModel::new(threads, &cfg);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        // Close every still-open transaction at the end.
+        let close = (0..threads as u32).map(Step::End);
+        for step in script.iter().cloned().chain(close) {
+            got.push(apply_htm(&mut htm, &mut mem, &step));
+            want.push(model.apply(&step));
+            model.sync_dooms(&htm);
+        }
+        prop_assert_eq!(got, want, "observations diverged");
+        prop_assert_eq!(*htm.stats(), model.stats, "abort statistics diverged");
+        let image: BTreeMap<Addr, u64> = mem.iter().collect();
+        prop_assert_eq!(image, model.mem, "final memory diverged");
     }
 
     /// Capacity: a transaction writing more distinct lines than the write
@@ -288,7 +312,7 @@ proptest! {
             htm.is_doomed(ThreadId(0)).expect("must overflow").reason(),
             AbortReason::Capacity
         );
-        prop_assert!(htm.xend(ThreadId(0), &mut mem).is_err());
+        prop_assert!(htm.xend(ThreadId(0)).is_err());
         for l in 0..total_lines {
             prop_assert_eq!(mem.load(CacheLine(100 + l).base()), 0);
         }

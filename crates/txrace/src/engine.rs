@@ -260,7 +260,7 @@ impl TxRaceEngine {
         let n = ip.program.thread_count();
         let interner = Interner::of_program(&ip.program);
         let mut htm = HtmSystem::new(cfg.htm, n);
-        htm.reserve_capacity(interner.addr_capacity(), interner.line_capacity());
+        htm.reserve_capacity(interner.line_capacity());
         let mut ft = FastTrack::new(n, cfg.shadow);
         ft.reserve_addrs(interner.addr_capacity());
         let mut loopcut = LoopcutState::new(cfg.loopcut, n, cfg.profile.as_ref());
@@ -601,7 +601,7 @@ impl TxRaceEngine {
                 } else {
                     None
                 };
-                match self.htm.xend(t, mem) {
+                match self.htm.xend(t) {
                     Ok(()) => {
                         self.on_fast_commit(ti);
                         if let Some(l) = self.last_cut_loop[ti].take() {
@@ -769,7 +769,7 @@ impl TxRaceEngine {
                 } else {
                     None
                 };
-                match self.htm.xend(t, mem) {
+                match self.htm.xend(t) {
                     Ok(()) => {
                         self.on_fast_commit(ti);
                         self.loopcut.on_cut_commit(l);
@@ -798,6 +798,17 @@ impl TxRaceEngine {
                 Directive::Continue
             }
         }
+    }
+
+    /// Zombie freedom (DESIGN.md §6): a fast-path data access never runs
+    /// on a doomed transaction, because `before_op` observes the doom
+    /// first and rolls back. The HTM's property tests exclude zombie
+    /// accesses on exactly this premise.
+    fn debug_assert_not_zombie(&self, t: ThreadId) {
+        debug_assert!(
+            !matches!(self.mode[t.index()], Mode::Fast(_)) || self.htm.is_doomed(t).is_none(),
+            "{t}: data access on a doomed transaction"
+        );
     }
 
     fn charge_access_base(&mut self, t: ThreadId) {
@@ -902,6 +913,7 @@ impl Runtime for TxRaceEngine {
 
     fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
         let t = ev.thread;
+        self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
             if !self.prune_elides(ev.site)
                 && self.production_gate(ev.site)
@@ -918,6 +930,7 @@ impl Runtime for TxRaceEngine {
 
     fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
         let t = ev.thread;
+        self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
             if !self.prune_elides(ev.site)
                 && self.production_gate(ev.site)
@@ -934,6 +947,7 @@ impl Runtime for TxRaceEngine {
         // Atomic RMWs cannot race under the C11 model, so the detector does
         // not check them; they still participate in HTM conflict detection
         // (a benign-conflict source the slow path then filters).
+        self.debug_assert_not_zombie(ev.thread);
         self.htm.rmw(ev.thread, mem, addr, delta)
     }
 

@@ -2,7 +2,7 @@
 //! fixtures captured from the pre-refactor (hash-map-based) shadow-state
 //! implementation. Any storage-layout change — dense tables, bitsets,
 //! interned indices — must reproduce exactly these race sets and abort
-//! counts on all 14 workloads.
+//! counts on all 17 workloads.
 //!
 //! Regenerate (only when results are *supposed* to change, e.g. a new
 //! workload) with:

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use txrace_sim::{lint, ProgramBuilder, ThreadId};
 use txrace_workloads::{all_workloads, random_program, GenConfig};
 
-/// All 14 workloads, at every worker count the benchmarks use, are
+/// All 17 workloads, at every worker count the benchmarks use, are
 /// lint-clean. This is what lets `Detector::run` keep its hard gate.
 #[test]
 fn all_workloads_are_lint_clean() {
