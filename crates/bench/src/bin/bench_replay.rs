@@ -1,33 +1,79 @@
-//! Measures what the record/replay pipeline buys: wall-clock of the
-//! pure-observer sweeps behind Figures 11–13 done the old way (re-execute
-//! the program for every scheme) versus the pipeline way (record each
-//! (workload, seed) once, fan replay consumers across cores). Emits the
-//! machine-readable trajectory `BENCH_replay.json` in the flat
-//! `json_rows` format the other JSON-emitting binaries share.
+//! Measures what record-once, fan-out replay buys over the alternatives,
+//! and checks that every strategy produces identical results. Emits
+//! `BENCH_replay.json` in the flat `json_rows` format the other
+//! JSON-emitting binaries share.
 //!
 //! ```text
 //! cargo run --release -p txrace-bench --bin bench_replay \
 //!     [workers] [seed] > BENCH_replay.json
 //! ```
 //!
-//! The TxRace cells of those figures are excluded on both sides: the
-//! engine steers execution, runs live under either strategy, and would
-//! only dilute the comparison. Both strategies must produce identical
-//! results cell for cell — the binary asserts it.
+//! `workers` is the [`fan_out`] width (default 4); the apps always run
+//! at 4 threads, so every result and fingerprint is independent of it.
+//! Three measurements, each asserted equal across strategies:
+//!
+//! - **Figures 11–13**: the pure-observer cells of each figure evaluated
+//!   by re-executing the program per scheme, by recording each
+//!   (workload, seed) once and replaying every scheme serially, and by
+//!   recording once and fanning all schemes over the shared log. The
+//!   TxRace cells are excluded on all sides: the engine steers execution
+//!   and runs live under any strategy.
+//! - **Sweep**: the Figure 12-style 12-configuration TSan sweep over one
+//!   recorded trace *artifact* (the serialized `.txlog` bytes), on each
+//!   racy app. N separate replay-tool runs decode the artifact and walk
+//!   the events N times; the pipeline decodes once and drives all N
+//!   consumers through one [`fan_out`] pass.
+//! - **Panel**: a heterogeneous 6-member panel (three TSan variants,
+//!   FastTrack, the vector-clock reference, lockset) replayed serially
+//!   one member at a time versus one [`fan_out`] pass.
+//!
+//! Every row carries `app` and a `row` kind:
+//!
+//! - `figure` (`app` is `fig11`/`fig12`/`fig13`): `cells`, `recordings`,
+//!   `reexec_wall_ns`, `replay_wall_ns`, `fanout_wall_ns`, and `speedup`
+//!   (re-execution ÷ serial replay);
+//! - `sweep` (one per racy app): `detectors`, `events`,
+//!   `artifact_bytes`, `serial_wall_ns` (N decodes + N walks),
+//!   `parallel_wall_ns` (one decode + fan-out), `speedup`;
+//! - `fanout` (one per racy app): the panel's `serial_wall_ns`,
+//!   `fanout_wall_ns`, `speedup`;
+//! - `consumer` (one per app and panel member): `name`, its fan-out
+//!   `wall_ns` and `serial_wall_ns`, `events`, `findings`, and
+//!   `fingerprint` ([`PanelConsumer::fingerprint`] of its report list);
+//! - `total`: `workers`, `seed`, `reps`, `pool`, `wall_ns`, and the
+//!   geomeans `figure_speedup`, `sweep_speedup`, `fanout_speedup`.
+//!
+//! Fingerprints do not depend on `workers`, so two runs at different
+//! widths must emit identical `fingerprint` fields; CI diffs them.
 
 use std::time::Instant;
 
-use txrace::{RunOutcome, Scheme};
+use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunOutcome, Scheme};
 use txrace_bench::{
     geomean, json_rows, pool_width, record_workload, replay_scheme, replay_schemes_fanout,
     run_scheme, JsonValue,
 };
-use txrace_hb::RaceReport;
-use txrace_sim::par_map;
+use txrace_hb::{FastTrack, RaceReport, ShadowMode, VectorClockDetector};
+use txrace_sim::{fan_out, par_map, EventLog};
 use txrace_workloads::{all_workloads, by_name, Workload};
 
-/// Timed repetitions per strategy; the minimum is reported.
-const REPS: u32 = 2;
+/// Timed repetitions per measurement; the minimum is reported.
+const REPS: u32 = 3;
+
+/// Threads every app runs at.
+const APP_THREADS: usize = 4;
+
+const RACY_APPS: &[&str] = &[
+    "fluidanimate",
+    "vips",
+    "raytrace",
+    "ferret",
+    "x264",
+    "bodytrack",
+    "facesim",
+    "streamcluster",
+    "canneal",
+];
 
 /// One figure's pure-observer sweep: `schemes` evaluated on every
 /// `(workload, seed)` unit.
@@ -37,7 +83,8 @@ struct FigSpec {
     schemes: Vec<Scheme>,
 }
 
-/// The result fingerprint both strategies must agree on, bit for bit.
+/// The result fingerprint all figure strategies must agree on, bit for
+/// bit.
 #[derive(PartialEq)]
 struct CellResult {
     races: Vec<RaceReport>,
@@ -61,7 +108,7 @@ fn cells(spec: &FigSpec) -> Vec<(usize, Scheme)> {
         .collect()
 }
 
-/// The old strategy: every cell re-executes the program live.
+/// Re-execution: every cell runs the program live.
 fn reexec(spec: &FigSpec) -> Vec<CellResult> {
     let grid = cells(spec);
     par_map(pool_width(), &grid, |_, (u, scheme)| {
@@ -70,11 +117,15 @@ fn reexec(spec: &FigSpec) -> Vec<CellResult> {
     })
 }
 
-/// The pipeline strategy: record each unit once, replay every scheme.
-fn replayed(spec: &FigSpec) -> Vec<CellResult> {
-    let logs = par_map(pool_width(), &spec.units, |_, (w, seed)| {
+fn record_units(spec: &FigSpec) -> Vec<EventLog> {
+    par_map(pool_width(), &spec.units, |_, (w, seed)| {
         record_workload(w, *seed)
-    });
+    })
+}
+
+/// Serial replay: record each unit once, replay every cell on its own.
+fn replayed(spec: &FigSpec) -> Vec<CellResult> {
+    let logs = record_units(spec);
     let grid = cells(spec);
     par_map(pool_width(), &grid, |_, (u, scheme)| {
         let (w, seed) = &spec.units[*u];
@@ -82,76 +133,97 @@ fn replayed(spec: &FigSpec) -> Vec<CellResult> {
     })
 }
 
-/// One consumer's observability row out of the fan-out strategy.
-struct ConsumerRow {
-    unit: usize,
-    scheme: String,
-    wall_ns: u64,
-    events: u64,
+/// Fan-out: record each unit once, then fan *all* schemes over that
+/// unit's shared log in one pass. Results come in [`cells`] order.
+fn fanned(spec: &FigSpec, workers: usize) -> Vec<CellResult> {
+    let logs = record_units(spec);
+    spec.units
+        .iter()
+        .zip(&logs)
+        .flat_map(|((w, seed), log)| {
+            replay_schemes_fanout(w, log, &spec.schemes, *seed, workers)
+                .iter()
+                .map(CellResult::of)
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
-/// Short stable scheme label for JSON rows.
-fn scheme_label(s: &Scheme) -> String {
-    match s {
-        Scheme::Tsan => "tsan".to_string(),
-        Scheme::TsanSampling { rate } => format!("tsan@{rate}"),
-        other => format!("{other:?}"),
-    }
-}
-
-/// The parallel strategy: record each unit once, then fan *all* schemes
-/// over that unit's shared log in a single concurrent pass. Returns the
-/// cell results in [`cells`] grid order plus per-consumer wall-time /
-/// event-count rows (the shard-imbalance observability).
-fn fanned(spec: &FigSpec) -> (Vec<CellResult>, Vec<ConsumerRow>) {
-    let logs = par_map(pool_width(), &spec.units, |_, (w, seed)| {
-        record_workload(w, *seed)
-    });
-    let mut results = Vec::new();
-    let mut consumer_rows = Vec::new();
-    for (u, ((w, seed), log)) in spec.units.iter().zip(&logs).enumerate() {
-        let outs = replay_schemes_fanout(w, log, &spec.schemes, *seed, pool_width());
-        for (f, scheme) in outs.iter().zip(&spec.schemes) {
-            results.push(CellResult::of(&f.outcome));
-            consumer_rows.push(ConsumerRow {
-                unit: u,
-                scheme: scheme_label(scheme),
-                wall_ns: f.wall_ns,
-                events: f.events,
-            });
-        }
-    }
-    (results, consumer_rows)
-}
-
+/// Full TSan plus sampling TSan at rates 0.0, 0.1, ..., 1.0: the twelve
+/// configurations of Figures 12 and 13 and of the sweep.
 fn rate_sweep() -> Vec<Scheme> {
     let mut schemes = vec![Scheme::Tsan];
-    schemes.extend((0..=100).step_by(10).map(|pct| Scheme::TsanSampling {
-        rate: pct as f64 / 100.0,
+    schemes.extend((0..=10).map(|tenths| Scheme::TsanSampling {
+        rate: f64::from(tenths) / 10.0,
     }));
     schemes
 }
 
-fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+fn tsan_consumer(w: &Workload, scheme: Scheme, seed: u64) -> PanelConsumer {
+    let d = Detector::new(w.config(scheme, seed));
+    PanelConsumer::Tsan(d.consumer(&w.program))
+}
 
-    let racy_apps = [
-        "fluidanimate",
-        "vips",
-        "raytrace",
-        "ferret",
-        "x264",
-        "bodytrack",
-        "facesim",
-        "streamcluster",
-        "canneal",
-    ];
-    let mut fig11_apps = all_workloads(workers);
-    fig11_apps.retain(|w| racy_apps.contains(&w.name));
-    let bodytrack = || by_name("bodytrack", workers).expect("bodytrack exists");
+/// The heterogeneous panel, with the names its `consumer` rows carry.
+const PANEL: [&str; 6] = [
+    "tsan",
+    "tsan@0.1",
+    "tsan@0.5",
+    "fasttrack",
+    "vcref",
+    "lockset",
+];
 
+fn make_panel(w: &Workload, seed: u64) -> Vec<PanelConsumer> {
+    let n = w.program.thread_count();
+    vec![
+        tsan_consumer(w, Scheme::Tsan, seed),
+        tsan_consumer(w, Scheme::TsanSampling { rate: 0.1 }, seed),
+        tsan_consumer(w, Scheme::TsanSampling { rate: 0.5 }, seed),
+        PanelConsumer::FastTrack(FastTrack::new(n, ShadowMode::Exact)),
+        PanelConsumer::VcRef(VectorClockDetector::new(n)),
+        PanelConsumer::Lockset(LocksetConsumer::new(n, CostModel::default())),
+    ]
+}
+
+type Rows<'a> = Vec<Vec<(&'a str, JsonValue)>>;
+
+/// Runs `f` [`REPS`] times and keeps the result with the smallest wall
+/// time (returned first, in nanoseconds). `f` times itself, usually with
+/// [`timed`], so set-up can stay outside the timed region.
+fn best_of<T>(mut f: impl FnMut() -> (u64, T)) -> (u64, T) {
+    let mut best = f();
+    for _ in 1..REPS {
+        let next = f();
+        if next.0 < best.0 {
+            best = next;
+        }
+    }
+    best
+}
+
+/// `f`'s result and its wall time in nanoseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let t0 = Instant::now();
+    let out = f();
+    (t0.elapsed().as_nanos() as u64, out)
+}
+
+fn ratio(slow_ns: u64, fast_ns: u64) -> f64 {
+    slow_ns as f64 / fast_ns.max(1) as f64
+}
+
+/// A ratio for a JSON row, rounded to three decimals.
+fn num(x: f64) -> JsonValue {
+    JsonValue::Num((x * 1000.0).round() / 1000.0)
+}
+
+/// The figure rows: re-execution == serial replay == fan-out, cell for
+/// cell. Returns each figure's re-execution ÷ serial-replay speedup.
+fn figures(seed: u64, workers: usize, rows: &mut Rows) -> Vec<f64> {
+    let mut fig11_apps = all_workloads(APP_THREADS);
+    fig11_apps.retain(|w| RACY_APPS.contains(&w.name));
+    let bodytrack = || by_name("bodytrack", APP_THREADS).expect("bodytrack exists");
     let specs = [
         FigSpec {
             name: "fig11",
@@ -174,66 +246,155 @@ fn main() {
         },
     ];
 
-    let mut rows = Vec::new();
     let mut speedups = Vec::new();
-    let total_start = Instant::now();
     for spec in &specs {
-        let mut reexec_ns = u64::MAX;
-        let mut replay_ns = u64::MAX;
-        let mut fanout_ns = u64::MAX;
-        let mut fanout_rows = Vec::new();
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            let old = reexec(spec);
-            reexec_ns = reexec_ns.min(t0.elapsed().as_nanos() as u64);
-            let t1 = Instant::now();
-            let new = replayed(spec);
-            replay_ns = replay_ns.min(t1.elapsed().as_nanos() as u64);
-            assert!(
-                old == new,
-                "{}: replay path diverged from re-execution",
-                spec.name
-            );
-            let t2 = Instant::now();
-            let (par, consumers) = fanned(spec);
-            let ns = t2.elapsed().as_nanos() as u64;
-            if ns < fanout_ns {
-                fanout_ns = ns;
-                fanout_rows = consumers;
-            }
-            assert!(
-                par == new,
-                "{}: fan-out pass diverged from serial replay",
-                spec.name
-            );
-        }
-        let speedup = reexec_ns as f64 / replay_ns.max(1) as f64;
-        speedups.push(speedup);
+        let (reexec_ns, old) = best_of(|| timed(|| reexec(spec)));
+        let (replay_ns, new) = best_of(|| timed(|| replayed(spec)));
+        assert!(
+            old == new,
+            "{}: replay path diverged from re-execution",
+            spec.name
+        );
+        let (fanout_ns, par) = best_of(|| timed(|| fanned(spec, workers)));
+        assert!(
+            par == new,
+            "{}: fan-out pass diverged from serial replay",
+            spec.name
+        );
+        speedups.push(ratio(reexec_ns, replay_ns));
         rows.push(vec![
             ("app", JsonValue::Str(spec.name.to_string())),
+            ("row", JsonValue::Str("figure".to_string())),
             ("cells", JsonValue::Int(cells(spec).len() as u64)),
             ("recordings", JsonValue::Int(spec.units.len() as u64)),
-            ("wall_ns", JsonValue::Int(replay_ns)),
             ("reexec_wall_ns", JsonValue::Int(reexec_ns)),
+            ("replay_wall_ns", JsonValue::Int(replay_ns)),
             ("fanout_wall_ns", JsonValue::Int(fanout_ns)),
-            (
-                "speedup",
-                JsonValue::Num((speedup * 1000.0).round() / 1000.0),
-            ),
+            ("speedup", num(ratio(reexec_ns, replay_ns))),
         ]);
-        for c in fanout_rows {
-            rows.push(vec![
-                ("app", JsonValue::Str(spec.name.to_string())),
-                ("row", JsonValue::Str("consumer".to_string())),
-                ("unit", JsonValue::Int(c.unit as u64)),
-                ("scheme", JsonValue::Str(c.scheme)),
-                ("wall_ns", JsonValue::Int(c.wall_ns)),
-                ("events", JsonValue::Int(c.events)),
-            ]);
-        }
     }
+    speedups
+}
+
+/// The sweep row of one app: N decodes + N serial walks of the trace
+/// artifact versus one decode + one fan-out pass. Returns the speedup.
+fn sweep(w: &Workload, log: &EventLog, seed: u64, workers: usize, rows: &mut Rows) -> f64 {
+    let artifact = log.to_bytes();
+    let schemes = rate_sweep();
+    let decode = || EventLog::from_bytes(&artifact).expect("artifact round-trips");
+
+    let (serial_ns, serial_fps) = best_of(|| {
+        let mut total = 0;
+        let mut fps = Vec::new();
+        for scheme in &schemes {
+            let mut c = tsan_consumer(w, scheme.clone(), seed);
+            total += timed(|| decode().replay(&mut c)).0;
+            fps.push(c.fingerprint());
+        }
+        (total, fps)
+    });
+    let (parallel_ns, reports) = best_of(|| {
+        let consumers: Vec<PanelConsumer> = schemes
+            .iter()
+            .map(|s| tsan_consumer(w, s.clone(), seed))
+            .collect();
+        timed(|| fan_out(&decode(), consumers, workers))
+    });
+    let parallel_fps: Vec<u64> = reports.iter().map(|r| r.consumer.fingerprint()).collect();
+    assert_eq!(
+        parallel_fps, serial_fps,
+        "{}: parallel sweep diverged from serial single-consumer replay",
+        w.name
+    );
+    rows.push(vec![
+        ("app", JsonValue::Str(w.name.to_string())),
+        ("row", JsonValue::Str("sweep".to_string())),
+        ("detectors", JsonValue::Int(schemes.len() as u64)),
+        ("events", JsonValue::Int(log.len() as u64)),
+        ("artifact_bytes", JsonValue::Int(artifact.len() as u64)),
+        ("serial_wall_ns", JsonValue::Int(serial_ns)),
+        ("parallel_wall_ns", JsonValue::Int(parallel_ns)),
+        ("speedup", num(ratio(serial_ns, parallel_ns))),
+    ]);
+    ratio(serial_ns, parallel_ns)
+}
+
+/// The panel rows of one app: each member replayed serially versus one
+/// fan-out pass, fingerprints asserted equal. Returns the speedup.
+fn panel(w: &Workload, log: &EventLog, seed: u64, workers: usize, rows: &mut Rows) -> f64 {
+    let (serial_ns, (serial_walls, serial_fps)) = best_of(|| {
+        let mut walls = Vec::new();
+        let mut fps = Vec::new();
+        for mut c in make_panel(w, seed) {
+            walls.push(timed(|| log.replay(&mut c)).0);
+            fps.push(c.fingerprint());
+        }
+        (walls.iter().sum(), (walls, fps))
+    });
+    let (fanout_ns, reports) = best_of(|| {
+        let consumers = make_panel(w, seed);
+        timed(|| fan_out(log, consumers, workers))
+    });
+    rows.push(vec![
+        ("app", JsonValue::Str(w.name.to_string())),
+        ("row", JsonValue::Str("fanout".to_string())),
+        ("consumers", JsonValue::Int(reports.len() as u64)),
+        ("events", JsonValue::Int(log.len() as u64)),
+        ("serial_wall_ns", JsonValue::Int(serial_ns)),
+        ("fanout_wall_ns", JsonValue::Int(fanout_ns)),
+        ("speedup", num(ratio(serial_ns, fanout_ns))),
+    ]);
+    for (((name, r), serial_wall), fp) in PANEL
+        .into_iter()
+        .zip(&reports)
+        .zip(serial_walls)
+        .zip(serial_fps)
+    {
+        assert_eq!(
+            r.consumer.fingerprint(),
+            fp,
+            "{}: fan-out diverged from serial for {name}",
+            w.name
+        );
+        rows.push(vec![
+            ("app", JsonValue::Str(w.name.to_string())),
+            ("row", JsonValue::Str("consumer".to_string())),
+            ("name", JsonValue::Str(name.to_string())),
+            ("wall_ns", JsonValue::Int(r.wall_ns)),
+            ("serial_wall_ns", JsonValue::Int(serial_wall)),
+            ("events", JsonValue::Int(r.events)),
+            (
+                "findings",
+                JsonValue::Int(r.consumer.finding_count() as u64),
+            ),
+            ("fingerprint", JsonValue::Int(fp)),
+        ]);
+    }
+    ratio(serial_ns, fanout_ns)
+}
+
+fn main() {
+    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+
+    let total_start = Instant::now();
+    let mut rows = Vec::new();
+    let figure_speedups = figures(seed, workers, &mut rows);
+
+    let mut apps = all_workloads(APP_THREADS);
+    apps.retain(|w| RACY_APPS.contains(&w.name));
+    let mut sweep_speedups = Vec::new();
+    let mut fanout_speedups = Vec::new();
+    for w in &apps {
+        let log = record_workload(w, seed);
+        sweep_speedups.push(sweep(w, &log, seed, workers, &mut rows));
+        fanout_speedups.push(panel(w, &log, seed, workers, &mut rows));
+    }
+
     rows.push(vec![
         ("app", JsonValue::Str("(total)".to_string())),
+        ("row", JsonValue::Str("total".to_string())),
         ("workers", JsonValue::Int(workers as u64)),
         ("seed", JsonValue::Int(seed)),
         ("reps", JsonValue::Int(u64::from(REPS))),
@@ -242,10 +403,9 @@ fn main() {
             "wall_ns",
             JsonValue::Int(total_start.elapsed().as_nanos() as u64),
         ),
-        (
-            "speedup",
-            JsonValue::Num((geomean(&speedups) * 1000.0).round() / 1000.0),
-        ),
+        ("figure_speedup", num(geomean(&figure_speedups))),
+        ("sweep_speedup", num(geomean(&sweep_speedups))),
+        ("fanout_speedup", num(geomean(&fanout_speedups))),
     ]);
     println!("{}", json_rows(&rows));
 }

@@ -46,7 +46,7 @@ fn main() {
             Scheme::TsanSampling { rate: 0.5 },
         ];
         let outs = replay_schemes_fanout(w, &log, &schemes, seed, schemes.len());
-        let truth = &outs[0].outcome;
+        let truth = &outs[0];
         let base_extra = (truth.overhead - 1.0).max(1e-9);
         let ce = |overhead: f64, rec: f64| -> f64 {
             let norm = ((overhead - 1.0).max(0.0) / base_extra).max(1e-3);
@@ -54,8 +54,8 @@ fn main() {
         };
         let mut cells = vec![w.name.to_string()];
         for f in &outs[1..] {
-            let r = recall(&f.outcome.races, &truth.races);
-            cells.push(format!("{:.2}", ce(f.outcome.overhead, r)));
+            let r = recall(&f.races, &truth.races);
+            cells.push(format!("{:.2}", ce(f.overhead, r)));
         }
         cells.push("1.00".to_string()); // TSan@100% is its own reference
         let tx = run_scheme(w, Scheme::txrace(), seed);

@@ -30,12 +30,12 @@ fn main() {
         rate: pct as f64 / 100.0,
     }));
     let outs = replay_schemes_fanout(&w, &log, &schemes, seed, pool_width());
-    let full = &outs[0].outcome;
+    let full = &outs[0];
     let full_extra = (full.overhead - 1.0).max(1e-9);
 
     let mut t = Table::new(&["sampling rate", "normalized overhead"]);
     for (pct, f) in (0..=100).step_by(10).zip(&outs[1..]) {
-        let norm = (f.outcome.overhead - 1.0).max(0.0) / full_extra;
+        let norm = (f.overhead - 1.0).max(0.0) / full_extra;
         t.row(vec![format!("{pct}%"), format!("{norm:.2}")]);
     }
     println!("{}", t.render());

@@ -45,11 +45,8 @@ fn main() {
         .zip(&logs)
         .map(|(&seed, log)| {
             let outs = replay_schemes_fanout(&w, log, &schemes, seed, pool_width());
-            let truth = outs[0].outcome.races.clone();
-            let recalls = outs[1..]
-                .iter()
-                .map(|f| recall(&f.outcome.races, &truth))
-                .collect();
+            let truth = outs[0].races.clone();
+            let recalls = outs[1..].iter().map(|f| recall(&f.races, &truth)).collect();
             (truth, recalls)
         })
         .collect();

@@ -6,7 +6,7 @@
 //! ```text
 //! txdump <app> [--seed <n>] [--workers <n>] [--thread <t>]
 //!              [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats]
-//!              [--shards <n>] [--sites] [--epochs] [--budget <x>]
+//!              [--sites] [--epochs] [--budget <x>]
 //!              [--no-trace-cache]
 //! txdump --cache-clear
 //! ```
@@ -14,12 +14,6 @@
 //! `--stats` prints per-kind event counts, the app's write density, the
 //! top-N hottest addresses (N from `--head`, default 10), and the
 //! on-disk trace-cache footprint instead of the event stream.
-//!
-//! `--shards <n>` builds the indexed shard plan (`ShardPlan`) for the
-//! trace and prints the per-shard balance table: each shard's access
-//! slice, its share of the routed accesses, its dispatched-event count
-//! (slice + broadcast sync stream), and the max/mean imbalance — the
-//! view `bench_parallel`'s `shard` rows aggregate.
 //!
 //! `--sites` skips recording entirely and prints the static analysis
 //! view: every data site with its flow-insensitive (`Full`) and
@@ -55,7 +49,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  txdump <app> [--seed <n>] [--workers <n>] [--thread <t>] \
          [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats] \
-         [--shards <n>] [--sites] [--epochs] [--budget <x>] \
+         [--sites] [--epochs] [--budget <x>] \
          [--no-trace-cache]\n  \
          txdump --cache-clear"
     );
@@ -179,50 +173,6 @@ fn print_stats(log: &EventLog, top_n: usize) {
             Ok(cap) => format!(" (cap {cap})"),
             Err(_) => " (uncapped; set TXRACE_TRACE_CACHE_MAX_BYTES)".to_string(),
         }
-    );
-}
-
-/// `--shards <n>`: the indexed-sharding view of one trace — how the
-/// one-pass access partitioner balances the routed accesses across `n`
-/// shards, and what each shard actually dispatches (its slice plus the
-/// broadcast sync stream).
-fn print_shards(log: &EventLog, shards: usize) {
-    use txrace_hb::ShardPlan;
-
-    let t0 = std::time::Instant::now();
-    let plan = ShardPlan::build(log, shards);
-    let plan_wall = t0.elapsed();
-    let total = plan.partition().total_accesses();
-    let sync = plan.sync().len() as u64;
-    println!(
-        "\nshard plan: {total} routed accesses + {sync} sync events \
-         (of {} logged), built in {plan_wall:?}",
-        log.len()
-    );
-    println!(
-        "  {:>5} {:>10} {:>7} {:>10} {:>8}",
-        "shard", "accesses", "share", "dispatch", "vs mean"
-    );
-    let mean = total as f64 / shards as f64;
-    let mut max_slice = 0u64;
-    for s in 0..shards {
-        let n = plan.partition().slice(s).len() as u64;
-        max_slice = max_slice.max(n);
-        println!(
-            "  {s:>5} {n:>10} {:>6.1}% {:>10} {:>7.2}x",
-            n as f64 / total.max(1) as f64 * 100.0,
-            n + sync,
-            n as f64 / mean.max(1.0)
-        );
-    }
-    println!(
-        "\n  imbalance (max/mean slice): {:.2}x",
-        max_slice as f64 / mean.max(1.0)
-    );
-    println!(
-        "  critical-path dispatch vs full-log walk: {:.2}x \
-         (old broadcast design: 1.00x per shard, {shards}.00x total)",
-        (max_slice + sync) as f64 / log.len().max(1) as f64
     );
 }
 
@@ -370,7 +320,6 @@ fn main() {
     let mut head: Option<usize> = None;
     let mut summary = false;
     let mut stats = false;
-    let mut shards: Option<usize> = None;
     let mut sites = false;
     let mut epochs = false;
     let mut budget = 1.2f64;
@@ -386,7 +335,6 @@ fn main() {
             "--head" => head = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
             "--summary" => summary = true,
             "--stats" => stats = true,
-            "--shards" => shards = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
             "--sites" => sites = true,
             "--epochs" => epochs = true,
             "--budget" => budget = val(&mut it).parse().unwrap_or_else(|_| usage()),
@@ -434,10 +382,6 @@ fn main() {
     );
     if stats {
         print_stats(&log, head.unwrap_or(10));
-        return;
-    }
-    if let Some(n) = shards {
-        print_shards(&log, n);
         return;
     }
     if summary {

@@ -1,13 +1,14 @@
 //! On-disk recording cache: serialized [`EventLog`]s under
 //! `target/trace-cache/`, keyed by (workload, seed, program hash), so
 //! the figure and benchmark binaries share recordings across
-//! *invocations* — fig11/12/13, baselines, and `bench_replay` all record
-//! each (workload, seed) pair once per checkout instead of once per run.
+//! *invocations* — fig11/12/13, baselines, txdump and the replay harness
+//! `bench_replay` all record each (workload, seed) pair once per checkout
+//! instead of once per run.
 //!
 //! Opt out with `--no-trace-cache` (every recording binary forwards the
 //! flag here via [`args_after_cache_flag`]) or by setting the
 //! `TXRACE_NO_TRACE_CACHE` environment variable. Entries are validated
-//! on load (magic, version, bounds); any decode failure is treated as a
+//! on load (magic, version, bounds, thread ids); any decode failure is treated as a
 //! miss and the workload is re-recorded. The key hashes the program IR,
 //! scheduler policy, and interrupt model, so editing a workload simply
 //! misses the old entry rather than replaying a stale schedule.

@@ -20,5 +20,5 @@ pub use pool::pool_width;
 pub use report::{fmt_x, geomean, json_rows, JsonValue, Table};
 pub use runner::{
     evaluate_app, record_workload, record_workload_uncached, replay_scheme, replay_schemes_fanout,
-    run_scheme, AppResult, EvalOptions, FanoutOutcome,
+    run_scheme, AppResult, EvalOptions,
 };

@@ -114,18 +114,6 @@ pub fn replay_scheme(w: &Workload, log: &EventLog, scheme: Scheme, seed: u64) ->
     out
 }
 
-/// One scheme's result from a fan-out replay pass, with the observed
-/// per-consumer timing (the observability the JSON rows expose).
-#[derive(Debug)]
-pub struct FanoutOutcome {
-    /// The outcome, byte-identical to a serial [`replay_scheme`] call.
-    pub outcome: RunOutcome,
-    /// Wall time of this consumer's replay, in nanoseconds.
-    pub wall_ns: u64,
-    /// Events the consumer observed (the log length).
-    pub events: u64,
-}
-
 /// Replays one recorded trace of `w` under every scheme in `schemes`
 /// concurrently — a single [`txrace_sim::fan_out`] pass over the shared
 /// log on up to `width` pool workers — and returns the outcomes in scheme
@@ -143,7 +131,7 @@ pub fn replay_schemes_fanout(
     schemes: &[Scheme],
     seed: u64,
     width: usize,
-) -> Vec<FanoutOutcome> {
+) -> Vec<RunOutcome> {
     let detectors: Vec<Detector> = schemes
         .iter()
         .map(|s| Detector::new(w.config(s.clone(), seed)))
@@ -159,11 +147,7 @@ pub fn replay_schemes_fanout(
                 "{}: recorded run did not complete",
                 w.name
             );
-            FanoutOutcome {
-                outcome,
-                wall_ns: r.wall_ns,
-                events: r.events,
-            }
+            outcome
         })
         .collect()
 }
@@ -196,10 +180,9 @@ mod tests {
         assert_eq!(fanned.len(), schemes.len());
         for (f, scheme) in fanned.iter().zip(&schemes) {
             let serial = replay_scheme(&w, &log, scheme.clone(), 7);
-            assert_eq!(f.outcome.races.reports(), serial.races.reports());
-            assert_eq!(f.outcome.breakdown, serial.breakdown);
-            assert_eq!(f.outcome.checks, serial.checks);
-            assert_eq!(f.events, log.len() as u64);
+            assert_eq!(f.races.reports(), serial.races.reports());
+            assert_eq!(f.breakdown, serial.breakdown);
+            assert_eq!(f.checks, serial.checks);
         }
     }
 

@@ -47,8 +47,5 @@ pub use clock::{Epoch, VectorClock};
 pub use fasttrack::{FastTrack, ShadowMode};
 pub use lockset::{Lockset, LocksetReport};
 pub use report::{AccessInfo, AccessKind, RacePair, RaceReport, RaceSet};
-pub use sharded::{
-    shard_of, ShardPlan, ShardStats, ShardedFastTrack, ShardedFtOutcome, ShardedLockset,
-    ShardedLsOutcome,
-};
+pub use sharded::{shard_of, ShardPlan, ShardStats, ShardedFastTrack, ShardedFtOutcome};
 pub use vcref::VectorClockDetector;

@@ -1,6 +1,12 @@
-//! Address-sharded replay detection: FastTrack / lockset shadow state
-//! partitioned across W workers over one shared, pre-indexed view of an
+//! Address-sharded replay detection: FastTrack shadow state partitioned
+//! across W workers over one shared, pre-indexed view of an
 //! [`EventLog`].
+//!
+//! Sharding is not a claimed speedup. Measured end to end (plan build
+//! included) it runs at 0.46x the speed of one serial FastTrack pass on
+//! a 2-core host, because building the plan costs more than the
+//! detection it splits. It stays only as a timed, equivalence-checked
+//! stage of the `replay` benchmark workload.
 //!
 //! The parallelization rule is the classic one for per-variable race
 //! detectors:
@@ -26,22 +32,19 @@
 //!   pair's globally-first report is also first within its own shard
 //!   (an address lives on one shard only).
 //!
-//! Since the sync-indexed rework, shards do **not** replay the log:
-//! [`ShardPlan::build`] derives a [`SyncIndex`] plus per-shard
-//! [`AccessPartition`] slices in one pass over the decoded log, and each
-//! shard is a plain [`TraceConsumer`] fed (its slice + the shared sync
-//! stream) through the two-cursor merge of [`SyncIndex::replay_merged`].
-//! Per-shard work is O(accesses/W + sync) instead of O(all events), and
-//! the decode + partition happens once per log regardless of the shard
-//! count. Shards run on [`par_map`], so never more at once than there
-//! are cores.
+//! Shards do **not** replay the log: [`ShardPlan::build`] derives a
+//! [`SyncIndex`] plus per-shard [`AccessPartition`] slices from the
+//! decoded log, and each shard is a plain [`TraceConsumer`] fed (its
+//! slice + the shared sync stream) through the two-cursor merge of
+//! [`SyncIndex::replay_merged`].
+//! Per-shard work is O(accesses/W + sync) instead of O(all events).
+//! Shards run on [`par_map`], so never more at once than there are
+//! cores.
 //!
 //! Sharding supports [`ShadowMode::Exact`] only: `Cells` mode draws
 //! evictions from a single global RNG stream whose state depends on the
 //! interleaved access order across *all* addresses, which no
 //! partitioning can reproduce.
-
-use std::time::Instant;
 
 use txrace_sim::{
     par_map, AccessPartition, Addr, BarrierId, ChanId, CondId, EventLog, LockId, SiteId, SyncIndex,
@@ -49,7 +52,6 @@ use txrace_sim::{
 };
 
 use crate::fasttrack::{FastTrack, ShadowMode};
-use crate::lockset::{Lockset, LocksetReport};
 use crate::report::{RaceReport, RaceSet};
 
 /// The shard owning `addr` among `shards` shards.
@@ -69,10 +71,8 @@ pub fn shard_of(addr: Addr, shards: usize) -> usize {
 }
 
 /// One log's pre-indexed sharding work plan: the shared sync stream plus
-/// per-shard access slices, built once at decode time and consumed by
-/// every sharded detector that replays the same log — heterogeneous
-/// panels included ([`ShardedFastTrack::run_with_plan`],
-/// [`ShardedLockset::run_with_plan`]).
+/// per-shard access slices, built once and consumed by every
+/// [`ShardedFastTrack::run_with_plan`] over the same log.
 ///
 /// The plan is always **derived** from a decoded [`EventLog`], never
 /// deserialized from disk: the wire format carries only the flat event
@@ -82,30 +82,15 @@ pub fn shard_of(addr: Addr, shards: usize) -> usize {
 pub struct ShardPlan {
     sync: SyncIndex,
     partition: AccessPartition,
-    threads: usize,
 }
 
 impl ShardPlan {
     /// Indexes `log` for `shards` shards: one pass to lift the sync
     /// stream, one to route accesses through [`shard_of`].
     pub fn build(log: &EventLog, shards: usize) -> Self {
-        Self::with_sync(SyncIndex::of(log), log, shards)
-    }
-
-    /// Like [`ShardPlan::build`], but reuses an already-derived
-    /// [`SyncIndex`] — the sync stream does not depend on the shard
-    /// count, so a harness sweeping shard counts over one log indexes
-    /// the sync events once and re-partitions only the accesses.
-    pub fn with_sync(sync: SyncIndex, log: &EventLog, shards: usize) -> Self {
-        assert_eq!(
-            sync.total_events(),
-            log.len() as u64,
-            "sync index derived from a different log"
-        );
         ShardPlan {
-            sync,
+            sync: SyncIndex::of(log),
             partition: AccessPartition::of(log, shards, shard_of),
-            threads: log.thread_count(),
         }
     }
 
@@ -124,11 +109,6 @@ impl ShardPlan {
         &self.partition
     }
 
-    /// Thread count of the recorded program.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Events shard `shard` will dispatch: its access slice plus the
     /// shared sync stream.
     pub fn shard_events(&self, shard: usize) -> u64 {
@@ -136,147 +116,76 @@ impl ShardPlan {
     }
 }
 
-/// Per-shard timing and work counters, for imbalance diagnosis.
+/// Per-shard work counters, for imbalance diagnosis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index.
     pub shard: usize,
     /// Events this shard dispatched: its routed access slice plus the
-    /// shared sync stream. Unlike the pre-index engine (where every
-    /// shard walked the full log and this field equaled the log
-    /// length), shards now differ in `events` by their slice sizes.
+    /// shared sync stream.
     pub events: u64,
     /// Access checks this shard performed (its routed share).
     pub checks: u64,
-    /// Dynamic reports this shard produced before the merge.
-    pub races_found: u64,
-    /// Wall time of this shard's merge pass, in nanoseconds.
-    pub wall_ns: u64,
 }
 
-/// A detector whose report list only grows, so a shard can tag each new
-/// report with the access that produced it.
-trait ReportLog {
-    type Report: Copy + Send;
-    fn report_log(&self) -> &[Self::Report];
-}
-
-impl ReportLog for FastTrack {
-    type Report = RaceReport;
-    fn report_log(&self) -> &[RaceReport] {
-        self.races().reports()
-    }
-}
-
-impl ReportLog for Lockset {
-    type Report = LocksetReport;
-    fn report_log(&self) -> &[LocksetReport] {
-        self.reports()
-    }
-}
-
-/// One shard: a detector with the full sync state and 1/W of the
+/// One shard: a FastTrack with the full sync state and 1/W of the
 /// per-variable state. The plan already routed its accesses, so there is
 /// no ownership check on the hot path; reports are tagged with the
-/// shard's own access ordinal `k`, which [`run_shards`] maps to a global
-/// event index through `slice[k].0`.
-struct Shard<D: ReportLog> {
-    det: D,
+/// shard's own access ordinal `k`, which [`ShardedFastTrack::run_with_plan`]
+/// maps to a global event index through `slice[k].0`.
+struct Shard {
+    det: FastTrack,
     /// Accesses seen so far (the next access's ordinal).
     accesses: usize,
     /// `(access ordinal, report)` in within-shard discovery order.
-    tagged: Vec<(usize, D::Report)>,
+    tagged: Vec<(usize, RaceReport)>,
 }
 
-impl<D: TraceConsumer + ReportLog> Shard<D> {
-    fn check(&mut self, access: impl FnOnce(&mut D)) {
-        let before = self.det.report_log().len();
+impl Shard {
+    fn check(&mut self, access: impl FnOnce(&mut FastTrack)) {
+        let before = self.det.races().reports().len();
         access(&mut self.det);
         let k = self.accesses;
         self.tagged
-            .extend(self.det.report_log()[before..].iter().map(|&r| (k, r)));
+            .extend(self.det.races().reports()[before..].iter().map(|&r| (k, r)));
         self.accesses += 1;
     }
 }
 
-impl<D: TraceConsumer + ReportLog> TraceConsumer for Shard<D> {
+impl TraceConsumer for Shard {
     fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.check(|d| d.read(t, site, addr));
+        self.check(|d| TraceConsumer::read(d, t, site, addr));
     }
     fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.check(|d| d.write(t, site, addr));
+        self.check(|d| TraceConsumer::write(d, t, site, addr));
     }
     fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.det.acquire(t, site, l);
+        TraceConsumer::acquire(&mut self.det, t, site, l);
     }
     fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.det.release(t, site, l);
+        TraceConsumer::release(&mut self.det, t, site, l);
     }
     fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.det.signal(t, site, c);
+        TraceConsumer::signal(&mut self.det, t, site, c);
     }
     fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.det.wait(t, site, c);
+        TraceConsumer::wait(&mut self.det, t, site, c);
     }
     fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.det.spawn(t, site, child);
+        TraceConsumer::spawn(&mut self.det, t, site, child);
     }
     fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.det.join(t, site, child);
+        TraceConsumer::join(&mut self.det, t, site, child);
     }
     fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.det.barrier_release(b, arrivals);
+        TraceConsumer::barrier_release(&mut self.det, b, arrivals);
     }
     fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.det.chan_send(t, site, ch);
+        TraceConsumer::chan_send(&mut self.det, t, site, ch);
     }
     fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.det.chan_recv(t, site, ch);
+        TraceConsumer::chan_recv(&mut self.det, t, site, ch);
     }
-}
-
-/// Runs one shard per plan slice on [`par_map`] and merges their reports
-/// into serial discovery order. Returns the finished detectors and their
-/// stats in shard order, and the merged reports.
-fn run_shards<D>(
-    plan: &ShardPlan,
-    make: impl Fn() -> D + Sync,
-) -> (Vec<D>, Vec<ShardStats>, Vec<D::Report>)
-where
-    D: TraceConsumer + ReportLog + Send,
-{
-    let runs = par_map(plan.shards(), plan.partition().slices(), |shard, slice| {
-        let mut s = Shard {
-            det: make(),
-            accesses: 0,
-            tagged: Vec::new(),
-        };
-        let t0 = Instant::now();
-        plan.sync().replay_merged(slice, &mut s);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let stats = ShardStats {
-            shard,
-            events: plan.shard_events(shard),
-            checks: s.accesses as u64,
-            races_found: s.tagged.len() as u64,
-            wall_ns,
-        };
-        let tagged: Vec<(u64, D::Report)> =
-            s.tagged.into_iter().map(|(k, r)| (slice[k].0, r)).collect();
-        (s.det, stats, tagged)
-    });
-    let mut tagged = Vec::new();
-    let (dets, stats) = runs
-        .into_iter()
-        .map(|(det, stats, t)| {
-            tagged.extend(t);
-            (det, stats)
-        })
-        .unzip();
-    // Stable sort: same-event reports all come from one shard (an
-    // address has one owner), so their within-shard order survives.
-    tagged.sort_by_key(|&(idx, _)| idx);
-    (dets, stats, tagged.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Result of a sharded FastTrack replay pass.
@@ -290,7 +199,7 @@ pub struct ShardedFtOutcome {
     /// Sync operations tracked (per shard; identical on every shard
     /// because sync events broadcast).
     pub sync_ops: u64,
-    /// Per-shard work/timing breakdown, indexed by shard.
+    /// Per-shard work breakdown, indexed by shard.
     pub shards: Vec<ShardStats>,
 }
 
@@ -321,51 +230,43 @@ impl ShardedFastTrack {
     /// repetitions.
     pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedFtOutcome {
         assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let (dets, shards, reports) =
-            run_shards(plan, || FastTrack::new(self.threads, ShadowMode::Exact));
+        let runs = par_map(plan.shards(), plan.partition().slices(), |shard, slice| {
+            let mut s = Shard {
+                det: FastTrack::new(self.threads, ShadowMode::Exact),
+                accesses: 0,
+                tagged: Vec::new(),
+            };
+            plan.sync().replay_merged(slice, &mut s);
+            let stats = ShardStats {
+                shard,
+                events: plan.shard_events(shard),
+                checks: s.accesses as u64,
+            };
+            let tagged: Vec<(u64, RaceReport)> =
+                s.tagged.into_iter().map(|(k, r)| (slice[k].0, r)).collect();
+            (s.det, stats, tagged)
+        });
+        // The shard detectors come back and drop on this thread, after
+        // the merge: dropping their shadow state inside the pool threads
+        // instead slowed the large allocations of the next trace's
+        // encode, decode and plan by 20–90% (glibc heap behaviour).
+        let mut tagged = Vec::new();
+        let (dets, shards): (Vec<FastTrack>, Vec<ShardStats>) = runs
+            .into_iter()
+            .map(|(det, stats, t)| {
+                tagged.extend(t);
+                (det, stats)
+            })
+            .unzip();
+        // Stable sort: same-event reports all come from one shard (an
+        // address has one owner), so their within-shard order survives.
+        tagged.sort_by_key(|&(idx, _)| idx);
         ShardedFtOutcome {
-            races: reports.into_iter().collect(),
+            races: tagged.into_iter().map(|(_, r)| r).collect(),
             checks: shards.iter().map(|s| s.checks).sum(),
             sync_ops: dets.last().map_or(0, FastTrack::sync_ops),
             shards,
         }
-    }
-}
-
-/// Result of a sharded lockset replay pass.
-#[derive(Debug)]
-pub struct ShardedLsOutcome {
-    /// Merged violations, in serial discovery order.
-    pub reports: Vec<LocksetReport>,
-    /// Per-shard work/timing breakdown, indexed by shard.
-    pub shards: Vec<ShardStats>,
-}
-
-/// Eraser lockset with variable state partitioned across `workers`
-/// shards: accesses route by address, mutex events broadcast. Each
-/// variable reports at most once and lives on exactly one shard, so
-/// merging per-shard reports by global event index reproduces the
-/// serial report list exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedLockset {
-    threads: usize,
-    workers: usize,
-}
-
-impl ShardedLockset {
-    /// Creates a sharded detector over `workers >= 1` shards.
-    pub fn new(threads: usize, workers: usize) -> Self {
-        ShardedLockset {
-            threads,
-            workers: workers.max(1),
-        }
-    }
-
-    /// Runs the shards over `plan` (built for this worker count).
-    pub fn run_with_plan(&self, plan: &ShardPlan) -> ShardedLsOutcome {
-        assert_eq!(plan.shards(), self.workers, "plan built for another width");
-        let (_, shards, reports) = run_shards(plan, || Lockset::new(self.threads));
-        ShardedLsOutcome { reports, shards }
     }
 }
 
@@ -434,40 +335,16 @@ mod tests {
     }
 
     #[test]
-    fn sharded_lockset_matches_serial_for_every_worker_count() {
-        for seed in [1, 9, 77] {
-            let (log, n) = racy_log(seed);
-            let mut serial = Lockset::new(n);
-            log.replay(&mut serial);
-            for workers in [1, 2, 3, 4, 8] {
-                let plan = ShardPlan::build(&log, workers);
-                let out = ShardedLockset::new(n, workers).run_with_plan(&plan);
-                assert_eq!(
-                    out.reports,
-                    serial.reports(),
-                    "seed={seed} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn one_plan_serves_both_detectors_and_all_reps() {
         let (log, n) = racy_log(5);
         let plan = ShardPlan::build(&log, 4);
         assert_eq!(plan.shards(), 4);
-        assert_eq!(plan.threads(), n);
         let ft_a = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         let ft_b = ShardedFastTrack::new(n, 4).run_with_plan(&plan);
         assert_eq!(ft_a.races.reports(), ft_b.races.reports());
-        let ls = ShardedLockset::new(n, 4).run_with_plan(&plan);
-        let mut serial_ls = Lockset::new(n);
-        log.replay(&mut serial_ls);
-        assert_eq!(ls.reports, serial_ls.reports());
-        // Reusing the sync stream across shard counts is the sweep path.
-        let sync = SyncIndex::of(&log);
+        assert_eq!(ft_a.shards, ft_b.shards);
         for workers in [1usize, 2, 8] {
-            let p = ShardPlan::with_sync(sync.clone(), &log, workers);
+            let p = ShardPlan::build(&log, workers);
             let out = ShardedFastTrack::new(n, workers).run_with_plan(&p);
             assert_eq!(out.races.reports(), ft_a.races.reports());
         }

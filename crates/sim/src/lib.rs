@@ -73,7 +73,7 @@ pub use summary::{
 };
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
-    TraceEvent, TraceEventKind, LOG_VERSION,
+    TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_THREADS,
 };
 
 /// A runtime that executes memory operations directly against memory with

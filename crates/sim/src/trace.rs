@@ -429,9 +429,11 @@ impl EventLog {
     ///
     /// A description of the corruption (bad magic, unknown version,
     /// truncation, invalid event kind or syscall code, a barrier release
-    /// that indexes past the side table). Every log this accepts replays
-    /// without panicking. Cache readers treat any error as a miss and
-    /// re-record.
+    /// that indexes past the side table, a thread count of zero or above
+    /// [`MAX_LOG_THREADS`], a thread id — executing thread, spawned or
+    /// joined child, barrier arrival — at or above the thread count).
+    /// Every log this accepts replays without panicking. Cache readers
+    /// treat any error as a miss and re-record.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
         let mut c = Cursor { b: bytes, pos: 0 };
         if c.u64()? != LOG_MAGIC {
@@ -441,7 +443,21 @@ impl EventLog {
         if version != LOG_VERSION {
             return Err(format!("unsupported version {version}"));
         }
-        let threads = c.u64()? as usize;
+        let threads = c.u64()?;
+        if threads == 0 || threads > MAX_LOG_THREADS {
+            return Err(format!(
+                "thread count {threads} outside 1..={MAX_LOG_THREADS}"
+            ));
+        }
+        let in_range = |t: u64, what: &str| {
+            if t < threads {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{what} thread {t} out of range for {threads} threads"
+                ))
+            }
+        };
         let census = OpCensus {
             mem_accesses: c.u64()?,
             compute_units: c.u64()?,
@@ -472,10 +488,12 @@ impl EventLog {
                 site: SiteId(c.u32()?),
                 arg: c.u64()?,
             };
+            in_range(u64::from(e.thread.0), "event")?;
             match kind {
                 TraceEventKind::Syscall if e.arg >= SYSCALL_CODES.len() as u64 => {
                     return Err(format!("bad syscall code {}", e.arg));
                 }
+                TraceEventKind::Spawn | TraceEventKind::Join => in_range(e.arg, "child")?,
                 TraceEventKind::BarrierRelease => max_release = max_release.max(Some(e.arg)),
                 _ => {}
             }
@@ -484,7 +502,9 @@ impl EventLog {
         let n_arrivals = c.u64()? as usize;
         let mut arrivals = Vec::with_capacity(n_arrivals.min(bytes.len() / 8));
         for _ in 0..n_arrivals {
-            arrivals.push((ThreadId(c.u32()?), SiteId(c.u32()?)));
+            let t = c.u32()?;
+            in_range(u64::from(t), "barrier arrival")?;
+            arrivals.push((ThreadId(t), SiteId(c.u32()?)));
         }
         let n_releases = c.u64()? as usize;
         let mut releases = Vec::with_capacity(n_releases.min(bytes.len() / 12));
@@ -504,7 +524,7 @@ impl EventLog {
             return Err("trailing bytes".into());
         }
         Ok(EventLog {
-            threads,
+            threads: threads as usize,
             events,
             barriers,
             census,
@@ -619,7 +639,6 @@ pub struct SyncIndex {
     /// `(global event index, event)` in log order.
     events: Vec<(u64, TraceEvent)>,
     barriers: BarrierTable,
-    total_events: u64,
 }
 
 impl SyncIndex {
@@ -635,7 +654,6 @@ impl SyncIndex {
         SyncIndex {
             events,
             barriers: log.barriers.clone(),
-            total_events: log.len() as u64,
         }
     }
 
@@ -652,11 +670,6 @@ impl SyncIndex {
     /// True when the log had no sync events at all.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Length of the log this index was derived from (all kinds).
-    pub fn total_events(&self) -> u64 {
-        self.total_events
     }
 
     /// The barrier side table, a copy of the source log's.
@@ -917,6 +930,14 @@ const LOG_MAGIC: u64 = u64::from_le_bytes(*b"TXLOG\0\0\x01");
 /// [`TraceEventKind::ChanRecv`]) — version-1 logs from pre-channel
 /// builds are rejected rather than mis-decoded.
 pub const LOG_VERSION: u64 = 2;
+
+/// The widest thread count a serialized log may declare. Detectors size
+/// per-thread state from the header (FastTrack keeps one vector clock of
+/// this width per thread, 4 MiB at the cap), so an unchecked header is
+/// an allocation of attacker-chosen size. The bundled workloads run 9
+/// threads at their widest evaluated setting (8 workers) and generated
+/// programs 3; the cap leaves two orders of magnitude of headroom.
+pub const MAX_LOG_THREADS: u64 = 1024;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -1274,7 +1295,6 @@ mod tests {
     fn sync_index_carries_exactly_the_sync_events_with_log_positions() {
         let log = all_kinds_log();
         let sync = SyncIndex::of(&log);
-        assert_eq!(sync.total_events(), log.len() as u64);
         assert_eq!(sync.len(), sync.events().len());
         assert!(!sync.is_empty());
         // Every entry points back at the identical log event, and the
@@ -1365,6 +1385,68 @@ mod tests {
         assert_eq!(bytes[syscall_arg - 9], TraceEventKind::Syscall as u8);
         let first = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
         assert_eq!(first, 2 << 32, "first release: start 0, two arrivals");
+    }
+
+    /// Overwrites `value` at byte `at` of `bytes` and decodes the result.
+    fn decode_patched(bytes: &[u8], at: usize, value: &[u8]) -> Result<EventLog, String> {
+        let mut b = bytes.to_vec();
+        b[at..at + value.len()].copy_from_slice(value);
+        EventLog::from_bytes(&b)
+    }
+
+    #[test]
+    fn out_of_range_thread_ids_are_decode_errors() {
+        // Replayed detectors index per-thread state by these ids, so an
+        // id at or above the header's thread count must not decode.
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        let threads = log.thread_count() as u32;
+        // Event `i`'s thread field sits after its one-byte kind; its arg
+        // 8 bytes later. Arrival `j`'s thread follows the arrival count.
+        let event_thread = |i: usize| 80 + 17 * i + 1;
+        let event_arg = |i: usize| event_thread(i) + 8;
+        let first_arrival = 80 + 17 * log.len() + 8;
+        let nth = |kind| log.events().iter().position(|e| e.kind == kind).unwrap();
+        for t in [threads, 200] {
+            let err = decode_patched(&bytes, event_thread(0), &t.to_le_bytes()).unwrap_err();
+            assert!(err.contains("event thread"), "{err}");
+            for kind in [TraceEventKind::Spawn, TraceEventKind::Join] {
+                let at = event_arg(nth(kind));
+                let err = decode_patched(&bytes, at, &u64::from(t).to_le_bytes()).unwrap_err();
+                assert!(err.contains("child thread"), "{kind:?}: {err}");
+            }
+            let err = decode_patched(&bytes, first_arrival, &t.to_le_bytes()).unwrap_err();
+            assert!(err.contains("barrier arrival thread"), "{err}");
+        }
+        // The offsets point at the intended fields, and the last valid id
+        // still decodes.
+        assert_eq!(bytes[event_thread(0) - 1], log.events()[0].kind as u8);
+        assert_eq!(
+            bytes[event_arg(nth(TraceEventKind::Spawn)) - 9],
+            TraceEventKind::Spawn as u8
+        );
+        assert!(decode_patched(&bytes, event_thread(0), &(threads - 1).to_le_bytes()).is_ok());
+        assert!(decode_patched(&bytes, first_arrival, &(threads - 1).to_le_bytes()).is_ok());
+    }
+
+    #[test]
+    fn thread_count_header_is_bounded() {
+        // The header sizes every detector's per-thread state: zero threads
+        // cannot carry an event, and an unbounded count is an allocation
+        // of attacker-chosen size.
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        for bad in [0, MAX_LOG_THREADS + 1, 1 << 40] {
+            let err = decode_patched(&bytes, 16, &bad.to_le_bytes()).unwrap_err();
+            assert!(err.contains("thread count"), "{bad}: {err}");
+        }
+        let widest = decode_patched(&bytes, 16, &MAX_LOG_THREADS.to_le_bytes()).unwrap();
+        assert_eq!(widest.thread_count() as u64, MAX_LOG_THREADS);
+        assert_eq!(
+            u64::from_le_bytes(bytes[16..24].try_into().unwrap()),
+            log.thread_count() as u64,
+            "the thread count is the third header word"
+        );
     }
 
     #[test]

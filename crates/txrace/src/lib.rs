@@ -72,7 +72,7 @@ pub use instrument::{
     instrument_pruned, InstrumentConfig, InstrumentedProgram, RegionInfo, RegionKind,
 };
 pub use loopcut::{LoopcutMode, LoopcutProfile, LoopcutState};
-pub use parallel::{PanelConsumer, ShardedPanel, ShardedPanelOutcome};
+pub use parallel::PanelConsumer;
 pub use sa::{
     watch_sites, Confirmation, FlowAnalysis, MayRacePairs, PruneStats, RaceFreeReason, SiteClass,
     SiteClassTable, StaticPruneMode,

@@ -3,10 +3,10 @@
 
     python3 scripts/ci_check.py table1 TABLE1_JSON
     python3 scripts/ci_check.py frontier FRONTIER_JSON
-    python3 scripts/ci_check.py parallel WORKERS4_JSON WORKERS1_JSON
+    python3 scripts/ci_check.py replay WORKERS4_JSON WORKERS1_JSON
 
 Inputs come from `table1 -- --json`, `frontier -- 4 42 --json` and
-`bench_parallel -- 4 42` / `-- 1 42`. Golden fixtures are read from
+`bench_replay -- 4 42` / `-- 1 42`. Golden fixtures are read from
 tests/fixtures next to this script. Every check of the subcommand runs;
 each passing check prints one line, each failing check prints what
 drifted, and the exit status is 1 if any check failed.
@@ -122,15 +122,15 @@ def check_frontier(rows):
           f"over {len(paper)} paper apps; {len(budgets)} budget points")
 
 
-def check_parallel(p4, p1):
+def check_replay(r4, r1):
     """Sweep speedup >= 2x; full-TSan race counts pinned; workers=1 and
-    workers=4 fingerprints identical; sharded speedup >= 1.3x at 4."""
-    total = p4[-1]
+    workers=4 panel fingerprints identical."""
+    total = r4[-1]
     if total.get("row") != "total":
         return "missing (total) row"
     if total["sweep_speedup"] < 2.0:
-        return f"parallel sweep speedup regressed: {total['sweep_speedup']}x < 2x"
-    got = {r["app"]: r["findings"] for r in p4
+        return f"replay sweep speedup regressed: {total['sweep_speedup']}x < 2x"
+    got = {r["app"]: r["findings"] for r in r4
            if r["row"] == "consumer" and r["name"] == "tsan"}
     want = {app: tsan for app, (tsan, _) in golden_race_counts(got).items()}
     bad = [f"{app}: got {got[app]} want {w}"
@@ -139,24 +139,15 @@ def check_parallel(p4, p1):
         return drift("race-count drift vs golden fixtures:", bad)
 
     def fingerprints(rows):
-        return [(r["app"], r.get("name"), r["fingerprint"])
-                for r in rows if "fingerprint" in r]
+        return [(r["app"], r["name"], r["fingerprint"])
+                for r in rows if r["row"] == "consumer"]
 
-    if fingerprints(p4) != fingerprints(p1):
-        return "fingerprints differ between workers=1 and workers=4"
-    # Critical-path speedup (serial FastTrack wall / slowest shard wall,
-    # one shared ShardPlan) on the three largest traces at 4 shards.
-    sharded = {r["app"]: r["sharded_speedup"] for r in p4
-               if r["row"] == "sharded" and r["workers"] == 4}
-    slow = [f"{app}: {sharded[app]}x"
-            for app in ("fluidanimate", "streamcluster", "bodytrack")
-            if sharded.get(app, 0.0) < 1.3]
-    if slow:
-        return drift("sharded speedup below 1.3x at workers=4:", slow)
-    print(f"bench_parallel: {total['sweep_speedup']}x sweep speedup, "
-          f"{total['sharded_speedup_w4']}x sharded critical-path speedup, "
+    fp4 = fingerprints(r4)
+    if not fp4 or fp4 != fingerprints(r1):
+        return "panel fingerprints differ between workers=1 and workers=4"
+    print(f"bench_replay: {total['sweep_speedup']}x sweep speedup, "
           f"race counts match golden fixtures for {len(want)} apps, "
-          f"workers=1/4 fingerprints identical")
+          f"{len(fp4)} panel fingerprints identical at workers=1/4")
 
 
 def main():
@@ -166,10 +157,10 @@ def main():
                    "channel counts").add_argument("table1_json")
     sub.add_parser("frontier", help="recall fixture + budget gates"
                    ).add_argument("frontier_json")
-    par = sub.add_parser("parallel", help="sweep/sharded speedup gates, race "
-                         "counts, workers=1 vs 4 fingerprints")
-    par.add_argument("workers4_json")
-    par.add_argument("workers1_json")
+    rep = sub.add_parser("replay", help="sweep speedup gate, race counts, "
+                         "workers=1 vs 4 fingerprints")
+    rep.add_argument("workers4_json")
+    rep.add_argument("workers1_json")
     args = ap.parse_args()
 
     if args.cmd == "table1":
@@ -179,8 +170,8 @@ def main():
     elif args.cmd == "frontier":
         failures = [check_frontier(load(args.frontier_json))]
     else:
-        failures = [check_parallel(load(args.workers4_json),
-                                   load(args.workers1_json))]
+        failures = [check_replay(load(args.workers4_json),
+                                 load(args.workers1_json))]
     failures = [f for f in failures if f]
     for f in failures:
         print(f)

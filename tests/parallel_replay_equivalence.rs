@@ -1,8 +1,8 @@
 //! The parallel replay contract: fanning one [`EventLog`] to N
-//! consumers on the worker pool, and sharding FastTrack/lockset shadow
-//! state by address across W workers, are both *byte-identical* to a
-//! serial single-consumer replay — for every detector, every worker
-//! count, and every width.
+//! consumers on the worker pool, and sharding FastTrack shadow state by
+//! address across W workers, are both *byte-identical* to a serial
+//! single-consumer replay — for every detector, every worker count, and
+//! every width.
 //!
 //! Fan-out is trivially equivalent (consumers are pure observers with
 //! private state; concurrency can't change what any of them sees), so
@@ -15,8 +15,7 @@
 use proptest::prelude::*;
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunConfig, Scheme};
 use txrace_hb::{
-    shard_of, FastTrack, Lockset, ShadowMode, ShardPlan, ShardedFastTrack, ShardedLockset,
-    VectorClockDetector,
+    shard_of, FastTrack, Lockset, ShadowMode, ShardPlan, ShardedFastTrack, VectorClockDetector,
 };
 use txrace_sim::{fan_out, Addr, EventLog, Program, SyncIndex, TraceEventKind};
 use txrace_workloads::{all_workloads, random_program, GenConfig};
@@ -94,7 +93,7 @@ fn check_parallel_equivalence(app: &str, p: &Program, d: &Detector, log: &EventL
         );
     }
 
-    // --- Layer 2: address-sharded detectors at every worker count. ---
+    // --- Layer 2: address-sharded FastTrack at every worker count. ---
     for workers in WORKERS {
         let plan = ShardPlan::build(log, workers);
         let out = ShardedFastTrack::new(n, workers).run_with_plan(&plan);
@@ -128,13 +127,6 @@ fn check_parallel_equivalence(app: &str, p: &Program, d: &Detector, log: &EventL
             assert_eq!(s.events, plan.shard_events(i), "{app} workers={workers}");
             assert!(s.events <= log.len() as u64, "{app} workers={workers}");
         }
-
-        let ls_out = ShardedLockset::new(n, workers).run_with_plan(&plan);
-        assert_eq!(
-            ls_out.reports,
-            serial_ls.reports(),
-            "{app}: sharded lockset reports diverged at {workers} workers"
-        );
     }
 }
 
@@ -187,32 +179,27 @@ fn channel_families_shard_identically_and_ride_the_sync_stream() {
 
             let mut serial_ft = FastTrack::new(n, ShadowMode::Exact);
             log.replay(&mut serial_ft);
-            let mut serial_ls = Lockset::new(n);
-            log.replay(&mut serial_ls);
 
             for workers in WORKERS {
-                let plan = ShardPlan::with_sync(sync.clone(), &log, workers);
+                let plan = ShardPlan::build(&log, workers);
+                assert_eq!(plan.sync().events(), sync.events(), "{}", w.name);
                 // No shard's slice contains a channel event: the
                 // partitioner routes only data accesses.
-                let sliced: u64 = (0..workers)
-                    .map(|i| plan.partition().slice(i).len() as u64)
-                    .sum();
-                assert_eq!(
-                    sliced + log.len() as u64 - plan.partition().total_accesses(),
-                    log.len() as u64
-                );
+                for i in 0..workers {
+                    assert!(
+                        plan.partition()
+                            .slice(i)
+                            .iter()
+                            .all(|(_, e)| !is_chan(e.kind)),
+                        "{} workers={workers}: channel event in shard {i}'s slice",
+                        w.name
+                    );
+                }
                 let out = ShardedFastTrack::new(n, workers).run_with_plan(&plan);
                 assert_eq!(
                     out.races.reports(),
                     serial_ft.races().reports(),
                     "{} seed={seed} workers={workers}: sharded fasttrack diverged",
-                    w.name
-                );
-                let ls_out = ShardedLockset::new(n, workers).run_with_plan(&plan);
-                assert_eq!(
-                    ls_out.reports,
-                    serial_ls.reports(),
-                    "{} seed={seed} workers={workers}: sharded lockset diverged",
                     w.name
                 );
             }
