@@ -4,12 +4,12 @@
 //! the reproduction runs), not the modeled cycle costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use txrace::{instrument, InstrumentConfig};
+use txrace::{instrument, InstrumentConfig, SchedKind};
 use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
-    Addr, DirectRuntime, LockId, Machine, Memory, ProgramBuilder, RandomSched, SiteId, ThreadId,
-    WriteJournal,
+    Addr, DirectRuntime, FairSched, LockId, Machine, Memory, ProgramBuilder, RandomSched,
+    Scheduler, SiteId, ThreadId, WriteJournal,
 };
 
 fn bench_htm(c: &mut Criterion) {
@@ -152,6 +152,41 @@ fn bench_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_sched(c: &mut Criterion) {
+    // One fair-scheduler pick over the five threads of a 4-worker
+    // workload (main plus workers), at the workloads' default 10% jitter:
+    // the per-step scheduling cost the interpreter pays.
+    let runnable: Vec<ThreadId> = (0..5).map(ThreadId).collect();
+    let mut g = c.benchmark_group("sched");
+    g.bench_function("fair_next_5_threads", |b| {
+        let mut s = FairSched::new(7, 0.1);
+        b.iter(|| s.next(black_box(&runnable)));
+    });
+    g.finish();
+}
+
+fn bench_exec_floor(c: &mut Criterion) {
+    // The interpreter floor on a shipped workload: swaptions built,
+    // flattened and stepped to completion under the no-op DirectRuntime
+    // and its own fair scheduler, so the time is one scheduler pick plus
+    // one instruction dispatch per step, with no detection.
+    let w = txrace_workloads::by_name("swaptions", 4).expect("bundled workload");
+    let SchedKind::Fair { jitter, slack } = w.sched else {
+        panic!("swaptions runs under the fair scheduler");
+    };
+    let mut g = c.benchmark_group("exec");
+    g.bench_function("floor_swaptions", |b| {
+        b.iter(|| {
+            let mut m = Machine::new(&w.program);
+            let mut rt = DirectRuntime::default();
+            let mut sched = FairSched::new(42, jitter).with_slack(slack);
+            let res = m.run(&mut rt, &mut sched);
+            black_box((res.steps, rt.ops))
+        });
+    });
+    g.finish();
+}
+
 fn bench_instrument(c: &mut Criterion) {
     let mut b = ProgramBuilder::new(4);
     let l = b.lock_id("l");
@@ -177,6 +212,8 @@ criterion_group!(
     bench_snapshot,
     bench_fasttrack,
     bench_dispatch,
+    bench_sched,
+    bench_exec_floor,
     bench_instrument
 );
 criterion_main!(benches);

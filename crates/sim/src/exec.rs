@@ -21,8 +21,8 @@
 //! any runtime hook firing, and re-attempts when woken.
 
 use crate::addr::Addr;
-use crate::flat::{FlatProgram, InstrKind};
-use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, SiteId, ThreadId};
+use crate::flat::{FlatProgram, InstrKind, SYSCALL_CODES};
+use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
 use crate::ir::{Op, Program};
 use crate::mem::Memory;
 use crate::sched::{InterruptKind, Scheduler};
@@ -224,10 +224,6 @@ pub struct Machine {
     flat: FlatProgram,
     pcs: Vec<usize>,
     loop_stacks: Vec<Vec<LoopFrame>>,
-    /// `loop_free[t]`: thread `t`'s flat code contains no loops, so its
-    /// loop stack is empty forever and the per-step detach/restore of
-    /// `loop_stacks[t]` can be skipped.
-    loop_free: Vec<bool>,
     states: Vec<TState>,
     memory: Memory,
     locks: Vec<Option<ThreadId>>,
@@ -258,16 +254,10 @@ impl Machine {
                 }
             })
             .collect();
-        let loop_free = flat
-            .threads
-            .iter()
-            .map(|th| !th.code.iter().any(|i| i.kind() == InstrKind::LoopEnter))
-            .collect();
         Machine {
             flat,
             pcs: vec![0; n],
             loop_stacks: vec![Vec::new(); n],
-            loop_free,
             states,
             memory: Memory::new(),
             locks: vec![None; p.lock_count() as usize],
@@ -291,15 +281,23 @@ impl Machine {
     }
 
     /// Runs to completion with no step limit.
-    pub fn run<R: Runtime>(&mut self, rt: &mut R, sched: &mut dyn Scheduler) -> RunResult {
+    ///
+    /// Generic over the scheduler, so a concrete one (such as
+    /// [`crate::AnySched`]) is called directly and inlined into the loop;
+    /// `&mut dyn Scheduler` still works.
+    pub fn run<R: Runtime, S: Scheduler + ?Sized>(
+        &mut self,
+        rt: &mut R,
+        sched: &mut S,
+    ) -> RunResult {
         self.run_with_limit(rt, sched, StepLimit::default())
     }
 
     /// Runs until completion, deadlock, fault, or the step limit.
-    pub fn run_with_limit<R: Runtime>(
+    pub fn run_with_limit<R: Runtime, S: Scheduler + ?Sized>(
         &mut self,
         rt: &mut R,
-        sched: &mut dyn Scheduler,
+        sched: &mut S,
         limit: StepLimit,
     ) -> RunResult {
         // Threads with empty programs finish immediately.
@@ -358,34 +356,98 @@ impl Machine {
         }
     }
 
-    fn step_thread<R: Runtime>(
+    /// Executes thread `t`'s next instruction with one `match` on its
+    /// packed kind. Each arm reads its operands straight from the
+    /// instruction and the operand pool, decides blocking before any
+    /// hook fires, and runs the op's effect between the runtime hooks;
+    /// only the sync arms pay for waking, spawning, barrier release or
+    /// faults. Every arm that neither blocks nor rolls back falls through
+    /// to the shared `pc + 1` advance.
+    fn step_thread<R: Runtime, S: Scheduler + ?Sized>(
         &mut self,
         t: ThreadId,
         rt: &mut R,
-        sched: &mut dyn Scheduler,
+        sched: &mut S,
     ) -> Result<(), String> {
         let ti = t.index();
         let pc = self.pcs[ti];
-        let instr = self.flat.threads[ti].code[pc];
-        // Hot path first: everything but the two loop-control kinds is an
-        // operation, decoded from the packed form only once we know we
-        // will execute it.
-        match instr.kind() {
-            InstrKind::LoopEnter => {
-                let trips = instr.trips();
-                if trips == 0 {
-                    self.pcs[ti] = instr.end() + 1;
-                } else {
-                    self.loop_stacks[ti].push(LoopFrame {
-                        id: instr.loop_id(),
-                        trips,
-                        remaining: trips,
-                    });
-                    self.pcs[ti] = pc + 1;
+        let th = &self.flat.threads[ti];
+        let instr = th.code[pc];
+        let len = th.code.len();
+        let site = instr.site();
+
+        // The hook protocol around one op: draw the step's interrupt,
+        // fire `before_op` with the op's event, and, unless the runtime
+        // rolls the thread back (which ends the step), evaluate `$effect`
+        // with `$rt`, `$mem` and `$ev` bound. The event borrows the loop
+        // stack in place while the hooks get `&mut Memory`.
+        macro_rules! hooked {
+            ($op:expr) => {
+                hooked!($op, |_rt, _mem, _ev| ())
+            };
+            ($op:expr, |$rt:ident, $mem:ident, $ev:ident| $effect:expr) => {{
+                let interrupted = sched.interrupt(t);
+                let ev = OpEvent {
+                    thread: t,
+                    site,
+                    op: $op,
+                    pc,
+                    loop_stack: &self.loop_stacks[ti],
+                    interrupted,
+                    step: self.steps,
+                };
+                match rt.before_op(&mut self.memory, &ev) {
+                    Directive::Continue => {
+                        let ($rt, $mem, $ev) = (&mut *rt, &mut self.memory, &ev);
+                        $effect
+                    }
+                    Directive::Rollback(snap) => {
+                        self.pcs[ti] = snap.pc;
+                        self.loop_stacks[ti] = snap.loop_stack;
+                        return Ok(());
+                    }
                 }
-                self.maybe_finish(t, rt);
-                Ok(())
+            }};
+        }
+
+        match instr.kind() {
+            InstrKind::Read => {
+                let [a] = th.words(&instr);
+                hooked!(Op::Read(Addr(a)), |rt, mem, ev| {
+                    rt.read(mem, ev, Addr(a));
+                });
             }
+            InstrKind::Write => {
+                let [a, v] = th.words(&instr);
+                hooked!(Op::Write(Addr(a), v), |rt, mem, ev| rt.write(
+                    mem,
+                    ev,
+                    Addr(a),
+                    v
+                ));
+            }
+            InstrKind::ReadArr => {
+                let [base, stride] = th.words(&instr);
+                let base = Addr(base);
+                let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
+                hooked!(Op::ReadArr { base, stride }, |rt, mem, ev| {
+                    rt.read(mem, ev, a);
+                });
+            }
+            InstrKind::WriteArr => {
+                let [base, stride, val] = th.words(&instr);
+                let base = Addr(base);
+                let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
+                hooked!(Op::WriteArr { base, stride, val }, |rt, mem, ev| rt
+                    .write(mem, ev, a, val));
+            }
+            InstrKind::Rmw => {
+                let [a, d] = th.words(&instr);
+                hooked!(Op::Rmw(Addr(a), d), |rt, mem, ev| {
+                    rt.rmw(mem, ev, Addr(a), d);
+                });
+            }
+            InstrKind::Compute => hooked!(Op::Compute(instr.arg())),
             InstrKind::LoopBack => {
                 let frame = self.loop_stacks[ti]
                     .last_mut()
@@ -393,241 +455,169 @@ impl Machine {
                 frame.remaining -= 1;
                 if frame.remaining > 0 {
                     self.pcs[ti] = instr.start();
-                } else {
-                    self.loop_stacks[ti].pop();
-                    self.pcs[ti] = pc + 1;
+                    return Ok(());
                 }
-                self.maybe_finish(t, rt);
-                Ok(())
+                self.loop_stacks[ti].pop();
             }
-            _ => {
-                let op = self.flat.threads[ti].decode_op(&instr);
-                self.step_op(t, pc, instr.site(), op, rt, sched)
+            InstrKind::LoopEnter => {
+                let trips = instr.trips();
+                if trips == 0 {
+                    self.pcs[ti] = instr.end() + 1;
+                    self.maybe_finish(t, rt);
+                    return Ok(());
+                }
+                self.loop_stacks[ti].push(LoopFrame {
+                    id: instr.loop_id(),
+                    trips,
+                    remaining: trips,
+                });
             }
+            InstrKind::Lock => {
+                let l = LockId(instr.arg());
+                if self.locks[l.index()].is_some() {
+                    self.block(ti, TState::BlockedLock(l));
+                    return Ok(());
+                }
+                hooked!(Op::Lock(l), |rt, mem, ev| {
+                    self.locks[l.index()] = Some(t);
+                    rt.after_sync(mem, ev);
+                });
+            }
+            InstrKind::Unlock => {
+                let l = LockId(instr.arg());
+                let held = hooked!(Op::Unlock(l), |rt, mem, ev| {
+                    let held = self.locks[l.index()] == Some(t);
+                    if held {
+                        self.locks[l.index()] = None;
+                        rt.after_sync(mem, ev);
+                    }
+                    held
+                });
+                if !held {
+                    return Err(format!("{t} unlocked {l} it does not hold"));
+                }
+                self.wake(TState::BlockedLock(l));
+            }
+            InstrKind::Barrier => {
+                let b = BarrierId(instr.arg());
+                let full = hooked!(Op::Barrier(b), |_rt, _mem, _ev| {
+                    let arrived = &mut self.barriers[b.index()].arrived;
+                    arrived.push((t, site));
+                    arrived.len() as u32 == self.barrier_widths[b.index()]
+                });
+                if !full {
+                    // Stays at the barrier op until the last arrival.
+                    self.block(ti, TState::BlockedBarrier(b));
+                    return Ok(());
+                }
+                let arrivals = std::mem::take(&mut self.barriers[b.index()].arrived);
+                rt.after_barrier(b, &arrivals);
+                for &(u, _) in &arrivals {
+                    if u != t {
+                        debug_assert_eq!(self.states[u.index()], TState::BlockedBarrier(b));
+                        self.states[u.index()] = TState::Runnable;
+                        self.states_dirty = true;
+                        self.pcs[u.index()] += 1;
+                        self.maybe_finish(u, rt);
+                    }
+                }
+                // `t` (the last arriver) advances normally below.
+            }
+            InstrKind::ChanSend => {
+                let ch = ChanId(instr.arg());
+                if self.chans[ch.index()] >= self.chan_caps[ch.index()] {
+                    self.block(ti, TState::BlockedChanSend(ch));
+                    return Ok(());
+                }
+                hooked!(Op::ChanSend(ch), |rt, mem, ev| {
+                    self.chans[ch.index()] += 1;
+                    rt.after_sync(mem, ev);
+                });
+                self.wake(TState::BlockedChanRecv(ch));
+            }
+            InstrKind::ChanRecv => {
+                let ch = ChanId(instr.arg());
+                if self.chans[ch.index()] == 0 {
+                    self.block(ti, TState::BlockedChanRecv(ch));
+                    return Ok(());
+                }
+                hooked!(Op::ChanRecv(ch), |rt, mem, ev| {
+                    self.chans[ch.index()] -= 1;
+                    rt.after_sync(mem, ev);
+                });
+                self.wake(TState::BlockedChanSend(ch));
+            }
+            InstrKind::Signal => {
+                let c = CondId(instr.arg());
+                hooked!(Op::Signal(c), |rt, mem, ev| {
+                    self.sems[c.index()] += 1;
+                    rt.after_sync(mem, ev);
+                });
+                self.wake(TState::BlockedWait(c));
+            }
+            InstrKind::Wait => {
+                let c = CondId(instr.arg());
+                if self.sems[c.index()] == 0 {
+                    self.block(ti, TState::BlockedWait(c));
+                    return Ok(());
+                }
+                hooked!(Op::Wait(c), |rt, mem, ev| {
+                    self.sems[c.index()] -= 1;
+                    rt.after_sync(mem, ev);
+                });
+            }
+            InstrKind::Spawn => {
+                let u = ThreadId(instr.arg());
+                let parked = hooked!(Op::Spawn(u), |rt, mem, ev| {
+                    let parked = self.states[u.index()] == TState::Parked;
+                    if parked {
+                        rt.after_sync(mem, ev);
+                    }
+                    parked
+                });
+                if !parked {
+                    return Err(format!("{t} spawned non-parked thread {u}"));
+                }
+                self.states[u.index()] = TState::Runnable;
+                self.states_dirty = true;
+                self.maybe_finish(u, rt); // spawned thread may have an empty program
+            }
+            InstrKind::Join => {
+                let u = ThreadId(instr.arg());
+                if self.states[u.index()] != TState::Done {
+                    self.block(ti, TState::BlockedJoin(u));
+                    return Ok(());
+                }
+                hooked!(Op::Join(u), |rt, mem, ev| rt.after_sync(mem, ev));
+            }
+            InstrKind::Syscall => {
+                hooked!(Op::Syscall(SYSCALL_CODES[instr.arg() as usize]))
+            }
+            InstrKind::TxBegin => hooked!(Op::TxBegin(RegionId(instr.arg()))),
+            InstrKind::TxEnd => hooked!(Op::TxEnd(RegionId(instr.arg()))),
+            InstrKind::LoopCutProbe => hooked!(Op::LoopCutProbe(LoopId(instr.arg()))),
         }
+        self.pcs[ti] = pc + 1;
+        if pc + 1 >= len {
+            self.maybe_finish(t, rt);
+        }
+        Ok(())
     }
 
-    fn step_op<R: Runtime>(
-        &mut self,
-        t: ThreadId,
-        pc: usize,
-        site: SiteId,
-        op: Op,
-        rt: &mut R,
-        sched: &mut dyn Scheduler,
-    ) -> Result<(), String> {
-        let ti = t.index();
-        // Blocking check happens before any hook fires.
-        match op {
-            Op::Lock(l) if self.locks[l.index()].is_some() => {
-                self.states[ti] = TState::BlockedLock(l);
-                self.states_dirty = true;
-                return Ok(());
-            }
-            Op::Wait(c) if self.sems[c.index()] == 0 => {
-                self.states[ti] = TState::BlockedWait(c);
-                self.states_dirty = true;
-                return Ok(());
-            }
-            Op::ChanSend(ch) if self.chans[ch.index()] >= self.chan_caps[ch.index()] => {
-                self.states[ti] = TState::BlockedChanSend(ch);
-                self.states_dirty = true;
-                return Ok(());
-            }
-            Op::ChanRecv(ch) if self.chans[ch.index()] == 0 => {
-                self.states[ti] = TState::BlockedChanRecv(ch);
-                self.states_dirty = true;
-                return Ok(());
-            }
-            Op::Join(u) if self.states[u.index()] != TState::Done => {
-                self.states[ti] = TState::BlockedJoin(u);
-                self.states_dirty = true;
-                return Ok(());
-            }
-            _ => {}
-        }
+    /// Blocks the running thread (index `ti`) in state `s`.
+    fn block(&mut self, ti: usize, s: TState) {
+        self.states[ti] = s;
+        self.states_dirty = true;
+    }
 
-        let interrupted = sched.interrupt(t);
-        // Detach the loop stack so the event can borrow it while hooks
-        // receive `&mut Memory`. A loop-free thread's stack is empty
-        // forever, so an empty stand-in (no allocation) saves the
-        // detach/restore pair on its every step.
-        let loop_free = self.loop_free[ti];
-        let stack = if loop_free {
-            debug_assert!(self.loop_stacks[ti].is_empty());
-            Vec::new()
-        } else {
-            std::mem::take(&mut self.loop_stacks[ti])
-        };
-        // Indexed accesses resolve their effective address from the loop
-        // nest *before* the event is built.
-        let arr_addr = match op {
-            Op::ReadArr { base, stride } | Op::WriteArr { base, stride, .. } => {
-                Some(base.offset(stride * innermost_iteration_index(&stack)))
-            }
-            _ => None,
-        };
-        let ev = OpEvent {
-            thread: t,
-            site,
-            op,
-            pc,
-            loop_stack: &stack,
-            interrupted,
-            step: self.steps,
-        };
-
-        match rt.before_op(&mut self.memory, &ev) {
-            Directive::Rollback(snap) => {
-                self.pcs[ti] = snap.pc;
-                self.loop_stacks[ti] = snap.loop_stack;
-                return Ok(());
-            }
-            Directive::Continue => {}
-        }
-
-        let mut advance = true;
-        let mut fault: Option<String> = None;
-        let mut wake_lock: Option<LockId> = None;
-        let mut wake_cond: Option<CondId> = None;
-        let mut wake_chan: Option<TState> = None;
-        let mut spawned: Option<ThreadId> = None;
-        let mut barrier_release: Option<BarrierId> = None;
-
-        match op {
-            Op::Read(a) => {
-                let _ = rt.read(&mut self.memory, &ev, a);
-            }
-            Op::Write(a, v) => rt.write(&mut self.memory, &ev, a, v),
-            Op::Rmw(a, d) => {
-                let _ = rt.rmw(&mut self.memory, &ev, a, d);
-            }
-            Op::ReadArr { .. } => {
-                let a = arr_addr.expect("resolved above");
-                let _ = rt.read(&mut self.memory, &ev, a);
-            }
-            Op::WriteArr { val, .. } => {
-                let a = arr_addr.expect("resolved above");
-                rt.write(&mut self.memory, &ev, a, val);
-            }
-            Op::Lock(l) => {
-                self.locks[l.index()] = Some(t);
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::Unlock(l) => {
-                if self.locks[l.index()] != Some(t) {
-                    fault = Some(format!("{t} unlocked {l} it does not hold"));
-                } else {
-                    self.locks[l.index()] = None;
-                    wake_lock = Some(l);
-                    rt.after_sync(&mut self.memory, &ev);
-                }
-            }
-            Op::Signal(c) => {
-                self.sems[c.index()] += 1;
-                wake_cond = Some(c);
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::Wait(c) => {
-                debug_assert!(self.sems[c.index()] > 0);
-                self.sems[c.index()] -= 1;
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::ChanSend(ch) => {
-                debug_assert!(self.chans[ch.index()] < self.chan_caps[ch.index()]);
-                self.chans[ch.index()] += 1;
-                wake_chan = Some(TState::BlockedChanRecv(ch));
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::ChanRecv(ch) => {
-                debug_assert!(self.chans[ch.index()] > 0);
-                self.chans[ch.index()] -= 1;
-                wake_chan = Some(TState::BlockedChanSend(ch));
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::Spawn(u) => {
-                if self.states[u.index()] != TState::Parked {
-                    fault = Some(format!("{t} spawned non-parked thread {u}"));
-                } else {
-                    spawned = Some(u);
-                    rt.after_sync(&mut self.memory, &ev);
-                }
-            }
-            Op::Join(_) => {
-                rt.after_sync(&mut self.memory, &ev);
-            }
-            Op::Barrier(b) => {
-                self.barriers[b.index()].arrived.push((t, site));
-                if self.barriers[b.index()].arrived.len() as u32 == self.barrier_widths[b.index()] {
-                    barrier_release = Some(b);
-                } else {
-                    advance = false; // stays at the barrier op, blocked below
-                }
-            }
-            Op::Syscall(_) | Op::Compute(_) => {}
-            Op::TxBegin(_) | Op::TxEnd(_) | Op::LoopCutProbe(_) => {}
-        }
-        if !loop_free {
-            self.loop_stacks[ti] = stack;
-        }
-
-        if let Some(msg) = fault {
-            return Err(msg);
-        }
-        if let Some(u) = spawned {
-            self.states[u.index()] = TState::Runnable;
-            self.states_dirty = true;
-            self.maybe_finish(u, rt); // spawned thread may have an empty program
-        }
-        if let Some(l) = wake_lock {
-            for s in self.states.iter_mut() {
-                if *s == TState::BlockedLock(l) {
-                    *s = TState::Runnable;
-                    self.states_dirty = true;
-                }
-            }
-        }
-        if let Some(c) = wake_cond {
-            for s in self.states.iter_mut() {
-                if *s == TState::BlockedWait(c) {
-                    *s = TState::Runnable;
-                    self.states_dirty = true;
-                }
-            }
-        }
-        if let Some(blocked) = wake_chan {
-            for s in self.states.iter_mut() {
-                if *s == blocked {
-                    *s = TState::Runnable;
-                    self.states_dirty = true;
-                }
-            }
-        }
-
-        if let Some(b) = barrier_release {
-            let arrivals = std::mem::take(&mut self.barriers[b.index()].arrived);
-            rt.after_barrier(b, &arrivals);
-            for &(u, _) in &arrivals {
-                if u != t {
-                    debug_assert_eq!(self.states[u.index()], TState::BlockedBarrier(b));
-                    self.states[u.index()] = TState::Runnable;
-                    self.states_dirty = true;
-                    self.pcs[u.index()] += 1;
-                    self.maybe_finish(u, rt);
-                }
-            }
-            // `t` (the last arriver) advances normally below.
-        } else if !advance {
-            if let Op::Barrier(b) = op {
-                self.states[ti] = TState::BlockedBarrier(b);
+    /// Makes every thread blocked in state `blocked` runnable again.
+    fn wake(&mut self, blocked: TState) {
+        for s in self.states.iter_mut() {
+            if *s == blocked {
+                *s = TState::Runnable;
                 self.states_dirty = true;
             }
-            return Ok(());
         }
-
-        self.pcs[ti] = pc + 1;
-        self.maybe_finish(t, rt);
-        Ok(())
     }
 
     fn maybe_finish<R: Runtime>(&mut self, t: ThreadId, rt: &mut R) {
@@ -1069,6 +1059,81 @@ mod tests {
         // innermost index ignores outer frames
         assert_eq!(innermost_iteration_index(&[]), 0);
         assert_eq!(innermost_iteration_index(&[f(4, 2, 0), f(3, 2, 1)]), 1);
+    }
+
+    #[test]
+    fn every_kind_arm_builds_the_op_the_flattener_encoded() {
+        // The step builds each event's `Op` from the packed operands in
+        // its own `match` arm; the reference decoder must agree on every
+        // kind, markers and indexed accesses inside loops included.
+        use crate::flat::FlatProgram;
+        use crate::ids::RegionId;
+        use crate::ir::Stmt;
+
+        #[derive(Default)]
+        struct OpLog(Vec<(ThreadId, usize, SiteId, Op)>);
+        impl Runtime for OpLog {
+            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+                self.0.push((ev.thread, ev.pc, ev.site, ev.op));
+                Directive::Continue
+            }
+        }
+
+        let mut b = ProgramBuilder::new(2);
+        let x = b.var("x");
+        let arr = b.array("arr", 8);
+        let l = b.lock_id("l");
+        let c = b.cond_id("c");
+        let bar = b.barrier_id("bar");
+        let ch = b.chan_id("ch", 2);
+        b.thread(0)
+            .spawn(ThreadId(1))
+            .write(x, 77)
+            .read(x)
+            .rmw(x, 3)
+            .loop_n(3, |t| {
+                t.read_arr(arr, 8).write_arr(arr, 16, 5);
+            })
+            .lock(l)
+            .unlock(l)
+            .signal(c)
+            .send(ch)
+            .barrier(bar)
+            .compute(9)
+            .syscall(SyscallKind::Free)
+            .join(ThreadId(1));
+        b.thread(1).wait(c).recv(ch).barrier(bar);
+        let plain = b.build();
+        // Wrap thread 0 in the instrumentation markers.
+        let mut threads: Vec<Vec<Stmt>> =
+            (0..2).map(|t| plain.thread(ThreadId(t)).to_vec()).collect();
+        let marker = |site: u32, op| Stmt::Op {
+            site: SiteId(site),
+            op,
+        };
+        let n = plain.site_count();
+        threads[0].insert(0, marker(n, Op::TxBegin(RegionId(4))));
+        threads[0].push(marker(n + 1, Op::LoopCutProbe(LoopId(0))));
+        threads[0].push(marker(n + 2, Op::TxEnd(RegionId(4))));
+        let p = plain.with_transformed_threads(threads, n + 3);
+
+        let mut rt = OpLog::default();
+        let r = Machine::new(&p).run(&mut rt, &mut RandomSched::new(3));
+        assert_eq!(r.status, RunStatus::Done);
+        let flat = FlatProgram::from_program(&p);
+        let mut kinds = std::collections::BTreeSet::new();
+        for &(t, pc, site, op) in &rt.0 {
+            let th = &flat.threads[t.index()];
+            let instr = &th.code[pc];
+            assert_eq!(
+                (site, op),
+                (instr.site(), th.decode_op(instr)),
+                "{t} pc {pc}"
+            );
+            kinds.insert(instr.kind() as u8);
+        }
+        // Every operation kind ran (all but the two loop-control kinds).
+        assert_eq!(kinds.len(), InstrKind::LoopCutProbe as usize + 1 - 2);
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //! live in a per-thread `u64` operand pool ([`FlatThread::pool`])
 //! addressed by the `a` slot; jump targets are 32-bit. The packed form
 //! fits four instructions per 64-byte cache line where the old
-//! enum-of-[`Op`] layout fit one and a half — the interpreter decodes
-//! the [`Op`] back out per step ([`FlatThread::decode_op`]), which
-//! reconstructs values bit-identically, so RNG draws and detection
-//! outputs are unchanged.
+//! enum-of-[`Op`] layout fit one and a half.
+//!
+//! The interpreter executes this form directly. One interpreter step
+//! is one `match` on the [`InstrKind`] tag, and that arm does all of
+//! the step's work: it reads the operands (the `a` slot, or the pool
+//! words it points at), decides whether the op blocks, and runs the
+//! op's effect between the runtime hooks. Data and compute arms skip
+//! the wake, spawn, barrier and fault bookkeeping that only sync ops
+//! need. The [`Op`] the hooks see is built once per step, inside the
+//! arm, only for the [`crate::exec::OpEvent`]. It is bit-identical to
+//! the op the flattener consumed, so RNG draws and detection outputs do
+//! not depend on the packed layout.
 
-use crate::addr::Addr;
-use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
+use crate::ids::{LoopId, SiteId, ThreadId};
 use crate::ir::{Op, Program, Stmt, SyscallKind};
 
 /// Discriminates [`Instr`], ordered hot-first: the data accesses and
@@ -122,16 +129,25 @@ impl Instr {
     pub fn start(&self) -> usize {
         self.a as usize
     }
+
+    /// The `a` slot of a narrow-operand instruction: its lock, condition,
+    /// barrier, channel, thread, region or loop id, its compute units, or
+    /// its syscall code (see [`InstrKind`]).
+    #[inline]
+    pub(crate) fn arg(&self) -> u32 {
+        self.a
+    }
 }
 
-const SYSCALL_CODES: [SyscallKind; 4] = [
+/// Syscall kinds by wire code, shared by the flat and trace encodings.
+pub(crate) const SYSCALL_CODES: [SyscallKind; 4] = [
     SyscallKind::Io,
     SyscallKind::Alloc,
     SyscallKind::Free,
     SyscallKind::Other,
 ];
 
-fn syscall_code(k: SyscallKind) -> u32 {
+pub(crate) fn syscall_code(k: SyscallKind) -> u32 {
     SYSCALL_CODES
         .iter()
         .position(|&s| s == k)
@@ -149,17 +165,28 @@ pub struct FlatThread {
 }
 
 impl FlatThread {
+    /// The `N` pool words of a wide-operand instruction, in the order
+    /// its [`InstrKind`] lists them (address or base first).
+    #[inline]
+    pub(crate) fn words<const N: usize>(&self, i: &Instr) -> [u64; N] {
+        let at = i.a as usize;
+        self.pool[at..at + N]
+            .try_into()
+            .expect("a slice of length N")
+    }
+
     /// Reconstructs the structured [`Op`] an operation instruction
-    /// encodes. The decoded value is bit-identical to the op the
-    /// flattener consumed, so everything downstream of the interpreter
-    /// (detectors, cost model, RNG-draw sequence) is invariant under
-    /// the packed layout.
+    /// encodes: the reference decoder the interpreter's per-kind arms
+    /// are tested against.
     ///
     /// # Panics
     ///
     /// On loop-control instructions, which encode no [`Op`].
-    #[inline]
-    pub fn decode_op(&self, i: &Instr) -> Op {
+    #[cfg(test)]
+    pub(crate) fn decode_op(&self, i: &Instr) -> Op {
+        use crate::addr::Addr;
+        use crate::ids::{BarrierId, ChanId, CondId, LockId, RegionId};
+
         let p = &self.pool;
         let ai = i.a as usize;
         match i.kind {

@@ -67,13 +67,15 @@ pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
 pub use mem::{JournalMark, Memory, WriteJournal};
 pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
-pub use sched::{FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler};
+pub use sched::{
+    AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,
+};
 pub use summary::{
     dynamic_site_counts, summarize, ChanSiteUse, LockSet, Phase, ProgramSummary, SiteAccess,
 };
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
-    TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_THREADS,
+    TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_ADDR, MAX_LOG_THREADS,
 };
 
 /// A runtime that executes memory operations directly against memory with

@@ -46,6 +46,40 @@ impl Default for InterruptModel {
     }
 }
 
+impl InterruptModel {
+    /// Draws the interrupt hitting one step: one draw per non-zero
+    /// probability, context switch first.
+    #[inline]
+    fn draw(&self, rng: &mut StdRng) -> Option<InterruptKind> {
+        if self.context_switch_p > 0.0 && rng.gen::<f64>() < self.context_switch_p {
+            return Some(InterruptKind::ContextSwitch);
+        }
+        if self.transient_p > 0.0 && rng.gen::<f64>() < self.transient_p {
+            return Some(InterruptKind::Transient);
+        }
+        None
+    }
+}
+
+/// `x % n` without a hardware division for the runnable-set sizes that
+/// occur (`n <= 16`): each arm divides by a constant, which the compiler
+/// lowers to a multiply and shift, and the value is exactly `x % n`. A
+/// uniform pick from `n` threads is `reduce(rng.next_u64(), n)`, the same
+/// index `rng.gen_range(0..n)` draws, so interleavings stay bit-identical.
+#[inline(always)]
+fn reduce(x: u64, n: usize) -> usize {
+    macro_rules! by_constant {
+        ($($k:literal)*) => {
+            match n {
+                1 => 0,
+                $($k => x % $k,)*
+                _ => x % n as u64,
+            }
+        };
+    }
+    by_constant!(2 3 4 5 6 7 8 9 10 11 12 13 14 15 16) as usize
+}
+
 /// Chooses the next thread to run and injects interrupts.
 ///
 /// Implementations must be deterministic given their construction
@@ -76,8 +110,9 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
+    #[inline]
     fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
-        let t = runnable[self.counter % runnable.len()];
+        let t = runnable[reduce(self.counter as u64, runnable.len())];
         self.counter += 1;
         t
     }
@@ -131,35 +166,24 @@ impl RandomSched {
 }
 
 impl Scheduler for RandomSched {
+    #[inline]
     fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
-        if let Some(cur) = self.current {
-            if runnable.contains(&cur) && self.stickiness > 0.0 {
+        if self.stickiness > 0.0 {
+            if let Some(cur) = self.current.filter(|c| runnable.contains(c)) {
                 // Consume randomness deterministically regardless of outcome.
-                let stay: f64 = self.rng.gen();
-                if stay < self.stickiness {
+                if self.rng.gen::<f64>() < self.stickiness {
                     return cur;
                 }
             }
         }
-        let t = runnable[self.rng.gen_range(0..runnable.len())];
+        let t = runnable[reduce(self.rng.next_u64(), runnable.len())];
         self.current = Some(t);
         t
     }
 
+    #[inline]
     fn interrupt(&mut self, _t: ThreadId) -> Option<InterruptKind> {
-        if self.interrupts.context_switch_p > 0.0 {
-            let x: f64 = self.rng.gen();
-            if x < self.interrupts.context_switch_p {
-                return Some(InterruptKind::ContextSwitch);
-            }
-        }
-        if self.interrupts.transient_p > 0.0 {
-            let x: f64 = self.rng.gen();
-            if x < self.interrupts.transient_p {
-                return Some(InterruptKind::Transient);
-            }
-        }
-        None
+        self.interrupts.draw(&mut self.rng)
     }
 }
 
@@ -179,10 +203,13 @@ pub struct FairSched {
     jitter: f64,
     slack: u64,
     burst_budget: u64,
+    /// Picks per thread since the last window reset; covers every thread
+    /// id that has been runnable (an id never seen counts 0).
     counts: Vec<u64>,
     current: Option<ThreadId>,
-    picks: u64,
     window: u64,
+    /// Picks left until the counts reset; 0 when `window` is 0.
+    until_reset: u64,
     interrupts: InterruptModel,
 }
 
@@ -202,8 +229,8 @@ impl FairSched {
             burst_budget: 0,
             counts: Vec::new(),
             current: None,
-            picks: 0,
             window: 2000,
+            until_reset: 2000,
             interrupts: InterruptModel::NONE,
         }
     }
@@ -214,6 +241,7 @@ impl FairSched {
     /// just re-aligned). `0` disables forgetting.
     pub fn with_window(mut self, window: u64) -> Self {
         self.window = window;
+        self.until_reset = window;
         self
     }
 
@@ -233,94 +261,112 @@ impl FairSched {
         self.interrupts = m;
         self
     }
-
-    fn count_mut(&mut self, t: ThreadId) -> &mut u64 {
-        if self.counts.len() <= t.index() {
-            self.counts.resize(t.index() + 1, 0);
-        }
-        &mut self.counts[t.index()]
-    }
 }
 
 impl Scheduler for FairSched {
+    #[inline]
     fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
-        self.picks += 1;
-        if self.window > 0 && self.picks.is_multiple_of(self.window) {
-            self.counts.iter_mut().for_each(|c| *c = 0);
+        // Forget the counts every `window` picks, counting down rather
+        // than dividing a running pick count.
+        if self.until_reset != 0 {
+            self.until_reset -= 1;
+            if self.until_reset == 0 {
+                self.counts.fill(0);
+                self.until_reset = self.window;
+            }
+        }
+        // `runnable` is sorted, so its last id bounds every lookup below.
+        let top = runnable[runnable.len() - 1].index();
+        if self.counts.len() <= top {
+            self.counts.resize(top + 1, 0);
         }
         let pick = if self.jitter > 0.0 && self.rng.gen::<f64>() < self.jitter {
-            runnable[self.rng.gen_range(0..runnable.len())]
+            runnable[reduce(self.rng.next_u64(), runnable.len())]
         } else {
-            let count_of = |counts: &[u64], t: ThreadId| {
-                if counts.len() <= t.index() {
-                    0
-                } else {
-                    counts[t.index()]
-                }
-            };
-            // One pass computes both the minimum and the tie count; this
-            // runs on every pick, so it must not allocate or rescan.
-            let mut min = u64::MAX;
-            let mut ties = 0usize;
-            for &t in runnable {
-                let c = count_of(&self.counts, t);
-                if c < min {
-                    min = c;
-                    ties = 1;
-                } else if c == min {
-                    ties += 1;
-                }
-            }
+            let counts = &self.counts;
+            let count = |t: &ThreadId| counts[t.index()];
+            // Minimum and tie count in passes that select and add but do
+            // not branch on the counts.
+            let min = runnable
+                .iter()
+                .map(count)
+                .min()
+                .expect("runnable is never empty");
+            let ties = runnable.iter().filter(|t| count(t) == min).count();
             // Burst mode: stay on the current thread until it is `slack`
             // ahead of the least-run thread; then (and with slack 0) run
             // the least-run thread, ties broken randomly.
-            let stay = self.current.filter(|&c| {
-                self.slack > 0
-                    && runnable.contains(&c)
-                    && count_of(&self.counts, c) <= min + self.burst_budget
+            let stay = self.current.filter(|c| {
+                self.slack > 0 && runnable.contains(c) && count(c) <= min + self.burst_budget
             });
-            match stay {
-                Some(c) => c,
-                None => {
-                    // Each burst gets a fresh random length in [1, slack],
-                    // so relative thread positions oscillate with random
-                    // amplitude and phase (bounded by `slack`).
-                    if self.slack > 0 {
-                        self.burst_budget = self.rng.gen_range(1..=self.slack);
-                    }
-                    // Tie-break uniformly without materializing the tie
-                    // list: draw an index, then find it.
-                    let k = self.rng.gen_range(0..ties);
-                    runnable
-                        .iter()
-                        .copied()
-                        .filter(|&t| count_of(&self.counts, t) == min)
-                        .nth(k)
-                        .expect("k < tie count")
+            if let Some(c) = stay {
+                c
+            } else {
+                // Each burst gets a fresh random length in [1, slack],
+                // so relative thread positions oscillate with random
+                // amplitude and phase (bounded by `slack`).
+                if self.slack > 0 {
+                    self.burst_budget = self.rng.gen_range(1..=self.slack);
                 }
+                // The k-th tie, selected without materializing the tie
+                // list or branching on which threads tie.
+                let k = reduce(self.rng.next_u64(), ties);
+                let mut seen = 0;
+                let mut pick = runnable[0];
+                for &t in runnable {
+                    let tie = counts[t.index()] == min;
+                    pick = if tie & (seen == k) { t } else { pick };
+                    seen += usize::from(tie);
+                }
+                pick
             }
         };
-        *self.count_mut(pick) += 1;
+        self.counts[pick.index()] += 1;
         self.current = Some(pick);
         pick
     }
 
+    #[inline]
     fn interrupt(&mut self, _t: ThreadId) -> Option<InterruptKind> {
-        if self.interrupts.context_switch_p > 0.0 {
-            let x: f64 = self.rng.gen();
-            if x < self.interrupts.context_switch_p {
-                return Some(InterruptKind::ContextSwitch);
-            }
-        }
-        if self.interrupts.transient_p > 0.0 {
-            let x: f64 = self.rng.gen();
-            if x < self.interrupts.transient_p {
-                return Some(InterruptKind::Transient);
-            }
-        }
-        None
+        self.interrupts.draw(&mut self.rng)
     }
 }
+
+/// One of the three shipped schedulers as a concrete type, so a run is
+/// dispatched with a `match` the optimizer sees through (every step takes
+/// the same arm) instead of a call through a vtable.
+#[derive(Debug, Clone)]
+pub enum AnySched {
+    /// [`RoundRobin`].
+    RoundRobin(RoundRobin),
+    /// [`RandomSched`].
+    Random(RandomSched),
+    /// [`FairSched`].
+    Fair(FairSched),
+}
+
+impl Scheduler for AnySched {
+    #[inline]
+    fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
+        match self {
+            AnySched::RoundRobin(s) => s.next(runnable),
+            AnySched::Random(s) => s.next(runnable),
+            AnySched::Fair(s) => s.next(runnable),
+        }
+    }
+
+    #[inline]
+    fn interrupt(&mut self, t: ThreadId) -> Option<InterruptKind> {
+        match self {
+            AnySched::RoundRobin(s) => s.interrupt(t),
+            AnySched::Random(s) => s.interrupt(t),
+            AnySched::Fair(s) => s.interrupt(t),
+        }
+    }
+}
+
+#[cfg(test)]
+mod model;
 
 #[cfg(test)]
 mod tests {
@@ -328,6 +374,27 @@ mod tests {
 
     fn tids(v: &[u32]) -> Vec<ThreadId> {
         v.iter().map(|&i| ThreadId(i)).collect()
+    }
+
+    #[test]
+    fn reduce_is_exactly_the_remainder() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let edges = [
+            0,
+            1,
+            15,
+            16,
+            17,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let draws: Vec<u64> = (0..2000).map(|_| rng.next_u64()).collect();
+        for n in 1..=40usize {
+            for &x in edges.iter().chain(&draws) {
+                assert_eq!(reduce(x, n), (x % n as u64) as usize, "{x} % {n}");
+            }
+        }
     }
 
     #[test]

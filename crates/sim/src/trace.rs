@@ -13,6 +13,7 @@
 
 use crate::addr::Addr;
 use crate::exec::{Directive, OpEvent, RunResult, RunStatus, Runtime, StepLimit};
+use crate::flat::{syscall_code, SYSCALL_CODES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
 use crate::ir::{Op, Program, SyscallKind};
 use crate::mem::Memory;
@@ -125,20 +126,6 @@ pub struct TraceEvent {
     pub site: SiteId,
     /// Kind-specific payload — see [`TraceEventKind`].
     pub arg: u64,
-}
-
-const SYSCALL_CODES: [SyscallKind; 4] = [
-    SyscallKind::Io,
-    SyscallKind::Alloc,
-    SyscallKind::Free,
-    SyscallKind::Other,
-];
-
-fn syscall_code(k: SyscallKind) -> u64 {
-    SYSCALL_CODES
-        .iter()
-        .position(|&s| s == k)
-        .expect("every SyscallKind has a code") as u64
 }
 
 /// Loop-weighted static operation counts of a program, by base-cost
@@ -300,7 +287,12 @@ impl TraceConsumer for EventLogBuilder {
     }
 
     fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        self.push(TraceEventKind::Syscall, t, site, syscall_code(kind));
+        self.push(
+            TraceEventKind::Syscall,
+            t,
+            site,
+            u64::from(syscall_code(kind)),
+        );
     }
 
     fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
@@ -431,7 +423,10 @@ impl EventLog {
     /// truncation, invalid event kind or syscall code, a barrier release
     /// that indexes past the side table, a thread count of zero or above
     /// [`MAX_LOG_THREADS`], a thread id — executing thread, spawned or
-    /// joined child, barrier arrival — at or above the thread count).
+    /// joined child, barrier arrival — at or above the thread count, a
+    /// lock, condition, barrier or channel id or a compute count that does
+    /// not fit `u32`, an access or final-memory address at or above
+    /// [`MAX_LOG_ADDR`]).
     /// Every log this accepts replays without panicking. Cache readers
     /// treat any error as a miss and re-record.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
@@ -495,6 +490,28 @@ impl EventLog {
                 }
                 TraceEventKind::Spawn | TraceEventKind::Join => in_range(e.arg, "child")?,
                 TraceEventKind::BarrierRelease => max_release = max_release.max(Some(e.arg)),
+                TraceEventKind::Read | TraceEventKind::Write | TraceEventKind::Rmw
+                    if e.arg >= MAX_LOG_ADDR =>
+                {
+                    return Err(format!(
+                        "access address {:#x} at or above {MAX_LOG_ADDR:#x}",
+                        e.arg
+                    ));
+                }
+                // Replay narrows these to 32-bit ids (or unit counts); a
+                // wider value would alias another id.
+                TraceEventKind::Acquire
+                | TraceEventKind::Release
+                | TraceEventKind::Signal
+                | TraceEventKind::Wait
+                | TraceEventKind::BarrierArrive
+                | TraceEventKind::ChanSend
+                | TraceEventKind::ChanRecv
+                | TraceEventKind::Compute
+                    if e.arg > u64::from(u32::MAX) =>
+                {
+                    return Err(format!("{kind:?} argument {} does not fit u32", e.arg));
+                }
                 _ => {}
             }
             events.push(e);
@@ -518,6 +535,11 @@ impl EventLog {
         for _ in 0..n_cells {
             let a = Addr(c.u64()?);
             let v = c.u64()?;
+            if a.0 >= MAX_LOG_ADDR {
+                return Err(format!(
+                    "memory cell address {a} at or above {MAX_LOG_ADDR:#x}"
+                ));
+            }
             memory.store(a, v);
         }
         if c.pos != bytes.len() {
@@ -773,7 +795,7 @@ impl AccessPartition {
 /// are schedule-invisible, any pure-observer detector replayed from the
 /// returned log produces exactly what it would have produced live under
 /// the same scheduler state.
-pub fn record_run(p: &Program, sched: &mut dyn Scheduler, limit: StepLimit) -> EventLog {
+pub fn record_run<S: Scheduler + ?Sized>(p: &Program, sched: &mut S, limit: StepLimit) -> EventLog {
     let mut rt = Live::new(EventLogBuilder::new());
     let mut machine = crate::exec::Machine::new(p);
     let result = machine.run_with_limit(&mut rt, sched, limit);
@@ -939,6 +961,15 @@ pub const LOG_VERSION: u64 = 2;
 /// programs 3; the cap leaves two orders of magnitude of headroom.
 pub const MAX_LOG_THREADS: u64 = 1024;
 
+/// One past the highest address a serialized log may name, in an access
+/// event or a final-memory cell. [`Memory`] and the detectors' shadow
+/// tables keep a page table with one 8-byte slot per 4096 addresses of
+/// span, so an unchecked address is an allocation of attacker-chosen size
+/// (a single cell at `1 << 60` asks for 2^48 slots); at this bound a page
+/// table is at most 8 MiB. The bundled workloads stay far below it (a
+/// test pins that).
+pub const MAX_LOG_ADDR: u64 = 1 << 32;
+
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -1099,7 +1130,7 @@ mod tests {
             self.0.push((12, t.0, s.0, u64::from(n)));
         }
         fn syscall(&mut self, t: ThreadId, s: SiteId, k: crate::ir::SyscallKind) {
-            self.0.push((13, t.0, s.0, syscall_code(k)));
+            self.0.push((13, t.0, s.0, u64::from(syscall_code(k))));
         }
         fn thread_done(&mut self, t: ThreadId) {
             self.0.push((14, t.0, 0, 0));
@@ -1427,6 +1458,79 @@ mod tests {
         );
         assert!(decode_patched(&bytes, event_thread(0), &(threads - 1).to_le_bytes()).is_ok());
         assert!(decode_patched(&bytes, first_arrival, &(threads - 1).to_le_bytes()).is_ok());
+    }
+
+    /// Byte offset, in `log.to_bytes()`, of the arg of the first event
+    /// of `kind`: past the 80-byte header, events are 17 bytes (kind,
+    /// thread, site, arg).
+    fn first_arg_of(log: &EventLog, bytes: &[u8], kind: TraceEventKind) -> usize {
+        let i = log.events().iter().position(|e| e.kind == kind).unwrap();
+        let at = 80 + 17 * i + 9;
+        assert_eq!(bytes[at - 9], kind as u8, "offset of {kind:?}");
+        at
+    }
+
+    #[test]
+    fn narrow_event_args_must_fit_u32() {
+        // Replay narrows these args to u32 ids: lock 2^32 + 5 must not
+        // decode as lock 5.
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        for kind in [
+            TraceEventKind::Acquire,
+            TraceEventKind::Release,
+            TraceEventKind::Signal,
+            TraceEventKind::Wait,
+            TraceEventKind::BarrierArrive,
+            TraceEventKind::ChanSend,
+            TraceEventKind::ChanRecv,
+            TraceEventKind::Compute,
+        ] {
+            let at = first_arg_of(&log, &bytes, kind);
+            let arg = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+            let aliased = (1u64 << 32) + arg;
+            let err = decode_patched(&bytes, at, &aliased.to_le_bytes()).unwrap_err();
+            assert!(err.contains("does not fit u32"), "{kind:?}: {err}");
+            let widest = u64::from(u32::MAX).to_le_bytes();
+            assert!(decode_patched(&bytes, at, &widest).is_ok(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn access_addresses_are_bounded() {
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        for kind in [
+            TraceEventKind::Read,
+            TraceEventKind::Write,
+            TraceEventKind::Rmw,
+        ] {
+            let at = first_arg_of(&log, &bytes, kind);
+            for bad in [MAX_LOG_ADDR, 1 << 60] {
+                let err = decode_patched(&bytes, at, &bad.to_le_bytes()).unwrap_err();
+                assert!(err.contains("access address"), "{kind:?}: {err}");
+            }
+            let last = (MAX_LOG_ADDR - 1).to_le_bytes();
+            assert!(decode_patched(&bytes, at, &last).is_ok(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn final_memory_addresses_are_bounded() {
+        // One cell at 1 << 60 used to make `Memory::store` grow its page
+        // table to 2^48 slots and abort the process.
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        // The last cell is the final 16 bytes: address, then value.
+        let last_cell = bytes.len() - 16;
+        let (a, _) = log.final_memory().iter().last().unwrap();
+        assert_eq!(bytes[last_cell..last_cell + 8], a.0.to_le_bytes());
+        for bad in [MAX_LOG_ADDR, 1 << 60] {
+            let err = decode_patched(&bytes, last_cell, &bad.to_le_bytes()).unwrap_err();
+            assert!(err.contains("memory cell address"), "{bad:#x}: {err}");
+        }
+        let top = decode_patched(&bytes, last_cell, &(MAX_LOG_ADDR - 1).to_le_bytes()).unwrap();
+        assert_eq!(top.final_memory().len(), log.final_memory().len());
     }
 
     #[test]

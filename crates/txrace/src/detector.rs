@@ -5,8 +5,8 @@
 use txrace_hb::{RaceSet, ShadowMode};
 use txrace_htm::{HtmConfig, HtmStats};
 use txrace_sim::{
-    EventLog, FairSched, InterruptModel, Live, Machine, Program, RandomSched, RoundRobin,
-    RunResult, RunStatus, Scheduler, StepLimit, TraceConsumer,
+    AnySched, EventLog, FairSched, InterruptModel, Live, Machine, Program, RandomSched, RoundRobin,
+    RunResult, RunStatus, StepLimit, TraceConsumer,
 };
 
 use crate::baselines::TsanConsumer;
@@ -256,15 +256,17 @@ impl Detector {
         &self.cfg
     }
 
-    fn make_sched(&self, seed: u64) -> Box<dyn Scheduler> {
+    /// The configured scheduler on `seed`, as a concrete type so every
+    /// run's interpreter loop calls it directly.
+    fn make_sched(&self, seed: u64) -> AnySched {
         match self.cfg.sched {
-            SchedKind::RoundRobin => Box::new(RoundRobin::new()),
-            SchedKind::Random { stickiness } => Box::new(
+            SchedKind::RoundRobin => AnySched::RoundRobin(RoundRobin::new()),
+            SchedKind::Random { stickiness } => AnySched::Random(
                 RandomSched::new(seed)
                     .with_interrupts(self.cfg.interrupts)
                     .with_stickiness(stickiness),
             ),
-            SchedKind::Fair { jitter, slack } => Box::new(
+            SchedKind::Fair { jitter, slack } => AnySched::Fair(
                 FairSched::new(seed, jitter)
                     .with_slack(slack)
                     .with_interrupts(self.cfg.interrupts),
@@ -371,7 +373,7 @@ impl Detector {
         let mut engine = TxRaceEngine::new(ip, cfg);
         let mut machine = Machine::new(&ip.program);
         let mut sched = self.make_sched(profile_seed);
-        let _ = machine.run_with_limit(&mut engine, sched.as_mut(), self.limit());
+        let _ = machine.run_with_limit(&mut engine, &mut sched, self.limit());
         engine.loopcut_profile()
     }
 
@@ -454,7 +456,7 @@ impl Detector {
         let mut engine = TxRaceEngine::new(ip, cfg);
         let mut machine = Machine::new(&ip.program);
         let mut sched = self.make_sched(self.cfg.seed);
-        let run = machine.run_with_limit(&mut engine, sched.as_mut(), self.limit());
+        let run = machine.run_with_limit(&mut engine, &mut sched, self.limit());
         let baseline_cycles = self.cfg.cost.baseline_cycles(&ip.program);
         let breakdown = engine.breakdown();
         let telemetry = engine.take_telemetry();
@@ -477,7 +479,7 @@ impl Detector {
         let mut rt = Live::new(consumer);
         let mut machine = Machine::new(program);
         let mut sched = self.make_sched(self.cfg.seed);
-        let run = machine.run_with_limit(&mut rt, sched.as_mut(), self.limit());
+        let run = machine.run_with_limit(&mut rt, &mut sched, self.limit());
         consumer = rt.into_inner();
         self.tsan_outcome(
             consumer,
@@ -565,7 +567,7 @@ impl Detector {
                 .join("\n")
         );
         let mut sched = self.make_sched(self.cfg.seed);
-        txrace_sim::record_run(program, sched.as_mut(), self.limit())
+        txrace_sim::record_run(program, &mut sched, self.limit())
     }
 
     /// Builds the configured scheme's trace consumer for `program` —

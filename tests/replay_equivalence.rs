@@ -12,7 +12,10 @@
 use proptest::prelude::*;
 use txrace::{Detector, RunConfig, RunOutcome, Scheme};
 use txrace_hb::{FastTrack, Lockset, ShadowMode, VectorClockDetector};
-use txrace_sim::{record_run, FairSched, Live, Machine, Program, StepLimit, TraceConsumer};
+use txrace_sim::{
+    record_run, EventLog, FairSched, Live, Machine, Program, StepLimit, TraceConsumer,
+    TraceEventKind, MAX_LOG_ADDR,
+};
 use txrace_workloads::{all_workloads, random_program, GenConfig};
 
 /// Asserts every field of the outcome that replay promises to reproduce.
@@ -58,6 +61,38 @@ fn check_detector_schemes(app: &str, p: &Program, cfg_of: impl Fn(Scheme) -> Run
 fn all_workloads_replay_identically() {
     for w in all_workloads(4) {
         check_detector_schemes(w.name, &w.program, |scheme| w.config(scheme, 42));
+    }
+}
+
+/// The decoder's address bound rejects hostile logs; it must never reject
+/// a real one. Every shipped workload, at the evaluated widths, records
+/// accesses and final memory far below it and round-trips through the
+/// byte encoding.
+#[test]
+fn shipped_workload_logs_stay_below_the_decode_bounds() {
+    for workers in [4, 8] {
+        for w in all_workloads(workers) {
+            let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
+            let accesses = log.events().iter().filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceEventKind::Read | TraceEventKind::Write | TraceEventKind::Rmw
+                )
+            });
+            let top = accesses
+                .map(|e| e.arg)
+                .chain(log.final_memory().iter().map(|(a, _)| a.0))
+                .max()
+                .unwrap_or(0);
+            assert!(
+                top < MAX_LOG_ADDR / 16,
+                "{} at {workers} workers: address {top:#x} within 16x of MAX_LOG_ADDR",
+                w.name
+            );
+            let decoded = EventLog::from_bytes(&log.to_bytes())
+                .unwrap_or_else(|e| panic!("{} at {workers} workers: {e}", w.name));
+            assert_eq!(decoded.events(), log.events(), "{}", w.name);
+        }
     }
 }
 
