@@ -22,7 +22,7 @@ use txrace_sim::fan_out;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let mut args = std::env::args().skip(1);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 

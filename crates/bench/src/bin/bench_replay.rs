@@ -50,8 +50,8 @@ use std::time::Instant;
 
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunOutcome, Scheme};
 use txrace_bench::{
-    geomean, json_rows, pool_width, record_workload, replay_scheme, replay_schemes_fanout,
-    run_scheme, JsonValue,
+    geomean, json_rows, pool_width, rate_sweep, record_workload, replay_scheme,
+    replay_schemes_fanout, run_scheme, JsonValue, RACY_APPS,
 };
 use txrace_hb::{FastTrack, RaceReport, ShadowMode, VectorClockDetector};
 use txrace_sim::{fan_out, par_map, EventLog};
@@ -62,18 +62,6 @@ const REPS: u32 = 3;
 
 /// Threads every app runs at.
 const APP_THREADS: usize = 4;
-
-const RACY_APPS: &[&str] = &[
-    "fluidanimate",
-    "vips",
-    "raytrace",
-    "ferret",
-    "x264",
-    "bodytrack",
-    "facesim",
-    "streamcluster",
-    "canneal",
-];
 
 /// One figure's pure-observer sweep: `schemes` evaluated on every
 /// `(workload, seed)` unit.
@@ -147,16 +135,6 @@ fn fanned(spec: &FigSpec, workers: usize) -> Vec<CellResult> {
                 .collect::<Vec<_>>()
         })
         .collect()
-}
-
-/// Full TSan plus sampling TSan at rates 0.0, 0.1, ..., 1.0: the twelve
-/// configurations of Figures 12 and 13 and of the sweep.
-fn rate_sweep() -> Vec<Scheme> {
-    let mut schemes = vec![Scheme::Tsan];
-    schemes.extend((0..=10).map(|tenths| Scheme::TsanSampling {
-        rate: f64::from(tenths) / 10.0,
-    }));
-    schemes
 }
 
 fn tsan_consumer(w: &Workload, scheme: Scheme, seed: u64) -> PanelConsumer {
@@ -374,7 +352,7 @@ fn panel(w: &Workload, log: &EventLog, seed: u64, workers: usize, rows: &mut Row
 }
 
 fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let mut args = std::env::args().skip(1);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 

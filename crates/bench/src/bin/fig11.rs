@@ -8,24 +8,14 @@
 //! ```
 
 use txrace::{recall, Scheme};
-use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_bench::{
+    pool_width, record_workload, replay_schemes_fanout, run_scheme, Table, RACY_APPS,
+};
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
-const RACY_APPS: &[&str] = &[
-    "fluidanimate",
-    "vips",
-    "raytrace",
-    "ferret",
-    "x264",
-    "bodytrack",
-    "facesim",
-    "streamcluster",
-    "canneal",
-];
-
 fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let mut args = std::env::args().skip(1);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 

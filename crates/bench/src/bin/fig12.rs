@@ -8,11 +8,13 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_bench::{
+    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Table,
+};
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let mut args = std::env::args().skip(1);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
 
@@ -25,11 +27,7 @@ fn main() {
     // concurrently). Only TxRace re-executes (it steers the run, so it
     // cannot consume a fixed trace).
     let log = record_workload(&w, seed);
-    let mut schemes = vec![Scheme::Tsan];
-    schemes.extend((0..=100).step_by(10).map(|pct| Scheme::TsanSampling {
-        rate: pct as f64 / 100.0,
-    }));
-    let outs = replay_schemes_fanout(&w, &log, &schemes, seed, pool_width());
+    let outs = replay_schemes_fanout(&w, &log, &rate_sweep(), seed, pool_width());
     let full = &outs[0];
     let full_extra = (full.overhead - 1.0).max(1e-9);
 

@@ -13,12 +13,14 @@
 //! probabilistic).
 
 use txrace::{recall, Scheme};
-use txrace_bench::{pool_width, record_workload, replay_schemes_fanout, run_scheme, Table};
+use txrace_bench::{
+    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Table,
+};
 use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = txrace_bench::args_after_cache_flag().into_iter();
+    let mut args = std::env::args().skip(1);
     let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
     let nseeds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
 
@@ -35,10 +37,7 @@ fn main() {
     // consumers, one concurrent log walk. Recall is computed against the
     // truth consumer of the same pass.
     let pcts: Vec<u64> = (0..=100).step_by(10).collect();
-    let mut schemes = vec![Scheme::Tsan];
-    schemes.extend(pcts.iter().map(|&pct| Scheme::TsanSampling {
-        rate: pct as f64 / 100.0,
-    }));
+    let schemes = rate_sweep();
     // per_seed[si] = (truth races, recall of each rate) under seed `si`.
     let per_seed: Vec<(txrace_hb::RaceSet, Vec<f64>)> = seeds
         .iter()

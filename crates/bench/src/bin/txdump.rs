@@ -1,19 +1,19 @@
 //! Records a workload into an event trace and pretty-prints it — the
 //! debugging companion of the record/replay pipeline. What this prints is
 //! exactly the stream every pure-observer detector consumes, so a
-//! surprising race report can be traced event by event.
+//! surprising race report can be traced event by event. Each invocation
+//! records the workload afresh, in process; no trace is read from or
+//! written to disk.
 //!
 //! ```text
 //! txdump <app> [--seed <n>] [--workers <n>] [--thread <t>]
 //!              [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats]
 //!              [--sites] [--epochs] [--budget <x>]
-//!              [--no-trace-cache]
-//! txdump --cache-clear
 //! ```
 //!
-//! `--stats` prints per-kind event counts, the app's write density, the
-//! top-N hottest addresses (N from `--head`, default 10), and the
-//! on-disk trace-cache footprint instead of the event stream.
+//! `--stats` prints per-kind event counts, per-channel traffic, the
+//! app's write density, and the top-N hottest addresses (N from
+//! `--head`, default 10) instead of the event stream.
 //!
 //! `--sites` skips recording entirely and prints the static analysis
 //! view: every data site with its flow-insensitive (`Full`) and
@@ -25,11 +25,6 @@
 //! telemetry the controller steered by: the active knob values, abort
 //! counts, check/elision totals, the tsan/htm cycle split, and the
 //! cumulative modeled overhead at each epoch boundary.
-//!
-//! `--cache-clear` (no app needed) wipes `target/trace-cache` and
-//! reports what was removed. The cache is also bounded automatically:
-//! set `TXRACE_TRACE_CACHE_MAX_BYTES` and every recording binary evicts
-//! oldest entries after each store until the cache fits.
 //!
 //! Kinds: `read write rmw acquire release signal wait spawn join
 //! barrier-arrive barrier-release thread-done compute syscall
@@ -49,9 +44,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  txdump <app> [--seed <n>] [--workers <n>] [--thread <t>] \
          [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats] \
-         [--sites] [--epochs] [--budget <x>] \
-         [--no-trace-cache]\n  \
-         txdump --cache-clear"
+         [--sites] [--epochs] [--budget <x>]"
     );
     std::process::exit(2);
 }
@@ -162,18 +155,6 @@ fn print_stats(log: &EventLog, top_n: usize) {
     for (addr, (r, w)) in hottest.into_iter().take(top_n) {
         println!("  {:#016x} {r:>9} {w:>9} {:>9}", addr, r + w);
     }
-
-    let cache = txrace_bench::cache_stats();
-    println!("\ntrace cache (target/trace-cache):");
-    println!(
-        "  {} entries, {} bytes{}",
-        cache.entries,
-        cache.bytes,
-        match std::env::var("TXRACE_TRACE_CACHE_MAX_BYTES") {
-            Ok(cap) => format!(" (cap {cap})"),
-            Err(_) => " (uncapped; set TXRACE_TRACE_CACHE_MAX_BYTES)".to_string(),
-        }
-    );
 }
 
 /// `--sites`: the static analysis view of one workload — per-site
@@ -303,15 +284,7 @@ fn print_epochs(w: &txrace_workloads::Workload, seed: u64, budget: f64) {
 }
 
 fn main() {
-    let args: Vec<String> = txrace_bench::args_after_cache_flag();
-    if args.iter().any(|a| a == "--cache-clear") {
-        let removed = txrace_bench::clear_trace_cache();
-        println!(
-            "trace cache cleared: {} entries, {} bytes removed",
-            removed.entries, removed.bytes
-        );
-        return;
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app: Option<String> = None;
     let mut seed = 42u64;
     let mut workers = 4usize;

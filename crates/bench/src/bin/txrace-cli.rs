@@ -27,7 +27,7 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = txrace_bench::args_after_cache_flag();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("available workloads (paper Table 1 order):");

@@ -1,8 +1,42 @@
-//! The per-app evaluation driver shared by all table/figure binaries.
+//! The per-app evaluation driver shared by all table/figure binaries:
+//! live runs ([`run_scheme`], [`evaluate_app`]), the one in-process
+//! recorder ([`record_workload`]), and replay of a recording under one
+//! scheme or many ([`replay_scheme`], [`replay_schemes_fanout`]). A
+//! recording lives only as long as the process that made it; nothing is
+//! read from or written to disk.
+//!
+//! Also the two sweeps the sampling figures share: the racy-app list of
+//! Figure 11 ([`RACY_APPS`]) and the twelve TSan configurations of
+//! Figures 12 and 13 ([`rate_sweep`]).
 
 use txrace::{recall, Detector, LoopcutMode, RunOutcome, Scheme, TxRaceOpts};
 use txrace_sim::EventLog;
 use txrace_workloads::Workload;
+
+/// The nine applications where the paper reports at least one race: the
+/// rows of Figure 11, and the apps `bench_replay` sweeps.
+pub const RACY_APPS: &[&str] = &[
+    "fluidanimate",
+    "vips",
+    "raytrace",
+    "ferret",
+    "x264",
+    "bodytrack",
+    "facesim",
+    "streamcluster",
+    "canneal",
+];
+
+/// Full TSan plus sampling TSan at rates 0.0, 0.1, ..., 1.0: the twelve
+/// configurations of Figures 12 and 13. The full-TSan reference comes
+/// first; the sampling rates follow in ascending order.
+pub fn rate_sweep() -> Vec<Scheme> {
+    let mut schemes = vec![Scheme::Tsan];
+    schemes.extend((0..=10).map(|tenths| Scheme::TsanSampling {
+        rate: f64::from(tenths) / 10.0,
+    }));
+    schemes
+}
 
 /// Options for one app evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -85,17 +119,7 @@ pub fn run_scheme(w: &Workload, scheme: Scheme, seed: u64) -> RunOutcome {
 /// only on the workload's scheduler policy and the seed — never on the
 /// detection scheme — so one recording serves every pure-observer scheme
 /// (TSan, all sampling rates, lockset) via [`replay_scheme`].
-///
-/// Recordings are memoized on disk under `target/trace-cache/` (see
-/// [`crate::cache`]); pass `--no-trace-cache` to a recording binary or
-/// set `TXRACE_NO_TRACE_CACHE` to always record fresh.
 pub fn record_workload(w: &Workload, seed: u64) -> EventLog {
-    crate::cache::load_or_record(w, seed, || record_workload_uncached(w, seed))
-}
-
-/// [`record_workload`] without the on-disk cache: always re-interprets
-/// the program.
-pub fn record_workload_uncached(w: &Workload, seed: u64) -> EventLog {
     Detector::new(w.config(Scheme::Tsan, seed)).record(&w.program)
 }
 
@@ -158,6 +182,20 @@ mod tests {
     use txrace_workloads::by_name;
 
     #[test]
+    fn rate_sweep_is_full_tsan_then_eleven_rates() {
+        let schemes = rate_sweep();
+        assert_eq!(schemes.len(), 12);
+        assert!(matches!(schemes[0], Scheme::Tsan));
+        // The figures label each rate `pct%`; it must be `pct / 100` exactly.
+        for (pct, s) in (0..=100u32).step_by(10).zip(&schemes[1..]) {
+            match s {
+                Scheme::TsanSampling { rate } => assert_eq!(*rate, f64::from(pct) / 100.0),
+                other => panic!("{pct}%: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn evaluate_runs_both_detectors() {
         let w = by_name("blackscholes", 2).unwrap();
         let r = evaluate_app(&w, EvalOptions::default());
@@ -170,7 +208,7 @@ mod tests {
     #[test]
     fn fanout_replay_matches_serial_per_scheme() {
         let w = by_name("bodytrack", 2).unwrap();
-        let log = record_workload_uncached(&w, 7);
+        let log = record_workload(&w, 7);
         let schemes = [
             Scheme::Tsan,
             Scheme::TsanSampling { rate: 0.1 },

@@ -63,4 +63,3 @@ mod txn;
 
 pub use status::{AbortReason, AbortStatus};
 pub use system::{ConflictOracle, ConflictRecord, HtmConfig, HtmStats, HtmSystem, XbeginError};
-pub use txn::TxnState;

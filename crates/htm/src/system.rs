@@ -4,7 +4,7 @@
 use txrace_sim::{Addr, CacheLine, InterruptKind, Memory, ThreadId};
 
 use crate::status::{AbortReason, AbortStatus};
-use crate::txn::{Txn, TxnState};
+use crate::txn::Txn;
 
 /// Hardware parameters of the simulated HTM.
 ///
@@ -122,11 +122,6 @@ impl ConflictOracle {
     pub fn last(&self) -> Option<&ConflictRecord> {
         self.records.last()
     }
-
-    /// Clears the record log.
-    pub fn clear(&mut self) {
-        self.records.clear();
-    }
 }
 
 /// One hardware transaction context: the bookkeeping structure is owned
@@ -228,24 +223,9 @@ impl HtmSystem {
         &self.oracle
     }
 
-    /// Clears the oracle log.
-    pub fn oracle_clear(&mut self) {
-        self.oracle.clear();
-    }
-
     /// Number of transactions currently occupying hardware slots.
     pub fn active_txn_count(&self) -> usize {
         self.active
-    }
-
-    /// The state of thread `t`'s transaction slot.
-    pub fn txn_state(&self, t: ThreadId) -> TxnState {
-        let slot = &self.slots[t.index()];
-        if slot.in_flight {
-            slot.txn.state()
-        } else {
-            TxnState::Idle
-        }
     }
 
     /// True if `t` has a transaction in flight (active or doomed).

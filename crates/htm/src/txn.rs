@@ -13,18 +13,6 @@ use txrace_sim::{CacheLine, JournalMark, WriteJournal};
 
 use crate::status::AbortStatus;
 
-/// The lifecycle of one hardware transaction slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnState {
-    /// No transaction in flight.
-    Idle,
-    /// Transaction executing.
-    Active,
-    /// Transaction has been aborted by the hardware but the thread has not
-    /// yet observed it (it observes at its next access or at `xend`).
-    Doomed(AbortStatus),
-}
-
 /// A set of cache lines: one bit per raw line index plus the list of
 /// members in insertion order.
 #[derive(Debug, Clone, Default)]
@@ -111,13 +99,6 @@ pub(crate) struct Txn {
 }
 
 impl Txn {
-    pub(crate) fn state(&self) -> TxnState {
-        match self.doom {
-            Some(s) => TxnState::Doomed(s),
-            None => TxnState::Active,
-        }
-    }
-
     /// Total distinct lines in the footprint.
     pub(crate) fn footprint_lines(&self) -> usize {
         self.read_lines.len()
@@ -158,14 +139,6 @@ mod tests {
     }
 
     #[test]
-    fn state_reflects_doom() {
-        let mut t = Txn::default();
-        assert_eq!(t.state(), TxnState::Active);
-        t.doom = Some(AbortStatus::CAPACITY);
-        assert_eq!(t.state(), TxnState::Doomed(AbortStatus::CAPACITY));
-    }
-
-    #[test]
     fn line_set_insert_contains_clear() {
         let mut s = LineSet::default();
         assert!(s.insert(CacheLine(3)));
@@ -194,7 +167,7 @@ mod tests {
         t.doom = Some(AbortStatus::CAPACITY);
         t.accesses = 7;
         t.reset();
-        assert_eq!(t.state(), TxnState::Active);
+        assert_eq!(t.doom, None);
         assert_eq!(t.footprint_lines(), 0);
         assert_eq!(t.accesses, 0);
         assert!(t.set_occupancy.iter().all(|&o| o == 0));

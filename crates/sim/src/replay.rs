@@ -397,11 +397,6 @@ impl<C: TraceConsumer> Live<C> {
         &self.consumer
     }
 
-    /// Mutable access to the wrapped consumer.
-    pub fn consumer_mut(&mut self) -> &mut C {
-        &mut self.consumer
-    }
-
     /// Unwraps the consumer after the run.
     pub fn into_inner(self) -> C {
         self.consumer

@@ -1,9 +1,9 @@
 //! Execution tracing: the replayable [`EventLog`] that the record/replay
-//! pipeline is built on, plus the older [`Recording`] adapter that wraps
-//! an inner runtime for debugging and test assertions.
+//! pipeline is built on, and its one recorder, [`EventLogBuilder`].
 //!
 //! An [`EventLog`] is recorded in one interpreter pass (see
-//! [`record_run`]) and can then be replayed into any number of
+//! [`record_run`], which runs an [`EventLogBuilder`] inside [`Live`]) and
+//! can then be replayed into any number of
 //! [`TraceConsumer`]s — each replay observes the *identical* method-call
 //! sequence a live pure observer would have seen under the same seed, so
 //! detection results are bit-identical between the two paths. Logs are
@@ -12,67 +12,13 @@
 //! side table.
 
 use crate::addr::Addr;
-use crate::exec::{Directive, OpEvent, RunResult, RunStatus, Runtime, StepLimit};
+use crate::exec::{RunResult, RunStatus, StepLimit};
 use crate::flat::{syscall_code, SYSCALL_CODES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
 use crate::ir::{Op, Program, SyscallKind};
 use crate::mem::Memory;
 use crate::replay::{Live, TraceConsumer};
 use crate::sched::Scheduler;
-
-/// One recorded execution event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A shared-memory access the runtime observed. Note: transactional
-    /// runtimes may later roll an access back; the event is still
-    /// recorded (it reflects what the runtime saw, not the final
-    /// architectural history).
-    Access {
-        /// Global step at which it executed.
-        step: u64,
-        /// Executing thread.
-        thread: ThreadId,
-        /// Static site.
-        site: SiteId,
-        /// Resolved address.
-        addr: Addr,
-        /// True for writes and RMWs.
-        is_write: bool,
-    },
-    /// A synchronization operation that architecturally completed.
-    Sync {
-        /// Global step.
-        step: u64,
-        /// Executing thread.
-        thread: ThreadId,
-        /// Static site.
-        site: SiteId,
-        /// The operation.
-        op: Op,
-    },
-    /// A barrier released with the given participant count.
-    BarrierRelease {
-        /// The barrier.
-        barrier: BarrierId,
-        /// How many threads it released.
-        participants: usize,
-    },
-    /// A thread finished.
-    ThreadDone {
-        /// The thread.
-        thread: ThreadId,
-    },
-}
-
-impl Event {
-    /// The step of this event, if it carries one.
-    pub fn step(&self) -> Option<u64> {
-        match self {
-            Event::Access { step, .. } | Event::Sync { step, .. } => Some(*step),
-            _ => None,
-        }
-    }
-}
 
 /// Classifies one [`TraceEvent`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -810,140 +756,6 @@ pub fn record_run<S: Scheduler + ?Sized>(p: &Program, sched: &mut S, limit: Step
     }
 }
 
-/// Wraps an inner [`Runtime`] and records every event it observes.
-///
-/// ```
-/// use txrace_sim::{trace::Recording, DirectRuntime, Machine, ProgramBuilder, RoundRobin};
-///
-/// let mut b = ProgramBuilder::new(1);
-/// let x = b.var("x");
-/// b.thread(0).write(x, 1).read(x);
-/// let p = b.build();
-///
-/// let mut rt = Recording::new(DirectRuntime::default());
-/// let mut m = Machine::new(&p);
-/// m.run(&mut rt, &mut RoundRobin::new());
-/// assert_eq!(rt.events().len(), 3); // write, read, thread-done
-/// ```
-#[derive(Debug)]
-pub struct Recording<R> {
-    inner: R,
-    events: Vec<Event>,
-    limit: usize,
-}
-
-impl<R: Runtime> Recording<R> {
-    /// Records every event (up to a large default cap).
-    pub fn new(inner: R) -> Self {
-        Recording {
-            inner,
-            events: Vec::new(),
-            limit: 1 << 22,
-        }
-    }
-
-    /// Caps the number of recorded events (older events are kept; new ones
-    /// beyond the cap are dropped).
-    pub fn with_limit(mut self, limit: usize) -> Self {
-        self.limit = limit;
-        self
-    }
-
-    /// The recorded events, in execution order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-
-    /// Consumes the recorder, returning the inner runtime and the events.
-    pub fn into_parts(self) -> (R, Vec<Event>) {
-        (self.inner, self.events)
-    }
-
-    /// Steps at which `site` executed an access.
-    pub fn access_steps(&self, site: SiteId) -> Vec<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Access { step, site: s, .. } if *s == site => Some(*step),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn push(&mut self, e: Event) {
-        if self.events.len() < self.limit {
-            self.events.push(e);
-        }
-    }
-}
-
-impl<R: Runtime> Runtime for Recording<R> {
-    fn before_op(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-        self.inner.before_op(mem, ev)
-    }
-
-    fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: false,
-        });
-        self.inner.read(mem, ev, addr)
-    }
-
-    fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: true,
-        });
-        self.inner.write(mem, ev, addr, val);
-    }
-
-    fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
-        self.push(Event::Access {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            addr,
-            is_write: true,
-        });
-        self.inner.rmw(mem, ev, addr, delta)
-    }
-
-    fn after_sync(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) {
-        self.push(Event::Sync {
-            step: ev.step,
-            thread: ev.thread,
-            site: ev.site,
-            op: ev.op,
-        });
-        self.inner.after_sync(mem, ev);
-    }
-
-    fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.push(Event::BarrierRelease {
-            barrier: b,
-            participants: arrivals.len(),
-        });
-        self.inner.after_barrier(b, arrivals);
-    }
-
-    fn on_thread_done(&mut self, t: ThreadId) {
-        self.push(Event::ThreadDone { thread: t });
-        self.inner.on_thread_done(t);
-    }
-}
-
 /// `b"TXLOG\0\0\x01"` as a little-endian u64: identifies a serialized
 /// [`EventLog`].
 const LOG_MAGIC: u64 = u64::from_le_bytes(*b"TXLOG\0\0\x01");
@@ -1035,7 +847,18 @@ mod tests {
     use super::*;
     use crate::ir::ProgramBuilder;
     use crate::sched::RoundRobin;
-    use crate::{DirectRuntime, Machine, RunStatus};
+    use crate::{Machine, RunStatus};
+
+    /// The recorded events of `p` under round-robin scheduling.
+    fn round_robin_log(p: &Program) -> EventLog {
+        let log = record_run(p, &mut RoundRobin::new(), StepLimit::default());
+        assert_eq!(log.result().status, RunStatus::Done);
+        log
+    }
+
+    fn count(log: &EventLog, keep: impl Fn(&TraceEvent) -> bool) -> usize {
+        log.events().iter().filter(|e| keep(e)).count()
+    }
 
     #[test]
     fn records_accesses_and_sync_in_order() {
@@ -1045,45 +868,37 @@ mod tests {
         b.thread(0).lock(l).write_l(x, 1, "w").unlock(l);
         b.thread(1).read_l(x, "r");
         let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default());
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        assert_eq!(m.run(&mut rt, &mut s).status, RunStatus::Done);
+        let log = round_robin_log(&p);
 
-        let w = p.site("w").unwrap();
-        let r = p.site("r").unwrap();
-        assert_eq!(rt.access_steps(w).len(), 1);
-        assert_eq!(rt.access_steps(r).len(), 1);
-        let syncs = rt
+        let is_access = |e: &TraceEvent| {
+            matches!(
+                e.kind,
+                TraceEventKind::Read | TraceEventKind::Write | TraceEventKind::Rmw
+            )
+        };
+        for label in ["w", "r"] {
+            let site = p.site(label).unwrap();
+            assert_eq!(
+                count(&log, |e| is_access(e) && e.site == site),
+                1,
+                "{label}"
+            );
+        }
+        let syncs: Vec<TraceEventKind> = log
             .events()
             .iter()
-            .filter(|e| matches!(e, Event::Sync { .. }))
-            .count();
-        assert_eq!(syncs, 2, "lock and unlock");
-        let dones = rt
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::ThreadDone { .. }))
-            .count();
-        assert_eq!(dones, 2);
-        // Steps are nondecreasing.
-        let steps: Vec<u64> = rt.events().iter().filter_map(Event::step).collect();
-        assert!(steps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn limit_caps_recording() {
-        let mut b = ProgramBuilder::new(1);
-        let x = b.var("x");
-        b.thread(0).loop_n(100, |t| {
-            t.read(x);
-        });
-        let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default()).with_limit(10);
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        m.run(&mut rt, &mut s);
-        assert_eq!(rt.events().len(), 10);
+            .filter(|e| !is_access(e) && e.kind != TraceEventKind::ThreadDone)
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            syncs,
+            [TraceEventKind::Acquire, TraceEventKind::Release],
+            "lock and unlock"
+        );
+        for t in 0..2 {
+            let done = |e: &TraceEvent| e.kind == TraceEventKind::ThreadDone && e.thread.0 == t;
+            assert_eq!(count(&log, done), 1, "thread {t}");
+        }
     }
 
     // A consumer that fingerprints every call, order-sensitively.
@@ -1562,18 +1377,15 @@ mod tests {
             b.thread(t).read(x).barrier(bar);
         }
         let p = b.build();
-        let mut rt = Recording::new(DirectRuntime::default());
-        let mut m = Machine::new(&p);
-        let mut s = RoundRobin::new();
-        m.run(&mut rt, &mut s);
-        assert!(rt.events().iter().any(|e| matches!(
-            e,
-            Event::BarrierRelease {
-                participants: 2,
-                ..
-            }
-        )));
-        let (_inner, events) = rt.into_parts();
-        assert!(!events.is_empty());
+        let log = round_robin_log(&p);
+        let releases: Vec<&TraceEvent> = log
+            .events()
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::BarrierRelease)
+            .collect();
+        assert_eq!(releases.len(), 1);
+        let (released, arrivals) = log.barriers().release_arrivals(releases[0].arg);
+        assert_eq!(released, bar);
+        assert_eq!(arrivals.len(), 2, "both threads arrive before the release");
     }
 }

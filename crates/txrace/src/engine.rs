@@ -568,7 +568,7 @@ impl TxRaceEngine {
                 self.loopcut.on_txn_start(t);
                 // Subscribe to artificial aborts: every transaction reads
                 // TxFail first, so any non-transactional write to it dooms
-                // all in-flight transactions (strong isolation). Recording
+                // all in-flight transactions (strong isolation). Remembering
                 // the observed value keeps the origin/victim test below
                 // current — a stale value would misclassify a later direct
                 // conflict as an artificial abort and skip the TxFail

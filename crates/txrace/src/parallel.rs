@@ -38,29 +38,6 @@ pub enum PanelConsumer {
 }
 
 impl PanelConsumer {
-    /// A TSan panel member configured from the unified knob surface:
-    /// `knobs.sampling` selects between the full and sampling baselines
-    /// exactly as it does for [`crate::Detector`] runs, so a panel
-    /// sweep and a detector sweep driven by the same [`crate::Knobs`] measure
-    /// the same configuration.
-    pub fn tsan_from_knobs(
-        threads: usize,
-        cost: crate::cost::CostModel,
-        shadow_factor: f64,
-        shadow: txrace_hb::ShadowMode,
-        knobs: &crate::control::Knobs,
-        seed: u64,
-    ) -> Self {
-        PanelConsumer::Tsan(TsanConsumer::from_knobs(
-            threads,
-            cost,
-            shadow_factor,
-            shadow,
-            knobs,
-            seed,
-        ))
-    }
-
     /// Short stable name for JSON/report rows.
     pub fn kind_name(&self) -> &'static str {
         match self {
@@ -129,7 +106,7 @@ impl PanelConsumer {
     }
 }
 
-/// FNV-1a over `bytes` (matches the trace-cache key hash).
+/// FNV-1a over `bytes`.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -236,38 +213,6 @@ mod tests {
             other => panic!("order must be preserved, got {}", other.kind_name()),
         };
         assert_eq!(ls, serial_ls.reports());
-    }
-
-    #[test]
-    fn tsan_from_knobs_matches_direct_construction() {
-        use crate::control::Knobs;
-        use crate::cost::CostModel;
-
-        let (log, n) = racy_log();
-        // Full (sampling: None) and sampling (Some(rate)) knob configs
-        // must reproduce the directly-constructed baselines replay for
-        // replay.
-        for knobs in [Knobs::default(), Knobs::default().with_sampling(0.5)] {
-            let mut via_knobs = PanelConsumer::tsan_from_knobs(
-                n,
-                CostModel::default(),
-                1.0,
-                ShadowMode::Exact,
-                &knobs,
-                7,
-            );
-            let mut direct = PanelConsumer::Tsan(TsanConsumer::from_knobs(
-                n,
-                CostModel::default(),
-                1.0,
-                ShadowMode::Exact,
-                &knobs,
-                7,
-            ));
-            log.replay(&mut via_knobs);
-            log.replay(&mut direct);
-            assert_eq!(via_knobs.fingerprint(), direct.fingerprint());
-        }
     }
 
     #[test]
