@@ -175,14 +175,6 @@ impl FastTrack {
         &mut table[idx]
     }
 
-    /// Pre-sizes the shadow map's page table for addresses below
-    /// `addr_capacity` (from [`txrace_sim::Interner::addr_capacity`]), so
-    /// the hot path never grows the top level mid-run. Costs 8 bytes per
-    /// 4096 addresses of span.
-    pub fn reserve_addrs(&mut self, addr_capacity: usize) {
-        self.shadow_ids.reserve_span(addr_capacity);
-    }
-
     #[inline]
     fn shadow_mut<'a>(
         ids: &mut AddrMap,

@@ -171,23 +171,8 @@ impl HtmSystem {
         }
     }
 
-    /// Pre-sizes every slot's line bitsets and the per-line occupancy
-    /// counters for a program whose raw cache-line indices are below
-    /// `line_capacity` (available from `txrace_sim::Interner`), so the
-    /// hot path never grows a table's top level.
-    pub fn reserve_capacity(&mut self, line_capacity: usize) {
-        for slot in &mut self.slots {
-            slot.txn.read_lines.reserve(line_capacity);
-            slot.txn.write_lines.reserve(line_capacity);
-        }
-        if self.line_readers.len() < line_capacity {
-            self.line_readers.resize(line_capacity, 0);
-            self.line_writers.resize(line_capacity, 0);
-        }
-    }
-
-    /// Increments a per-line occupancy counter, growing the table for
-    /// lines beyond the reserved capacity.
+    /// Increments a per-line occupancy counter, growing the table on a
+    /// line's first touch.
     #[inline]
     fn bump(counts: &mut Vec<u32>, line: CacheLine) {
         let li = line.0 as usize;

@@ -4,8 +4,8 @@
 //! simulator — every transactional access tests and updates them, and
 //! every conflict scan probes them once per active transaction. They are
 //! therefore kept data-oriented: line membership is a bitset indexed
-//! directly by the raw cache-line index (the program's line space is
-//! dense, see `txrace_sim::intern`), paired with an insertion-ordered
+//! directly by the raw cache-line index (`VarLayout` allocates lines
+//! compactly, so the line space is dense), paired with an insertion-ordered
 //! list of touched lines so clearing costs O(footprint) instead of
 //! O(address space).
 
@@ -62,14 +62,6 @@ impl LineSet {
     pub(crate) fn clear(&mut self) {
         for l in self.members.drain(..) {
             self.words[l.0 as usize / 64] &= !(1 << (l.0 % 64));
-        }
-    }
-
-    /// Pre-sizes the bitset for raw line indices below `line_capacity`.
-    pub(crate) fn reserve(&mut self, line_capacity: usize) {
-        let words = line_capacity.div_ceil(64);
-        if self.words.len() < words {
-            self.words.resize(words, 0);
         }
     }
 }

@@ -2,19 +2,25 @@
 //! pluggable [`Runtime`] that observes every operation and owns all shared
 //! memory accesses.
 //!
-//! The runtime hook design mirrors how TxRace interposes on a real program:
+//! A [`Runtime`] is a [`TraceConsumer`] plus the hooks that let it steer
+//! execution, mirroring how TxRace interposes on a real program:
 //!
 //! * [`Runtime::before_op`] fires before each operation and may *roll the
 //!   thread back* to an earlier [`Snapshot`] — that is a transactional
 //!   abort: the program counter and loop state rewind, and whatever the
 //!   runtime buffered is discarded by the runtime itself.
-//! * [`Runtime::read`]/[`write`](Runtime::write)/[`rmw`](Runtime::rmw)
+//! * [`Runtime::load`]/[`store`](Runtime::store)/[`fetch_add`](Runtime::fetch_add)
 //!   delegate the architectural memory effect to the runtime, which can
 //!   buffer it (transactional fast path), check it (software slow path), or
 //!   apply it directly.
-//! * [`Runtime::after_sync`] fires once a synchronization operation has
-//!   architecturally completed (the lock is held, the wait is satisfied),
-//!   which is where happens-before clocks are updated.
+//! * Every executed operation is also delivered as its typed
+//!   [`TraceConsumer`] event, straight from the interpreter's `match` arm:
+//!   an access event just before its memory hook, a sync event once the
+//!   operation has architecturally completed (the lock is held, the wait
+//!   is satisfied), a barrier release after the arrivals that triggered
+//!   it, and a thread's termination. Instrumentation markers deliver no
+//!   event. A live run and a replayed log therefore feed a consumer one
+//!   identical stream.
 //!
 //! Blocking is handled by the interpreter: a thread that cannot acquire a
 //! lock (or whose `Wait`/`Join`/`Barrier` is not satisfied) blocks *without*
@@ -25,6 +31,7 @@ use crate::flat::{FlatProgram, InstrKind, SYSCALL_CODES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
 use crate::ir::{Op, Program};
 use crate::mem::Memory;
+use crate::replay::TraceConsumer;
 use crate::sched::{InterruptKind, Scheduler};
 
 /// One entry of a thread's loop stack: which loop, and how many iterations
@@ -37,18 +44,6 @@ pub struct LoopFrame {
     pub trips: u32,
     /// Iterations left, counting the one in progress.
     pub remaining: u32,
-}
-
-/// The row-major flat iteration index of the current loop nest: with
-/// frames outermost-first, `idx = ((i0 * n1) + i1) * n2 + i2 ...` where
-/// `i_k` is the zero-based iteration of frame `k`.
-pub fn flat_iteration_index(stack: &[LoopFrame]) -> u64 {
-    let mut idx = 0u64;
-    for f in stack {
-        let iter = u64::from(f.trips - f.remaining);
-        idx = idx * u64::from(f.trips) + iter;
-    }
-    idx
 }
 
 /// The zero-based iteration index of the *innermost* enclosing loop (0
@@ -118,49 +113,42 @@ pub enum Directive {
 /// Observes and mediates a program execution. See the module docs for the
 /// hook protocol.
 ///
-/// The memory-access hooks default to direct, unchecked access, so simple
-/// runtimes only override what they need.
-pub trait Runtime {
+/// The interpreter delivers every event of the run through the
+/// [`TraceConsumer`] supertrait, so a runtime tracks accesses, sync and
+/// thread termination with the same methods a replayed log drives. For a
+/// runtime that rolls back, the events of rolled-back work are delivered
+/// too: the accesses of an aborted transaction reach the consumer before
+/// the rollback, and again when they re-execute. Sync operations and
+/// system calls never run inside a transaction, so only access and
+/// compute events repeat.
+///
+/// Every hook has a default: no redirection, and direct, unchecked
+/// memory access. A pure observer overrides none of them.
+pub trait Runtime: TraceConsumer {
     /// Fired before every operation; may redirect control.
-    fn before_op(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive;
+    fn before_op(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+        let _ = (mem, ev);
+        Directive::Continue
+    }
 
     /// Performs a shared read, returning the value observed.
-    fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
+    fn load(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
         let _ = ev;
         mem.load(addr)
     }
 
     /// Performs a shared write.
-    fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
+    fn store(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
         let _ = ev;
         mem.store(addr, val);
     }
 
     /// Performs an atomic fetch-add, returning the previous value.
-    fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
+    fn fetch_add(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
         let _ = ev;
         let old = mem.load(addr);
         mem.store(addr, old.wrapping_add(delta));
         old
-    }
-
-    /// Fired after a synchronization operation architecturally completes
-    /// (`Lock` acquired, `Unlock`/`Signal` done, `Wait` satisfied,
-    /// `ChanSend`/`ChanRecv` performed, `Spawn` done, `Join` satisfied).
-    /// Not fired for barriers — see [`Runtime::after_barrier`].
-    fn after_sync(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) {
-        let _ = (mem, ev);
-    }
-
-    /// Fired once when a barrier releases, with every participant and the
-    /// site of its arrival, in arrival order.
-    fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        let _ = (b, arrivals);
-    }
-
-    /// Fired when a thread finishes its program.
-    fn on_thread_done(&mut self, t: ThreadId) {
-        let _ = t;
     }
 }
 
@@ -359,10 +347,11 @@ impl Machine {
     /// Executes thread `t`'s next instruction with one `match` on its
     /// packed kind. Each arm reads its operands straight from the
     /// instruction and the operand pool, decides blocking before any
-    /// hook fires, and runs the op's effect between the runtime hooks;
-    /// only the sync arms pay for waking, spawning, barrier release or
-    /// faults. Every arm that neither blocks nor rolls back falls through
-    /// to the shared `pc + 1` advance.
+    /// hook fires, and runs the op's effect after `before_op`, delivering
+    /// the op's typed event from the arm itself; only the sync arms pay
+    /// for waking, spawning, barrier release or faults. Every arm that
+    /// neither blocks nor rolls back falls through to the shared
+    /// `pc + 1` advance.
     fn step_thread<R: Runtime, S: Scheduler + ?Sized>(
         &mut self,
         t: ThreadId,
@@ -413,41 +402,50 @@ impl Machine {
         match instr.kind() {
             InstrKind::Read => {
                 let [a] = th.words(&instr);
-                hooked!(Op::Read(Addr(a)), |rt, mem, ev| {
-                    rt.read(mem, ev, Addr(a));
+                let a = Addr(a);
+                hooked!(Op::Read(a), |rt, mem, ev| {
+                    rt.read(t, site, a);
+                    rt.load(mem, ev, a);
                 });
             }
             InstrKind::Write => {
                 let [a, v] = th.words(&instr);
-                hooked!(Op::Write(Addr(a), v), |rt, mem, ev| rt.write(
-                    mem,
-                    ev,
-                    Addr(a),
-                    v
-                ));
+                let a = Addr(a);
+                hooked!(Op::Write(a, v), |rt, mem, ev| {
+                    rt.write(t, site, a);
+                    rt.store(mem, ev, a, v);
+                });
             }
             InstrKind::ReadArr => {
                 let [base, stride] = th.words(&instr);
                 let base = Addr(base);
                 let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
                 hooked!(Op::ReadArr { base, stride }, |rt, mem, ev| {
-                    rt.read(mem, ev, a);
+                    rt.read(t, site, a);
+                    rt.load(mem, ev, a);
                 });
             }
             InstrKind::WriteArr => {
                 let [base, stride, val] = th.words(&instr);
                 let base = Addr(base);
                 let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
-                hooked!(Op::WriteArr { base, stride, val }, |rt, mem, ev| rt
-                    .write(mem, ev, a, val));
+                hooked!(Op::WriteArr { base, stride, val }, |rt, mem, ev| {
+                    rt.write(t, site, a);
+                    rt.store(mem, ev, a, val);
+                });
             }
             InstrKind::Rmw => {
                 let [a, d] = th.words(&instr);
-                hooked!(Op::Rmw(Addr(a), d), |rt, mem, ev| {
-                    rt.rmw(mem, ev, Addr(a), d);
+                let a = Addr(a);
+                hooked!(Op::Rmw(a, d), |rt, mem, ev| {
+                    rt.rmw(t, site, a);
+                    rt.fetch_add(mem, ev, a, d);
                 });
             }
-            InstrKind::Compute => hooked!(Op::Compute(instr.arg())),
+            InstrKind::Compute => {
+                let n = instr.arg();
+                hooked!(Op::Compute(n), |rt, _mem, _ev| rt.compute(t, site, n));
+            }
             InstrKind::LoopBack => {
                 let frame = self.loop_stacks[ti]
                     .last_mut()
@@ -478,18 +476,18 @@ impl Machine {
                     self.block(ti, TState::BlockedLock(l));
                     return Ok(());
                 }
-                hooked!(Op::Lock(l), |rt, mem, ev| {
+                hooked!(Op::Lock(l), |rt, _mem, _ev| {
                     self.locks[l.index()] = Some(t);
-                    rt.after_sync(mem, ev);
+                    rt.acquire(t, site, l);
                 });
             }
             InstrKind::Unlock => {
                 let l = LockId(instr.arg());
-                let held = hooked!(Op::Unlock(l), |rt, mem, ev| {
+                let held = hooked!(Op::Unlock(l), |rt, _mem, _ev| {
                     let held = self.locks[l.index()] == Some(t);
                     if held {
                         self.locks[l.index()] = None;
-                        rt.after_sync(mem, ev);
+                        rt.release(t, site, l);
                     }
                     held
                 });
@@ -500,7 +498,8 @@ impl Machine {
             }
             InstrKind::Barrier => {
                 let b = BarrierId(instr.arg());
-                let full = hooked!(Op::Barrier(b), |_rt, _mem, _ev| {
+                let full = hooked!(Op::Barrier(b), |rt, _mem, _ev| {
+                    rt.barrier_arrive(t, site, b);
                     let arrived = &mut self.barriers[b.index()].arrived;
                     arrived.push((t, site));
                     arrived.len() as u32 == self.barrier_widths[b.index()]
@@ -511,7 +510,7 @@ impl Machine {
                     return Ok(());
                 }
                 let arrivals = std::mem::take(&mut self.barriers[b.index()].arrived);
-                rt.after_barrier(b, &arrivals);
+                rt.barrier_release(b, &arrivals);
                 for &(u, _) in &arrivals {
                     if u != t {
                         debug_assert_eq!(self.states[u.index()], TState::BlockedBarrier(b));
@@ -529,9 +528,9 @@ impl Machine {
                     self.block(ti, TState::BlockedChanSend(ch));
                     return Ok(());
                 }
-                hooked!(Op::ChanSend(ch), |rt, mem, ev| {
+                hooked!(Op::ChanSend(ch), |rt, _mem, _ev| {
                     self.chans[ch.index()] += 1;
-                    rt.after_sync(mem, ev);
+                    rt.chan_send(t, site, ch);
                 });
                 self.wake(TState::BlockedChanRecv(ch));
             }
@@ -541,17 +540,17 @@ impl Machine {
                     self.block(ti, TState::BlockedChanRecv(ch));
                     return Ok(());
                 }
-                hooked!(Op::ChanRecv(ch), |rt, mem, ev| {
+                hooked!(Op::ChanRecv(ch), |rt, _mem, _ev| {
                     self.chans[ch.index()] -= 1;
-                    rt.after_sync(mem, ev);
+                    rt.chan_recv(t, site, ch);
                 });
                 self.wake(TState::BlockedChanSend(ch));
             }
             InstrKind::Signal => {
                 let c = CondId(instr.arg());
-                hooked!(Op::Signal(c), |rt, mem, ev| {
+                hooked!(Op::Signal(c), |rt, _mem, _ev| {
                     self.sems[c.index()] += 1;
-                    rt.after_sync(mem, ev);
+                    rt.signal(t, site, c);
                 });
                 self.wake(TState::BlockedWait(c));
             }
@@ -561,17 +560,17 @@ impl Machine {
                     self.block(ti, TState::BlockedWait(c));
                     return Ok(());
                 }
-                hooked!(Op::Wait(c), |rt, mem, ev| {
+                hooked!(Op::Wait(c), |rt, _mem, _ev| {
                     self.sems[c.index()] -= 1;
-                    rt.after_sync(mem, ev);
+                    rt.wait(t, site, c);
                 });
             }
             InstrKind::Spawn => {
                 let u = ThreadId(instr.arg());
-                let parked = hooked!(Op::Spawn(u), |rt, mem, ev| {
+                let parked = hooked!(Op::Spawn(u), |rt, _mem, _ev| {
                     let parked = self.states[u.index()] == TState::Parked;
                     if parked {
-                        rt.after_sync(mem, ev);
+                        rt.spawn(t, site, u);
                     }
                     parked
                 });
@@ -588,10 +587,11 @@ impl Machine {
                     self.block(ti, TState::BlockedJoin(u));
                     return Ok(());
                 }
-                hooked!(Op::Join(u), |rt, mem, ev| rt.after_sync(mem, ev));
+                hooked!(Op::Join(u), |rt, _mem, _ev| rt.join(t, site, u));
             }
             InstrKind::Syscall => {
-                hooked!(Op::Syscall(SYSCALL_CODES[instr.arg() as usize]))
+                let kind = SYSCALL_CODES[instr.arg() as usize];
+                hooked!(Op::Syscall(kind), |rt, _mem, _ev| rt.syscall(t, site, kind));
             }
             InstrKind::TxBegin => hooked!(Op::TxBegin(RegionId(instr.arg()))),
             InstrKind::TxEnd => hooked!(Op::TxEnd(RegionId(instr.arg()))),
@@ -633,7 +633,7 @@ impl Machine {
                     *s = TState::Runnable;
                 }
             }
-            rt.on_thread_done(t);
+            rt.thread_done(t);
         }
     }
 }
@@ -939,6 +939,7 @@ mod tests {
         rolled_at_step: u64,
     }
 
+    impl TraceConsumer for RollOnce {}
     impl Runtime for RollOnce {
         fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
             if self.saved.is_none() {
@@ -982,6 +983,7 @@ mod tests {
             rolled: bool,
             start: Option<Snapshot>,
         }
+        impl TraceConsumer for RollFromLoop {}
         impl Runtime for RollFromLoop {
             fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
                 if self.start.is_none() {
@@ -1044,40 +1046,13 @@ mod tests {
         assert_eq!(mem.load(arr), 9);
     }
 
-    #[test]
-    fn flat_index_is_row_major() {
-        let f = |trips: u32, remaining: u32, id: u32| LoopFrame {
-            id: LoopId(id),
-            trips,
-            remaining,
-        };
-        assert_eq!(flat_iteration_index(&[]), 0);
-        assert_eq!(flat_iteration_index(&[f(10, 10, 0)]), 0); // first iter
-        assert_eq!(flat_iteration_index(&[f(10, 1, 0)]), 9); // last iter
-                                                             // outer iter 2 of 4, inner iter 1 of 3 -> 2*3 + 1 = 7
-        assert_eq!(flat_iteration_index(&[f(4, 2, 0), f(3, 2, 1)]), 7);
-        // innermost index ignores outer frames
-        assert_eq!(innermost_iteration_index(&[]), 0);
-        assert_eq!(innermost_iteration_index(&[f(4, 2, 0), f(3, 2, 1)]), 1);
-    }
-
-    #[test]
-    fn every_kind_arm_builds_the_op_the_flattener_encoded() {
-        // The step builds each event's `Op` from the packed operands in
-        // its own `match` arm; the reference decoder must agree on every
-        // kind, markers and indexed accesses inside loops included.
-        use crate::flat::FlatProgram;
+    /// A two-thread program that runs every operation kind once or more
+    /// (indexed accesses inside a loop), with thread 0 wrapped in the
+    /// three instrumentation markers. Returns the program and the first
+    /// marker site; the markers take that site and the next two.
+    fn every_kind_program() -> (Program, u32) {
         use crate::ids::RegionId;
         use crate::ir::Stmt;
-
-        #[derive(Default)]
-        struct OpLog(Vec<(ThreadId, usize, SiteId, Op)>);
-        impl Runtime for OpLog {
-            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-                self.0.push((ev.thread, ev.pc, ev.site, ev.op));
-                Directive::Continue
-            }
-        }
 
         let mut b = ProgramBuilder::new(2);
         let x = b.var("x");
@@ -1104,7 +1079,6 @@ mod tests {
             .join(ThreadId(1));
         b.thread(1).wait(c).recv(ch).barrier(bar);
         let plain = b.build();
-        // Wrap thread 0 in the instrumentation markers.
         let mut threads: Vec<Vec<Stmt>> =
             (0..2).map(|t| plain.thread(ThreadId(t)).to_vec()).collect();
         let marker = |site: u32, op| Stmt::Op {
@@ -1115,8 +1089,27 @@ mod tests {
         threads[0].insert(0, marker(n, Op::TxBegin(RegionId(4))));
         threads[0].push(marker(n + 1, Op::LoopCutProbe(LoopId(0))));
         threads[0].push(marker(n + 2, Op::TxEnd(RegionId(4))));
-        let p = plain.with_transformed_threads(threads, n + 3);
+        (plain.with_transformed_threads(threads, n + 3), n)
+    }
 
+    #[test]
+    fn every_kind_arm_builds_the_op_the_flattener_encoded() {
+        // The step builds each event's `Op` from the packed operands in
+        // its own `match` arm; the reference decoder must agree on every
+        // kind, markers and indexed accesses inside loops included.
+        use crate::flat::FlatProgram;
+
+        #[derive(Default)]
+        struct OpLog(Vec<(ThreadId, usize, SiteId, Op)>);
+        impl TraceConsumer for OpLog {}
+        impl Runtime for OpLog {
+            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+                self.0.push((ev.thread, ev.pc, ev.site, ev.op));
+                Directive::Continue
+            }
+        }
+
+        let (p, _) = every_kind_program();
         let mut rt = OpLog::default();
         let r = Machine::new(&p).run(&mut rt, &mut RandomSched::new(3));
         assert_eq!(r.status, RunStatus::Done);
@@ -1134,6 +1127,105 @@ mod tests {
         }
         // Every operation kind ran (all but the two loop-control kinds).
         assert_eq!(kinds.len(), InstrKind::LoopCutProbe as usize + 1 - 2);
+    }
+
+    #[test]
+    fn every_kind_arm_delivers_the_event_the_recorder_logs() {
+        // A runtime that is not `Live` receives, through its own
+        // `TraceConsumer` impl, exactly the stream `record_run` logs: one
+        // event per executed operation, none for the markers.
+        use crate::trace::{record_run, EventLogBuilder, TraceEventKind};
+
+        #[derive(Default)]
+        struct Forward {
+            ops: u64,
+            log: EventLogBuilder,
+        }
+        impl Runtime for Forward {
+            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+                if !matches!(ev.op, Op::TxBegin(_) | Op::TxEnd(_) | Op::LoopCutProbe(_)) {
+                    self.ops += 1;
+                }
+                Directive::Continue
+            }
+        }
+        impl TraceConsumer for Forward {
+            fn read(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+                self.log.read(t, s, a);
+            }
+            fn write(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+                self.log.write(t, s, a);
+            }
+            fn rmw(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+                self.log.rmw(t, s, a);
+            }
+            fn acquire(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+                self.log.acquire(t, s, l);
+            }
+            fn release(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+                self.log.release(t, s, l);
+            }
+            fn signal(&mut self, t: ThreadId, s: SiteId, c: CondId) {
+                self.log.signal(t, s, c);
+            }
+            fn wait(&mut self, t: ThreadId, s: SiteId, c: CondId) {
+                self.log.wait(t, s, c);
+            }
+            fn spawn(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
+                self.log.spawn(t, s, u);
+            }
+            fn join(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
+                self.log.join(t, s, u);
+            }
+            fn barrier_arrive(&mut self, t: ThreadId, s: SiteId, b: BarrierId) {
+                self.log.barrier_arrive(t, s, b);
+            }
+            fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+                self.log.barrier_release(b, arrivals);
+            }
+            fn compute(&mut self, t: ThreadId, s: SiteId, units: u32) {
+                self.log.compute(t, s, units);
+            }
+            fn syscall(&mut self, t: ThreadId, s: SiteId, kind: SyscallKind) {
+                self.log.syscall(t, s, kind);
+            }
+            fn chan_send(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+                self.log.chan_send(t, s, ch);
+            }
+            fn chan_recv(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+                self.log.chan_recv(t, s, ch);
+            }
+            fn thread_done(&mut self, t: ThreadId) {
+                self.log.thread_done(t);
+            }
+        }
+
+        let (p, first_marker) = every_kind_program();
+        let mut rt = Forward::default();
+        let r = Machine::new(&p).run(&mut rt, &mut RandomSched::new(3));
+        assert_eq!(r.status, RunStatus::Done);
+        let log = record_run(&p, &mut RandomSched::new(3), StepLimit::default());
+        assert_eq!(rt.log.events, log.events());
+        assert_eq!(&rt.log.barriers, log.barriers());
+
+        let events = &rt.log.events;
+        let kinds: std::collections::BTreeSet<u8> = events.iter().map(|e| e.kind as u8).collect();
+        assert_eq!(
+            kinds.len(),
+            TraceEventKind::ChanRecv as usize + 1,
+            "every kind"
+        );
+        assert!(
+            events.iter().all(|e| e.site.0 < first_marker),
+            "a marker delivered an event"
+        );
+        let per_op = events.iter().filter(|e| {
+            !matches!(
+                e.kind,
+                TraceEventKind::BarrierRelease | TraceEventKind::ThreadDone
+            )
+        });
+        assert_eq!(per_op.count() as u64, rt.ops, "one event per executed op");
     }
 
     #[test]

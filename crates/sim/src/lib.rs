@@ -45,7 +45,6 @@ pub mod exec;
 pub mod explore;
 pub mod flat;
 pub mod ids;
-pub mod intern;
 pub mod ir;
 pub mod lint;
 pub mod mem;
@@ -57,12 +56,11 @@ pub mod trace;
 pub use addr::{elem, Addr, CacheLine, VarLayout, LINE_BYTES};
 pub use densemap::AddrMap;
 pub use exec::{
-    flat_iteration_index, innermost_iteration_index, Directive, LoopFrame, Machine, OpEvent,
-    RunResult, RunStatus, Runtime, Snapshot, StepLimit,
+    innermost_iteration_index, Directive, LoopFrame, Machine, OpEvent, RunResult, RunStatus,
+    Runtime, Snapshot, StepLimit,
 };
 pub use flat::{FlatProgram, FlatThread, Instr, InstrKind};
 pub use ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
-pub use intern::{Interner, RESERVED_LINES};
 pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
 pub use mem::{JournalMark, Memory, WriteJournal};
@@ -87,23 +85,11 @@ pub struct DirectRuntime {
     pub ops: u64,
 }
 
+impl TraceConsumer for DirectRuntime {}
+
 impl Runtime for DirectRuntime {
     fn before_op(&mut self, _mem: &mut Memory, _ev: &OpEvent<'_>) -> Directive {
         self.ops += 1;
         Directive::Continue
-    }
-
-    fn read(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, addr: Addr) -> u64 {
-        mem.load(addr)
-    }
-
-    fn write(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, addr: Addr, val: u64) {
-        mem.store(addr, val);
-    }
-
-    fn rmw(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
-        let old = mem.load(addr);
-        mem.store(addr, old.wrapping_add(delta));
-        old
     }
 }

@@ -1,34 +1,38 @@
-//! The record/replay boundary: pure-observer detectors consume a stream
-//! of schedule-visible events instead of holding [`Runtime`] hooks.
+//! The record/replay boundary: detectors consume a stream of
+//! schedule-visible events through one trait, [`TraceConsumer`].
 //!
-//! A [`TraceConsumer`] sees exactly the events a pure observer would see
-//! live — resolved access addresses, architecturally completed sync
-//! operations, barrier releases with their arrival lists, and thread
-//! terminations — but is decoupled from execution: the same consumer can
-//! be driven by the [`Live`] adapter during an interpreter run *or* by
+//! A [`TraceConsumer`] sees resolved access addresses, architecturally
+//! completed sync operations, barrier releases with their arrival lists,
+//! and thread terminations. Every [`Runtime`] is a `TraceConsumer`: the
+//! interpreter delivers each typed event straight from the operation
+//! that produced it, so the same consumer can be driven live (wrapped in
+//! [`Live`], or as the event half of a runtime that also mediates
+//! memory, like the TxRace engine) *or* by
 //! [`EventLog::replay`](crate::trace::EventLog::replay) over a recorded
 //! log, and observes the identical call sequence either way. That is the
 //! correctness contract of the pipeline: because a pure observer never
 //! redirects control or alters memory, recording is invisible, and a log
 //! recorded once can stand in for any number of re-executions.
 //!
-//! The TxRace engine itself is *not* a pure observer (it rolls threads
-//! back), so it stays a [`Runtime`] and is excluded from this boundary.
+//! The TxRace engine tracks happens-before through these same events,
+//! but it rolls threads back, so its run cannot be recorded once and
+//! replayed: it stays on the live path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::addr::Addr;
-use crate::exec::{Directive, OpEvent, Runtime};
+use crate::exec::Runtime;
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
-use crate::ir::{Op, SyscallKind};
-use crate::mem::Memory;
+use crate::ir::SyscallKind;
 use crate::trace::EventLog;
 
 /// A pure observer of one execution's schedule-visible event stream.
 ///
-/// Every method defaults to a no-op so consumers implement only what
+/// It is also the event half of every [`Runtime`]: the interpreter
+/// delivers a live run's events through these methods, and
+/// [`EventLog::replay`] delivers a recorded run's. Every method defaults to a no-op so consumers implement only what
 /// they track. Methods are invoked in execution order; for one completed
 /// operation exactly one method fires, plus
 /// [`barrier_release`](TraceConsumer::barrier_release) once per barrier
@@ -117,59 +121,6 @@ pub trait TraceConsumer {
     /// Thread `t` finished its program.
     fn thread_done(&mut self, t: ThreadId) {
         let _ = t;
-    }
-}
-
-/// Boxed consumers forward every event, so heterogeneous detector sets
-/// (`Vec<Box<dyn TraceConsumer + Send>>`) can ride one [`fan_out`] pass.
-impl<C: TraceConsumer + ?Sized> TraceConsumer for Box<C> {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).read(t, site, addr);
-    }
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).write(t, site, addr);
-    }
-    fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        (**self).rmw(t, site, addr);
-    }
-    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        (**self).acquire(t, site, l);
-    }
-    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        (**self).release(t, site, l);
-    }
-    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        (**self).signal(t, site, c);
-    }
-    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        (**self).wait(t, site, c);
-    }
-    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        (**self).spawn(t, site, child);
-    }
-    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        (**self).join(t, site, child);
-    }
-    fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
-        (**self).barrier_arrive(t, site, b);
-    }
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        (**self).barrier_release(b, arrivals);
-    }
-    fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
-        (**self).compute(t, site, units);
-    }
-    fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        (**self).syscall(t, site, kind);
-    }
-    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        (**self).chan_send(t, site, ch);
-    }
-    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        (**self).chan_recv(t, site, ch);
-    }
-    fn thread_done(&mut self, t: ThreadId) {
-        (**self).thread_done(t);
     }
 }
 
@@ -350,9 +301,9 @@ pub fn fan_out<C: TraceConsumer + Send>(
         .collect()
 }
 
-/// Adapts a [`TraceConsumer`] to the live [`Runtime`] interface: memory
-/// effects are applied directly (like [`crate::DirectRuntime`]) and every
-/// schedule-visible event is forwarded to the consumer as it happens.
+/// Runs a [`TraceConsumer`] live: a [`Runtime`] that forwards every event
+/// to the consumer as it happens and keeps every runtime default, so
+/// memory effects are applied directly (like [`crate::DirectRuntime`]).
 ///
 /// `Live<C>` never rolls back and never alters state beyond the direct
 /// memory effects the program itself demands, so wrapping a consumer in
@@ -403,61 +354,58 @@ impl<C: TraceConsumer> Live<C> {
     }
 }
 
-impl<C: TraceConsumer> Runtime for Live<C> {
-    fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-        // Accesses and sync ops are reported from their own hooks (where
-        // the resolved address / completion is known); barrier arrivals
-        // are reported here because the release hook fires only once for
-        // the whole group. Instrumentation markers are not events.
-        match ev.op {
-            Op::Compute(n) => self.consumer.compute(ev.thread, ev.site, n),
-            Op::Syscall(k) => self.consumer.syscall(ev.thread, ev.site, k),
-            Op::Barrier(b) => self.consumer.barrier_arrive(ev.thread, ev.site, b),
-            _ => {}
-        }
-        Directive::Continue
+impl<C: TraceConsumer> TraceConsumer for Live<C> {
+    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        self.consumer.read(t, site, addr);
     }
-
-    fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
-        self.consumer.read(ev.thread, ev.site, addr);
-        mem.load(addr)
+    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        self.consumer.write(t, site, addr);
     }
-
-    fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
-        self.consumer.write(ev.thread, ev.site, addr);
-        mem.store(addr, val);
+    fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        self.consumer.rmw(t, site, addr);
     }
-
-    fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
-        self.consumer.rmw(ev.thread, ev.site, addr);
-        let old = mem.load(addr);
-        mem.store(addr, old.wrapping_add(delta));
-        old
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.consumer.acquire(t, site, l);
     }
-
-    fn after_sync(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) {
-        let (t, site) = (ev.thread, ev.site);
-        match ev.op {
-            Op::Lock(l) => self.consumer.acquire(t, site, l),
-            Op::Unlock(l) => self.consumer.release(t, site, l),
-            Op::Signal(c) => self.consumer.signal(t, site, c),
-            Op::Wait(c) => self.consumer.wait(t, site, c),
-            Op::Spawn(u) => self.consumer.spawn(t, site, u),
-            Op::Join(u) => self.consumer.join(t, site, u),
-            Op::ChanSend(ch) => self.consumer.chan_send(t, site, ch),
-            Op::ChanRecv(ch) => self.consumer.chan_recv(t, site, ch),
-            _ => {}
-        }
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.consumer.release(t, site, l);
     }
-
-    fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.consumer.signal(t, site, c);
+    }
+    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.consumer.wait(t, site, c);
+    }
+    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.consumer.spawn(t, site, child);
+    }
+    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.consumer.join(t, site, child);
+    }
+    fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
+        self.consumer.barrier_arrive(t, site, b);
+    }
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
         self.consumer.barrier_release(b, arrivals);
     }
-
-    fn on_thread_done(&mut self, t: ThreadId) {
+    fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
+        self.consumer.compute(t, site, units);
+    }
+    fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
+        self.consumer.syscall(t, site, kind);
+    }
+    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.consumer.chan_send(t, site, ch);
+    }
+    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.consumer.chan_recv(t, site, ch);
+    }
+    fn thread_done(&mut self, t: ThreadId) {
         self.consumer.thread_done(t);
     }
 }
+
+impl<C: TraceConsumer> Runtime for Live<C> {}
 
 #[cfg(test)]
 mod tests {
@@ -564,31 +512,6 @@ mod tests {
                 assert_eq!(r.events, log.len() as u64);
             }
         }
-    }
-
-    #[test]
-    fn fan_out_accepts_boxed_heterogeneous_consumers() {
-        use crate::exec::StepLimit;
-        use crate::trace::record_run;
-
-        #[derive(Default)]
-        struct CountReads(u64);
-        impl TraceConsumer for CountReads {
-            fn read(&mut self, _: ThreadId, _: SiteId, _: Addr) {
-                self.0 += 1;
-            }
-        }
-
-        let mut b = ProgramBuilder::new(1);
-        let x = b.var("x");
-        b.thread(0).read(x).read(x).write(x, 1);
-        let p = b.build();
-        let log = record_run(&p, &mut RoundRobin::new(), StepLimit::default());
-
-        let consumers: Vec<Box<dyn TraceConsumer + Send>> =
-            vec![Box::new(CountReads::default()), Box::new(Script::default())];
-        let out = fan_out(&log, consumers, 2);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

@@ -110,7 +110,7 @@ impl OpCensus {
 /// stored once and addressed by the `arg` of its
 /// [`TraceEventKind::BarrierRelease`] event. [`EventLogBuilder`] fills it,
 /// and [`EventLog`] and [`SyncIndex`] replay through it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BarrierTable {
     arrivals: Vec<(ThreadId, SiteId)>,
     /// `(barrier, start, len)` ranges into `arrivals`, in release order.
@@ -157,8 +157,8 @@ impl BarrierTable {
 /// [`record_run`] wraps it in [`Live`] and assembles the [`EventLog`].
 #[derive(Debug, Default)]
 pub struct EventLogBuilder {
-    events: Vec<TraceEvent>,
-    barriers: BarrierTable,
+    pub(crate) events: Vec<TraceEvent>,
+    pub(crate) barriers: BarrierTable,
 }
 
 impl EventLogBuilder {

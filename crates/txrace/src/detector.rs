@@ -6,7 +6,7 @@ use txrace_hb::{RaceSet, ShadowMode};
 use txrace_htm::{HtmConfig, HtmStats};
 use txrace_sim::{
     AnySched, EventLog, FairSched, InterruptModel, Live, Machine, Program, RandomSched, RoundRobin,
-    RunResult, RunStatus, StepLimit, TraceConsumer,
+    RunResult, RunStatus, SiteId, StepLimit, TraceConsumer,
 };
 
 use crate::baselines::TsanConsumer;
@@ -198,12 +198,6 @@ impl RunConfig {
         self.knobs = knobs;
         self
     }
-
-    /// Requests per-epoch telemetry with the given epoch length.
-    pub fn with_telemetry(mut self, epoch_events: u64) -> Self {
-        self.telemetry_epochs = Some(epoch_events);
-        self
-    }
 }
 
 /// Everything one detection run produced.
@@ -223,7 +217,7 @@ pub struct RunOutcome {
     pub engine: Option<EngineStats>,
     /// Software access checks performed.
     pub checks: u64,
-    /// Epoch telemetry ([`RunConfig::with_telemetry`] or production
+    /// Epoch telemetry ([`RunConfig::telemetry_epochs`] set, or production
     /// runs; `None` otherwise).
     pub telemetry: Option<Telemetry>,
     /// Final shared-memory state of the run.
@@ -298,16 +292,7 @@ impl Detector {
     /// threads, or disagreeing barrier arrival counts would make both the
     /// static analyses and the run itself meaningless.
     pub fn run(&self, program: &Program) -> RunOutcome {
-        let issues = txrace_sim::lint(program);
-        assert!(
-            issues.is_empty(),
-            "program failed the IR lint:\n{}",
-            issues
-                .iter()
-                .map(|i| format!("  - {i}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        assert_lint_clean(program);
         match &self.cfg.scheme {
             Scheme::Tsan | Scheme::TsanSampling { .. } => {
                 let table = self.prune_table(program);
@@ -322,9 +307,24 @@ impl Detector {
                     }
                     _ => instrument(program, &icfg),
                 };
-                self.run_txrace(&ip, opts, table)
+                self.run_txrace(&ip, opts, self.cfg.knobs, table, None)
             }
-            Scheme::Production(mode) => self.run_production(program, *mode),
+            Scheme::Production(mode) => {
+                // Production always deploys the strongest static analysis:
+                // the flow-sensitive prune table plus the watch set over
+                // the surviving may-race candidate sites, both from one
+                // analysis.
+                let flow = FlowAnalysis::run(program);
+                let watch = flow.watch_sites();
+                let knobs = Knobs {
+                    prune: StaticPruneMode::FullFlow,
+                    ..self.cfg.knobs
+                };
+                let icfg = InstrumentConfig::from_knobs(&knobs);
+                let ip = instrument_pruned(program, &icfg, Some(&flow.table));
+                let opts = TxRaceOpts::default();
+                self.run_txrace(&ip, &opts, knobs, Some(flow.table), Some((*mode, watch)))
+            }
         }
     }
 
@@ -340,7 +340,7 @@ impl Detector {
         match &self.cfg.scheme {
             Scheme::TxRace(opts) => {
                 let table = self.prune_table(&ip.program);
-                self.run_txrace(ip, opts, table)
+                self.run_txrace(ip, opts, self.cfg.knobs, table, None)
             }
             other => panic!("run_instrumented requires a TxRace scheme, got {other:?}"),
         }
@@ -355,20 +355,9 @@ impl Detector {
             _ => TxRaceOpts::default(),
         };
         let cfg = EngineConfig {
-            htm: self.cfg.htm,
-            cost: self.cfg.cost,
-            shadow_factor: self.cfg.shadow_factor,
             loopcut: LoopcutMode::Dyn,
-            profile: None,
-            max_retries: opts.max_retries,
-            shadow: self.cfg.shadow,
-            track_fast_sync: opts.track_fast_sync,
-            conflict_hints: opts.conflict_hints,
-            knobs: self.cfg.knobs,
-            prune: None,
             epoch_events: None,
-            production: None,
-            watch: Vec::new(),
+            ..self.engine_config(&opts, self.cfg.knobs, None)
         };
         let mut engine = TxRaceEngine::new(ip, cfg);
         let mut machine = Machine::new(&ip.program);
@@ -377,13 +366,46 @@ impl Detector {
         engine.loopcut_profile()
     }
 
+    /// The engine configuration of `opts` under `knobs` and `prune`, with
+    /// the run's own telemetry request and no loop-cut profile or
+    /// production controller.
+    fn engine_config(
+        &self,
+        opts: &TxRaceOpts,
+        knobs: Knobs,
+        prune: Option<SiteClassTable>,
+    ) -> EngineConfig {
+        EngineConfig {
+            htm: self.cfg.htm,
+            cost: self.cfg.cost,
+            shadow_factor: self.cfg.shadow_factor,
+            loopcut: opts.loopcut,
+            profile: None,
+            max_retries: opts.max_retries,
+            shadow: self.cfg.shadow,
+            track_fast_sync: opts.track_fast_sync,
+            conflict_hints: opts.conflict_hints,
+            knobs,
+            prune,
+            epoch_events: self.cfg.telemetry_epochs,
+            production: None,
+            watch: Vec::new(),
+        }
+    }
+
+    /// Runs the engine on `ip`: a TxRace scheme, or with `production`
+    /// (the budget and the watch set) the production scheme, which adds
+    /// the adaptive controller and always emits epoch telemetry.
     fn run_txrace(
         &self,
         ip: &InstrumentedProgram,
         opts: &TxRaceOpts,
+        knobs: Knobs,
         prune: Option<SiteClassTable>,
+        production: Option<(ProductionMode, Vec<SiteId>)>,
     ) -> RunOutcome {
-        let profile = match (opts.loopcut, &opts.profile) {
+        let mut cfg = self.engine_config(opts, knobs, prune);
+        cfg.profile = match (opts.loopcut, &opts.profile) {
             (LoopcutMode::Prof, Some(p)) => Some(p.clone()),
             (LoopcutMode::Prof, None) => {
                 // Auto-profile on a derived seed (a "representative input"
@@ -392,67 +414,11 @@ impl Detector {
             }
             _ => None,
         };
-        let cfg = EngineConfig {
-            htm: self.cfg.htm,
-            cost: self.cfg.cost,
-            shadow_factor: self.cfg.shadow_factor,
-            loopcut: opts.loopcut,
-            profile,
-            max_retries: opts.max_retries,
-            shadow: self.cfg.shadow,
-            track_fast_sync: opts.track_fast_sync,
-            conflict_hints: opts.conflict_hints,
-            knobs: self.cfg.knobs,
-            prune,
-            epoch_events: self.cfg.telemetry_epochs,
-            production: None,
-            watch: Vec::new(),
-        };
-        self.finish_engine_run(ip, cfg)
-    }
-
-    /// Runs the production scheme: TxRace with flow-sensitive pruning,
-    /// the statically derived watch set, epoch telemetry, and the
-    /// adaptive controller holding the budget.
-    fn run_production(&self, program: &Program, mode: ProductionMode) -> RunOutcome {
-        // Production always deploys the strongest static analysis: the
-        // flow-sensitive prune table plus the watch set over the
-        // surviving may-race candidate sites, both from one analysis.
-        let flow = FlowAnalysis::run(program);
-        let watch = flow.watch_sites();
-        let table = flow.table;
-        let knobs = Knobs {
-            prune: StaticPruneMode::FullFlow,
-            ..self.cfg.knobs
-        };
-        let icfg = InstrumentConfig::from_knobs(&knobs);
-        let ip = instrument_pruned(program, &icfg, Some(&table));
-        let cfg = EngineConfig {
-            htm: self.cfg.htm,
-            cost: self.cfg.cost,
-            shadow_factor: self.cfg.shadow_factor,
-            loopcut: LoopcutMode::Dyn,
-            profile: None,
-            max_retries: 3,
-            shadow: self.cfg.shadow,
-            track_fast_sync: true,
-            conflict_hints: false,
-            knobs,
-            prune: Some(table),
-            epoch_events: Some(
-                self.cfg
-                    .telemetry_epochs
-                    .unwrap_or(AdaptiveController::EPOCH_EVENTS),
-            ),
-            production: Some(mode),
-            watch,
-        };
-        self.finish_engine_run(&ip, cfg)
-    }
-
-    /// Drives an engine configuration to completion and assembles the
-    /// outcome (shared tail of the TxRace and production schemes).
-    fn finish_engine_run(&self, ip: &InstrumentedProgram, cfg: EngineConfig) -> RunOutcome {
+        if let Some((mode, watch)) = production {
+            cfg.epoch_events = Some(cfg.epoch_events.unwrap_or(AdaptiveController::EPOCH_EVENTS));
+            cfg.production = Some(mode);
+            cfg.watch = watch;
+        }
         let mut engine = TxRaceEngine::new(ip, cfg);
         let mut machine = Machine::new(&ip.program);
         let mut sched = self.make_sched(self.cfg.seed);
@@ -556,16 +522,7 @@ impl Detector {
     /// Panics if the program fails the structural IR lint, exactly like
     /// [`Detector::run`].
     pub fn record(&self, program: &Program) -> EventLog {
-        let issues = txrace_sim::lint(program);
-        assert!(
-            issues.is_empty(),
-            "program failed the IR lint:\n{}",
-            issues
-                .iter()
-                .map(|i| format!("  - {i}"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
+        assert_lint_clean(program);
         let mut sched = self.make_sched(self.cfg.seed);
         txrace_sim::record_run(program, &mut sched, self.limit())
     }
@@ -616,6 +573,20 @@ impl Detector {
             log.result().clone(),
         )
     }
+}
+
+/// Panics, listing the issues, if `program` fails the structural IR lint.
+fn assert_lint_clean(program: &Program) {
+    let issues = txrace_sim::lint(program);
+    assert!(
+        issues.is_empty(),
+        "program failed the IR lint:\n{}",
+        issues
+            .iter()
+            .map(|i| format!("  - {i}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
 }
 
 /// Computes recall: the fraction of `truth`'s races also found in `found`

@@ -21,7 +21,10 @@
 //!
 //! Happens-before of synchronization operations is tracked on *every*
 //! path (§5, Figure 6): skipping it on the fast path would make the slow
-//! path report false positives across fast-path sync edges.
+//! path report false positives across fast-path sync edges. The
+//! interpreter delivers those operations to the engine's
+//! [`txrace_sim::TraceConsumer`] impl, the same events a replayed log
+//! drives.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,8 +32,8 @@ use txrace_hb::{FastTrack, RaceSet, ShadowMode};
 use txrace_htm::{AbortReason, AbortStatus, HtmConfig, HtmStats, HtmSystem, XbeginError};
 use txrace_sim::CacheLine;
 use txrace_sim::{
-    Addr, BarrierId, Directive, Interner, LoopId, Memory, Op, OpEvent, RegionId, Runtime, SiteId,
-    Snapshot, ThreadId,
+    Addr, BarrierId, ChanId, CondId, Directive, LockId, LoopId, Memory, Op, OpEvent, RegionId,
+    Runtime, SiteId, Snapshot, ThreadId, TraceConsumer,
 };
 
 use crate::control::{AdaptiveController, EpochRecord, Knobs, ProductionMode, Telemetry};
@@ -250,21 +253,11 @@ pub struct TxRaceEngine {
 
 impl TxRaceEngine {
     /// Builds an engine for one run of `ip`.
-    ///
-    /// All per-access state downstream is a flat table indexed by a dense
-    /// id (raw address, cache line, site, loop, thread). The interner
-    /// enumerates the program's id spaces once here, at load time, and
-    /// pre-sizes every table, so the per-access dispatch below does zero
-    /// hashing and zero growth.
     pub fn new(ip: &InstrumentedProgram, cfg: EngineConfig) -> Self {
         let n = ip.program.thread_count();
-        let interner = Interner::of_program(&ip.program);
-        let mut htm = HtmSystem::new(cfg.htm, n);
-        htm.reserve_capacity(interner.line_capacity());
-        let mut ft = FastTrack::new(n, cfg.shadow);
-        ft.reserve_addrs(interner.addr_capacity());
+        let htm = HtmSystem::new(cfg.htm, n);
+        let ft = FastTrack::new(n, cfg.shadow);
         let mut loopcut = LoopcutState::new(cfg.loopcut, n, cfg.profile.as_ref());
-        loopcut.reserve_loops(interner.loop_count() as usize);
         loopcut.set_initial_threshold(cfg.knobs.loopcut_threshold);
         // Happens-before tracking exists to order slow-path checks; when
         // the prune table proves every checkable site race-free, no check
@@ -852,6 +845,30 @@ impl TxRaceEngine {
         }
         true
     }
+
+    /// The gate of one sync event by `t`: false under the ablation when
+    /// `t` is off the slow path (fast-path sync edges are lost), else
+    /// [`charge_sync`](Self::charge_sync) for its one edge.
+    fn track_sync(&mut self, t: ThreadId) -> bool {
+        (self.track_fast_sync || matches!(self.mode[t.index()], Mode::Slow(_, _)))
+            && self.charge_sync(1)
+    }
+
+    /// Charges `edges` happens-before updates and says whether to make
+    /// them. When nothing will ever consult the happens-before state —
+    /// the prune table proves every check dead, or an idle duty cycle
+    /// resets the state before monitoring re-arms — the updates are
+    /// skipped and their cost goes to the `elided` bucket.
+    fn charge_sync(&mut self, edges: u64) -> bool {
+        let c = self.cost.tsan_sync * edges;
+        if self.sync_dead || (self.controller.is_some() && !self.monitoring_on) {
+            self.breakdown.elided += c;
+            return false;
+        }
+        self.breakdown.txn_mgmt += c;
+        self.tsan_cycles += c;
+        true
+    }
 }
 
 impl Runtime for TxRaceEngine {
@@ -911,7 +928,7 @@ impl Runtime for TxRaceEngine {
         }
     }
 
-    fn read(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
+    fn load(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
         let t = ev.thread;
         self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
@@ -928,7 +945,7 @@ impl Runtime for TxRaceEngine {
         self.htm.read(t, mem, addr)
     }
 
-    fn write(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
+    fn store(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
         let t = ev.thread;
         self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
@@ -943,87 +960,77 @@ impl Runtime for TxRaceEngine {
         self.htm.write(t, mem, addr, val);
     }
 
-    fn rmw(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
+    fn fetch_add(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, delta: u64) -> u64 {
         // Atomic RMWs cannot race under the C11 model, so the detector does
         // not check them; they still participate in HTM conflict detection
         // (a benign-conflict source the slow path then filters).
         self.debug_assert_not_zombie(ev.thread);
         self.htm.rmw(ev.thread, mem, addr, delta)
     }
+}
 
-    fn after_sync(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) {
-        let t = ev.thread;
-        if !self.track_fast_sync && !matches!(self.mode[t.index()], Mode::Slow(_, _)) {
-            return; // ablation: fast-path sync edges are lost
+/// Happens-before tracking of sync operations on *every* path (§5,
+/// Figure 6): each event passes one gate (`track_sync`), then makes one
+/// FastTrack call. Channel send/recv are `is_sync()`, so like every sync
+/// op they cut transactions in `instrument` and are only ever delivered
+/// outside a hardware transaction. Access events keep the no-op
+/// defaults: the memory hooks check accesses, next to the HTM access
+/// they mediate.
+impl TraceConsumer for TxRaceEngine {
+    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
+        if self.track_sync(t) {
+            self.ft.lock_acquire(t, l);
         }
-        if self.sync_dead {
-            // Nothing will ever consult the happens-before state: record
-            // the avoided tracking cost with the elided checks.
-            if matches!(
-                ev.op,
-                Op::Lock(_)
-                    | Op::Unlock(_)
-                    | Op::Signal(_)
-                    | Op::Wait(_)
-                    | Op::Spawn(_)
-                    | Op::Join(_)
-                    | Op::ChanSend(_)
-                    | Op::ChanRecv(_)
-            ) {
-                self.breakdown.elided += self.cost.tsan_sync;
-            }
-            return;
-        }
-        if self.controller.is_some() && !self.monitoring_on {
-            // Idle duty cycle: the happens-before state is reset before
-            // monitoring re-arms, so anything tracked now would be
-            // discarded — skip it and record the avoided cost.
-            if matches!(
-                ev.op,
-                Op::Lock(_)
-                    | Op::Unlock(_)
-                    | Op::Signal(_)
-                    | Op::Wait(_)
-                    | Op::Spawn(_)
-                    | Op::Join(_)
-                    | Op::ChanSend(_)
-                    | Op::ChanRecv(_)
-            ) {
-                self.breakdown.elided += self.cost.tsan_sync;
-            }
-            return;
-        }
-        match ev.op {
-            Op::Lock(l) => self.ft.lock_acquire(t, l),
-            Op::Unlock(l) => self.ft.lock_release(t, l),
-            Op::Signal(c) => self.ft.signal(t, c),
-            Op::Wait(c) => self.ft.wait(t, c),
-            Op::Spawn(u) => self.ft.spawn(t, u),
-            Op::Join(u) => self.ft.join(t, u),
-            // Channel send/recv is a happens-before edge like any other
-            // sync primitive; since channel ops are `is_sync()` they also
-            // cut transactions in `instrument`, so they only ever fire
-            // outside a hardware transaction (like syscalls).
-            Op::ChanSend(ch) => self.ft.chan_send(t, ch),
-            Op::ChanRecv(ch) => self.ft.chan_recv(t, ch),
-            _ => return,
-        }
-        // Happens-before tracking happens on every path (§5, Figure 6).
-        self.breakdown.txn_mgmt += self.cost.tsan_sync;
-        self.tsan_cycles += self.cost.tsan_sync;
     }
 
-    fn after_barrier(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        if !self.track_fast_sync {
-            return; // ablation: see after_sync
+    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
+        if self.track_sync(t) {
+            self.ft.lock_release(t, l);
         }
-        if self.sync_dead || (self.controller.is_some() && !self.monitoring_on) {
-            self.breakdown.elided += self.cost.tsan_sync * arrivals.len() as u64;
-            return;
+    }
+
+    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
+        if self.track_sync(t) {
+            self.ft.signal(t, c);
         }
-        self.ft.barrier_arrivals(b, arrivals);
-        self.breakdown.txn_mgmt += self.cost.tsan_sync * arrivals.len() as u64;
-        self.tsan_cycles += self.cost.tsan_sync * arrivals.len() as u64;
+    }
+
+    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
+        if self.track_sync(t) {
+            self.ft.wait(t, c);
+        }
+    }
+
+    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
+        if self.track_sync(t) {
+            self.ft.spawn(t, child);
+        }
+    }
+
+    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
+        if self.track_sync(t) {
+            self.ft.join(t, child);
+        }
+    }
+
+    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
+        if self.track_sync(t) {
+            self.ft.chan_send(t, ch);
+        }
+    }
+
+    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
+        if self.track_sync(t) {
+            self.ft.chan_recv(t, ch);
+        }
+    }
+
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+        // One edge per arrival. The ablation drops releases outright,
+        // whatever path the arrivers are on.
+        if self.track_fast_sync && self.charge_sync(arrivals.len() as u64) {
+            self.ft.barrier_arrivals(b, arrivals);
+        }
     }
 }
 

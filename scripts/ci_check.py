@@ -4,9 +4,16 @@
     python3 scripts/ci_check.py table1 TABLE1_JSON
     python3 scripts/ci_check.py frontier FRONTIER_JSON
     python3 scripts/ci_check.py replay WORKERS4_JSON WORKERS1_JSON
+    python3 scripts/ci_check.py perfbench OUT...
 
-Inputs come from `table1 -- --json`, `frontier -- 4 42 --json` and
-`bench_replay -- 4 42` / `-- 1 42`. Golden fixtures are read from
+Inputs come from `table1 -- --json`, `frontier -- 4 42 --json`,
+`bench_replay -- 4 42` / `-- 1 42`, and the saved stdout of
+`perfbench/run.py --workload <w> --seed 42 --seconds 1 --trace 1`: each
+perfbench run passes when its last line is a JSON object with
+`"correct": true` and `"failed": 0`. A traced round checks perfbench's
+hand-built pipeline against `Detector::run`'s fingerprints, so it
+catches a `Detector` change that drifts from the composition perfbench
+mirrors. Golden fixtures are read from
 tests/fixtures next to this script. Every check of the subcommand runs;
 each passing check prints one line, each failing check prints what
 drifted, and the exit status is 1 if any check failed.
@@ -150,6 +157,21 @@ def check_replay(r4, r1):
           f"{len(fp4)} panel fingerprints identical at workers=1/4")
 
 
+def check_perfbench(path):
+    """The run's last line reports every check correct, none failed."""
+    lines = Path(path).read_text().splitlines()
+    try:
+        last = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return f"{path}: last line is not a perfbench JSON result"
+    if not isinstance(last, dict):
+        return f"{path}: last line is not a perfbench JSON result"
+    if last.get("correct") is not True or last.get("failed") != 0:
+        return (f"{path}: correct={last.get('correct')} "
+                f"failed={last.get('failed')} of {last.get('attempted')}")
+    print(f"{path}: correct, 0 failed of {last.get('attempted')}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -161,6 +183,8 @@ def main():
                          "workers=1 vs 4 fingerprints")
     rep.add_argument("workers4_json")
     rep.add_argument("workers1_json")
+    sub.add_parser("perfbench", help="each run's last line: correct, 0 failed"
+                   ).add_argument("outputs", nargs="+")
     args = ap.parse_args()
 
     if args.cmd == "table1":
@@ -169,6 +193,8 @@ def main():
                     for check in (check_race_counts, check_prune, check_channels)]
     elif args.cmd == "frontier":
         failures = [check_frontier(load(args.frontier_json))]
+    elif args.cmd == "perfbench":
+        failures = [check_perfbench(out) for out in args.outputs]
     else:
         failures = [check_replay(load(args.workers4_json),
                                  load(args.workers1_json))]
