@@ -425,30 +425,19 @@ impl FastTrack {
         }
     }
 
-    /// Tracks a barrier release over all `participants`: all clocks join.
-    pub fn barrier(&mut self, b: BarrierId, participants: &[ThreadId]) {
-        self.barrier_join(b, participants.len(), |i| participants[i]);
-    }
-
-    /// [`FastTrack::barrier`] fed directly from a recorded arrival list
-    /// (`(thread, site)` pairs), avoiding the intermediate thread vector
-    /// on the replay hot path.
+    /// Tracks a barrier release over its arrival list (`(thread, site)`
+    /// pairs, as recorded): all participants' clocks join.
     pub fn barrier_arrivals(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_join(b, arrivals.len(), |i| arrivals[i].0);
-    }
-
-    fn barrier_join<F: Fn(usize) -> ThreadId>(&mut self, b: BarrierId, count: usize, tid: F) {
         self.sync_ops += 1;
         let n = self.n;
         if self.barriers.len() <= b.index() {
             self.barriers.resize(b.index() + 1, VectorClock::zero(n));
         }
         let mut joined = self.barriers[b.index()].clone();
-        for i in 0..count {
-            joined.join(&self.clocks[tid(i).index()]);
+        for &(t, _) in arrivals {
+            joined.join(&self.clocks[t.index()]);
         }
-        for i in 0..count {
-            let t = tid(i);
+        for &(t, _) in arrivals {
             self.clocks[t.index()].join(&joined);
             self.clocks[t.index()].inc(t);
         }
@@ -659,7 +648,10 @@ mod tests {
     fn barrier_orders_all_participants() {
         let mut d = ft(3);
         d.write(T0, SiteId(1), X);
-        d.barrier(BarrierId(0), &[T0, T1, T2]);
+        d.barrier_arrivals(
+            BarrierId(0),
+            &[(T0, SiteId(5)), (T1, SiteId(5)), (T2, SiteId(5))],
+        );
         d.write(T1, SiteId(2), X);
         assert!(d.races().is_empty());
     }

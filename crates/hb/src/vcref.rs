@@ -227,28 +227,17 @@ impl VectorClockDetector {
         self.clocks[parent.index()].join(&cc);
     }
 
-    /// Tracks a barrier release.
-    pub fn barrier(&mut self, b: BarrierId, participants: &[ThreadId]) {
-        self.barrier_join(b, participants.len(), |i| participants[i]);
-    }
-
-    /// [`VectorClockDetector::barrier`] fed directly from a recorded
-    /// arrival list, avoiding the intermediate thread vector on replay.
+    /// Tracks a barrier release over its recorded arrival list.
     pub fn barrier_arrivals(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_join(b, arrivals.len(), |i| arrivals[i].0);
-    }
-
-    fn barrier_join<F: Fn(usize) -> ThreadId>(&mut self, b: BarrierId, count: usize, tid: F) {
         let n = self.n;
         if self.barriers.len() <= b.index() {
             self.barriers.resize(b.index() + 1, VectorClock::zero(n));
         }
         let mut joined = self.barriers[b.index()].clone();
-        for i in 0..count {
-            joined.join(&self.clocks[tid(i).index()]);
+        for &(t, _) in arrivals {
+            joined.join(&self.clocks[t.index()]);
         }
-        for i in 0..count {
-            let t = tid(i);
+        for &(t, _) in arrivals {
             self.clocks[t.index()].join(&joined);
             self.clocks[t.index()].inc(t);
         }

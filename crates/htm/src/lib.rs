@@ -31,8 +31,9 @@
 //!
 //! Like the real hardware, the system reports *that* a transaction aborted
 //! and a status word — never which instruction, address, or other
-//! transaction was involved. (A [`ConflictOracle`] records that information
-//! for tests and invariant checking only; the TxRace engine never reads it.)
+//! transaction was involved. (The optional
+//! [`HtmConfig::report_conflict_address`] extension reports the conflicting
+//! cache line; it is off on the commodity configuration.)
 //!
 //! ```
 //! use txrace_htm::{HtmConfig, HtmSystem};
@@ -62,4 +63,4 @@ mod system;
 mod txn;
 
 pub use status::{AbortReason, AbortStatus};
-pub use system::{ConflictOracle, ConflictRecord, HtmConfig, HtmStats, HtmSystem, XbeginError};
+pub use system::{HtmConfig, HtmStats, HtmSystem, XbeginError};

@@ -88,42 +88,6 @@ impl HtmStats {
     }
 }
 
-/// One conflict event, as recorded by the [`ConflictOracle`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConflictRecord {
-    /// The thread whose access won (requester-wins).
-    pub requester: ThreadId,
-    /// The transaction that was doomed.
-    pub victim: ThreadId,
-    /// The contended cache line.
-    pub line: CacheLine,
-    /// Whether the requester itself was inside a transaction (false means
-    /// a strong-isolation conflict with non-transactional code).
-    pub requester_in_txn: bool,
-}
-
-/// Test-only visibility into conflicts.
-///
-/// Real RTM reports none of this; the TxRace engine must never consult it.
-/// It exists so tests can verify invariants like "overlapping conflicting
-/// transactions always produce a conflict abort".
-#[derive(Debug, Clone, Default)]
-pub struct ConflictOracle {
-    records: Vec<ConflictRecord>,
-}
-
-impl ConflictOracle {
-    /// All conflicts so far, in occurrence order.
-    pub fn records(&self) -> &[ConflictRecord] {
-        &self.records
-    }
-
-    /// The most recent conflict.
-    pub fn last(&self) -> Option<&ConflictRecord> {
-        self.records.last()
-    }
-}
-
 /// One hardware transaction context: the bookkeeping structure is owned
 /// permanently by its thread's slot and reset in place between
 /// transactions, so `xbegin`/`xend` never move or allocate it.
@@ -154,7 +118,6 @@ pub struct HtmSystem {
     /// their write set.
     line_writers: Vec<u32>,
     stats: HtmStats,
-    oracle: ConflictOracle,
 }
 
 impl HtmSystem {
@@ -167,7 +130,6 @@ impl HtmSystem {
             line_readers: Vec::new(),
             line_writers: Vec::new(),
             stats: HtmStats::default(),
-            oracle: ConflictOracle::default(),
         }
     }
 
@@ -193,19 +155,9 @@ impl HtmSystem {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &HtmConfig {
-        &self.cfg
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> &HtmStats {
         &self.stats
-    }
-
-    /// The testing oracle (never consulted by the detection engine).
-    pub fn oracle(&self) -> &ConflictOracle {
-        &self.oracle
     }
 
     /// Number of transactions currently occupying hardware slots.
@@ -241,27 +193,6 @@ impl HtmSystem {
             slot.txn.conflict_line
         } else {
             None
-        }
-    }
-
-    /// Data accesses performed inside `t`'s current transaction.
-    pub fn txn_accesses(&self, t: ThreadId) -> u64 {
-        let slot = &self.slots[t.index()];
-        if slot.in_flight {
-            slot.txn.accesses
-        } else {
-            0
-        }
-    }
-
-    /// Distinct cache lines in `t`'s current transactional footprint
-    /// (read set ∪ write set).
-    pub fn txn_footprint_lines(&self, t: ThreadId) -> usize {
-        let slot = &self.slots[t.index()];
-        if slot.in_flight {
-            slot.txn.footprint_lines()
-        } else {
-            0
         }
     }
 
@@ -381,10 +312,9 @@ impl HtmSystem {
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
                 // Active transaction: requester-wins against others' writes.
-                self.conflict_scan(mem, t, line, false, true);
+                self.conflict_scan(mem, t, line, false);
                 let cap = self.cfg.read_set_max_lines;
                 let txn = &mut self.slots[t.index()].txn;
-                txn.accesses += 1;
                 if !txn.read_lines.contains(line) {
                     if txn.read_lines.len() >= cap {
                         // Capture before the self-doom: dooming unwinds
@@ -407,7 +337,7 @@ impl HtmSystem {
             (false, _) => {
                 // Non-transactional read: strong isolation dooms writers
                 // (and unwinds their journals) before the load.
-                self.conflict_scan(mem, t, line, false, false);
+                self.conflict_scan(mem, t, line, false);
                 mem.load(addr)
             }
         }
@@ -420,19 +350,17 @@ impl HtmSystem {
         let slot = &self.slots[t.index()];
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
-                self.conflict_scan(mem, t, line, true, true);
+                self.conflict_scan(mem, t, line, true);
                 if !self.reserve_write_line(mem, t, line) {
                     return; // capacity doom; store never becomes visible
                 }
-                let txn = &mut self.slots[t.index()].txn;
-                txn.accesses += 1;
-                mem.store_logged(addr, val, &mut txn.journal);
+                mem.store_logged(addr, val, &mut self.slots[t.index()].txn.journal);
             }
             // Zombie store: it simply vanishes (the undo log is already
             // unwound and must stay retired).
             (true, Some(_)) => {}
             (false, _) => {
-                self.conflict_scan(mem, t, line, true, false);
+                self.conflict_scan(mem, t, line, true);
                 mem.store(addr, val);
             }
         }
@@ -444,7 +372,7 @@ impl HtmSystem {
         let slot = &self.slots[t.index()];
         match (slot.in_flight, slot.txn.doom) {
             (true, None) => {
-                self.conflict_scan(mem, t, line, true, true);
+                self.conflict_scan(mem, t, line, true);
                 // Reads and writes the line.
                 let cap = self.cfg.read_set_max_lines;
                 let txn = &mut self.slots[t.index()].txn;
@@ -461,15 +389,14 @@ impl HtmSystem {
                 if !self.reserve_write_line(mem, t, line) {
                     return old;
                 }
-                let txn = &mut self.slots[t.index()].txn;
-                txn.accesses += 1;
-                mem.store_logged(addr, old.wrapping_add(delta), &mut txn.journal);
+                let journal = &mut self.slots[t.index()].txn.journal;
+                mem.store_logged(addr, old.wrapping_add(delta), journal);
                 old
             }
             // Zombie rmw: observe without publishing (see `write`).
             (true, Some(_)) => mem.load(addr),
             (false, _) => {
-                self.conflict_scan(mem, t, line, true, false);
+                self.conflict_scan(mem, t, line, true);
                 let old = mem.load(addr);
                 mem.store(addr, old.wrapping_add(delta));
                 old
@@ -507,7 +434,6 @@ impl HtmSystem {
         requester: ThreadId,
         line: CacheLine,
         is_write: bool,
-        in_txn: bool,
     ) {
         // Fast exit for the overwhelmingly common case: no *other*
         // transaction is in flight, so nothing can conflict.
@@ -555,12 +481,6 @@ impl HtmSystem {
                 let victim = ThreadId(i as u32);
                 self.doom(mem, victim, AbortStatus::CONFLICT | AbortStatus::RETRY);
                 self.slots[i].txn.conflict_line.get_or_insert(line);
-                self.oracle.records.push(ConflictRecord {
-                    requester,
-                    victim,
-                    line,
-                    requester_in_txn: in_txn,
-                });
             }
         }
     }
@@ -738,8 +658,6 @@ mod tests {
         assert!(htm.is_doomed(T0).is_some());
         assert!(htm.is_doomed(T1).is_some());
         assert_eq!(mem.load(flag), 1, "non-tx store goes straight to memory");
-        let recs = htm.oracle().records();
-        assert!(recs.iter().all(|r| !r.requester_in_txn));
     }
 
     #[test]
@@ -931,16 +849,21 @@ mod tests {
 
     #[test]
     fn oracle_records_conflict_details() {
-        let (mut htm, mut mem) = fresh(2);
+        let cfg = HtmConfig {
+            report_conflict_address: true,
+            ..HtmConfig::default()
+        };
+        let mut htm = HtmSystem::new(cfg, 2);
+        let mut mem = Memory::new();
         htm.xbegin(T0).unwrap();
         htm.xbegin(T1).unwrap();
         htm.write(T0, &mut mem, line_addr(6), 1);
         htm.write(T1, &mut mem, line_addr(6), 2);
-        let rec = htm.oracle().last().copied().unwrap();
-        assert_eq!(rec.requester, T1);
-        assert_eq!(rec.victim, T0);
-        assert_eq!(rec.line, CacheLine(6));
-        assert!(rec.requester_in_txn);
+        // Requester wins: the earlier writer is the victim.
+        let status = htm.is_doomed(T0).expect("victim doomed");
+        assert_eq!(status.reason(), AbortReason::Conflict);
+        assert!(htm.is_doomed(T1).is_none(), "requester survives");
+        assert_eq!(htm.conflict_line_hint(T0), Some(CacheLine(6)));
     }
 
     #[test]
@@ -977,18 +900,6 @@ mod tests {
         assert_eq!(old, 0);
         assert_eq!(mem.load(line_addr(9)), 3);
         assert!(htm.is_doomed(T0).is_some());
-    }
-
-    #[test]
-    fn footprint_counts_distinct_lines() {
-        let (mut htm, mut mem) = fresh(1);
-        htm.xbegin(T0).unwrap();
-        assert_eq!(htm.txn_footprint_lines(T0), 0);
-        let _ = htm.read(T0, &mut mem, line_addr(1));
-        htm.write(T0, &mut mem, line_addr(1).offset(8), 1); // same line
-        htm.write(T0, &mut mem, line_addr(2), 1);
-        assert_eq!(htm.txn_footprint_lines(T0), 2);
-        assert_eq!(htm.txn_accesses(T0), 3);
     }
 
     #[test]

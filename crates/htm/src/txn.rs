@@ -83,24 +83,12 @@ pub(crate) struct Txn {
     /// The first conflicting line (for the optional conflict-address
     /// reporting extension).
     pub conflict_line: Option<CacheLine>,
-    /// Dynamic count of data accesses inside this transaction (statistics).
-    pub accesses: u64,
     /// Per-cache-set occupancy of the write set (lazily sized; avoids an
     /// O(write-set) scan on every new line).
     pub set_occupancy: Vec<u16>,
 }
 
 impl Txn {
-    /// Total distinct lines in the footprint.
-    pub(crate) fn footprint_lines(&self) -> usize {
-        self.read_lines.len()
-            + self
-                .write_lines
-                .iter()
-                .filter(|&l| !self.read_lines.contains(l))
-                .count()
-    }
-
     /// Returns the slot to its pristine state, keeping allocations so a
     /// recycled transaction does no work proportional to the address
     /// space.
@@ -111,7 +99,6 @@ impl Txn {
         self.begin = JournalMark::default();
         self.doom = None;
         self.conflict_line = None;
-        self.accesses = 0;
         self.set_occupancy.fill(0);
     }
 }
@@ -119,16 +106,6 @@ impl Txn {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn footprint_counts_union() {
-        let mut t = Txn::default();
-        t.read_lines.insert(CacheLine(1));
-        t.read_lines.insert(CacheLine(2));
-        t.write_lines.insert(CacheLine(2));
-        t.write_lines.insert(CacheLine(3));
-        assert_eq!(t.footprint_lines(), 3);
-    }
 
     #[test]
     fn line_set_insert_contains_clear() {
@@ -157,11 +134,9 @@ mod tests {
         t.read_lines.insert(CacheLine(1));
         t.write_lines.insert(CacheLine(2));
         t.doom = Some(AbortStatus::CAPACITY);
-        t.accesses = 7;
         t.reset();
         assert_eq!(t.doom, None);
-        assert_eq!(t.footprint_lines(), 0);
-        assert_eq!(t.accesses, 0);
+        assert_eq!(t.read_lines.len() + t.write_lines.len(), 0);
         assert!(t.set_occupancy.iter().all(|&o| o == 0));
     }
 }

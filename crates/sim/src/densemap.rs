@@ -74,16 +74,6 @@ impl AddrMap {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Pre-sizes the top-level page table for addresses below `span`.
-    /// Costs 8 bytes per [`PAGE_SIZE`] addresses; no id pages are
-    /// allocated until their addresses are touched.
-    pub fn reserve_span(&mut self, span: usize) {
-        let pages = span.div_ceil(PAGE_SIZE);
-        if self.pages.len() < pages {
-            self.pages.resize(pages, None);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -106,15 +96,6 @@ mod tests {
         let m = AddrMap::new();
         assert_eq!(m.get(Addr(1 << 30)), None);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn reserve_span_only_sizes_the_top_level() {
-        let mut m = AddrMap::new();
-        m.reserve_span(500_000);
-        assert!(m.is_empty());
-        assert_eq!(m.get(Addr(499_999)), None);
-        assert_eq!(m.resolve(Addr(499_999)), 0);
     }
 
     #[test]

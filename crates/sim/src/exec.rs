@@ -9,6 +9,10 @@
 //!   thread back* to an earlier [`Snapshot`] — that is a transactional
 //!   abort: the program counter and loop state rewind, and whatever the
 //!   runtime buffered is discarded by the runtime itself.
+//! * The instrumentation markers then fire their own typed hook —
+//!   [`Runtime::tx_begin`], [`Runtime::tx_end`] or
+//!   [`Runtime::loop_cut_probe`] — which may roll the thread back the
+//!   same way. These are the only points where a runtime steers control.
 //! * [`Runtime::load`]/[`store`](Runtime::store)/[`fetch_add`](Runtime::fetch_add)
 //!   delegate the architectural memory effect to the runtime, which can
 //!   buffer it (transactional fast path), check it (software slow path), or
@@ -29,7 +33,7 @@
 use crate::addr::Addr;
 use crate::flat::{FlatProgram, InstrKind, SYSCALL_CODES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
-use crate::ir::{Op, Program};
+use crate::ir::Program;
 use crate::mem::Memory;
 use crate::replay::TraceConsumer;
 use crate::sched::{InterruptKind, Scheduler};
@@ -47,7 +51,7 @@ pub struct LoopFrame {
 }
 
 /// The zero-based iteration index of the *innermost* enclosing loop (0
-/// outside any loop). Indexed accesses ([`Op::ReadArr`]) use this, so a
+/// outside any loop). Indexed accesses (`ReadArr`, `WriteArr`) use this, so a
 /// buffer walk re-walks the same addresses on every execution of its loop
 /// — re-wrapping a walk in an outer loop never escapes the array.
 pub fn innermost_iteration_index(stack: &[LoopFrame]) -> u64 {
@@ -64,23 +68,21 @@ pub struct Snapshot {
     pub loop_stack: Vec<LoopFrame>,
 }
 
-/// Everything a [`Runtime`] learns about the operation about to execute.
+/// Where the operation about to execute sits: the context every
+/// [`Runtime`] hook receives. The operation's operands arrive as the
+/// typed arguments of the hook or event that carries them.
 #[derive(Debug)]
 pub struct OpEvent<'a> {
     /// Executing thread.
     pub thread: ThreadId,
     /// Static site of the operation.
     pub site: SiteId,
-    /// The operation.
-    pub op: Op,
     /// Program counter of the operation.
     pub pc: usize,
     /// Current loop stack (innermost last).
     pub loop_stack: &'a [LoopFrame],
     /// Interrupt hitting this step, if any.
     pub interrupted: Option<InterruptKind>,
-    /// Global step counter.
-    pub step: u64,
 }
 
 impl OpEvent<'_> {
@@ -125,9 +127,28 @@ pub enum Directive {
 /// Every hook has a default: no redirection, and direct, unchecked
 /// memory access. A pure observer overrides none of them.
 pub trait Runtime: TraceConsumer {
-    /// Fired before every operation; may redirect control.
+    /// Fired before every operation, markers included; may redirect
+    /// control.
     fn before_op(&mut self, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
         let _ = (mem, ev);
+        Directive::Continue
+    }
+
+    /// Fired at a region-begin marker (`xbegin`), after `before_op`.
+    fn tx_begin(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
+        let _ = (mem, ev, r);
+        Directive::Continue
+    }
+
+    /// Fired at a region-end marker (`xend`), after `before_op`.
+    fn tx_end(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
+        let _ = (mem, ev, r);
+        Directive::Continue
+    }
+
+    /// Fired at a loop-cut probe, after `before_op`.
+    fn loop_cut_probe(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, l: LoopId) -> Directive {
+        let _ = (mem, ev, l);
         Directive::Continue
     }
 
@@ -348,10 +369,10 @@ impl Machine {
     /// packed kind. Each arm reads its operands straight from the
     /// instruction and the operand pool, decides blocking before any
     /// hook fires, and runs the op's effect after `before_op`, delivering
-    /// the op's typed event from the arm itself; only the sync arms pay
-    /// for waking, spawning, barrier release or faults. Every arm that
-    /// neither blocks nor rolls back falls through to the shared
-    /// `pc + 1` advance.
+    /// the op's typed event (or, for a marker, firing its typed hook)
+    /// from the arm itself; only the sync arms pay for waking, spawning,
+    /// barrier release or faults. Every arm that neither blocks nor rolls
+    /// back falls through to the shared `pc + 1` advance.
     fn step_thread<R: Runtime, S: Scheduler + ?Sized>(
         &mut self,
         t: ThreadId,
@@ -369,21 +390,17 @@ impl Machine {
         // fire `before_op` with the op's event, and, unless the runtime
         // rolls the thread back (which ends the step), evaluate `$effect`
         // with `$rt`, `$mem` and `$ev` bound. The event borrows the loop
-        // stack in place while the hooks get `&mut Memory`.
+        // stack in place while the hooks get `&mut Memory`. A marker's
+        // effect is its typed hook, which may roll back the same way.
         macro_rules! hooked {
-            ($op:expr) => {
-                hooked!($op, |_rt, _mem, _ev| ())
-            };
-            ($op:expr, |$rt:ident, $mem:ident, $ev:ident| $effect:expr) => {{
+            (|$rt:ident, $mem:ident, $ev:ident| $effect:expr) => {{
                 let interrupted = sched.interrupt(t);
                 let ev = OpEvent {
                     thread: t,
                     site,
-                    op: $op,
                     pc,
                     loop_stack: &self.loop_stacks[ti],
                     interrupted,
-                    step: self.steps,
                 };
                 match rt.before_op(&mut self.memory, &ev) {
                     Directive::Continue => {
@@ -391,19 +408,26 @@ impl Machine {
                         $effect
                     }
                     Directive::Rollback(snap) => {
-                        self.pcs[ti] = snap.pc;
-                        self.loop_stacks[ti] = snap.loop_stack;
+                        self.rewind(ti, snap);
                         return Ok(());
                     }
                 }
             }};
+        }
+        macro_rules! marker {
+            (|$rt:ident, $mem:ident, $ev:ident| $hook:expr) => {
+                if let Directive::Rollback(snap) = hooked!(|$rt, $mem, $ev| $hook) {
+                    self.rewind(ti, snap);
+                    return Ok(());
+                }
+            };
         }
 
         match instr.kind() {
             InstrKind::Read => {
                 let [a] = th.words(&instr);
                 let a = Addr(a);
-                hooked!(Op::Read(a), |rt, mem, ev| {
+                hooked!(|rt, mem, ev| {
                     rt.read(t, site, a);
                     rt.load(mem, ev, a);
                 });
@@ -411,25 +435,25 @@ impl Machine {
             InstrKind::Write => {
                 let [a, v] = th.words(&instr);
                 let a = Addr(a);
-                hooked!(Op::Write(a, v), |rt, mem, ev| {
+                hooked!(|rt, mem, ev| {
                     rt.write(t, site, a);
                     rt.store(mem, ev, a, v);
                 });
             }
             InstrKind::ReadArr => {
                 let [base, stride] = th.words(&instr);
-                let base = Addr(base);
-                let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
-                hooked!(Op::ReadArr { base, stride }, |rt, mem, ev| {
+                let a =
+                    Addr(base).offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
+                hooked!(|rt, mem, ev| {
                     rt.read(t, site, a);
                     rt.load(mem, ev, a);
                 });
             }
             InstrKind::WriteArr => {
                 let [base, stride, val] = th.words(&instr);
-                let base = Addr(base);
-                let a = base.offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
-                hooked!(Op::WriteArr { base, stride, val }, |rt, mem, ev| {
+                let a =
+                    Addr(base).offset(stride * innermost_iteration_index(&self.loop_stacks[ti]));
+                hooked!(|rt, mem, ev| {
                     rt.write(t, site, a);
                     rt.store(mem, ev, a, val);
                 });
@@ -437,14 +461,14 @@ impl Machine {
             InstrKind::Rmw => {
                 let [a, d] = th.words(&instr);
                 let a = Addr(a);
-                hooked!(Op::Rmw(a, d), |rt, mem, ev| {
+                hooked!(|rt, mem, ev| {
                     rt.rmw(t, site, a);
                     rt.fetch_add(mem, ev, a, d);
                 });
             }
             InstrKind::Compute => {
                 let n = instr.arg();
-                hooked!(Op::Compute(n), |rt, _mem, _ev| rt.compute(t, site, n));
+                hooked!(|rt, _mem, _ev| rt.compute(t, site, n));
             }
             InstrKind::LoopBack => {
                 let frame = self.loop_stacks[ti]
@@ -476,14 +500,14 @@ impl Machine {
                     self.block(ti, TState::BlockedLock(l));
                     return Ok(());
                 }
-                hooked!(Op::Lock(l), |rt, _mem, _ev| {
+                hooked!(|rt, _mem, _ev| {
                     self.locks[l.index()] = Some(t);
                     rt.acquire(t, site, l);
                 });
             }
             InstrKind::Unlock => {
                 let l = LockId(instr.arg());
-                let held = hooked!(Op::Unlock(l), |rt, _mem, _ev| {
+                let held = hooked!(|rt, _mem, _ev| {
                     let held = self.locks[l.index()] == Some(t);
                     if held {
                         self.locks[l.index()] = None;
@@ -498,7 +522,7 @@ impl Machine {
             }
             InstrKind::Barrier => {
                 let b = BarrierId(instr.arg());
-                let full = hooked!(Op::Barrier(b), |rt, _mem, _ev| {
+                let full = hooked!(|rt, _mem, _ev| {
                     rt.barrier_arrive(t, site, b);
                     let arrived = &mut self.barriers[b.index()].arrived;
                     arrived.push((t, site));
@@ -528,7 +552,7 @@ impl Machine {
                     self.block(ti, TState::BlockedChanSend(ch));
                     return Ok(());
                 }
-                hooked!(Op::ChanSend(ch), |rt, _mem, _ev| {
+                hooked!(|rt, _mem, _ev| {
                     self.chans[ch.index()] += 1;
                     rt.chan_send(t, site, ch);
                 });
@@ -540,7 +564,7 @@ impl Machine {
                     self.block(ti, TState::BlockedChanRecv(ch));
                     return Ok(());
                 }
-                hooked!(Op::ChanRecv(ch), |rt, _mem, _ev| {
+                hooked!(|rt, _mem, _ev| {
                     self.chans[ch.index()] -= 1;
                     rt.chan_recv(t, site, ch);
                 });
@@ -548,7 +572,7 @@ impl Machine {
             }
             InstrKind::Signal => {
                 let c = CondId(instr.arg());
-                hooked!(Op::Signal(c), |rt, _mem, _ev| {
+                hooked!(|rt, _mem, _ev| {
                     self.sems[c.index()] += 1;
                     rt.signal(t, site, c);
                 });
@@ -560,14 +584,14 @@ impl Machine {
                     self.block(ti, TState::BlockedWait(c));
                     return Ok(());
                 }
-                hooked!(Op::Wait(c), |rt, _mem, _ev| {
+                hooked!(|rt, _mem, _ev| {
                     self.sems[c.index()] -= 1;
                     rt.wait(t, site, c);
                 });
             }
             InstrKind::Spawn => {
                 let u = ThreadId(instr.arg());
-                let parked = hooked!(Op::Spawn(u), |rt, _mem, _ev| {
+                let parked = hooked!(|rt, _mem, _ev| {
                     let parked = self.states[u.index()] == TState::Parked;
                     if parked {
                         rt.spawn(t, site, u);
@@ -587,21 +611,36 @@ impl Machine {
                     self.block(ti, TState::BlockedJoin(u));
                     return Ok(());
                 }
-                hooked!(Op::Join(u), |rt, _mem, _ev| rt.join(t, site, u));
+                hooked!(|rt, _mem, _ev| rt.join(t, site, u));
             }
             InstrKind::Syscall => {
                 let kind = SYSCALL_CODES[instr.arg() as usize];
-                hooked!(Op::Syscall(kind), |rt, _mem, _ev| rt.syscall(t, site, kind));
+                hooked!(|rt, _mem, _ev| rt.syscall(t, site, kind));
             }
-            InstrKind::TxBegin => hooked!(Op::TxBegin(RegionId(instr.arg()))),
-            InstrKind::TxEnd => hooked!(Op::TxEnd(RegionId(instr.arg()))),
-            InstrKind::LoopCutProbe => hooked!(Op::LoopCutProbe(LoopId(instr.arg()))),
+            InstrKind::TxBegin => {
+                let r = RegionId(instr.arg());
+                marker!(|rt, mem, ev| rt.tx_begin(mem, ev, r));
+            }
+            InstrKind::TxEnd => {
+                let r = RegionId(instr.arg());
+                marker!(|rt, mem, ev| rt.tx_end(mem, ev, r));
+            }
+            InstrKind::LoopCutProbe => {
+                let l = LoopId(instr.arg());
+                marker!(|rt, mem, ev| rt.loop_cut_probe(mem, ev, l));
+            }
         }
         self.pcs[ti] = pc + 1;
         if pc + 1 >= len {
             self.maybe_finish(t, rt);
         }
         Ok(())
+    }
+
+    /// Rewinds thread `ti` to `snap` (a runtime's rollback).
+    fn rewind(&mut self, ti: usize, snap: Snapshot) {
+        self.pcs[ti] = snap.pc;
+        self.loop_stacks[ti] = snap.loop_stack;
     }
 
     /// Blocks the running thread (index `ti`) in state `s`.
@@ -641,7 +680,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ProgramBuilder, SyscallKind};
+    use crate::ir::{Op, ProgramBuilder, SyscallKind};
     use crate::sched::{RandomSched, RoundRobin};
     use crate::DirectRuntime;
 
@@ -936,17 +975,17 @@ mod tests {
     struct RollOnce {
         done: bool,
         saved: Option<Snapshot>,
-        rolled_at_step: u64,
+        calls: u64,
     }
 
     impl TraceConsumer for RollOnce {}
     impl Runtime for RollOnce {
         fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+            self.calls += 1;
             if self.saved.is_none() {
                 self.saved = Some(ev.snapshot());
-            } else if !self.done && ev.step > 3 {
+            } else if !self.done && self.calls > 3 {
                 self.done = true;
-                self.rolled_at_step = ev.step;
                 return Directive::Rollback(self.saved.clone().expect("saved above"));
             }
             Directive::Continue
@@ -963,7 +1002,7 @@ mod tests {
         let mut rt = RollOnce {
             done: false,
             saved: None,
-            rolled_at_step: 0,
+            calls: 0,
         };
         let mut s = RoundRobin::new();
         let r = m.run(&mut rt, &mut s);
@@ -982,14 +1021,17 @@ mod tests {
         struct RollFromLoop {
             rolled: bool,
             start: Option<Snapshot>,
+            calls: u64,
         }
         impl TraceConsumer for RollFromLoop {}
         impl Runtime for RollFromLoop {
             fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+                self.calls += 1;
                 if self.start.is_none() {
                     self.start = Some(ev.snapshot());
                 }
-                if !self.rolled && !ev.loop_stack.is_empty() && ev.step > 6 {
+                // The third loop iteration's op.
+                if !self.rolled && !ev.loop_stack.is_empty() && self.calls > 3 {
                     self.rolled = true;
                     return Directive::Rollback(self.start.clone().expect("set above"));
                 }
@@ -1006,6 +1048,7 @@ mod tests {
         let mut rt = RollFromLoop {
             rolled: false,
             start: None,
+            calls: 0,
         };
         let mut s = RoundRobin::new();
         let r = m.run(&mut rt, &mut s);
@@ -1051,7 +1094,6 @@ mod tests {
     /// three instrumentation markers. Returns the program and the first
     /// marker site; the markers take that site and the next two.
     fn every_kind_program() -> (Program, u32) {
-        use crate::ids::RegionId;
         use crate::ir::Stmt;
 
         let mut b = ProgramBuilder::new(2);
@@ -1092,37 +1134,193 @@ mod tests {
         (plain.with_transformed_threads(threads, n + 3), n)
     }
 
+    /// Operands a [`Probe`]'s non-event hooks received, tagged by hook.
+    type Hooks = Vec<(&'static str, u64)>;
+
+    /// One op as a [`Probe`] saw it: where it ran, the innermost
+    /// iteration index, the first log event it delivered, and every
+    /// operand its runtime hooks received, tagged by hook.
+    struct ProbedOp {
+        thread: ThreadId,
+        pc: usize,
+        site: SiteId,
+        idx: u64,
+        first_event: usize,
+        hooks: Hooks,
+    }
+
+    /// A runtime that is not `Live`: it forwards its `TraceConsumer`
+    /// events into an [`EventLogBuilder`](crate::trace::EventLogBuilder)
+    /// and probes every other hook.
+    #[derive(Default)]
+    struct Probe {
+        log: crate::trace::EventLogBuilder,
+        ops: Vec<ProbedOp>,
+    }
+
+    impl Probe {
+        fn got(&mut self, hook: &'static str, word: u64) -> Directive {
+            let op = self.ops.last_mut().expect("a hook after before_op");
+            op.hooks.push((hook, word));
+            Directive::Continue
+        }
+    }
+
+    impl Runtime for Probe {
+        fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
+            self.ops.push(ProbedOp {
+                thread: ev.thread,
+                pc: ev.pc,
+                site: ev.site,
+                idx: innermost_iteration_index(ev.loop_stack),
+                first_event: self.log.events.len(),
+                hooks: Vec::new(),
+            });
+            Directive::Continue
+        }
+        fn tx_begin(&mut self, _mem: &mut Memory, _ev: &OpEvent<'_>, r: RegionId) -> Directive {
+            self.got("tx_begin", r.0.into())
+        }
+        fn tx_end(&mut self, _mem: &mut Memory, _ev: &OpEvent<'_>, r: RegionId) -> Directive {
+            self.got("tx_end", r.0.into())
+        }
+        fn loop_cut_probe(&mut self, _mem: &mut Memory, _ev: &OpEvent<'_>, l: LoopId) -> Directive {
+            self.got("loop_cut_probe", l.0.into())
+        }
+        fn load(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, a: Addr) -> u64 {
+            self.got("load", a.0);
+            mem.load(a)
+        }
+        fn store(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, a: Addr, v: u64) {
+            self.got("store", a.0);
+            self.got("value", v);
+            mem.store(a, v);
+        }
+        fn fetch_add(&mut self, mem: &mut Memory, _ev: &OpEvent<'_>, a: Addr, d: u64) -> u64 {
+            self.got("fetch_add", a.0);
+            self.got("delta", d);
+            let old = mem.load(a);
+            mem.store(a, old.wrapping_add(d));
+            old
+        }
+    }
+
+    impl TraceConsumer for Probe {
+        fn read(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+            self.log.read(t, s, a);
+        }
+        fn write(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+            self.log.write(t, s, a);
+        }
+        fn rmw(&mut self, t: ThreadId, s: SiteId, a: Addr) {
+            self.log.rmw(t, s, a);
+        }
+        fn acquire(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+            self.log.acquire(t, s, l);
+        }
+        fn release(&mut self, t: ThreadId, s: SiteId, l: LockId) {
+            self.log.release(t, s, l);
+        }
+        fn signal(&mut self, t: ThreadId, s: SiteId, c: CondId) {
+            self.log.signal(t, s, c);
+        }
+        fn wait(&mut self, t: ThreadId, s: SiteId, c: CondId) {
+            self.log.wait(t, s, c);
+        }
+        fn spawn(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
+            self.log.spawn(t, s, u);
+        }
+        fn join(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
+            self.log.join(t, s, u);
+        }
+        fn barrier_arrive(&mut self, t: ThreadId, s: SiteId, b: BarrierId) {
+            self.log.barrier_arrive(t, s, b);
+        }
+        fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+            self.log.barrier_release(b, arrivals);
+        }
+        fn compute(&mut self, t: ThreadId, s: SiteId, units: u32) {
+            self.log.compute(t, s, units);
+        }
+        fn syscall(&mut self, t: ThreadId, s: SiteId, kind: SyscallKind) {
+            self.log.syscall(t, s, kind);
+        }
+        fn chan_send(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+            self.log.chan_send(t, s, ch);
+        }
+        fn chan_recv(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
+            self.log.chan_recv(t, s, ch);
+        }
+        fn thread_done(&mut self, t: ThreadId) {
+            self.log.thread_done(t);
+        }
+    }
+
+    fn is_per_op(e: &crate::trace::TraceEvent) -> bool {
+        use crate::trace::TraceEventKind as K;
+        !matches!(e.kind, K::BarrierRelease | K::ThreadDone)
+    }
+
     #[test]
     fn every_kind_arm_builds_the_op_the_flattener_encoded() {
-        // The step builds each event's `Op` from the packed operands in
-        // its own `match` arm; the reference decoder must agree on every
-        // kind, markers and indexed accesses inside loops included.
-        use crate::flat::FlatProgram;
+        // Each arm decodes its operands from the packed instruction and
+        // hands them to the hooks as typed arguments; the reference
+        // decoder must agree with every operand of every kind, markers
+        // and indexed accesses inside loops included.
+        use crate::flat::{syscall_code, FlatProgram};
+        use crate::trace::TraceEventKind as K;
 
-        #[derive(Default)]
-        struct OpLog(Vec<(ThreadId, usize, SiteId, Op)>);
-        impl TraceConsumer for OpLog {}
-        impl Runtime for OpLog {
-            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-                self.0.push((ev.thread, ev.pc, ev.site, ev.op));
-                Directive::Continue
+        /// What `op` must deliver at iteration `idx`: its one event
+        /// (kind and operand), then the operands of the other hooks.
+        fn expected(op: Op, idx: u64) -> (Vec<(K, u64)>, Hooks) {
+            let load = |a: Addr| (vec![(K::Read, a.0)], vec![("load", a.0)]);
+            let store = |a: Addr, v| (vec![(K::Write, a.0)], vec![("store", a.0), ("value", v)]);
+            let event = |k, arg: u32| (vec![(k, u64::from(arg))], vec![]);
+            let marker = |hook, arg: u32| (vec![], vec![(hook, u64::from(arg))]);
+            match op {
+                Op::Read(a) => load(a),
+                Op::ReadArr { base, stride } => load(base.offset(stride * idx)),
+                Op::Write(a, v) => store(a, v),
+                Op::WriteArr { base, stride, val } => store(base.offset(stride * idx), val),
+                Op::Rmw(a, d) => (vec![(K::Rmw, a.0)], vec![("fetch_add", a.0), ("delta", d)]),
+                Op::Compute(n) => event(K::Compute, n),
+                Op::Syscall(k) => event(K::Syscall, syscall_code(k)),
+                Op::Lock(l) => event(K::Acquire, l.0),
+                Op::Unlock(l) => event(K::Release, l.0),
+                Op::Signal(c) => event(K::Signal, c.0),
+                Op::Wait(c) => event(K::Wait, c.0),
+                Op::Spawn(u) => event(K::Spawn, u.0),
+                Op::Join(u) => event(K::Join, u.0),
+                Op::Barrier(b) => event(K::BarrierArrive, b.0),
+                Op::ChanSend(ch) => event(K::ChanSend, ch.0),
+                Op::ChanRecv(ch) => event(K::ChanRecv, ch.0),
+                Op::TxBegin(r) => marker("tx_begin", r.0),
+                Op::TxEnd(r) => marker("tx_end", r.0),
+                Op::LoopCutProbe(l) => marker("loop_cut_probe", l.0),
             }
         }
 
         let (p, _) = every_kind_program();
-        let mut rt = OpLog::default();
+        let mut rt = Probe::default();
         let r = Machine::new(&p).run(&mut rt, &mut RandomSched::new(3));
         assert_eq!(r.status, RunStatus::Done);
         let flat = FlatProgram::from_program(&p);
+        let events = &rt.log.events;
         let mut kinds = std::collections::BTreeSet::new();
-        for &(t, pc, site, op) in &rt.0 {
+        for (i, op) in rt.ops.iter().enumerate() {
+            let (t, pc) = (op.thread, op.pc);
             let th = &flat.threads[t.index()];
             let instr = &th.code[pc];
-            assert_eq!(
-                (site, op),
-                (instr.site(), th.decode_op(instr)),
-                "{t} pc {pc}"
-            );
+            let end = rt.ops.get(i + 1).map_or(events.len(), |o| o.first_event);
+            let delivered: Vec<_> = events[op.first_event..end]
+                .iter()
+                .filter(|e| is_per_op(e))
+                .inspect(|e| assert_eq!((e.thread, e.site), (t, op.site), "{t} pc {pc}"))
+                .map(|e| (e.kind, e.arg))
+                .collect();
+            assert_eq!(op.site, instr.site(), "{t} pc {pc}");
+            let want = expected(th.decode_op(instr), op.idx);
+            assert_eq!((delivered, op.hooks.clone()), want, "{t} pc {pc}");
             kinds.insert(instr.kind() as u8);
         }
         // Every operation kind ran (all but the two loop-control kinds).
@@ -1133,75 +1331,12 @@ mod tests {
     fn every_kind_arm_delivers_the_event_the_recorder_logs() {
         // A runtime that is not `Live` receives, through its own
         // `TraceConsumer` impl, exactly the stream `record_run` logs: one
-        // event per executed operation, none for the markers.
-        use crate::trace::{record_run, EventLogBuilder, TraceEventKind};
-
-        #[derive(Default)]
-        struct Forward {
-            ops: u64,
-            log: EventLogBuilder,
-        }
-        impl Runtime for Forward {
-            fn before_op(&mut self, _mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-                if !matches!(ev.op, Op::TxBegin(_) | Op::TxEnd(_) | Op::LoopCutProbe(_)) {
-                    self.ops += 1;
-                }
-                Directive::Continue
-            }
-        }
-        impl TraceConsumer for Forward {
-            fn read(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-                self.log.read(t, s, a);
-            }
-            fn write(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-                self.log.write(t, s, a);
-            }
-            fn rmw(&mut self, t: ThreadId, s: SiteId, a: Addr) {
-                self.log.rmw(t, s, a);
-            }
-            fn acquire(&mut self, t: ThreadId, s: SiteId, l: LockId) {
-                self.log.acquire(t, s, l);
-            }
-            fn release(&mut self, t: ThreadId, s: SiteId, l: LockId) {
-                self.log.release(t, s, l);
-            }
-            fn signal(&mut self, t: ThreadId, s: SiteId, c: CondId) {
-                self.log.signal(t, s, c);
-            }
-            fn wait(&mut self, t: ThreadId, s: SiteId, c: CondId) {
-                self.log.wait(t, s, c);
-            }
-            fn spawn(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
-                self.log.spawn(t, s, u);
-            }
-            fn join(&mut self, t: ThreadId, s: SiteId, u: ThreadId) {
-                self.log.join(t, s, u);
-            }
-            fn barrier_arrive(&mut self, t: ThreadId, s: SiteId, b: BarrierId) {
-                self.log.barrier_arrive(t, s, b);
-            }
-            fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-                self.log.barrier_release(b, arrivals);
-            }
-            fn compute(&mut self, t: ThreadId, s: SiteId, units: u32) {
-                self.log.compute(t, s, units);
-            }
-            fn syscall(&mut self, t: ThreadId, s: SiteId, kind: SyscallKind) {
-                self.log.syscall(t, s, kind);
-            }
-            fn chan_send(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
-                self.log.chan_send(t, s, ch);
-            }
-            fn chan_recv(&mut self, t: ThreadId, s: SiteId, ch: ChanId) {
-                self.log.chan_recv(t, s, ch);
-            }
-            fn thread_done(&mut self, t: ThreadId) {
-                self.log.thread_done(t);
-            }
-        }
+        // event per executed operation, none for the markers, which fire
+        // their own hooks instead.
+        use crate::trace::{record_run, TraceEventKind};
 
         let (p, first_marker) = every_kind_program();
-        let mut rt = Forward::default();
+        let mut rt = Probe::default();
         let r = Machine::new(&p).run(&mut rt, &mut RandomSched::new(3));
         assert_eq!(r.status, RunStatus::Done);
         let log = record_run(&p, &mut RandomSched::new(3), StepLimit::default());
@@ -1219,13 +1354,14 @@ mod tests {
             events.iter().all(|e| e.site.0 < first_marker),
             "a marker delivered an event"
         );
-        let per_op = events.iter().filter(|e| {
-            !matches!(
-                e.kind,
-                TraceEventKind::BarrierRelease | TraceEventKind::ThreadDone
-            )
-        });
-        assert_eq!(per_op.count() as u64, rt.ops, "one event per executed op");
+        let markers: Vec<_> = rt.ops.iter().filter(|o| o.site.0 >= first_marker).collect();
+        assert_eq!(markers.len(), 3);
+        assert!(
+            markers.iter().all(|o| o.hooks.len() == 1),
+            "one hook per marker"
+        );
+        let per_op = events.iter().filter(|e| is_per_op(e)).count();
+        assert_eq!(per_op, rt.ops.len() - 3, "one event per executed op");
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! words it points at), decides whether the op blocks, and runs the
 //! op's effect between the runtime hooks. Data and compute arms skip
 //! the wake, spawn, barrier and fault bookkeeping that only sync ops
-//! need. The [`Op`] the hooks see is built once per step, inside the
-//! arm, only for the [`crate::exec::OpEvent`]. It is bit-identical to
-//! the op the flattener consumed, so RNG draws and detection outputs do
-//! not depend on the packed layout.
+//! need. The hooks receive the decoded operands as typed arguments,
+//! bit-identical to the [`Op`] the flattener consumed, so RNG draws and
+//! detection outputs do not depend on the packed layout.
 
 use crate::ids::{LoopId, SiteId, ThreadId};
 use crate::ir::{Op, Program, Stmt, SyscallKind};

@@ -188,7 +188,6 @@ pub enum Stmt {
 pub struct Program {
     pub(crate) threads: Vec<Vec<Stmt>>,
     pub(crate) n_sites: u32,
-    pub(crate) n_loops: u32,
     pub(crate) n_locks: u32,
     pub(crate) n_conds: u32,
     pub(crate) n_barriers: u32,
@@ -217,11 +216,6 @@ impl Program {
     /// Number of distinct static sites.
     pub fn site_count(&self) -> u32 {
         self.n_sites
-    }
-
-    /// Number of distinct loops.
-    pub fn loop_count(&self) -> u32 {
-        self.n_loops
     }
 
     /// Number of mutexes referenced.
@@ -333,7 +327,6 @@ impl Program {
         Program {
             threads,
             n_sites,
-            n_loops: self.n_loops,
             n_locks: self.n_locks,
             n_conds: self.n_conds,
             n_barriers: self.n_barriers,
@@ -559,7 +552,6 @@ impl ProgramBuilder {
         Program {
             threads: self.threads,
             n_sites: self.next_site,
-            n_loops: self.next_loop,
             n_locks: self.next_lock,
             n_conds: self.next_cond,
             n_barriers: self.next_barrier,
@@ -680,19 +672,9 @@ impl ThreadBuilder<'_> {
         self.push_op(Op::ChanSend(ch), None)
     }
 
-    /// Appends a labeled bounded-channel send.
-    pub fn send_l(&mut self, ch: ChanId, label: &str) -> &mut Self {
-        self.push_op(Op::ChanSend(ch), Some(label))
-    }
-
     /// Appends a bounded-channel receive.
     pub fn recv(&mut self, ch: ChanId) -> &mut Self {
         self.push_op(Op::ChanRecv(ch), None)
-    }
-
-    /// Appends a labeled bounded-channel receive.
-    pub fn recv_l(&mut self, ch: ChanId, label: &str) -> &mut Self {
-        self.push_op(Op::ChanRecv(ch), Some(label))
     }
 
     /// Appends a thread spawn.

@@ -68,9 +68,7 @@ pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
 pub use sched::{
     AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,
 };
-pub use summary::{
-    dynamic_site_counts, summarize, ChanSiteUse, LockSet, Phase, ProgramSummary, SiteAccess,
-};
+pub use summary::{dynamic_site_counts, summarize, LockSet, Phase, ProgramSummary, SiteAccess};
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
     TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_ADDR, MAX_LOG_THREADS,

@@ -5,6 +5,9 @@
 //! which thread issues it, whether it writes, the set of addresses it can
 //! touch (its *footprint*), the locks provably held around every dynamic
 //! occurrence, and the single-threaded-ness of its program phase.
+//! Channel operations get no record: the flow-sensitive layer
+//! (`txrace::sa::flow`) cuts its spans at every sync op, channels
+//! included, without consulting the summary.
 //!
 //! This is the IR-visitor half of the static race-freedom analysis; the
 //! classification rules that consume these records live in the `txrace`
@@ -23,7 +26,7 @@
 use std::collections::BTreeSet;
 
 use crate::addr::Addr;
-use crate::ids::{ChanId, LockId, SiteId, ThreadId};
+use crate::ids::{LockId, SiteId, ThreadId};
 use crate::ir::{Op, Program, Stmt};
 
 /// Where an access sits relative to the main thread's spawn/join
@@ -143,31 +146,11 @@ impl LockSet {
     }
 }
 
-/// The static summary of one channel-operation site (a `ChanSend` or
-/// `ChanRecv`). These feed the static analysis: a receive is a sync
-/// boundary (it can acquire happens-before edges from other threads), so
-/// flow-sensitive span reasoning must not carry availability facts across
-/// one.
-#[derive(Debug, Clone)]
-pub struct ChanSiteUse {
-    /// The site this record describes.
-    pub site: SiteId,
-    /// The thread whose body contains the site.
-    pub thread: ThreadId,
-    /// The channel the site operates on.
-    pub chan: ChanId,
-    /// True for `ChanSend`, false for `ChanRecv`.
-    pub is_send: bool,
-    /// Loop-weighted dynamic execution count of this site in one run.
-    pub dynamic_count: u64,
-}
-
 /// All access records of a program, in walk order: thread by thread in
 /// thread order, each thread's in program order.
 #[derive(Debug, Clone)]
 pub struct ProgramSummary {
     accesses: Vec<SiteAccess>,
-    chan_sites: Vec<ChanSiteUse>,
 }
 
 impl ProgramSummary {
@@ -175,12 +158,6 @@ impl ProgramSummary {
     /// inside zero-trip loops have no record (they are dead code).
     pub fn accesses(&self) -> &[SiteAccess] {
         &self.accesses
-    }
-
-    /// One record per channel-operation site that can execute, in walk
-    /// order (sites under zero-trip loops are dead code and have none).
-    pub fn channel_sites(&self) -> &[ChanSiteUse] {
-        &self.chan_sites
     }
 }
 
@@ -218,7 +195,6 @@ pub fn dynamic_site_counts(p: &Program) -> Vec<u64> {
 pub fn summarize(p: &Program) -> ProgramSummary {
     let mut w = Walker {
         out: Vec::new(),
-        chan_sites: Vec::new(),
         depth: Vec::new(),
         held: LockSet::new(),
         saved: Vec::new(),
@@ -231,19 +207,16 @@ pub fn summarize(p: &Program) -> ProgramSummary {
         let stmts = p.thread(tid);
         if t == 0 {
             if let Some((pre_end, post_start)) = main_phase_split(p, stmts) {
-                w.walk(tid, &stmts[..pre_end], None, 1, Phase::PreSpawn);
+                w.walk(tid, &stmts[..pre_end], None, Phase::PreSpawn);
                 let mid_end = post_start.min(stmts.len());
-                w.walk(tid, &stmts[pre_end..mid_end], None, 1, Phase::Concurrent);
-                w.walk(tid, &stmts[mid_end..], None, 1, Phase::PostJoin);
+                w.walk(tid, &stmts[pre_end..mid_end], None, Phase::Concurrent);
+                w.walk(tid, &stmts[mid_end..], None, Phase::PostJoin);
                 continue;
             }
         }
-        w.walk(tid, stmts, None, 1, Phase::Concurrent);
+        w.walk(tid, stmts, None, Phase::Concurrent);
     }
-    ProgramSummary {
-        accesses: w.out,
-        chan_sites: w.chan_sites,
-    }
+    ProgramSummary { accesses: w.out }
 }
 
 /// If every non-main thread starts parked, splits the main thread's
@@ -311,7 +284,6 @@ fn collect_executed_joins(s: &Stmt, joined: &mut BTreeSet<u32>) {
 
 struct Walker {
     out: Vec<SiteAccess>,
-    chan_sites: Vec<ChanSiteUse>,
     /// Current lock-hold depth per lock (re-entrant depth tracked).
     depth: Vec<u32>,
     /// The locks with a non-zero depth.
@@ -321,17 +293,10 @@ struct Walker {
 }
 
 impl Walker {
-    fn walk(
-        &mut self,
-        t: ThreadId,
-        stmts: &[Stmt],
-        innermost_trips: Option<u32>,
-        mult: u64,
-        phase: Phase,
-    ) {
+    fn walk(&mut self, t: ThreadId, stmts: &[Stmt], innermost_trips: Option<u32>, phase: Phase) {
         for s in stmts {
             match s {
-                Stmt::Op { site, op } => self.op(t, *site, op, innermost_trips, mult, phase),
+                Stmt::Op { site, op } => self.op(t, *site, op, innermost_trips, phase),
                 Stmt::Loop { trips, body, .. } => {
                     if *trips == 0 {
                         // Dead code: nothing inside ever executes, so it
@@ -342,7 +307,7 @@ impl Walker {
                     let mark = self.saved.len();
                     self.saved.extend_from_slice(&self.depth);
                     let start = self.out.len();
-                    self.walk(t, body, Some(*trips), mult * u64::from(*trips), phase);
+                    self.walk(t, body, Some(*trips), phase);
                     // A body with a net lock-depth change makes the lock
                     // state iteration-dependent; the single walk above saw
                     // only the first iteration's state. Be conservative:
@@ -373,19 +338,9 @@ impl Walker {
         site: SiteId,
         op: &Op,
         innermost_trips: Option<u32>,
-        mult: u64,
         phase: Phase,
     ) {
         match op {
-            Op::ChanSend(ch) | Op::ChanRecv(ch) => {
-                self.chan_sites.push(ChanSiteUse {
-                    site,
-                    thread: t,
-                    chan: *ch,
-                    is_send: matches!(op, Op::ChanSend(_)),
-                    dynamic_count: mult,
-                });
-            }
             Op::Lock(l) => {
                 if self.depth.len() <= l.index() {
                     self.depth.resize(l.index() + 1, 0);
@@ -591,33 +546,6 @@ mod tests {
         // Sync sites count zero; the vector sums to the program's total
         // dynamic access count.
         assert_eq!(counts.iter().sum::<u64>(), p.dynamic_access_count());
-    }
-
-    #[test]
-    fn channel_sites_are_summarized_with_trip_weights() {
-        let mut b = ProgramBuilder::new(2);
-        let ch = b.chan_id("ch", 4);
-        b.thread(0).loop_n(6, |tb| {
-            tb.send_l(ch, "produce");
-        });
-        b.thread(1).loop_n(6, |tb| {
-            tb.recv_l(ch, "consume");
-        });
-        b.thread(1).loop_n(0, |tb| {
-            tb.recv_l(ch, "dead");
-        });
-        let p = b.build();
-        let s = summarize(&p);
-        let find = |label: &str| {
-            let site = p.site(label).unwrap();
-            s.channel_sites().iter().find(|r| r.site == site)
-        };
-        let send = find("produce").expect("send summarized");
-        assert!(send.is_send && send.chan == ch && send.dynamic_count == 6);
-        assert_eq!(send.thread, ThreadId(0));
-        let recv = find("consume").expect("recv summarized");
-        assert!(!recv.is_send && recv.dynamic_count == 6);
-        assert!(find("dead").is_none(), "dead channel sites are dropped");
     }
 
     #[test]

@@ -151,21 +151,6 @@ impl CycleBreakdown {
     pub fn extra(&self) -> u64 {
         self.total() - self.baseline
     }
-
-    /// Field-wise difference `self - prev`, for per-epoch telemetry
-    /// deltas. `prev` must be an earlier snapshot of the same
-    /// accumulator (every field monotonically non-decreasing).
-    pub fn delta(&self, prev: &CycleBreakdown) -> CycleBreakdown {
-        CycleBreakdown {
-            baseline: self.baseline - prev.baseline,
-            txn_mgmt: self.txn_mgmt - prev.txn_mgmt,
-            conflict: self.conflict - prev.conflict,
-            capacity: self.capacity - prev.capacity,
-            unknown: self.unknown - prev.unknown,
-            checks: self.checks - prev.checks,
-            elided: self.elided - prev.elided,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,37 +223,6 @@ mod tests {
         assert!((bd.overhead_vs(100) - 1.5).abs() < 1e-9);
         assert_eq!(bd.overhead_vs(0), 1.0);
         assert_eq!(bd.extra(), 50);
-    }
-
-    #[test]
-    fn delta_is_fieldwise_difference() {
-        let prev = CycleBreakdown {
-            baseline: 10,
-            txn_mgmt: 5,
-            conflict: 2,
-            capacity: 1,
-            unknown: 0,
-            checks: 4,
-            elided: 3,
-        };
-        let now = CycleBreakdown {
-            baseline: 25,
-            txn_mgmt: 9,
-            conflict: 2,
-            capacity: 6,
-            unknown: 1,
-            checks: 4,
-            elided: 8,
-        };
-        let d = now.delta(&prev);
-        assert_eq!(d.baseline, 15);
-        assert_eq!(d.txn_mgmt, 4);
-        assert_eq!(d.conflict, 0);
-        assert_eq!(d.capacity, 5);
-        assert_eq!(d.unknown, 1);
-        assert_eq!(d.checks, 0);
-        assert_eq!(d.elided, 5);
-        assert_eq!(d.total() + prev.total(), now.total());
     }
 
     #[test]

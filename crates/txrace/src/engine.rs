@@ -4,6 +4,15 @@
 //! HTM-backed **fast path** and the FastTrack-checked **slow path** at the
 //! granularity of transactional regions.
 //!
+//! The engine steers execution only at the compiler-inserted markers:
+//! the `tx_begin`/`tx_end` hooks open and close a region, the
+//! `loop_cut_probe` hook may split its transaction, and `before_op`
+//! (fired for every op) only delivers interrupts and observes a doomed
+//! transaction. Every cycle is priced from the typed call that carries
+//! it — the memory hooks for accesses, the `compute`/`syscall` events
+//! for work, the sync events for sync ops — into the buckets of the
+//! paper's Figure 7.
+//!
 //! Abort handling (§4.2):
 //!
 //! * **Conflict** — a potential race. The aborted thread writes the shared
@@ -32,8 +41,8 @@ use txrace_hb::{FastTrack, RaceSet, ShadowMode};
 use txrace_htm::{AbortReason, AbortStatus, HtmConfig, HtmStats, HtmSystem, XbeginError};
 use txrace_sim::CacheLine;
 use txrace_sim::{
-    Addr, BarrierId, ChanId, CondId, Directive, LockId, LoopId, Memory, Op, OpEvent, RegionId,
-    Runtime, SiteId, Snapshot, ThreadId, TraceConsumer,
+    Addr, BarrierId, ChanId, CondId, Directive, LockId, LoopId, Memory, OpEvent, RegionId, Runtime,
+    SiteId, Snapshot, SyscallKind, ThreadId, TraceConsumer,
 };
 
 use crate::control::{AdaptiveController, EpochRecord, Knobs, ProductionMode, Telemetry};
@@ -204,7 +213,6 @@ pub struct TxRaceEngine {
     txn_base_acc: Vec<u64>,
     retry_count: Vec<u32>,
     txfail_seen: Vec<u64>,
-    txfail_value: u64,
     max_retries: u32,
     loopcut: LoopcutState,
     last_cut_loop: Vec<Option<LoopId>>,
@@ -303,7 +311,6 @@ impl TxRaceEngine {
             txn_base_acc: vec![0; n],
             retry_count: vec![0; n],
             txfail_seen: vec![0; n],
-            txfail_value: 0,
             max_retries: cfg.max_retries,
             loopcut,
             last_cut_loop: vec![None; n],
@@ -589,11 +596,7 @@ impl TxRaceEngine {
                 debug_assert_eq!(cur, r, "TxEnd region mismatch");
                 // Read the (optional) conflict hint before xend frees the
                 // hardware slot.
-                let hint = if self.conflict_hints {
-                    self.htm.conflict_line_hint(t)
-                } else {
-                    None
-                };
+                let hint = self.hw_hint(t);
                 match self.htm.xend(t) {
                     Ok(()) => {
                         self.on_fast_commit(ti);
@@ -604,7 +607,7 @@ impl TxRaceEngine {
                         self.mode[ti] = Mode::Outside;
                         Directive::Continue
                     }
-                    Err(status) => self.handle_abort_hinted(t, status, hint, mem, ev),
+                    Err(status) => self.handle_abort(t, status, hint, mem, ev),
                 }
             }
             Mode::Slow(cur, _) => {
@@ -620,32 +623,26 @@ impl TxRaceEngine {
         }
     }
 
-    /// Consumes an abort observed while the transaction slot is still
-    /// live (the lazy `before_op` doom check).
-    fn handle_abort(
-        &mut self,
-        t: ThreadId,
-        status: AbortStatus,
-        mem: &mut Memory,
-        ev: &OpEvent<'_>,
-    ) -> Directive {
-        let hint = if self.conflict_hints {
+    /// The conflicting line the hardware reports for `t`'s doomed
+    /// transaction, when the conflict-hint extension is on. Read it while
+    /// the slot is still live (an `xend` frees it).
+    fn hw_hint(&self, t: ThreadId) -> Option<CacheLine> {
+        if self.conflict_hints {
             self.htm.conflict_line_hint(t)
         } else {
             None
-        };
-        self.handle_abort_hinted(t, status, hint, mem, ev)
+        }
     }
 
     /// Consumes an abort: classifies the status, applies the §4.2 policy,
     /// and rolls the thread back to its region snapshot. `hw_hint` must be
-    /// captured by the caller while the slot was still live (an `xend`
-    /// frees it).
-    fn handle_abort_hinted(
+    /// captured by the caller with [`hw_hint`](Self::hw_hint) while the
+    /// slot was still live.
+    fn handle_abort(
         &mut self,
         t: ThreadId,
         status: AbortStatus,
-        hint_before: Option<CacheLine>,
+        hw_hint: Option<CacheLine>,
         mem: &mut Memory,
         ev: &OpEvent<'_>,
     ) -> Directive {
@@ -661,7 +658,6 @@ impl TxRaceEngine {
         let wasted = self.txn_base_acc[ti] + self.cost.rollback_penalty;
         self.txn_base_acc[ti] = 0;
         self.htm_cycles += wasted;
-        let hw_hint = hint_before;
         let trigger = match reason {
             AbortReason::Conflict => {
                 self.stats.slow_conflict += 1;
@@ -671,12 +667,12 @@ impl TxRaceEngine {
                 // record the new value.
                 let seen = self.htm.read(t, mem, TXFAIL_ADDR);
                 if seen == self.txfail_seen[ti] {
-                    self.txfail_value = seen + 1;
-                    self.htm.write(t, mem, TXFAIL_ADDR, self.txfail_value);
+                    let flag = seen + 1;
+                    self.htm.write(t, mem, TXFAIL_ADDR, flag);
                     self.stats.txfail_writes += 1;
                     self.breakdown.conflict += 2 * self.cost.mem_access;
                     self.htm_cycles += 2 * self.cost.mem_access;
-                    self.txfail_seen[ti] = self.txfail_value;
+                    self.txfail_seen[ti] = flag;
                     // Episode origin publishes the conflicting line next
                     // to TxFail (extension: one extra shared write).
                     if self.conflict_hints {
@@ -757,11 +753,7 @@ impl TxRaceEngine {
                 if !self.loopcut.probe(t, l) {
                     return Directive::Continue;
                 }
-                let hint = if self.conflict_hints {
-                    self.htm.conflict_line_hint(t)
-                } else {
-                    None
-                };
+                let hint = self.hw_hint(t);
                 match self.htm.xend(t) {
                     Ok(()) => {
                         self.on_fast_commit(ti);
@@ -773,7 +765,7 @@ impl TxRaceEngine {
                         }
                         Directive::Continue
                     }
-                    Err(status) => self.handle_abort_hinted(t, status, hint, mem, ev),
+                    Err(status) => self.handle_abort(t, status, hint, mem, ev),
                 }
             }
             Mode::Slow(_, _) => Directive::Continue,
@@ -804,12 +796,25 @@ impl TxRaceEngine {
         );
     }
 
-    fn charge_access_base(&mut self, t: ThreadId) {
+    /// Charges `c` cycles of the program's own work (an access, compute
+    /// or a system call) by `t`. Inside a fast transaction the work is
+    /// provisional: on abort it is wasted and moves to the abort bucket.
+    fn charge_base(&mut self, t: ThreadId, c: u64) {
         let ti = t.index();
         match self.mode[ti] {
-            Mode::Fast(_) => self.txn_base_acc[ti] += self.cost.mem_access,
-            _ => self.breakdown.baseline += self.cost.mem_access,
+            Mode::Fast(_) => self.txn_base_acc[ti] += c,
+            _ => self.breakdown.baseline += c,
         }
+    }
+
+    /// Charges the architectural cost of one sync op by `t`, which never
+    /// runs inside a transaction.
+    fn charge_sync_op(&mut self, t: ThreadId) {
+        debug_assert!(
+            !self.htm.in_txn(t),
+            "sync op inside a transaction: instrumentation bug"
+        );
+        self.breakdown.baseline += self.cost.sync_op;
     }
 
     fn charge_check(&mut self, trigger: SlowTrigger) {
@@ -846,10 +851,12 @@ impl TxRaceEngine {
         true
     }
 
-    /// The gate of one sync event by `t`: false under the ablation when
-    /// `t` is off the slow path (fast-path sync edges are lost), else
-    /// [`charge_sync`](Self::charge_sync) for its one edge.
+    /// Prices one sync event by `t`, then gates its tracking: false
+    /// under the ablation when `t` is off the slow path (fast-path sync
+    /// edges are lost), else [`charge_sync`](Self::charge_sync) for its
+    /// one edge.
     fn track_sync(&mut self, t: ThreadId) -> bool {
+        self.charge_sync_op(t);
         (self.track_fast_sync || matches!(self.mode[t.index()], Mode::Slow(_, _)))
             && self.charge_sync(1)
     }
@@ -892,44 +899,28 @@ impl Runtime for TxRaceEngine {
         // preserves the paper's commit-before-TxFail race window, §6).
         if matches!(self.mode[t.index()], Mode::Fast(_)) {
             if let Some(status) = self.htm.is_doomed(t) {
-                return self.handle_abort(t, status, mem, ev);
+                return self.handle_abort(t, status, self.hw_hint(t), mem, ev);
             }
         }
-        match ev.op {
-            Op::TxBegin(r) => {
-                self.enter_region(t, r, mem, ev);
-                Directive::Continue
-            }
-            Op::TxEnd(r) => self.end_region(t, r, mem, ev),
-            Op::LoopCutProbe(l) => self.probe(t, l, mem, ev),
-            ref op if op.is_data_access() => {
-                self.charge_access_base(t);
-                Directive::Continue
-            }
-            ref op if op.is_sync() => {
-                debug_assert!(
-                    !self.htm.in_txn(t),
-                    "sync op inside a transaction: instrumentation bug"
-                );
-                self.breakdown.baseline += self.cost.base_op_cost(op);
-                Directive::Continue
-            }
-            ref op => {
-                // Compute (and any other non-access op) inside a fast
-                // transaction is provisional work: on abort it is wasted
-                // and must move to the abort bucket with the accesses.
-                let c = self.cost.base_op_cost(op);
-                match self.mode[t.index()] {
-                    Mode::Fast(_) => self.txn_base_acc[t.index()] += c,
-                    _ => self.breakdown.baseline += c,
-                }
-                Directive::Continue
-            }
-        }
+        Directive::Continue
+    }
+
+    fn tx_begin(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
+        self.enter_region(ev.thread, r, mem, ev);
+        Directive::Continue
+    }
+
+    fn tx_end(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
+        self.end_region(ev.thread, r, mem, ev)
+    }
+
+    fn loop_cut_probe(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, l: LoopId) -> Directive {
+        self.probe(ev.thread, l, mem, ev)
     }
 
     fn load(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
         let t = ev.thread;
+        self.charge_base(t, self.cost.mem_access);
         self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
             if !self.prune_elides(ev.site)
@@ -947,6 +938,7 @@ impl Runtime for TxRaceEngine {
 
     fn store(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
         let t = ev.thread;
+        self.charge_base(t, self.cost.mem_access);
         self.debug_assert_not_zombie(t);
         if let Mode::Slow(_, trigger) = self.mode[t.index()] {
             if !self.prune_elides(ev.site)
@@ -964,19 +956,34 @@ impl Runtime for TxRaceEngine {
         // Atomic RMWs cannot race under the C11 model, so the detector does
         // not check them; they still participate in HTM conflict detection
         // (a benign-conflict source the slow path then filters).
+        self.charge_base(ev.thread, self.cost.mem_access);
         self.debug_assert_not_zombie(ev.thread);
         self.htm.rmw(ev.thread, mem, addr, delta)
     }
 }
 
 /// Happens-before tracking of sync operations on *every* path (§5,
-/// Figure 6): each event passes one gate (`track_sync`), then makes one
-/// FastTrack call. Channel send/recv are `is_sync()`, so like every sync
-/// op they cut transactions in `instrument` and are only ever delivered
-/// outside a hardware transaction. Access events keep the no-op
-/// defaults: the memory hooks check accesses, next to the HTM access
-/// they mediate.
+/// Figure 6), and the pricing of every non-access op: each sync event
+/// pays its architectural cost and passes one gate (`track_sync`), then
+/// makes one FastTrack call. Channel send/recv are `is_sync()`, so like
+/// every sync op they cut transactions in `instrument` and are only ever
+/// delivered outside a hardware transaction. Access events keep the
+/// no-op defaults: the memory hooks price and check accesses, next to
+/// the HTM access they mediate.
 impl TraceConsumer for TxRaceEngine {
+    fn compute(&mut self, t: ThreadId, _site: SiteId, units: u32) {
+        self.charge_base(t, u64::from(units) * self.cost.compute_unit);
+    }
+
+    fn syscall(&mut self, t: ThreadId, _site: SiteId, _kind: SyscallKind) {
+        self.charge_base(t, self.cost.syscall);
+    }
+
+    fn barrier_arrive(&mut self, t: ThreadId, _site: SiteId, _b: BarrierId) {
+        // Tracked once per release, over all arrivals (below).
+        self.charge_sync_op(t);
+    }
+
     fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         if self.track_sync(t) {
             self.ft.lock_acquire(t, l);

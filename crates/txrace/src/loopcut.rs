@@ -119,19 +119,6 @@ impl LoopcutState {
         state
     }
 
-    /// Pre-sizes the per-loop tables for a program with `loops` loops so
-    /// the probe path never grows them.
-    pub fn reserve_loops(&mut self, loops: usize) {
-        if self.thresholds.len() < loops {
-            self.thresholds.resize(loops, None);
-        }
-        for c in &mut self.counters {
-            if c.len() < loops {
-                c.resize(loops, 0);
-            }
-        }
-    }
-
     fn slot(&mut self, l: LoopId) -> &mut Option<Learn> {
         let i = l.index();
         if i >= self.thresholds.len() {
@@ -364,13 +351,5 @@ mod tests {
         let l3 = LoopId(7);
         s.on_capacity_abort(Some(l3));
         assert_eq!(threshold_of(&s, l3), 1, "floors at one");
-    }
-
-    #[test]
-    fn reserve_loops_presizes_without_activating() {
-        let mut s = LoopcutState::new(LoopcutMode::Dyn, 1, None);
-        s.reserve_loops(8);
-        assert!(s.thresholds().is_empty());
-        assert!(!s.probe(T0, L));
     }
 }

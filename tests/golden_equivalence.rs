@@ -36,17 +36,22 @@ fn race_pairs(out: &RunOutcome) -> String {
 }
 
 /// One canonical line per workload: every field a storage refactor could
-/// plausibly disturb, in a stable order.
+/// plausibly disturb, in a stable order, ending with TxRace's Figure 7
+/// buckets (a cost moved between buckets keeps the total but not these).
 fn golden_line(name: &str, tsan: &RunOutcome, tx: &RunOutcome) -> String {
     let h = tx.htm.as_ref().expect("txrace run has HTM stats");
     let e = tx.engine.as_ref().expect("txrace run has engine stats");
+    let bd = &tx.breakdown;
     format!(
         "  {{\"app\": \"{name}\", \
          \"tsan_races\": {}, \"txrace_races\": {}, \
          \"committed\": {}, \"conflict_aborts\": {}, \"capacity_aborts\": {}, \
          \"unknown_aborts\": {}, \"retry_aborts\": {}, \"explicit_aborts\": {}, \
          \"txfail_writes\": {}, \"loop_cuts\": {}, \
-         \"tsan_cycles\": {}, \"txrace_cycles\": {}}}",
+         \"tsan_cycles\": {}, \"txrace_cycles\": {}, \
+         \"bd_baseline\": {}, \"bd_txn_mgmt\": {}, \"bd_conflict\": {}, \
+         \"bd_capacity\": {}, \"bd_unknown\": {}, \"bd_checks\": {}, \
+         \"bd_elided\": {}}}",
         race_pairs(tsan),
         race_pairs(tx),
         h.committed,
@@ -59,6 +64,13 @@ fn golden_line(name: &str, tsan: &RunOutcome, tx: &RunOutcome) -> String {
         e.loop_cuts,
         tsan.breakdown.total(),
         tx.breakdown.total(),
+        bd.baseline,
+        bd.txn_mgmt,
+        bd.conflict,
+        bd.capacity,
+        bd.unknown,
+        bd.checks,
+        bd.elided,
     )
 }
 
