@@ -9,7 +9,7 @@ use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
     Addr, DirectRuntime, FairSched, LockId, Machine, Memory, ProgramBuilder, RandomSched,
-    Scheduler, SiteId, ThreadId, WriteJournal,
+    Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
 };
 
 fn bench_htm(c: &mut Criterion) {
@@ -103,8 +103,8 @@ fn bench_fasttrack(c: &mut Criterion) {
     g.bench_function("lock_acquire_release", |b| {
         let mut ft = FastTrack::new(4, ShadowMode::Exact);
         b.iter(|| {
-            ft.lock_acquire(ThreadId(0), LockId(0));
-            ft.lock_release(ThreadId(0), LockId(0));
+            ft.acquire(ThreadId(0), SiteId(1), LockId(0));
+            ft.release(ThreadId(0), SiteId(1), LockId(0));
         });
     });
     g.bench_function("vector_clock_join_16", |b| {

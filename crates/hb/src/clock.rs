@@ -75,15 +75,6 @@ impl VectorClock {
     pub(crate) fn as_slice(&self) -> &[u32] {
         &self.clocks
     }
-
-    /// Iterates `(thread, clock)` pairs with nonzero clocks.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (ThreadId, u32)> + '_ {
-        self.clocks
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (ThreadId(i as u32), c))
-    }
 }
 
 impl fmt::Display for VectorClock {
@@ -124,11 +115,6 @@ impl Epoch {
     #[inline]
     pub fn leq(self, vc: &VectorClock) -> bool {
         self.clock <= vc.get(self.tid)
-    }
-
-    /// True if this is the bottom epoch.
-    pub fn is_bottom(self) -> bool {
-        self.clock == 0
     }
 }
 
@@ -179,7 +165,6 @@ mod tests {
     fn bottom_epoch_precedes_initial_clocks() {
         let vc = VectorClock::initial(ThreadId(2), 4);
         assert!(Epoch::BOTTOM.leq(&vc));
-        assert!(Epoch::BOTTOM.is_bottom());
     }
 
     #[test]
@@ -198,13 +183,5 @@ mod tests {
         let vc = VectorClock::initial(ThreadId(1), 3);
         assert_eq!(vc.to_string(), "<0,1,0>");
         assert_eq!(vc.epoch(ThreadId(1)).to_string(), "1@t1");
-    }
-
-    #[test]
-    fn iter_nonzero_skips_zeroes() {
-        let mut vc = VectorClock::zero(4);
-        vc.inc(ThreadId(2));
-        let v: Vec<_> = vc.iter_nonzero().collect();
-        assert_eq!(v, vec![(ThreadId(2), 1)]);
     }
 }

@@ -4,7 +4,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use txrace_sim::{Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
+use txrace_sim::{
+    Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId, TraceConsumer,
+};
 
 use crate::clock::{Epoch, VectorClock};
 use crate::report::{AccessInfo, AccessKind, RaceReport, RaceSet};
@@ -67,11 +69,10 @@ impl VarState {
 
 /// The FastTrack detector over a fixed set of threads.
 ///
-/// Memory accesses are checked via [`read`](FastTrack::read) /
-/// [`write`](FastTrack::write); synchronization is tracked via the
-/// `lock_*`/`signal`/`wait`/`spawn`/`join`/`barrier` methods. TxRace calls
-/// the sync methods on *every* path (fast and slow — paper §5, Figure 6)
-/// but the access checks only on the slow path.
+/// Events arrive only through its [`TraceConsumer`] impl: `read`/`write`
+/// check memory accesses; the sync events update the clocks. TxRace
+/// delivers the sync events on *every* path (fast and slow — paper §5,
+/// Figure 6) but the access checks only on the slow path.
 #[derive(Debug)]
 pub struct FastTrack {
     n: usize,
@@ -138,8 +139,9 @@ impl FastTrack {
         self.sync_ops
     }
 
-    /// The current clock of thread `t` (test/inspection use).
-    pub fn clock_of(&self, t: ThreadId) -> &VectorClock {
+    /// The current clock of thread `t`.
+    #[cfg(test)]
+    fn clock_of(&self, t: ThreadId) -> &VectorClock {
         &self.clocks[t.index()]
     }
 
@@ -187,9 +189,17 @@ impl FastTrack {
         }
         &mut shadow[i]
     }
+}
 
+/// FastTrack as a pure trace consumer: accesses are checked, sync events
+/// update the clocks, and — matching TSan — atomic RMWs are *not*
+/// checked (atomics are never data races under the C11 model). Driving a
+/// `FastTrack` through [`txrace_sim::Live`] live or through
+/// [`txrace_sim::EventLog::replay`] on a log of the same run produces the
+/// identical race set.
+impl TraceConsumer for FastTrack {
     /// Checks a read by `t` at `site` against the shadow word for `addr`.
-    pub fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
         self.checks += 1;
         let ct = &self.clocks[t.index()];
         let my = ct.epoch(t);
@@ -268,7 +278,7 @@ impl FastTrack {
     }
 
     /// Checks a write by `t` at `site` against the shadow word for `addr`.
-    pub fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
         self.checks += 1;
         let ct = &self.clocks[t.index()];
         let my = ct.epoch(t);
@@ -349,28 +359,28 @@ impl FastTrack {
     }
 
     /// Tracks a mutex acquire: `C_t ⊔= L`.
-    pub fn lock_acquire(&mut self, t: ThreadId, l: LockId) {
+    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         self.sync_ops += 1;
         let vc = Self::sync_vc(&mut self.locks, l.index(), self.n);
         self.clocks[t.index()].join(vc);
     }
 
     /// Tracks a mutex release: `L ⊔= C_t; C_t[t] += 1`.
-    pub fn lock_release(&mut self, t: ThreadId, l: LockId) {
+    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         self.sync_ops += 1;
         Self::sync_vc(&mut self.locks, l.index(), self.n).join(&self.clocks[t.index()]);
         self.clocks[t.index()].inc(t);
     }
 
     /// Tracks a semaphore post (release semantics on the cond's clock).
-    pub fn signal(&mut self, t: ThreadId, c: CondId) {
+    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
         self.sync_ops += 1;
         Self::sync_vc(&mut self.conds, c.index(), self.n).join(&self.clocks[t.index()]);
         self.clocks[t.index()].inc(t);
     }
 
     /// Tracks a satisfied semaphore wait (acquire semantics).
-    pub fn wait(&mut self, t: ThreadId, c: CondId) {
+    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
         self.sync_ops += 1;
         let vc = Self::sync_vc(&mut self.conds, c.index(), self.n);
         self.clocks[t.index()].join(vc);
@@ -380,7 +390,7 @@ impl FastTrack {
     /// `Ch ⊔= C_t; C_t[t] += 1`. The send→recv edge is unidirectional —
     /// a receive never orders later sends (no backpressure edge), exactly
     /// like `signal`.
-    pub fn chan_send(&mut self, t: ThreadId, ch: ChanId) {
+    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
         self.sync_ops += 1;
         Self::sync_vc(&mut self.chans, ch.index(), self.n).join(&self.clocks[t.index()]);
         self.clocks[t.index()].inc(t);
@@ -389,14 +399,14 @@ impl FastTrack {
     /// Tracks a channel receive (acquire semantics): `C_t ⊔= Ch`, so
     /// everything before any send that fed the channel happens-before
     /// everything after this receive.
-    pub fn chan_recv(&mut self, t: ThreadId, ch: ChanId) {
+    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
         self.sync_ops += 1;
         let vc = Self::sync_vc(&mut self.chans, ch.index(), self.n);
         self.clocks[t.index()].join(vc);
     }
 
     /// Tracks a thread spawn: the child inherits the parent's history.
-    pub fn spawn(&mut self, parent: ThreadId, child: ThreadId) {
+    fn spawn(&mut self, parent: ThreadId, _site: SiteId, child: ThreadId) {
         self.sync_ops += 1;
         debug_assert_ne!(parent, child);
         let (a, b) = (parent.index(), child.index());
@@ -412,7 +422,7 @@ impl FastTrack {
     }
 
     /// Tracks a thread join: the parent inherits the child's history.
-    pub fn join(&mut self, parent: ThreadId, child: ThreadId) {
+    fn join(&mut self, parent: ThreadId, _site: SiteId, child: ThreadId) {
         self.sync_ops += 1;
         debug_assert_ne!(parent, child);
         let (a, b) = (parent.index(), child.index());
@@ -427,7 +437,7 @@ impl FastTrack {
 
     /// Tracks a barrier release over its arrival list (`(thread, site)`
     /// pairs, as recorded): all participants' clocks join.
-    pub fn barrier_arrivals(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
         self.sync_ops += 1;
         let n = self.n;
         if self.barriers.len() <= b.index() {
@@ -445,58 +455,6 @@ impl FastTrack {
     }
 }
 
-/// FastTrack as a pure trace consumer: accesses are checked, sync events
-/// update the clocks, and — matching TSan — atomic RMWs are *not*
-/// checked (atomics are never data races under the C11 model). Driving a
-/// `FastTrack` through [`txrace_sim::Live`] live or through
-/// [`txrace_sim::EventLog::replay`] on a log of the same run produces the
-/// identical race set.
-impl txrace_sim::TraceConsumer for FastTrack {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        FastTrack::read(self, t, site, addr);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        FastTrack::write(self, t, site, addr);
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
-    }
-
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        FastTrack::signal(self, t, c);
-    }
-
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        FastTrack::wait(self, t, c);
-    }
-
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        FastTrack::spawn(self, t, child);
-    }
-
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        FastTrack::join(self, t, child);
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_arrivals(b, arrivals);
-    }
-
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        FastTrack::chan_send(self, t, ch);
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        FastTrack::chan_recv(self, t, ch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,6 +463,7 @@ mod tests {
     const T1: ThreadId = ThreadId(1);
     const T2: ThreadId = ThreadId(2);
     const X: Addr = Addr(0x400);
+    const S: SiteId = SiteId(0);
 
     fn ft(n: usize) -> FastTrack {
         FastTrack::new(n, ShadowMode::Exact)
@@ -548,24 +507,24 @@ mod tests {
     fn lock_ordering_prevents_race() {
         let mut d = ft(2);
         let l = LockId(0);
-        d.lock_acquire(T0, l);
+        d.acquire(T0, S, l);
         d.write(T0, SiteId(1), X);
-        d.lock_release(T0, l);
-        d.lock_acquire(T1, l);
+        d.release(T0, S, l);
+        d.acquire(T1, S, l);
         d.write(T1, SiteId(2), X);
-        d.lock_release(T1, l);
+        d.release(T1, S, l);
         assert!(d.races().is_empty());
     }
 
     #[test]
     fn different_locks_do_not_order() {
         let mut d = ft(2);
-        d.lock_acquire(T0, LockId(0));
+        d.acquire(T0, S, LockId(0));
         d.write(T0, SiteId(1), X);
-        d.lock_release(T0, LockId(0));
-        d.lock_acquire(T1, LockId(1));
+        d.release(T0, S, LockId(0));
+        d.acquire(T1, S, LockId(1));
         d.write(T1, SiteId(2), X);
-        d.lock_release(T1, LockId(1));
+        d.release(T1, S, LockId(1));
         assert_eq!(d.races().distinct_count(), 1);
     }
 
@@ -573,8 +532,8 @@ mod tests {
     fn signal_wait_orders() {
         let mut d = ft(2);
         d.write(T0, SiteId(1), X);
-        d.signal(T0, CondId(0));
-        d.wait(T1, CondId(0));
+        d.signal(T0, S, CondId(0));
+        d.wait(T1, S, CondId(0));
         d.write(T1, SiteId(2), X);
         assert!(d.races().is_empty());
     }
@@ -583,8 +542,8 @@ mod tests {
     fn chan_send_recv_orders() {
         let mut d = ft(2);
         d.write(T0, SiteId(1), X);
-        d.chan_send(T0, ChanId(0));
-        d.chan_recv(T1, ChanId(0));
+        d.chan_send(T0, S, ChanId(0));
+        d.chan_recv(T1, S, ChanId(0));
         d.write(T1, SiteId(2), X);
         assert!(d.races().is_empty());
     }
@@ -596,8 +555,8 @@ mod tests {
         // races with T0's post-send write.
         let mut d = ft(2);
         d.write(T1, SiteId(2), X);
-        d.chan_send(T0, ChanId(0));
-        d.chan_recv(T1, ChanId(0));
+        d.chan_send(T0, S, ChanId(0));
+        d.chan_recv(T1, S, ChanId(0));
         d.write(T0, SiteId(1), X);
         assert!(d.races().contains(SiteId(2), SiteId(1)));
     }
@@ -606,8 +565,8 @@ mod tests {
     fn different_channels_do_not_order() {
         let mut d = ft(2);
         d.write(T0, SiteId(1), X);
-        d.chan_send(T0, ChanId(0));
-        d.chan_recv(T1, ChanId(1));
+        d.chan_send(T0, S, ChanId(0));
+        d.chan_recv(T1, S, ChanId(1));
         d.write(T1, SiteId(2), X);
         assert_eq!(d.races().distinct_count(), 1);
     }
@@ -616,7 +575,7 @@ mod tests {
     fn spawn_orders_parent_before_child() {
         let mut d = ft(2);
         d.write(T0, SiteId(1), X);
-        d.spawn(T0, T1);
+        d.spawn(T0, S, T1);
         d.read(T1, SiteId(2), X);
         assert!(d.races().is_empty());
     }
@@ -624,9 +583,9 @@ mod tests {
     #[test]
     fn join_orders_child_before_parent() {
         let mut d = ft(2);
-        d.spawn(T0, T1);
+        d.spawn(T0, S, T1);
         d.write(T1, SiteId(1), X);
-        d.join(T0, T1);
+        d.join(T0, S, T1);
         d.read(T0, SiteId(2), X);
         assert!(d.races().is_empty());
     }
@@ -648,7 +607,7 @@ mod tests {
     fn barrier_orders_all_participants() {
         let mut d = ft(3);
         d.write(T0, SiteId(1), X);
-        d.barrier_arrivals(
+        d.barrier_release(
             BarrierId(0),
             &[(T0, SiteId(5)), (T1, SiteId(5)), (T2, SiteId(5))],
         );
@@ -726,8 +685,8 @@ mod tests {
     fn release_increments_own_clock() {
         let mut d = ft(2);
         let before = d.clock_of(T0).get(T0);
-        d.lock_acquire(T0, LockId(0));
-        d.lock_release(T0, LockId(0));
+        d.acquire(T0, S, LockId(0));
+        d.release(T0, S, LockId(0));
         assert_eq!(d.clock_of(T0).get(T0), before + 1);
         assert_eq!(d.sync_ops(), 2);
     }

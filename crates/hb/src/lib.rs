@@ -21,9 +21,13 @@
 //! FastTrack reports exactly the same races. [`Lockset`] is an
 //! Eraser-style detector kept as an incomplete-but-cheap baseline.
 //!
+//! Events reach every detector only through
+//! [`txrace_sim::TraceConsumer`], whether a live run or a replayed log
+//! drives it.
+//!
 //! ```
 //! use txrace_hb::{FastTrack, ShadowMode};
-//! use txrace_sim::{Addr, SiteId, ThreadId};
+//! use txrace_sim::{Addr, SiteId, ThreadId, TraceConsumer};
 //!
 //! let mut ft = FastTrack::new(2, ShadowMode::Exact);
 //! let x = Addr(0x400);

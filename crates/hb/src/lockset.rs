@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use txrace_sim::{Addr, AddrMap, LockId, SiteId, ThreadId};
+use txrace_sim::{Addr, AddrMap, LockId, SiteId, ThreadId, TraceConsumer};
 
 /// The Eraser per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,26 +77,6 @@ impl Lockset {
         &self.reports
     }
 
-    /// Tracks a mutex acquire.
-    pub fn lock_acquire(&mut self, t: ThreadId, l: LockId) {
-        self.held[t.index()].insert(l);
-    }
-
-    /// Tracks a mutex release.
-    pub fn lock_release(&mut self, t: ThreadId, l: LockId) {
-        self.held[t.index()].remove(&l);
-    }
-
-    /// Checks a read.
-    pub fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.access(t, site, addr, false);
-    }
-
-    /// Checks a write.
-    pub fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.access(t, site, addr, true);
-    }
-
     fn access(&mut self, t: ThreadId, site: SiteId, addr: Addr, is_write: bool) {
         let held = &self.held[t.index()];
         let i = self.var_ids.resolve(addr) as usize;
@@ -152,21 +132,21 @@ impl Lockset {
 /// blindness: only mutex events update the held sets — signal/wait,
 /// spawn/join, and barriers are ignored, which is exactly where its
 /// false positives come from.
-impl txrace_sim::TraceConsumer for Lockset {
+impl TraceConsumer for Lockset {
     fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        Lockset::read(self, t, site, addr);
+        self.access(t, site, addr, false);
     }
 
     fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        Lockset::write(self, t, site, addr);
+        self.access(t, site, addr, true);
     }
 
     fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
+        self.held[t.index()].insert(l);
     }
 
     fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
+        self.held[t.index()].remove(&l);
     }
 }
 
@@ -178,14 +158,15 @@ mod tests {
     const T1: ThreadId = ThreadId(1);
     const X: Addr = Addr(0x900);
     const L: LockId = LockId(0);
+    const S: SiteId = SiteId(0);
 
     #[test]
     fn consistent_locking_is_clean() {
         let mut d = Lockset::new(2);
         for (t, s) in [(T0, 1u32), (T1, 2u32)] {
-            d.lock_acquire(t, L);
+            d.acquire(t, S, L);
             d.write(t, SiteId(s), X);
-            d.lock_release(t, L);
+            d.release(t, S, L);
         }
         assert!(d.reports().is_empty());
     }
@@ -241,9 +222,9 @@ mod tests {
     #[test]
     fn partial_lock_discipline_detected() {
         let mut d = Lockset::new(2);
-        d.lock_acquire(T0, L);
+        d.acquire(T0, S, L);
         d.write(T0, SiteId(1), X);
-        d.lock_release(T0, L);
+        d.release(T0, S, L);
         d.write(T1, SiteId(2), X); // no lock held: candidates empty
         assert_eq!(d.reports().len(), 1);
     }

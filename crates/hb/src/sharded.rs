@@ -154,37 +154,37 @@ impl Shard {
 
 impl TraceConsumer for Shard {
     fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.check(|d| TraceConsumer::read(d, t, site, addr));
+        self.check(|d| d.read(t, site, addr));
     }
     fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.check(|d| TraceConsumer::write(d, t, site, addr));
+        self.check(|d| d.write(t, site, addr));
     }
     fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        TraceConsumer::acquire(&mut self.det, t, site, l);
+        self.det.acquire(t, site, l);
     }
     fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        TraceConsumer::release(&mut self.det, t, site, l);
+        self.det.release(t, site, l);
     }
     fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        TraceConsumer::signal(&mut self.det, t, site, c);
+        self.det.signal(t, site, c);
     }
     fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        TraceConsumer::wait(&mut self.det, t, site, c);
+        self.det.wait(t, site, c);
     }
     fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        TraceConsumer::spawn(&mut self.det, t, site, child);
+        self.det.spawn(t, site, child);
     }
     fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        TraceConsumer::join(&mut self.det, t, site, child);
+        self.det.join(t, site, child);
     }
     fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        TraceConsumer::barrier_release(&mut self.det, b, arrivals);
+        self.det.barrier_release(b, arrivals);
     }
     fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        TraceConsumer::chan_send(&mut self.det, t, site, ch);
+        self.det.chan_send(t, site, ch);
     }
     fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        TraceConsumer::chan_recv(&mut self.det, t, site, ch);
+        self.det.chan_recv(t, site, ch);
     }
 }
 

@@ -6,7 +6,9 @@
 //! compression can merge which static pair is blamed first, but never
 //! which variables race).
 
-use txrace_sim::{Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
+use txrace_sim::{
+    Addr, AddrMap, BarrierId, ChanId, CondId, LockId, SiteId, ThreadId, TraceConsumer,
+};
 
 use crate::clock::VectorClock;
 use crate::report::{AccessInfo, AccessKind, RaceReport, RaceSet};
@@ -23,8 +25,8 @@ struct Cell {
     r_site: SiteId,
 }
 
-/// The full-vector-clock (DJIT+-style) reference detector. Same API shape
-/// as [`crate::FastTrack`].
+/// The full-vector-clock (DJIT+-style) reference detector. It takes the
+/// same [`TraceConsumer`] events as [`crate::FastTrack`].
 ///
 /// Shadow state is a flat table keyed by dense first-touch ids: variable
 /// `v`'s per-thread `Cell`s live at `[v*n, (v+1)*n)`. An untouched
@@ -86,9 +88,15 @@ impl VectorClockDetector {
         }
         &mut table[idx]
     }
+}
 
+/// The reference detector as a pure trace consumer, mirroring the
+/// [`FastTrack`](crate::FastTrack) mapping (atomic RMWs unchecked) so
+/// the two implementations stay comparable event-for-event under both
+/// live and replayed driving.
+impl TraceConsumer for VectorClockDetector {
     /// Checks a read.
-    pub fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
         let n = self.n;
         let base = self.shadow_base(addr);
         let ct = self.clocks[t.index()].as_slice();
@@ -124,7 +132,7 @@ impl VectorClockDetector {
     }
 
     /// Checks a write.
-    pub fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
         let n = self.n;
         let base = self.shadow_base(addr);
         let ct = self.clocks[t.index()].as_slice();
@@ -174,61 +182,60 @@ impl VectorClockDetector {
     }
 
     /// Tracks a mutex acquire.
-    pub fn lock_acquire(&mut self, t: ThreadId, l: LockId) {
+    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         let vc = Self::sync_vc(&mut self.locks, l.index(), self.n);
         self.clocks[t.index()].join(vc);
     }
 
     /// Tracks a mutex release.
-    pub fn lock_release(&mut self, t: ThreadId, l: LockId) {
+    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         let ct = self.clocks[t.index()].clone();
         Self::sync_vc(&mut self.locks, l.index(), self.n).join(&ct);
         self.clocks[t.index()].inc(t);
     }
 
     /// Tracks a semaphore post.
-    pub fn signal(&mut self, t: ThreadId, c: CondId) {
+    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
         let ct = self.clocks[t.index()].clone();
         Self::sync_vc(&mut self.conds, c.index(), self.n).join(&ct);
         self.clocks[t.index()].inc(t);
     }
 
     /// Tracks a satisfied semaphore wait.
-    pub fn wait(&mut self, t: ThreadId, c: CondId) {
+    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
         let vc = Self::sync_vc(&mut self.conds, c.index(), self.n);
         self.clocks[t.index()].join(vc);
     }
 
-    /// Tracks a channel send (release semantics, like
-    /// [`signal`](VectorClockDetector::signal); the send→recv edge is
-    /// unidirectional — no backpressure edge).
-    pub fn chan_send(&mut self, t: ThreadId, ch: ChanId) {
+    /// Tracks a channel send (release semantics, like `signal`; the
+    /// send→recv edge is unidirectional — no backpressure edge).
+    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
         let ct = self.clocks[t.index()].clone();
         Self::sync_vc(&mut self.chans, ch.index(), self.n).join(&ct);
         self.clocks[t.index()].inc(t);
     }
 
     /// Tracks a channel receive (acquire semantics).
-    pub fn chan_recv(&mut self, t: ThreadId, ch: ChanId) {
+    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
         let vc = Self::sync_vc(&mut self.chans, ch.index(), self.n);
         self.clocks[t.index()].join(vc);
     }
 
     /// Tracks a spawn.
-    pub fn spawn(&mut self, parent: ThreadId, child: ThreadId) {
+    fn spawn(&mut self, parent: ThreadId, _site: SiteId, child: ThreadId) {
         let cp = self.clocks[parent.index()].clone();
         self.clocks[child.index()].join(&cp);
         self.clocks[parent.index()].inc(parent);
     }
 
     /// Tracks a join.
-    pub fn join(&mut self, parent: ThreadId, child: ThreadId) {
+    fn join(&mut self, parent: ThreadId, _site: SiteId, child: ThreadId) {
         let cc = self.clocks[child.index()].clone();
         self.clocks[parent.index()].join(&cc);
     }
 
     /// Tracks a barrier release over its recorded arrival list.
-    pub fn barrier_arrivals(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
         let n = self.n;
         if self.barriers.len() <= b.index() {
             self.barriers.resize(b.index() + 1, VectorClock::zero(n));
@@ -245,56 +252,6 @@ impl VectorClockDetector {
     }
 }
 
-/// The reference detector as a pure trace consumer, mirroring the
-/// [`FastTrack`](crate::FastTrack) mapping (atomic RMWs unchecked) so
-/// the two implementations stay comparable event-for-event under both
-/// live and replayed driving.
-impl txrace_sim::TraceConsumer for VectorClockDetector {
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        VectorClockDetector::read(self, t, site, addr);
-    }
-
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        VectorClockDetector::write(self, t, site, addr);
-    }
-
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_acquire(t, l);
-    }
-
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.lock_release(t, l);
-    }
-
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        VectorClockDetector::signal(self, t, c);
-    }
-
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        VectorClockDetector::wait(self, t, c);
-    }
-
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        VectorClockDetector::spawn(self, t, child);
-    }
-
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        VectorClockDetector::join(self, t, child);
-    }
-
-    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.barrier_arrivals(b, arrivals);
-    }
-
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        VectorClockDetector::chan_send(self, t, ch);
-    }
-
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
-        VectorClockDetector::chan_recv(self, t, ch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +259,7 @@ mod tests {
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
     const X: Addr = Addr(0x800);
+    const S: SiteId = SiteId(0);
 
     #[test]
     fn detects_plain_write_write_race() {
@@ -314,12 +272,12 @@ mod tests {
     #[test]
     fn lock_discipline_is_race_free() {
         let mut d = VectorClockDetector::new(2);
-        d.lock_acquire(T0, LockId(0));
+        d.acquire(T0, S, LockId(0));
         d.write(T0, SiteId(1), X);
-        d.lock_release(T0, LockId(0));
-        d.lock_acquire(T1, LockId(0));
+        d.release(T0, S, LockId(0));
+        d.acquire(T1, S, LockId(0));
         d.read(T1, SiteId(2), X);
-        d.lock_release(T1, LockId(0));
+        d.release(T1, S, LockId(0));
         assert!(d.races().is_empty());
     }
 
@@ -327,8 +285,8 @@ mod tests {
     fn chan_send_recv_orders() {
         let mut d = VectorClockDetector::new(2);
         d.write(T0, SiteId(1), X);
-        d.chan_send(T0, ChanId(0));
-        d.chan_recv(T1, ChanId(0));
+        d.chan_send(T0, S, ChanId(0));
+        d.chan_recv(T1, S, ChanId(0));
         d.write(T1, SiteId(2), X);
         assert!(d.races().is_empty());
     }
@@ -341,8 +299,8 @@ mod tests {
         let mut d = VectorClockDetector::new(3);
         d.write(T0, SiteId(1), X);
         d.write(T1, SiteId(2), X); // races with site 1
-        d.signal(T1, CondId(0));
-        d.wait(ThreadId(2), CondId(0));
+        d.signal(T1, S, CondId(0));
+        d.wait(ThreadId(2), S, CondId(0));
         d.read(ThreadId(2), SiteId(3), X); // ordered after site 2, races with site 1
         assert_eq!(d.races().distinct_count(), 2);
         assert!(d.races().contains(SiteId(1), SiteId(3)));

@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use txrace_hb::{FastTrack, ShadowMode, VectorClockDetector};
-use txrace_sim::{Addr, CondId, LockId, SiteId, ThreadId};
+use txrace_sim::{Addr, CondId, LockId, SiteId, ThreadId, TraceConsumer};
 
 #[derive(Debug, Clone)]
 enum Ev {
@@ -100,20 +100,20 @@ proptest! {
                     vc.write(ThreadId(t), s, addr_of(a));
                 }
                 Ev::Acq(t, l) => {
-                    ft.lock_acquire(ThreadId(t), LockId(l));
-                    vc.lock_acquire(ThreadId(t), LockId(l));
+                    ft.acquire(ThreadId(t), s, LockId(l));
+                    vc.acquire(ThreadId(t), s, LockId(l));
                 }
                 Ev::Rel(t, l) => {
-                    ft.lock_release(ThreadId(t), LockId(l));
-                    vc.lock_release(ThreadId(t), LockId(l));
+                    ft.release(ThreadId(t), s, LockId(l));
+                    vc.release(ThreadId(t), s, LockId(l));
                 }
                 Ev::Signal(t, c) => {
-                    ft.signal(ThreadId(t), CondId(c));
-                    vc.signal(ThreadId(t), CondId(c));
+                    ft.signal(ThreadId(t), s, CondId(c));
+                    vc.signal(ThreadId(t), s, CondId(c));
                 }
                 Ev::Wait(t, c) => {
-                    ft.wait(ThreadId(t), CondId(c));
-                    vc.wait(ThreadId(t), CondId(c));
+                    ft.wait(ThreadId(t), s, CondId(c));
+                    vc.wait(ThreadId(t), s, CondId(c));
                 }
             }
         }

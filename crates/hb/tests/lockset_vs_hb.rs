@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use txrace_hb::{FastTrack, Lockset, ShadowMode};
-use txrace_sim::{Addr, LockId, SiteId, ThreadId};
+use txrace_sim::{Addr, LockId, SiteId, ThreadId, TraceConsumer};
 
 #[derive(Debug, Clone)]
 enum Ev {
@@ -68,8 +68,8 @@ proptest! {
                     ls.write(ThreadId(t), s, addr_of(a));
                 }
                 Ev::Locked(t, l, a, w) => {
-                    ft.lock_acquire(ThreadId(t), LockId(l));
-                    ls.lock_acquire(ThreadId(t), LockId(l));
+                    ft.acquire(ThreadId(t), s, LockId(l));
+                    ls.acquire(ThreadId(t), s, LockId(l));
                     if w {
                         ft.write(ThreadId(t), s, addr_of(a));
                         ls.write(ThreadId(t), s, addr_of(a));
@@ -77,8 +77,8 @@ proptest! {
                         ft.read(ThreadId(t), s, addr_of(a));
                         ls.read(ThreadId(t), s, addr_of(a));
                     }
-                    ft.lock_release(ThreadId(t), LockId(l));
-                    ls.lock_release(ThreadId(t), LockId(l));
+                    ft.release(ThreadId(t), s, LockId(l));
+                    ls.release(ThreadId(t), s, LockId(l));
                 }
             }
         }
@@ -121,8 +121,8 @@ proptest! {
             let lock = LockId(a as u32 % 2);
             let _ = l;
             let s = SiteId(i as u32 + 1);
-            ft.lock_acquire(ThreadId(t), lock);
-            ls.lock_acquire(ThreadId(t), lock);
+            ft.acquire(ThreadId(t), s, lock);
+            ls.acquire(ThreadId(t), s, lock);
             if w {
                 ft.write(ThreadId(t), s, addr_of(a));
                 ls.write(ThreadId(t), s, addr_of(a));
@@ -130,8 +130,8 @@ proptest! {
                 ft.read(ThreadId(t), s, addr_of(a));
                 ls.read(ThreadId(t), s, addr_of(a));
             }
-            ft.lock_release(ThreadId(t), lock);
-            ls.lock_release(ThreadId(t), lock);
+            ft.release(ThreadId(t), s, lock);
+            ls.release(ThreadId(t), s, lock);
         }
         prop_assert!(ft.races().is_empty(), "HB: {:?}", ft.races().reports());
         prop_assert!(ls.reports().is_empty(), "lockset: {:?}", ls.reports());

@@ -161,7 +161,7 @@ impl HtmSystem {
     }
 
     /// Number of transactions currently occupying hardware slots.
-    pub fn active_txn_count(&self) -> usize {
+    fn active_txn_count(&self) -> usize {
         self.active
     }
 

@@ -130,19 +130,6 @@ impl Op {
         )
     }
 
-    /// True if this op may block the executing thread.
-    pub fn may_block(&self) -> bool {
-        matches!(
-            self,
-            Op::Lock(_)
-                | Op::Wait(_)
-                | Op::Barrier(_)
-                | Op::ChanSend(_)
-                | Op::ChanRecv(_)
-                | Op::Join(_)
-        )
-    }
-
     /// The statically-known address touched by a data access, if any.
     /// Indexed accesses ([`Op::ReadArr`]/[`Op::WriteArr`]) return `None`
     /// because their address depends on the loop iteration.
@@ -281,9 +268,26 @@ impl Program {
         }
     }
 
+    /// Visits every static op once with its trip weight: the number of
+    /// times it executes (nested loops multiply).
+    pub(crate) fn visit_dynamic(&self, f: &mut impl FnMut(&Op, u64)) {
+        fn walk(stmts: &[Stmt], mult: u64, f: &mut impl FnMut(&Op, u64)) {
+            for s in stmts {
+                match s {
+                    Stmt::Op { op, .. } => f(op, mult),
+                    Stmt::Loop { trips, body, .. } => {
+                        walk(body, mult.saturating_mul(*trips as u64), f)
+                    }
+                }
+            }
+        }
+        for t in &self.threads {
+            walk(t, 1, f);
+        }
+    }
+
     /// Folds over every *dynamic* op: loop bodies are weighted by their
-    /// trip counts (nested loops multiply). Used to compute uninstrumented
-    /// baseline cycle counts without executing.
+    /// trip counts (nested loops multiply).
     pub fn fold_dynamic<F: FnMut(&Op) -> u64>(&self, mut f: F) -> u64 {
         fn walk<F: FnMut(&Op) -> u64>(stmts: &[Stmt], mult: u64, f: &mut F) -> u64 {
             let mut sum = 0u64;
@@ -831,16 +835,11 @@ mod tests {
         assert!(!Op::Read(a).is_write_access());
         assert!(Op::Rmw(a, 1).is_write_access());
         assert!(Op::Lock(LockId(0)).is_sync());
-        assert!(Op::Lock(LockId(0)).may_block());
-        assert!(!Op::Unlock(LockId(0)).may_block());
-        assert!(Op::Join(ThreadId(1)).may_block());
         assert_eq!(Op::Write(a, 3).access_addr(), Some(a));
         assert_eq!(Op::Compute(5).access_addr(), None);
         assert!(!Op::Syscall(SyscallKind::Io).is_sync());
         assert!(Op::ChanSend(ChanId(0)).is_sync());
         assert!(Op::ChanRecv(ChanId(0)).is_sync());
-        assert!(Op::ChanSend(ChanId(0)).may_block());
-        assert!(Op::ChanRecv(ChanId(0)).may_block());
         assert!(!Op::ChanSend(ChanId(0)).is_data_access());
     }
 

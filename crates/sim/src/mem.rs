@@ -194,11 +194,6 @@ impl WriteJournal {
         JournalMark(self.entries.len())
     }
 
-    /// Entries journaled since `m`.
-    pub fn len_since(&self, m: JournalMark) -> usize {
-        self.entries.len() - m.0
-    }
-
     /// True when nothing is journaled.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -345,7 +340,6 @@ mod tests {
         let outer = j.mark();
         m.store_logged(Addr(8), 1, &mut j);
         let inner = j.mark();
-        assert_eq!(j.len_since(outer), 1);
         m.store_logged(Addr(8), 2, &mut j);
         j.commit_to(inner); // keep the inner store
         assert_eq!(m.load(Addr(8)), 2);

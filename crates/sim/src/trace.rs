@@ -94,15 +94,15 @@ impl OpCensus {
     /// Counts `p`'s dynamic operations by class (instrumentation markers
     /// are not counted; they have no architectural cost).
     pub fn of(p: &Program) -> Self {
-        OpCensus {
-            mem_accesses: p.fold_dynamic(|op| u64::from(op.is_data_access())),
-            compute_units: p.fold_dynamic(|op| match op {
-                Op::Compute(n) => u64::from(*n),
-                _ => 0,
-            }),
-            sync_ops: p.fold_dynamic(|op| u64::from(op.is_sync())),
-            syscalls: p.fold_dynamic(|op| u64::from(matches!(op, Op::Syscall(_)))),
-        }
+        let mut c = OpCensus::default();
+        p.visit_dynamic(&mut |op, n| match op {
+            _ if op.is_data_access() => c.mem_accesses += n,
+            Op::Compute(units) => c.compute_units += n.saturating_mul(u64::from(*units)),
+            _ if op.is_sync() => c.sync_ops += n,
+            Op::Syscall(_) => c.syscalls += n,
+            _ => {}
+        });
+        c
     }
 }
 

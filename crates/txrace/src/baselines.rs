@@ -3,19 +3,22 @@
 //! sampling-based variant (Figures 11–13).
 //!
 //! Both are *pure trace consumers* ([`TraceConsumer`]): they observe the
-//! event stream, never redirect execution, and charge their own cycle
-//! accounting per event. Run them live by wrapping in
+//! event stream, never redirect execution, charge their own cycle
+//! accounting per event, and forward each event to their detector
+//! through the same trait. Run them live by wrapping in
 //! [`txrace_sim::Live`], or replay them from a recorded
 //! [`txrace_sim::EventLog`] — the two paths produce bit-identical race
 //! sets, breakdowns, and sampling decisions (the sampling RNG draws once
 //! per non-pruned access, in event order, on either path).
+//!
+//! [`TsanConsumer::new`] builds both TSan variants: a sampling rate of
+//! `None` checks every access, `Some(rate)` samples.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use txrace_hb::{FastTrack, Lockset, LocksetReport, RaceSet, ShadowMode};
 use txrace_sim::{Addr, BarrierId, CondId, LockId, SiteId, SyscallKind, ThreadId, TraceConsumer};
 
-use crate::control::Knobs;
 use crate::cost::{CostModel, CycleBreakdown};
 use crate::sa::SiteClassTable;
 
@@ -56,36 +59,34 @@ pub struct TsanConsumer {
 }
 
 impl TsanConsumer {
-    /// Full checking: every access pays the shadow-memory check.
-    pub fn full(threads: usize, cost: CostModel, shadow_factor: f64, shadow: ShadowMode) -> Self {
+    /// Builds a consumer for `threads` threads. `sampling` is the
+    /// fraction of accesses checked: `None` checks every access;
+    /// `Some(rate)` checks each access with probability `rate` (clamped
+    /// to `[0, 1]`, drawn from an RNG seeded with `seed`), and a rate of
+    /// `1.0` draws nothing and checks everything. The prune table, when
+    /// the prune knob asks for one, is installed separately via
+    /// [`TsanConsumer::with_prune`].
+    pub fn new(
+        threads: usize,
+        cost: CostModel,
+        shadow_factor: f64,
+        shadow: ShadowMode,
+        sampling: Option<f64>,
+        seed: u64,
+    ) -> Self {
         TsanConsumer {
             ft: FastTrack::new(threads, shadow),
             eff_check: cost.effective_tsan_check(shadow_factor),
             cost,
             tally: EventTally::default(),
-            sampler: None,
+            sampler: sampling
+                .map(|rate| rate.clamp(0.0, 1.0))
+                .filter(|&rate| rate < 1.0)
+                .map(|rate| (rate, StdRng::seed_from_u64(seed))),
             prune: None,
             checked: 0,
             skipped: 0,
             elided: 0,
-        }
-    }
-
-    /// Builds a consumer from the control-plane [`Knobs`]: the sampling
-    /// knob selects between full and sampled checking (`None` means
-    /// check everything). The prune table, when the prune knob asks for
-    /// one, is installed separately via [`TsanConsumer::with_prune`].
-    pub fn from_knobs(
-        threads: usize,
-        cost: CostModel,
-        shadow_factor: f64,
-        shadow: ShadowMode,
-        knobs: &Knobs,
-        seed: u64,
-    ) -> Self {
-        match knobs.sampling {
-            Some(rate) => Self::sampling(threads, cost, shadow_factor, shadow, rate, seed),
-            None => Self::full(threads, cost, shadow_factor, shadow),
         }
     }
 
@@ -95,25 +96,6 @@ impl TsanConsumer {
     pub fn with_prune(mut self, table: SiteClassTable) -> Self {
         self.prune = Some(table);
         self
-    }
-
-    /// Sampled checking: each dynamic access is checked with probability
-    /// `rate` (clamped to `[0, 1]`; `1.0` behaves exactly like
-    /// [`TsanConsumer::full`]).
-    pub fn sampling(
-        threads: usize,
-        cost: CostModel,
-        shadow_factor: f64,
-        shadow: ShadowMode,
-        rate: f64,
-        seed: u64,
-    ) -> Self {
-        let rate = rate.clamp(0.0, 1.0);
-        let mut rt = Self::full(threads, cost, shadow_factor, shadow);
-        if rate < 1.0 {
-            rt.sampler = Some((rate, StdRng::seed_from_u64(seed)));
-        }
-        rt
     }
 
     /// Races detected.
@@ -204,33 +186,33 @@ impl TraceConsumer for TsanConsumer {
         self.tally.mem += 1;
     }
 
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_acquire(t, l);
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.ft.acquire(t, site, l);
         self.tally.sync += 1;
     }
 
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ft.lock_release(t, l);
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.ft.release(t, site, l);
         self.tally.sync += 1;
     }
 
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.signal(t, c);
+    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.ft.signal(t, site, c);
         self.tally.sync += 1;
     }
 
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
-        self.ft.wait(t, c);
+    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.ft.wait(t, site, c);
         self.tally.sync += 1;
     }
 
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.spawn(t, child);
+    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.ft.spawn(t, site, child);
         self.tally.sync += 1;
     }
 
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
-        self.ft.join(t, child);
+    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
+        self.ft.join(t, site, child);
         self.tally.sync += 1;
     }
 
@@ -239,17 +221,17 @@ impl TraceConsumer for TsanConsumer {
     }
 
     fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
-        self.ft.barrier_arrivals(b, arrivals);
+        self.ft.barrier_release(b, arrivals);
         self.tally.barrier_released += arrivals.len() as u64;
     }
 
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: txrace_sim::ChanId) {
-        self.ft.chan_send(t, ch);
+    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: txrace_sim::ChanId) {
+        self.ft.chan_send(t, site, ch);
         self.tally.sync += 1;
     }
 
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: txrace_sim::ChanId) {
-        self.ft.chan_recv(t, ch);
+    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: txrace_sim::ChanId) {
+        self.ft.chan_recv(t, site, ch);
         self.tally.sync += 1;
     }
 
@@ -274,11 +256,13 @@ mod tests {
         b.thread(0).write_l(x, 1, "w0");
         b.thread(1).write_l(x, 2, "w1");
         let p = b.build();
-        let mut rt = Live::new(TsanConsumer::full(
+        let mut rt = Live::new(TsanConsumer::new(
             2,
             CostModel::default(),
             1.0,
             ShadowMode::Exact,
+            None,
+            0,
         ));
         let mut m = Machine::new(&p);
         let mut s = RandomSched::new(1);
@@ -296,12 +280,12 @@ mod tests {
         b.thread(0).write(x, 1);
         b.thread(1).write(x, 2);
         let p = b.build();
-        let mut rt = Live::new(TsanConsumer::sampling(
+        let mut rt = Live::new(TsanConsumer::new(
             2,
             CostModel::default(),
             1.0,
             ShadowMode::Exact,
-            0.0,
+            Some(0.0),
             7,
         ));
         let mut m = Machine::new(&p);
@@ -321,12 +305,12 @@ mod tests {
             t.read(x);
         });
         let p = b.build();
-        let mut rt = Live::new(TsanConsumer::sampling(
+        let mut rt = Live::new(TsanConsumer::new(
             1,
             CostModel::default(),
             1.0,
             ShadowMode::Exact,
-            0.3,
+            Some(0.3),
             9,
         ));
         let mut m = Machine::new(&p);
@@ -339,8 +323,14 @@ mod tests {
 
     #[test]
     fn full_rate_sampling_equals_full() {
-        let mut rt =
-            TsanConsumer::sampling(2, CostModel::default(), 1.0, ShadowMode::Exact, 1.0, 7);
+        let mut rt = TsanConsumer::new(
+            2,
+            CostModel::default(),
+            1.0,
+            ShadowMode::Exact,
+            Some(1.0),
+            7,
+        );
         assert!(rt.sample_for_test());
         assert_eq!(rt.skipped(), 0);
     }
@@ -354,12 +344,12 @@ mod tests {
         b.thread(0).write(x, 1).signal(c);
         b.thread(1).wait(c).write(x, 2);
         let p = b.build();
-        let mut rt = Live::new(TsanConsumer::sampling(
+        let mut rt = Live::new(TsanConsumer::new(
             2,
             CostModel::default(),
             1.0,
             ShadowMode::Exact,
-            0.99,
+            Some(0.99),
             3,
         ));
         let mut m = Machine::new(&p);
@@ -383,7 +373,7 @@ mod tests {
         let p = b.build();
         let table = SiteClassTable::analyze(&p);
         let mk = |prune: bool| {
-            let rt = TsanConsumer::full(2, CostModel::default(), 1.0, ShadowMode::Exact);
+            let rt = TsanConsumer::new(2, CostModel::default(), 1.0, ShadowMode::Exact, None, 0);
             if prune {
                 rt.with_prune(table.clone())
             } else {
@@ -477,13 +467,13 @@ impl TraceConsumer for LocksetConsumer {
         self.tally.mem += 1;
     }
 
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_acquire(t, l);
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.ls.acquire(t, site, l);
         self.tally.sync += 1;
     }
 
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.ls.lock_release(t, l);
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.ls.release(t, site, l);
         self.tally.sync += 1;
     }
 

@@ -7,7 +7,7 @@
 //! tracking) adds documented extra costs attributed to the overhead
 //! buckets of the paper's Figure 7.
 
-use txrace_sim::{Op, OpCensus, Program};
+use txrace_sim::{OpCensus, Program};
 
 /// Per-operation cycle costs.
 ///
@@ -56,42 +56,17 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// The architectural (uninstrumented) cost of one op. Instrumentation
-    /// markers are free here; their cost is charged by the engine as
-    /// overhead.
-    pub fn base_op_cost(&self, op: &Op) -> u64 {
-        match op {
-            Op::Read(_)
-            | Op::Write(_, _)
-            | Op::Rmw(_, _)
-            | Op::ReadArr { .. }
-            | Op::WriteArr { .. } => self.mem_access,
-            Op::Compute(n) => u64::from(*n) * self.compute_unit,
-            Op::Syscall(_) => self.syscall,
-            Op::Lock(_)
-            | Op::Unlock(_)
-            | Op::Signal(_)
-            | Op::Wait(_)
-            | Op::Barrier(_)
-            | Op::ChanSend(_)
-            | Op::ChanRecv(_)
-            | Op::Spawn(_)
-            | Op::Join(_) => self.sync_op,
-            Op::TxBegin(_) | Op::TxEnd(_) | Op::LoopCutProbe(_) => 0,
-        }
-    }
-
-    /// Total uninstrumented cycles of `p` (loop-weighted static sum).
-    /// This is the "original execution time" denominator for overheads.
+    /// Total uninstrumented cycles of `p` (loop-weighted static sum):
+    /// the "original execution time" denominator for overheads.
+    /// Instrumentation markers are free here; their cost is charged by
+    /// the engine as overhead.
     pub fn baseline_cycles(&self, p: &Program) -> u64 {
-        p.fold_dynamic(|op| self.base_op_cost(op))
+        self.baseline_cycles_of_census(&OpCensus::of(p))
     }
 
-    /// Total uninstrumented cycles from a recorded log's [`OpCensus`].
-    /// Base costs are uniform within each census class, so this equals
-    /// [`CostModel::baseline_cycles`] of the recorded program exactly —
-    /// which is what lets a replayed analysis price a run without ever
-    /// seeing the [`Program`].
+    /// Total uninstrumented cycles from an [`OpCensus`]: base costs are
+    /// uniform within each census class, which is what lets a replayed
+    /// analysis price a run without ever seeing the [`Program`].
     pub fn baseline_cycles_of_census(&self, c: &OpCensus) -> u64 {
         c.mem_accesses * self.mem_access
             + c.compute_units * self.compute_unit
@@ -156,7 +131,7 @@ impl CycleBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txrace_sim::{ProgramBuilder, SyscallKind};
+    use txrace_sim::{Op, ProgramBuilder, SyscallKind, ThreadId};
 
     #[test]
     fn base_costs_follow_op_kind() {
@@ -171,28 +146,50 @@ mod tests {
         );
     }
 
-    #[test]
-    fn markers_are_free_in_baseline() {
-        let c = CostModel::default();
-        assert_eq!(c.base_op_cost(&Op::TxBegin(txrace_sim::RegionId(0))), 0);
-        assert_eq!(c.base_op_cost(&Op::LoopCutProbe(txrace_sim::LoopId(0))), 0);
+    fn hand_priced_program() -> Program {
+        let mut b = ProgramBuilder::new(2);
+        let x = b.var("x");
+        let l = b.lock_id("l");
+        b.thread(0)
+            .spawn(ThreadId(1))
+            .loop_n(3, |t| {
+                t.lock(l).write(x, 1).unlock(l).loop_n(4, |t| {
+                    t.read(x).rmw(x, 1).compute(5);
+                });
+            })
+            .syscall(SyscallKind::Io)
+            .join(ThreadId(1));
+        b.thread(1).read(x).compute(2);
+        b.build()
     }
 
     #[test]
     fn census_pricing_equals_program_pricing() {
         let c = CostModel::default();
-        let mut b = ProgramBuilder::new(2);
-        let x = b.var("x");
-        let l = b.lock_id("l");
-        b.thread(0).loop_n(9, |t| {
-            t.lock(l).rmw(x, 1).unlock(l).compute(4);
+        let p = hand_priced_program();
+        // Thread 0: spawn 12 + 3 * (lock 12 + write 1 + unlock 12
+        // + 4 * (read 1 + rmw 1 + compute 5)) + syscall 20 + join 12;
+        // thread 1: read 1 + compute 2.
+        let expected = 12 + 3 * (25 + 4 * 7) + 20 + 12 + 3;
+        assert_eq!(c.baseline_cycles(&p), expected);
+        assert_eq!(c.baseline_cycles_of_census(&OpCensus::of(&p)), expected);
+    }
+
+    #[test]
+    fn markers_are_free_in_baseline() {
+        let c = CostModel::default();
+        let p = hand_priced_program();
+        // Instrumentation adds only markers, which are free.
+        let ip = crate::instrument(&p, &crate::InstrumentConfig::default());
+        let mut markers = 0;
+        ip.program.visit_static(&mut |_, _, op| {
+            markers += usize::from(matches!(
+                op,
+                Op::TxBegin(_) | Op::TxEnd(_) | Op::LoopCutProbe(_)
+            ));
         });
-        b.thread(1).read(x).syscall(SyscallKind::Io).write(x, 1);
-        let p = b.build();
-        assert_eq!(
-            c.baseline_cycles_of_census(&OpCensus::of(&p)),
-            c.baseline_cycles(&p)
-        );
+        assert!(markers > 0);
+        assert_eq!(c.baseline_cycles(&ip.program), c.baseline_cycles(&p));
     }
 
     #[test]

@@ -456,29 +456,23 @@ impl Detector {
     }
 
     fn tsan_consumer_with(&self, threads: usize, prune: Option<SiteClassTable>) -> TsanConsumer {
-        let mut c = match &self.cfg.scheme {
+        let sampling = match &self.cfg.scheme {
             // The plain-TSan baseline honours the sampling knob (default
             // `None`: full checking).
-            Scheme::Tsan => TsanConsumer::from_knobs(
-                threads,
-                self.cfg.cost,
-                self.cfg.shadow_factor,
-                self.cfg.shadow,
-                &self.cfg.knobs,
-                self.cfg.seed.wrapping_add(0x517C_C1B7),
-            ),
-            Scheme::TsanSampling { rate } => TsanConsumer::sampling(
-                threads,
-                self.cfg.cost,
-                self.cfg.shadow_factor,
-                self.cfg.shadow,
-                *rate,
-                self.cfg.seed.wrapping_add(0x517C_C1B7),
-            ),
+            Scheme::Tsan => self.cfg.knobs.sampling,
+            Scheme::TsanSampling { rate } => Some(*rate),
             Scheme::TxRace(_) | Scheme::Production(_) => {
                 panic!("engine schemes are not trace consumers; use run()")
             }
         };
+        let mut c = TsanConsumer::new(
+            threads,
+            self.cfg.cost,
+            self.cfg.shadow_factor,
+            self.cfg.shadow,
+            sampling,
+            self.cfg.seed.wrapping_add(0x517C_C1B7),
+        );
         if let Some(table) = prune {
             c = c.with_prune(table);
         }

@@ -237,26 +237,30 @@ pub struct TxRaceEngine {
     watch: Vec<bool>,
     /// Epoch telemetry under construction (`epoch_events` set).
     telemetry: Option<Telemetry>,
-    epoch_events: Option<u64>,
     /// Executed operations, total and within the current epoch.
     events_total: u64,
     epoch_acc: u64,
     /// Static baseline cycles of the program (the overhead denominator).
     static_baseline: u64,
-    /// Checks skipped because monitoring was idle (duty-cycling).
-    idle_skips: u64,
     /// Cycles charged to software detection / HTM management, for the
     /// telemetry split (subsets of the paid breakdown buckets).
     tsan_cycles: u64,
     htm_cycles: u64,
-    /// Previous-epoch snapshots for delta telemetry.
-    prev_events: u64,
-    prev_htm: HtmStats,
-    prev_checks: u64,
-    prev_elided: u64,
-    prev_baseline: u64,
-    prev_tsan_cycles: u64,
-    prev_htm_cycles: u64,
+    /// The counters at the last epoch boundary, for delta telemetry.
+    prev_epoch: EpochCounters,
+}
+
+/// The cumulative counters an [`EpochRecord`] reports as deltas from the
+/// previous epoch boundary.
+#[derive(Debug, Clone, Copy, Default)]
+struct EpochCounters {
+    events: u64,
+    htm: HtmStats,
+    checks: u64,
+    elided: u64,
+    baseline: u64,
+    tsan_cycles: u64,
+    htm_cycles: u64,
 }
 
 impl TxRaceEngine {
@@ -334,20 +338,12 @@ impl TxRaceEngine {
                 epoch_events: e,
                 epochs: Vec::new(),
             }),
-            epoch_events: cfg.epoch_events,
             events_total: 0,
             epoch_acc: 0,
             static_baseline,
-            idle_skips: 0,
             tsan_cycles: 0,
             htm_cycles: 0,
-            prev_events: 0,
-            prev_htm: HtmStats::default(),
-            prev_checks: 0,
-            prev_elided: 0,
-            prev_baseline: 0,
-            prev_tsan_cycles: 0,
-            prev_htm_cycles: 0,
+            prev_epoch: EpochCounters::default(),
         }
     }
 
@@ -370,7 +366,6 @@ impl TxRaceEngine {
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
         s.loop_cuts = self.loopcut.cuts();
-        s.idle_skips = self.idle_skips;
         s
     }
 
@@ -404,14 +399,21 @@ impl TxRaceEngine {
             return;
         }
         self.epoch_acc = 0;
-        let htm_stats = *self.htm.stats();
-        let checks = self.ft.checks();
-        let elided_now = self.stats.elided_checks + self.idle_skips;
         let bd = self.breakdown;
+        let now = EpochCounters {
+            events: self.events_total,
+            htm: *self.htm.stats(),
+            checks: self.ft.checks(),
+            elided: self.stats.elided_checks + self.stats.idle_skips,
+            baseline: bd.baseline,
+            tsan_cycles: self.tsan_cycles,
+            htm_cycles: self.htm_cycles,
+        };
+        let prev = std::mem::replace(&mut self.prev_epoch, now);
         let tm = self.telemetry.as_mut().expect("telemetry enabled");
         let rec = EpochRecord {
             index: tm.epochs.len() as u64,
-            events: self.events_total - self.prev_events,
+            events: now.events - prev.events,
             active: self.monitoring_on,
             sampling: if self.monitoring_on {
                 self.knobs.sampling.unwrap_or(1.0)
@@ -420,25 +422,18 @@ impl TxRaceEngine {
             },
             k_min_ops: self.knobs.k_min_ops,
             loopcut_threshold: self.knobs.loopcut_threshold,
-            conflict_aborts: htm_stats.conflict_aborts - self.prev_htm.conflict_aborts,
-            capacity_aborts: htm_stats.capacity_aborts - self.prev_htm.capacity_aborts,
-            unknown_aborts: htm_stats.unknown_aborts - self.prev_htm.unknown_aborts,
-            checks: checks - self.prev_checks,
-            elided_checks: elided_now - self.prev_elided,
-            tsan_cycles: self.tsan_cycles - self.prev_tsan_cycles,
-            htm_cycles: self.htm_cycles - self.prev_htm_cycles,
-            baseline_cycles: bd.baseline - self.prev_baseline,
+            conflict_aborts: now.htm.conflict_aborts - prev.htm.conflict_aborts,
+            capacity_aborts: now.htm.capacity_aborts - prev.htm.capacity_aborts,
+            unknown_aborts: now.htm.unknown_aborts - prev.htm.unknown_aborts,
+            checks: now.checks - prev.checks,
+            elided_checks: now.elided - prev.elided,
+            tsan_cycles: now.tsan_cycles - prev.tsan_cycles,
+            htm_cycles: now.htm_cycles - prev.htm_cycles,
+            baseline_cycles: now.baseline - prev.baseline,
             cum_overhead: bd.overhead_vs(self.static_baseline),
         };
         let capacity_delta = rec.capacity_aborts;
         tm.epochs.push(rec);
-        self.prev_events = self.events_total;
-        self.prev_htm = htm_stats;
-        self.prev_checks = checks;
-        self.prev_elided = elided_now;
-        self.prev_baseline = bd.baseline;
-        self.prev_tsan_cycles = self.tsan_cycles;
-        self.prev_htm_cycles = self.htm_cycles;
         if let Some(ctl) = self.controller.as_mut() {
             ctl.on_epoch(self.events_total, bd.extra(), capacity_delta);
             self.monitoring_on = ctl.active();
@@ -476,7 +471,7 @@ impl TxRaceEngine {
             }
             return true;
         }
-        self.idle_skips += 1;
+        self.stats.idle_skips += 1;
         self.breakdown.elided += self.eff_check;
         false
     }
@@ -883,7 +878,7 @@ impl Runtime for TxRaceEngine {
         let t = ev.thread;
         // Epoch clock: one executed op is one event. Off (a single
         // branch) unless telemetry was requested.
-        if let Some(len) = self.epoch_events {
+        if let Some(len) = self.telemetry.as_ref().map(|tm| tm.epoch_events) {
             self.events_total += 1;
             self.epoch_acc += 1;
             if self.epoch_acc >= len {
@@ -984,51 +979,51 @@ impl TraceConsumer for TxRaceEngine {
         self.charge_sync_op(t);
     }
 
-    fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
         if self.track_sync(t) {
-            self.ft.lock_acquire(t, l);
+            self.ft.acquire(t, site, l);
         }
     }
 
-    fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
         if self.track_sync(t) {
-            self.ft.lock_release(t, l);
+            self.ft.release(t, site, l);
         }
     }
 
-    fn signal(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
+    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
         if self.track_sync(t) {
-            self.ft.signal(t, c);
+            self.ft.signal(t, site, c);
         }
     }
 
-    fn wait(&mut self, t: ThreadId, _site: SiteId, c: CondId) {
+    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
         if self.track_sync(t) {
-            self.ft.wait(t, c);
+            self.ft.wait(t, site, c);
         }
     }
 
-    fn spawn(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
+    fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
         if self.track_sync(t) {
-            self.ft.spawn(t, child);
+            self.ft.spawn(t, site, child);
         }
     }
 
-    fn join(&mut self, t: ThreadId, _site: SiteId, child: ThreadId) {
+    fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
         if self.track_sync(t) {
-            self.ft.join(t, child);
+            self.ft.join(t, site, child);
         }
     }
 
-    fn chan_send(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
+    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
         if self.track_sync(t) {
-            self.ft.chan_send(t, ch);
+            self.ft.chan_send(t, site, ch);
         }
     }
 
-    fn chan_recv(&mut self, t: ThreadId, _site: SiteId, ch: ChanId) {
+    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
         if self.track_sync(t) {
-            self.ft.chan_recv(t, ch);
+            self.ft.chan_recv(t, site, ch);
         }
     }
 
@@ -1036,7 +1031,7 @@ impl TraceConsumer for TxRaceEngine {
         // One edge per arrival. The ablation drops releases outright,
         // whatever path the arrivers are on.
         if self.track_fast_sync && self.charge_sync(arrivals.len() as u64) {
-            self.ft.barrier_arrivals(b, arrivals);
+            self.ft.barrier_release(b, arrivals);
         }
     }
 }

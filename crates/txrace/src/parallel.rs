@@ -116,19 +116,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Explicit trait-path delegation: `FastTrack` has inherent methods
-/// whose names shadow the trait's but take different arguments
-/// (`signal(t, c)` vs `signal(t, site, c)`), so `c.method(...)` would
-/// not resolve; `TraceConsumer::method(c, ...)` always does.
 macro_rules! delegate_consumer {
     ($($method:ident ( $($arg:ident : $ty:ty),* )),* $(,)?) => {
         $(
             fn $method(&mut self, $($arg: $ty),*) {
                 match self {
-                    PanelConsumer::Tsan(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::Lockset(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::FastTrack(c) => TraceConsumer::$method(c, $($arg),*),
-                    PanelConsumer::VcRef(c) => TraceConsumer::$method(c, $($arg),*),
+                    PanelConsumer::Tsan(c) => c.$method($($arg),*),
+                    PanelConsumer::Lockset(c) => c.$method($($arg),*),
+                    PanelConsumer::FastTrack(c) => c.$method($($arg),*),
+                    PanelConsumer::VcRef(c) => c.$method($($arg),*),
                 }
             }
         )*

@@ -99,11 +99,13 @@ impl MayRacePairs {
         let stats = explore_until(
             p,
             || {
-                Live::new(TsanConsumer::full(
+                Live::new(TsanConsumer::new(
                     threads,
                     CostModel::default(),
                     1.0,
                     ShadowMode::Exact,
+                    None,
+                    0,
                 ))
             },
             |_, rt, _| {

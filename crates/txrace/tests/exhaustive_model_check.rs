@@ -102,11 +102,13 @@ fn tsan_reports_exactly_the_race_on_every_interleaving() {
     let stats = explore(
         &p,
         || {
-            Live::new(TsanConsumer::full(
+            Live::new(TsanConsumer::new(
                 n,
                 txrace::CostModel::default(),
                 1.0,
                 ShadowMode::Exact,
+                None,
+                0,
             ))
         },
         |_machine, rt, result| {

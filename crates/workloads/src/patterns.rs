@@ -1,11 +1,9 @@
 //! Reusable program-construction patterns shared by the application
-//! models: worker scaffolding, plain per-iteration work, critical
-//! sections, barrier phases, capacity-overflowing walks, and hot shared
-//! lines.
+//! models: worker scaffolding, plain per-iteration work,
+//! capacity-overflowing walks, and hot shared lines.
 
 use txrace_sim::{
-    elem, Addr, BarrierId, InterruptModel, LockId, ProgramBuilder, SyscallKind, ThreadBuilder,
-    ThreadId,
+    elem, Addr, InterruptModel, ProgramBuilder, SyscallKind, ThreadBuilder, ThreadId,
 };
 
 /// The private part of one worker iteration: `accesses` alternating
@@ -43,51 +41,6 @@ pub fn syscall_iters(tb: &mut ThreadBuilder<'_>, n: u32, body: &IterBody) {
     tb.loop_n(n, move |tb| {
         b.emit(tb);
         tb.syscall(SyscallKind::Io);
-    });
-}
-
-/// `n` iterations of private work, each followed by a small critical
-/// section touching `shared_accesses` words of `shared` under `lock`.
-pub fn locked_iters(
-    tb: &mut ThreadBuilder<'_>,
-    n: u32,
-    body: &IterBody,
-    lock: LockId,
-    shared: Addr,
-    shared_accesses: usize,
-) {
-    let b = *body;
-    tb.loop_n(n, move |tb| {
-        b.emit(tb);
-        tb.lock(lock);
-        for a in 0..shared_accesses {
-            if a % 2 == 0 {
-                tb.read(elem(shared, a));
-            } else {
-                tb.write(elem(shared, a), 1);
-            }
-        }
-        tb.unlock(lock);
-    });
-}
-
-/// `phases` data-parallel phases of `iters_per_phase` syscall-cut
-/// iterations, separated by a barrier (the fluidanimate/streamcluster
-/// shape).
-pub fn barrier_phases(
-    tb: &mut ThreadBuilder<'_>,
-    phases: u32,
-    iters_per_phase: u32,
-    body: &IterBody,
-    barrier: BarrierId,
-) {
-    let b = *body;
-    tb.loop_n(phases, move |tb| {
-        tb.loop_n(iters_per_phase, move |tb| {
-            b.emit(tb);
-            tb.syscall(SyscallKind::Io);
-        });
-        tb.barrier(barrier);
     });
 }
 
@@ -248,41 +201,6 @@ mod tests {
         let p = b.build();
         assert!(p.starts_parked(ThreadId(1)));
         assert_eq!(run(&p), RunStatus::Done);
-    }
-
-    #[test]
-    fn locked_iters_are_well_formed() {
-        let mut b = ProgramBuilder::new(3);
-        main_scaffold(&mut b, 2, 0, 0);
-        let shared = b.array("shared", 8);
-        let l = b.lock_id("l");
-        for w in 1..=2 {
-            let s = b.array("s", 8);
-            let body = IterBody {
-                accesses: 4,
-                compute: 1,
-                scratch: s,
-            };
-            locked_iters(&mut b.thread(w), 10, &body, l, shared, 3);
-        }
-        assert_eq!(run(&b.build()), RunStatus::Done);
-    }
-
-    #[test]
-    fn barrier_phases_complete() {
-        let mut b = ProgramBuilder::new(3);
-        main_scaffold(&mut b, 2, 0, 0);
-        let bar = b.barrier_id("bar");
-        for w in 1..=2 {
-            let s = b.array("s", 8);
-            let body = IterBody {
-                accesses: 2,
-                compute: 1,
-                scratch: s,
-            };
-            barrier_phases(&mut b.thread(w), 4, 5, &body, bar);
-        }
-        assert_eq!(run(&b.build()), RunStatus::Done);
     }
 
     #[test]

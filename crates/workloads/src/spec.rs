@@ -97,11 +97,6 @@ impl Workload {
             .collect()
     }
 
-    /// Planted races a sound HB detector must find (all of them).
-    pub fn expected_tsan_races(&self) -> usize {
-        self.planted.len()
-    }
-
     /// Planted races TxRace reliably finds (everything but the init idiom
     /// and the scheduler-sensitive tail).
     pub fn expected_txrace_reliable_races(&self) -> usize {
@@ -192,7 +187,7 @@ mod tests {
         };
         let pairs = w.planted_pairs();
         assert_eq!(pairs.len(), 1);
-        assert_eq!(w.expected_tsan_races(), 1);
+        assert_eq!(w.planted.len(), 1);
         assert_eq!(w.expected_txrace_reliable_races(), 1);
     }
 }
