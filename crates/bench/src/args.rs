@@ -1,0 +1,59 @@
+//! The command line every paper binary shares: optional positional
+//! values in a fixed order (`[workers] [seed]` for most), plus flags
+//! anywhere on the line.
+
+use std::collections::VecDeque;
+use std::str::FromStr;
+
+/// A paper binary's command-line arguments. A missing positional value
+/// takes its default. An unparsable value, or a worker count below two,
+/// prints the usage line to stderr and exits with status 2.
+#[derive(Debug)]
+pub struct Args {
+    usage: &'static str,
+    rest: VecDeque<String>,
+}
+
+impl Args {
+    /// The process's arguments. `usage` is the synopsis printed on a bad
+    /// value, e.g. `"table1 [workers] [seed] [--json]"`.
+    pub fn from_env(usage: &'static str) -> Args {
+        Args {
+            usage,
+            rest: std::env::args().skip(1).collect(),
+        }
+    }
+
+    /// Whether `flag` appears anywhere on the line; it is removed from
+    /// the positional values.
+    pub fn flag(&mut self, flag: &str) -> bool {
+        let before = self.rest.len();
+        self.rest.retain(|a| a != flag);
+        self.rest.len() != before
+    }
+
+    /// The next positional value, or `default` when the line has no more.
+    pub fn next_or<T: FromStr>(&mut self, default: T) -> T {
+        match self.rest.pop_front() {
+            None => default,
+            Some(s) => s.parse().unwrap_or_else(|_| {
+                self.exit(&format!("cannot parse {s:?}"));
+            }),
+        }
+    }
+
+    /// The next positional value as the workloads' worker-thread count
+    /// (default 4). Every workload needs at least two threads.
+    pub fn workers(&mut self) -> usize {
+        let workers = self.next_or(4);
+        if workers < 2 {
+            self.exit("workers must be at least 2 (the workloads need concurrency)");
+        }
+        workers
+    }
+
+    fn exit(&self, problem: &str) -> ! {
+        eprintln!("{problem}\nusage: {}", self.usage);
+        std::process::exit(2);
+    }
+}

@@ -23,16 +23,16 @@
 //! ```
 
 use txrace::{recall, Detector, Knobs, Scheme, SiteClassTable, StaticPruneMode, TxRaceOpts};
-use txrace_bench::{fmt_x, geomean, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, pool_width, run_scheme, Args, Table};
 use txrace_hb::ShadowMode;
 use txrace_htm::HtmConfig;
 use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, by_name};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("ablation [workers] [seed]");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     fast_sync_ablation(workers, seed);
     ideal_htm_ablation(workers, seed);

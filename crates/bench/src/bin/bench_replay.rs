@@ -51,7 +51,7 @@ use std::time::Instant;
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunOutcome, Scheme};
 use txrace_bench::{
     geomean, json_rows, pool_width, rate_sweep, record_workload, replay_scheme,
-    replay_schemes_fanout, run_scheme, JsonValue, RACY_APPS,
+    replay_schemes_fanout, run_scheme, Args, JsonValue, RACY_APPS,
 };
 use txrace_hb::{FastTrack, RaceReport, ShadowMode, VectorClockDetector};
 use txrace_sim::{fan_out, par_map, EventLog};
@@ -352,9 +352,9 @@ fn panel(w: &Workload, log: &EventLog, seed: u64, workers: usize, rows: &mut Row
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("bench_replay [workers] [seed]");
+    let workers: usize = args.next_or(4);
+    let seed: u64 = args.next_or(42);
 
     let total_start = Instant::now();
     let mut rows = Vec::new();

@@ -11,15 +11,15 @@
 //! cargo run --release -p txrace-bench --bin extensions [workers] [seed]
 //! ```
 
-use txrace::{recall, Detector, Knobs, Scheme, TxRaceOpts};
-use txrace_bench::{fmt_x, geomean, run_scheme, Table};
+use txrace::{recall, Detector, Knobs, Scheme};
+use txrace_bench::{fmt_x, geomean, run_scheme, Args, Table};
 use txrace_htm::HtmConfig;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("extensions [workers] [seed]");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     println!("TxRace extensions (paper §9 directions) — workers={workers}, seed={seed}\n");
     let mut t = Table::new(&[
@@ -37,16 +37,14 @@ fn main() {
         let truth = run_scheme(&w, Scheme::Tsan, seed);
         let base = run_scheme(&w, Scheme::txrace(), seed);
 
-        let hint_opts = TxRaceOpts {
-            conflict_hints: true,
-            ..TxRaceOpts::default()
-        };
+        // The engine follows the conflict address whenever the HTM
+        // reports one.
         let hint_htm = HtmConfig {
             report_conflict_address: true,
             ..HtmConfig::default()
         };
-        let hints = Detector::new(w.config(Scheme::TxRace(hint_opts), seed).with_htm(hint_htm))
-            .run(&w.program);
+        let hints =
+            Detector::new(w.config(Scheme::txrace(), seed).with_htm(hint_htm)).run(&w.program);
 
         let samp_cfg = w
             .config(Scheme::txrace(), seed)

@@ -9,15 +9,15 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{pool_width, run_scheme, Table};
+use txrace_bench::{pool_width, run_scheme, Args, Table};
 use txrace_hb::RaceSet;
 use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let runs: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(7);
+    let mut args = Args::from_env("fig10 [workers] [runs]");
+    let workers = args.workers();
+    let runs: u64 = args.next_or(7);
 
     println!(
         "TxRace reproduction — Figure 10: vips distinct races across runs (workers={workers})\n"

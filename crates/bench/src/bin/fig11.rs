@@ -9,15 +9,15 @@
 
 use txrace::{recall, Scheme};
 use txrace_bench::{
-    pool_width, record_workload, replay_schemes_fanout, run_scheme, Table, RACY_APPS,
+    pool_width, record_workload, replay_schemes_fanout, run_scheme, Args, Table, RACY_APPS,
 };
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("fig11 [workers] [seed]");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     println!("TxRace reproduction — Figure 11: cost-effectiveness vs sampling (workers={workers}, seed={seed})\n");
     let mut t = Table::new(&["application", "TSan+10%", "TSan+50%", "TSan+100%", "TxRace"]);

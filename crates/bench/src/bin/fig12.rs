@@ -9,14 +9,14 @@
 
 use txrace::Scheme;
 use txrace_bench::{
-    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Table,
+    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Args, Table,
 };
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("fig12 [workers] [seed]");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     println!("TxRace reproduction — Figure 12: bodytrack overhead vs sampling rate (workers={workers}, seed={seed})\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");

@@ -14,15 +14,15 @@
 
 use txrace::{recall, Scheme};
 use txrace_bench::{
-    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Table,
+    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Args, Table,
 };
 use txrace_sim::par_map;
 use txrace_workloads::by_name;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let nseeds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let mut args = Args::from_env("fig13 [workers] [seeds]");
+    let workers = args.workers();
+    let nseeds: u64 = args.next_or(3);
 
     println!("TxRace reproduction — Figure 13: bodytrack recall vs sampling rate (workers={workers}, {nseeds} seeds)\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");

@@ -10,15 +10,12 @@
 //! ```
 
 use txrace::Scheme;
-use txrace_bench::{fmt_x, geomean, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, pool_width, run_scheme, Args, Table};
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let seed: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let seed: u64 = Args::from_env("fig8 [seed]").next_or(42);
     let counts = [2usize, 4, 8];
 
     println!("TxRace reproduction — Figure 8: scalability (seed={seed})\n");

@@ -8,14 +8,14 @@
 //! ```
 
 use txrace::{LoopcutMode, Scheme};
-use txrace_bench::{fmt_x, geomean, paper, pool_width, run_scheme, Table};
+use txrace_bench::{fmt_x, geomean, paper, pool_width, run_scheme, Args, Table};
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("fig9 [workers] [seed]");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     println!(
         "TxRace reproduction — Figure 9: loop-cut effectiveness (workers={workers}, seed={seed})\n"

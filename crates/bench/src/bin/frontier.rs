@@ -19,7 +19,7 @@
 //! it renders a table plus per-budget geomean/recall summaries.
 
 use txrace::{recall, Detector, Scheme, StaticPruneMode};
-use txrace_bench::{fmt_x, geomean, json_rows, paper, pool_width, JsonValue, Table};
+use txrace_bench::{fmt_x, geomean, json_rows, paper, pool_width, Args, JsonValue, Table};
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
@@ -41,21 +41,10 @@ struct Cell {
 }
 
 fn main() {
-    let mut workers = 4usize;
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut positional = 0;
-    for arg in std::env::args().skip(1) {
-        if arg == "--json" {
-            json = true;
-        } else if let Ok(n) = arg.parse::<u64>() {
-            match positional {
-                0 => workers = n as usize,
-                _ => seed = n,
-            }
-            positional += 1;
-        }
-    }
+    let mut args = Args::from_env("frontier [workers] [seed] [--json]");
+    let json = args.flag("--json");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
 
     let apps = all_workloads(workers);
 

@@ -11,8 +11,7 @@
 
 use txrace::{Detector, RunOutcome, Scheme, SiteClassTable, StaticPruneMode};
 use txrace_bench::{
-    evaluate_app, fmt_x, geomean, json_rows, paper, pool_width, AppResult, EvalOptions, JsonValue,
-    Table,
+    evaluate_app, fmt_x, geomean, json_rows, paper, pool_width, AppResult, Args, JsonValue, Table,
 };
 use txrace_sim::par_map;
 use txrace_workloads::{all_workloads, Workload};
@@ -40,13 +39,7 @@ struct Cell {
 }
 
 fn eval_cell(w: &Workload, seed: u64) -> Cell {
-    let base = evaluate_app(
-        w,
-        EvalOptions {
-            seed,
-            ..Default::default()
-        },
-    );
+    let base = evaluate_app(w, seed);
     let sa = run_pruned(w, seed, StaticPruneMode::Full);
     let flow = run_pruned(w, seed, StaticPruneMode::FullFlow);
     let stats = SiteClassTable::analyze(&w.program).stats(&w.program);
@@ -61,12 +54,10 @@ fn eval_cell(w: &Workload, seed: u64) -> Cell {
 }
 
 fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let json = raw.iter().any(|a| a == "--json");
-    raw.retain(|a| a != "--json");
-    let mut args = raw.into_iter();
-    let workers: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let mut args = Args::from_env("table1 [workers] [seed] [--json]");
+    let json = args.flag("--json");
+    let workers = args.workers();
+    let seed: u64 = args.next_or(42);
     if json {
         return print_json(workers, seed);
     }

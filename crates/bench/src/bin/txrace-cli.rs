@@ -109,6 +109,10 @@ fn run_command(args: &[String]) {
         }),
         s if s.starts_with("sampling=") => {
             let rate: f64 = s["sampling=".len()..].parse().unwrap_or_else(|_| usage());
+            // `contains` is false for NaN, so NaN is refused too.
+            if !(0.0..=1.0).contains(&rate) {
+                usage();
+            }
             Scheme::TsanSampling { rate }
         }
         _ => usage(),

@@ -9,7 +9,7 @@
 //! Figure 11 ([`RACY_APPS`]) and the twelve TSan configurations of
 //! Figures 12 and 13 ([`rate_sweep`]).
 
-use txrace::{recall, Detector, LoopcutMode, RunOutcome, Scheme, TxRaceOpts};
+use txrace::{recall, Detector, RunOutcome, Scheme};
 use txrace_sim::EventLog;
 use txrace_workloads::Workload;
 
@@ -38,24 +38,6 @@ pub fn rate_sweep() -> Vec<Scheme> {
     schemes
 }
 
-/// Options for one app evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct EvalOptions {
-    /// Scheduling seed.
-    pub seed: u64,
-    /// Loop-cut mode for the TxRace run.
-    pub loopcut: LoopcutMode,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            seed: 42,
-            loopcut: LoopcutMode::Dyn,
-        }
-    }
-}
-
 /// Everything Table 1/2 needs about one app: both detectors on the same
 /// workload and seed.
 #[derive(Debug)]
@@ -81,14 +63,10 @@ impl AppResult {
     }
 }
 
-/// Runs TSan and TxRace on `w` and scores them.
-pub fn evaluate_app(w: &Workload, opts: EvalOptions) -> AppResult {
-    let tsan = Detector::new(w.config(Scheme::Tsan, opts.seed)).run(&w.program);
-    let txopts = TxRaceOpts {
-        loopcut: opts.loopcut,
-        ..TxRaceOpts::default()
-    };
-    let txrace = Detector::new(w.config(Scheme::TxRace(txopts), opts.seed)).run(&w.program);
+/// Runs TSan and default TxRace on `w` at `seed` and scores them.
+pub fn evaluate_app(w: &Workload, seed: u64) -> AppResult {
+    let tsan = Detector::new(w.config(Scheme::Tsan, seed)).run(&w.program);
+    let txrace = Detector::new(w.config(Scheme::txrace(), seed)).run(&w.program);
     assert!(tsan.completed(), "{}: TSan run did not complete", w.name);
     assert!(
         txrace.completed(),
@@ -198,7 +176,7 @@ mod tests {
     #[test]
     fn evaluate_runs_both_detectors() {
         let w = by_name("blackscholes", 2).unwrap();
-        let r = evaluate_app(&w, EvalOptions::default());
+        let r = evaluate_app(&w, 42);
         assert!(r.tsan.completed() && r.txrace.completed());
         assert!(r.recall >= 0.0 && r.recall <= 1.0);
         assert!(r.txrace.htm.is_some());

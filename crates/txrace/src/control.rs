@@ -45,9 +45,10 @@
 use crate::loopcut;
 use crate::sa::StaticPruneMode;
 
-/// Every runtime tunable in one place, consumed uniformly by
+/// Every runtime tunable in one place, consumed by
 /// [`mod@crate::instrument`] (via [`crate::InstrumentConfig::from_knobs`]),
-/// the engine, the loop-cut learner, and the TSan baselines.
+/// the engine, and the loop-cut learner; the TSan baselines read only
+/// the prune mode.
 ///
 /// The defaults reproduce the paper's configuration exactly (`K = 5`,
 /// no sampling, loop-cut initial threshold 2, no static pruning), so a
@@ -57,7 +58,7 @@ pub struct Knobs {
     /// Transaction capacity threshold: regions with fewer checkable
     /// memory ops run slow-path-only (paper §4.3, `K = 5`).
     pub k_min_ops: u64,
-    /// Slow-path/TSan check sampling rate in `[0, 1]`; `None` checks
+    /// Slow-path check sampling rate in `[0, 1]`; `None` checks
     /// everything (the paper's configuration).
     pub sampling: Option<f64>,
     /// Initial loop-cut threshold installed when a capacity abort first
@@ -88,12 +89,6 @@ impl Knobs {
     /// Knobs with a slow-path sampling rate.
     pub fn with_sampling(mut self, rate: f64) -> Self {
         self.sampling = Some(rate);
-        self
-    }
-
-    /// Knobs with a static pruning mode.
-    pub fn with_prune(mut self, p: StaticPruneMode) -> Self {
-        self.prune = p;
         self
     }
 }

@@ -13,38 +13,32 @@ use crate::baselines::TsanConsumer;
 use crate::control::{AdaptiveController, Knobs, ProductionMode, Telemetry};
 use crate::cost::{CostModel, CycleBreakdown};
 use crate::engine::{EngineConfig, EngineStats, TxRaceEngine};
-use crate::instrument::{instrument, instrument_pruned, InstrumentConfig, InstrumentedProgram};
-use crate::loopcut::{LoopcutMode, LoopcutProfile};
+use crate::instrument::{instrument_pruned, InstrumentConfig, InstrumentedProgram};
+use crate::loopcut::LoopcutMode;
 use crate::sa::{FlowAnalysis, SiteClassTable, StaticPruneMode};
 
 /// TxRace-specific options. Runtime tunables (the `K` threshold, the
 /// slow-path sampling rate, the loop-cut initial threshold, the prune
-/// mode) live in [`RunConfig::knobs`], not here.
-#[derive(Debug, Clone)]
+/// mode) live in [`RunConfig::knobs`], not here; the conflict-address
+/// slow path is on exactly when the HTM reports conflict addresses
+/// ([`HtmConfig::report_conflict_address`]). Transient aborts are
+/// retried three times before the slow path.
+#[derive(Debug, Clone, Copy)]
 pub struct TxRaceOpts {
-    /// Loop-cut scheme (`NoOpt` / `Dyn` / `Prof`).
+    /// Loop-cut scheme (`NoOpt` / `Dyn` / `Prof`). `Prof` collects its
+    /// profile with one Dyn run on a seed derived from the run's own (the
+    /// paper's offline profiling run with representative input).
     pub loopcut: LoopcutMode,
-    /// Transient-abort retries before the slow path.
-    pub max_retries: u32,
-    /// Profile for [`LoopcutMode::Prof`]; auto-collected (one Dyn run on a
-    /// derived seed) when absent.
-    pub profile: Option<LoopcutProfile>,
     /// Track happens-before of sync ops on the fast path (§5). Disable
     /// only for the ablation study — false positives appear.
     pub track_fast_sync: bool,
-    /// Extension: conflict-address-directed slow path (requires
-    /// [`txrace_htm::HtmConfig::report_conflict_address`]).
-    pub conflict_hints: bool,
 }
 
 impl Default for TxRaceOpts {
     fn default() -> Self {
         TxRaceOpts {
             loopcut: LoopcutMode::Dyn,
-            max_retries: 3,
-            profile: None,
             track_fast_sync: true,
-            conflict_hints: false,
         }
     }
 }
@@ -129,11 +123,11 @@ pub struct RunConfig {
     pub shadow_factor: f64,
     /// Slow-path shadow-memory configuration.
     pub shadow: ShadowMode,
-    /// Optional interpreter step limit.
-    pub step_limit: Option<u64>,
-    /// Control-plane knobs: the `K` threshold, sampling rate, loop-cut
-    /// initial threshold, and static pruning mode, consumed uniformly by
-    /// instrumentation, engine, loop-cut learner, and baselines.
+    /// Control-plane knobs: the `K` threshold, slow-path sampling rate,
+    /// loop-cut initial threshold, and static pruning mode, consumed by
+    /// the instrumentation pass, the engine and the loop-cut learner. The
+    /// TSan schemes read only the prune mode; TSan samples only as
+    /// [`Scheme::TsanSampling`].
     pub knobs: Knobs,
     /// Emit per-epoch [`Telemetry`] with this nominal epoch length in
     /// executed operations (production runs always emit telemetry,
@@ -157,7 +151,6 @@ impl RunConfig {
             cost: CostModel::default(),
             shadow_factor: 1.0,
             shadow: ShadowMode::Exact,
-            step_limit: None,
             knobs: Knobs::default(),
             telemetry_epochs: None,
         }
@@ -233,10 +226,23 @@ impl RunOutcome {
     }
 }
 
-/// Runs detection schemes over programs.
+/// Runs detection schemes over programs, all through one front end: one
+/// table step derives the prune table (and production's watch set) from
+/// the knobs, and every TxRace run builds its engine in one place.
+/// [`Scheme::Production`] is TxRace with flow-sensitive pruning, default
+/// options and the adaptive controller.
 #[derive(Debug, Clone)]
 pub struct Detector {
     cfg: RunConfig,
+}
+
+/// What the table step decides for one program: the knobs the scheme
+/// runs under, the prune table they ask for, and the production watch
+/// set (empty for every other scheme).
+struct Plan {
+    knobs: Knobs,
+    table: Option<SiteClassTable>,
+    watch: Vec<SiteId>,
 }
 
 impl Detector {
@@ -268,17 +274,50 @@ impl Detector {
         }
     }
 
-    fn limit(&self) -> StepLimit {
-        self.cfg.step_limit.map(StepLimit).unwrap_or_default()
-    }
-
-    /// The prune table for `p`, when the prune knob is enabled.
-    fn prune_table(&self, p: &Program) -> Option<SiteClassTable> {
-        match self.cfg.knobs.prune {
+    /// The table step. Production always deploys the strongest static
+    /// analysis: the flow-sensitive prune table plus the watch set over
+    /// the surviving may-race candidate sites, both from one analysis.
+    fn plan(&self, p: &Program) -> Plan {
+        let production = matches!(self.cfg.scheme, Scheme::Production(_));
+        let knobs = if production {
+            Knobs {
+                prune: StaticPruneMode::FullFlow,
+                ..self.cfg.knobs
+            }
+        } else {
+            self.cfg.knobs
+        };
+        let mut watch = Vec::new();
+        let table = match knobs.prune {
             StaticPruneMode::Off => None,
             StaticPruneMode::ChecksOnly | StaticPruneMode::Full => Some(SiteClassTable::analyze(p)),
-            StaticPruneMode::FullFlow => Some(SiteClassTable::analyze_flow(p)),
+            StaticPruneMode::FullFlow => {
+                let flow = FlowAnalysis::run(p);
+                if production {
+                    watch = flow.watch_sites();
+                }
+                Some(flow.table)
+            }
+        };
+        Plan {
+            knobs,
+            table,
+            watch,
         }
+    }
+
+    /// The preparation path of the engine schemes: the table step, then
+    /// the transactionalization pass under the plan's knobs, pruned when
+    /// the prune mode strips markers.
+    fn prepare(&self, p: &Program) -> (InstrumentedProgram, Plan) {
+        let plan = self.plan(p);
+        let strip = matches!(
+            plan.knobs.prune,
+            StaticPruneMode::Full | StaticPruneMode::FullFlow
+        );
+        let icfg = InstrumentConfig::from_knobs(&plan.knobs);
+        let ip = instrument_pruned(p, &icfg, plan.table.as_ref().filter(|_| strip));
+        (ip, plan)
     }
 
     /// Runs the configured scheme on `program`. TxRace schemes instrument
@@ -293,136 +332,58 @@ impl Detector {
     /// static analyses and the run itself meaningless.
     pub fn run(&self, program: &Program) -> RunOutcome {
         assert_lint_clean(program);
-        match &self.cfg.scheme {
-            Scheme::Tsan | Scheme::TsanSampling { .. } => {
-                let table = self.prune_table(program);
-                self.run_tsan(program, table)
-            }
-            Scheme::TxRace(opts) => {
-                let table = self.prune_table(program);
-                let icfg = InstrumentConfig::from_knobs(&self.cfg.knobs);
-                let ip = match self.cfg.knobs.prune {
-                    StaticPruneMode::Full | StaticPruneMode::FullFlow => {
-                        instrument_pruned(program, &icfg, table.as_ref())
-                    }
-                    _ => instrument(program, &icfg),
-                };
-                self.run_txrace(&ip, opts, self.cfg.knobs, table, None)
-            }
-            Scheme::Production(mode) => {
-                // Production always deploys the strongest static analysis:
-                // the flow-sensitive prune table plus the watch set over
-                // the surviving may-race candidate sites, both from one
-                // analysis.
-                let flow = FlowAnalysis::run(program);
-                let watch = flow.watch_sites();
-                let knobs = Knobs {
-                    prune: StaticPruneMode::FullFlow,
-                    ..self.cfg.knobs
-                };
-                let icfg = InstrumentConfig::from_knobs(&knobs);
-                let ip = instrument_pruned(program, &icfg, Some(&flow.table));
-                let opts = TxRaceOpts::default();
-                self.run_txrace(&ip, &opts, knobs, Some(flow.table), Some((*mode, watch)))
-            }
+        if let Scheme::Tsan | Scheme::TsanSampling { .. } = self.cfg.scheme {
+            return self.run_tsan(program);
         }
+        let (ip, plan) = self.prepare(program);
+        self.run_engine(&ip, plan)
     }
 
-    /// Runs a TxRace scheme on an already instrumented program. With
-    /// pruning enabled the class table is derived from the instrumented
-    /// program (original sites are preserved by the pass, so the verdicts
-    /// match the uninstrumented analysis).
+    /// Runs an engine scheme on an already instrumented program. The
+    /// table step runs on the instrumented program (the pass preserves
+    /// original sites, so the verdicts match the uninstrumented
+    /// analysis): `run_instrumented(&instrument_pruned(p, ..))` under the
+    /// same knobs equals `run(p)`.
     ///
     /// # Panics
     ///
-    /// Panics if the configured scheme is not [`Scheme::TxRace`].
+    /// Panics if the configured scheme is a TSan scheme.
     pub fn run_instrumented(&self, ip: &InstrumentedProgram) -> RunOutcome {
-        match &self.cfg.scheme {
-            Scheme::TxRace(opts) => {
-                let table = self.prune_table(&ip.program);
-                self.run_txrace(ip, opts, self.cfg.knobs, table, None)
-            }
-            other => panic!("run_instrumented requires a TxRace scheme, got {other:?}"),
-        }
+        self.run_engine(ip, self.plan(&ip.program))
     }
 
-    /// Collects a loop-cut profile: one Dyn-mode run on `profile_seed`,
-    /// exporting the learned thresholds (the paper's offline profiling run
-    /// with representative input).
-    pub fn profile_loopcut(&self, ip: &InstrumentedProgram, profile_seed: u64) -> LoopcutProfile {
-        let opts = match &self.cfg.scheme {
-            Scheme::TxRace(o) => o.clone(),
-            _ => TxRaceOpts::default(),
+    /// Runs the engine on `ip` under `plan`; production adds the adaptive
+    /// controller and always emits epoch telemetry.
+    fn run_engine(&self, ip: &InstrumentedProgram, plan: Plan) -> RunOutcome {
+        let (opts, production) = match &self.cfg.scheme {
+            Scheme::TxRace(opts) => (*opts, None),
+            Scheme::Production(mode) => (TxRaceOpts::default(), Some(*mode)),
+            other => panic!("the TxRace engine cannot run {other:?}"),
         };
+        // Prof learns its thresholds from one Dyn run on a derived seed,
+        // without pruning or telemetry.
+        let profile = (opts.loopcut == LoopcutMode::Prof).then(|| {
+            let cfg = EngineConfig {
+                track_fast_sync: opts.track_fast_sync,
+                knobs: plan.knobs,
+                ..EngineConfig::default()
+            };
+            let (engine, ..) = self.drive(ip, self.cfg.seed.wrapping_add(0x9E37_79B9), cfg);
+            engine.loopcut_profile()
+        });
+        let production_epochs = production.map(|_| AdaptiveController::EPOCH_EVENTS);
         let cfg = EngineConfig {
-            loopcut: LoopcutMode::Dyn,
-            epoch_events: None,
-            ..self.engine_config(&opts, self.cfg.knobs, None)
-        };
-        let mut engine = TxRaceEngine::new(ip, cfg);
-        let mut machine = Machine::new(&ip.program);
-        let mut sched = self.make_sched(profile_seed);
-        let _ = machine.run_with_limit(&mut engine, &mut sched, self.limit());
-        engine.loopcut_profile()
-    }
-
-    /// The engine configuration of `opts` under `knobs` and `prune`, with
-    /// the run's own telemetry request and no loop-cut profile or
-    /// production controller.
-    fn engine_config(
-        &self,
-        opts: &TxRaceOpts,
-        knobs: Knobs,
-        prune: Option<SiteClassTable>,
-    ) -> EngineConfig {
-        EngineConfig {
-            htm: self.cfg.htm,
-            cost: self.cfg.cost,
-            shadow_factor: self.cfg.shadow_factor,
             loopcut: opts.loopcut,
-            profile: None,
-            max_retries: opts.max_retries,
-            shadow: self.cfg.shadow,
+            profile,
             track_fast_sync: opts.track_fast_sync,
-            conflict_hints: opts.conflict_hints,
-            knobs,
-            prune,
-            epoch_events: self.cfg.telemetry_epochs,
-            production: None,
-            watch: Vec::new(),
-        }
-    }
-
-    /// Runs the engine on `ip`: a TxRace scheme, or with `production`
-    /// (the budget and the watch set) the production scheme, which adds
-    /// the adaptive controller and always emits epoch telemetry.
-    fn run_txrace(
-        &self,
-        ip: &InstrumentedProgram,
-        opts: &TxRaceOpts,
-        knobs: Knobs,
-        prune: Option<SiteClassTable>,
-        production: Option<(ProductionMode, Vec<SiteId>)>,
-    ) -> RunOutcome {
-        let mut cfg = self.engine_config(opts, knobs, prune);
-        cfg.profile = match (opts.loopcut, &opts.profile) {
-            (LoopcutMode::Prof, Some(p)) => Some(p.clone()),
-            (LoopcutMode::Prof, None) => {
-                // Auto-profile on a derived seed (a "representative input"
-                // run in the paper's methodology).
-                Some(self.profile_loopcut(ip, self.cfg.seed.wrapping_add(0x9E37_79B9)))
-            }
-            _ => None,
+            knobs: plan.knobs,
+            prune: plan.table,
+            epoch_events: self.cfg.telemetry_epochs.or(production_epochs),
+            production,
+            watch: plan.watch,
+            ..EngineConfig::default()
         };
-        if let Some((mode, watch)) = production {
-            cfg.epoch_events = Some(cfg.epoch_events.unwrap_or(AdaptiveController::EPOCH_EVENTS));
-            cfg.production = Some(mode);
-            cfg.watch = watch;
-        }
-        let mut engine = TxRaceEngine::new(ip, cfg);
-        let mut machine = Machine::new(&ip.program);
-        let mut sched = self.make_sched(self.cfg.seed);
-        let run = machine.run_with_limit(&mut engine, &mut sched, self.limit());
+        let (mut engine, machine, run) = self.drive(ip, self.cfg.seed, cfg);
         let baseline_cycles = self.cfg.cost.baseline_cycles(&ip.program);
         let breakdown = engine.breakdown();
         let telemetry = engine.take_telemetry();
@@ -440,43 +401,40 @@ impl Detector {
         }
     }
 
-    fn run_tsan(&self, program: &Program, prune: Option<SiteClassTable>) -> RunOutcome {
-        let mut consumer = self.tsan_consumer_with(program.thread_count(), prune);
-        let mut rt = Live::new(consumer);
+    /// The one place an engine runs: completes `cfg` with the run's
+    /// hardware, cost and shadow settings (conflict hints follow the
+    /// HTM's address reporting), then builds the engine for `ip` and runs
+    /// it to completion on `seed`.
+    fn drive(
+        &self,
+        ip: &InstrumentedProgram,
+        seed: u64,
+        cfg: EngineConfig,
+    ) -> (TxRaceEngine, Machine, RunResult) {
+        let cfg = EngineConfig {
+            htm: self.cfg.htm,
+            cost: self.cfg.cost,
+            shadow_factor: self.cfg.shadow_factor,
+            shadow: self.cfg.shadow,
+            conflict_hints: self.cfg.htm.report_conflict_address,
+            ..cfg
+        };
+        let mut engine = TxRaceEngine::new(ip, cfg);
+        let mut machine = Machine::new(&ip.program);
+        let run = machine.run(&mut engine, &mut self.make_sched(seed));
+        (engine, machine, run)
+    }
+
+    fn run_tsan(&self, program: &Program) -> RunOutcome {
+        let mut rt = Live::new(self.consumer(program));
         let mut machine = Machine::new(program);
-        let mut sched = self.make_sched(self.cfg.seed);
-        let run = machine.run_with_limit(&mut rt, &mut sched, self.limit());
-        consumer = rt.into_inner();
+        let run = machine.run(&mut rt, &mut self.make_sched(self.cfg.seed));
         self.tsan_outcome(
-            consumer,
+            rt.into_inner(),
             self.cfg.cost.baseline_cycles(program),
             machine.memory().clone(),
             run,
         )
-    }
-
-    fn tsan_consumer_with(&self, threads: usize, prune: Option<SiteClassTable>) -> TsanConsumer {
-        let sampling = match &self.cfg.scheme {
-            // The plain-TSan baseline honours the sampling knob (default
-            // `None`: full checking).
-            Scheme::Tsan => self.cfg.knobs.sampling,
-            Scheme::TsanSampling { rate } => Some(*rate),
-            Scheme::TxRace(_) | Scheme::Production(_) => {
-                panic!("engine schemes are not trace consumers; use run()")
-            }
-        };
-        let mut c = TsanConsumer::new(
-            threads,
-            self.cfg.cost,
-            self.cfg.shadow_factor,
-            self.cfg.shadow,
-            sampling,
-            self.cfg.seed.wrapping_add(0x517C_C1B7),
-        );
-        if let Some(table) = prune {
-            c = c.with_prune(table);
-        }
-        c
     }
 
     fn tsan_outcome(
@@ -518,7 +476,7 @@ impl Detector {
     pub fn record(&self, program: &Program) -> EventLog {
         assert_lint_clean(program);
         let mut sched = self.make_sched(self.cfg.seed);
-        txrace_sim::record_run(program, &mut sched, self.limit())
+        txrace_sim::record_run(program, &mut sched, StepLimit::default())
     }
 
     /// Builds the configured scheme's trace consumer for `program` —
@@ -532,7 +490,25 @@ impl Detector {
     /// (rollbacks, re-execution) and therefore cannot run from a fixed
     /// trace.
     pub fn consumer(&self, program: &Program) -> TsanConsumer {
-        self.tsan_consumer_with(program.thread_count(), self.prune_table(program))
+        let sampling = match &self.cfg.scheme {
+            Scheme::Tsan => None,
+            Scheme::TsanSampling { rate } => Some(*rate),
+            Scheme::TxRace(_) | Scheme::Production(_) => {
+                panic!("engine schemes are not trace consumers; use run()")
+            }
+        };
+        let c = TsanConsumer::new(
+            program.thread_count(),
+            self.cfg.cost,
+            self.cfg.shadow_factor,
+            self.cfg.shadow,
+            sampling,
+            self.cfg.seed.wrapping_add(0x517C_C1B7),
+        );
+        match self.plan(program).table {
+            Some(table) => c.with_prune(table),
+            None => c,
+        }
     }
 
     /// Replays a recorded log through `consumer` and assembles the same

@@ -147,7 +147,8 @@ pub struct EngineConfig {
     /// the conflicting cache line ([`HtmConfig::report_conflict_address`]),
     /// restrict the conflict slow path to accesses on that line — much
     /// cheaper re-execution, same racy pair. Requires the HTM feature; has
-    /// no effect otherwise.
+    /// no effect otherwise. [`crate::Detector`] sets it exactly when the
+    /// HTM reports conflict addresses.
     pub conflict_hints: bool,
     /// The unified control-plane knobs: the slow-path sampling rate is
     /// read from [`Knobs::sampling`], the dynamic `K` override (production

@@ -23,25 +23,18 @@ use txrace_sim::{LoopId, Op, Program, RegionId, SiteId, Stmt, ThreadId};
 
 use crate::sa::SiteClassTable;
 
-/// Pass configuration.
+/// Pass configuration: the `K` small-region threshold. Single-threaded
+/// elision and loop-cut probes are always part of the pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstrumentConfig {
     /// Regions with fewer dynamic memory ops than this go slow-path-only
     /// (the paper uses 5).
     pub k_min_ops: u64,
-    /// Insert loop-cut probes (disable to model a probe-free build).
-    pub loopcut_probes: bool,
-    /// Elide instrumentation for single-threaded main-thread segments.
-    pub single_thread_elision: bool,
 }
 
 impl Default for InstrumentConfig {
     fn default() -> Self {
-        InstrumentConfig {
-            k_min_ops: 5,
-            loopcut_probes: true,
-            single_thread_elision: true,
-        }
+        InstrumentConfig { k_min_ops: 5 }
     }
 }
 
@@ -54,7 +47,6 @@ impl InstrumentConfig {
     pub fn from_knobs(knobs: &crate::control::Knobs) -> Self {
         InstrumentConfig {
             k_min_ops: knobs.k_min_ops,
-            ..InstrumentConfig::default()
         }
     }
 }
@@ -136,7 +128,7 @@ pub fn instrument_pruned(
     for t in 0..p.thread_count() {
         let tid = ThreadId(t as u32);
         let stmts = p.thread(tid);
-        if t == 0 && cfg.single_thread_elision {
+        if t == 0 {
             new_threads.push(pass.xform_main(p, stmts));
         } else {
             new_threads.push(pass.xform_instrumented(tid, stmts));
@@ -354,12 +346,10 @@ impl Pass<'_> {
                 }
             }
         }
-        if self.cfg.loopcut_probes {
-            new_body.push(Stmt::Op {
-                site: self.fresh_site(),
-                op: Op::LoopCutProbe(id),
-            });
-        }
+        new_body.push(Stmt::Op {
+            site: self.fresh_site(),
+            op: Op::LoopCutProbe(id),
+        });
         (
             Stmt::Loop {
                 id,
@@ -475,14 +465,6 @@ mod tests {
         }
     }
 
-    fn cfg_plain() -> InstrumentConfig {
-        InstrumentConfig {
-            k_min_ops: 5,
-            loopcut_probes: true,
-            single_thread_elision: true,
-        }
-    }
-
     #[test]
     fn sync_free_thread_becomes_one_region() {
         let mut b = ProgramBuilder::new(2);
@@ -490,7 +472,7 @@ mod tests {
         for t in 0..2 {
             b.thread(t).read(x).write(x, 1).read(x).write(x, 2).read(x);
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         assert_eq!(ip.region_count(), 2);
         assert_eq!(ip.regions[0].kind, RegionKind::Fast);
@@ -525,7 +507,7 @@ mod tests {
                 .read(x)
                 .read(x);
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         // Three regions per thread: before, critical section, after.
         assert_eq!(ip.region_count(), 6);
@@ -550,7 +532,7 @@ mod tests {
                 .read(x)
                 .read(x);
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         assert_eq!(ip.region_count(), 4);
     }
@@ -563,7 +545,7 @@ mod tests {
         for t in 0..2 {
             b.thread(t).lock(l).write(x, 1).read(x).unlock(l); // 2 ops < 5
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_eq!(ip.region_count(), 2);
         assert!(ip.regions.iter().all(|r| r.kind == RegionKind::SlowOnly));
     }
@@ -575,7 +557,7 @@ mod tests {
         for t in 0..2 {
             b.thread(t).compute(100).lock(l).compute(5).unlock(l);
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_eq!(ip.region_count(), 0, "no accesses, no regions");
         let ops = ops_of(ip.program.thread(ThreadId(0)));
         assert!(ops
@@ -592,7 +574,7 @@ mod tests {
                 tb.read(x).write(x, 1);
             });
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         assert_eq!(ip.region_count(), 2);
         assert_eq!(ip.regions[0].mem_ops, 200);
@@ -620,7 +602,7 @@ mod tests {
                     .write(x, 5);
             });
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         // Two regions per thread *statically*; each runs once per iteration.
         assert_eq!(ip.region_count(), 4);
@@ -639,7 +621,7 @@ mod tests {
                 });
             });
         }
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         assert_eq!(ip.regions[0].mem_ops, 20);
         assert_eq!(ip.regions[0].loops.len(), 2);
@@ -678,7 +660,7 @@ mod tests {
             .write(x, 7)
             .write(x, 7)
             .write(x, 7);
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_balanced(&ip);
         // Regions: main concurrent middle (1) + thread 1 (1).
         assert_eq!(ip.region_count(), 2);
@@ -702,7 +684,7 @@ mod tests {
             .write(x, 4)
             .write(x, 5);
         b.thread(1).read(x).read(x).read(x).read(x).read(x);
-        let ip = instrument(&b.build(), &cfg_plain());
+        let ip = instrument(&b.build(), &InstrumentConfig::default());
         assert_eq!(ip.region_count(), 2, "both threads instrumented");
     }
 
@@ -714,7 +696,7 @@ mod tests {
         b.thread(1).read(x).read(x).read(x).read(x).read(x);
         let p = b.build();
         let orig_sites = p.site_count();
-        let ip = instrument(&p, &cfg_plain());
+        let ip = instrument(&p, &InstrumentConfig::default());
         assert_eq!(ip.program.site("the_write"), p.site("the_write"));
         assert!(ip.program.site_count() >= orig_sites);
         // All marker sites are >= orig_sites.
@@ -753,7 +735,7 @@ mod tests {
             });
         }
         let p = b.build();
-        let ip = instrument(&p, &cfg_plain());
+        let ip = instrument(&p, &InstrumentConfig::default());
         let run = |prog: &Program| {
             let mut m = Machine::new(prog);
             let mut rt = DirectRuntime::default();
@@ -773,10 +755,7 @@ mod tests {
         for t in 0..2 {
             b.thread(t).read(x);
         }
-        let cfg = InstrumentConfig {
-            k_min_ops: 0,
-            ..cfg_plain()
-        };
+        let cfg = InstrumentConfig { k_min_ops: 0 };
         let ip = instrument(&b.build(), &cfg);
         assert!(ip.regions.iter().all(|r| r.kind == RegionKind::Fast));
     }
@@ -795,9 +774,9 @@ mod tests {
         }
         let p = b.build();
         let table = SiteClassTable::analyze(&p);
-        let plain = instrument(&p, &cfg_plain());
+        let plain = instrument(&p, &InstrumentConfig::default());
         assert_eq!(plain.region_count(), 2, "unpruned: everything wrapped");
-        let pruned = instrument_pruned(&p, &cfg_plain(), Some(&table));
+        let pruned = instrument_pruned(&p, &InstrumentConfig::default(), Some(&table));
         assert_eq!(pruned.region_count(), 0, "pruned: no regions survive");
         for t in 0..2 {
             let ops = ops_of(pruned.program.thread(ThreadId(t)));
@@ -829,9 +808,9 @@ mod tests {
         }
         let p = b.build();
         let table = SiteClassTable::analyze(&p);
-        let plain = instrument(&p, &cfg_plain());
+        let plain = instrument(&p, &InstrumentConfig::default());
         assert!(plain.regions.iter().all(|r| r.kind == RegionKind::Fast));
-        let pruned = instrument_pruned(&p, &cfg_plain(), Some(&table));
+        let pruned = instrument_pruned(&p, &InstrumentConfig::default(), Some(&table));
         assert_eq!(pruned.region_count(), 2);
         for r in &pruned.regions {
             assert_eq!(r.mem_ops, 6);
@@ -850,8 +829,8 @@ mod tests {
             });
         }
         let p = b.build();
-        let a = instrument(&p, &cfg_plain());
-        let c = instrument_pruned(&p, &cfg_plain(), None);
+        let a = instrument(&p, &InstrumentConfig::default());
+        let c = instrument_pruned(&p, &InstrumentConfig::default(), None);
         assert_eq!(a.region_count(), c.region_count());
         for (ra, rc) in a.regions.iter().zip(&c.regions) {
             assert_eq!(ra.mem_ops, rc.mem_ops);

@@ -2,8 +2,9 @@
 //! paper mechanism: conflict-triggered slow path (Figure 3), false-sharing
 //! filtering, capacity fallback with concurrent fast/slow detection
 //! (Figure 5), fast-path happens-before tracking (Figure 6),
-//! non-overlapping false negatives (Figure 4), loop-cut, and the forward
-//! progress / correctness invariants of DESIGN.md §6.
+//! non-overlapping false negatives (Figure 4), loop-cut, the §9
+//! conflict-address slow path, and the forward progress / correctness
+//! invariants of DESIGN.md §6.
 
 use txrace::{recall, Detector, LoopcutMode, RunConfig, SchedKind, Scheme, TxRaceOpts};
 use txrace_htm::HtmConfig;
@@ -537,4 +538,69 @@ fn transaction_length_controls_detection_figure4() {
         short.site("early_write").unwrap(),
         short.site("late_read").unwrap()
     ));
+}
+
+/// The §9 conflict-address extension through the `Detector` front end:
+/// when the HTM reports the conflicting line, the conflict slow path
+/// checks only accesses to it, so it does strictly fewer checks and
+/// spends fewer conflict cycles, and everything it reports is still a
+/// real (TSan) race.
+#[test]
+fn conflict_address_reporting_shrinks_the_conflict_slow_path() {
+    for name in ["x264", "fluidanimate"] {
+        let w = txrace_workloads::by_name(name, 4).expect("known app");
+        let hint_htm = HtmConfig {
+            report_conflict_address: true,
+            ..HtmConfig::default()
+        };
+        let truth = Detector::new(w.config(Scheme::Tsan, 42)).run(&w.program);
+        let base = Detector::new(w.config(Scheme::txrace(), 42)).run(&w.program);
+        let hints =
+            Detector::new(w.config(Scheme::txrace(), 42).with_htm(hint_htm)).run(&w.program);
+        assert!(base.completed() && hints.completed(), "{name}");
+        assert!(
+            hints.checks < base.checks,
+            "{name}: hints should check less: {} vs {}",
+            hints.checks,
+            base.checks
+        );
+        assert!(
+            hints.breakdown.conflict < base.breakdown.conflict,
+            "{name}: hints should spend fewer conflict cycles: {} vs {}",
+            hints.breakdown.conflict,
+            base.breakdown.conflict
+        );
+        assert!(hints.races.distinct_count() > 0, "{name}");
+        for pr in hints.races.pairs() {
+            assert!(
+                truth.races.contains(pr.a, pr.b),
+                "{name}: hinted run reported a non-race {pr:?}"
+            );
+        }
+    }
+}
+
+/// Without fast-path sync tracking (paper §5, Figure 6) the slow path
+/// misses happens-before edges formed on the fast path and reports
+/// false positives; the default configuration reports none.
+#[test]
+fn untracked_fast_path_sync_reports_false_positives() {
+    for name in ["ferret", "apache"] {
+        let w = txrace_workloads::by_name(name, 4).expect("known app");
+        let truth = Detector::new(w.config(Scheme::Tsan, 42)).run(&w.program);
+        let false_positives = |opts: TxRaceOpts| {
+            let out = Detector::new(w.config(Scheme::TxRace(opts), 42)).run(&w.program);
+            assert!(out.completed(), "{name}");
+            out.races
+                .pairs()
+                .filter(|pr| !truth.races.contains(pr.a, pr.b))
+                .count()
+        };
+        let untracked = TxRaceOpts {
+            track_fast_sync: false,
+            ..TxRaceOpts::default()
+        };
+        assert_eq!(false_positives(TxRaceOpts::default()), 0, "{name}");
+        assert!(false_positives(untracked) > 0, "{name}");
+    }
 }

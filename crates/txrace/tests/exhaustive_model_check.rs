@@ -44,10 +44,7 @@ fn model_program() -> Program {
 #[test]
 fn txrace_is_complete_and_live_on_every_interleaving() {
     let p = model_program();
-    let cfg = InstrumentConfig {
-        k_min_ops: 2,
-        ..InstrumentConfig::default()
-    };
+    let cfg = InstrumentConfig { k_min_ops: 2 };
     let ip = instrument(&p, &cfg);
     let race_w = p.site("race_w").unwrap();
     let race_r = p.site("race_r").unwrap();

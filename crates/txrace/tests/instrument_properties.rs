@@ -51,14 +51,9 @@ proptest! {
     fn markers_are_balanced_on_random_programs(
         gen_seed in 0u64..1000,
         k in prop_oneof![Just(0u64), Just(5), Just(12)],
-        probes in any::<bool>(),
     ) {
         let p = random_program(&GenConfig::default(), gen_seed);
-        let cfg = InstrumentConfig {
-            k_min_ops: k,
-            loopcut_probes: probes,
-            single_thread_elision: true,
-        };
+        let cfg = InstrumentConfig { k_min_ops: k };
         let ip = instrument(&p, &cfg);
         check_markers(&ip.program);
 

@@ -17,10 +17,11 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use txrace::{
-    Detector, MayRacePairs, RaceFreeReason, RunConfig, Scheme, SiteClass, SiteClassTable,
-    StaticPruneMode,
+    instrument_pruned, Detector, InstrumentConfig, MayRacePairs, RaceFreeReason, RunConfig, Scheme,
+    SiteClass, SiteClassTable, StaticPruneMode,
 };
 use txrace_hb::RacePair;
+use txrace_sim::Program;
 use txrace_workloads::{all_workloads, by_name, random_program, GenConfig, RaceKind};
 
 fn pairs_of(out: &txrace::RunOutcome) -> BTreeSet<RacePair> {
@@ -186,6 +187,46 @@ fn fullflow_matches_full_detection_on_all_workloads() {
             "{}: FullFlow changed the detected race set vs Full",
             w.name
         );
+    }
+}
+
+/// Asserts that running a FullFlow-instrumented program through
+/// `run_instrumented` reproduces `run` on the original program: the
+/// table step re-derives the same table (and, for production, the same
+/// watch set) from the instrumented program.
+fn assert_run_instrumented_matches_run(ctx: &str, cfg: RunConfig, p: &Program) {
+    let d = Detector::new(cfg.with_prune(StaticPruneMode::FullFlow));
+    let ip = instrument_pruned(
+        p,
+        &InstrumentConfig::from_knobs(&d.config().knobs),
+        Some(&SiteClassTable::analyze_flow(p)),
+    );
+    let run = d.run(p);
+    let pre = d.run_instrumented(&ip);
+    assert!(run.completed(), "{ctx}");
+    assert_eq!(run.races.reports(), pre.races.reports(), "{ctx}: races");
+    assert_eq!(run.breakdown, pre.breakdown, "{ctx}: breakdown");
+    assert_eq!(run.htm, pre.htm, "{ctx}: HTM stats");
+    assert_eq!(run.engine, pre.engine, "{ctx}: engine stats");
+    assert_eq!(run.telemetry, pre.telemetry, "{ctx}: telemetry");
+}
+
+#[test]
+fn run_instrumented_matches_run_under_fullflow_on_all_workloads() {
+    for w in all_workloads(4) {
+        for scheme in [Scheme::txrace(), Scheme::production(1.2)] {
+            let ctx = format!("{} {scheme:?}", w.name);
+            assert_run_instrumented_matches_run(&ctx, w.config(scheme, 42), &w.program);
+        }
+    }
+}
+
+#[test]
+fn run_instrumented_matches_run_under_fullflow_on_random_programs() {
+    for gen_seed in 0..200 {
+        let p = random_program(&GenConfig::default(), gen_seed);
+        let cfg = RunConfig::new(Scheme::txrace(), gen_seed);
+        assert_run_instrumented_matches_run(&format!("gen {gen_seed}"), cfg, &p);
     }
 }
 
