@@ -6,8 +6,9 @@ use std::collections::VecDeque;
 use std::str::FromStr;
 
 /// A paper binary's command-line arguments. A missing positional value
-/// takes its default. An unparsable value, or a worker count below two,
-/// prints the usage line to stderr and exits with status 2.
+/// takes its default. An unparsable value, a worker count below two, a
+/// zero count, or a positional value the binary does not read prints the
+/// usage line to stderr and exits with status 2.
 #[derive(Debug)]
 pub struct Args {
     usage: &'static str,
@@ -50,6 +51,23 @@ impl Args {
             self.exit("workers must be at least 2 (the workloads need concurrency)");
         }
         workers
+    }
+
+    /// The next positional value as a count of runs or seeds, at least
+    /// one.
+    pub fn count(&mut self, default: u64) -> u64 {
+        let n = self.next_or(default);
+        if n == 0 {
+            self.exit("the count must be at least 1");
+        }
+        n
+    }
+
+    /// Ends the line: a positional value left unread is an error.
+    pub fn finish(self) {
+        if let Some(extra) = self.rest.front() {
+            self.exit(&format!("unexpected argument {extra:?}"));
+        }
     }
 
     fn exit(&self, problem: &str) -> ! {

@@ -33,6 +33,7 @@ fn main() {
     let mut args = Args::from_env("ablation [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     fast_sync_ablation(workers, seed);
     ideal_htm_ablation(workers, seed);

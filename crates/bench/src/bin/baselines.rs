@@ -25,6 +25,7 @@ fn main() {
     let mut args = Args::from_env("baselines [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("Detector family comparison (workers={workers}, seed={seed})\n");
     let mut t = Table::new(&[

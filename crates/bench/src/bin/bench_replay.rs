@@ -355,6 +355,7 @@ fn main() {
     let mut args = Args::from_env("bench_replay [workers] [seed]");
     let workers: usize = args.next_or(4);
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     let total_start = Instant::now();
     let mut rows = Vec::new();

@@ -20,6 +20,7 @@ fn main() {
     let mut args = Args::from_env("extensions [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("TxRace extensions (paper §9 directions) — workers={workers}, seed={seed}\n");
     let mut t = Table::new(&[

@@ -17,7 +17,8 @@ use txrace_workloads::by_name;
 fn main() {
     let mut args = Args::from_env("fig10 [workers] [runs]");
     let workers = args.workers();
-    let runs: u64 = args.next_or(7);
+    let runs = args.count(7);
+    args.finish();
 
     println!(
         "TxRace reproduction — Figure 10: vips distinct races across runs (workers={workers})\n"

@@ -18,6 +18,7 @@ fn main() {
     let mut args = Args::from_env("fig11 [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("TxRace reproduction — Figure 11: cost-effectiveness vs sampling (workers={workers}, seed={seed})\n");
     let mut t = Table::new(&["application", "TSan+10%", "TSan+50%", "TSan+100%", "TxRace"]);

@@ -17,6 +17,7 @@ fn main() {
     let mut args = Args::from_env("fig12 [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("TxRace reproduction — Figure 12: bodytrack overhead vs sampling rate (workers={workers}, seed={seed})\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");

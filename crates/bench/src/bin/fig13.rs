@@ -22,7 +22,8 @@ use txrace_workloads::by_name;
 fn main() {
     let mut args = Args::from_env("fig13 [workers] [seeds]");
     let workers = args.workers();
-    let nseeds: u64 = args.next_or(3);
+    let nseeds = args.count(3);
+    args.finish();
 
     println!("TxRace reproduction — Figure 13: bodytrack recall vs sampling rate (workers={workers}, {nseeds} seeds)\n");
     let w = by_name("bodytrack", workers).expect("bodytrack exists");

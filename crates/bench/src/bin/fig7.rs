@@ -14,6 +14,7 @@ fn main() {
     let mut args = Args::from_env("fig7 [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("TxRace reproduction — Figure 7: overhead breakdown (workers={workers}, seed={seed})");
     println!("columns are multiples of the uninstrumented baseline\n");

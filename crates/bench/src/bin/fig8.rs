@@ -15,7 +15,9 @@ use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
 fn main() {
-    let seed: u64 = Args::from_env("fig8 [seed]").next_or(42);
+    let mut args = Args::from_env("fig8 [seed]");
+    let seed: u64 = args.next_or(42);
+    args.finish();
     let counts = [2usize, 4, 8];
 
     println!("TxRace reproduction — Figure 8: scalability (seed={seed})\n");

@@ -16,6 +16,7 @@ fn main() {
     let mut args = Args::from_env("fig9 [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!(
         "TxRace reproduction — Figure 9: loop-cut effectiveness (workers={workers}, seed={seed})\n"

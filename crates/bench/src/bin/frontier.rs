@@ -45,6 +45,7 @@ fn main() {
     let json = args.flag("--json");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     let apps = all_workloads(workers);
 

@@ -58,6 +58,7 @@ fn main() {
     let json = args.flag("--json");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
     if json {
         return print_json(workers, seed);
     }

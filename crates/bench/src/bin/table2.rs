@@ -15,6 +15,7 @@ fn main() {
     let mut args = Args::from_env("table2 [workers] [seed]");
     let workers = args.workers();
     let seed: u64 = args.next_or(42);
+    args.finish();
 
     println!("TxRace reproduction — Table 2 (workers={workers}, seed={seed})");
     println!("paper values in parentheses\n");

@@ -113,7 +113,8 @@ pub struct EpochRecord {
     pub events: u64,
     /// Whether slow-path monitoring was armed at the end of the epoch.
     pub active: bool,
-    /// Effective sampling rate in force (1.0 = full checking).
+    /// Effective sampling rate in force: the configured rate (1.0 = full
+    /// checking) while monitoring is armed, 0.0 while it is idle.
     pub sampling: f64,
     /// The `K` small-region threshold in force.
     pub k_min_ops: u64,
@@ -315,7 +316,6 @@ impl AdaptiveController {
             self.window_left -= 1;
             if self.window_left == 0 {
                 self.active = false;
-                self.knobs.sampling = Some(0.0);
                 return ControlDecision::WindowClosed;
             }
             return ControlDecision::InWindow;
@@ -346,7 +346,6 @@ impl AdaptiveController {
         }
         self.active = true;
         self.window_left = Self::WINDOW_EPOCHS;
-        self.knobs.sampling = None;
         true
     }
 
@@ -355,7 +354,6 @@ impl AdaptiveController {
     /// drove the epoch's spend, double the initial loop-cut threshold so
     /// newly-activated loops start closer to their stable cut point.
     fn escalate(&mut self, capacity_delta: u64) {
-        self.knobs.sampling = Some(0.0);
         if self.knobs.k_min_ops < Knobs::default().k_min_ops * 4 {
             self.knobs.k_min_ops = self.knobs.k_min_ops.saturating_mul(4).max(1);
         }
@@ -400,7 +398,6 @@ mod tests {
         assert!(!c.active());
         assert_eq!(c.knobs().k_min_ops, 20, "K escalated x4");
         assert_eq!(c.knobs().loopcut_threshold, 4, "capacity-driven bump");
-        assert_eq!(c.knobs().sampling, Some(0.0));
     }
 
     #[test]

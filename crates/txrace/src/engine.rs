@@ -113,11 +113,100 @@ impl EngineStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Outside,
+/// One thread's place in the §4.2 abort policy. Each field lives only
+/// in the phase where it means something.
+#[derive(Debug, Default)]
+struct ThreadCtx {
+    phase: Phase,
+    /// Transient-abort retries of the current region so far.
+    retries: u32,
+    /// The `TxFail` value this thread last observed.
+    txfail_seen: u64,
+}
+
+#[derive(Debug)]
+enum Phase {
+    /// Outside every region. After an abort, holds the entry to make
+    /// where the rollback lands (the region's `TxBegin` or a loop-cut
+    /// probe).
+    Outside(Option<Entry>),
+    /// Inside a hardware transaction.
+    Fast(FastTxn),
+    /// Re-executing a region under FastTrack.
+    Slow(SlowRun),
+}
+
+impl Default for Phase {
+    fn default() -> Self {
+        Phase::Outside(None)
+    }
+}
+
+impl Phase {
+    /// A slow path with no conflict hint.
+    fn slow(region: RegionId, trigger: SlowTrigger) -> Phase {
+        Phase::Slow(SlowRun {
+            region,
+            trigger,
+            hint: None,
+        })
+    }
+}
+
+/// An open hardware transaction.
+#[derive(Debug)]
+struct FastTxn {
+    region: RegionId,
+    /// Where an abort rolls back to: the op that began the transaction.
+    snap: Snapshot,
+    /// Provisional work: baseline on commit, wasted on abort.
+    base: u64,
+    /// The loop whose cut began this transaction; a commit feeds it to
+    /// the learner.
+    cut_loop: Option<LoopId>,
+}
+
+/// A region instance on the slow path.
+#[derive(Debug, Clone, Copy)]
+struct SlowRun {
+    region: RegionId,
+    trigger: SlowTrigger,
+    /// Conflict-hint extension: only accesses to this line are checked.
+    hint: Option<CacheLine>,
+}
+
+/// How a thread enters a region.
+#[derive(Debug)]
+enum Entry {
+    /// On the slow path, as an abort demanded.
+    Slow(SlowRun),
+    /// In a fresh transaction: a first entry, or a retry after a
+    /// transient abort.
     Fast(RegionId),
-    Slow(RegionId, SlowTrigger),
+}
+
+/// Where the knobs in force come from.
+#[derive(Debug)]
+enum Control {
+    /// Fixed at their configured values.
+    Fixed(Knobs),
+    /// Re-tuned at epoch boundaries by the production-mode controller.
+    Adaptive(AdaptiveController),
+}
+
+impl Control {
+    fn knobs(&self) -> &Knobs {
+        match self {
+            Control::Fixed(knobs) => knobs,
+            Control::Adaptive(ctl) => ctl.knobs(),
+        }
+    }
+
+    /// Whether production-mode monitoring is idle (never outside
+    /// production mode).
+    fn idle(&self) -> bool {
+        matches!(self, Control::Adaptive(ctl) if !ctl.active())
+    }
 }
 
 /// Tunables for the engine (see [`crate::TxRaceOpts`] for the user-facing
@@ -208,32 +297,17 @@ pub struct TxRaceEngine {
     cost: CostModel,
     eff_check: u64,
     breakdown: CycleBreakdown,
-    mode: Vec<Mode>,
-    snaps: Vec<Option<(Snapshot, RegionId)>>,
-    pending_slow: Vec<Option<(RegionId, SlowTrigger)>>,
-    txn_base_acc: Vec<u64>,
-    retry_count: Vec<u32>,
-    txfail_seen: Vec<u64>,
+    threads: Vec<ThreadCtx>,
     max_retries: u32,
     loopcut: LoopcutState,
-    last_cut_loop: Vec<Option<LoopId>>,
     track_fast_sync: bool,
     conflict_hints: bool,
-    pending_hint: Vec<Option<CacheLine>>,
-    slow_hint: Vec<Option<CacheLine>>,
     episode_hint: Option<CacheLine>,
     sampler: Option<(f64, StdRng)>,
     prune: Option<SiteClassTable>,
     sync_dead: bool,
     stats: EngineStats,
-    /// Knobs currently in force (production mode re-tunes them at epoch
-    /// boundaries; otherwise they stay at their configured values).
-    knobs: Knobs,
-    /// The production-mode controller, when this is a budgeted run.
-    controller: Option<AdaptiveController>,
-    /// Whether slow-path monitoring is armed (always true outside
-    /// production mode).
-    monitoring_on: bool,
+    control: Control,
     /// `watch[site]`: an idle-mode access here may re-arm monitoring.
     watch: Vec<bool>,
     /// Epoch telemetry under construction (`epoch_events` set).
@@ -286,13 +360,14 @@ impl TxRaceEngine {
             !live
         });
         let static_baseline = cfg.cost.baseline_cycles(&ip.program);
-        let controller = cfg.production.map(|mode| {
+        let control = cfg.production.map_or(Control::Fixed(cfg.knobs), |mode| {
             // The event estimate paces the controller's allowance; one
             // executed op is one event, so the loop-weighted static op
             // count is the estimate (re-execution makes actual counts
             // run a little over — pacing only needs the right scale).
             let est_events = ip.program.fold_dynamic(|_| 1);
-            AdaptiveController::new(mode, static_baseline, est_events, cfg.knobs)
+            let ctl = AdaptiveController::new(mode, static_baseline, est_events, cfg.knobs);
+            Control::Adaptive(ctl)
         });
         let mut watch = Vec::new();
         if !cfg.watch.is_empty() {
@@ -310,19 +385,11 @@ impl TxRaceEngine {
             eff_check: cfg.cost.effective_tsan_check(cfg.shadow_factor),
             cost: cfg.cost,
             breakdown: CycleBreakdown::default(),
-            mode: vec![Mode::Outside; n],
-            snaps: vec![None; n],
-            pending_slow: vec![None; n],
-            txn_base_acc: vec![0; n],
-            retry_count: vec![0; n],
-            txfail_seen: vec![0; n],
+            threads: (0..n).map(|_| ThreadCtx::default()).collect(),
             max_retries: cfg.max_retries,
             loopcut,
-            last_cut_loop: vec![None; n],
             track_fast_sync: cfg.track_fast_sync,
             conflict_hints: cfg.conflict_hints,
-            pending_hint: vec![None; n],
-            slow_hint: vec![None; n],
             episode_hint: None,
             sampler: cfg
                 .knobs
@@ -331,9 +398,7 @@ impl TxRaceEngine {
             prune: cfg.prune,
             sync_dead,
             stats: EngineStats::default(),
-            knobs: cfg.knobs,
-            controller,
-            monitoring_on: true,
+            control,
             watch,
             telemetry: cfg.epoch_events.map(|e| Telemetry {
                 epoch_events: e,
@@ -380,11 +445,6 @@ impl TxRaceEngine {
         self.ft.checks()
     }
 
-    /// The knobs currently in force (production mode re-tunes them).
-    pub fn knobs(&self) -> &Knobs {
-        &self.knobs
-    }
-
     /// Takes the epoch telemetry stream, flushing the partial final
     /// epoch first. `None` unless [`EngineConfig::epoch_events`] was
     /// set. Call once, after the run.
@@ -412,17 +472,19 @@ impl TxRaceEngine {
         };
         let prev = std::mem::replace(&mut self.prev_epoch, now);
         let tm = self.telemetry.as_mut().expect("telemetry enabled");
+        let active = !self.control.idle();
+        let knobs = self.control.knobs();
         let rec = EpochRecord {
             index: tm.epochs.len() as u64,
             events: now.events - prev.events,
-            active: self.monitoring_on,
-            sampling: if self.monitoring_on {
-                self.knobs.sampling.unwrap_or(1.0)
+            active,
+            sampling: if active {
+                knobs.sampling.unwrap_or(1.0)
             } else {
                 0.0
             },
-            k_min_ops: self.knobs.k_min_ops,
-            loopcut_threshold: self.knobs.loopcut_threshold,
+            k_min_ops: knobs.k_min_ops,
+            loopcut_threshold: knobs.loopcut_threshold,
             conflict_aborts: now.htm.conflict_aborts - prev.htm.conflict_aborts,
             capacity_aborts: now.htm.capacity_aborts - prev.htm.capacity_aborts,
             unknown_aborts: now.htm.unknown_aborts - prev.htm.unknown_aborts,
@@ -435,12 +497,10 @@ impl TxRaceEngine {
         };
         let capacity_delta = rec.capacity_aborts;
         tm.epochs.push(rec);
-        if let Some(ctl) = self.controller.as_mut() {
+        if let Control::Adaptive(ctl) = &mut self.control {
             ctl.on_epoch(self.events_total, bd.extra(), capacity_delta);
-            self.monitoring_on = ctl.active();
-            self.knobs = *ctl.knobs();
             self.loopcut
-                .set_initial_threshold(self.knobs.loopcut_threshold);
+                .set_initial_threshold(ctl.knobs().loopcut_threshold);
         }
     }
 
@@ -450,26 +510,18 @@ impl TxRaceEngine {
     /// can span the unmonitored gap); any other idle access charges its
     /// skipped check to the elided bucket.
     fn production_gate(&mut self, site: SiteId) -> bool {
-        if self.controller.is_none() || self.monitoring_on {
+        let Control::Adaptive(ctl) = &mut self.control else {
+            return true;
+        };
+        if ctl.active() {
             return true;
         }
         let watched = self.watch.get(site.index()).copied().unwrap_or(false);
-        let events = self.events_total;
-        let spent = self.breakdown.extra();
-        let opened = watched
-            && self
-                .controller
-                .as_mut()
-                .is_some_and(|c| c.on_watch_hit(events, spent));
-        if opened {
+        if watched && ctl.on_watch_hit(self.events_total, self.breakdown.extra()) {
             // Every re-arm starts a fresh monitored stretch: accesses
             // from before the idle gap must not pair with accesses
             // after it (their ordering sync was never observed).
             self.ft.reset_shadow();
-            self.monitoring_on = true;
-            if let Some(c) = &self.controller {
-                self.knobs = *c.knobs();
-            }
             return true;
         }
         self.stats.idle_skips += 1;
@@ -486,79 +538,50 @@ impl TxRaceEngine {
         }
     }
 
-    fn region(&self, r: RegionId) -> &RegionInfo {
-        &self.regions[r.index()]
-    }
-
-    /// Bookkeeping after a successful `xend`: the transaction's
-    /// provisional work becomes baseline, management cost is charged, and
-    /// the retry budget resets.
-    fn on_fast_commit(&mut self, ti: usize) {
+    /// Ends `t`'s transaction. A commit turns its provisional work into
+    /// baseline, charges the management cost, resets the retry budget and
+    /// feeds `cut` to the loop-cut learner; a failed commit is an abort,
+    /// whose rollback is returned.
+    fn commit(
+        &mut self,
+        t: ThreadId,
+        cut: Option<LoopId>,
+        txn: FastTxn,
+        mem: &mut Memory,
+        ev: &OpEvent<'_>,
+    ) -> Option<Directive> {
+        // Read the (optional) conflict hint before xend frees the
+        // hardware slot.
+        let hint = self.hw_hint(t);
+        if let Err(status) = self.htm.xend(t) {
+            return Some(self.handle_abort(t, txn, status, hint, mem, ev));
+        }
         self.breakdown.txn_mgmt += self.cost.xend;
         self.htm_cycles += self.cost.xend;
-        self.breakdown.baseline += self.txn_base_acc[ti];
-        self.txn_base_acc[ti] = 0;
-        self.retry_count[ti] = 0;
+        self.breakdown.baseline += txn.base;
+        self.threads[t.index()].retries = 0;
+        if let Some(l) = cut {
+            self.loopcut.on_cut_commit(l);
+        }
+        None
     }
 
-    /// Consumes any pending slow-path demand for thread `ti`, entering
-    /// slow mode for region `r`; returns false if nothing was pending.
-    fn take_pending_slow(&mut self, ti: usize, expected: Option<RegionId>) -> bool {
-        if let Some((r, trigger)) = self.pending_slow[ti].take() {
-            if let Some(e) = expected {
-                debug_assert_eq!(r, e, "pending slow region mismatch");
-            }
-            self.slow_hint[ti] = self.pending_hint[ti].take();
-            self.mode[ti] = Mode::Slow(r, trigger);
-            true
-        } else {
-            false
+    /// Enters a region on the path `entry` names.
+    fn enter(&mut self, t: ThreadId, entry: Entry, mem: &mut Memory, ev: &OpEvent<'_>) {
+        match entry {
+            Entry::Slow(run) => self.threads[t.index()].phase = Phase::Slow(run),
+            Entry::Fast(region) => self.begin_txn(region, None, mem, ev),
         }
     }
 
-    fn enter_region(&mut self, t: ThreadId, r: RegionId, mem: &mut Memory, ev: &OpEvent<'_>) {
+    /// Starts a hardware transaction for region `r` with its snapshot at
+    /// the current op (a `TxBegin` or a loop-cut probe). `cut` is the
+    /// loop whose cut begins it, if any.
+    fn begin_txn(&mut self, r: RegionId, cut: Option<LoopId>, mem: &mut Memory, ev: &OpEvent<'_>) {
+        let t = ev.thread;
         let ti = t.index();
-        debug_assert_eq!(self.mode[ti], Mode::Outside, "region entered while busy");
-        // Production mode re-tunes K online: a region whose checked-op
-        // count falls below the current knob runs slow-only (its markers
-        // were kept precisely so this decision can move at run time).
-        // While the controller is idle the fast path is suspended too —
-        // a transaction whose conflict abort we would not act on is pure
-        // management cost, and letting it run would drain the pacing
-        // allowance the watch-hit reopen is waiting to refill.
-        // Outside production mode the static instrumentation decides.
-        let kind = {
-            let info = self.region(r);
-            let idle = self.controller.is_some() && !self.monitoring_on;
-            if idle || (self.controller.is_some() && info.checked_ops < self.knobs.k_min_ops) {
-                RegionKind::SlowOnly
-            } else {
-                info.kind
-            }
-        };
-        match kind {
-            RegionKind::SlowOnly => {
-                self.stats.slow_small += 1;
-                self.mode[ti] = Mode::Slow(r, SlowTrigger::SmallRegion);
-            }
-            RegionKind::Fast => {
-                if !self.take_pending_slow(ti, Some(r)) {
-                    self.begin_fast_txn(t, r, mem, ev);
-                }
-            }
-        }
-    }
-
-    /// Starts a hardware transaction with its snapshot at the current op
-    /// (a `TxBegin` or a loop-cut probe).
-    fn begin_fast_txn(&mut self, t: ThreadId, r: RegionId, mem: &mut Memory, ev: &OpEvent<'_>) {
-        let ti = t.index();
-        match self.htm.xbegin(t) {
+        self.threads[ti].phase = match self.htm.xbegin(t) {
             Ok(()) => {
-                self.mode[ti] = Mode::Fast(r);
-                // O(1): the interpreter snapshot is pc + loop stack, and
-                // memory rollback state is the HTM's journal watermark.
-                self.snaps[ti] = Some((ev.snapshot(), r));
                 self.breakdown.txn_mgmt += self.cost.xbegin;
                 self.htm_cycles += self.cost.xbegin;
                 self.loopcut.on_txn_start(t);
@@ -569,74 +592,43 @@ impl TxRaceEngine {
                 // current — a stale value would misclassify a later direct
                 // conflict as an artificial abort and skip the TxFail
                 // write, silently shrinking episodes.
-                self.txfail_seen[ti] = self.htm.read(t, mem, TXFAIL_ADDR);
+                self.threads[ti].txfail_seen = self.htm.read(t, mem, TXFAIL_ADDR);
+                // The interpreter snapshot is the pc plus a copy of the
+                // loop stack; memory rollback state is the HTM's journal
+                // watermark.
+                Phase::Fast(FastTxn {
+                    region: r,
+                    snap: ev.snapshot(),
+                    base: 0,
+                    cut_loop: cut,
+                })
             }
             Err(XbeginError::NoSlot) => {
                 self.stats.slow_noslot += 1;
-                self.mode[ti] = Mode::Slow(r, SlowTrigger::NoSlot);
+                Phase::slow(r, SlowTrigger::NoSlot)
             }
             Err(XbeginError::Nested) => unreachable!("engine never nests transactions"),
-        }
-    }
-
-    fn end_region(
-        &mut self,
-        t: ThreadId,
-        r: RegionId,
-        mem: &mut Memory,
-        ev: &OpEvent<'_>,
-    ) -> Directive {
-        let ti = t.index();
-        match self.mode[ti] {
-            Mode::Fast(cur) => {
-                debug_assert_eq!(cur, r, "TxEnd region mismatch");
-                // Read the (optional) conflict hint before xend frees the
-                // hardware slot.
-                let hint = self.hw_hint(t);
-                match self.htm.xend(t) {
-                    Ok(()) => {
-                        self.on_fast_commit(ti);
-                        if let Some(l) = self.last_cut_loop[ti].take() {
-                            self.loopcut.on_cut_commit(l);
-                        }
-                        self.snaps[ti] = None;
-                        self.mode[ti] = Mode::Outside;
-                        Directive::Continue
-                    }
-                    Err(status) => self.handle_abort(t, status, hint, mem, ev),
-                }
-            }
-            Mode::Slow(cur, _) => {
-                debug_assert_eq!(cur, r, "TxEnd region mismatch (slow)");
-                self.retry_count[ti] = 0;
-                self.snaps[ti] = None;
-                self.last_cut_loop[ti] = None;
-                self.slow_hint[ti] = None;
-                self.mode[ti] = Mode::Outside;
-                Directive::Continue
-            }
-            Mode::Outside => unreachable!("TxEnd without an open region"),
-        }
+        };
     }
 
     /// The conflicting line the hardware reports for `t`'s doomed
     /// transaction, when the conflict-hint extension is on. Read it while
     /// the slot is still live (an `xend` frees it).
     fn hw_hint(&self, t: ThreadId) -> Option<CacheLine> {
-        if self.conflict_hints {
-            self.htm.conflict_line_hint(t)
-        } else {
-            None
-        }
+        self.conflict_hints
+            .then(|| self.htm.conflict_line_hint(t))
+            .flatten()
     }
 
-    /// Consumes an abort: classifies the status, applies the §4.2 policy,
-    /// and rolls the thread back to its region snapshot. `hw_hint` must be
-    /// captured by the caller with [`hw_hint`](Self::hw_hint) while the
-    /// slot was still live.
+    /// Consumes an abort of `txn`: classifies the status, applies the §4.2
+    /// policy, and rolls the thread back to the transaction's snapshot,
+    /// leaving it outside the region with the entry to make there.
+    /// `hw_hint` must be captured by the caller with
+    /// [`hw_hint`](Self::hw_hint) while the slot was still live.
     fn handle_abort(
         &mut self,
         t: ThreadId,
+        txn: FastTxn,
         status: AbortStatus,
         hw_hint: Option<CacheLine>,
         mem: &mut Memory,
@@ -647,14 +639,14 @@ impl TxRaceEngine {
             let s = self.htm.abort_rollback(t);
             debug_assert_eq!(s, status);
         }
-        let r = self.snaps[ti].as_ref().expect("abort without a snapshot").1;
-        let reason = status.reason();
         // Wasted transactional work plus the rollback itself are overhead
-        // attributed to the abort reason.
-        let wasted = self.txn_base_acc[ti] + self.cost.rollback_penalty;
-        self.txn_base_acc[ti] = 0;
+        // attributed to the abort reason. The cut loop lapses: only a
+        // commit feeds it to the learner.
+        let region = txn.region;
+        let wasted = txn.base + self.cost.rollback_penalty;
         self.htm_cycles += wasted;
-        let trigger = match reason {
+        let mut hint = None;
+        let trigger = match status.reason() {
             AbortReason::Conflict => {
                 self.stats.slow_conflict += 1;
                 // TxFail protocol: the episode origin (first to observe an
@@ -662,13 +654,13 @@ impl TxRaceEngine {
                 // in-flight transaction; artificial-abort victims only
                 // record the new value.
                 let seen = self.htm.read(t, mem, TXFAIL_ADDR);
-                if seen == self.txfail_seen[ti] {
+                if seen == self.threads[ti].txfail_seen {
                     let flag = seen + 1;
                     self.htm.write(t, mem, TXFAIL_ADDR, flag);
                     self.stats.txfail_writes += 1;
                     self.breakdown.conflict += 2 * self.cost.mem_access;
                     self.htm_cycles += 2 * self.cost.mem_access;
-                    self.txfail_seen[ti] = flag;
+                    self.threads[ti].txfail_seen = flag;
                     // Episode origin publishes the conflicting line next
                     // to TxFail (extension: one extra shared write).
                     if self.conflict_hints {
@@ -677,15 +669,14 @@ impl TxRaceEngine {
                         self.htm_cycles += self.cost.mem_access;
                     }
                 } else {
-                    self.txfail_seen[ti] = seen;
+                    self.threads[ti].txfail_seen = seen;
                 }
                 if self.conflict_hints {
                     // Artificial-abort victims read the published line;
                     // the origin uses the hardware-reported one.
-                    let hint = hw_hint
+                    hint = hw_hint
                         .filter(|&l| l != TXFAIL_ADDR.line())
                         .or(self.episode_hint);
-                    self.pending_hint[ti] = hint;
                 }
                 Some(SlowTrigger::Conflict)
             }
@@ -696,7 +687,7 @@ impl TxRaceEngine {
                 // to the region's last loop.
                 let l = ev
                     .innermost_loop()
-                    .or_else(|| self.region(r).loops.last().copied());
+                    .or_else(|| self.regions[region.index()].loops.last().copied());
                 self.loopcut.on_capacity_abort(l);
                 Some(SlowTrigger::Capacity)
             }
@@ -705,100 +696,53 @@ impl TxRaceEngine {
                 Some(SlowTrigger::Unknown)
             }
             AbortReason::Retry => {
-                self.retry_count[ti] += 1;
-                if self.retry_count[ti] <= self.max_retries {
+                let ctx = &mut self.threads[ti];
+                ctx.retries += 1;
+                if ctx.retries <= self.max_retries {
                     self.stats.fast_retries += 1;
                     None // retry on the fast path
                 } else {
-                    self.retry_count[ti] = 0;
+                    ctx.retries = 0;
                     self.stats.slow_retry += 1;
                     Some(SlowTrigger::RetryExhausted)
                 }
             }
         };
-        // The slot is consumed on the slow-path triggers (the rollback
-        // lands on an op that consumes `pending_slow` instead), so take
-        // the stored snapshot rather than cloning it; only a fast-path
-        // retry re-reads the slot and must leave it in place.
-        let snap = match trigger {
-            Some(trig) => {
-                *self.bucket_of(trig) += wasted;
-                self.pending_slow[ti] = Some((r, trig));
-                self.snaps[ti].take().expect("abort without a snapshot").0
+        let entry = match trigger {
+            Some(trigger) => {
+                *self.bucket_of(trigger) += wasted;
+                Entry::Slow(SlowRun {
+                    region,
+                    trigger,
+                    hint,
+                })
             }
             None => {
                 self.breakdown.unknown += wasted;
-                self.snaps[ti]
-                    .as_ref()
-                    .expect("abort without a snapshot")
-                    .0
-                    .clone()
+                Entry::Fast(region)
             }
         };
-        self.last_cut_loop[ti] = None;
-        self.mode[ti] = Mode::Outside;
-        Directive::Rollback(snap)
-    }
-
-    /// Loop-cut probe handling. In fast mode, may split the transaction;
-    /// after a rollback that targeted this probe, re-enters the region.
-    fn probe(&mut self, t: ThreadId, l: LoopId, mem: &mut Memory, ev: &OpEvent<'_>) -> Directive {
-        let ti = t.index();
-        match self.mode[ti] {
-            Mode::Fast(r) => {
-                if !self.loopcut.probe(t, l) {
-                    return Directive::Continue;
-                }
-                let hint = self.hw_hint(t);
-                match self.htm.xend(t) {
-                    Ok(()) => {
-                        self.on_fast_commit(ti);
-                        self.loopcut.on_cut_commit(l);
-                        self.mode[ti] = Mode::Outside;
-                        self.begin_fast_txn(t, r, mem, ev);
-                        if matches!(self.mode[ti], Mode::Fast(_)) {
-                            self.last_cut_loop[ti] = Some(l);
-                        }
-                        Directive::Continue
-                    }
-                    Err(status) => self.handle_abort(t, status, hint, mem, ev),
-                }
-            }
-            Mode::Slow(_, _) => Directive::Continue,
-            Mode::Outside => {
-                // A rollback landed on this probe: resume the region here,
-                // slow if an abort demanded it, fast otherwise (retry).
-                if self.take_pending_slow(ti, None) {
-                    // Entered slow mode for the pending region.
-                } else if let Some((_, r)) = self.snaps[ti].as_ref() {
-                    let r = *r;
-                    self.begin_fast_txn(t, r, mem, ev);
-                }
-                // A probe with neither pending slow work nor a snapshot is
-                // orphaned (it sits outside any region); ignore it.
-                Directive::Continue
-            }
-        }
-    }
-
-    /// Zombie freedom (DESIGN.md §6): a fast-path data access never runs
-    /// on a doomed transaction, because `before_op` observes the doom
-    /// first and rolls back. The HTM's property tests exclude zombie
-    /// accesses on exactly this premise.
-    fn debug_assert_not_zombie(&self, t: ThreadId) {
-        debug_assert!(
-            !matches!(self.mode[t.index()], Mode::Fast(_)) || self.htm.is_doomed(t).is_none(),
-            "{t}: data access on a doomed transaction"
-        );
+        self.threads[ti].phase = Phase::Outside(Some(entry));
+        Directive::Rollback(txn.snap)
     }
 
     /// Charges `c` cycles of the program's own work (an access, compute
     /// or a system call) by `t`. Inside a fast transaction the work is
     /// provisional: on abort it is wasted and moves to the abort bucket.
+    ///
+    /// Zombie freedom (DESIGN.md §6): no such work runs on a doomed
+    /// transaction, because `before_op` observes the doom first and rolls
+    /// back. The HTM's property tests exclude zombie accesses on exactly
+    /// this premise.
     fn charge_base(&mut self, t: ThreadId, c: u64) {
-        let ti = t.index();
-        match self.mode[ti] {
-            Mode::Fast(_) => self.txn_base_acc[ti] += c,
+        match &mut self.threads[t.index()].phase {
+            Phase::Fast(txn) => {
+                debug_assert!(
+                    self.htm.is_doomed(t).is_none(),
+                    "{t}: work on a doomed transaction"
+                );
+                txn.base += c;
+            }
             _ => self.breakdown.baseline += c,
         }
     }
@@ -813,37 +757,33 @@ impl TxRaceEngine {
         self.breakdown.baseline += self.cost.sync_op;
     }
 
-    fn charge_check(&mut self, trigger: SlowTrigger) {
-        let c = self.eff_check;
-        *self.bucket_of(trigger) += c;
-        self.tsan_cycles += c;
-    }
-
-    /// True when the static prune table elides this slow-path check;
-    /// records the avoided cost in the `elided` breakdown category.
-    fn prune_elides(&mut self, site: SiteId) -> bool {
-        if self.prune.as_ref().is_some_and(|t| t.is_race_free(site)) {
+    /// Whether an access at `site` to `addr` on the slow path `run` is
+    /// software-checked: only if neither the prune table, an idle duty
+    /// cycle, the conflict hint nor the sampler skips it. A check is
+    /// charged to the bucket of the slow path's trigger; one the prune
+    /// table proves race-free, to the `elided` bucket.
+    fn slow_check(&mut self, run: SlowRun, site: SiteId, addr: Addr) -> bool {
+        let SlowRun { trigger, hint, .. } = run;
+        if self
+            .prune
+            .as_ref()
+            .is_some_and(|table| table.is_race_free(site))
+        {
             self.stats.elided_checks += 1;
             self.breakdown.elided += self.eff_check;
-            true
-        } else {
-            false
+            return false;
         }
-    }
-
-    /// Whether a slow-path access at `addr` should be software-checked,
-    /// honouring the conflict-hint and sampling extensions.
-    fn slow_check_decision(&mut self, ti: usize, addr: Addr) -> bool {
-        if let Some(line) = self.slow_hint[ti] {
-            if addr.line() != line {
-                return false;
-            }
+        if !self.production_gate(site) || hint.is_some_and(|line| addr.line() != line) {
+            return false;
         }
         if let Some((rate, rng)) = &mut self.sampler {
             if rng.gen::<f64>() >= *rate {
                 return false;
             }
         }
+        let c = self.eff_check;
+        *self.bucket_of(trigger) += c;
+        self.tsan_cycles += c;
         true
     }
 
@@ -853,7 +793,7 @@ impl TxRaceEngine {
     /// one edge.
     fn track_sync(&mut self, t: ThreadId) -> bool {
         self.charge_sync_op(t);
-        (self.track_fast_sync || matches!(self.mode[t.index()], Mode::Slow(_, _)))
+        (self.track_fast_sync || matches!(self.threads[t.index()].phase, Phase::Slow(_)))
             && self.charge_sync(1)
     }
 
@@ -864,7 +804,7 @@ impl TxRaceEngine {
     /// skipped and their cost goes to the `elided` bucket.
     fn charge_sync(&mut self, edges: u64) -> bool {
         let c = self.cost.tsan_sync * edges;
-        if self.sync_dead || (self.controller.is_some() && !self.monitoring_on) {
+        if self.sync_dead || self.control.idle() {
             self.breakdown.elided += c;
             return false;
         }
@@ -893,38 +833,101 @@ impl Runtime for TxRaceEngine {
         // A doomed transaction is observed at the thread's next operation
         // (the hardware transfers control lazily in this simulation, which
         // preserves the paper's commit-before-TxFail race window, §6).
-        if matches!(self.mode[t.index()], Mode::Fast(_)) {
+        let ctx = &mut self.threads[t.index()];
+        if let Phase::Fast(_) = ctx.phase {
             if let Some(status) = self.htm.is_doomed(t) {
-                return self.handle_abort(t, status, self.hw_hint(t), mem, ev);
+                let Phase::Fast(txn) = std::mem::take(&mut ctx.phase) else {
+                    unreachable!()
+                };
+                let hint = self.hw_hint(t);
+                return self.handle_abort(t, txn, status, hint, mem, ev);
             }
         }
         Directive::Continue
     }
 
+    /// Opens region `r`, or re-enters it where an abort's rollback landed.
     fn tx_begin(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
-        self.enter_region(ev.thread, r, mem, ev);
+        let t = ev.thread;
+        let ti = t.index();
+        let Phase::Outside(pending) = std::mem::take(&mut self.threads[ti].phase) else {
+            unreachable!("{t}: region entered while busy");
+        };
+        // Production mode re-tunes K online: a region whose checked-op
+        // count falls below the current knob runs slow-only (its markers
+        // were kept precisely so this decision can move at run time).
+        // While the controller is idle the fast path is suspended too —
+        // a transaction whose conflict abort we would not act on is pure
+        // management cost, and letting it run would drain the pacing
+        // allowance the watch-hit reopen is waiting to refill.
+        // Outside production mode the static instrumentation decides.
+        // A slow-only entry lets a pending entry lapse.
+        let info = &self.regions[r.index()];
+        let slow_only = info.kind == RegionKind::SlowOnly
+            || matches!(&self.control, Control::Adaptive(ctl)
+                if !ctl.active() || info.checked_ops < ctl.knobs().k_min_ops);
+        if slow_only {
+            self.stats.slow_small += 1;
+            self.threads[ti].phase = Phase::slow(r, SlowTrigger::SmallRegion);
+        } else {
+            self.enter(t, pending.unwrap_or(Entry::Fast(r)), mem, ev);
+        }
         Directive::Continue
     }
 
+    /// Closes region `r`: commits its transaction or ends its slow path.
     fn tx_end(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, r: RegionId) -> Directive {
-        self.end_region(ev.thread, r, mem, ev)
+        let t = ev.thread;
+        let ti = t.index();
+        match std::mem::take(&mut self.threads[ti].phase) {
+            Phase::Fast(txn) => {
+                debug_assert_eq!(txn.region, r, "TxEnd region mismatch");
+                self.commit(t, txn.cut_loop, txn, mem, ev)
+                    .unwrap_or(Directive::Continue)
+            }
+            Phase::Slow(run) => {
+                debug_assert_eq!(run.region, r, "TxEnd region mismatch (slow)");
+                self.threads[ti].retries = 0;
+                Directive::Continue
+            }
+            Phase::Outside(_) => unreachable!("TxEnd without an open region"),
+        }
     }
 
+    /// Loop-cut probe. In fast mode, may split the transaction;
+    /// after a rollback that targeted this probe, re-enters the region.
     fn loop_cut_probe(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, l: LoopId) -> Directive {
-        self.probe(ev.thread, l, mem, ev)
+        let t = ev.thread;
+        let ti = t.index();
+        match &mut self.threads[ti].phase {
+            Phase::Outside(pending) => {
+                // An orphaned probe outside any region has nothing pending.
+                if let Some(entry) = pending.take() {
+                    self.enter(t, entry, mem, ev);
+                }
+                Directive::Continue
+            }
+            Phase::Fast(_) if self.loopcut.probe(t, l) => {
+                let Phase::Fast(txn) = std::mem::take(&mut self.threads[ti].phase) else {
+                    unreachable!()
+                };
+                let region = txn.region;
+                self.commit(t, Some(l), txn, mem, ev).unwrap_or_else(|| {
+                    self.begin_txn(region, Some(l), mem, ev);
+                    Directive::Continue
+                })
+            }
+            // No cut due, or on the slow path: nothing changes.
+            _ => Directive::Continue,
+        }
     }
 
     fn load(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr) -> u64 {
         let t = ev.thread;
         self.charge_base(t, self.cost.mem_access);
-        self.debug_assert_not_zombie(t);
-        if let Mode::Slow(_, trigger) = self.mode[t.index()] {
-            if !self.prune_elides(ev.site)
-                && self.production_gate(ev.site)
-                && self.slow_check_decision(t.index(), addr)
-            {
+        if let Phase::Slow(run) = self.threads[t.index()].phase {
+            if self.slow_check(run, ev.site, addr) {
                 self.ft.read(t, ev.site, addr);
-                self.charge_check(trigger);
             }
         }
         // Fast mode: transactional access. Slow/outside: non-transactional
@@ -935,14 +938,9 @@ impl Runtime for TxRaceEngine {
     fn store(&mut self, mem: &mut Memory, ev: &OpEvent<'_>, addr: Addr, val: u64) {
         let t = ev.thread;
         self.charge_base(t, self.cost.mem_access);
-        self.debug_assert_not_zombie(t);
-        if let Mode::Slow(_, trigger) = self.mode[t.index()] {
-            if !self.prune_elides(ev.site)
-                && self.production_gate(ev.site)
-                && self.slow_check_decision(t.index(), addr)
-            {
+        if let Phase::Slow(run) = self.threads[t.index()].phase {
+            if self.slow_check(run, ev.site, addr) {
                 self.ft.write(t, ev.site, addr);
-                self.charge_check(trigger);
             }
         }
         self.htm.write(t, mem, addr, val);
@@ -953,7 +951,6 @@ impl Runtime for TxRaceEngine {
         // not check them; they still participate in HTM conflict detection
         // (a benign-conflict source the slow path then filters).
         self.charge_base(ev.thread, self.cost.mem_access);
-        self.debug_assert_not_zombie(ev.thread);
         self.htm.rmw(ev.thread, mem, addr, delta)
     }
 }

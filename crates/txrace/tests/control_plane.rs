@@ -3,7 +3,7 @@
 //! the telemetry prefix), respect its overhead budget, trade recall
 //! monotonically against that budget, and re-tune the knobs it owns.
 
-use txrace::{recall, Detector, RunOutcome, Scheme, StaticPruneMode};
+use txrace::{recall, Detector, Knobs, RunOutcome, Scheme, StaticPruneMode};
 use txrace_workloads::by_name;
 
 fn production(app: &str, budget: f64, seed: u64) -> RunOutcome {
@@ -134,5 +134,26 @@ fn telemetry_is_consistent() {
             last.cum_overhead,
             out.overhead
         );
+    }
+}
+
+/// A configured sampling rate holds in every monitored epoch, including
+/// the windows a watch hit reopens after the run went idle: the
+/// controller re-arms monitoring, not a different rate.
+#[test]
+fn sampling_rate_survives_watch_window_reopen() {
+    let w = by_name("streamcluster", 4).expect("known app");
+    let cfg = w
+        .config(Scheme::production(1.2), 42)
+        .with_knobs(Knobs::default().with_sampling(0.5));
+    let out = Detector::new(cfg).run(&w.program);
+    assert!(out.completed());
+    let epochs = out.telemetry.expect("production emits telemetry").epochs;
+    assert!(
+        epochs.windows(2).any(|p| !p[0].active && p[1].active),
+        "the run must reopen a watch window after an idle epoch"
+    );
+    for e in epochs.iter().filter(|e| e.active) {
+        assert_eq!(e.sampling, 0.5, "active epoch {} lost the rate", e.index);
     }
 }

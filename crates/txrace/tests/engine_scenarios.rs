@@ -6,9 +6,14 @@
 //! conflict-address slow path, and the forward progress / correctness
 //! invariants of DESIGN.md §6.
 
-use txrace::{recall, Detector, LoopcutMode, RunConfig, SchedKind, Scheme, TxRaceOpts};
+use txrace::{
+    instrument, recall, Detector, EngineConfig, InstrumentConfig, LoopcutMode, RunConfig,
+    SchedKind, Scheme, TxRaceEngine, TxRaceOpts,
+};
 use txrace_htm::HtmConfig;
-use txrace_sim::{InterruptModel, Program, ProgramBuilder, ThreadId};
+use txrace_sim::{
+    InterruptKind, InterruptModel, Machine, Program, ProgramBuilder, RunStatus, Scheduler, ThreadId,
+};
 
 fn txrace_cfg(seed: u64) -> RunConfig {
     RunConfig::new(Scheme::txrace(), seed)
@@ -603,4 +608,85 @@ fn untracked_fast_path_sync_reports_false_positives() {
         assert_eq!(false_positives(TxRaceOpts::default()), 0, "{name}");
         assert!(false_positives(untracked) > 0, "{name}");
     }
+}
+
+/// Runs the lowest-numbered runnable thread (so thread 0 runs to its
+/// end first) and hits thread 0's `at`-th step with a transient
+/// interrupt. Counts thread 0's steps.
+struct Directed {
+    at: Option<u64>,
+    steps: u64,
+}
+
+impl Scheduler for Directed {
+    fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
+        runnable[0]
+    }
+
+    fn interrupt(&mut self, t: ThreadId) -> Option<InterruptKind> {
+        if t != ThreadId(0) {
+            return None;
+        }
+        self.steps += 1;
+        (Some(self.steps) == self.at).then_some(InterruptKind::Transient)
+    }
+}
+
+/// A transient abort of a transaction that a loop cut began rolls back
+/// to the cut's probe, and the retry starts a fresh transaction there.
+/// No cut began the retry, so its commit at the region's end does not
+/// grow the loop's threshold; only the abort-free run's last transaction
+/// earns that credit.
+#[test]
+fn retry_rolled_back_to_a_loop_cut_probe_earns_no_cut_credit() {
+    // Thread 0 runs the region twice, twelve fresh lines each, against an
+    // eight-line write capacity: the first instance capacity-aborts and
+    // activates the inner loop; the second is cut three times (after 2, 3
+    // and 4 iterations), and its last transaction ends at the region end.
+    let mut b = ProgramBuilder::new(2);
+    let arr = b.array("arr", 4096);
+    b.thread(0).loop_n(2, |tb| {
+        tb.loop_n(12, |tb| {
+            tb.write_arr(arr, 64, 1);
+        });
+        tb.syscall(txrace_sim::SyscallKind::Io);
+    });
+    let other = b.var("other");
+    b.thread(1).write(other, 1);
+    let p = b.build();
+    let ip = instrument(&p, &InstrumentConfig::default());
+    let cfg = EngineConfig {
+        htm: HtmConfig {
+            write_sets: 2,
+            write_ways: 4,
+            ..HtmConfig::default()
+        },
+        ..EngineConfig::default()
+    };
+    let run = |at: Option<u64>| {
+        let mut engine = TxRaceEngine::new(&ip, cfg.clone());
+        let mut sched = Directed { at, steps: 0 };
+        let r = Machine::new(&ip.program).run(&mut engine, &mut sched);
+        assert_eq!(r.status, RunStatus::Done);
+        (
+            engine.loopcut_profile().thresholds,
+            engine.stats(),
+            sched.steps,
+        )
+    };
+    let (clean, clean_stats, steps) = run(None);
+    assert_eq!(clean_stats.loop_cuts, 3);
+    assert_eq!(clean_stats.fast_retries, 0);
+    // Thread 0's last step runs after the region; the one before it is
+    // still inside the transaction the third cut began.
+    let (retried, stats, _) = run(Some(steps - 1));
+    assert_eq!(
+        stats.fast_retries, 1,
+        "the interrupt must abort a transaction"
+    );
+    assert_eq!(stats.loop_cuts, 3, "the retry must not change the cuts");
+    let [(l, clean_t)] = clean[..] else {
+        panic!("one learned loop expected: {clean:?}");
+    };
+    assert_eq!(retried, vec![(l, clean_t - 1)]);
 }
