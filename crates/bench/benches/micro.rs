@@ -4,11 +4,11 @@
 //! the reproduction runs), not the modeled cycle costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use txrace::{instrument, InstrumentConfig, SchedKind};
+use txrace::{instrument, Detector, InstrumentConfig, SchedKind, Scheme};
 use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
-    Addr, DirectRuntime, FairSched, LockId, Machine, Memory, ProgramBuilder, RandomSched,
+    Addr, DirectRuntime, EventLog, FairSched, LockId, Machine, Memory, ProgramBuilder, RandomSched,
     Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
 };
 
@@ -187,6 +187,23 @@ fn bench_exec_floor(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_trace(c: &mut Criterion) {
+    // The replay pipeline's wire step on a shipped racy workload: one
+    // recorded bodytrack run encoded to bytes, and those bytes decoded
+    // (and validated) back into a log.
+    let w = txrace_workloads::by_name("bodytrack", 4).expect("bundled workload");
+    let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
+    let bytes = log.to_bytes();
+    let mut g = c.benchmark_group("trace");
+    g.bench_function("encode_bodytrack", |b| {
+        b.iter(|| black_box(&log).to_bytes().len());
+    });
+    g.bench_function("decode_bodytrack", |b| {
+        b.iter(|| EventLog::from_bytes(black_box(&bytes)).map(|l| l.len()));
+    });
+    g.finish();
+}
+
 fn bench_instrument(c: &mut Criterion) {
     let mut b = ProgramBuilder::new(4);
     let l = b.lock_id("l");
@@ -214,6 +231,7 @@ criterion_group!(
     bench_dispatch,
     bench_sched,
     bench_exec_floor,
+    bench_trace,
     bench_instrument
 );
 criterion_main!(benches);

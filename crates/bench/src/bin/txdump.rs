@@ -98,12 +98,12 @@ fn print_stats(log: &EventLog, top_n: usize) {
     let total = log.len().max(1) as f64;
     let mut counts = std::collections::BTreeMap::new();
     // (reads, writes) per address; RMWs count as writes.
-    let mut heat: std::collections::HashMap<u64, (u64, u64)> = std::collections::HashMap::new();
+    let mut heat: std::collections::HashMap<u32, (u64, u64)> = std::collections::HashMap::new();
     for e in log.events() {
-        *counts.entry(kind_name(e.kind)).or_insert(0u64) += 1;
-        match e.kind {
-            TraceEventKind::Read => heat.entry(e.arg).or_default().0 += 1,
-            TraceEventKind::Write | TraceEventKind::Rmw => heat.entry(e.arg).or_default().1 += 1,
+        *counts.entry(kind_name(e.kind())).or_insert(0u64) += 1;
+        match e.kind() {
+            TraceEventKind::Read => heat.entry(e.arg()).or_default().0 += 1,
+            TraceEventKind::Write | TraceEventKind::Rmw => heat.entry(e.arg()).or_default().1 += 1,
             _ => {}
         }
     }
@@ -115,11 +115,11 @@ fn print_stats(log: &EventLog, top_n: usize) {
 
     // Per-channel traffic: each arg is a ChanId; sends and recvs must
     // balance in a completed run (the ChanTrafficImbalance lint's view).
-    let mut chan: std::collections::BTreeMap<u64, (u64, u64)> = std::collections::BTreeMap::new();
+    let mut chan: std::collections::BTreeMap<u32, (u64, u64)> = std::collections::BTreeMap::new();
     for e in log.events() {
-        match e.kind {
-            TraceEventKind::ChanSend => chan.entry(e.arg).or_default().0 += 1,
-            TraceEventKind::ChanRecv => chan.entry(e.arg).or_default().1 += 1,
+        match e.kind() {
+            TraceEventKind::ChanSend => chan.entry(e.arg()).or_default().0 += 1,
+            TraceEventKind::ChanRecv => chan.entry(e.arg()).or_default().1 += 1,
             _ => {}
         }
     }
@@ -145,7 +145,7 @@ fn print_stats(log: &EventLog, top_n: usize) {
         accesses as f64 / heat.len().max(1) as f64,
     );
 
-    let mut hottest: Vec<(u64, (u64, u64))> = heat.into_iter().collect();
+    let mut hottest: Vec<(u32, (u64, u64))> = heat.into_iter().collect();
     hottest.sort_by_key(|&(addr, (r, w))| (std::cmp::Reverse(r + w), addr));
     println!("\ntop {} hottest addresses:", top_n.min(hottest.len()));
     println!(
@@ -360,7 +360,7 @@ fn main() {
     if summary {
         let mut counts = std::collections::BTreeMap::new();
         for e in log.events() {
-            *counts.entry(kind_name(e.kind)).or_insert(0u64) += 1;
+            *counts.entry(kind_name(e.kind())).or_insert(0u64) += 1;
         }
         println!("\nevents by kind:");
         for (k, n) in counts {
@@ -370,8 +370,8 @@ fn main() {
     }
 
     let keep = |e: &TraceEvent| {
-        thread.is_none_or(|t| e.thread.0 == t)
-            && kinds.as_ref().is_none_or(|ks| ks.contains(&e.kind))
+        thread.is_none_or(|t| e.thread().0 == t)
+            && kinds.as_ref().is_none_or(|ks| ks.contains(&e.kind()))
     };
     let mut printed = 0usize;
     for (i, e) in log.events().iter().enumerate() {
@@ -385,12 +385,12 @@ fn main() {
         printed += 1;
         let label = w
             .program
-            .label_of(e.site)
+            .label_of(e.site())
             .map(|l| format!(" [{l}]"))
             .unwrap_or_default();
-        match e.kind {
+        match e.kind() {
             TraceEventKind::BarrierRelease => {
-                let (b, arrivals) = log.barriers().release_arrivals(e.arg);
+                let (b, arrivals) = log.barriers().release_arrivals(e.arg());
                 println!(
                     "  {i:>7}  {:<16} barrier {} releasing {} thread(s)",
                     "barrier-release",
@@ -399,16 +399,16 @@ fn main() {
                 );
             }
             TraceEventKind::ThreadDone => {
-                println!("  {i:>7}  {:<16} t{}", "thread-done", e.thread.0);
+                println!("  {i:>7}  {:<16} t{}", "thread-done", e.thread().0);
             }
             k => {
                 println!(
                     "  {i:>7}  {:<16} t{} site {}{} arg {}",
                     kind_name(k),
-                    e.thread.0,
-                    e.site.0,
+                    e.thread().0,
+                    e.site().0,
                     label,
-                    e.arg
+                    e.arg()
                 );
             }
         }

@@ -129,6 +129,11 @@ impl FastTrack {
         &self.races
     }
 
+    /// The races found, moved out of the detector.
+    pub fn into_races(self) -> RaceSet {
+        self.races
+    }
+
     /// Number of access checks performed (slow-path work metric).
     pub fn checks(&self) -> u64 {
         self.checks

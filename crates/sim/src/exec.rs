@@ -289,6 +289,11 @@ impl Machine {
         &self.memory
     }
 
+    /// Consumes the machine, returning its memory without a copy.
+    pub fn into_memory(self) -> Memory {
+        self.memory
+    }
+
     /// Runs to completion with no step limit.
     ///
     /// Generic over the scheduler, so a concrete one (such as
@@ -1258,7 +1263,7 @@ mod tests {
 
     fn is_per_op(e: &crate::trace::TraceEvent) -> bool {
         use crate::trace::TraceEventKind as K;
-        !matches!(e.kind, K::BarrierRelease | K::ThreadDone)
+        !matches!(e.kind(), K::BarrierRelease | K::ThreadDone)
     }
 
     #[test]
@@ -1315,8 +1320,8 @@ mod tests {
             let delivered: Vec<_> = events[op.first_event..end]
                 .iter()
                 .filter(|e| is_per_op(e))
-                .inspect(|e| assert_eq!((e.thread, e.site), (t, op.site), "{t} pc {pc}"))
-                .map(|e| (e.kind, e.arg))
+                .inspect(|e| assert_eq!((e.thread(), e.site()), (t, op.site), "{t} pc {pc}"))
+                .map(|e| (e.kind(), u64::from(e.arg())))
                 .collect();
             assert_eq!(op.site, instr.site(), "{t} pc {pc}");
             let want = expected(th.decode_op(instr), op.idx);
@@ -1344,14 +1349,14 @@ mod tests {
         assert_eq!(&rt.log.barriers, log.barriers());
 
         let events = &rt.log.events;
-        let kinds: std::collections::BTreeSet<u8> = events.iter().map(|e| e.kind as u8).collect();
+        let kinds: std::collections::BTreeSet<u8> = events.iter().map(|e| e.kind() as u8).collect();
         assert_eq!(
             kinds.len(),
             TraceEventKind::ChanRecv as usize + 1,
             "every kind"
         );
         assert!(
-            events.iter().all(|e| e.site.0 < first_marker),
+            events.iter().all(|e| e.site().0 < first_marker),
             "a marker delivered an event"
         );
         let markers: Vec<_> = rt.ops.iter().filter(|o| o.site.0 >= first_marker).collect();

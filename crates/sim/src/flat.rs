@@ -328,6 +328,14 @@ mod tests {
         assert_eq!(std::mem::size_of::<InstrKind>(), 1);
     }
 
+    /// The trace event is its own 12-byte wire record; a growth would
+    /// break that identity as well as double every replay walk's bytes.
+    #[test]
+    fn trace_event_is_packed_to_12_bytes() {
+        assert_eq!(std::mem::size_of::<crate::TraceEvent>(), 12);
+        assert_eq!(std::mem::size_of::<crate::TraceEventKind>(), 1);
+    }
+
     #[test]
     fn flattening_patches_loop_targets() {
         let mut b = ProgramBuilder::new(1);

@@ -71,7 +71,8 @@ pub use sched::{
 pub use summary::{dynamic_site_counts, summarize, LockSet, Phase, ProgramSummary, SiteAccess};
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
-    TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_ADDR, MAX_LOG_THREADS,
+    TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_ADDR, MAX_LOG_BARRIERS, MAX_LOG_CHANS,
+    MAX_LOG_CONDS, MAX_LOG_LOCKS, MAX_LOG_THREADS,
 };
 
 /// A runtime that executes memory operations directly against memory with

@@ -1,6 +1,7 @@
 //! The simulated shared memory.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::addr::Addr;
 
@@ -89,9 +90,17 @@ impl Memory {
             .enumerate()
             .filter_map(|(p, page)| page.as_deref().map(|page| (p, page)))
             .flat_map(|(p, page)| {
-                (0..PAGE_SIZE)
-                    .filter(move |&off| page.is_written(off))
-                    .map(move |off| (Addr(((p << PAGE_BITS) | off) as u64), page.vals[off]))
+                page.written.iter().enumerate().flat_map(move |(w, &bits)| {
+                    // The set bits of one written word, lowest first.
+                    let mut bits = bits;
+                    std::iter::from_fn(move || {
+                        (bits != 0).then(|| {
+                            let off = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            (Addr(((p << PAGE_BITS) | off) as u64), page.vals[off])
+                        })
+                    })
+                })
             })
     }
 
@@ -232,6 +241,13 @@ impl PartialEq for Memory {
 }
 
 impl Eq for Memory {}
+
+/// Compares with a shared memory, such as a run outcome's.
+impl PartialEq<Arc<Memory>> for Memory {
+    fn eq(&self, other: &Arc<Memory>) -> bool {
+        self == &**other
+    }
+}
 
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

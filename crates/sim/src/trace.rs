@@ -7,9 +7,17 @@
 //! [`TraceConsumer`]s — each replay observes the *identical* method-call
 //! sequence a live pure observer would have seen under the same seed, so
 //! detection results are bit-identical between the two paths. Logs are
-//! compact: one 24-byte [`TraceEvent`] per schedule-visible event, all
-//! identities dense `u32` ids, barrier arrival lists stored once in a
-//! side table.
+//! compact: one 12-byte [`TraceEvent`] per schedule-visible event, all
+//! identities dense ids, barrier arrival lists stored once in a side
+//! table, and the final memory shared (one [`Arc`]) by every outcome
+//! assembled from the log.
+//!
+//! The encoded form ([`EventLog::to_bytes`], format version
+//! [`LOG_VERSION`]) stores each event as the same 12-byte little-endian
+//! record it is in memory, so encoding writes the records as they are and
+//! decoding is one validating pass over them.
+
+use std::sync::Arc;
 
 use crate::addr::Addr;
 use crate::exec::{RunResult, RunStatus, StepLimit};
@@ -58,20 +66,198 @@ pub enum TraceEventKind {
     ChanRecv,
 }
 
-/// One schedule-visible event in an [`EventLog`]: a compact (24-byte)
-/// dense-id record whose `arg` field is interpreted per
-/// [`TraceEventKind`].
+/// Every [`TraceEventKind`], indexed by its `#[repr(u8)]` code.
+const KINDS: [TraceEventKind; 16] = {
+    use TraceEventKind::*;
+    [
+        Read,
+        Write,
+        Rmw,
+        Acquire,
+        Release,
+        Signal,
+        Wait,
+        Spawn,
+        Join,
+        BarrierArrive,
+        BarrierRelease,
+        ThreadDone,
+        Compute,
+        Syscall,
+        ChanSend,
+        ChanRecv,
+    ]
+};
+
+/// One schedule-visible event in an [`EventLog`]: a 12-byte dense-id
+/// record (kind `u8`, a zero pad byte, thread `u16`, site `u32`, arg
+/// `u32`) whose `arg` is interpreted per [`TraceEventKind`].
+///
+/// The layout is also the wire format: [`EventLog::to_bytes`] writes each
+/// field little-endian at its in-memory offset, so on a little-endian
+/// host an encoded event is byte for byte the record itself. The widths
+/// hold every event a log can carry: threads are capped at
+/// [`MAX_LOG_THREADS`], addresses at [`MAX_LOG_ADDR`] (`2^32`), and every
+/// other `arg` is a `u32` id or count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct TraceEvent {
+    kind: TraceEventKind,
+    /// Always zero; keeps `thread` at its natural offset.
+    pad: u8,
+    thread: u16,
+    site: u32,
+    arg: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == TraceEvent::BYTES);
+
+impl TraceEvent {
+    /// Size of one event, in memory and encoded.
+    pub const BYTES: usize = 12;
+
+    /// An event of `kind` on `thread` (which the recorder has already
+    /// bounded by [`MAX_LOG_THREADS`]).
+    fn new(kind: TraceEventKind, thread: ThreadId, site: SiteId, arg: u32) -> Self {
+        TraceEvent {
+            kind,
+            pad: 0,
+            thread: thread.0 as u16,
+            site: site.0,
+            arg,
+        }
+    }
+
     /// What happened.
-    pub kind: TraceEventKind,
+    #[inline]
+    pub fn kind(&self) -> TraceEventKind {
+        self.kind
+    }
+
     /// Executing thread (unused for [`TraceEventKind::BarrierRelease`]).
-    pub thread: ThreadId,
+    #[inline]
+    pub fn thread(&self) -> ThreadId {
+        ThreadId(u32::from(self.thread))
+    }
+
     /// Static site (unused for [`TraceEventKind::BarrierRelease`] and
     /// [`TraceEventKind::ThreadDone`]).
-    pub site: SiteId,
+    #[inline]
+    pub fn site(&self) -> SiteId {
+        SiteId(self.site)
+    }
+
     /// Kind-specific payload — see [`TraceEventKind`].
-    pub arg: u64,
+    #[inline]
+    pub fn arg(&self) -> u32 {
+        self.arg
+    }
+
+    /// The record's 12 wire bytes.
+    #[inline]
+    fn to_le_bytes(self) -> [u8; TraceEvent::BYTES] {
+        let [t0, t1] = self.thread.to_le_bytes();
+        let [s0, s1, s2, s3] = self.site.to_le_bytes();
+        let [a0, a1, a2, a3] = self.arg.to_le_bytes();
+        [self.kind as u8, 0, t0, t1, s0, s1, s2, s3, a0, a1, a2, a3]
+    }
+
+    /// Reads one 12-byte record, accepting it only if its kind code is
+    /// known, its pad byte is zero, its thread is below `threads`, its
+    /// `arg` is below `limits[kind]`, and a spawn or join does not name its
+    /// own thread. [`bad_event`] says why a record was refused.
+    #[inline]
+    fn from_le_bytes(rec: &[u8], threads: u64, limits: &ArgLimits) -> Option<Self> {
+        let &[code, pad, t0, t1, s0, s1, s2, s3, a0, a1, a2, a3] = rec else {
+            return None;
+        };
+        let thread = u16::from_le_bytes([t0, t1]);
+        let arg = u32::from_le_bytes([a0, a1, a2, a3]);
+        let kind = *KINDS.get(usize::from(code))?;
+        let valid = pad == 0
+            && u64::from(thread) < threads
+            && u64::from(arg) < limits[usize::from(code)]
+            && !(is_fork_or_join(kind) && arg == u32::from(thread));
+        valid.then_some(TraceEvent {
+            kind,
+            pad,
+            thread,
+            site: u32::from_le_bytes([s0, s1, s2, s3]),
+            arg,
+        })
+    }
+}
+
+/// Appends every event's 12-byte record to `out` (kept out of line so the
+/// loop is optimized on its own).
+#[inline(never)]
+fn encode_events(events: &[TraceEvent], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + TraceEvent::BYTES * events.len(), 0);
+    for (rec, e) in out[start..].chunks_exact_mut(TraceEvent::BYTES).zip(events) {
+        rec.copy_from_slice(&e.to_le_bytes());
+    }
+}
+
+/// Decodes `body`, a whole number of 12-byte records, in one validating
+/// pass (kept out of line so the loop is optimized on its own).
+#[inline(never)]
+fn decode_events(body: &[u8], threads: u64, limits: &ArgLimits) -> Result<Vec<TraceEvent>, String> {
+    let mut events = Vec::with_capacity(body.len() / TraceEvent::BYTES);
+    for rec in body.chunks_exact(TraceEvent::BYTES) {
+        let Some(e) = TraceEvent::from_le_bytes(rec, threads, limits) else {
+            return Err(bad_event(rec, threads, limits));
+        };
+        events.push(e);
+    }
+    Ok(events)
+}
+
+/// Spawns and joins name a child thread, never the executing one.
+#[inline]
+fn is_fork_or_join(kind: TraceEventKind) -> bool {
+    matches!(kind, TraceEventKind::Spawn | TraceEventKind::Join)
+}
+
+/// Per-kind exclusive upper bounds on a decoded event's `arg`, indexed by
+/// kind code.
+type ArgLimits = [u64; KINDS.len()];
+
+/// Describes why [`TraceEvent::from_le_bytes`] rejected the record `rec`.
+#[cold]
+fn bad_event(rec: &[u8], threads: u64, limits: &ArgLimits) -> String {
+    use TraceEventKind::*;
+    let &[code, pad, t0, t1, _, _, _, _, a0, a1, a2, a3] = rec else {
+        return "truncated log".into();
+    };
+    let thread = u16::from_le_bytes([t0, t1]);
+    let arg = u32::from_le_bytes([a0, a1, a2, a3]);
+    let Some(&kind) = KINDS.get(usize::from(code)) else {
+        return format!("bad event kind {code}");
+    };
+    if pad != 0 {
+        return format!("{kind:?} event with nonzero pad byte {pad}");
+    }
+    if u64::from(thread) >= threads {
+        return format!("event thread {thread} out of range for {threads} threads");
+    }
+    if is_fork_or_join(kind) && arg == u32::from(thread) {
+        return format!("{kind:?} of thread {thread} by itself");
+    }
+    let what = match kind {
+        Acquire | Release => "lock",
+        Signal | Wait => "condition",
+        Spawn | Join => "child thread",
+        BarrierArrive => "barrier",
+        BarrierRelease => "barrier release",
+        Syscall => "syscall code",
+        ChanSend | ChanRecv => "channel",
+        Read | Write | Rmw | ThreadDone | Compute => "argument",
+    };
+    format!(
+        "{kind:?} {what} {arg} out of range (limit {})",
+        limits[usize::from(code)]
+    )
 }
 
 /// Loop-weighted static operation counts of a program, by base-cost
@@ -119,37 +305,69 @@ pub struct BarrierTable {
 
 impl BarrierTable {
     /// Appends one release and returns the `arg` its event carries.
-    fn push(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) -> u64 {
+    fn push(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) -> u32 {
         let start = self.arrivals.len() as u32;
         self.arrivals.extend_from_slice(arrivals);
         self.releases.push((b, start, arrivals.len() as u32));
-        self.releases.len() as u64 - 1
+        self.releases.len() as u32 - 1
     }
 
     /// The barrier and arrival list (in arrival order) of a
     /// [`TraceEventKind::BarrierRelease`] event; pass the event's `arg`.
-    pub fn release_arrivals(&self, release_idx: u64) -> (BarrierId, &[(ThreadId, SiteId)]) {
+    pub fn release_arrivals(&self, release_idx: u32) -> (BarrierId, &[(ThreadId, SiteId)]) {
         let (b, start, len) = self.releases[release_idx as usize];
         (b, &self.arrivals[start as usize..(start + len) as usize])
     }
 
-    /// Rejects a decoded table that [`release_arrivals`] would index out
-    /// of bounds: a release event naming no release (`max_release` is the
-    /// largest `arg` of any), or a release range that overflows or runs
-    /// past the arrivals.
-    ///
-    /// [`release_arrivals`]: BarrierTable::release_arrivals
-    fn check(&self, max_release: Option<u64>) -> Result<(), String> {
-        if let Some(r) = max_release.filter(|&r| r >= self.releases.len() as u64) {
-            return Err(format!("barrier release {r} out of range"));
+    /// Writes the arrival count and entries, then the release count and
+    /// entries.
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.arrivals.len() as u64);
+        for &(t, s) in &self.arrivals {
+            out.extend_from_slice(&t.0.to_le_bytes());
+            out.extend_from_slice(&s.0.to_le_bytes());
         }
+        put_u64(out, self.releases.len() as u64);
         for &(b, start, len) in &self.releases {
-            match start.checked_add(len) {
-                Some(end) if end as usize <= self.arrivals.len() => {}
-                _ => return Err(format!("barrier {} arrivals out of range", b.0)),
-            }
+            out.extend_from_slice(&b.0.to_le_bytes());
+            out.extend_from_slice(&start.to_le_bytes());
+            out.extend_from_slice(&len.to_le_bytes());
         }
-        Ok(())
+    }
+
+    /// Reads a table written by `encode`, rejecting any entry that
+    /// [`release_arrivals`](BarrierTable::release_arrivals) or a replayed
+    /// detector would index out of bounds: an arrival thread at or above
+    /// `threads`, a barrier id at or above `barriers`, or a release range
+    /// that overflows or runs past the arrivals.
+    fn decode(c: &mut Cursor<'_>, threads: u64, barriers: u32) -> Result<Self, String> {
+        let n_arrivals = c.len(8)?;
+        let mut arrivals = Vec::with_capacity(n_arrivals);
+        for _ in 0..n_arrivals {
+            let t = c.u32()?;
+            if u64::from(t) >= threads {
+                return Err(format!(
+                    "barrier arrival thread {t} out of range for {threads} threads"
+                ));
+            }
+            arrivals.push((ThreadId(t), SiteId(c.u32()?)));
+        }
+        let n_releases = c.len(12)?;
+        let mut releases = Vec::with_capacity(n_releases);
+        for _ in 0..n_releases {
+            let (b, start, len) = (c.u32()?, c.u32()?, c.u32()?);
+            if b >= barriers {
+                return Err(format!(
+                    "released barrier {b} out of range for {barriers} barriers"
+                ));
+            }
+            match start.checked_add(len) {
+                Some(end) if end as usize <= arrivals.len() => {}
+                _ => return Err(format!("barrier {b} arrivals out of range")),
+            }
+            releases.push((BarrierId(b), start, len));
+        }
+        Ok(BarrierTable { arrivals, releases })
     }
 }
 
@@ -167,55 +385,58 @@ impl EventLogBuilder {
         Self::default()
     }
 
-    fn push(&mut self, kind: TraceEventKind, thread: ThreadId, site: SiteId, arg: u64) {
-        self.events.push(TraceEvent {
-            kind,
-            thread,
-            site,
-            arg,
-        });
+    fn push(&mut self, kind: TraceEventKind, thread: ThreadId, site: SiteId, arg: u32) {
+        self.events.push(TraceEvent::new(kind, thread, site, arg));
+    }
+
+    /// Records an access, whose address must fit the event's `arg`.
+    fn access(&mut self, kind: TraceEventKind, t: ThreadId, site: SiteId, addr: Addr) {
+        let Ok(arg) = u32::try_from(addr.0) else {
+            panic!("access address {addr} at or above MAX_LOG_ADDR ({MAX_LOG_ADDR:#x})");
+        };
+        self.push(kind, t, site, arg);
     }
 }
 
 impl TraceConsumer for EventLogBuilder {
     fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Read, t, site, addr.0);
+        self.access(TraceEventKind::Read, t, site, addr);
     }
 
     fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Write, t, site, addr.0);
+        self.access(TraceEventKind::Write, t, site, addr);
     }
 
     fn rmw(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.push(TraceEventKind::Rmw, t, site, addr.0);
+        self.access(TraceEventKind::Rmw, t, site, addr);
     }
 
     fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.push(TraceEventKind::Acquire, t, site, u64::from(l.0));
+        self.push(TraceEventKind::Acquire, t, site, l.0);
     }
 
     fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
-        self.push(TraceEventKind::Release, t, site, u64::from(l.0));
+        self.push(TraceEventKind::Release, t, site, l.0);
     }
 
     fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.push(TraceEventKind::Signal, t, site, u64::from(c.0));
+        self.push(TraceEventKind::Signal, t, site, c.0);
     }
 
     fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
-        self.push(TraceEventKind::Wait, t, site, u64::from(c.0));
+        self.push(TraceEventKind::Wait, t, site, c.0);
     }
 
     fn spawn(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.push(TraceEventKind::Spawn, t, site, u64::from(child.0));
+        self.push(TraceEventKind::Spawn, t, site, child.0);
     }
 
     fn join(&mut self, t: ThreadId, site: SiteId, child: ThreadId) {
-        self.push(TraceEventKind::Join, t, site, u64::from(child.0));
+        self.push(TraceEventKind::Join, t, site, child.0);
     }
 
     fn barrier_arrive(&mut self, t: ThreadId, site: SiteId, b: BarrierId) {
-        self.push(TraceEventKind::BarrierArrive, t, site, u64::from(b.0));
+        self.push(TraceEventKind::BarrierArrive, t, site, b.0);
     }
 
     fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
@@ -229,24 +450,19 @@ impl TraceConsumer for EventLogBuilder {
     }
 
     fn compute(&mut self, t: ThreadId, site: SiteId, units: u32) {
-        self.push(TraceEventKind::Compute, t, site, u64::from(units));
+        self.push(TraceEventKind::Compute, t, site, units);
     }
 
     fn syscall(&mut self, t: ThreadId, site: SiteId, kind: SyscallKind) {
-        self.push(
-            TraceEventKind::Syscall,
-            t,
-            site,
-            u64::from(syscall_code(kind)),
-        );
+        self.push(TraceEventKind::Syscall, t, site, syscall_code(kind));
     }
 
     fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.push(TraceEventKind::ChanSend, t, site, u64::from(ch.0));
+        self.push(TraceEventKind::ChanSend, t, site, ch.0);
     }
 
     fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
-        self.push(TraceEventKind::ChanRecv, t, site, u64::from(ch.0));
+        self.push(TraceEventKind::ChanRecv, t, site, ch.0);
     }
 
     fn thread_done(&mut self, t: ThreadId) {
@@ -254,19 +470,31 @@ impl TraceConsumer for EventLogBuilder {
     }
 }
 
+/// The declared sizes of a log's synchronization id spaces: every lock,
+/// condition, barrier and channel id in the log is below its count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdCounts {
+    locks: u32,
+    conds: u32,
+    barriers: u32,
+    chans: u32,
+}
+
 /// One recorded execution, replayable into any number of
 /// [`TraceConsumer`]s. Carries everything a replayed analysis needs that
 /// a live run would otherwise pull from the machine or the program: the
-/// final memory state, the interpreter result, and a static [`OpCensus`]
+/// final memory state (shared, so outcomes assembled from the log hold it
+/// without copying), the interpreter result, and a static [`OpCensus`]
 /// for cost accounting.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     threads: usize,
+    ids: IdCounts,
     events: Vec<TraceEvent>,
     barriers: BarrierTable,
     census: OpCensus,
     result: RunResult,
-    memory: Memory,
+    memory: Arc<Memory>,
 }
 
 impl EventLog {
@@ -300,8 +528,9 @@ impl EventLog {
         &self.result
     }
 
-    /// Final shared-memory state of the recorded run.
-    pub fn final_memory(&self) -> &Memory {
+    /// Final shared-memory state of the recorded run. Clone the [`Arc`]
+    /// to share it.
+    pub fn final_memory(&self) -> &Arc<Memory> {
         &self.memory
     }
 
@@ -311,15 +540,30 @@ impl EventLog {
     }
 
     /// Serializes the log to a stable, self-describing byte format
-    /// (little-endian, magic + version header) for the on-disk trace
-    /// cache. [`from_bytes`](EventLog::from_bytes) round-trips exactly:
+    /// (little-endian, magic + version header; events as their 12-byte
+    /// records). [`from_bytes`](EventLog::from_bytes) round-trips exactly:
     /// replaying a deserialized log drives a consumer through the
     /// identical call sequence.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.events.len() * 17 + self.memory.len() * 16);
+        let b = &self.barriers;
+        let mut out = Vec::with_capacity(
+            16 * 8
+                + 8 * b.arrivals.len()
+                + 12 * b.releases.len()
+                + TraceEvent::BYTES * self.events.len()
+                + 16 * self.memory.len(),
+        );
         put_u64(&mut out, LOG_MAGIC);
         put_u64(&mut out, LOG_VERSION);
         put_u64(&mut out, self.threads as u64);
+        for n in [
+            self.ids.locks,
+            self.ids.conds,
+            self.ids.barriers,
+            self.ids.chans,
+        ] {
+            put_u64(&mut out, u64::from(n));
+        }
         put_u64(&mut out, self.census.mem_accesses);
         put_u64(&mut out, self.census.compute_units);
         put_u64(&mut out, self.census.sync_ops);
@@ -335,24 +579,9 @@ impl EventLog {
                 out.extend_from_slice(msg.as_bytes());
             }
         }
+        b.encode(&mut out);
         put_u64(&mut out, self.events.len() as u64);
-        for e in &self.events {
-            out.push(e.kind as u8);
-            out.extend_from_slice(&e.thread.0.to_le_bytes());
-            out.extend_from_slice(&e.site.0.to_le_bytes());
-            put_u64(&mut out, e.arg);
-        }
-        put_u64(&mut out, self.barriers.arrivals.len() as u64);
-        for &(t, s) in &self.barriers.arrivals {
-            out.extend_from_slice(&t.0.to_le_bytes());
-            out.extend_from_slice(&s.0.to_le_bytes());
-        }
-        put_u64(&mut out, self.barriers.releases.len() as u64);
-        for &(b, start, len) in &self.barriers.releases {
-            out.extend_from_slice(&b.0.to_le_bytes());
-            out.extend_from_slice(&start.to_le_bytes());
-            out.extend_from_slice(&len.to_le_bytes());
-        }
+        encode_events(&self.events, &mut out);
         put_u64(&mut out, self.memory.len() as u64);
         for (a, v) in self.memory.iter() {
             put_u64(&mut out, a.0);
@@ -365,16 +594,19 @@ impl EventLog {
     ///
     /// # Errors
     ///
-    /// A description of the corruption (bad magic, unknown version,
-    /// truncation, invalid event kind or syscall code, a barrier release
-    /// that indexes past the side table, a thread count of zero or above
-    /// [`MAX_LOG_THREADS`], a thread id — executing thread, spawned or
-    /// joined child, barrier arrival — at or above the thread count, a
-    /// lock, condition, barrier or channel id or a compute count that does
-    /// not fit `u32`, an access or final-memory address at or above
-    /// [`MAX_LOG_ADDR`]).
-    /// Every log this accepts replays without panicking. Cache readers
-    /// treat any error as a miss and re-record.
+    /// A description of the corruption: bad magic, unknown version,
+    /// truncation or trailing bytes, a thread count of zero or above
+    /// [`MAX_LOG_THREADS`], a lock, condition, barrier or channel count
+    /// above [`MAX_LOG_LOCKS`], [`MAX_LOG_CONDS`], [`MAX_LOG_BARRIERS`] or
+    /// [`MAX_LOG_CHANS`], an invalid event kind, a nonzero pad byte, a
+    /// thread id (executing thread, spawned or joined child, barrier
+    /// arrival) at or above the thread count, a lock, condition, barrier
+    /// or channel id at or above its declared count, a syscall code or
+    /// barrier release out of range, a release range past the arrival
+    /// table, or final-memory cells out of address order or at or above
+    /// [`MAX_LOG_ADDR`].
+    /// Every log this accepts replays without panicking, and re-encodes to
+    /// the bytes it was decoded from.
     pub fn from_bytes(bytes: &[u8]) -> Result<EventLog, String> {
         let mut c = Cursor { b: bytes, pos: 0 };
         if c.u64()? != LOG_MAGIC {
@@ -390,14 +622,11 @@ impl EventLog {
                 "thread count {threads} outside 1..={MAX_LOG_THREADS}"
             ));
         }
-        let in_range = |t: u64, what: &str| {
-            if t < threads {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{what} thread {t} out of range for {threads} threads"
-                ))
-            }
+        let ids = IdCounts {
+            locks: c.count("lock", MAX_LOG_LOCKS)?,
+            conds: c.count("condition", MAX_LOG_CONDS)?,
+            barriers: c.count("barrier", MAX_LOG_BARRIERS)?,
+            chans: c.count("channel", MAX_LOG_CHANS)?,
         };
         let census = OpCensus {
             mem_accesses: c.u64()?,
@@ -411,73 +640,31 @@ impl EventLog {
             1 => RunStatus::Deadlock,
             2 => RunStatus::StepLimit,
             3 => {
-                let len = c.u64()? as usize;
+                let len = c.len(1)?;
                 let raw = c.take(len)?;
                 RunStatus::Fault(String::from_utf8(raw.to_vec()).map_err(|_| "bad fault string")?)
             }
             s => return Err(format!("unknown run status {s}")),
         };
-        let n_events = c.u64()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(bytes.len() / 17));
-        let mut max_release = None;
-        for _ in 0..n_events {
-            let code = c.u8()?;
-            let kind = kind_from_code(code).ok_or_else(|| format!("bad event kind {code}"))?;
-            let e = TraceEvent {
-                kind,
-                thread: ThreadId(c.u32()?),
-                site: SiteId(c.u32()?),
-                arg: c.u64()?,
-            };
-            in_range(u64::from(e.thread.0), "event")?;
+        let barriers = BarrierTable::decode(&mut c, threads, ids.barriers)?;
+        let limits = KINDS.map(|kind| {
+            use TraceEventKind::*;
             match kind {
-                TraceEventKind::Syscall if e.arg >= SYSCALL_CODES.len() as u64 => {
-                    return Err(format!("bad syscall code {}", e.arg));
-                }
-                TraceEventKind::Spawn | TraceEventKind::Join => in_range(e.arg, "child")?,
-                TraceEventKind::BarrierRelease => max_release = max_release.max(Some(e.arg)),
-                TraceEventKind::Read | TraceEventKind::Write | TraceEventKind::Rmw
-                    if e.arg >= MAX_LOG_ADDR =>
-                {
-                    return Err(format!(
-                        "access address {:#x} at or above {MAX_LOG_ADDR:#x}",
-                        e.arg
-                    ));
-                }
-                // Replay narrows these to 32-bit ids (or unit counts); a
-                // wider value would alias another id.
-                TraceEventKind::Acquire
-                | TraceEventKind::Release
-                | TraceEventKind::Signal
-                | TraceEventKind::Wait
-                | TraceEventKind::BarrierArrive
-                | TraceEventKind::ChanSend
-                | TraceEventKind::ChanRecv
-                | TraceEventKind::Compute
-                    if e.arg > u64::from(u32::MAX) =>
-                {
-                    return Err(format!("{kind:?} argument {} does not fit u32", e.arg));
-                }
-                _ => {}
+                Read | Write | Rmw | ThreadDone | Compute => 1 << 32,
+                Acquire | Release => u64::from(ids.locks),
+                Signal | Wait => u64::from(ids.conds),
+                Spawn | Join => threads,
+                BarrierArrive => u64::from(ids.barriers),
+                BarrierRelease => barriers.releases.len() as u64,
+                Syscall => SYSCALL_CODES.len() as u64,
+                ChanSend | ChanRecv => u64::from(ids.chans),
             }
-            events.push(e);
-        }
-        let n_arrivals = c.u64()? as usize;
-        let mut arrivals = Vec::with_capacity(n_arrivals.min(bytes.len() / 8));
-        for _ in 0..n_arrivals {
-            let t = c.u32()?;
-            in_range(u64::from(t), "barrier arrival")?;
-            arrivals.push((ThreadId(t), SiteId(c.u32()?)));
-        }
-        let n_releases = c.u64()? as usize;
-        let mut releases = Vec::with_capacity(n_releases.min(bytes.len() / 12));
-        for _ in 0..n_releases {
-            releases.push((BarrierId(c.u32()?), c.u32()?, c.u32()?));
-        }
-        let barriers = BarrierTable { arrivals, releases };
-        barriers.check(max_release)?;
-        let n_cells = c.u64()? as usize;
+        });
+        let n_events = c.len(TraceEvent::BYTES)?;
+        let events = decode_events(c.take(n_events * TraceEvent::BYTES)?, threads, &limits)?;
+        let n_cells = c.len(16)?;
         let mut memory = Memory::new();
+        let mut next = 0;
         for _ in 0..n_cells {
             let a = Addr(c.u64()?);
             let v = c.u64()?;
@@ -486,6 +673,10 @@ impl EventLog {
                     "memory cell address {a} at or above {MAX_LOG_ADDR:#x}"
                 ));
             }
+            if a.0 < next {
+                return Err(format!("memory cell address {a} out of order"));
+            }
+            next = a.0 + 1;
             memory.store(a, v);
         }
         if c.pos != bytes.len() {
@@ -493,11 +684,12 @@ impl EventLog {
         }
         Ok(EventLog {
             threads: threads as usize,
+            ids,
             events,
             barriers,
             census,
             result: RunResult { status, steps },
-            memory,
+            memory: Arc::new(memory),
         })
     }
 
@@ -540,32 +732,31 @@ fn deliver<C: TraceConsumer>(e: &TraceEvent, barriers: &BarrierTable, consumers:
             }
         };
     }
-    let (t, site) = (e.thread, e.site);
+    let (t, site, arg) = (e.thread(), e.site(), e.arg);
+    let addr = Addr(u64::from(arg));
     match e.kind {
-        TraceEventKind::Read => each!(|c| c.read(t, site, Addr(e.arg))),
-        TraceEventKind::Write => each!(|c| c.write(t, site, Addr(e.arg))),
-        TraceEventKind::Rmw => each!(|c| c.rmw(t, site, Addr(e.arg))),
-        TraceEventKind::Acquire => each!(|c| c.acquire(t, site, LockId(e.arg as u32))),
-        TraceEventKind::Release => each!(|c| c.release(t, site, LockId(e.arg as u32))),
-        TraceEventKind::Signal => each!(|c| c.signal(t, site, CondId(e.arg as u32))),
-        TraceEventKind::Wait => each!(|c| c.wait(t, site, CondId(e.arg as u32))),
-        TraceEventKind::Spawn => each!(|c| c.spawn(t, site, ThreadId(e.arg as u32))),
-        TraceEventKind::Join => each!(|c| c.join(t, site, ThreadId(e.arg as u32))),
-        TraceEventKind::BarrierArrive => {
-            each!(|c| c.barrier_arrive(t, site, BarrierId(e.arg as u32)))
-        }
+        TraceEventKind::Read => each!(|c| c.read(t, site, addr)),
+        TraceEventKind::Write => each!(|c| c.write(t, site, addr)),
+        TraceEventKind::Rmw => each!(|c| c.rmw(t, site, addr)),
+        TraceEventKind::Acquire => each!(|c| c.acquire(t, site, LockId(arg))),
+        TraceEventKind::Release => each!(|c| c.release(t, site, LockId(arg))),
+        TraceEventKind::Signal => each!(|c| c.signal(t, site, CondId(arg))),
+        TraceEventKind::Wait => each!(|c| c.wait(t, site, CondId(arg))),
+        TraceEventKind::Spawn => each!(|c| c.spawn(t, site, ThreadId(arg))),
+        TraceEventKind::Join => each!(|c| c.join(t, site, ThreadId(arg))),
+        TraceEventKind::BarrierArrive => each!(|c| c.barrier_arrive(t, site, BarrierId(arg))),
         TraceEventKind::BarrierRelease => {
-            let (b, arrivals) = barriers.release_arrivals(e.arg);
+            let (b, arrivals) = barriers.release_arrivals(arg);
             each!(|c| c.barrier_release(b, arrivals))
         }
         TraceEventKind::ThreadDone => each!(|c| c.thread_done(t)),
-        TraceEventKind::Compute => each!(|c| c.compute(t, site, e.arg as u32)),
+        TraceEventKind::Compute => each!(|c| c.compute(t, site, arg)),
         TraceEventKind::Syscall => {
-            let kind = SYSCALL_CODES[e.arg as usize];
+            let kind = SYSCALL_CODES[arg as usize];
             each!(|c| c.syscall(t, site, kind))
         }
-        TraceEventKind::ChanSend => each!(|c| c.chan_send(t, site, ChanId(e.arg as u32))),
-        TraceEventKind::ChanRecv => each!(|c| c.chan_recv(t, site, ChanId(e.arg as u32))),
+        TraceEventKind::ChanSend => each!(|c| c.chan_send(t, site, ChanId(arg))),
+        TraceEventKind::ChanRecv => each!(|c| c.chan_recv(t, site, ChanId(arg))),
     }
 }
 
@@ -596,7 +787,7 @@ fn is_sync_kind(kind: TraceEventKind) -> bool {
 /// barrier side table so the stream replays without the log in hand.
 ///
 /// A `SyncIndex` is **derived at decode time** ([`SyncIndex::of`]) and
-/// never serialized: the wire format stays the flat v2 event stream, and
+/// never serialized: the wire format stays the flat event stream, and
 /// a corrupted or adversarial index can never disagree with the log it
 /// was built from. Shards consume this shared stream plus their own
 /// [`AccessPartition`] slice through a two-cursor merge
@@ -706,7 +897,7 @@ impl AccessPartition {
         let mut slices: Vec<Vec<(u64, TraceEvent)>> = (0..shards).map(|_| Vec::new()).collect();
         for (i, e) in log.events.iter().enumerate() {
             if matches!(e.kind, TraceEventKind::Read | TraceEventKind::Write) {
-                slices[route(Addr(e.arg), shards)].push((i as u64, *e));
+                slices[route(Addr(u64::from(e.arg)), shards)].push((i as u64, *e));
             }
         }
         AccessPartition { slices }
@@ -740,19 +931,52 @@ impl AccessPartition {
 /// no detection) observed by an [`EventLogBuilder`]; because observers
 /// are schedule-invisible, any pure-observer detector replayed from the
 /// returned log produces exactly what it would have produced live under
-/// the same scheduler state.
+/// the same scheduler state. The machine's final memory moves into the
+/// log.
+///
+/// # Panics
+///
+/// Panics if `p` is beyond what the log format can carry, which are the
+/// limits [`EventLog::from_bytes`] enforces: more than
+/// [`MAX_LOG_THREADS`] threads, more than [`MAX_LOG_LOCKS`] locks,
+/// [`MAX_LOG_CONDS`] conditions, [`MAX_LOG_BARRIERS`] barriers or
+/// [`MAX_LOG_CHANS`] channels, or (when the run reaches it) an access at
+/// or above [`MAX_LOG_ADDR`].
 pub fn record_run<S: Scheduler + ?Sized>(p: &Program, sched: &mut S, limit: StepLimit) -> EventLog {
+    let threads = p.thread_count();
+    assert!(
+        threads as u64 <= MAX_LOG_THREADS,
+        "{threads} threads exceed MAX_LOG_THREADS ({MAX_LOG_THREADS})"
+    );
+    let ids = IdCounts {
+        locks: p.lock_count(),
+        conds: p.cond_count(),
+        barriers: p.barrier_count(),
+        chans: p.chan_count(),
+    };
+    for (what, n, max) in [
+        ("locks", ids.locks, MAX_LOG_LOCKS),
+        ("conditions", ids.conds, MAX_LOG_CONDS),
+        ("barriers", ids.barriers, MAX_LOG_BARRIERS),
+        ("channels", ids.chans, MAX_LOG_CHANS),
+    ] {
+        assert!(
+            u64::from(n) <= max,
+            "{n} {what} exceed the log format's limit of {max}"
+        );
+    }
     let mut rt = Live::new(EventLogBuilder::new());
     let mut machine = crate::exec::Machine::new(p);
     let result = machine.run_with_limit(&mut rt, sched, limit);
     let b = rt.into_inner();
     EventLog {
-        threads: p.thread_count(),
+        threads,
+        ids,
         events: b.events,
         barriers: b.barriers,
         census: OpCensus::of(p),
         result,
-        memory: machine.memory().clone(),
+        memory: Arc::new(machine.into_memory()),
     }
 }
 
@@ -761,25 +985,48 @@ pub fn record_run<S: Scheduler + ?Sized>(p: &Program, sched: &mut S, limit: Step
 const LOG_MAGIC: u64 = u64::from_le_bytes(*b"TXLOG\0\0\x01");
 /// Bump on any layout change; readers reject other versions. Version 2
 /// added the channel event kinds ([`TraceEventKind::ChanSend`]/
-/// [`TraceEventKind::ChanRecv`]) — version-1 logs from pre-channel
-/// builds are rejected rather than mis-decoded.
-pub const LOG_VERSION: u64 = 2;
+/// [`TraceEventKind::ChanRecv`]). Version 3 made each event its 12-byte
+/// in-memory record (17 bytes before), added the declared lock,
+/// condition, barrier and channel counts to the header, and moved the
+/// barrier side table ahead of the events so every event is checked in
+/// one pass.
+pub const LOG_VERSION: u64 = 3;
 
 /// The widest thread count a serialized log may declare. Detectors size
 /// per-thread state from the header (FastTrack keeps one vector clock of
 /// this width per thread, 4 MiB at the cap), so an unchecked header is
 /// an allocation of attacker-chosen size. The bundled workloads run 9
 /// threads at their widest evaluated setting (8 workers) and generated
-/// programs 3; the cap leaves two orders of magnitude of headroom.
+/// programs 3; the cap leaves two orders of magnitude of headroom. It
+/// also keeps every thread id within a [`TraceEvent`]'s `u16`.
 pub const MAX_LOG_THREADS: u64 = 1024;
 
+/// The most locks a serialized log may declare. Replayed detectors keep
+/// one vector clock per lock id, grown to the largest id seen, so at the
+/// cap and [`MAX_LOG_THREADS`] threads a table is at most 16 MiB. The
+/// bundled workloads and generated programs declare a handful.
+pub const MAX_LOG_LOCKS: u64 = 1 << 12;
+
+/// The most condition semaphores a serialized log may declare (a
+/// per-id vector-clock table, bounded as for [`MAX_LOG_LOCKS`]).
+pub const MAX_LOG_CONDS: u64 = 1 << 12;
+
+/// The most barriers a serialized log may declare (a per-id vector-clock
+/// table, bounded as for [`MAX_LOG_LOCKS`]).
+pub const MAX_LOG_BARRIERS: u64 = 1 << 12;
+
+/// The most channels a serialized log may declare (a per-id vector-clock
+/// table, bounded as for [`MAX_LOG_LOCKS`]).
+pub const MAX_LOG_CHANS: u64 = 1 << 12;
+
 /// One past the highest address a serialized log may name, in an access
-/// event or a final-memory cell. [`Memory`] and the detectors' shadow
-/// tables keep a page table with one 8-byte slot per 4096 addresses of
-/// span, so an unchecked address is an allocation of attacker-chosen size
-/// (a single cell at `1 << 60` asks for 2^48 slots); at this bound a page
-/// table is at most 8 MiB. The bundled workloads stay far below it (a
-/// test pins that).
+/// event or a final-memory cell; an access event's `u32` `arg` holds any
+/// address below it. [`Memory`] and the detectors' shadow tables keep a
+/// page table with one 8-byte slot per 4096 addresses of span, so an
+/// unchecked address is an allocation of attacker-chosen size (a single
+/// cell at `1 << 60` asks for 2^48 slots); at this bound a page table is
+/// at most 8 MiB. The bundled workloads stay far below it (a test pins
+/// that).
 pub const MAX_LOG_ADDR: u64 = 1 << 32;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -804,10 +1051,6 @@ impl Cursor<'_> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -815,31 +1058,27 @@ impl Cursor<'_> {
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-}
 
-/// Inverse of `kind as u8` over [`TraceEventKind`]'s `#[repr(u8)]`
-/// declaration order.
-fn kind_from_code(code: u8) -> Option<TraceEventKind> {
-    use TraceEventKind::*;
-    Some(match code {
-        0 => Read,
-        1 => Write,
-        2 => Rmw,
-        3 => Acquire,
-        4 => Release,
-        5 => Signal,
-        6 => Wait,
-        7 => Spawn,
-        8 => Join,
-        9 => BarrierArrive,
-        10 => BarrierRelease,
-        11 => ThreadDone,
-        12 => Compute,
-        13 => Syscall,
-        14 => ChanSend,
-        15 => ChanRecv,
-        _ => return None,
-    })
+    /// A length prefix of entries `entry_bytes` wide, which the rest of
+    /// the input must be able to hold (so no caller reserves for entries
+    /// that are not there).
+    fn len(&mut self, entry_bytes: usize) -> Result<usize, String> {
+        let n = self.u64()?;
+        let left = (self.b.len() - self.pos) / entry_bytes;
+        usize::try_from(n)
+            .ok()
+            .filter(|&n| n <= left)
+            .ok_or_else(|| "truncated log".into())
+    }
+
+    /// A declared id count, at most `max`.
+    fn count(&mut self, what: &str, max: u64) -> Result<u32, String> {
+        let n = self.u64()?;
+        if n > max {
+            return Err(format!("{what} count {n} above {max}"));
+        }
+        Ok(n as u32)
+    }
 }
 
 #[cfg(test)]
@@ -879,7 +1118,7 @@ mod tests {
         for label in ["w", "r"] {
             let site = p.site(label).unwrap();
             assert_eq!(
-                count(&log, |e| is_access(e) && e.site == site),
+                count(&log, |e| is_access(e) && e.site() == site),
                 1,
                 "{label}"
             );
@@ -896,7 +1135,7 @@ mod tests {
             "lock and unlock"
         );
         for t in 0..2 {
-            let done = |e: &TraceEvent| e.kind == TraceEventKind::ThreadDone && e.thread.0 == t;
+            let done = |e: &TraceEvent| e.kind == TraceEventKind::ThreadDone && e.thread().0 == t;
             assert_eq!(count(&log, done), 1, "thread {t}");
         }
     }
@@ -1008,7 +1247,7 @@ mod tests {
         log.replay(&mut replayed);
 
         assert_eq!(live, replayed, "replayed call sequence diverged");
-        assert_eq!(log.final_memory(), &live_mem);
+        assert_eq!(live_mem, *log.final_memory());
         assert_eq!(log.result(), &live_run);
         assert_eq!(log.thread_count(), 3);
         assert!(!log.is_empty());
@@ -1055,6 +1294,7 @@ mod tests {
         assert_eq!(back.census(), log.census());
         assert_eq!(back.result(), log.result());
         assert_eq!(back.final_memory(), log.final_memory());
+        assert_eq!(back.to_bytes(), bytes, "re-encodes to the same bytes");
         let mut live = Fp::default();
         log.replay(&mut live);
         let mut reloaded = Fp::default();
@@ -1078,10 +1318,13 @@ mod tests {
         let mut sched = RoundRobin::new();
         let log = record_run(&p, &mut sched, StepLimit::default());
         let mut bytes = log.to_bytes();
-        // Rewrite the version field (second u64) to the pre-channel v1.
-        bytes[8..16].copy_from_slice(&1u64.to_le_bytes());
-        let err = EventLog::from_bytes(&bytes).unwrap_err();
-        assert!(err.contains("unsupported version 1"), "{err}");
+        // Rewrite the version field (second u64) to the pre-channel v1
+        // and to the 17-byte-event v2.
+        for old in [1u64, 2] {
+            bytes[8..16].copy_from_slice(&old.to_le_bytes());
+            let err = EventLog::from_bytes(&bytes).unwrap_err();
+            assert!(err.contains(&format!("unsupported version {old}")), "{err}");
+        }
     }
 
     #[test]
@@ -1190,7 +1433,11 @@ mod tests {
                     "slices are index-sorted"
                 );
                 for &(idx, e) in slice {
-                    assert_eq!(route(Addr(e.arg), shards), s, "routed to the owner");
+                    assert_eq!(
+                        route(Addr(u64::from(e.arg)), shards),
+                        s,
+                        "routed to the owner"
+                    );
                     assert!(seen.insert(idx), "each access on exactly one shard");
                     assert_eq!(log.events()[idx as usize], e);
                 }
@@ -1198,24 +1445,65 @@ mod tests {
         }
     }
 
+    /// Byte offsets into `log.to_bytes()` of a log whose status is
+    /// `Done`: a 13-word header, the arrival table (count, then 8-byte
+    /// entries), the release table (count, then 12-byte entries), the
+    /// event count, then 12-byte events.
+    const HEADER: usize = 13 * 8;
+
+    fn first_arrival(_: &EventLog) -> usize {
+        HEADER + 8
+    }
+
+    fn first_release(log: &EventLog) -> usize {
+        first_arrival(log) + 8 * log.barriers.arrivals.len() + 8
+    }
+
+    /// Offset of event `i`: kind at +0, pad +1, thread +2, site +4,
+    /// arg +8.
+    fn event_at(log: &EventLog, i: usize) -> usize {
+        first_release(log) + 12 * log.barriers.releases.len() + 8 + TraceEvent::BYTES * i
+    }
+
+    /// Offset of the arg of the first event of `kind`.
+    fn first_arg_of(log: &EventLog, bytes: &[u8], kind: TraceEventKind) -> usize {
+        let i = log.events().iter().position(|e| e.kind == kind).unwrap();
+        let at = event_at(log, i);
+        assert_eq!(bytes[at], kind as u8, "offset of {kind:?}");
+        at + 8
+    }
+
+    #[test]
+    fn events_are_encoded_as_their_12_byte_records() {
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        for (i, e) in log.events().iter().enumerate() {
+            let at = event_at(&log, i);
+            assert_eq!(
+                bytes[at..at + TraceEvent::BYTES],
+                e.to_le_bytes(),
+                "event {i}"
+            );
+            assert_eq!(bytes[at + 1], 0, "pad byte");
+        }
+        let end = event_at(&log, log.len());
+        assert_eq!(
+            bytes.len() - end,
+            8 + 16 * log.final_memory().len(),
+            "the cells follow the last event"
+        );
+    }
+
     #[test]
     fn replay_panicking_corruptions_are_decode_errors() {
         let log = all_kinds_log();
         let bytes = log.to_bytes();
-        // Layout: a 9-word header (status `Done` is one word), the event
-        // count, 17-byte events, then the arrival and release tables.
-        let event_arg = |i: usize| 80 + 17 * i + 9;
-        let first_release = 80 + 17 * log.len() + 8 + 8 * log.barriers.arrivals.len() + 8;
-        let nth = |kind| log.events().iter().position(|e| e.kind == kind).unwrap();
-        let corrupt = |at: usize, value: &[u8]| {
-            let mut b = bytes.clone();
-            b[at..at + value.len()].copy_from_slice(value);
-            EventLog::from_bytes(&b)
-        };
-        let releases = log.barriers.releases.len() as u64;
-        let release_arg = event_arg(nth(TraceEventKind::BarrierRelease));
+        let corrupt = |at: usize, value: &[u8]| decode_patched(&bytes, at, value);
+        let releases = log.barriers.releases.len() as u32;
+        let release_arg = first_arg_of(&log, &bytes, TraceEventKind::BarrierRelease);
         assert!(corrupt(release_arg, &releases.to_le_bytes()).is_err());
-        let (start, len) = (first_release + 4, first_release + 8);
+        let first = first_release(&log);
+        let (start, len) = (first + 4, first + 8);
         assert!(
             corrupt(len, &u32::MAX.to_le_bytes()).is_err(),
             "past the arrivals"
@@ -1224,11 +1512,13 @@ mod tests {
             corrupt(start, &u32::MAX.to_le_bytes()).is_err(),
             "start + len overflows"
         );
-        let syscall_arg = event_arg(nth(TraceEventKind::Syscall));
-        assert!(corrupt(syscall_arg, &4u64.to_le_bytes()).is_err());
+        let syscall_arg = first_arg_of(&log, &bytes, TraceEventKind::Syscall);
+        assert!(corrupt(syscall_arg, &4u32.to_le_bytes()).is_err());
+        let err = corrupt(event_at(&log, 0), &[16]).unwrap_err();
+        assert!(err.contains("bad event kind 16"), "{err}");
+        let err = corrupt(event_at(&log, 0) + 1, &[1]).unwrap_err();
+        assert!(err.contains("pad byte"), "{err}");
         // The offsets point at the intended fields.
-        assert_eq!(bytes[release_arg - 9], TraceEventKind::BarrierRelease as u8);
-        assert_eq!(bytes[syscall_arg - 9], TraceEventKind::Syscall as u8);
         let first = u64::from_le_bytes(bytes[start..start + 8].try_into().unwrap());
         assert_eq!(first, 2 << 32, "first release: start 0, two arrivals");
     }
@@ -1246,51 +1536,50 @@ mod tests {
         // id at or above the header's thread count must not decode.
         let log = all_kinds_log();
         let bytes = log.to_bytes();
-        let threads = log.thread_count() as u32;
-        // Event `i`'s thread field sits after its one-byte kind; its arg
-        // 8 bytes later. Arrival `j`'s thread follows the arrival count.
-        let event_thread = |i: usize| 80 + 17 * i + 1;
-        let event_arg = |i: usize| event_thread(i) + 8;
-        let first_arrival = 80 + 17 * log.len() + 8;
-        let nth = |kind| log.events().iter().position(|e| e.kind == kind).unwrap();
-        for t in [threads, 200] {
-            let err = decode_patched(&bytes, event_thread(0), &t.to_le_bytes()).unwrap_err();
+        let threads = log.thread_count() as u16;
+        // The first event that names no child thread (any thread may run
+        // it).
+        let i = log
+            .events()
+            .iter()
+            .position(|e| !is_fork_or_join(e.kind))
+            .unwrap();
+        let event_thread = event_at(&log, i) + 2;
+        for t in [threads, 200, u16::MAX] {
+            let err = decode_patched(&bytes, event_thread, &t.to_le_bytes()).unwrap_err();
             assert!(err.contains("event thread"), "{err}");
             for kind in [TraceEventKind::Spawn, TraceEventKind::Join] {
-                let at = event_arg(nth(kind));
-                let err = decode_patched(&bytes, at, &u64::from(t).to_le_bytes()).unwrap_err();
+                let at = first_arg_of(&log, &bytes, kind);
+                let err = decode_patched(&bytes, at, &u32::from(t).to_le_bytes()).unwrap_err();
                 assert!(err.contains("child thread"), "{kind:?}: {err}");
             }
-            let err = decode_patched(&bytes, first_arrival, &t.to_le_bytes()).unwrap_err();
+            let arrival = u32::from(t).to_le_bytes();
+            let err = decode_patched(&bytes, first_arrival(&log), &arrival).unwrap_err();
             assert!(err.contains("barrier arrival thread"), "{err}");
         }
         // The offsets point at the intended fields, and the last valid id
         // still decodes.
-        assert_eq!(bytes[event_thread(0) - 1], log.events()[0].kind as u8);
         assert_eq!(
-            bytes[event_arg(nth(TraceEventKind::Spawn)) - 9],
-            TraceEventKind::Spawn as u8
+            bytes[event_thread..event_thread + 2],
+            (log.events()[i].thread().0 as u16).to_le_bytes()
         );
-        assert!(decode_patched(&bytes, event_thread(0), &(threads - 1).to_le_bytes()).is_ok());
-        assert!(decode_patched(&bytes, first_arrival, &(threads - 1).to_le_bytes()).is_ok());
-    }
-
-    /// Byte offset, in `log.to_bytes()`, of the arg of the first event
-    /// of `kind`: past the 80-byte header, events are 17 bytes (kind,
-    /// thread, site, arg).
-    fn first_arg_of(log: &EventLog, bytes: &[u8], kind: TraceEventKind) -> usize {
-        let i = log.events().iter().position(|e| e.kind == kind).unwrap();
-        let at = 80 + 17 * i + 9;
-        assert_eq!(bytes[at - 9], kind as u8, "offset of {kind:?}");
-        at
+        let last = threads - 1;
+        assert!(decode_patched(&bytes, event_thread, &last.to_le_bytes()).is_ok());
+        let last = u32::from(last).to_le_bytes();
+        assert!(decode_patched(&bytes, first_arrival(&log), &last).is_ok());
     }
 
     #[test]
     fn narrow_event_args_must_fit_u32() {
-        // Replay narrows these args to u32 ids: lock 2^32 + 5 must not
-        // decode as lock 5.
+        // Every narrow arg is a 4-byte field, so a wider value cannot be
+        // written at all; its widest value is a valid compute count and
+        // is rejected as an id by the declared counts.
         let log = all_kinds_log();
         let bytes = log.to_bytes();
+        let widest = u32::MAX.to_le_bytes();
+        let at = first_arg_of(&log, &bytes, TraceEventKind::Compute);
+        let back = decode_patched(&bytes, at, &widest).unwrap();
+        assert!(back.events().iter().any(|e| e.arg() == u32::MAX));
         for kind in [
             TraceEventKind::Acquire,
             TraceEventKind::Release,
@@ -1299,20 +1588,17 @@ mod tests {
             TraceEventKind::BarrierArrive,
             TraceEventKind::ChanSend,
             TraceEventKind::ChanRecv,
-            TraceEventKind::Compute,
         ] {
             let at = first_arg_of(&log, &bytes, kind);
-            let arg = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            let aliased = (1u64 << 32) + arg;
-            let err = decode_patched(&bytes, at, &aliased.to_le_bytes()).unwrap_err();
-            assert!(err.contains("does not fit u32"), "{kind:?}: {err}");
-            let widest = u64::from(u32::MAX).to_le_bytes();
-            assert!(decode_patched(&bytes, at, &widest).is_ok(), "{kind:?}");
+            let err = decode_patched(&bytes, at, &widest).unwrap_err();
+            assert!(err.contains("out of range"), "{kind:?}: {err}");
         }
     }
 
     #[test]
     fn access_addresses_are_bounded() {
+        // A 4-byte arg holds every address below MAX_LOG_ADDR, the top one
+        // included; the recorder refuses a program that reaches past it.
         let log = all_kinds_log();
         let bytes = log.to_bytes();
         for kind in [
@@ -1321,13 +1607,19 @@ mod tests {
             TraceEventKind::Rmw,
         ] {
             let at = first_arg_of(&log, &bytes, kind);
-            for bad in [MAX_LOG_ADDR, 1 << 60] {
-                let err = decode_patched(&bytes, at, &bad.to_le_bytes()).unwrap_err();
-                assert!(err.contains("access address"), "{kind:?}: {err}");
-            }
-            let last = (MAX_LOG_ADDR - 1).to_le_bytes();
-            assert!(decode_patched(&bytes, at, &last).is_ok(), "{kind:?}");
+            let top = decode_patched(&bytes, at, &u32::MAX.to_le_bytes()).unwrap();
+            let e = top.events().iter().find(|e| e.kind == kind).unwrap();
+            assert_eq!(u64::from(e.arg()), MAX_LOG_ADDR - 1, "{kind:?}");
         }
+        let mut b = ProgramBuilder::new(1);
+        b.thread(0).read(Addr(MAX_LOG_ADDR));
+        let p = b.build();
+        let recorded = std::panic::catch_unwind(|| {
+            record_run(&p, &mut RoundRobin::new(), StepLimit::default())
+        });
+        let msg = recorded.unwrap_err();
+        let msg = msg.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("MAX_LOG_ADDR"), "{msg}");
     }
 
     #[test]
@@ -1366,6 +1658,177 @@ mod tests {
             log.thread_count() as u64,
             "the thread count is the third header word"
         );
+    }
+
+    const NO_IDS: IdCounts = IdCounts {
+        locks: 0,
+        conds: 0,
+        barriers: 0,
+        chans: 0,
+    };
+
+    /// A two-thread log with the given declared counts, events and
+    /// barrier table, built without running anything.
+    fn hand_built(ids: IdCounts, events: Vec<TraceEvent>, barriers: BarrierTable) -> EventLog {
+        EventLog {
+            threads: 2,
+            ids,
+            result: RunResult {
+                status: RunStatus::Done,
+                steps: events.len() as u64,
+            },
+            events,
+            barriers,
+            census: OpCensus::default(),
+            memory: Arc::default(),
+        }
+    }
+
+    /// Each of `kinds` naming id 2 decodes when `declare(3)` declares
+    /// three ids, and is rejected, naming `what`, when `declare(2)`
+    /// declares two. Either way the log itself encodes.
+    fn ids_below_their_count(kinds: &[TraceEventKind], what: &str, declare: fn(u32) -> IdCounts) {
+        for &kind in kinds {
+            let event = TraceEvent::new(kind, ThreadId(1), SiteId(0), 2);
+            let log = |n| hand_built(declare(n), vec![event], BarrierTable::default());
+            let ok = EventLog::from_bytes(&log(3).to_bytes()).expect("id below its count");
+            assert_eq!(ok.events(), [event]);
+            let err = EventLog::from_bytes(&log(2).to_bytes()).unwrap_err();
+            assert!(
+                err.contains(&format!("{what} 2 out of range")),
+                "{kind:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn lock_ids_must_be_below_the_declared_count() {
+        use TraceEventKind::*;
+        ids_below_their_count(&[Acquire, Release], "lock", |locks| IdCounts {
+            locks,
+            ..NO_IDS
+        });
+    }
+
+    #[test]
+    fn condition_ids_must_be_below_the_declared_count() {
+        use TraceEventKind::*;
+        ids_below_their_count(&[Signal, Wait], "condition", |conds| IdCounts {
+            conds,
+            ..NO_IDS
+        });
+    }
+
+    #[test]
+    fn barrier_ids_must_be_below_the_declared_count() {
+        ids_below_their_count(&[TraceEventKind::BarrierArrive], "barrier", |barriers| {
+            IdCounts { barriers, ..NO_IDS }
+        });
+        // The release table names barriers too.
+        let mut table = BarrierTable::default();
+        let idx = table.push(
+            BarrierId(2),
+            &[(ThreadId(0), SiteId(0)), (ThreadId(1), SiteId(1))],
+        );
+        let release = TraceEvent::new(TraceEventKind::BarrierRelease, ThreadId(0), SiteId(0), idx);
+        let log = |barriers| {
+            let ids = IdCounts { barriers, ..NO_IDS };
+            hand_built(ids, vec![release], table.clone())
+        };
+        assert!(EventLog::from_bytes(&log(3).to_bytes()).is_ok());
+        let err = EventLog::from_bytes(&log(2).to_bytes()).unwrap_err();
+        assert!(err.contains("released barrier 2 out of range"), "{err}");
+    }
+
+    #[test]
+    fn channel_ids_must_be_below_the_declared_count() {
+        use TraceEventKind::*;
+        ids_below_their_count(&[ChanSend, ChanRecv], "channel", |chans| IdCounts {
+            chans,
+            ..NO_IDS
+        });
+    }
+
+    #[test]
+    fn spawns_and_joins_of_the_executing_thread_are_decode_errors() {
+        // FastTrack splits its clock table at the two threads, which
+        // indexes out of bounds when they are the same thread.
+        for kind in [TraceEventKind::Spawn, TraceEventKind::Join] {
+            let event = |child| TraceEvent::new(kind, ThreadId(1), SiteId(0), child);
+            let log = |child| hand_built(NO_IDS, vec![event(child)], BarrierTable::default());
+            assert!(EventLog::from_bytes(&log(0).to_bytes()).is_ok(), "{kind:?}");
+            let err = EventLog::from_bytes(&log(1).to_bytes()).unwrap_err();
+            assert!(err.contains("by itself"), "{kind:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn declared_id_counts_are_bounded() {
+        // The counts follow the thread count in the header. A count above
+        // its cap is rejected before anything is sized from it.
+        let log = all_kinds_log();
+        let bytes = log.to_bytes();
+        for (word, cap) in [
+            (3, MAX_LOG_LOCKS),
+            (4, MAX_LOG_CONDS),
+            (5, MAX_LOG_BARRIERS),
+            (6, MAX_LOG_CHANS),
+        ] {
+            for bad in [cap + 1, 1 << 40] {
+                let err = decode_patched(&bytes, 8 * word, &bad.to_le_bytes()).unwrap_err();
+                assert!(err.contains(&format!("count {bad} above {cap}")), "{err}");
+            }
+            assert!(decode_patched(&bytes, 8 * word, &cap.to_le_bytes()).is_ok());
+        }
+        assert_eq!(
+            bytes[24..56],
+            [
+                log.ids.locks,
+                log.ids.conds,
+                log.ids.barriers,
+                log.ids.chans
+            ]
+            .map(|n| u64::from(n).to_le_bytes())
+            .concat()
+        );
+    }
+
+    #[test]
+    fn record_run_rejects_programs_beyond_the_format() {
+        let panics = |p: &Program| {
+            let recorded = std::panic::catch_unwind(|| {
+                record_run(p, &mut RoundRobin::new(), StepLimit::default())
+            });
+            let msg = recorded.unwrap_err();
+            msg.downcast_ref::<String>().unwrap().clone()
+        };
+        let mut b = ProgramBuilder::new(1);
+        for i in 0..=MAX_LOG_LOCKS {
+            b.lock_id(&format!("l{i}"));
+        }
+        let msg = panics(&b.build());
+        assert!(msg.contains("locks exceed"), "{msg}");
+        let msg = panics(&ProgramBuilder::new(MAX_LOG_THREADS as usize + 1).build());
+        assert!(msg.contains("MAX_LOG_THREADS"), "{msg}");
+    }
+
+    #[test]
+    fn final_memory_cells_must_ascend() {
+        // Cells re-encode in address order, so only ascending, distinct
+        // addresses round-trip byte for byte.
+        let mut memory = Memory::new();
+        memory.store(Addr(8), 1);
+        memory.store(Addr(16), 2);
+        let mut log = hand_built(NO_IDS, Vec::new(), BarrierTable::default());
+        log.memory = Arc::new(memory);
+        let bytes = log.to_bytes();
+        let back = EventLog::from_bytes(&bytes).unwrap();
+        assert_eq!(back.final_memory(), log.final_memory());
+        let second = bytes.len() - 16;
+        for addr in [8u64, 0] {
+            let err = decode_patched(&bytes, second, &addr.to_le_bytes()).unwrap_err();
+            assert!(err.contains("out of order"), "{addr}: {err}");
+        }
     }
 
     #[test]

@@ -103,6 +103,11 @@ impl TsanConsumer {
         self.ft.races()
     }
 
+    /// The races detected, moved out of the consumer.
+    pub fn into_races(self) -> RaceSet {
+        self.ft.into_races()
+    }
+
     /// Cycle breakdown (`baseline` + `checks`), derived from the event
     /// tallies. Equal, term for term, to what per-event accumulation
     /// would have produced.

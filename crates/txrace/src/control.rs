@@ -215,7 +215,6 @@ pub enum ControlDecision {
 /// testable.
 #[derive(Debug, Clone)]
 pub struct AdaptiveController {
-    mode: ProductionMode,
     /// Extra-cycle allowance: `(budget - 1) × baseline_cycles`.
     allowance: f64,
     /// Estimated total executed operations (paces the allowance).
@@ -243,7 +242,6 @@ impl AdaptiveController {
     /// cost and estimated event count, starting from `knobs`.
     pub fn new(mode: ProductionMode, baseline_cycles: u64, est_events: u64, knobs: Knobs) -> Self {
         AdaptiveController {
-            mode,
             allowance: (mode.budget - 1.0).max(0.0) * baseline_cycles as f64,
             est_events: est_events.max(1),
             knobs,
@@ -252,11 +250,6 @@ impl AdaptiveController {
             window_left: 0,
             epoch: 0,
         }
-    }
-
-    /// The budget being held.
-    pub fn mode(&self) -> ProductionMode {
-        self.mode
     }
 
     /// The knobs currently in force.

@@ -2,11 +2,13 @@
 //! [`RunOutcome`] with races, transaction statistics, and the cycle
 //! breakdown.
 
+use std::sync::Arc;
+
 use txrace_hb::{RaceSet, ShadowMode};
 use txrace_htm::{HtmConfig, HtmStats};
 use txrace_sim::{
-    AnySched, EventLog, FairSched, InterruptModel, Live, Machine, Program, RandomSched, RoundRobin,
-    RunResult, RunStatus, SiteId, StepLimit, TraceConsumer,
+    AnySched, EventLog, FairSched, InterruptModel, Live, Machine, Memory, Program, RandomSched,
+    RoundRobin, RunResult, RunStatus, SiteId, StepLimit, TraceConsumer,
 };
 
 use crate::baselines::TsanConsumer;
@@ -213,8 +215,9 @@ pub struct RunOutcome {
     /// Epoch telemetry ([`RunConfig::telemetry_epochs`] set, or production
     /// runs; `None` otherwise).
     pub telemetry: Option<Telemetry>,
-    /// Final shared-memory state of the run.
-    pub memory: txrace_sim::Memory,
+    /// Final shared-memory state of the run. Outcomes replayed from one
+    /// [`EventLog`] share the log's copy.
+    pub memory: Arc<Memory>,
     /// Interpreter result.
     pub run: RunResult,
 }
@@ -396,7 +399,7 @@ impl Detector {
             engine: Some(engine.stats()),
             checks: engine.checks(),
             telemetry,
-            memory: machine.memory().clone(),
+            memory: Arc::new(machine.into_memory()),
             run,
         }
     }
@@ -432,7 +435,7 @@ impl Detector {
         self.tsan_outcome(
             rt.into_inner(),
             self.cfg.cost.baseline_cycles(program),
-            machine.memory().clone(),
+            Arc::new(machine.into_memory()),
             run,
         )
     }
@@ -441,18 +444,19 @@ impl Detector {
         &self,
         consumer: TsanConsumer,
         baseline_cycles: u64,
-        memory: txrace_sim::Memory,
+        memory: Arc<Memory>,
         run: RunResult,
     ) -> RunOutcome {
         let breakdown = consumer.breakdown();
+        let checks = consumer.checked();
         RunOutcome {
-            races: consumer.races().clone(),
+            races: consumer.into_races(),
             breakdown,
             baseline_cycles,
             overhead: breakdown.overhead_vs(baseline_cycles),
             htm: None,
             engine: None,
-            checks: consumer.checked(),
+            checks,
             telemetry: None,
             memory,
             run,
@@ -535,11 +539,13 @@ impl Detector {
     /// many consumers over one log and assemble outcomes afterwards.
     /// `Detector::replay(log, c)` ≡
     /// `{ log.replay(&mut c); Detector::outcome_of_replayed(c, log) }`.
+    /// The consumer's races move into the outcome, and the outcome shares
+    /// the log's final memory: nothing is copied.
     pub fn outcome_of_replayed(&self, consumer: TsanConsumer, log: &EventLog) -> RunOutcome {
         self.tsan_outcome(
             consumer,
             self.cfg.cost.baseline_cycles_of_census(&log.census()),
-            log.final_memory().clone(),
+            Arc::clone(log.final_memory()),
             log.result().clone(),
         )
     }

@@ -54,7 +54,7 @@ fn composed_tsan(cfg: &RunConfig, p: &Program) -> RunOutcome {
         engine: None,
         checks: c.checked(),
         telemetry: None,
-        memory: machine.memory().clone(),
+        memory: std::sync::Arc::new(machine.into_memory()),
         run,
     }
 }
@@ -96,7 +96,7 @@ fn composed_engine(cfg: &RunConfig, ip: &InstrumentedProgram, ecfg: EngineConfig
         engine: Some(engine.stats()),
         checks: engine.checks(),
         telemetry: engine.take_telemetry(),
-        memory: machine.memory().clone(),
+        memory: std::sync::Arc::new(machine.into_memory()),
         run,
     }
 }

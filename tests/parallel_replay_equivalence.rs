@@ -160,11 +160,11 @@ fn channel_families_shard_identically_and_ride_the_sync_stream() {
                 matches!(k, TraceEventKind::ChanSend | TraceEventKind::ChanRecv)
             };
             let sync = SyncIndex::of(&log);
-            let chan_in_log = log.events().iter().filter(|e| is_chan(e.kind)).count();
+            let chan_in_log = log.events().iter().filter(|e| is_chan(e.kind())).count();
             let chan_in_sync = sync
                 .events()
                 .iter()
-                .filter(|(_, e)| is_chan(e.kind))
+                .filter(|(_, e)| is_chan(e.kind()))
                 .count();
             assert!(
                 chan_in_log > 0,
@@ -190,7 +190,7 @@ fn channel_families_shard_identically_and_ride_the_sync_stream() {
                         plan.partition()
                             .slice(i)
                             .iter()
-                            .all(|(_, e)| !is_chan(e.kind)),
+                            .all(|(_, e)| !is_chan(e.kind())),
                         "{} workers={workers}: channel event in shard {i}'s slice",
                         w.name
                     );

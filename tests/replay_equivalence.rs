@@ -14,7 +14,7 @@ use txrace::{Detector, RunConfig, RunOutcome, Scheme};
 use txrace_hb::{FastTrack, Lockset, ShadowMode, VectorClockDetector};
 use txrace_sim::{
     record_run, EventLog, FairSched, Live, Machine, Program, StepLimit, TraceConsumer,
-    TraceEventKind, MAX_LOG_ADDR,
+    TraceEventKind, MAX_LOG_ADDR, MAX_LOG_BARRIERS, MAX_LOG_CHANS, MAX_LOG_CONDS, MAX_LOG_LOCKS,
 };
 use txrace_workloads::{all_workloads, random_program, GenConfig};
 
@@ -64,10 +64,11 @@ fn all_workloads_replay_identically() {
     }
 }
 
-/// The decoder's address bound rejects hostile logs; it must never reject
-/// a real one. Every shipped workload, at the evaluated widths, records
-/// accesses and final memory far below it and round-trips through the
-/// byte encoding.
+/// The decoder's address and id-count bounds reject hostile logs; they
+/// must never reject a real one. Every shipped workload, at the evaluated
+/// widths, records accesses and final memory, and declares locks,
+/// conditions, barriers and channels, far below them, and round-trips
+/// through the byte encoding.
 #[test]
 fn shipped_workload_logs_stay_below_the_decode_bounds() {
     for workers in [4, 8] {
@@ -75,12 +76,12 @@ fn shipped_workload_logs_stay_below_the_decode_bounds() {
             let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
             let accesses = log.events().iter().filter(|e| {
                 matches!(
-                    e.kind,
+                    e.kind(),
                     TraceEventKind::Read | TraceEventKind::Write | TraceEventKind::Rmw
                 )
             });
             let top = accesses
-                .map(|e| e.arg)
+                .map(|e| u64::from(e.arg()))
                 .chain(log.final_memory().iter().map(|(a, _)| a.0))
                 .max()
                 .unwrap_or(0);
@@ -89,6 +90,19 @@ fn shipped_workload_logs_stay_below_the_decode_bounds() {
                 "{} at {workers} workers: address {top:#x} within 16x of MAX_LOG_ADDR",
                 w.name
             );
+            let p = &w.program;
+            for (what, n, max) in [
+                ("locks", p.lock_count(), MAX_LOG_LOCKS),
+                ("conditions", p.cond_count(), MAX_LOG_CONDS),
+                ("barriers", p.barrier_count(), MAX_LOG_BARRIERS),
+                ("channels", p.chan_count(), MAX_LOG_CHANS),
+            ] {
+                assert!(
+                    u64::from(n) < max / 16,
+                    "{} at {workers} workers: {n} {what} within 16x of the cap",
+                    w.name
+                );
+            }
             let decoded = EventLog::from_bytes(&log.to_bytes())
                 .unwrap_or_else(|e| panic!("{} at {workers} workers: {e}", w.name));
             assert_eq!(decoded.events(), log.events(), "{}", w.name);
