@@ -4,7 +4,10 @@
 //! the reproduction runs), not the modeled cycle costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use txrace::{instrument, Detector, InstrumentConfig, SchedKind, Scheme};
+use txrace::{
+    instrument, instrument_pruned, Detector, InstrumentConfig, RunConfig, SchedKind, Scheme,
+    SiteClassTable, StaticPruneMode,
+};
 use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
@@ -223,6 +226,24 @@ fn bench_instrument(c: &mut Criterion) {
     });
 }
 
+fn bench_static_analysis(c: &mut Criterion) {
+    // One generated program with channels, the shape of a `smallprog`
+    // job: the flow-sensitive analysis alone, and a TxRace+SA-flow run of
+    // the program instrumented against that analysis's table.
+    let p = txrace_workloads::random_program(&txrace_workloads::GenConfig::default(), 42);
+    let table = SiteClassTable::analyze_flow(&p);
+    let d =
+        Detector::new(RunConfig::new(Scheme::txrace(), 42).with_prune(StaticPruneMode::FullFlow));
+    let icfg = InstrumentConfig::from_knobs(&d.config().knobs);
+    let ip = instrument_pruned(&p, &icfg, Some(&table));
+    c.bench_function("sa/analyze_flow_genprog", |b| {
+        b.iter(|| SiteClassTable::analyze_flow(black_box(&p)));
+    });
+    c.bench_function("detector/run_instrumented_genprog", |b| {
+        b.iter(|| d.run_instrumented(black_box(&ip)).checks);
+    });
+}
+
 criterion_group!(
     benches,
     bench_htm,
@@ -232,6 +253,7 @@ criterion_group!(
     bench_sched,
     bench_exec_floor,
     bench_trace,
-    bench_instrument
+    bench_instrument,
+    bench_static_analysis
 );
 criterion_main!(benches);

@@ -280,7 +280,10 @@ impl Detector {
     /// The table step. Production always deploys the strongest static
     /// analysis: the flow-sensitive prune table plus the watch set over
     /// the surviving may-race candidate sites, both from one analysis.
-    fn plan(&self, p: &Program) -> Plan {
+    /// A `carried` table of `p` is reused when the analysis the knobs
+    /// ask for built it and the scheme needs no watch set (production's
+    /// needs the may-race pairs); otherwise `p` is analyzed.
+    fn plan(&self, p: &Program, carried: Option<&SiteClassTable>) -> Plan {
         let production = matches!(self.cfg.scheme, Scheme::Production(_));
         let knobs = if production {
             Knobs {
@@ -291,10 +294,14 @@ impl Detector {
             self.cfg.knobs
         };
         let mut watch = Vec::new();
-        let table = match knobs.prune {
-            StaticPruneMode::Off => None,
-            StaticPruneMode::ChecksOnly | StaticPruneMode::Full => Some(SiteClassTable::analyze(p)),
-            StaticPruneMode::FullFlow => {
+        let reuse = carried.filter(|t| !production && t.built_for(knobs.prune));
+        let table = match (knobs.prune, reuse) {
+            (StaticPruneMode::Off, _) => None,
+            (_, Some(table)) => Some(table.clone()),
+            (StaticPruneMode::ChecksOnly | StaticPruneMode::Full, None) => {
+                Some(SiteClassTable::analyze(p))
+            }
+            (StaticPruneMode::FullFlow, None) => {
                 let flow = FlowAnalysis::run(p);
                 if production {
                     watch = flow.watch_sites();
@@ -313,7 +320,7 @@ impl Detector {
     /// the transactionalization pass under the plan's knobs, pruned when
     /// the prune mode strips markers.
     fn prepare(&self, p: &Program) -> (InstrumentedProgram, Plan) {
-        let plan = self.plan(p);
+        let plan = self.plan(p, None);
         let strip = matches!(
             plan.knobs.prune,
             StaticPruneMode::Full | StaticPruneMode::FullFlow
@@ -343,16 +350,19 @@ impl Detector {
     }
 
     /// Runs an engine scheme on an already instrumented program. The
-    /// table step runs on the instrumented program (the pass preserves
+    /// table step reuses the table `ip` carries
+    /// ([`InstrumentedProgram::prune_table`]) when the analysis the knobs
+    /// ask for built it and the scheme is not [`Scheme::Production`];
+    /// otherwise it analyzes the instrumented program (the pass preserves
     /// original sites, so the verdicts match the uninstrumented
-    /// analysis): `run_instrumented(&instrument_pruned(p, ..))` under the
-    /// same knobs equals `run(p)`.
+    /// analysis). Either way, `run_instrumented(&instrument_pruned(p, ..))`
+    /// under the same knobs equals `run(p)`.
     ///
     /// # Panics
     ///
     /// Panics if the configured scheme is a TSan scheme.
     pub fn run_instrumented(&self, ip: &InstrumentedProgram) -> RunOutcome {
-        self.run_engine(ip, self.plan(&ip.program))
+        self.run_engine(ip, self.plan(&ip.program, ip.prune_table()))
     }
 
     /// Runs the engine on `ip` under `plan`; production adds the adaptive
@@ -509,7 +519,7 @@ impl Detector {
             sampling,
             self.cfg.seed.wrapping_add(0x517C_C1B7),
         );
-        match self.plan(program).table {
+        match self.plan(program, None).table {
             Some(table) => c.with_prune(table),
             None => c,
         }

@@ -80,13 +80,15 @@ pub struct RegionInfo {
     pub loops: Vec<LoopId>,
 }
 
-/// The output of the pass: the instrumented program plus its region table.
+/// The output of the pass: the instrumented program, its region table,
+/// and the prune table the pass ran against.
 #[derive(Debug, Clone)]
 pub struct InstrumentedProgram {
     /// The program with `TxBegin`/`TxEnd`/`LoopCutProbe` markers inserted.
     pub program: Program,
     /// Region table indexed by [`RegionId`].
     pub regions: Vec<RegionInfo>,
+    prune: Option<SiteClassTable>,
 }
 
 impl InstrumentedProgram {
@@ -98,6 +100,15 @@ impl InstrumentedProgram {
     /// Number of regions.
     pub fn region_count(&self) -> usize {
         self.regions.len()
+    }
+
+    /// The prune table the pass ran against ([`instrument_pruned`]'s
+    /// `prune`; `None` from [`instrument`]). The pass keeps every
+    /// original site id and adds only marker sites, so the table also
+    /// classifies `program`: analyzing `program` gives the same verdict
+    /// and witness at every original site, and no marker is race-free.
+    pub fn prune_table(&self) -> Option<&SiteClassTable> {
+        self.prune.as_ref()
     }
 }
 
@@ -112,7 +123,8 @@ pub fn instrument(p: &Program, cfg: &InstrumentConfig) -> InstrumentedProgram {
 /// whose checkable ops all prune away keeps no `TxBegin`/`TxEnd` markers
 /// at all (the HTM never sees it), and the `K` small-region threshold is
 /// applied to the *pruned* op count. With `prune = None` the output is
-/// byte-identical to [`instrument`].
+/// byte-identical to [`instrument`]. `prune` must classify `p`; the
+/// output carries a copy ([`InstrumentedProgram::prune_table`]).
 pub fn instrument_pruned(
     p: &Program,
     cfg: &InstrumentConfig,
@@ -138,6 +150,7 @@ pub fn instrument_pruned(
     InstrumentedProgram {
         program,
         regions: pass.regions,
+        prune: prune.cloned(),
     }
 }
 

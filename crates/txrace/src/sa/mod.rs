@@ -210,6 +210,15 @@ impl PruneStats {
     }
 }
 
+/// Which analysis built a [`SiteClassTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Analysis {
+    /// [`SiteClassTable::analyze`], behind `ChecksOnly` and `Full`.
+    Base,
+    /// [`SiteClassTable::analyze_flow`], behind `FullFlow`.
+    Flow,
+}
+
 /// Per-site classification for one program. Indexed by the *original*
 /// program's sites; marker sites minted later by the instrumentation pass
 /// are out of range and always report potentially-racy.
@@ -219,6 +228,7 @@ pub struct SiteClassTable {
     /// For [`RaceFreeReason::RedundantCheck`] sites: the earlier site
     /// whose check covers this one.
     witnesses: Vec<Option<SiteId>>,
+    analysis: Analysis,
 }
 
 impl SiteClassTable {
@@ -231,7 +241,11 @@ impl SiteClassTable {
         let records = summary.accesses();
         let classes = escape::classify(p, records, &escape::AddrBuckets::build(records));
         let witnesses = vec![None; classes.len()];
-        SiteClassTable { classes, witnesses }
+        SiteClassTable {
+            classes,
+            witnesses,
+            analysis: Analysis::Base,
+        }
     }
 
     /// Runs the full flow-sensitive pipeline over `p` (the
@@ -240,6 +254,17 @@ impl SiteClassTable {
     /// with the same reason; the flow passes only add verdicts.
     pub fn analyze_flow(p: &Program) -> Self {
         FlowAnalysis::run(p).table
+    }
+
+    /// True when `mode` asks for the analysis that built this table:
+    /// [`SiteClassTable::analyze`] for `ChecksOnly` and `Full`,
+    /// [`SiteClassTable::analyze_flow`] for `FullFlow`, none for `Off`.
+    pub(crate) fn built_for(&self, mode: StaticPruneMode) -> bool {
+        match mode {
+            StaticPruneMode::Off => false,
+            StaticPruneMode::ChecksOnly | StaticPruneMode::Full => self.analysis == Analysis::Base,
+            StaticPruneMode::FullFlow => self.analysis == Analysis::Flow,
+        }
     }
 
     /// The verdict for `site`. Sites outside the analyzed program (e.g.
@@ -434,7 +459,11 @@ impl FlowAnalysis {
         }
 
         FlowAnalysis {
-            table: SiteClassTable { classes, witnesses },
+            table: SiteClassTable {
+                classes,
+                witnesses,
+                analysis: Analysis::Flow,
+            },
             pairs,
         }
     }

@@ -43,7 +43,11 @@ impl MayRacePairs {
     /// Builds the set from `(pair, witness address)` tuples; the
     /// smallest witness per pair is kept.
     pub(super) fn from_witnesses(mut by_pair: Vec<(RacePair, Addr)>) -> Self {
-        by_pair.sort_unstable();
+        // One packed key per tuple, ordered exactly as the tuple's
+        // derived `Ord`: 32-bit site ids above a 64-bit address.
+        by_pair.sort_unstable_by_key(|&(pr, addr)| {
+            (u128::from(pr.a.0) << 96) | (u128::from(pr.b.0) << 64) | u128::from(addr.0)
+        });
         by_pair.dedup_by_key(|&mut (pr, _)| pr);
         MayRacePairs { by_pair }
     }

@@ -17,11 +17,14 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use txrace::{
-    instrument_pruned, Detector, InstrumentConfig, MayRacePairs, RaceFreeReason, RunConfig, Scheme,
-    SiteClass, SiteClassTable, StaticPruneMode,
+    instrument, instrument_pruned, AdaptiveController, Detector, EngineConfig, FlowAnalysis,
+    InstrumentConfig, InstrumentedProgram, Knobs, MayRacePairs, RaceFreeReason, RunConfig,
+    RunOutcome, SchedKind, Scheme, SiteClass, SiteClassTable, StaticPruneMode, TxRaceEngine,
 };
 use txrace_hb::RacePair;
-use txrace_sim::Program;
+use txrace_sim::{
+    FairSched, Machine, Program, RandomSched, RoundRobin, Scheduler, SiteId, StepLimit,
+};
 use txrace_workloads::{all_workloads, by_name, random_program, GenConfig, RaceKind};
 
 fn pairs_of(out: &txrace::RunOutcome) -> BTreeSet<RacePair> {
@@ -192,8 +195,9 @@ fn fullflow_matches_full_detection_on_all_workloads() {
 
 /// Asserts that running a FullFlow-instrumented program through
 /// `run_instrumented` reproduces `run` on the original program: the
-/// table step re-derives the same table (and, for production, the same
-/// watch set) from the instrumented program.
+/// table step reuses the table the instrumented program carries (and,
+/// for production, re-analyzes the instrumented program for the same
+/// table and watch set).
 fn assert_run_instrumented_matches_run(ctx: &str, cfg: RunConfig, p: &Program) {
     let d = Detector::new(cfg.with_prune(StaticPruneMode::FullFlow));
     let ip = instrument_pruned(
@@ -227,6 +231,195 @@ fn run_instrumented_matches_run_under_fullflow_on_random_programs() {
         let p = random_program(&GenConfig::default(), gen_seed);
         let cfg = RunConfig::new(Scheme::txrace(), gen_seed);
         assert_run_instrumented_matches_run(&format!("gen {gen_seed}"), cfg, &p);
+    }
+}
+
+/// The premise of reusing the table an instrumented program carries: the
+/// pass keeps every original site id and adds only marker sites, so
+/// analyzing the instrumented program with the same analysis gives the
+/// carried verdict and witness at every original site, and calls no
+/// marker site race-free.
+fn assert_carried_table_classifies_instrumented(ctx: &str, p: &Program) {
+    for (name, flow) in [("base", false), ("flow", true)] {
+        let analyze = |p: &Program| {
+            if flow {
+                SiteClassTable::analyze_flow(p)
+            } else {
+                SiteClassTable::analyze(p)
+            }
+        };
+        let ip = instrument_pruned(p, &InstrumentConfig::default(), Some(&analyze(p)));
+        let carried = ip
+            .prune_table()
+            .expect("instrument_pruned carries its table");
+        let again = analyze(&ip.program);
+        for site in (0..p.site_count()).map(SiteId) {
+            assert_eq!(
+                carried.class(site),
+                again.class(site),
+                "{ctx} ({name}): class of original site {site}"
+            );
+            assert_eq!(
+                carried.witness_of(site),
+                again.witness_of(site),
+                "{ctx} ({name}): witness of original site {site}"
+            );
+        }
+        for site in (p.site_count()..ip.program.site_count()).map(SiteId) {
+            assert!(
+                !again.is_race_free(site),
+                "{ctx} ({name}): marker site {site} is race-free"
+            );
+        }
+    }
+}
+
+#[test]
+fn carried_table_classifies_the_instrumented_program_on_all_workloads() {
+    for w in all_workloads(4) {
+        assert_carried_table_classifies_instrumented(w.name, &w.program);
+    }
+}
+
+#[test]
+fn carried_table_classifies_the_instrumented_program_on_random_programs() {
+    let cfg = GenConfig::default();
+    assert!(cfg.chans > 0, "the generator must emit channel traffic");
+    for gen_seed in 0..200 {
+        let p = random_program(&cfg, gen_seed);
+        assert_carried_table_classifies_instrumented(&format!("gen {gen_seed}"), &p);
+    }
+}
+
+/// The scheduler `Detector` builds for `cfg`.
+fn sched_of(cfg: &RunConfig) -> Box<dyn Scheduler> {
+    match cfg.sched {
+        SchedKind::RoundRobin => Box::new(RoundRobin::new()),
+        SchedKind::Random { stickiness } => Box::new(
+            RandomSched::new(cfg.seed)
+                .with_interrupts(cfg.interrupts)
+                .with_stickiness(stickiness),
+        ),
+        SchedKind::Fair { jitter, slack } => Box::new(
+            FairSched::new(cfg.seed, jitter)
+                .with_slack(slack)
+                .with_interrupts(cfg.interrupts),
+        ),
+    }
+}
+
+/// Asserts that `out`, from `run_instrumented(ip)` under `cfg` (default
+/// TxRace options or production), equals an engine run whose table step
+/// analyzes `ip.program` whatever table `ip` carries: the knobs' analysis
+/// of the instrumented program, and for production its watch set.
+fn assert_matches_reanalysis(
+    ctx: &str,
+    cfg: &RunConfig,
+    ip: &InstrumentedProgram,
+    out: &RunOutcome,
+) {
+    let production = match cfg.scheme {
+        Scheme::Production(mode) => Some(mode),
+        _ => None,
+    };
+    let mut knobs = cfg.knobs;
+    if production.is_some() {
+        knobs.prune = StaticPruneMode::FullFlow;
+    }
+    let (prune, watch) = match knobs.prune {
+        StaticPruneMode::Off => (None, Vec::new()),
+        StaticPruneMode::ChecksOnly | StaticPruneMode::Full => {
+            (Some(SiteClassTable::analyze(&ip.program)), Vec::new())
+        }
+        StaticPruneMode::FullFlow => {
+            let flow = FlowAnalysis::run(&ip.program);
+            let watch = production.map_or_else(Vec::new, |_| flow.watch_sites());
+            (Some(flow.table), watch)
+        }
+    };
+    let ecfg = EngineConfig {
+        htm: cfg.htm,
+        cost: cfg.cost,
+        shadow_factor: cfg.shadow_factor,
+        shadow: cfg.shadow,
+        conflict_hints: cfg.htm.report_conflict_address,
+        knobs,
+        prune,
+        epoch_events: cfg
+            .telemetry_epochs
+            .or(production.map(|_| AdaptiveController::EPOCH_EVENTS)),
+        production,
+        watch,
+        ..EngineConfig::default()
+    };
+    let mut engine = TxRaceEngine::new(ip, ecfg);
+    let mut machine = Machine::new(&ip.program);
+    let run = machine.run_with_limit(&mut engine, sched_of(cfg).as_mut(), StepLimit::default());
+    assert!(out.completed(), "{ctx}");
+    assert_eq!(run, out.run, "{ctx}: run result");
+    assert_eq!(
+        engine.races().reports(),
+        out.races.reports(),
+        "{ctx}: races"
+    );
+    assert_eq!(engine.breakdown(), out.breakdown, "{ctx}: breakdown");
+    assert_eq!(Some(engine.htm_stats()), out.htm, "{ctx}: HTM stats");
+    assert_eq!(Some(engine.stats()), out.engine, "{ctx}: engine stats");
+    assert_eq!(engine.take_telemetry(), out.telemetry, "{ctx}: telemetry");
+    assert_eq!(*machine.memory(), *out.memory, "{ctx}: final memory");
+}
+
+/// The table step falls back to analyzing the instrumented program
+/// whenever the carried table cannot serve: no table carried, a table
+/// from a different analysis than the knobs ask for, or production,
+/// whose watch set needs the may-race pairs.
+fn assert_fallbacks_reanalyze(ctx: &str, cfg: RunConfig, p: &Program) {
+    let flow = Knobs {
+        prune: StaticPruneMode::FullFlow,
+        ..cfg.knobs
+    };
+    let icfg = InstrumentConfig::from_knobs(&flow);
+    let d = Detector::new(cfg.clone().with_knobs(flow));
+    let bare = instrument(p, &icfg);
+    assert!(
+        bare.prune_table().is_none(),
+        "{ctx}: instrument carries no table"
+    );
+    assert_matches_reanalysis(
+        &format!("{ctx} (no table)"),
+        d.config(),
+        &bare,
+        &d.run_instrumented(&bare),
+    );
+    let base = instrument_pruned(p, &icfg, Some(&SiteClassTable::analyze(p)));
+    assert_matches_reanalysis(
+        &format!("{ctx} (Full table, FullFlow knobs)"),
+        d.config(),
+        &base,
+        &d.run_instrumented(&base),
+    );
+    let prod = Detector::new(RunConfig {
+        scheme: Scheme::production(1.2),
+        ..cfg
+    });
+    let ip = instrument_pruned(p, &icfg, Some(&SiteClassTable::analyze_flow(p)));
+    assert_matches_reanalysis(
+        &format!("{ctx} (production)"),
+        prod.config(),
+        &ip,
+        &prod.run_instrumented(&ip),
+    );
+}
+
+#[test]
+fn run_instrumented_reanalyzes_when_the_carried_table_cannot_serve() {
+    for w in all_workloads(4) {
+        assert_fallbacks_reanalyze(w.name, w.config(Scheme::txrace(), 42), &w.program);
+    }
+    for gen_seed in 0..50 {
+        let p = random_program(&GenConfig::default(), gen_seed);
+        let cfg = RunConfig::new(Scheme::txrace(), gen_seed);
+        assert_fallbacks_reanalyze(&format!("gen {gen_seed}"), cfg, &p);
     }
 }
 
