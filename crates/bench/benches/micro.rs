@@ -11,8 +11,8 @@ use txrace::{
 use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
-    Addr, DirectRuntime, EventLog, FairSched, LockId, Machine, Memory, ProgramBuilder, RandomSched,
-    Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
+    Addr, AddrMap, DirectRuntime, EventLog, FairSched, LockId, Machine, Memory, ProgramBuilder,
+    RandomSched, Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
 };
 
 fn bench_htm(c: &mut Criterion) {
@@ -84,6 +84,31 @@ fn bench_snapshot(c: &mut Criterion) {
         });
     });
     g.finish();
+}
+
+fn bench_paged(c: &mut Criterion) {
+    // The two paged address tables from empty, as every run and every
+    // decoded log starts them: 64 addresses 40 KB apart, so nearly every
+    // first touch allocates a page.
+    let addrs: Vec<Addr> = (0..64u64).map(|i| Addr(i * 40_000)).collect();
+    c.bench_function("mem/store_load_fresh_pages", |b| {
+        b.iter(|| {
+            let mut m = Memory::new();
+            for (i, &a) in addrs.iter().enumerate() {
+                m.store(a, i as u64 + 1);
+            }
+            addrs.iter().map(|&a| m.load(a)).sum::<u64>()
+        });
+    });
+    c.bench_function("densemap/resolve_first_touch", |b| {
+        b.iter(|| {
+            let mut m = AddrMap::new();
+            for &a in &addrs {
+                m.resolve(a);
+            }
+            addrs.iter().map(|&a| u64::from(m.resolve(a))).sum::<u64>()
+        });
+    });
 }
 
 fn bench_fasttrack(c: &mut Criterion) {
@@ -248,6 +273,7 @@ criterion_group!(
     benches,
     bench_htm,
     bench_snapshot,
+    bench_paged,
     bench_fasttrack,
     bench_dispatch,
     bench_sched,

@@ -37,9 +37,11 @@
 //!   `parallel_wall_ns` (one decode + fan-out), `speedup`;
 //! - `fanout` (one per racy app): the panel's `serial_wall_ns`,
 //!   `fanout_wall_ns`, `speedup`;
-//! - `consumer` (one per app and panel member): `name`, its fan-out
-//!   `wall_ns` and `serial_wall_ns`, `events`, `findings`, and
-//!   `fingerprint` ([`PanelConsumer::fingerprint`] of its report list);
+//! - `consumer` (one per app and panel member): `name`, its
+//!   `serial_wall_ns`, `events`, `findings`, and `fingerprint`
+//!   ([`PanelConsumer::fingerprint`] of its report list). A member has no
+//!   fan-out wall time of its own: it shares its group's pass over the
+//!   log;
 //! - `total`: `workers`, `seed`, `reps`, `pool`, `wall_ns`, and the
 //!   geomeans `figure_speedup`, `sweep_speedup`, `fanout_speedup`.
 //!
@@ -338,9 +340,8 @@ fn panel(w: &Workload, log: &EventLog, seed: u64, workers: usize, rows: &mut Row
             ("app", JsonValue::Str(w.name.to_string())),
             ("row", JsonValue::Str("consumer".to_string())),
             ("name", JsonValue::Str(name.to_string())),
-            ("wall_ns", JsonValue::Int(r.wall_ns)),
             ("serial_wall_ns", JsonValue::Int(serial_wall)),
-            ("events", JsonValue::Int(r.events)),
+            ("events", JsonValue::Int(log.len() as u64)),
             (
                 "findings",
                 JsonValue::Int(r.consumer.finding_count() as u64),

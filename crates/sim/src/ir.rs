@@ -167,6 +167,17 @@ pub enum Stmt {
     },
 }
 
+impl Stmt {
+    /// Whether `pred` holds for any op in this statement's subtree
+    /// (loop bodies included, whatever their trip count).
+    pub fn any_op(&self, pred: &impl Fn(&Op) -> bool) -> bool {
+        match self {
+            Stmt::Op { op, .. } => pred(op),
+            Stmt::Loop { body, .. } => body.iter().any(|s| s.any_op(pred)),
+        }
+    }
+}
+
 /// A complete multithreaded program.
 ///
 /// Construct with [`ProgramBuilder`]. Threads that are the target of a
@@ -268,15 +279,15 @@ impl Program {
         }
     }
 
-    /// Visits every static op once with its trip weight: the number of
-    /// times it executes (nested loops multiply).
-    pub(crate) fn visit_dynamic(&self, f: &mut impl FnMut(&Op, u64)) {
-        fn walk(stmts: &[Stmt], mult: u64, f: &mut impl FnMut(&Op, u64)) {
+    /// Visits every static op once with its site and trip weight: the
+    /// number of times it executes (nested loops multiply, saturating).
+    pub(crate) fn visit_dynamic(&self, f: &mut impl FnMut(SiteId, &Op, u64)) {
+        fn walk(stmts: &[Stmt], mult: u64, f: &mut impl FnMut(SiteId, &Op, u64)) {
             for s in stmts {
                 match s {
-                    Stmt::Op { op, .. } => f(op, mult),
+                    Stmt::Op { site, op } => f(*site, op, mult),
                     Stmt::Loop { trips, body, .. } => {
-                        walk(body, mult.saturating_mul(*trips as u64), f)
+                        walk(body, mult.saturating_mul(u64::from(*trips)), f)
                     }
                 }
             }
@@ -289,19 +300,9 @@ impl Program {
     /// Folds over every *dynamic* op: loop bodies are weighted by their
     /// trip counts (nested loops multiply).
     pub fn fold_dynamic<F: FnMut(&Op) -> u64>(&self, mut f: F) -> u64 {
-        fn walk<F: FnMut(&Op) -> u64>(stmts: &[Stmt], mult: u64, f: &mut F) -> u64 {
-            let mut sum = 0u64;
-            for s in stmts {
-                match s {
-                    Stmt::Op { op, .. } => sum += mult.saturating_mul(f(op)),
-                    Stmt::Loop { trips, body, .. } => {
-                        sum += walk(body, mult.saturating_mul(*trips as u64), f);
-                    }
-                }
-            }
-            sum
-        }
-        self.threads.iter().map(|t| walk(t, 1, &mut f)).sum()
+        let mut sum = 0u64;
+        self.visit_dynamic(&mut |_, op, n| sum += n.saturating_mul(f(op)));
+        sum
     }
 
     /// Total dynamic count of shared-memory data accesses.

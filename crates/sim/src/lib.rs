@@ -48,6 +48,7 @@ pub mod ids;
 pub mod ir;
 pub mod lint;
 pub mod mem;
+mod paged;
 pub mod replay;
 pub mod sched;
 pub mod summary;
@@ -68,7 +69,9 @@ pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
 pub use sched::{
     AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,
 };
-pub use summary::{dynamic_site_counts, summarize, LockSet, Phase, ProgramSummary, SiteAccess};
+pub use summary::{
+    dynamic_site_counts, main_phase_split, summarize, LockSet, Phase, ProgramSummary, SiteAccess,
+};
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,
     TraceEvent, TraceEventKind, LOG_VERSION, MAX_LOG_ADDR, MAX_LOG_BARRIERS, MAX_LOG_CHANS,

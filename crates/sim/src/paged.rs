@@ -1,0 +1,129 @@
+//! A two-level page table over `usize` indexes: the one page geometry
+//! behind [`crate::Memory`] and [`crate::AddrMap`].
+//!
+//! Programs lay their variables out over a raw address space whose span
+//! (one past the highest address) can be hundreds of times larger than
+//! the set of addresses actually touched: arrays reserve their full
+//! footprint, but a run may only graze them. A flat `Vec` indexed by
+//! address would pay O(span) allocation per run. [`PagedTable`] instead
+//! keeps a top level of 8 bytes per [`PAGE_SIZE`] indexes of span, grown
+//! on first touch, and allocates a page of [`PAGE_SIZE`] slots only where
+//! a slot is actually written. A lookup is two array indexes, no hashing.
+//!
+//! A fresh page is `vec![T::default(); PAGE_SIZE]`; for integer `T` the
+//! standard library allocates it zeroed, so it is not written at
+//! allocation.
+
+use std::ops::Range;
+
+/// log2 of the slots per page.
+const PAGE_BITS: usize = 12;
+/// Slots covered by one page.
+pub(crate) const PAGE_SIZE: usize = 1 << PAGE_BITS;
+
+// A page's index range covers whole 64-bit words of a bitset keyed by
+// `i / 64`, which is how `Memory` walks its written bits page by page.
+const _: () = assert!(PAGE_SIZE.is_multiple_of(64));
+
+/// A sparse `usize`-indexed table whose unallocated slots read as
+/// `T::default()`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PagedTable<T> {
+    /// `pages[i >> PAGE_BITS][i & (PAGE_SIZE - 1)]` holds slot `i`;
+    /// a page is allocated on its first [`slot`](PagedTable::slot).
+    pages: Vec<Option<Box<[T; PAGE_SIZE]>>>,
+}
+
+impl<T: Copy + Default> PagedTable<T> {
+    /// Slot `i`, or `T::default()` when its page was never allocated.
+    /// Never allocates.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> T {
+        match self.pages.get(i >> PAGE_BITS) {
+            Some(Some(page)) => page[i & (PAGE_SIZE - 1)],
+            _ => T::default(),
+        }
+    }
+
+    /// Slot `i` for writing, allocating its page (and growing the top
+    /// level) on first touch.
+    #[inline]
+    pub(crate) fn slot(&mut self, i: usize) -> &mut T {
+        let p = i >> PAGE_BITS;
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || None);
+        }
+        let page = self.pages[p].get_or_insert_with(|| {
+            vec![T::default(); PAGE_SIZE]
+                .into_boxed_slice()
+                .try_into()
+                .unwrap_or_else(|_| unreachable!("a page is PAGE_SIZE slots"))
+        });
+        &mut page[i & (PAGE_SIZE - 1)]
+    }
+
+    /// The index range of every allocated page, in index order. Every
+    /// slot ever returned by [`slot`](PagedTable::slot) lies in one.
+    pub(crate) fn allocated(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.pages
+            .iter()
+            .enumerate()
+            .filter(|(_, page)| page.is_some())
+            .map(|(p, _)| p << PAGE_BITS..(p + 1) << PAGE_BITS)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::Addr;
+    use crate::{AddrMap, Memory};
+
+    #[test]
+    fn unallocated_slots_read_default_without_allocating() {
+        let t = PagedTable::<u32>::default();
+        assert_eq!(t.get(1 << 30), 0);
+        assert!(t.pages.is_empty());
+    }
+
+    #[test]
+    fn first_touch_allocates_one_zeroed_page() {
+        let mut t = PagedTable::<u64>::default();
+        *t.slot(3 * PAGE_SIZE + 5) = 9;
+        assert_eq!(t.pages.len(), 4, "the top level grows to the touched page");
+        assert_eq!(t.pages.iter().filter(|p| p.is_some()).count(), 1);
+        assert_eq!(t.get(3 * PAGE_SIZE + 5), 9);
+        assert_eq!(t.get(3 * PAGE_SIZE + 4), 0);
+    }
+
+    #[test]
+    fn allocated_pages_are_walked_in_index_order() {
+        let mut t = PagedTable::<u64>::default();
+        *t.slot(2 * PAGE_SIZE + 1) = 7;
+        *t.slot(3) = 1;
+        let pages: Vec<Range<usize>> = t.allocated().collect();
+        assert_eq!(pages, vec![0..PAGE_SIZE, 2 * PAGE_SIZE..3 * PAGE_SIZE]);
+    }
+
+    #[test]
+    fn iteration_crosses_pages_in_order() {
+        let mut m = Memory::new();
+        let hi = Addr((3 * PAGE_SIZE + 5) as u64);
+        m.store(hi, 9);
+        m.store(Addr(16), 1);
+        let order: Vec<u64> = m.iter().map(|(a, _)| a.0).collect();
+        assert_eq!(order, vec![16, hi.0]);
+        assert_eq!(m.load(hi), 9);
+    }
+
+    #[test]
+    fn spans_multiple_pages() {
+        let mut m = AddrMap::new();
+        let a = Addr((PAGE_SIZE - 1) as u64);
+        let b = Addr(PAGE_SIZE as u64);
+        assert_eq!(m.resolve(a), 0);
+        assert_eq!(m.resolve(b), 1);
+        assert_eq!(m.get(a), Some(0));
+        assert_eq!(m.get(b), Some(1));
+    }
+}

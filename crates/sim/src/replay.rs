@@ -20,7 +20,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
 use crate::addr::Addr;
 use crate::exec::Runtime;
@@ -200,22 +199,11 @@ where
         .collect()
 }
 
-/// One consumer's slice of a [`fan_out`] pass: the consumer itself plus
-/// the observability the parallel harnesses report (which broadcast
-/// group carried it, how long that group's pass took, and how many
-/// events it was driven through).
+/// One consumer's slice of a [`fan_out`] pass.
 #[derive(Debug)]
 pub struct FanOutReport<C> {
     /// The consumer, after consuming the whole log.
     pub consumer: C,
-    /// The broadcast group (worker thread) that carried this consumer.
-    pub group: usize,
-    /// Wall-clock nanoseconds of the broadcast pass that carried this
-    /// consumer. Consumers in one group share a single pass over the
-    /// log, so they report the same wall time.
-    pub wall_ns: u64,
-    /// Events the consumer was driven through (the log length).
-    pub events: u64,
 }
 
 /// Replays one shared [`EventLog`] into every consumer — the
@@ -269,27 +257,17 @@ pub fn fan_out<C: TraceConsumer + Send>(
     if groups == 0 {
         return Vec::new();
     }
-    let events = log.len() as u64;
     // Round-robin assignment; each bucket keeps its consumers' input
     // indices so results scatter back to input order afterwards.
     let mut buckets: Vec<Vec<(usize, C)>> = (0..groups).map(|_| Vec::new()).collect();
     for (i, c) in consumers.into_iter().enumerate() {
         buckets[i % groups].push((i, c));
     }
-    let finished = par_map(groups, buckets, |group, bucket| {
+    let finished = par_map(groups, buckets, |_, bucket| {
         let (idxs, mut cs): (Vec<usize>, Vec<C>) = bucket.into_iter().unzip();
-        let t0 = Instant::now();
         log.replay_many(&mut cs);
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let report = move |consumer| FanOutReport {
-            consumer,
-            group,
-            wall_ns,
-            events,
-        };
-        idxs.into_iter()
-            .zip(cs.into_iter().map(report))
-            .collect::<Vec<_>>()
+        let reports = cs.into_iter().map(|consumer| FanOutReport { consumer });
+        idxs.into_iter().zip(reports).collect::<Vec<_>>()
     });
 
     let mut out: Vec<Option<FanOutReport<C>>> = (0..n).map(|_| None).collect();
@@ -509,7 +487,6 @@ mod tests {
             assert_eq!(reports.len(), 4);
             for (r, want) in reports.iter().zip(&serial) {
                 assert_eq!(&r.consumer.0, want, "width={width}");
-                assert_eq!(r.events, log.len() as u64);
             }
         }
     }

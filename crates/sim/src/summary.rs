@@ -171,23 +171,12 @@ impl ProgramSummary {
 /// *sites* pruned overstates pruning on loop-heavy programs where the
 /// surviving sites are exactly the hot ones.
 pub fn dynamic_site_counts(p: &Program) -> Vec<u64> {
-    fn walk(stmts: &[Stmt], mult: u64, counts: &mut [u64]) {
-        for s in stmts {
-            match s {
-                Stmt::Op { site, op } if op.is_data_access() => {
-                    counts[site.index()] += mult;
-                }
-                Stmt::Op { .. } => {}
-                Stmt::Loop { trips, body, .. } => {
-                    walk(body, mult * u64::from(*trips), counts);
-                }
-            }
-        }
-    }
     let mut counts = vec![0u64; p.site_count() as usize];
-    for t in 0..p.thread_count() {
-        walk(p.thread(ThreadId(t as u32)), 1, &mut counts);
-    }
+    p.visit_dynamic(&mut |site, op, n| {
+        if op.is_data_access() {
+            counts[site.index()] += n;
+        }
+    });
     counts
 }
 
@@ -206,11 +195,10 @@ pub fn summarize(p: &Program) -> ProgramSummary {
         w.held = LockSet::new();
         let stmts = p.thread(tid);
         if t == 0 {
-            if let Some((pre_end, post_start)) = main_phase_split(p, stmts) {
+            if let Some((pre_end, post_start)) = main_phase_split(p) {
                 w.walk(tid, &stmts[..pre_end], None, Phase::PreSpawn);
-                let mid_end = post_start.min(stmts.len());
-                w.walk(tid, &stmts[pre_end..mid_end], None, Phase::Concurrent);
-                w.walk(tid, &stmts[mid_end..], None, Phase::PostJoin);
+                w.walk(tid, &stmts[pre_end..post_start], None, Phase::Concurrent);
+                w.walk(tid, &stmts[post_start..], None, Phase::PostJoin);
                 continue;
             }
         }
@@ -222,23 +210,33 @@ pub fn summarize(p: &Program) -> ProgramSummary {
 /// If every non-main thread starts parked, splits the main thread's
 /// top-level statements into `[..pre_end]` (single-threaded prologue),
 /// `[pre_end..post_start]` (concurrent middle), and `[post_start..]`
-/// (single-threaded epilogue). Returns `None` when other threads run from
-/// the start (no single-threaded phase exists).
+/// (single-threaded epilogue), with `pre_end <= post_start`. Returns
+/// `None` when other threads run from the start (no single-threaded
+/// phase exists).
 ///
-/// The epilogue begins only after the main thread has joined *every*
-/// thread it could have spawned — a per-thread joined-set check, stricter
-/// than the instrumentation pass's join-count heuristic, because here a
-/// wrong answer would unsoundly prune checks rather than merely instrument
-/// a dead region.
-fn main_phase_split(p: &Program, stmts: &[Stmt]) -> Option<(usize, usize)> {
+/// The prologue ends at the first top-level statement that contains a
+/// `Spawn`. The epilogue begins only after the main thread has joined
+/// *every* thread it could have spawned, a per-thread joined-set check
+/// that counts only joins guaranteed to execute. A thread that is never
+/// joined keeps the rest of main concurrent.
+///
+/// This is the one decision of where main is single-threaded: the
+/// summary's [`Phase`]s and the instrumentation pass's elided prologue
+/// and epilogue both come from it. A wrong answer would unsoundly prune
+/// checks in the former and leave racing accesses unmonitored in the
+/// latter.
+pub fn main_phase_split(p: &Program) -> Option<(usize, usize)> {
     let spawned: BTreeSet<u32> = (1..p.thread_count() as u32)
         .filter(|&t| p.starts_parked(ThreadId(t)))
         .collect();
     if spawned.len() != p.thread_count() - 1 {
         return None;
     }
-    let has_spawn = |s: &Stmt| contains_op(s, &|op| matches!(op, Op::Spawn(_)));
-    let Some(pre_end) = stmts.iter().position(has_spawn) else {
+    let stmts = p.thread(ThreadId(0));
+    let Some(pre_end) = stmts
+        .iter()
+        .position(|s| s.any_op(&|op| matches!(op, Op::Spawn(_))))
+    else {
         // Main never spawns anyone and nobody else can run: the whole
         // program is single-threaded.
         return Some((stmts.len(), stmts.len()));
@@ -254,13 +252,6 @@ fn main_phase_split(p: &Program, stmts: &[Stmt]) -> Option<(usize, usize)> {
         }
     }
     Some((pre_end, post_start))
-}
-
-fn contains_op(s: &Stmt, pred: &impl Fn(&Op) -> bool) -> bool {
-    match s {
-        Stmt::Op { op, .. } => pred(op),
-        Stmt::Loop { body, .. } => body.iter().any(|s| contains_op(s, pred)),
-    }
 }
 
 /// Collects `Join` targets that are guaranteed to execute (subtrees under

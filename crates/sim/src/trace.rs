@@ -281,7 +281,7 @@ impl OpCensus {
     /// are not counted; they have no architectural cost).
     pub fn of(p: &Program) -> Self {
         let mut c = OpCensus::default();
-        p.visit_dynamic(&mut |op, n| match op {
+        p.visit_dynamic(&mut |_, op, n| match op {
             _ if op.is_data_access() => c.mem_accesses += n,
             Op::Compute(units) => c.compute_units += n.saturating_mul(u64::from(*units)),
             _ if op.is_sync() => c.sync_ops += n,

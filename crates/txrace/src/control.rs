@@ -193,21 +193,6 @@ impl Telemetry {
     }
 }
 
-/// What the controller decided at an epoch boundary (telemetry/debug).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlDecision {
-    /// Monitoring stays fully on (warmup, within paced allowance).
-    Stay,
-    /// Overspend: demoted from always-on to duty-cycled monitoring.
-    Demote,
-    /// A duty-cycle window expired or the hard cap fired.
-    WindowClosed,
-    /// Idle and staying idle.
-    Idle,
-    /// Inside an open watch window.
-    InWindow,
-}
-
 /// Re-tunes [`Knobs`] at epoch boundaries to hold a [`ProductionMode`]
 /// budget. Decisions are a pure function of the construction inputs and
 /// the sequence of `(events, spent)` observations — no randomness, no
@@ -226,7 +211,6 @@ pub struct AdaptiveController {
     active: bool,
     /// Remaining epochs of the open watch window.
     window_left: u32,
-    epoch: u64,
 }
 
 impl AdaptiveController {
@@ -248,7 +232,6 @@ impl AdaptiveController {
             warm: true,
             active: true,
             window_left: 0,
-            epoch: 0,
         }
     }
 
@@ -277,43 +260,28 @@ impl AdaptiveController {
     /// Epoch-boundary decision. `events` is the cumulative executed-op
     /// count, `spent` the cumulative extra (non-baseline) cycles, and
     /// `capacity_delta` the epoch's capacity aborts (drives the
-    /// loop-cut escalation on demotion). Returns the decision; read the
-    /// updated knobs from [`AdaptiveController::knobs`].
-    pub fn on_epoch(&mut self, events: u64, spent: u64, capacity_delta: u64) -> ControlDecision {
-        self.epoch += 1;
+    /// loop-cut escalation on demotion). Read the outcome from
+    /// [`AdaptiveController::active`] and [`AdaptiveController::knobs`].
+    pub fn on_epoch(&mut self, events: u64, spent: u64, capacity_delta: u64) {
         let spent = spent as f64;
         // Hard cap first: at or beyond the allowance nothing re-arms.
-        if spent >= self.allowance {
-            let was_active = self.active;
+        // Warmup overspend demotes from always-on to duty-cycled
+        // monitoring (warmup is always armed and never in a window).
+        let demote = spent >= self.allowance
+            || (self.warm && spent > self.paced(events).max(self.allowance * Self::GRACE));
+        if demote {
+            if self.active {
+                self.escalate(capacity_delta);
+            }
             self.warm = false;
             self.active = false;
             self.window_left = 0;
-            if was_active {
-                self.escalate(capacity_delta);
-                return ControlDecision::Demote;
-            }
-            return ControlDecision::Idle;
-        }
-        if self.warm {
-            let credit = self.paced(events).max(self.allowance * Self::GRACE);
-            if spent > credit {
-                self.warm = false;
-                self.active = false;
-                self.window_left = 0;
-                self.escalate(capacity_delta);
-                return ControlDecision::Demote;
-            }
-            return ControlDecision::Stay;
-        }
-        if self.window_left > 0 {
+        } else if self.window_left > 0 {
             self.window_left -= 1;
             if self.window_left == 0 {
                 self.active = false;
-                return ControlDecision::WindowClosed;
             }
-            return ControlDecision::InWindow;
         }
-        ControlDecision::Idle
     }
 
     /// A slow-path access hit a watched (statically race-candidate)
@@ -379,15 +347,16 @@ mod tests {
         let mut c = ctl(1.2, 10_000, 1000);
         assert!(c.active());
         // 100/1000 events, 150 spent <= max(200 paced, 300 grace): stay.
-        assert_eq!(c.on_epoch(100, 150, 0), ControlDecision::Stay);
+        c.on_epoch(100, 150, 0);
         assert!(c.active());
+        assert_eq!(*c.knobs(), Knobs::default(), "no escalation");
     }
 
     #[test]
     fn warmup_overspend_demotes_and_escalates() {
         let mut c = ctl(1.2, 10_000, 1000);
         // 100/1000 events but 900 spent > max(200, 300): demote.
-        assert_eq!(c.on_epoch(100, 900, 5), ControlDecision::Demote);
+        c.on_epoch(100, 900, 5);
         assert!(!c.active());
         assert_eq!(c.knobs().k_min_ops, 20, "K escalated x4");
         assert_eq!(c.knobs().loopcut_threshold, 4, "capacity-driven bump");
@@ -397,27 +366,29 @@ mod tests {
     fn grace_floor_protects_early_epochs() {
         let mut c = ctl(1.2, 10_000, 100_000);
         // Tiny progress (paced ~ 2) but spend 250 < 300 grace: stay.
-        assert_eq!(c.on_epoch(100, 250, 0), ControlDecision::Stay);
+        c.on_epoch(100, 250, 0);
         assert!(c.active());
     }
 
     #[test]
     fn watch_hit_opens_window_and_expiry_closes_it() {
         let mut c = ctl(1.2, 10_000, 1000);
-        assert_eq!(c.on_epoch(100, 900, 0), ControlDecision::Demote);
+        c.on_epoch(100, 900, 0);
+        assert!(!c.active(), "demoted");
         // Paced credit at 500 events is 1000 > 950 spent: window opens.
         assert!(c.on_watch_hit(500, 950));
         assert!(c.active());
         assert!(!c.on_watch_hit(500, 950), "already open: no re-grant");
-        assert_eq!(c.on_epoch(600, 1000, 0), ControlDecision::InWindow);
-        assert_eq!(c.on_epoch(700, 1100, 0), ControlDecision::WindowClosed);
-        assert!(!c.active());
+        c.on_epoch(600, 1000, 0);
+        assert!(c.active(), "still in the window");
+        c.on_epoch(700, 1100, 0);
+        assert!(!c.active(), "the window closed");
     }
 
     #[test]
     fn watch_hit_denied_without_paced_credit() {
         let mut c = ctl(1.2, 10_000, 1000);
-        assert_eq!(c.on_epoch(100, 900, 0), ControlDecision::Demote);
+        c.on_epoch(100, 900, 0);
         // Paced credit at 200 events is 400 < 900 spent: denied.
         assert!(!c.on_watch_hit(200, 900));
         assert!(!c.active());
@@ -426,9 +397,13 @@ mod tests {
     #[test]
     fn hard_cap_forces_idle_forever() {
         let mut c = ctl(1.2, 10_000, 1000);
-        assert_eq!(c.on_epoch(999, 2000, 0), ControlDecision::Demote);
+        c.on_epoch(999, 2000, 0);
+        assert!(!c.active(), "demoted at the cap");
+        assert_eq!(c.knobs().k_min_ops, 20);
         assert!(!c.on_watch_hit(1000, 2000), "no credit at the cap");
-        assert_eq!(c.on_epoch(1000, 2000, 0), ControlDecision::Idle);
+        c.on_epoch(1000, 2000, 0);
+        assert!(!c.active(), "idle at the cap");
+        assert_eq!(c.knobs().k_min_ops, 20, "an idle epoch escalates nothing");
     }
 
     #[test]
@@ -438,16 +413,11 @@ mod tests {
             let mut trace = Vec::new();
             for e in 1..=50u64 {
                 let spent = e * e * 7; // superlinear spend
-                trace.push((c.on_epoch(e * 100, spent, e % 3), *c.knobs()));
+                c.on_epoch(e * 100, spent, e % 3);
+                trace.push((c.active(), *c.knobs()));
                 if e % 7 == 0 {
-                    trace.push((
-                        if c.on_watch_hit(e * 100, spent) {
-                            ControlDecision::InWindow
-                        } else {
-                            ControlDecision::Idle
-                        },
-                        *c.knobs(),
-                    ));
+                    c.on_watch_hit(e * 100, spent);
+                    trace.push((c.active(), *c.knobs()));
                 }
             }
             trace

@@ -181,8 +181,12 @@ enum Entry {
     /// On the slow path, as an abort demanded.
     Slow(SlowRun),
     /// In a fresh transaction: a first entry, or a retry after a
-    /// transient abort.
-    Fast(RegionId),
+    /// transient abort. A retry keeps the loop whose cut began the
+    /// aborted transaction, so its commit still feeds the learner.
+    Fast {
+        region: RegionId,
+        cut: Option<LoopId>,
+    },
 }
 
 /// Where the knobs in force come from.
@@ -570,7 +574,7 @@ impl TxRaceEngine {
     fn enter(&mut self, t: ThreadId, entry: Entry, mem: &mut Memory, ev: &OpEvent<'_>) {
         match entry {
             Entry::Slow(run) => self.threads[t.index()].phase = Phase::Slow(run),
-            Entry::Fast(region) => self.begin_txn(region, None, mem, ev),
+            Entry::Fast { region, cut } => self.begin_txn(region, cut, mem, ev),
         }
     }
 
@@ -640,8 +644,9 @@ impl TxRaceEngine {
             debug_assert_eq!(s, status);
         }
         // Wasted transactional work plus the rollback itself are overhead
-        // attributed to the abort reason. The cut loop lapses: only a
-        // commit feeds it to the learner.
+        // attributed to the abort reason. Only a commit feeds the cut
+        // loop to the learner: a fast-path retry carries it into its fresh
+        // transaction, and a slow-path entry drops it.
         let region = txn.region;
         let wasted = txn.base + self.cost.rollback_penalty;
         self.htm_cycles += wasted;
@@ -719,7 +724,10 @@ impl TxRaceEngine {
             }
             None => {
                 self.breakdown.unknown += wasted;
-                Entry::Fast(region)
+                Entry::Fast {
+                    region,
+                    cut: txn.cut_loop,
+                }
             }
         };
         self.threads[ti].phase = Phase::Outside(Some(entry));
@@ -870,7 +878,11 @@ impl Runtime for TxRaceEngine {
             self.stats.slow_small += 1;
             self.threads[ti].phase = Phase::slow(r, SlowTrigger::SmallRegion);
         } else {
-            self.enter(t, pending.unwrap_or(Entry::Fast(r)), mem, ev);
+            let first = Entry::Fast {
+                region: r,
+                cut: None,
+            };
+            self.enter(t, pending.unwrap_or(first), mem, ev);
         }
         Directive::Continue
     }

@@ -12,14 +12,16 @@
 //!   [`RegionKind::SlowOnly`] — for tiny regions the HTM management cost
 //!   exceeds the software check cost (§4.3, `K = 5`);
 //! * elides instrumentation entirely for the single-threaded prologue and
-//!   epilogue of the main thread (§4.3): no concurrency, no races;
+//!   epilogue of the main thread (§4.3): no concurrency, no races. Where
+//!   they end is [`main_phase_split`]'s decision, the same one the static
+//!   analysis's phases rest on;
 //! * appends a [`Op::LoopCutProbe`] to every loop that stays inside a
 //!   region, the hook for the loop-cut optimization (§4.3).
 //!
 //! Original site identities are preserved; marker instructions mint new
 //! sites above the original range.
 
-use txrace_sim::{LoopId, Op, Program, RegionId, SiteId, Stmt, ThreadId};
+use txrace_sim::{main_phase_split, LoopId, Op, Program, RegionId, SiteId, Stmt, ThreadId};
 
 use crate::sa::SiteClassTable;
 
@@ -139,12 +141,11 @@ pub fn instrument_pruned(
     let mut new_threads = Vec::with_capacity(p.thread_count());
     for t in 0..p.thread_count() {
         let tid = ThreadId(t as u32);
-        let stmts = p.thread(tid);
-        if t == 0 {
-            new_threads.push(pass.xform_main(p, stmts));
+        new_threads.push(if t == 0 {
+            pass.xform_main(p)
         } else {
-            new_threads.push(pass.xform_instrumented(tid, stmts));
-        }
+            pass.xform_instrumented(tid, p.thread(tid))
+        });
     }
     let program = p.with_transformed_threads(new_threads, pass.next_site);
     InstrumentedProgram {
@@ -162,13 +163,6 @@ pub fn instrument_pruned(
 /// region is split instead and the op runs untracked like other sync.
 fn is_boundary(op: &Op) -> bool {
     op.is_sync() || matches!(op, Op::Syscall(_))
-}
-
-fn stmt_contains(stmts: &[Stmt], pred: &impl Fn(&Op) -> bool) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Op { op, .. } => pred(op),
-        Stmt::Loop { body, .. } => stmt_contains(body, pred),
-    })
 }
 
 /// Removes `LoopCutProbe` markers from a statement tree (used when a
@@ -219,50 +213,18 @@ impl Pass<'_> {
         }
     }
 
-    /// Main thread: uninstrumented single-threaded prologue/epilogue
-    /// around the instrumented concurrent middle.
-    fn xform_main(&mut self, p: &Program, stmts: &[Stmt]) -> Vec<Stmt> {
-        let others_parked = (1..p.thread_count()).all(|t| p.starts_parked(ThreadId(t as u32)));
-        if !others_parked {
+    /// Main thread: uninstrumented single-threaded prologue and epilogue
+    /// (as [`main_phase_split`] decides them) around the instrumented
+    /// concurrent middle.
+    fn xform_main(&mut self, p: &Program) -> Vec<Stmt> {
+        let stmts = p.thread(ThreadId(0));
+        let Some((pre_end, post_start)) = main_phase_split(p) else {
             // Concurrency from the start: no single-threaded mode.
             return self.xform_instrumented(ThreadId(0), stmts);
-        }
-        let has_spawn = |s: &Stmt| match s {
-            Stmt::Op { op, .. } => matches!(op, Op::Spawn(_)),
-            Stmt::Loop { body, .. } => stmt_contains(body, &|op| matches!(op, Op::Spawn(_))),
         };
-        let has_join = |s: &Stmt| match s {
-            Stmt::Op { op, .. } => matches!(op, Op::Join(_)),
-            Stmt::Loop { body, .. } => stmt_contains(body, &|op| matches!(op, Op::Join(_))),
-        };
-        let first_spawn = stmts.iter().position(has_spawn);
-        let Some(first_spawn) = first_spawn else {
-            // Main never spawns anyone: the whole program is single-threaded.
-            return stmts.to_vec();
-        };
-        // The epilogue is single-threaded only if main (transitively) joins
-        // every spawned thread; conservatively require one top-level join
-        // per non-main thread.
-        let join_count: usize = stmts.iter().filter(|s| has_join(s)).count();
-        let spawned: usize = (1..p.thread_count())
-            .filter(|&t| p.starts_parked(ThreadId(t as u32)))
-            .count();
-        let last_join = if join_count >= spawned {
-            stmts.iter().rposition(has_join)
-        } else {
-            None
-        };
-
-        let mut out: Vec<Stmt> = stmts[..first_spawn].to_vec();
-        // The epilogue split only applies when the last join comes after
-        // the first spawn; a join *before* the first spawn (a program that
-        // will deadlock at runtime) must not produce a decreasing range.
-        let (middle, suffix) = match last_join {
-            Some(lj) if lj >= first_spawn => (&stmts[first_spawn..=lj], &stmts[lj + 1..]),
-            _ => (&stmts[first_spawn..], &stmts[..0]),
-        };
-        out.extend(self.xform_instrumented(ThreadId(0), middle));
-        out.extend(suffix.to_vec());
+        let mut out = stmts[..pre_end].to_vec();
+        out.extend(self.xform_instrumented(ThreadId(0), &stmts[pre_end..post_start]));
+        out.extend_from_slice(&stmts[post_start..]);
         out
     }
 
@@ -297,7 +259,7 @@ impl Pass<'_> {
                     b.stmts.push(s.clone());
                 }
                 Stmt::Loop { id, trips, body } => {
-                    if stmt_contains(body, &is_boundary) {
+                    if body.iter().any(|s| s.any_op(&is_boundary)) {
                         // The loop body has its own region structure, one
                         // set of transactions per iteration.
                         self.close(t, out, buf);

@@ -60,9 +60,7 @@ pub mod parallel;
 pub mod sa;
 
 pub use baselines::{LocksetConsumer, TsanConsumer};
-pub use control::{
-    AdaptiveController, ControlDecision, EpochRecord, Knobs, ProductionMode, Telemetry,
-};
+pub use control::{AdaptiveController, EpochRecord, Knobs, ProductionMode, Telemetry};
 pub use cost::{CostModel, CycleBreakdown};
 pub use detector::{recall, Detector, RunConfig, RunOutcome, SchedKind, Scheme, TxRaceOpts};
 pub use engine::EngineConfig;

@@ -12,7 +12,8 @@ use txrace::{
 };
 use txrace_htm::HtmConfig;
 use txrace_sim::{
-    InterruptKind, InterruptModel, Machine, Program, ProgramBuilder, RunStatus, Scheduler, ThreadId,
+    InterruptKind, InterruptModel, Machine, Op, Program, ProgramBuilder, RunStatus, Scheduler,
+    Stmt, ThreadId,
 };
 
 fn txrace_cfg(seed: u64) -> RunConfig {
@@ -611,10 +612,11 @@ fn untracked_fast_path_sync_reports_false_positives() {
 }
 
 /// Runs the lowest-numbered runnable thread (so thread 0 runs to its
-/// end first) and hits thread 0's `at`-th step with a transient
-/// interrupt. Counts thread 0's steps.
+/// end first) and hits thread 0's `at`-th step with an interrupt of
+/// `kind`. Counts thread 0's steps.
 struct Directed {
     at: Option<u64>,
+    kind: InterruptKind,
     steps: u64,
 }
 
@@ -628,21 +630,22 @@ impl Scheduler for Directed {
             return None;
         }
         self.steps += 1;
-        (Some(self.steps) == self.at).then_some(InterruptKind::Transient)
+        (Some(self.steps) == self.at).then_some(self.kind)
     }
 }
 
-/// A transient abort of a transaction that a loop cut began rolls back
-/// to the cut's probe, and the retry starts a fresh transaction there.
-/// No cut began the retry, so its commit at the region's end does not
-/// grow the loop's threshold; only the abort-free run's last transaction
-/// earns that credit.
-#[test]
-fn retry_rolled_back_to_a_loop_cut_probe_earns_no_cut_credit() {
-    // Thread 0 runs the region twice, twelve fresh lines each, against an
-    // eight-line write capacity: the first instance capacity-aborts and
-    // activates the inner loop; the second is cut three times (after 2, 3
-    // and 4 iterations), and its last transaction ends at the region end.
+/// Learned loop-cut thresholds, as `loopcut_profile().thresholds`.
+type Thresholds = Vec<(txrace_sim::LoopId, u32)>;
+
+/// Thread 0 runs one region twice, twelve fresh lines each, against an
+/// eight-line write capacity: the first instance capacity-aborts and
+/// activates the inner loop; the second is cut three times (after 2, 3
+/// and 4 iterations), and its last transaction ends at the region end.
+/// Runs it once without an interrupt, then with one `kind` interrupt at
+/// thread 0's next-to-last step, which is still inside the transaction
+/// the third cut began. Returns both runs' learned thresholds and the
+/// interrupted run's stats.
+fn run_interrupted_cut(kind: InterruptKind) -> (Thresholds, Thresholds, txrace::EngineStats) {
     let mut b = ProgramBuilder::new(2);
     let arr = b.array("arr", 4096);
     b.thread(0).loop_n(2, |tb| {
@@ -665,7 +668,7 @@ fn retry_rolled_back_to_a_loop_cut_probe_earns_no_cut_credit() {
     };
     let run = |at: Option<u64>| {
         let mut engine = TxRaceEngine::new(&ip, cfg.clone());
-        let mut sched = Directed { at, steps: 0 };
+        let mut sched = Directed { at, kind, steps: 0 };
         let r = Machine::new(&ip.program).run(&mut engine, &mut sched);
         assert_eq!(r.status, RunStatus::Done);
         (
@@ -677,16 +680,94 @@ fn retry_rolled_back_to_a_loop_cut_probe_earns_no_cut_credit() {
     let (clean, clean_stats, steps) = run(None);
     assert_eq!(clean_stats.loop_cuts, 3);
     assert_eq!(clean_stats.fast_retries, 0);
-    // Thread 0's last step runs after the region; the one before it is
-    // still inside the transaction the third cut began.
-    let (retried, stats, _) = run(Some(steps - 1));
+    let (interrupted, stats, _) = run(Some(steps - 1));
+    assert_eq!(stats.loop_cuts, 3, "the interrupt must not change the cuts");
+    (clean, interrupted, stats)
+}
+
+/// A transient abort of a transaction that a loop cut began rolls back
+/// to the cut's probe, and the retry starts a fresh transaction there
+/// that keeps the cut loop. Its commit at the region's end grows the
+/// loop's threshold exactly as the interrupt-free run's does (§4.3: every
+/// committing cut transaction earns the credit).
+#[test]
+fn retry_rolled_back_to_a_loop_cut_probe_keeps_its_cut_credit() {
+    let (clean, retried, stats) = run_interrupted_cut(InterruptKind::Transient);
     assert_eq!(
         stats.fast_retries, 1,
         "the interrupt must abort a transaction"
     );
-    assert_eq!(stats.loop_cuts, 3, "the retry must not change the cuts");
-    let [(l, clean_t)] = clean[..] else {
-        panic!("one learned loop expected: {clean:?}");
+    let [(l, 6)] = clean[..] else {
+        panic!("one loop learned to 6 expected: {clean:?}");
     };
-    assert_eq!(retried, vec![(l, clean_t - 1)]);
+    assert_eq!(retried, vec![(l, 6)]);
+}
+
+/// A context switch in the same place is an unknown abort: the thread
+/// re-executes from the cut's probe on the slow path, no transaction
+/// commits there, and the loop earns no credit, one below the
+/// interrupt-free run's threshold.
+#[test]
+fn slow_path_fallback_from_a_loop_cut_probe_earns_no_cut_credit() {
+    let (clean, slow, stats) = run_interrupted_cut(InterruptKind::ContextSwitch);
+    assert_eq!(stats.fast_retries, 0);
+    assert_eq!(
+        stats.slow_unknown, 1,
+        "the interrupt must send the thread slow"
+    );
+    let [(l, 6)] = clean[..] else {
+        panic!("one loop learned to 6 expected: {clean:?}");
+    };
+    assert_eq!(slow, vec![(l, 5)]);
+}
+
+/// Main spawns threads 1 and 2, joins thread 1 twice and never joins
+/// thread 2. Two joins of one thread are not one join per thread: main's
+/// accesses after the joins still run concurrently with thread 2's, so
+/// they stay instrumented and their race on `x` is reported.
+#[test]
+fn a_repeated_join_does_not_end_main_concurrency() {
+    let mut b = ProgramBuilder::new(3);
+    let x = b.var("x");
+    let y = b.var("y");
+    b.thread(0)
+        .spawn(ThreadId(1))
+        .spawn(ThreadId(2))
+        .join(ThreadId(1))
+        .join(ThreadId(1))
+        .write(x, 1)
+        .write(x, 2);
+    b.thread(1).write(y, 1);
+    b.thread(2).write(x, 3);
+    let p = b.build();
+    assert_eq!(txrace_sim::lint(&p), vec![], "the program is lint-clean");
+
+    let ip = instrument(&p, &InstrumentConfig::default());
+    let main = ip.program.thread(ThreadId(0));
+    let ops: Vec<Op> = main
+        .iter()
+        .map(|s| match s {
+            Stmt::Op { op, .. } => *op,
+            Stmt::Loop { .. } => unreachable!("main has no loops"),
+        })
+        .collect();
+    let last_join = ops
+        .iter()
+        .rposition(|op| matches!(op, Op::Join(_)))
+        .expect("main joins");
+    assert!(
+        matches!(
+            ops[last_join + 1..],
+            [Op::TxBegin(_), Op::Write(..), Op::Write(..), Op::TxEnd(_)]
+        ),
+        "main's post-join writes must sit in a region: {:?}",
+        &ops[last_join + 1..]
+    );
+
+    let out = Detector::new(txrace_cfg(0)).run(&p);
+    assert!(out.completed());
+    assert!(
+        out.races.distinct_count() >= 1,
+        "main's writes race with thread 2's"
+    );
 }
