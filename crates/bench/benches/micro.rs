@@ -63,24 +63,22 @@ fn bench_snapshot(c: &mut Criterion) {
     };
     g.bench_function("journal_rollback_8_writes", |b| {
         let mut mem = populated();
-        let mut j = WriteJournal::new();
+        let mut j = WriteJournal::default();
         b.iter(|| {
-            let mark = j.mark();
             for i in 0..8u64 {
                 mem.store_logged(Addr(i * 8), 999, &mut j);
             }
-            j.rollback_to(&mut mem, mark);
+            j.rollback(&mut mem);
         });
     });
     g.bench_function("journal_commit_8_writes", |b| {
         let mut mem = populated();
-        let mut j = WriteJournal::new();
+        let mut j = WriteJournal::default();
         b.iter(|| {
-            let mark = j.mark();
             for i in 0..8u64 {
                 mem.store_logged(Addr(i * 8), 999, &mut j);
             }
-            j.commit_to(mark);
+            j.clear();
         });
     });
     g.finish();

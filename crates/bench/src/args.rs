@@ -1,14 +1,14 @@
-//! The command line every paper binary shares: optional positional
-//! values in a fixed order (`[workers] [seed]` for most), plus flags
-//! anywhere on the line.
+//! The command line every binary shares: optional positional values in
+//! a fixed order (`[workers] [seed]` for most), plus flags, with or
+//! without a value, anywhere on the line.
 
 use std::collections::VecDeque;
 use std::str::FromStr;
 
-/// A paper binary's command-line arguments. A missing positional value
-/// takes its default. An unparsable value, a worker count below two, a
-/// zero count, or a positional value the binary does not read prints the
-/// usage line to stderr and exits with status 2.
+/// A binary's command-line arguments. A missing positional value takes
+/// its default. An unparsable value, a flag missing its value, a worker
+/// count below two, a zero count, or a positional value the binary does
+/// not read prints the usage line to stderr and exits with status 2.
 #[derive(Debug)]
 pub struct Args {
     usage: &'static str,
@@ -33,20 +33,31 @@ impl Args {
         self.rest.len() != before
     }
 
+    /// The value after `flag` (`--seed 7`), wherever it appears on the
+    /// line, or `None` when the line has no `flag`; both are removed from
+    /// the positional values.
+    pub fn value<T: FromStr>(&mut self, flag: &str) -> Option<T> {
+        let i = self.rest.iter().position(|a| a == flag)?;
+        self.rest.remove(i);
+        match self.rest.remove(i) {
+            Some(s) => Some(self.parse(&s)),
+            None => self.exit(&format!("{flag} needs a value")),
+        }
+    }
+
     /// The next positional value, or `default` when the line has no more.
     pub fn next_or<T: FromStr>(&mut self, default: T) -> T {
         match self.rest.pop_front() {
             None => default,
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                self.exit(&format!("cannot parse {s:?}"));
-            }),
+            Some(s) => self.parse(&s),
         }
     }
 
-    /// The next positional value as the workloads' worker-thread count
-    /// (default 4). Every workload needs at least two threads.
+    /// The workloads' worker-thread count: the value of `--workers` if
+    /// the line has one, else the next positional value (default 4).
+    /// Every workload needs at least two threads.
     pub fn workers(&mut self) -> usize {
-        let workers = self.next_or(4);
+        let workers = self.value("--workers").unwrap_or_else(|| self.next_or(4));
         if workers < 2 {
             self.exit("workers must be at least 2 (the workloads need concurrency)");
         }
@@ -68,6 +79,11 @@ impl Args {
         if let Some(extra) = self.rest.front() {
             self.exit(&format!("unexpected argument {extra:?}"));
         }
+    }
+
+    fn parse<T: FromStr>(&self, s: &str) -> T {
+        s.parse()
+            .unwrap_or_else(|_| self.exit(&format!("cannot parse {s:?}")))
     }
 
     fn exit(&self, problem: &str) -> ! {

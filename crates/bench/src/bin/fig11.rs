@@ -9,7 +9,8 @@
 
 use txrace::{recall, Scheme};
 use txrace_bench::{
-    pool_width, record_workload, replay_schemes_fanout, run_scheme, Args, Table, RACY_APPS,
+    cost_effectiveness, normalized_overhead, pool_width, record_workload, replay_schemes_fanout,
+    run_scheme, Args, Table, RACY_APPS,
 };
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
@@ -38,10 +39,8 @@ fn main() {
         ];
         let outs = replay_schemes_fanout(w, &log, &schemes, seed, schemes.len());
         let truth = &outs[0];
-        let base_extra = (truth.overhead - 1.0).max(1e-9);
-        let ce = |overhead: f64, rec: f64| -> f64 {
-            let norm = ((overhead - 1.0).max(0.0) / base_extra).max(1e-3);
-            rec / norm
+        let ce = |overhead: f64, rec: f64| {
+            cost_effectiveness(rec, normalized_overhead(overhead, truth.overhead))
         };
         let mut cells = vec![w.name.to_string()];
         for f in &outs[1..] {

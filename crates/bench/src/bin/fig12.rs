@@ -9,7 +9,8 @@
 
 use txrace::Scheme;
 use txrace_bench::{
-    pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme, Args, Table,
+    normalized_overhead, pool_width, rate_sweep, record_workload, replay_schemes_fanout,
+    run_scheme, Args, Table,
 };
 use txrace_workloads::by_name;
 
@@ -29,18 +30,17 @@ fn main() {
     // cannot consume a fixed trace).
     let log = record_workload(&w, seed);
     let outs = replay_schemes_fanout(&w, &log, &rate_sweep(), seed, pool_width());
-    let full = &outs[0];
-    let full_extra = (full.overhead - 1.0).max(1e-9);
+    let full = outs[0].overhead;
 
     let mut t = Table::new(&["sampling rate", "normalized overhead"]);
     for (pct, f) in (0..=100).step_by(10).zip(&outs[1..]) {
-        let norm = (f.overhead - 1.0).max(0.0) / full_extra;
+        let norm = normalized_overhead(f.overhead, full);
         t.row(vec![format!("{pct}%"), format!("{norm:.2}")]);
     }
     println!("{}", t.render());
 
     let tx = run_scheme(&w, Scheme::txrace(), seed);
-    let tx_norm = (tx.overhead - 1.0).max(0.0) / full_extra;
+    let tx_norm = normalized_overhead(tx.overhead, full);
     println!(
         "TxRace: {:.2} of full TSan (paper: 0.69, equivalent to ~25.5% sampling)",
         tx_norm

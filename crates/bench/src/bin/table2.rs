@@ -7,7 +7,9 @@
 //! cargo run --release -p txrace-bench --bin table2 [workers] [seed]
 //! ```
 
-use txrace_bench::{evaluate_app, geomean, paper, pool_width, Args, Table};
+use txrace_bench::{
+    cost_effectiveness, evaluate_app, geomean, normalized_overhead, paper, pool_width, Args, Table,
+};
 use txrace_sim::par_map;
 use txrace_workloads::all_workloads;
 
@@ -31,7 +33,8 @@ fn main() {
         // bare measured values and stay out of the paper-comparison
         // geomeans.
         let p = paper::row(w.name);
-        let norm = r.normalized_overhead();
+        let norm = normalized_overhead(r.txrace.overhead, r.tsan.overhead);
+        let ce = cost_effectiveness(r.recall, norm);
         t.row(vec![
             w.name.to_string(),
             match p {
@@ -47,14 +50,14 @@ fn main() {
                 None => format!("{:.2}", r.recall),
             },
             match p {
-                Some(p) => format!("{:.2} ({:.2})", r.cost_effectiveness, p.cost_effectiveness),
-                None => format!("{:.2}", r.cost_effectiveness),
+                Some(p) => format!("{ce:.2} ({:.2})", p.cost_effectiveness),
+                None => format!("{ce:.2}"),
             },
         ]);
         if p.is_some() {
             ovs.push(norm.max(1e-3));
             recs.push(r.recall.max(1e-3));
-            ces.push(r.cost_effectiveness.max(1e-3));
+            ces.push(ce.max(1e-3));
         }
     }
     println!("{}", t.render());

@@ -37,87 +37,83 @@
 //! cargo run --release -p txrace-bench --bin txdump -- vips --thread 1 --kind read,write --head 40
 //! ```
 
+use std::collections::BTreeMap;
+use std::str::FromStr;
+
+use txrace_bench::Args;
 use txrace_sim::{EventLog, TraceEvent, TraceEventKind};
 use txrace_workloads::by_name;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  txdump <app> [--seed <n>] [--workers <n>] [--thread <t>] \
-         [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats] \
-         [--sites] [--epochs] [--budget <x>]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "txdump <app> [--seed <n>] [--workers <n>] [--thread <t>] \
+                     [--kind <k>[,<k>...]] [--head <n>] [--summary] [--stats] \
+                     [--sites] [--epochs] [--budget <x>]";
 
-fn parse_kind(s: &str) -> TraceEventKind {
-    match s {
-        "read" => TraceEventKind::Read,
-        "write" => TraceEventKind::Write,
-        "rmw" => TraceEventKind::Rmw,
-        "acquire" => TraceEventKind::Acquire,
-        "release" => TraceEventKind::Release,
-        "signal" => TraceEventKind::Signal,
-        "wait" => TraceEventKind::Wait,
-        "spawn" => TraceEventKind::Spawn,
-        "join" => TraceEventKind::Join,
-        "barrier-arrive" => TraceEventKind::BarrierArrive,
-        "barrier-release" => TraceEventKind::BarrierRelease,
-        "thread-done" => TraceEventKind::ThreadDone,
-        "compute" => TraceEventKind::Compute,
-        "syscall" => TraceEventKind::Syscall,
-        "chan-send" => TraceEventKind::ChanSend,
-        "chan-recv" => TraceEventKind::ChanRecv,
-        _ => usage(),
-    }
-}
+/// Every event kind under its command-line name.
+const KINDS: [(&str, TraceEventKind); 16] = [
+    ("read", TraceEventKind::Read),
+    ("write", TraceEventKind::Write),
+    ("rmw", TraceEventKind::Rmw),
+    ("acquire", TraceEventKind::Acquire),
+    ("release", TraceEventKind::Release),
+    ("signal", TraceEventKind::Signal),
+    ("wait", TraceEventKind::Wait),
+    ("spawn", TraceEventKind::Spawn),
+    ("join", TraceEventKind::Join),
+    ("barrier-arrive", TraceEventKind::BarrierArrive),
+    ("barrier-release", TraceEventKind::BarrierRelease),
+    ("thread-done", TraceEventKind::ThreadDone),
+    ("compute", TraceEventKind::Compute),
+    ("syscall", TraceEventKind::Syscall),
+    ("chan-send", TraceEventKind::ChanSend),
+    ("chan-recv", TraceEventKind::ChanRecv),
+];
 
 fn kind_name(k: TraceEventKind) -> &'static str {
-    match k {
-        TraceEventKind::Read => "read",
-        TraceEventKind::Write => "write",
-        TraceEventKind::Rmw => "rmw",
-        TraceEventKind::Acquire => "acquire",
-        TraceEventKind::Release => "release",
-        TraceEventKind::Signal => "signal",
-        TraceEventKind::Wait => "wait",
-        TraceEventKind::Spawn => "spawn",
-        TraceEventKind::Join => "join",
-        TraceEventKind::BarrierArrive => "barrier-arrive",
-        TraceEventKind::BarrierRelease => "barrier-release",
-        TraceEventKind::ThreadDone => "thread-done",
-        TraceEventKind::Compute => "compute",
-        TraceEventKind::Syscall => "syscall",
-        TraceEventKind::ChanSend => "chan-send",
-        TraceEventKind::ChanRecv => "chan-recv",
+    let named = KINDS.iter().find(|&&(_, kind)| kind == k);
+    named.expect("KINDS names every kind").0
+}
+
+/// The `--kind` filter: a comma-separated list of kind names.
+struct Kinds(Vec<TraceEventKind>);
+
+impl FromStr for Kinds {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Kinds, ()> {
+        let kind = |name| KINDS.iter().find(|&&(n, _)| n == name).map(|&(_, k)| k);
+        let kinds = s.split(',').map(kind).collect::<Option<_>>();
+        kinds.map(Kinds).ok_or(())
     }
+}
+
+/// Events per kind, by kind name.
+fn kind_counts(log: &EventLog) -> BTreeMap<&'static str, u64> {
+    let mut counts = BTreeMap::new();
+    for e in log.events() {
+        *counts.entry(kind_name(e.kind())).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// `--stats`: aggregate trace statistics — per-kind event counts, write
 /// density, and the `top_n` hottest addresses by access count.
 fn print_stats(log: &EventLog, top_n: usize) {
     let total = log.len().max(1) as f64;
-    let mut counts = std::collections::BTreeMap::new();
+    println!("\nevents by kind:");
+    for (k, n) in kind_counts(log) {
+        println!("  {k:<16} {n:>9}  ({:5.1}%)", n as f64 / total * 100.0);
+    }
+
     // (reads, writes) per address; RMWs count as writes.
     let mut heat: std::collections::HashMap<u32, (u64, u64)> = std::collections::HashMap::new();
+    // (sends, recvs) per channel: each arg is a ChanId; sends and recvs
+    // must balance in a completed run (the ChanTrafficImbalance lint's
+    // view).
+    let mut chan: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
     for e in log.events() {
-        *counts.entry(kind_name(e.kind())).or_insert(0u64) += 1;
         match e.kind() {
             TraceEventKind::Read => heat.entry(e.arg()).or_default().0 += 1,
             TraceEventKind::Write | TraceEventKind::Rmw => heat.entry(e.arg()).or_default().1 += 1,
-            _ => {}
-        }
-    }
-
-    println!("\nevents by kind:");
-    for (k, n) in &counts {
-        println!("  {k:<16} {n:>9}  ({:5.1}%)", *n as f64 / total * 100.0);
-    }
-
-    // Per-channel traffic: each arg is a ChanId; sends and recvs must
-    // balance in a completed run (the ChanTrafficImbalance lint's view).
-    let mut chan: std::collections::BTreeMap<u32, (u64, u64)> = std::collections::BTreeMap::new();
-    for e in log.events() {
-        match e.kind() {
             TraceEventKind::ChanSend => chan.entry(e.arg()).or_default().0 += 1,
             TraceEventKind::ChanRecv => chan.entry(e.arg()).or_default().1 += 1,
             _ => {}
@@ -284,43 +280,23 @@ fn print_epochs(w: &txrace_workloads::Workload, seed: u64, budget: f64) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut app: Option<String> = None;
-    let mut seed = 42u64;
-    let mut workers = 4usize;
-    let mut thread: Option<u32> = None;
-    let mut kinds: Option<Vec<TraceEventKind>> = None;
-    let mut head: Option<usize> = None;
-    let mut summary = false;
-    let mut stats = false;
-    let mut sites = false;
-    let mut epochs = false;
-    let mut budget = 1.2f64;
+    let mut args = Args::from_env(USAGE);
+    let seed = args.value("--seed").unwrap_or(42u64);
+    let thread: Option<u32> = args.value("--thread");
+    let kinds: Option<Kinds> = args.value("--kind");
+    let head: Option<usize> = args.value("--head");
+    let budget = args.value("--budget").unwrap_or(1.2f64);
+    let summary = args.flag("--summary");
+    let stats = args.flag("--stats");
+    let sites = args.flag("--sites");
+    let epochs = args.flag("--epochs");
+    // The one positional argument is the app; flags go anywhere.
+    let app: String = args.next_or(String::new());
+    let workers = args.workers();
+    args.finish();
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--seed" => seed = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--workers" => workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--thread" => thread = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--kind" => kinds = Some(val(&mut it).split(',').map(parse_kind).collect()),
-            "--head" => head = Some(val(&mut it).parse().unwrap_or_else(|_| usage())),
-            "--summary" => summary = true,
-            "--stats" => stats = true,
-            "--sites" => sites = true,
-            "--epochs" => epochs = true,
-            "--budget" => budget = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            // The one positional argument is the app; flags go anywhere.
-            s if !s.starts_with('-') && app.is_none() => app = Some(s.to_string()),
-            _ => usage(),
-        }
-    }
-    let Some(app) = app else { usage() };
-    let app = app.as_str();
-
-    let Some(w) = by_name(app, workers) else {
-        eprintln!("unknown app {app:?}; try `txrace-cli list`");
+    let Some(w) = by_name(&app, workers) else {
+        eprintln!("unknown app {app:?}; try `txrace-cli list`\nusage: {USAGE}");
         std::process::exit(2);
     };
     if sites {
@@ -358,12 +334,8 @@ fn main() {
         return;
     }
     if summary {
-        let mut counts = std::collections::BTreeMap::new();
-        for e in log.events() {
-            *counts.entry(kind_name(e.kind())).or_insert(0u64) += 1;
-        }
         println!("\nevents by kind:");
-        for (k, n) in counts {
+        for (k, n) in kind_counts(&log) {
             println!("  {k:<16} {n}");
         }
         return;
@@ -371,7 +343,7 @@ fn main() {
 
     let keep = |e: &TraceEvent| {
         thread.is_none_or(|t| e.thread().0 == t)
-            && kinds.as_ref().is_none_or(|ks| ks.contains(&e.kind()))
+            && kinds.as_ref().is_none_or(|ks| ks.0.contains(&e.kind()))
     };
     let mut printed = 0usize;
     for (i, e) in log.events().iter().enumerate() {

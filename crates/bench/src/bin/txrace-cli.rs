@@ -15,21 +15,57 @@
 //! cargo run --release -p txrace-bench --bin txrace-cli -- run bodytrack --scheme tsan
 //! ```
 
-use txrace::{CostModel, Detector, LocksetConsumer, LoopcutMode, Scheme, TxRaceOpts};
-use txrace_workloads::{all_workloads, by_name};
+use txrace::{CostModel, Detector, LocksetConsumer, LoopcutMode, Scheme};
+use txrace_bench::Args;
+use txrace_workloads::{all_workloads, by_name, Workload};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage:\n  txrace-cli list\n  txrace-cli run <app> [--scheme tsan|txrace|lockset|sampling=<rate>] \
-         [--seed <n>] [--workers <n>] [--loopcut noopt|dyn|prof] [--verbose]"
-    );
-    std::process::exit(2);
+const USAGE: &str = "txrace-cli list | txrace-cli run <app> \
+                     [--scheme tsan|txrace|lockset|sampling=<rate>] [--seed <n>] \
+                     [--workers <n>] [--loopcut noopt|dyn|prof] [--verbose]";
+
+/// What `run` does: a live detector, or the lockset replay.
+enum Detection {
+    Live(Scheme),
+    Lockset,
+}
+
+/// The `--scheme` value, `txrace` with the `--loopcut` mode; `None` if
+/// either names nothing.
+fn detection(scheme: &str, loopcut: &str) -> Option<Detection> {
+    let loopcut = match loopcut {
+        "noopt" => LoopcutMode::NoOpt,
+        "dyn" => LoopcutMode::Dyn,
+        "prof" => LoopcutMode::Prof,
+        _ => return None,
+    };
+    let live = match scheme {
+        "lockset" => return Some(Detection::Lockset),
+        "tsan" => Scheme::Tsan,
+        "txrace" => Scheme::txrace_loopcut(loopcut),
+        _ => {
+            let rate: f64 = scheme.strip_prefix("sampling=")?.parse().ok()?;
+            // `contains` is false for NaN, so NaN is refused too.
+            (0.0..=1.0)
+                .contains(&rate)
+                .then_some(Scheme::TsanSampling { rate })?
+        }
+    };
+    Some(Detection::Live(live))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
+    let mut args = Args::from_env(USAGE);
+    let scheme: String = args.value("--scheme").unwrap_or_else(|| "txrace".into());
+    let loopcut: String = args.value("--loopcut").unwrap_or_else(|| "dyn".into());
+    let seed = args.value("--seed").unwrap_or(42);
+    let verbose = args.flag("--verbose");
+    let command: String = args.next_or(String::new());
+    let app: String = args.next_or(String::new());
+    let workers = args.workers();
+    args.finish();
+    let detection = detection(&scheme, &loopcut);
+    match (command.as_str(), by_name(&app, workers), detection) {
+        ("list", None, _) if app.is_empty() => {
             println!("available workloads (paper Table 1 order):");
             for w in all_workloads(2) {
                 println!(
@@ -40,82 +76,39 @@ fn main() {
                 );
             }
         }
-        Some("run") => run_command(&args[1..]),
-        _ => usage(),
+        ("run", Some(w), Some(detection)) => run(&w, detection, seed, workers, verbose),
+        _ => {
+            eprintln!(
+                "unknown command, app, scheme or loop-cut mode in {command:?} {app:?} \
+                 --scheme {scheme:?} --loopcut {loopcut:?}; try `txrace-cli list`\nusage: {USAGE}"
+            );
+            std::process::exit(2);
+        }
     }
 }
 
-fn run_command(args: &[String]) {
-    let Some(app) = args.first() else { usage() };
-    let mut scheme = "txrace".to_string();
-    let mut seed = 42u64;
-    let mut workers = 4usize;
-    let mut loopcut = LoopcutMode::Dyn;
-    let mut verbose = false;
-
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        let val = |it: &mut std::slice::Iter<String>| it.next().cloned().unwrap_or_else(|| usage());
-        match a.as_str() {
-            "--scheme" => scheme = val(&mut it),
-            "--seed" => seed = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--workers" => workers = val(&mut it).parse().unwrap_or_else(|_| usage()),
-            "--loopcut" => {
-                loopcut = match val(&mut it).as_str() {
-                    "noopt" => LoopcutMode::NoOpt,
-                    "dyn" => LoopcutMode::Dyn,
-                    "prof" => LoopcutMode::Prof,
-                    _ => usage(),
+fn run(w: &Workload, detection: Detection, seed: u64, workers: usize, verbose: bool) {
+    let app = w.name;
+    let scheme = match detection {
+        Detection::Live(scheme) => scheme,
+        Detection::Lockset => {
+            // Record under the workload's own scheduler, then replay the
+            // trace through the lockset consumer.
+            let log = txrace_bench::record_workload(w, seed);
+            let mut ls = LocksetConsumer::new(w.program.thread_count(), CostModel::default());
+            log.replay(&mut ls);
+            println!(
+                "{app} (lockset, seed {seed}, {workers} workers): {:?}",
+                log.result().status
+            );
+            println!("lockset violations: {}", ls.reports().len());
+            if verbose {
+                for rep in ls.reports() {
+                    println!("  {rep}");
                 }
             }
-            "--verbose" => verbose = true,
-            _ => usage(),
+            return;
         }
-    }
-
-    if workers < 2 {
-        eprintln!("--workers must be at least 2 (the workloads need concurrency)");
-        std::process::exit(2);
-    }
-    let Some(w) = by_name(app, workers) else {
-        eprintln!("unknown app {app:?}; try `txrace-cli list`");
-        std::process::exit(2);
-    };
-
-    if scheme == "lockset" {
-        // Record under the workload's own scheduler, then replay the
-        // trace through the lockset consumer.
-        let log = txrace_bench::record_workload(&w, seed);
-        let mut ls = LocksetConsumer::new(w.program.thread_count(), CostModel::default());
-        log.replay(&mut ls);
-        println!(
-            "{app} (lockset, seed {seed}, {workers} workers): {:?}",
-            log.result().status
-        );
-        println!("lockset violations: {}", ls.reports().len());
-        if verbose {
-            for rep in ls.reports() {
-                println!("  {rep}");
-            }
-        }
-        return;
-    }
-
-    let scheme = match scheme.as_str() {
-        "tsan" => Scheme::Tsan,
-        "txrace" => Scheme::TxRace(TxRaceOpts {
-            loopcut,
-            ..TxRaceOpts::default()
-        }),
-        s if s.starts_with("sampling=") => {
-            let rate: f64 = s["sampling=".len()..].parse().unwrap_or_else(|_| usage());
-            // `contains` is false for NaN, so NaN is refused too.
-            if !(0.0..=1.0).contains(&rate) {
-                usage();
-            }
-            Scheme::TsanSampling { rate }
-        }
-        _ => usage(),
     };
     let out = Detector::new(w.config(scheme, seed)).run(&w.program);
     println!(

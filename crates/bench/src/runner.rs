@@ -50,17 +50,6 @@ pub struct AppResult {
     pub txrace: RunOutcome,
     /// Recall of TxRace against TSan's reports.
     pub recall: f64,
-    /// Cost-effectiveness vs TSan (Table 2): recall / normalized overhead.
-    pub cost_effectiveness: f64,
-}
-
-impl AppResult {
-    /// TxRace overhead normalized to TSan's (Table 2 "overhead" column).
-    pub fn normalized_overhead(&self) -> f64 {
-        let tsan_extra = (self.tsan.overhead - 1.0).max(1e-9);
-        let tx_extra = (self.txrace.overhead - 1.0).max(0.0);
-        tx_extra / tsan_extra
-    }
 }
 
 /// Runs TSan and default TxRace on `w` at `seed` and scores them.
@@ -73,17 +62,27 @@ pub fn evaluate_app(w: &Workload, seed: u64) -> AppResult {
         "{}: TxRace run did not complete",
         w.name
     );
-    let rec = recall(&txrace.races, &tsan.races);
-    let mut result = AppResult {
+    AppResult {
         name: w.name,
+        recall: recall(&txrace.races, &tsan.races),
         tsan,
         txrace,
-        recall: rec,
-        cost_effectiveness: 0.0,
-    };
-    let norm = result.normalized_overhead();
-    result.cost_effectiveness = if norm > 0.0 { rec / norm } else { rec / 1e-9 };
-    result
+    }
+}
+
+/// The paper's normalized overhead (Table 2, Figures 11 and 12): a
+/// detector's extra cycles over the uninstrumented run as a fraction of
+/// full TSan's, `(overhead - 1) / (tsan - 1)`. An extra below 0 counts
+/// as 0, and a TSan run with no extra cost divides by 1e-9.
+pub fn normalized_overhead(overhead: f64, tsan: f64) -> f64 {
+    (overhead - 1.0).max(0.0) / (tsan - 1.0).max(1e-9)
+}
+
+/// The paper's cost-effectiveness (Table 2, Figure 11): recall per unit
+/// of normalized overhead, which is floored at 1e-3 so that a detector
+/// with no extra cost scores 1000 times its recall, not infinity.
+pub fn cost_effectiveness(recall: f64, normalized_overhead: f64) -> f64 {
+    recall / normalized_overhead.max(1e-3)
 }
 
 /// Runs one scheme on a workload.
@@ -171,6 +170,15 @@ mod tests {
                 other => panic!("{pct}%: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn cost_effectiveness_floors() {
+        assert_eq!(normalized_overhead(3.0, 5.0), 0.5);
+        assert_eq!(normalized_overhead(0.5, 5.0), 0.0);
+        assert_eq!(normalized_overhead(2.0, 1.0), 1.0 / 1e-9);
+        assert_eq!(cost_effectiveness(0.5, 0.25), 2.0);
+        assert_eq!(cost_effectiveness(0.5, 0.0), 500.0);
     }
 
     #[test]

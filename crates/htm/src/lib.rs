@@ -22,12 +22,15 @@
 //! * **Isolated speculative stores**: a transaction's stores are never
 //!   observed by another thread and vanish on abort. Stores go to memory
 //!   eagerly under a per-transaction undo journal
-//!   ([`txrace_sim::WriteJournal`]) that is unwound the instant the
-//!   transaction is doomed — before the conflicting access proceeds — so
-//!   isolation is preserved with O(1) begin/commit and O(stores)
-//!   rollback. The crate's property tests hold this against a lazy
-//!   write-buffer reference model (stores buffered per thread, applied
-//!   at commit, dropped on abort) on random scripts.
+//!   ([`txrace_sim::WriteJournal`]) that is unwound as a whole the
+//!   instant the transaction is doomed — before the conflicting access
+//!   proceeds — so isolation is preserved with O(1) begin/commit and
+//!   O(stores) rollback. Like RTM, transactions never nest, so the
+//!   journal needs no watermarks: a doom undoes all of it, and retiring
+//!   the transaction (commit or abort) clears it. The crate's property
+//!   tests hold this against a lazy write-buffer reference model (stores
+//!   buffered per thread, applied at commit, dropped on abort) on random
+//!   scripts.
 //!
 //! Like the real hardware, the system reports *that* a transaction aborted
 //! and a status word — never which instruction, address, or other

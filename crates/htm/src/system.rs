@@ -144,25 +144,9 @@ impl HtmSystem {
         counts[li] += 1;
     }
 
-    /// Returns a finished transaction's tracked lines to the occupancy
-    /// counters (called with the slot's sets still intact, before reset).
-    fn release_lines(readers: &mut [u32], writers: &mut [u32], txn: &Txn) {
-        for l in txn.read_lines.iter() {
-            readers[l.0 as usize] -= 1;
-        }
-        for l in txn.write_lines.iter() {
-            writers[l.0 as usize] -= 1;
-        }
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> &HtmStats {
         &self.stats
-    }
-
-    /// Number of transactions currently occupying hardware slots.
-    fn active_txn_count(&self) -> usize {
-        self.active
     }
 
     /// True if `t` has a transaction in flight (active or doomed).
@@ -206,22 +190,20 @@ impl HtmSystem {
         if self.slots[t.index()].in_flight {
             return Err(XbeginError::Nested);
         }
-        if self.active_txn_count() >= self.cfg.max_concurrent_txns {
+        if self.active >= self.cfg.max_concurrent_txns {
             return Err(XbeginError::NoSlot);
         }
         // The slot's bookkeeping was reset when its last transaction
-        // finished, so starting one is just flipping the flag and taking
-        // an O(1) journal watermark — never O(state).
-        let slot = &mut self.slots[t.index()];
-        slot.in_flight = true;
-        slot.txn.begin = slot.txn.journal.mark();
+        // retired, so starting one is just flipping the flag — never
+        // O(state).
+        self.slots[t.index()].in_flight = true;
         self.active += 1;
         Ok(())
     }
 
     /// Ends thread `t`'s transaction: makes its stores permanent (they are
-    /// already in memory, so commit is an O(1) journal truncate), or
-    /// reports the abort status.
+    /// already in memory, so commit only forgets the undo log), or reports
+    /// the abort status.
     ///
     /// # Errors
     ///
@@ -232,27 +214,11 @@ impl HtmSystem {
     ///
     /// Panics if `t` has no transaction in flight.
     pub fn xend(&mut self, t: ThreadId) -> Result<(), AbortStatus> {
-        let slot = &mut self.slots[t.index()];
-        assert!(slot.in_flight, "xend without a transaction in flight");
-        slot.in_flight = false;
-        let result = match slot.txn.doom {
-            Some(status) => Err(status),
-            None => {
-                // Journaled stores are already in memory; committing is
-                // retiring the undo entries (`reset` truncates).
-                let begin = slot.txn.begin;
-                slot.txn.journal.commit_to(begin);
-                Ok(())
-            }
-        };
-        let slot = &self.slots[t.index()];
-        Self::release_lines(&mut self.line_readers, &mut self.line_writers, &slot.txn);
-        self.slots[t.index()].txn.reset();
-        self.active -= 1;
-        if result.is_ok() {
-            self.stats.committed += 1;
-        }
-        result
+        assert!(self.in_txn(t), "xend without a transaction in flight");
+        let doom = self.slots[t.index()].txn.doom;
+        self.retire(t);
+        self.stats.committed += u64::from(doom.is_none());
+        doom.map_or(Ok(()), Err)
     }
 
     /// Consumes a doomed transaction after the thread observed the abort,
@@ -263,18 +229,30 @@ impl HtmSystem {
     ///
     /// Panics if `t`'s transaction is not doomed.
     pub fn abort_rollback(&mut self, t: ThreadId) -> AbortStatus {
-        let slot = &mut self.slots[t.index()];
-        assert!(slot.in_flight, "abort_rollback without a transaction");
-        let status = slot
+        assert!(self.in_txn(t), "abort_rollback without a transaction");
+        let status = self.slots[t.index()]
             .txn
             .doom
             .expect("abort_rollback of a healthy transaction");
-        slot.in_flight = false;
-        let slot = &self.slots[t.index()];
-        Self::release_lines(&mut self.line_readers, &mut self.line_writers, &slot.txn);
-        self.slots[t.index()].txn.reset();
-        self.active -= 1;
+        self.retire(t);
         status
+    }
+
+    /// Frees `t`'s slot: its tracked lines go back to the occupancy
+    /// counters and the transaction is reset, which clears its undo log (a
+    /// committed transaction's stores stay in memory; a doomed one's were
+    /// unwound at doom time).
+    fn retire(&mut self, t: ThreadId) {
+        let slot = &mut self.slots[t.index()];
+        slot.in_flight = false;
+        for l in slot.txn.read_lines.iter() {
+            self.line_readers[l.0 as usize] -= 1;
+        }
+        for l in slot.txn.write_lines.iter() {
+            self.line_writers[l.0 as usize] -= 1;
+        }
+        slot.txn.reset();
+        self.active -= 1;
     }
 
     /// Explicitly aborts `t`'s transaction with the given code.
@@ -488,9 +466,9 @@ impl HtmSystem {
     /// Marks `victim`'s transaction aborted and updates statistics. The
     /// first doom wins; later ones do not overwrite the status.
     ///
-    /// This is also where isolation is restored: the victim's undo log is
-    /// unwound to its begin watermark *before* the requester's own access
-    /// proceeds, so no thread ever observes a doomed transaction's stores.
+    /// This is also where isolation is restored: the victim's whole undo
+    /// log is unwound *before* the requester's own access proceeds, so no
+    /// thread ever observes a doomed transaction's stores.
     fn doom(&mut self, mem: &mut Memory, victim: ThreadId, status: AbortStatus) {
         let slot = &mut self.slots[victim.index()];
         assert!(slot.in_flight, "dooming a thread without a transaction");
@@ -499,8 +477,7 @@ impl HtmSystem {
             return;
         }
         txn.doom = Some(status);
-        let begin = txn.begin;
-        txn.journal.rollback_to(mem, begin);
+        txn.journal.rollback(mem);
         match status.reason() {
             AbortReason::Conflict => self.stats.conflict_aborts += 1,
             AbortReason::Capacity => self.stats.capacity_aborts += 1,

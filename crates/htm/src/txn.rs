@@ -9,7 +9,7 @@
 //! list of touched lines so clearing costs O(footprint) instead of
 //! O(address space).
 
-use txrace_sim::{CacheLine, JournalMark, WriteJournal};
+use txrace_sim::{CacheLine, WriteJournal};
 
 use crate::status::AbortStatus;
 
@@ -74,10 +74,8 @@ pub(crate) struct Txn {
     /// Lines written.
     pub write_lines: LineSet,
     /// Undo log of this transaction's eager in-place stores: unwound at
-    /// doom time, truncated on commit.
+    /// doom time, cleared by `reset` when the transaction retires.
     pub journal: WriteJournal,
-    /// Journal watermark taken at `xbegin`.
-    pub begin: JournalMark,
     /// Doom status, if the hardware aborted this transaction.
     pub doom: Option<AbortStatus>,
     /// The first conflicting line (for the optional conflict-address
@@ -96,7 +94,6 @@ impl Txn {
         self.read_lines.clear();
         self.write_lines.clear();
         self.journal.clear();
-        self.begin = JournalMark::default();
         self.doom = None;
         self.conflict_line = None;
         self.set_occupancy.fill(0);

@@ -64,7 +64,7 @@ pub use flat::{FlatProgram, FlatThread, Instr, InstrKind};
 pub use ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
 pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
-pub use mem::{JournalMark, Memory, WriteJournal};
+pub use mem::{Memory, WriteJournal};
 pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
 pub use sched::{
     AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,

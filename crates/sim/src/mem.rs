@@ -1,4 +1,5 @@
-//! The simulated shared memory.
+//! The simulated shared memory and the whole-transaction undo log
+//! ([`WriteJournal`]) the HTM's eager stores are versioned with.
 
 use std::fmt;
 use std::sync::Arc;
@@ -91,7 +92,7 @@ impl Memory {
 
     /// Stores `v` at `a` while appending the cell's previous state to
     /// `journal`, so the store can later be undone by
-    /// [`WriteJournal::rollback_to`]. This is the write primitive of the
+    /// [`WriteJournal::rollback`]. This is the write primitive of the
     /// eager (undo-log) transactional versioning: the store lands in
     /// memory immediately and rollback costs O(stores journaled), never
     /// O(heap).
@@ -105,15 +106,15 @@ impl Memory {
         });
     }
 
-    /// Reverts the cell at `a` to a journaled previous state. A cell that
+    /// Reverts a journaled cell to its previous state. A cell that
     /// was never written before the journaled store returns to pristine:
     /// value zeroed, written bit cleared, count decremented — required
     /// because [`Memory::load`], equality, and iteration must all agree
     /// with a memory that never saw the store.
-    fn unstore(&mut self, a: Addr, prev: u64, was_written: bool) {
-        let i = a.0 as usize;
-        if was_written {
-            self.store(a, prev);
+    fn unstore(&mut self, e: JournalEntry) {
+        let i = e.addr.0 as usize;
+        if e.was_written {
+            self.store(e.addr, e.prev);
         } else if self.is_written(i) {
             *self.vals.slot(i) = 0;
             *self.written.slot(i / 64) &= !(1 << (i % 64));
@@ -122,13 +123,6 @@ impl Memory {
     }
 }
 
-/// A position in a [`WriteJournal`], obtained from [`WriteJournal::mark`]
-/// in O(1). Rolling back or committing to a mark discards everything
-/// journaled after it.
-/// The default mark is the start of an (empty) journal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct JournalMark(usize);
-
 #[derive(Debug, Clone, Copy)]
 struct JournalEntry {
     addr: Addr,
@@ -136,60 +130,31 @@ struct JournalEntry {
     was_written: bool,
 }
 
-/// A write-ahead undo log over [`Memory`]: every
+/// A whole-transaction undo log over [`Memory`]: every
 /// [`Memory::store_logged`] appends the overwritten cell's previous
-/// state, so a region of stores can be undone in O(stores) — the
+/// state, so a transaction's stores can be undone in O(stores) — the
 /// snapshot that replaces O(heap) memory clones on the transactional
 /// fast path.
 ///
-/// The watermark API is nestable: take a [`mark`](WriteJournal::mark)
-/// before a speculative region, then either
-/// [`commit_to`](WriteJournal::commit_to) it (O(1), keep the stores) or
-/// [`rollback_to`](WriteJournal::rollback_to) it (restore in reverse
-/// order, so overlapping stores of the same address unwind correctly).
+/// A hardware transaction commits or aborts as a whole, so the log has
+/// two operations: [`rollback`](WriteJournal::rollback) undoes every
+/// store, [`clear`](WriteJournal::clear) keeps them all.
 #[derive(Debug, Clone, Default)]
 pub struct WriteJournal {
     entries: Vec<JournalEntry>,
 }
 
 impl WriteJournal {
-    /// An empty journal.
-    pub fn new() -> Self {
-        Self::default()
+    /// Undoes every journaled store, newest first (so overlapping stores
+    /// of the same address unwind correctly), restoring `mem` to its exact
+    /// state before the first one — including written-bit and cell-count
+    /// bookkeeping for cells the log touched first — and leaves the log
+    /// empty. O(stores).
+    pub fn rollback(&mut self, mem: &mut Memory) {
+        self.entries.drain(..).rev().for_each(|e| mem.unstore(e));
     }
 
-    /// The current watermark (O(1)).
-    #[inline]
-    pub fn mark(&self) -> JournalMark {
-        JournalMark(self.entries.len())
-    }
-
-    /// True when nothing is journaled.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Keeps every store journaled up to `m` as permanent: the entries
-    /// after `m` are dropped in O(1) (truncate), the stores stay in
-    /// memory.
-    pub fn commit_to(&mut self, m: JournalMark) {
-        debug_assert!(m.0 <= self.entries.len(), "mark from a later epoch");
-        self.entries.truncate(m.0);
-    }
-
-    /// Undoes every store journaled after `m`, newest first, restoring
-    /// `mem` to its exact state at [`mark`](WriteJournal::mark) time —
-    /// including written-bit and cell-count bookkeeping for cells the
-    /// region touched first. O(stores since `m`).
-    pub fn rollback_to(&mut self, mem: &mut Memory, m: JournalMark) {
-        debug_assert!(m.0 <= self.entries.len(), "mark from a later epoch");
-        while self.entries.len() > m.0 {
-            let e = self.entries.pop().expect("len checked");
-            mem.unstore(e.addr, e.prev, e.was_written);
-        }
-    }
-
-    /// Drops all entries, keeping capacity.
+    /// Drops all entries, keeping the stores in memory and the capacity.
     pub fn clear(&mut self) {
         self.entries.clear();
     }
@@ -271,61 +236,32 @@ mod tests {
     #[test]
     fn journal_rollback_restores_exact_state() {
         let mut m = Memory::new();
-        let mut j = WriteJournal::new();
+        let mut j = WriteJournal::default();
         m.store(Addr(8), 1);
         let before = m.clone();
-        let mark = j.mark();
         m.store_logged(Addr(8), 2, &mut j); // overwrite
         m.store_logged(Addr(64), 3, &mut j); // fresh cell
         m.store_logged(Addr(8), 4, &mut j); // overwrite again
         assert_eq!(m.load(Addr(8)), 4);
         assert_eq!(m.len(), 2);
-        j.rollback_to(&mut m, mark);
+        j.rollback(&mut m);
         assert_eq!(m, before, "rollback must be exact, incl. count/bits");
         assert_eq!(m.load(Addr(64)), 0);
         assert_eq!(m.len(), 1);
-        assert!(j.is_empty());
+        // The log is empty: a second rollback leaves a later store alone.
+        m.store(Addr(64), 5);
+        j.rollback(&mut m);
+        assert_eq!(m.load(Addr(64)), 5);
     }
 
     #[test]
     fn journal_rollback_unwrites_fresh_zero_stores() {
         let mut m = Memory::new();
-        let mut j = WriteJournal::new();
-        let mark = j.mark();
+        let mut j = WriteJournal::default();
         m.store_logged(Addr(16), 0, &mut j); // a written zero is a state change
         assert_eq!(m.len(), 1);
-        j.rollback_to(&mut m, mark);
+        j.rollback(&mut m);
         assert!(m.is_empty(), "written-zero must become unwritten again");
         assert_eq!(m, Memory::new());
-    }
-
-    #[test]
-    fn journal_commit_is_truncate_only() {
-        let mut m = Memory::new();
-        let mut j = WriteJournal::new();
-        let outer = j.mark();
-        m.store_logged(Addr(8), 1, &mut j);
-        let inner = j.mark();
-        m.store_logged(Addr(8), 2, &mut j);
-        j.commit_to(inner); // keep the inner store
-        assert_eq!(m.load(Addr(8)), 2);
-        j.rollback_to(&mut m, outer); // outer region still undoable
-        assert_eq!(m.load(Addr(8)), 0);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    fn journal_nested_marks_unwind_in_order() {
-        let mut m = Memory::new();
-        let mut j = WriteJournal::new();
-        m.store(Addr(0), 7);
-        let a = j.mark();
-        m.store_logged(Addr(0), 8, &mut j);
-        let b = j.mark();
-        m.store_logged(Addr(0), 9, &mut j);
-        j.rollback_to(&mut m, b);
-        assert_eq!(m.load(Addr(0)), 8);
-        j.rollback_to(&mut m, a);
-        assert_eq!(m.load(Addr(0)), 7);
     }
 }

@@ -207,13 +207,18 @@ pub struct FairSched {
     /// id that has been runnable (an id never seen counts 0).
     counts: Vec<u64>,
     current: Option<ThreadId>,
-    window: u64,
-    /// Picks left until the counts reset; 0 when `window` is 0.
+    /// Picks left until the counts reset.
     until_reset: u64,
     interrupts: InterruptModel,
 }
 
 impl FairSched {
+    /// The fairness window: counts are forgotten every `WINDOW` picks, so
+    /// fairness is enforced *locally* without forcing threads to repay old
+    /// imbalances (which would un-align threads that a barrier just
+    /// re-aligned).
+    const WINDOW: u64 = 2000;
+
     /// Creates a fair scheduler; `jitter` in `[0, 1]` is the probability
     /// of a uniformly random pick instead of the fairness pick.
     ///
@@ -229,20 +234,9 @@ impl FairSched {
             burst_budget: 0,
             counts: Vec::new(),
             current: None,
-            window: 2000,
-            until_reset: 2000,
+            until_reset: Self::WINDOW,
             interrupts: InterruptModel::NONE,
         }
-    }
-
-    /// Sets the fairness window: counts are forgotten every `window`
-    /// picks, so fairness is enforced *locally* without forcing threads to
-    /// repay old imbalances (which would un-align threads that a barrier
-    /// just re-aligned). `0` disables forgetting.
-    pub fn with_window(mut self, window: u64) -> Self {
-        self.window = window;
-        self.until_reset = window;
-        self
     }
 
     /// Sets the fairness slack: the scheduler keeps running one thread in
@@ -266,14 +260,12 @@ impl FairSched {
 impl Scheduler for FairSched {
     #[inline]
     fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
-        // Forget the counts every `window` picks, counting down rather
+        // Forget the counts every `WINDOW` picks, counting down rather
         // than dividing a running pick count.
-        if self.until_reset != 0 {
-            self.until_reset -= 1;
-            if self.until_reset == 0 {
-                self.counts.fill(0);
-                self.until_reset = self.window;
-            }
+        self.until_reset -= 1;
+        if self.until_reset == 0 {
+            self.counts.fill(0);
+            self.until_reset = Self::WINDOW;
         }
         // `runnable` is sorted, so its last id bounds every lookup below.
         let top = runnable[runnable.len() - 1].index();

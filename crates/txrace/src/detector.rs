@@ -397,7 +397,7 @@ impl Detector {
             ..EngineConfig::default()
         };
         let (mut engine, machine, run) = self.drive(ip, self.cfg.seed, cfg);
-        let baseline_cycles = self.cfg.cost.baseline_cycles(&ip.program);
+        let baseline_cycles = engine.static_baseline();
         let breakdown = engine.breakdown();
         let telemetry = engine.take_telemetry();
         RunOutcome {

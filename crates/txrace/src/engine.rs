@@ -427,6 +427,12 @@ impl TxRaceEngine {
         self.breakdown
     }
 
+    /// Static baseline cycles of the program (the overhead denominator),
+    /// priced once at construction.
+    pub(crate) fn static_baseline(&self) -> u64 {
+        self.static_baseline
+    }
+
     /// HTM transaction statistics (Table 1 columns).
     pub fn htm_stats(&self) -> HtmStats {
         *self.htm.stats()

@@ -46,12 +46,14 @@ mod tests {
         }
     }
 
-    /// Planted manifests must resolve to real sites.
+    /// Planted manifests must resolve to real sites, and the registry
+    /// finds every app under its own name.
     #[test]
     fn manifests_resolve() {
         for w in crate::all_workloads(4) {
             let pairs = w.planted_pairs();
             assert_eq!(pairs.len(), w.planted.len(), "{}", w.name);
+            assert_eq!(crate::by_name(w.name, 4).map(|b| b.name), Some(w.name));
         }
     }
 

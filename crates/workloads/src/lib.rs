@@ -36,51 +36,40 @@ pub mod spec;
 pub use genprog::{random_program, GenConfig};
 pub use spec::{calibrate_shadow_factor, PlantedRace, RaceKind, Workload};
 
+/// A workload's builder, from its worker-thread count.
+type Build = fn(usize) -> Workload;
+
+/// Every workload's name and builder, in [`all_workloads`] order.
+const REGISTRY: [(&str, Build); 17] = [
+    ("blackscholes", apps::blackscholes::build),
+    ("fluidanimate", apps::fluidanimate::build),
+    ("swaptions", apps::swaptions::build),
+    ("freqmine", apps::freqmine::build),
+    ("vips", apps::vips::build),
+    ("raytrace", apps::raytrace::build),
+    ("ferret", apps::ferret::build),
+    ("x264", apps::x264::build),
+    ("bodytrack", apps::bodytrack::build),
+    ("facesim", apps::facesim::build),
+    ("streamcluster", apps::streamcluster::build),
+    ("dedup", apps::dedup::build),
+    ("canneal", apps::canneal::build),
+    ("apache", apps::apache::build),
+    ("pipeline", apps::pipeline::build),
+    ("actors", apps::actors::build),
+    ("worksteal", apps::worksteal::build),
+];
+
 /// Builds every workload at the given worker-thread count: the paper's
 /// Table 1 apps in paper order, then the message-passing families.
 pub fn all_workloads(workers: usize) -> Vec<Workload> {
-    vec![
-        apps::blackscholes::build(workers),
-        apps::fluidanimate::build(workers),
-        apps::swaptions::build(workers),
-        apps::freqmine::build(workers),
-        apps::vips::build(workers),
-        apps::raytrace::build(workers),
-        apps::ferret::build(workers),
-        apps::x264::build(workers),
-        apps::bodytrack::build(workers),
-        apps::facesim::build(workers),
-        apps::streamcluster::build(workers),
-        apps::dedup::build(workers),
-        apps::canneal::build(workers),
-        apps::apache::build(workers),
-        apps::pipeline::build(workers),
-        apps::actors::build(workers),
-        apps::worksteal::build(workers),
-    ]
+    REGISTRY.iter().map(|(_, build)| build(workers)).collect()
 }
 
 /// Builds one workload by its paper name.
 pub fn by_name(name: &str, workers: usize) -> Option<Workload> {
-    let f: fn(usize) -> Workload = match name {
-        "blackscholes" => apps::blackscholes::build,
-        "fluidanimate" => apps::fluidanimate::build,
-        "swaptions" => apps::swaptions::build,
-        "freqmine" => apps::freqmine::build,
-        "vips" => apps::vips::build,
-        "raytrace" => apps::raytrace::build,
-        "ferret" => apps::ferret::build,
-        "x264" => apps::x264::build,
-        "bodytrack" => apps::bodytrack::build,
-        "facesim" => apps::facesim::build,
-        "streamcluster" => apps::streamcluster::build,
-        "dedup" => apps::dedup::build,
-        "canneal" => apps::canneal::build,
-        "apache" => apps::apache::build,
-        "pipeline" => apps::pipeline::build,
-        "actors" => apps::actors::build,
-        "worksteal" => apps::worksteal::build,
-        _ => return None,
-    };
-    Some(f(workers))
+    REGISTRY
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build(workers))
 }
