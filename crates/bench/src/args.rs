@@ -86,7 +86,9 @@ impl Args {
             .unwrap_or_else(|_| self.exit(&format!("cannot parse {s:?}")))
     }
 
-    fn exit(&self, problem: &str) -> ! {
+    /// Refuses the line: prints `problem` and the usage line to stderr
+    /// and exits with status 2.
+    pub fn exit(&self, problem: &str) -> ! {
         eprintln!("{problem}\nusage: {}", self.usage);
         std::process::exit(2);
     }

@@ -21,10 +21,11 @@
 //! the static may-race candidate pairs.
 //!
 //! `--epochs` runs the app live under the adaptive `ProductionMode`
-//! controller (`--budget`, default 1.2) and prints the per-epoch
-//! telemetry the controller steered by: the active knob values, abort
-//! counts, check/elision totals, the tsan/htm cycle split, and the
-//! cumulative modeled overhead at each epoch boundary.
+//! controller (`--budget`, a finite overhead of at least 1.0x, default
+//! 1.2) and prints the per-epoch telemetry the controller steered by:
+//! the active knob values, abort counts, check/elision totals, the
+//! tsan/htm cycle split, and the cumulative modeled overhead at each
+//! epoch boundary.
 //!
 //! Kinds: `read write rmw acquire release signal wait spawn join
 //! barrier-arrive barrier-release thread-done compute syscall
@@ -286,6 +287,10 @@ fn main() {
     let kinds: Option<Kinds> = args.value("--kind");
     let head: Option<usize> = args.value("--head");
     let budget = args.value("--budget").unwrap_or(1.2f64);
+    // `contains` is false for NaN, so NaN is refused too.
+    if !(1.0..f64::INFINITY).contains(&budget) {
+        args.exit("the budget must be a finite overhead of at least 1.0x");
+    }
     let summary = args.flag("--summary");
     let stats = args.flag("--stats");
     let sites = args.flag("--sites");

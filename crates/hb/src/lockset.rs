@@ -4,10 +4,9 @@
 //! (signal/wait ordering), so it reports *false positives* that FastTrack
 //! does not.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use txrace_sim::{Addr, AddrMap, LockId, SiteId, ThreadId, TraceConsumer};
+use txrace_sim::{Addr, AddrMap, LockId, LockSet, SiteId, ThreadId, TraceConsumer};
 
 /// The Eraser per-variable state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +20,7 @@ enum VarPhase {
 #[derive(Debug, Clone)]
 struct VarState {
     phase: VarPhase,
-    candidates: BTreeSet<LockId>,
+    candidates: LockSet,
     first_site: SiteId,
     reported: bool,
 }
@@ -51,7 +50,7 @@ impl fmt::Display for LocksetReport {
 /// The lockset detector.
 #[derive(Debug)]
 pub struct Lockset {
-    held: Vec<BTreeSet<LockId>>,
+    held: Vec<LockSet>,
     /// Paged map `Addr -> dense index into `vars``, assigned on first
     /// touch. Unlike the HB detectors' all-zero fresh state, Eraser's
     /// state captures the *site of the first access*, so initialization
@@ -65,7 +64,7 @@ impl Lockset {
     /// Creates a detector for `threads` threads.
     pub fn new(threads: usize) -> Self {
         Lockset {
-            held: vec![BTreeSet::new(); threads],
+            held: vec![LockSet::new(); threads],
             var_ids: AddrMap::new(),
             vars: Vec::new(),
             reports: Vec::new(),
@@ -83,7 +82,7 @@ impl Lockset {
         if i == self.vars.len() {
             self.vars.push(VarState {
                 phase: VarPhase::Virgin,
-                candidates: BTreeSet::new(),
+                candidates: LockSet::new(),
                 first_site: site,
                 reported: false,
             });
@@ -98,7 +97,7 @@ impl Lockset {
                 if owner == t {
                     // Still exclusive; refine candidates only once shared.
                 } else {
-                    state.candidates = state.candidates.intersection(held).copied().collect();
+                    state.candidates.intersect_with(held);
                     state.phase = if is_write {
                         VarPhase::SharedModified
                     } else {
@@ -107,14 +106,12 @@ impl Lockset {
                 }
             }
             VarPhase::Shared => {
-                state.candidates = state.candidates.intersection(held).copied().collect();
+                state.candidates.intersect_with(held);
                 if is_write {
                     state.phase = VarPhase::SharedModified;
                 }
             }
-            VarPhase::SharedModified => {
-                state.candidates = state.candidates.intersection(held).copied().collect();
-            }
+            VarPhase::SharedModified => state.candidates.intersect_with(held),
         }
         if state.phase == VarPhase::SharedModified && state.candidates.is_empty() && !state.reported
         {
@@ -146,7 +143,7 @@ impl TraceConsumer for Lockset {
     }
 
     fn release(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
-        self.held[t.index()].remove(&l);
+        self.held[t.index()].remove(l);
     }
 }
 
@@ -217,6 +214,24 @@ mod tests {
         d.write(T0, SiteId(3), X);
         d.write(T1, SiteId(4), X);
         assert_eq!(d.reports().len(), 1);
+    }
+
+    #[test]
+    fn locks_past_the_first_word_protect_and_expose() {
+        let l = LockId(70);
+        let mut d = Lockset::new(2);
+        for (t, s) in [(T0, 1u32), (T1, 2u32), (T0, 3u32)] {
+            d.acquire(t, S, L);
+            d.acquire(t, S, l);
+            d.write(t, SiteId(s), X);
+            d.release(t, S, L);
+            d.write(t, SiteId(s + 10), Addr(0xa00));
+            d.release(t, S, l);
+        }
+        assert!(d.reports().is_empty(), "{:?}", d.reports());
+        d.write(T1, SiteId(20), Addr(0xa00)); // no lock held
+        assert_eq!(d.reports().len(), 1);
+        assert_eq!(d.reports()[0].addr, Addr(0xa00));
     }
 
     #[test]

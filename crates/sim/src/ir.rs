@@ -12,6 +12,7 @@
 //! counting of "racy instruction pairs".
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::addr::{Addr, VarLayout};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
@@ -327,8 +328,13 @@ impl Program {
             "transformation must preserve the thread count"
         );
         assert!(n_sites >= self.n_sites, "site count cannot shrink");
-        let (parked, barrier_widths) =
-            analyze_threads(&threads, self.n_barriers, self.chan_count());
+        let (parked, barrier_widths) = analyze_threads(
+            &threads,
+            self.n_locks,
+            self.n_conds,
+            self.n_barriers,
+            self.chan_count(),
+        );
         Program {
             threads,
             n_sites,
@@ -344,51 +350,56 @@ impl Program {
     }
 }
 
-/// Validates spawn/join/barrier/channel structure and derives parked
-/// flags and barrier widths. Shared by [`ProgramBuilder::build`] and
-/// [`Program::with_transformed_threads`].
-fn analyze_threads(threads: &[Vec<Stmt>], n_barriers: u32, n_chans: u32) -> (Vec<bool>, Vec<u32>) {
+/// Validates spawn/join structure and that every lock, condition,
+/// barrier and channel an op names is declared (the interpreter and the
+/// static passes size their tables by the declared counts), and derives
+/// parked flags and barrier widths. Shared by [`ProgramBuilder::build`]
+/// and [`Program::with_transformed_threads`].
+fn analyze_threads(
+    threads: &[Vec<Stmt>],
+    n_locks: u32,
+    n_conds: u32,
+    n_barriers: u32,
+    n_chans: u32,
+) -> (Vec<bool>, Vec<u32>) {
+    fn each_op(stmts: &[Stmt], f: &mut impl FnMut(&Op)) {
+        for s in stmts {
+            match s {
+                Stmt::Op { op, .. } => f(op),
+                Stmt::Loop { body, .. } => each_op(body, f),
+            }
+        }
+    }
+    #[cold]
+    fn undeclared(what: &str, id: &dyn fmt::Display) -> ! {
+        panic!("use of undeclared {what} {id}")
+    }
     let n = threads.len();
     let mut parked = vec![false; n];
     let mut members: Vec<std::collections::BTreeSet<u32>> =
         vec![Default::default(); n_barriers as usize];
-
-    fn walk(
-        t: usize,
-        stmts: &[Stmt],
-        n: usize,
-        n_chans: u32,
-        parked: &mut [bool],
-        members: &mut [std::collections::BTreeSet<u32>],
-    ) {
-        for s in stmts {
-            match s {
-                Stmt::Op { op, .. } => match op {
-                    Op::Spawn(u) => {
-                        assert!(u.index() < n, "spawn of nonexistent thread {u}");
-                        assert_ne!(u.index(), t, "thread {t} spawns itself");
-                        assert_ne!(u.index(), 0, "the main thread cannot be spawned");
-                        assert!(!parked[u.index()], "thread {u} spawned twice");
-                        parked[u.index()] = true;
-                    }
-                    Op::Join(u) => {
-                        assert!(u.index() < n, "join of nonexistent thread {u}");
-                        assert_ne!(u.index(), t, "thread {t} joins itself");
-                    }
-                    Op::Barrier(b) => {
-                        members[b.index()].insert(t as u32);
-                    }
-                    Op::ChanSend(ch) | Op::ChanRecv(ch) => {
-                        assert!(ch.0 < n_chans, "use of undeclared channel {ch}");
-                    }
-                    _ => {}
-                },
-                Stmt::Loop { body, .. } => walk(t, body, n, n_chans, parked, members),
-            }
-        }
-    }
     for (t, stmts) in threads.iter().enumerate() {
-        walk(t, stmts, n, n_chans, &mut parked, &mut members);
+        each_op(stmts, &mut |op| match op {
+            Op::Spawn(u) => {
+                assert!(u.index() < n, "spawn of nonexistent thread {u}");
+                assert_ne!(u.index(), t, "thread {t} spawns itself");
+                assert_ne!(u.index(), 0, "the main thread cannot be spawned");
+                assert!(!parked[u.index()], "thread {u} spawned twice");
+                parked[u.index()] = true;
+            }
+            Op::Join(u) => {
+                assert!(u.index() < n, "join of nonexistent thread {u}");
+                assert_ne!(u.index(), t, "thread {t} joins itself");
+            }
+            Op::Lock(l) | Op::Unlock(l) if l.0 >= n_locks => undeclared("lock", l),
+            Op::Signal(c) | Op::Wait(c) if c.0 >= n_conds => undeclared("condition", c),
+            Op::ChanSend(ch) | Op::ChanRecv(ch) if ch.0 >= n_chans => undeclared("channel", ch),
+            Op::Barrier(b) if b.0 >= n_barriers => undeclared("barrier", b),
+            Op::Barrier(b) => {
+                members[b.index()].insert(t as u32);
+            }
+            _ => {}
+        });
     }
     let widths = members.iter().map(|m| m.len() as u32).collect();
     (parked, widths)
@@ -549,11 +560,17 @@ impl ProgramBuilder {
     /// # Panics
     ///
     /// Panics on malformed programs: a `Spawn` targeting the main thread or
-    /// a nonexistent thread, a thread spawned more than once, or a
-    /// `Join`/`Spawn` self-target.
+    /// a nonexistent thread, a thread spawned more than once, a
+    /// `Join`/`Spawn` self-target, or an op naming a lock, condition,
+    /// barrier or channel the builder did not declare.
     pub fn build(self) -> Program {
-        let n_chans = self.chan_caps.len() as u32;
-        let (parked, barrier_widths) = analyze_threads(&self.threads, self.next_barrier, n_chans);
+        let (parked, barrier_widths) = analyze_threads(
+            &self.threads,
+            self.next_lock,
+            self.next_cond,
+            self.next_barrier,
+            self.chan_caps.len() as u32,
+        );
         Program {
             threads: self.threads,
             n_sites: self.next_site,
@@ -873,6 +890,24 @@ mod tests {
     fn undeclared_channel_rejected() {
         let mut b = ProgramBuilder::new(2);
         b.thread(0).send(ChanId(3));
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared lock")]
+    fn undeclared_lock_rejected() {
+        let mut b = ProgramBuilder::new(1);
+        let l = b.lock_id("l");
+        b.thread(0).lock(l).lock(LockId(9));
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "undeclared condition")]
+    fn undeclared_condition_rejected() {
+        let mut b = ProgramBuilder::new(1);
+        let c = b.cond_id("c");
+        b.thread(0).signal(c).wait(CondId(9));
         let _ = b.build();
     }
 }

@@ -61,7 +61,7 @@ pub use exec::{
     Runtime, Snapshot, StepLimit,
 };
 pub use flat::{FlatProgram, FlatThread, Instr, InstrKind};
-pub use ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
+pub use ids::{BarrierId, ChanId, CondId, LockId, LockSet, LoopId, RegionId, SiteId, ThreadId};
 pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
 pub use mem::{Memory, WriteJournal};
@@ -70,7 +70,7 @@ pub use sched::{
     AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,
 };
 pub use summary::{
-    dynamic_site_counts, main_phase_split, summarize, LockSet, Phase, ProgramSummary, SiteAccess,
+    dynamic_site_counts, main_phase_split, summarize, Phase, ProgramSummary, SiteAccess,
 };
 pub use trace::{
     record_run, AccessPartition, BarrierTable, EventLog, EventLogBuilder, OpCensus, SyncIndex,

@@ -124,12 +124,15 @@ pub fn lint(p: &Program) -> Vec<LintIssue> {
     let mut acc = Acc::default();
     for t in 0..p.thread_count() {
         let tid = ThreadId(t as u32);
-        let mut held: BTreeMap<LockId, u64> = BTreeMap::new();
-        walk(p, tid, p.thread(tid), 1, &mut held, &mut acc);
-        for (&lock, &depth) in &held {
-            if depth > 0 {
-                acc.issues
-                    .push(LintIssue::LockHeldAtExit { thread: tid, lock });
+        acc.depth.clear();
+        acc.depth.resize(p.lock_count() as usize, 0);
+        walk(p, tid, p.thread(tid), 1, &mut acc);
+        for (l, &d) in acc.depth.iter().enumerate() {
+            if d > 0 {
+                acc.issues.push(LintIssue::LockHeldAtExit {
+                    thread: tid,
+                    lock: LockId(l as u32),
+                });
             }
         }
     }
@@ -137,6 +140,7 @@ pub fn lint(p: &Program) -> Vec<LintIssue> {
         arrivals,
         traffic,
         mut issues,
+        ..
     } = acc;
     for (barrier, counts) in arrivals {
         let mut it = counts.values();
@@ -156,9 +160,14 @@ pub fn lint(p: &Program) -> Vec<LintIssue> {
     issues
 }
 
-/// Program-wide accumulators shared by every per-thread walk.
+/// Program-wide accumulators shared by every per-thread walk, and the
+/// walked thread's lock state.
 #[derive(Default)]
 struct Acc {
+    /// Hold depth per lock, indexed by [`LockId`].
+    depth: Vec<u64>,
+    /// Hold depths on entry to each open loop, innermost last.
+    saved: Vec<u64>,
     /// arrivals[barrier] -> thread -> dynamic count
     arrivals: BTreeMap<BarrierId, BTreeMap<ThreadId, u64>>,
     /// traffic[chan] = (total dynamic sends, total dynamic recvs)
@@ -166,22 +175,13 @@ struct Acc {
     issues: Vec<LintIssue>,
 }
 
-fn walk(
-    p: &Program,
-    tid: ThreadId,
-    stmts: &[Stmt],
-    multiplier: u64,
-    held: &mut BTreeMap<LockId, u64>,
-    acc: &mut Acc,
-) {
+fn walk(p: &Program, tid: ThreadId, stmts: &[Stmt], multiplier: u64, acc: &mut Acc) {
     for s in stmts {
         match s {
             Stmt::Op { op, .. } => match op {
-                Op::Lock(l) => {
-                    *held.entry(*l).or_insert(0) += 1;
-                }
+                Op::Lock(l) => acc.depth[l.index()] += 1,
                 Op::Unlock(l) => {
-                    let d = held.entry(*l).or_insert(0);
+                    let d = &mut acc.depth[l.index()];
                     if *d == 0 {
                         acc.issues.push(LintIssue::UnlockWithoutLock {
                             thread: tid,
@@ -216,39 +216,25 @@ fn walk(
                     });
                     continue;
                 }
-                let before = held.clone();
-                walk(p, tid, body, multiplier * u64::from(*trips), held, acc);
-                for lock in before.keys().chain(held.keys()) {
-                    let a = before.get(lock).copied().unwrap_or(0);
-                    let b = held.get(lock).copied().unwrap_or(0);
-                    if a != b {
+                let mark = acc.saved.len();
+                acc.saved.extend_from_slice(&acc.depth);
+                walk(p, tid, body, multiplier * u64::from(*trips), acc);
+                // Report each drifting lock once, and reset it to its
+                // depth before the loop, so that an enclosing loop does
+                // not report the same drift again and exit-held checks
+                // reflect the first iteration only.
+                for l in 0..acc.depth.len() {
+                    let before = acc.saved[mark + l];
+                    if acc.depth[l] != before {
                         acc.issues.push(LintIssue::LoopChangesLockDepth {
                             thread: tid,
                             id: *id,
-                            lock: *lock,
+                            lock: LockId(l as u32),
                         });
+                        acc.depth[l] = before;
                     }
                 }
-                // Deduplicate: the drift was reported once; reset so the
-                // same loop's drift is not re-reported by an enclosing
-                // loop, and so exit-held checks reflect the first
-                // iteration only.
-                let drifted: Vec<LockId> = before
-                    .keys()
-                    .chain(held.keys())
-                    .copied()
-                    .filter(|l| {
-                        before.get(l).copied().unwrap_or(0) != held.get(l).copied().unwrap_or(0)
-                    })
-                    .collect();
-                for l in drifted {
-                    held.remove(&l);
-                    if let Some(&d) = before.get(&l) {
-                        if d > 0 {
-                            held.insert(l, d);
-                        }
-                    }
-                }
+                acc.saved.truncate(mark);
             }
         }
     }
@@ -327,6 +313,22 @@ mod tests {
         assert!(!issues
             .iter()
             .any(|i| matches!(i, LintIssue::LockHeldAtExit { .. })));
+    }
+
+    #[test]
+    fn drift_of_a_lock_held_before_the_loop_is_reported_once() {
+        let mut b = ProgramBuilder::new(1);
+        let x = b.var("x");
+        let l = b.lock_id("l");
+        b.thread(0).lock(l).loop_n(2, |tb| {
+            tb.unlock(l).write(x, 1);
+        });
+        let issues = lint(&b.build());
+        let drift = issues
+            .iter()
+            .filter(|i| matches!(i, LintIssue::LoopChangesLockDepth { .. }))
+            .count();
+        assert_eq!(drift, 1, "{issues:?}");
     }
 
     #[test]

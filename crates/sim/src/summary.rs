@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 
 use crate::addr::Addr;
-use crate::ids::{LockId, SiteId, ThreadId};
+use crate::ids::{LockId, LockSet, SiteId, ThreadId};
 use crate::ir::{Op, Program, Stmt};
 
 /// Where an access sits relative to the main thread's spawn/join
@@ -66,84 +66,6 @@ pub struct SiteAccess {
     pub locks: LockSet,
     /// Single-threaded-phase classification.
     pub phase: Phase,
-}
-
-/// A set of locks: a bitset over dense [`LockId`]s. Locks `0..64` live
-/// inline, so the sets of programs with at most 64 locks never allocate.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LockSet {
-    /// Word 0: locks `0..64`.
-    low: u64,
-    /// Words `1..`: locks `64..`, grown only when such a lock is added.
-    high: Vec<u64>,
-}
-
-impl LockSet {
-    /// The empty set.
-    pub fn new() -> Self {
-        LockSet::default()
-    }
-
-    /// Adds `l`.
-    pub fn insert(&mut self, l: LockId) {
-        let (k, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
-        if k == 0 {
-            self.low |= bit;
-        } else {
-            if self.high.len() < k {
-                self.high.resize(k, 0);
-            }
-            self.high[k - 1] |= bit;
-        }
-    }
-
-    /// Removes `l` (a no-op when absent).
-    pub fn remove(&mut self, l: LockId) {
-        let (k, bit) = (l.index() / 64, 1u64 << (l.index() % 64));
-        if k == 0 {
-            self.low &= !bit;
-        } else if let Some(w) = self.high.get_mut(k - 1) {
-            *w &= !bit;
-        }
-    }
-
-    /// Whether `l` is in the set.
-    pub fn contains(&self, l: LockId) -> bool {
-        self.word(l.index() / 64) & (1u64 << (l.index() % 64)) != 0
-    }
-
-    /// True when no lock is in the set.
-    pub fn is_empty(&self) -> bool {
-        self.low == 0 && self.high.iter().all(|&w| w == 0)
-    }
-
-    /// Word `k` of the bitset (locks `64k..64k + 64`); zero past the end.
-    pub fn word(&self, k: usize) -> u64 {
-        match k {
-            0 => self.low,
-            _ => self.high.get(k - 1).copied().unwrap_or(0),
-        }
-    }
-
-    /// Number of stored words: every lock in the set is below
-    /// `64 * word_count()`.
-    pub fn word_count(&self) -> usize {
-        1 + self.high.len()
-    }
-
-    /// The locks, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = LockId> + '_ {
-        (0..self.word_count()).flat_map(move |k| {
-            let mut w = self.word(k);
-            std::iter::from_fn(move || {
-                (w != 0).then(|| {
-                    let b = w.trailing_zeros();
-                    w &= w - 1;
-                    LockId((k * 64) as u32 + b)
-                })
-            })
-        })
-    }
 }
 
 /// All access records of a program, in walk order: thread by thread in
@@ -306,8 +228,7 @@ impl Walker {
                     // inside the loop and from the state carried past it
                     // (claiming a lock is NOT held is always sound).
                     for l in 0..self.depth.len() {
-                        let before = self.saved.get(mark + l).copied().unwrap_or(0);
-                        if before == self.depth[l] {
+                        if self.saved[mark + l] == self.depth[l] {
                             continue;
                         }
                         let l = LockId(l as u32);
@@ -333,20 +254,16 @@ impl Walker {
     ) {
         match op {
             Op::Lock(l) => {
-                if self.depth.len() <= l.index() {
-                    self.depth.resize(l.index() + 1, 0);
-                }
                 self.depth[l.index()] += 1;
                 self.held.insert(*l);
             }
             Op::Unlock(l) => {
                 // Unbalanced unlocks (flagged by the lint) saturate at
                 // zero rather than corrupting the state.
-                if let Some(d) = self.depth.get_mut(l.index()) {
-                    *d = d.saturating_sub(1);
-                    if *d == 0 {
-                        self.held.remove(*l);
-                    }
+                let d = &mut self.depth[l.index()];
+                *d = d.saturating_sub(1);
+                if *d == 0 {
+                    self.held.remove(*l);
                 }
             }
             op if op.is_data_access() => {
@@ -551,31 +468,6 @@ mod tests {
         let s = summarize(&p);
         let site = p.site("dead").unwrap();
         assert!(s.accesses().iter().all(|r| r.site != site));
-    }
-
-    #[test]
-    fn lock_set_spans_words() {
-        let mut s = LockSet::new();
-        assert!(s.is_empty() && s.word_count() == 1);
-        for l in [0, 63, 64, 130] {
-            s.insert(LockId(l));
-        }
-        assert_eq!(s.word_count(), 3);
-        assert!(s.contains(LockId(64)) && !s.contains(LockId(65)));
-        assert!(!s.contains(LockId(500)), "past the end is absent");
-        assert_eq!(
-            s.iter().map(|l| l.0).collect::<Vec<_>>(),
-            vec![0, 63, 64, 130]
-        );
-        assert_eq!((s.word(1), s.word(7)), (1, 0));
-        assert!(
-            !s.contains(LockId(128)),
-            "bit 0 of word 2 is not bit 2 of it"
-        );
-        for l in [0, 63, 64, 130] {
-            s.remove(LockId(l));
-        }
-        assert!(s.is_empty(), "high words may stay allocated but zero");
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub struct TsanConsumer {
     tally: EventTally,
     sampler: Option<(f64, StdRng)>,
     prune: Option<SiteClassTable>,
-    checked: u64,
     skipped: u64,
     elided: u64,
 }
@@ -84,7 +83,6 @@ impl TsanConsumer {
                 .filter(|&rate| rate < 1.0)
                 .map(|rate| (rate, StdRng::seed_from_u64(seed))),
             prune: None,
-            checked: 0,
             skipped: 0,
             elided: 0,
         }
@@ -118,16 +116,17 @@ impl TsanConsumer {
                 + (t.sync + t.barrier_arrive) * self.cost.sync_op
                 + t.compute_units * self.cost.compute_unit
                 + t.syscalls * self.cost.syscall,
-            checks: self.checked * self.eff_check
+            checks: self.ft.checks() * self.eff_check
                 + (t.sync + t.barrier_released) * self.cost.tsan_sync,
             elided: self.elided * self.eff_check,
             ..CycleBreakdown::default()
         }
     }
 
-    /// Accesses actually checked.
+    /// Accesses actually checked: every sampled access goes to FastTrack,
+    /// which counts it.
     pub fn checked(&self) -> u64 {
-        self.checked
+        self.ft.checks()
     }
 
     /// Accesses skipped by sampling.
@@ -156,9 +155,7 @@ impl TsanConsumer {
             None => true,
             Some((rate, rng)) => rng.gen::<f64>() < *rate,
         };
-        if take {
-            self.checked += 1;
-        } else {
+        if !take {
             self.skipped += 1;
         }
         take

@@ -157,19 +157,13 @@ fn bucket_safety(records: &[SiteAccess], bucket: &[u32]) -> AddrSafety {
         .windows(2)
         .all(|w| rec(&w[0]).thread == rec(&w[1]).thread);
     let write_free = bucket.iter().all(|i| !rec(i).writes);
-    // A lock common to every record: the AND of their lock bitsets,
-    // word by word, is non-zero somewhere.
-    let words = bucket
-        .iter()
-        .map(|i| rec(i).locks.word_count())
-        .min()
-        .unwrap_or(0);
-    let common_lock = (0..words).any(|k| {
-        bucket
-            .iter()
-            .fold(!0u64, |acc, i| acc & rec(i).locks.word(k))
-            != 0
-    });
+    // A lock common to every record: the intersection of their lock
+    // sets is non-empty.
+    let mut common = rec(&bucket[0]).locks.clone();
+    for i in &bucket[1..] {
+        common.intersect_with(&rec(i).locks);
+    }
+    let common_lock = !common.is_empty();
     AddrSafety {
         safe: single_thread || write_free || common_lock,
         single_thread,

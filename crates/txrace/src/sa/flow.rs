@@ -24,8 +24,8 @@
 //! stored, in compressed sparse row form. The must-lockset state is one
 //! flat `nodes × locks` array of hold depths over the locks *that
 //! thread* touches, with graph and state buffers reused from thread to
-//! thread, and the result is a dense [`LockRows`] bitset per site — no
-//! allocation per node. One pass in node order costs
+//! thread, and the result is one [`LockSet`] per site — no allocation
+//! per node. One pass in node order costs
 //! `O((nodes + back edges) × locks)`. A thread without loops needs one
 //! pass; loops whose bodies never lower a depth (balanced, or
 //! re-acquiring) settle after one more, and each further pass must lower
@@ -137,66 +137,12 @@ impl ThreadGraph {
     }
 }
 
-/// Dense lock bitsets, one row per site: row `s` holds `width` words,
-/// bit `l % 64` of word `l / 64` set when lock `l` is in the set.
-#[derive(Debug)]
-pub(super) struct LockRows {
-    width: usize,
-    bits: Vec<u64>,
-}
-
-impl LockRows {
-    /// `rows` empty sets over locks `0..locks`.
-    fn new(rows: usize, locks: usize) -> Self {
-        let width = locks.div_ceil(64);
-        LockRows {
-            width,
-            bits: vec![0; rows * width],
-        }
-    }
-
-    fn row(&self, r: usize) -> &[u64] {
-        &self.bits[r * self.width..(r + 1) * self.width]
-    }
-
-    /// Adds lock `l` to row `r`. A lock past the table's width is
-    /// dropped: claiming fewer locks held is always sound.
-    fn insert(&mut self, r: usize, l: LockId) {
-        let k = l.index() / 64;
-        if k < self.width {
-            self.bits[r * self.width + k] |= 1u64 << (l.index() % 64);
-        }
-    }
-
-    /// Adds every lock of `set` to row `r` (same width rule as
-    /// [`LockRows::insert`]).
-    pub fn union_with(&mut self, r: usize, set: &LockSet) {
-        for k in 0..self.width {
-            self.bits[r * self.width + k] |= set.word(k);
-        }
-    }
-
-    /// Whether rows `a` and `b` share no lock.
-    pub fn disjoint(&self, a: usize, b: usize) -> bool {
-        self.row(a).iter().zip(self.row(b)).all(|(x, y)| x & y == 0)
-    }
-
-    /// The locks of row `r`, ascending.
-    #[cfg(test)]
-    fn locks(&self, r: usize) -> Vec<LockId> {
-        (0..self.width * 64)
-            .filter(|&l| self.row(r)[l / 64] & (1u64 << (l % 64)) != 0)
-            .map(|l| LockId(l as u32))
-            .collect()
-    }
-}
-
 /// The flow-sensitive must-lockset analysis: for every data-access site
 /// of `p`, the set of locks provably held at *every* dynamic occurrence,
-/// as one [`LockRows`] row per site. Rows of other sites, and of sites
-/// under zero-trip loops (dead code), are empty.
-pub(super) fn must_locksets(p: &Program) -> LockRows {
-    let mut out = LockRows::new(p.site_count() as usize, p.lock_count() as usize);
+/// indexed by site. The sets of other sites, and of sites under zero-trip
+/// loops (dead code), are empty.
+pub(super) fn must_locksets(p: &Program) -> Vec<LockSet> {
+    let mut out = vec![LockSet::new(); p.site_count() as usize];
     if p.lock_count() == 0 {
         return out; // no lock is ever held
     }
@@ -204,7 +150,7 @@ pub(super) fn must_locksets(p: &Program) -> LockRows {
     // Per-thread dense lock numbering: `local[l]` is lock l's column in
     // this thread's state (u32::MAX when the thread never touches it),
     // `global[c]` maps back.
-    let mut local: Vec<u32> = Vec::new();
+    let mut local = vec![u32::MAX; p.lock_count() as usize];
     let mut global: Vec<LockId> = Vec::new();
     // Per node: `(column, +1 lock / -1 unlock)` of its op, if any.
     let mut effect: Vec<Option<(usize, i8)>> = Vec::new();
@@ -233,9 +179,6 @@ pub(super) fn must_locksets(p: &Program) -> LockRows {
                     continue;
                 }
             };
-            if local.len() <= l.index() {
-                local.resize(l.index() + 1, u32::MAX);
-            }
             if local[l.index()] == u32::MAX {
                 local[l.index()] = global.len() as u32;
                 global.push(l);
@@ -301,7 +244,7 @@ pub(super) fn must_locksets(p: &Program) -> LockRows {
             }
             for (c, &l) in global.iter().enumerate() {
                 if ins[i * w + c] > 0 {
-                    out.insert(site.index(), l);
+                    out[site.index()].insert(l);
                 }
             }
         }
@@ -404,7 +347,9 @@ mod tests {
     use txrace_sim::ProgramBuilder;
 
     fn locks_at(p: &Program, label: &str) -> Vec<LockId> {
-        must_locksets(p).locks(p.site(label).expect("label exists").index())
+        must_locksets(p)[p.site(label).expect("label exists").index()]
+            .iter()
+            .collect()
     }
 
     #[test]

@@ -347,7 +347,7 @@ impl FlowAnalysis {
         // loops).
         let mut locks = flow::must_locksets(p);
         for r in records {
-            locks.union_with(r.site.index(), &r.locks);
+            locks[r.site.index()].union_with(&r.locks);
         }
 
         let mhp = phase::MhpOracle::build(p);
@@ -367,7 +367,7 @@ impl FlowAnalysis {
             let (ri, rj) = (&records[i], &records[j]);
             has_conflict[i] = true;
             has_conflict[j] = true;
-            if !locks.disjoint(ri.site.index(), rj.site.index()) {
+            if !locks[ri.site.index()].is_disjoint(&locks[rj.site.index()]) {
                 return; // mutual exclusion orders the pair
             }
             if mhp.ordered(ri, rj) {
