@@ -216,16 +216,24 @@ fn bench_exec_floor(c: &mut Criterion) {
 fn bench_trace(c: &mut Criterion) {
     // The replay pipeline's wire step on a shipped racy workload: one
     // recorded bodytrack run encoded to bytes, and those bytes decoded
-    // (and validated) back into a log.
-    let w = txrace_workloads::by_name("bodytrack", 4).expect("bundled workload");
-    let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
+    // (and validated) back into a log. Dedup's log adds a sparse final
+    // memory of 998 cells, rebuilt on every decode.
+    let recorded = |app: &str| {
+        let w = txrace_workloads::by_name(app, 4).expect("bundled workload");
+        Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program)
+    };
+    let log = recorded("bodytrack");
     let bytes = log.to_bytes();
+    let dedup = recorded("dedup").to_bytes();
     let mut g = c.benchmark_group("trace");
     g.bench_function("encode_bodytrack", |b| {
         b.iter(|| black_box(&log).to_bytes().len());
     });
     g.bench_function("decode_bodytrack", |b| {
         b.iter(|| EventLog::from_bytes(black_box(&bytes)).map(|l| l.len()));
+    });
+    g.bench_function("decode_dedup", |b| {
+        b.iter(|| EventLog::from_bytes(black_box(&dedup)).map(|l| l.len()));
     });
     g.finish();
 }

@@ -71,11 +71,12 @@ pub fn evaluate_app(w: &Workload, seed: u64) -> AppResult {
 }
 
 /// The paper's normalized overhead (Table 2, Figures 11 and 12): a
-/// detector's extra cycles over the uninstrumented run as a fraction of
-/// full TSan's, `(overhead - 1) / (tsan - 1)`. An extra below 0 counts
-/// as 0, and a TSan run with no extra cost divides by 1e-9.
+/// detector's overhead as a fraction of full TSan's, `overhead / tsan`
+/// (both relative to the uninstrumented run). Every cost-effectiveness
+/// the paper prints is `recall / (txrace / tsan)` of its own Table 1
+/// overheads.
 pub fn normalized_overhead(overhead: f64, tsan: f64) -> f64 {
-    (overhead - 1.0).max(0.0) / (tsan - 1.0).max(1e-9)
+    overhead / tsan
 }
 
 /// The paper's cost-effectiveness (Table 2, Figure 11): recall per unit
@@ -174,11 +175,28 @@ mod tests {
 
     #[test]
     fn cost_effectiveness_floors() {
-        assert_eq!(normalized_overhead(3.0, 5.0), 0.5);
-        assert_eq!(normalized_overhead(0.5, 5.0), 0.0);
-        assert_eq!(normalized_overhead(2.0, 1.0), 1.0 / 1e-9);
+        assert_eq!(normalized_overhead(3.0, 5.0), 0.6);
+        assert_eq!(normalized_overhead(5.0, 5.0), 1.0);
+        assert_eq!(normalized_overhead(2.0, 1.0), 2.0);
         assert_eq!(cost_effectiveness(0.5, 0.25), 2.0);
         assert_eq!(cost_effectiveness(0.5, 0.0), 500.0);
+    }
+
+    #[test]
+    fn normalization_reproduces_every_paper_cost_effectiveness() {
+        // Table 2 prints `recall / (txrace / tsan)` of Table 1's
+        // overheads: blackscholes 1.00 / (1.82 / 1.85) = 1.02.
+        for p in crate::paper::TABLE1 {
+            let norm = normalized_overhead(p.txrace_overhead, p.tsan_overhead);
+            let ce = cost_effectiveness(p.recall, norm);
+            let err = (ce - p.cost_effectiveness).abs() / p.cost_effectiveness;
+            assert!(
+                err < 0.01,
+                "{}: {ce:.3} vs paper {}",
+                p.name,
+                p.cost_effectiveness
+            );
+        }
     }
 
     #[test]

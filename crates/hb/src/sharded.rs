@@ -66,7 +66,7 @@ use crate::report::{RaceReport, RaceSet};
 /// dense array strides evenly.
 #[inline]
 pub fn shard_of(addr: Addr, shards: usize) -> usize {
-    let h = (addr.0 >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let h = (addr.word() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((h as u128 * shards as u128) >> 64) as usize
 }
 

@@ -1,15 +1,24 @@
-//! Byte addresses and the cache-line model.
+//! Byte addresses, 8-byte words and the cache-line model.
 //!
 //! Intel RTM detects conflicts at cache-line granularity (64 bytes on
 //! Haswell). The HTM simulation therefore maps every address to a
 //! [`CacheLine`]; software happens-before detection works on exact
-//! addresses, which is how the slow path filters false sharing.
+//! words, which is how the slow path filters false sharing.
+//!
+//! Every variable is an aligned 8-byte word: the API speaks byte
+//! addresses, but every address-keyed table (memory values, shadow
+//! indexes) is keyed by [`Addr::word`]. `ProgramBuilder::build` and
+//! `EventLog::from_bytes` refuse unaligned addresses, so two byte
+//! addresses never share a word's cell.
 
 use std::fmt;
 
 /// Cache line size in bytes, matching the Intel Haswell L1D line size the
 /// paper relies on.
 pub const LINE_BYTES: u64 = 64;
+
+/// Word size in bytes: every variable is one aligned word.
+pub const WORD_BYTES: u64 = 8;
 
 /// A byte address in the simulated shared memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -20,6 +29,20 @@ impl Addr {
     #[inline]
     pub fn line(self) -> CacheLine {
         CacheLine(self.0 / LINE_BYTES)
+    }
+
+    /// The index of the 8-byte word at this address: the key of every
+    /// address-keyed table. The address must be word-aligned.
+    #[inline]
+    pub fn word(self) -> usize {
+        debug_assert!(self.is_aligned(), "unaligned address {self}");
+        (self.0 >> 3) as usize
+    }
+
+    /// True if this address starts an 8-byte word.
+    #[inline]
+    pub fn is_aligned(self) -> bool {
+        self.0.is_multiple_of(WORD_BYTES)
     }
 
     /// Returns the address offset by `bytes`.
@@ -144,6 +167,15 @@ mod tests {
         assert_eq!(Addr(63).line(), CacheLine(0));
         assert_eq!(Addr(64).line(), CacheLine(1));
         assert_eq!(CacheLine(2).base(), Addr(128));
+    }
+
+    #[test]
+    fn word_mapping() {
+        assert_eq!(Addr(0).word(), 0);
+        assert_eq!(Addr(8).word(), 1);
+        assert_eq!(Addr(64).word(), 8);
+        assert!(Addr(16).is_aligned());
+        assert!(!Addr(12).is_aligned());
     }
 
     #[test]

@@ -1,20 +1,21 @@
-//! A first-touch map from raw addresses to dense `u32` ids.
+//! A first-touch map from word-aligned addresses to dense `u32` ids.
 //!
 //! Programs lay their variables out over a raw address space whose span
 //! can be hundreds of times larger than the set of addresses actually
-//! touched, so [`AddrMap`] keeps its ids in a `PagedTable`: pages are
-//! allocated only where addresses are actually resolved. Resolution is
-//! two array indexes, no hashing, and ids come out dense and in
-//! first-touch order, so payload tables keyed by them stay O(touched).
+//! touched, so [`AddrMap`] keeps its ids in a `PagedTable` keyed by
+//! [`Addr::word`]: pages are allocated only where addresses are actually
+//! resolved. Resolution is two array indexes, no hashing, and ids come
+//! out dense and in first-touch order, so payload tables keyed by them
+//! stay O(touched).
 
 use crate::addr::Addr;
 use crate::paged::PagedTable;
 
-/// Maps raw addresses to dense ids (`0..len`) assigned in first-touch
-/// order. Ids are stable once assigned and never reused.
+/// Maps word-aligned addresses to dense ids (`0..len`) assigned in
+/// first-touch order. Ids are stable once assigned and never reused.
 #[derive(Debug, Clone, Default)]
 pub struct AddrMap {
-    /// `id + 1` per address (0 marks "never resolved").
+    /// `id + 1` per word (0 marks "never resolved").
     ids: PagedTable<u32>,
     len: u32,
 }
@@ -28,14 +29,14 @@ impl AddrMap {
     /// The id of `a`, or `None` if it was never resolved.
     #[inline]
     pub fn get(&self, a: Addr) -> Option<u32> {
-        let v = self.ids.get(a.0 as usize);
+        let v = self.ids.get(a.word());
         (v != 0).then(|| v - 1)
     }
 
     /// The id of `a`, assigning the next dense id on first touch.
     #[inline]
     pub fn resolve(&mut self, a: Addr) -> u32 {
-        let slot = self.ids.slot(a.0 as usize);
+        let slot = self.ids.slot(a.word());
         if *slot == 0 {
             self.len += 1;
             *slot = self.len;
@@ -67,6 +68,17 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(Addr(8)), Some(1));
         assert_eq!(m.get(Addr(16)), None);
+    }
+
+    #[test]
+    fn line_separated_scalars_share_one_page() {
+        // One id page covers 512 scalars laid out one per 64-byte line;
+        // byte keys would need 8 pages.
+        let mut m = AddrMap::new();
+        for i in 0..512u64 {
+            assert_eq!(m.resolve(Addr(i * 64)), i as u32);
+        }
+        assert_eq!(m.ids.allocated().count(), 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::addr::{Addr, VarLayout};
+use crate::addr::{Addr, VarLayout, WORD_BYTES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
 
 /// Flavor of a system call. The simulator gives syscalls no semantics
@@ -350,11 +350,13 @@ impl Program {
     }
 }
 
-/// Validates spawn/join structure and that every lock, condition,
-/// barrier and channel an op names is declared (the interpreter and the
-/// static passes size their tables by the declared counts), and derives
-/// parked flags and barrier widths. Shared by [`ProgramBuilder::build`]
-/// and [`Program::with_transformed_threads`].
+/// Validates spawn/join structure, that every lock, condition, barrier
+/// and channel an op names is declared (the interpreter and the static
+/// passes size their tables by the declared counts), and that every data
+/// access is word-aligned (memory and shadow tables are keyed by
+/// [`Addr::word`]: an array's base and stride must be multiples of 8),
+/// and derives parked flags and barrier widths. Shared by
+/// [`ProgramBuilder::build`] and [`Program::with_transformed_threads`].
 fn analyze_threads(
     threads: &[Vec<Stmt>],
     n_locks: u32,
@@ -373,6 +375,10 @@ fn analyze_threads(
     #[cold]
     fn undeclared(what: &str, id: &dyn fmt::Display) -> ! {
         panic!("use of undeclared {what} {id}")
+    }
+    #[cold]
+    fn unaligned(what: &str, value: &dyn fmt::Display) -> ! {
+        panic!("unaligned {what} {value}: accesses must be 8-byte aligned")
     }
     let n = threads.len();
     let mut parked = vec![false; n];
@@ -397,6 +403,17 @@ fn analyze_threads(
             Op::Barrier(b) if b.0 >= n_barriers => undeclared("barrier", b),
             Op::Barrier(b) => {
                 members[b.index()].insert(t as u32);
+            }
+            Op::Read(a) | Op::Write(a, _) | Op::Rmw(a, _) if !a.is_aligned() => {
+                unaligned("address", a)
+            }
+            Op::ReadArr { base, .. } | Op::WriteArr { base, .. } if !base.is_aligned() => {
+                unaligned("array base", base)
+            }
+            Op::ReadArr { stride, .. } | Op::WriteArr { stride, .. }
+                if !stride.is_multiple_of(WORD_BYTES) =>
+            {
+                unaligned("stride", stride)
             }
             _ => {}
         });
@@ -561,8 +578,10 @@ impl ProgramBuilder {
     ///
     /// Panics on malformed programs: a `Spawn` targeting the main thread or
     /// a nonexistent thread, a thread spawned more than once, a
-    /// `Join`/`Spawn` self-target, or an op naming a lock, condition,
-    /// barrier or channel the builder did not declare.
+    /// `Join`/`Spawn` self-target, an op naming a lock, condition,
+    /// barrier or channel the builder did not declare, or a data access
+    /// that is not 8-byte aligned (an address, an array base, or an array
+    /// stride that is not a multiple of 8).
     pub fn build(self) -> Program {
         let (parked, barrier_widths) = analyze_threads(
             &self.threads,
@@ -899,6 +918,25 @@ mod tests {
         let mut b = ProgramBuilder::new(1);
         let l = b.lock_id("l");
         b.thread(0).lock(l).lock(LockId(9));
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned address 0xc")]
+    fn unaligned_write_rejected() {
+        let mut b = ProgramBuilder::new(1);
+        b.thread(0).write(Addr(8), 1).write(Addr(12), 2);
+        let _ = b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned stride 4")]
+    fn unaligned_array_stride_rejected() {
+        let mut b = ProgramBuilder::new(1);
+        let arr = b.array("a", 8);
+        b.thread(0).loop_n(4, |t| {
+            t.write_arr(arr, 4, 1);
+        });
         let _ = b.build();
     }
 

@@ -8,20 +8,21 @@ use crate::addr::Addr;
 use crate::paged::PagedTable;
 
 /// A word-granular shared memory, paged so its footprint is proportional
-/// to the addresses actually touched rather than to the program's address
+/// to the words actually touched rather than to the program's address
 /// span (arrays reserve footprints far larger than what short runs
-/// touch). Unwritten addresses read as 0.
+/// touch). Unwritten words read as 0. Addresses must be 8-byte aligned
+/// (see [`Addr::word`]).
 ///
-/// Values live in one `PagedTable` and the written bits (distinguishing
-/// "never written" from "written 0") in another, keyed by `a / 64`. A
-/// load is two array indexes, no hashing and no tree walk. Equality and
-/// iteration consider only cells that were actually written, so two
-/// memories with different page layouts but the same written cells
-/// compare equal.
+/// Values live in one `PagedTable` keyed by word index `w`, and the
+/// written bits (distinguishing "never written" from "written 0") in
+/// another, keyed by `w / 64`. A load is two array indexes, no hashing
+/// and no tree walk. Equality and iteration consider only cells that
+/// were actually written, so two memories with different page layouts
+/// but the same written cells compare equal.
 #[derive(Clone, Default)]
 pub struct Memory {
     vals: PagedTable<u64>,
-    /// Bit `a % 64` of word `a / 64` is set once `a` is written.
+    /// Bit `w % 64` of entry `w / 64` is set once word `w` is written.
     written: PagedTable<u64>,
     /// Number of distinct written cells.
     count: usize,
@@ -36,28 +37,28 @@ impl Memory {
     /// Loads the 8-byte word at `a` (0 if never written).
     #[inline]
     pub fn load(&self, a: Addr) -> u64 {
-        self.vals.get(a.0 as usize)
+        self.vals.get(a.word())
     }
 
     #[inline]
-    fn is_written(&self, i: usize) -> bool {
-        self.written.get(i / 64) & (1 << (i % 64)) != 0
+    fn is_written(&self, w: usize) -> bool {
+        self.written.get(w / 64) & (1 << (w % 64)) != 0
     }
 
     /// Stores `v` into the 8-byte word at `a`.
     #[inline]
     pub fn store(&mut self, a: Addr, v: u64) {
-        self.replace(a.0 as usize, v);
+        self.replace(a.word(), v);
     }
 
-    /// Stores `v` at address `i`, returning the cell's previous value and
+    /// Stores `v` into word `w`, returning the cell's previous value and
     /// whether it was written before.
     #[inline]
-    fn replace(&mut self, i: usize, v: u64) -> (u64, bool) {
-        let prev = std::mem::replace(self.vals.slot(i), v);
-        let (word, bit) = (self.written.slot(i / 64), 1 << (i % 64));
-        let was_written = *word & bit != 0;
-        *word |= bit;
+    fn replace(&mut self, w: usize, v: u64) -> (u64, bool) {
+        let prev = std::mem::replace(self.vals.slot(w), v);
+        let (bits, bit) = (self.written.slot(w / 64), 1 << (w % 64));
+        let was_written = *bits & bit != 0;
+        *bits |= bit;
         self.count += usize::from(!was_written);
         (prev, was_written)
     }
@@ -65,16 +66,16 @@ impl Memory {
     /// Iterates over every written cell in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
         // Every written cell lies in an allocated value page, so only
-        // those pages' words of written bits are read.
-        let words = self.vals.allocated().flat_map(|r| r.start / 64..r.end / 64);
-        words.flat_map(move |w| {
-            // The set bits of one written word, lowest first.
-            let mut bits = self.written.get(w);
+        // those pages' entries of written bits are read.
+        let entries = self.vals.allocated().flat_map(|r| r.start / 64..r.end / 64);
+        entries.flat_map(move |e| {
+            // The set bits of one entry, lowest first.
+            let mut bits = self.written.get(e);
             std::iter::from_fn(move || {
                 (bits != 0).then(|| {
-                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    let w = e * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    (Addr(i as u64), self.vals.get(i))
+                    (Addr((w as u64) << 3), self.vals.get(w))
                 })
             })
         })
@@ -98,7 +99,7 @@ impl Memory {
     /// O(heap).
     #[inline]
     pub fn store_logged(&mut self, a: Addr, v: u64, journal: &mut WriteJournal) {
-        let (prev, was_written) = self.replace(a.0 as usize, v);
+        let (prev, was_written) = self.replace(a.word(), v);
         journal.entries.push(JournalEntry {
             addr: a,
             prev,
@@ -112,12 +113,12 @@ impl Memory {
     /// because [`Memory::load`], equality, and iteration must all agree
     /// with a memory that never saw the store.
     fn unstore(&mut self, e: JournalEntry) {
-        let i = e.addr.0 as usize;
+        let w = e.addr.word();
         if e.was_written {
             self.store(e.addr, e.prev);
-        } else if self.is_written(i) {
-            *self.vals.slot(i) = 0;
-            *self.written.slot(i / 64) &= !(1 << (i % 64));
+        } else if self.is_written(w) {
+            *self.vals.slot(w) = 0;
+            *self.written.slot(w / 64) &= !(1 << (w % 64));
             self.count -= 1;
         }
     }
@@ -224,6 +225,37 @@ mod tests {
         // A written zero is distinct from an unwritten cell.
         a.store(Addr(16), 0);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn line_separated_scalars_share_one_page() {
+        // 512 scalars one per 64-byte line, as `ProgramBuilder::var` lays
+        // them out: one page of values and one of written bits. Keyed by
+        // byte address, the same values would need 8 pages.
+        let mut m = Memory::new();
+        let mut by_byte = PagedTable::<u64>::default();
+        for i in 0..512u64 {
+            m.store(Addr(i * 64), i);
+            *by_byte.slot((i * 64) as usize) = i;
+        }
+        assert_eq!(m.vals.allocated().count(), 1);
+        assert_eq!(m.written.allocated().count(), 1);
+        assert_eq!(by_byte.allocated().count(), 8);
+        assert_eq!(m.len(), 512);
+    }
+
+    #[test]
+    fn top_address_bounds_the_top_level() {
+        // The highest loggable word lies in page 2^17 - 1, so the top
+        // level holds 2^17 entries (1 MiB), not the 2^20 of byte keys.
+        let mut m = Memory::new();
+        m.store(Addr(crate::MAX_LOG_ADDR - 8), 1);
+        assert_eq!(m.vals.top_level_len(), 1 << 17);
+        assert_eq!(m.vals.allocated().count(), 1);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            [(Addr(crate::MAX_LOG_ADDR - 8), 1)]
+        );
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! A two-level page table over `usize` indexes: the one page geometry
-//! behind [`crate::Memory`] and [`crate::AddrMap`].
+//! behind [`crate::Memory`] and [`crate::AddrMap`], which both index it
+//! by 8-byte word ([`crate::Addr::word`]), so one page spans 32 KiB of
+//! address space (512 cache lines).
 //!
 //! Programs lay their variables out over a raw address space whose span
 //! (one past the highest address) can be hundreds of times larger than
 //! the set of addresses actually touched: arrays reserve their full
 //! footprint, but a run may only graze them. A flat `Vec` indexed by
-//! address would pay O(span) allocation per run. [`PagedTable`] instead
+//! word would pay O(span) allocation per run. [`PagedTable`] instead
 //! keeps a top level of 8 bytes per [`PAGE_SIZE`] indexes of span, grown
 //! on first touch, and allocates a page of [`PAGE_SIZE`] slots only where
 //! a slot is actually written. A lookup is two array indexes, no hashing.
@@ -71,6 +73,12 @@ impl<T: Copy + Default> PagedTable<T> {
             .filter(|(_, page)| page.is_some())
             .map(|(p, _)| p << PAGE_BITS..(p + 1) << PAGE_BITS)
     }
+
+    /// Entries in the top level (one past the highest touched page).
+    #[cfg(test)]
+    pub(crate) fn top_level_len(&self) -> usize {
+        self.pages.len()
+    }
 }
 
 #[cfg(test)]
@@ -108,7 +116,7 @@ mod tests {
     #[test]
     fn iteration_crosses_pages_in_order() {
         let mut m = Memory::new();
-        let hi = Addr((3 * PAGE_SIZE + 5) as u64);
+        let hi = Addr((3 * PAGE_SIZE + 5) as u64 * 8);
         m.store(hi, 9);
         m.store(Addr(16), 1);
         let order: Vec<u64> = m.iter().map(|(a, _)| a.0).collect();
@@ -119,8 +127,8 @@ mod tests {
     #[test]
     fn spans_multiple_pages() {
         let mut m = AddrMap::new();
-        let a = Addr((PAGE_SIZE - 1) as u64);
-        let b = Addr(PAGE_SIZE as u64);
+        let a = Addr((PAGE_SIZE - 1) as u64 * 8);
+        let b = Addr(PAGE_SIZE as u64 * 8);
         assert_eq!(m.resolve(a), 0);
         assert_eq!(m.resolve(b), 1);
         assert_eq!(m.get(a), Some(0));

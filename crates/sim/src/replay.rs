@@ -608,7 +608,7 @@ mod tests {
 
         let log = sharding_fixture();
         let sync = SyncIndex::of(&log);
-        let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
+        let route = |a: Addr, n: usize| a.word() % n;
         for shards in [1usize, 2, 4] {
             let part = AccessPartition::of(&log, shards, route);
             for shard in 0..shards {

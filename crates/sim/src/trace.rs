@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::addr::Addr;
+use crate::addr::{Addr, WORD_BYTES};
 use crate::exec::{RunResult, RunStatus, StepLimit};
 use crate::flat::{syscall_code, SYSCALL_CODES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, SiteId, ThreadId};
@@ -32,11 +32,12 @@ use crate::sched::Scheduler;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum TraceEventKind {
-    /// Shared read; `arg` is the resolved address.
+    /// Shared read; `arg` is the resolved (8-byte aligned) address.
     Read,
-    /// Shared write; `arg` is the resolved address.
+    /// Shared write; `arg` is the resolved (8-byte aligned) address.
     Write,
-    /// Atomic read-modify-write; `arg` is the resolved address.
+    /// Atomic read-modify-write; `arg` is the resolved (8-byte aligned)
+    /// address.
     Rmw,
     /// Mutex acquired; `arg` is the lock id.
     Acquire,
@@ -164,8 +165,9 @@ impl TraceEvent {
 
     /// Reads one 12-byte record, accepting it only if its kind code is
     /// known, its pad byte is zero, its thread is below `threads`, its
-    /// `arg` is below `limits[kind]`, and a spawn or join does not name its
-    /// own thread. [`bad_event`] says why a record was refused.
+    /// `arg` is below `limits[kind]`, an access's address is 8-byte
+    /// aligned, and a spawn or join does not name its own thread.
+    /// [`bad_event`] says why a record was refused.
     #[inline]
     fn from_le_bytes(rec: &[u8], threads: u64, limits: &ArgLimits) -> Option<Self> {
         let &[code, pad, t0, t1, s0, s1, s2, s3, a0, a1, a2, a3] = rec else {
@@ -177,6 +179,7 @@ impl TraceEvent {
         let valid = pad == 0
             && u64::from(thread) < threads
             && u64::from(arg) < limits[usize::from(code)]
+            && arg & ARG_ALIGN[usize::from(code)] == 0
             && !(is_fork_or_join(kind) && arg == u32::from(thread));
         valid.then_some(TraceEvent {
             kind,
@@ -213,6 +216,23 @@ fn decode_events(body: &[u8], threads: u64, limits: &ArgLimits) -> Result<Vec<Tr
     Ok(events)
 }
 
+/// Per-kind mask of the `arg` bits that must be clear, indexed by kind
+/// code: a read's, write's or read-modify-write's address is word-aligned.
+/// A table lookup beside the limit's keeps the decode loop free of a
+/// per-kind branch.
+const ARG_ALIGN: [u32; KINDS.len()] = {
+    use TraceEventKind::*;
+    let mut masks = [0; KINDS.len()];
+    let mut i = 0;
+    while i < KINDS.len() {
+        if matches!(KINDS[i], Read | Write | Rmw) {
+            masks[i] = WORD_BYTES as u32 - 1;
+        }
+        i += 1;
+    }
+    masks
+};
+
 /// Spawns and joins name a child thread, never the executing one.
 #[inline]
 fn is_fork_or_join(kind: TraceEventKind) -> bool {
@@ -243,6 +263,9 @@ fn bad_event(rec: &[u8], threads: u64, limits: &ArgLimits) -> String {
     }
     if is_fork_or_join(kind) && arg == u32::from(thread) {
         return format!("{kind:?} of thread {thread} by itself");
+    }
+    if arg & ARG_ALIGN[usize::from(code)] != 0 {
+        return format!("{kind:?} address {arg:#x} not 8-byte aligned");
     }
     let what = match kind {
         Acquire | Release => "lock",
@@ -601,9 +624,10 @@ impl EventLog {
     /// [`MAX_LOG_CHANS`], an invalid event kind, a nonzero pad byte, a
     /// thread id (executing thread, spawned or joined child, barrier
     /// arrival) at or above the thread count, a lock, condition, barrier
-    /// or channel id at or above its declared count, a syscall code or
-    /// barrier release out of range, a release range past the arrival
-    /// table, or final-memory cells out of address order or at or above
+    /// or channel id at or above its declared count, an access address
+    /// that is not 8-byte aligned, a syscall code or barrier release out
+    /// of range, a release range past the arrival table, or final-memory
+    /// cells out of address order, not 8-byte aligned, or at or above
     /// [`MAX_LOG_ADDR`].
     /// Every log this accepts replays without panicking, and re-encodes to
     /// the bytes it was decoded from.
@@ -672,6 +696,9 @@ impl EventLog {
                 return Err(format!(
                     "memory cell address {a} at or above {MAX_LOG_ADDR:#x}"
                 ));
+            }
+            if !a.is_aligned() {
+                return Err(format!("memory cell address {a} not 8-byte aligned"));
             }
             if a.0 < next {
                 return Err(format!("memory cell address {a} out of order"));
@@ -1022,11 +1049,11 @@ pub const MAX_LOG_CHANS: u64 = 1 << 12;
 /// One past the highest address a serialized log may name, in an access
 /// event or a final-memory cell; an access event's `u32` `arg` holds any
 /// address below it. [`Memory`] and the detectors' shadow tables keep a
-/// page table with one 8-byte slot per 4096 addresses of span, so an
-/// unchecked address is an allocation of attacker-chosen size (a single
-/// cell at `1 << 60` asks for 2^48 slots); at this bound a page table is
-/// at most 8 MiB. The bundled workloads stay far below it (a test pins
-/// that).
+/// page table with one 8-byte slot per 4096 words (32 KiB) of span, so
+/// an unchecked address is an allocation of attacker-chosen size (a
+/// single cell at `1 << 60` asks for 2^45 slots); at this bound a page
+/// table's top level is at most 2^17 slots, 1 MiB. The bundled workloads
+/// stay far below it (a test pins that).
 pub const MAX_LOG_ADDR: u64 = 1 << 32;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -1415,7 +1442,7 @@ mod tests {
     #[test]
     fn access_partition_splits_reads_and_writes_exactly_once() {
         let log = all_kinds_log();
-        let route = |a: Addr, n: usize| (a.0 as usize / 8) % n;
+        let route = |a: Addr, n: usize| a.word() % n;
         for shards in [1usize, 2, 4, 8] {
             let part = AccessPartition::of(&log, shards, route);
             assert_eq!(part.shards(), shards);
@@ -1597,19 +1624,28 @@ mod tests {
 
     #[test]
     fn access_addresses_are_bounded() {
-        // A 4-byte arg holds every address below MAX_LOG_ADDR, the top one
-        // included; the recorder refuses a program that reaches past it.
+        // A 4-byte arg holds every word below MAX_LOG_ADDR, the top one
+        // included; an unaligned address is refused, and the recorder
+        // refuses a program that reaches past the top.
         let log = all_kinds_log();
         let bytes = log.to_bytes();
+        let top_word = (MAX_LOG_ADDR - 8) as u32;
         for kind in [
             TraceEventKind::Read,
             TraceEventKind::Write,
             TraceEventKind::Rmw,
         ] {
             let at = first_arg_of(&log, &bytes, kind);
-            let top = decode_patched(&bytes, at, &u32::MAX.to_le_bytes()).unwrap();
+            let top = decode_patched(&bytes, at, &top_word.to_le_bytes()).unwrap();
             let e = top.events().iter().find(|e| e.kind == kind).unwrap();
-            assert_eq!(u64::from(e.arg()), MAX_LOG_ADDR - 1, "{kind:?}");
+            assert_eq!(u64::from(e.arg()), MAX_LOG_ADDR - 8, "{kind:?}");
+            for odd in [5u32, top_word + 4, u32::MAX] {
+                let err = decode_patched(&bytes, at, &odd.to_le_bytes()).unwrap_err();
+                assert!(
+                    err.contains("not 8-byte aligned"),
+                    "{kind:?} {odd:#x}: {err}"
+                );
+            }
         }
         let mut b = ProgramBuilder::new(1);
         b.thread(0).read(Addr(MAX_LOG_ADDR));
@@ -1636,7 +1672,11 @@ mod tests {
             let err = decode_patched(&bytes, last_cell, &bad.to_le_bytes()).unwrap_err();
             assert!(err.contains("memory cell address"), "{bad:#x}: {err}");
         }
-        let top = decode_patched(&bytes, last_cell, &(MAX_LOG_ADDR - 1).to_le_bytes()).unwrap();
+        for odd in [a.0 + 3, MAX_LOG_ADDR - 1] {
+            let err = decode_patched(&bytes, last_cell, &odd.to_le_bytes()).unwrap_err();
+            assert!(err.contains("not 8-byte aligned"), "{odd:#x}: {err}");
+        }
+        let top = decode_patched(&bytes, last_cell, &(MAX_LOG_ADDR - 8).to_le_bytes()).unwrap();
         assert_eq!(top.final_memory().len(), log.final_memory().len());
     }
 

@@ -80,7 +80,15 @@ impl Scheme {
 
     /// Production mode with the given overhead budget (e.g. `1.2` allows
     /// 20% extra cycles over the uninstrumented baseline).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `budget` is a finite overhead of at least 1.0x.
     pub fn production(budget: f64) -> Scheme {
+        assert!(
+            (1.0..f64::INFINITY).contains(&budget),
+            "production budget {budget} is not a finite overhead of at least 1.0x"
+        );
         Scheme::Production(ProductionMode { budget })
     }
 }
@@ -591,6 +599,23 @@ mod tests {
     use super::*;
     use txrace_hb::{RacePair, RaceSet};
     use txrace_sim::{ProgramBuilder, SiteId};
+
+    #[test]
+    #[should_panic(expected = "not a finite overhead of at least 1.0x")]
+    fn production_rejects_nan_budget() {
+        let _ = Scheme::production(f64::NAN);
+    }
+
+    #[test]
+    fn production_budget_bounds() {
+        for bad in [f64::INFINITY, 0.99, 0.0, -1.0] {
+            assert!(
+                std::panic::catch_unwind(|| Scheme::production(bad)).is_err(),
+                "{bad}"
+            );
+        }
+        assert!(matches!(Scheme::production(1.0), Scheme::Production(_)));
+    }
 
     #[test]
     fn recall_of_empty_truth_is_one() {
