@@ -1,18 +1,19 @@
 //! Criterion microbenchmarks for the substrate primitives: HTM access
-//! paths, FastTrack checks, vector-clock operations, and the
-//! instrumentation pass. These measure *simulator* throughput (how fast
-//! the reproduction runs), not the modeled cycle costs.
+//! paths, FastTrack checks, vector-clock operations, the replay panel's
+//! fan-out, and the instrumentation pass. These measure *simulator*
+//! throughput (how fast the reproduction runs), not the modeled cycle
+//! costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use txrace::{
-    instrument, instrument_pruned, Detector, InstrumentConfig, RunConfig, SchedKind, Scheme,
-    SiteClassTable, StaticPruneMode,
+    instrument, instrument_pruned, Detector, InstrumentConfig, LocksetConsumer, PanelConsumer,
+    RunConfig, SchedKind, Scheme, SiteClassTable, StaticPruneMode,
 };
 use txrace_hb::{FastTrack, ShadowMode, VectorClock};
 use txrace_htm::{HtmConfig, HtmSystem};
 use txrace_sim::{
-    Addr, AddrMap, DirectRuntime, EventLog, FairSched, LockId, Machine, Memory, ProgramBuilder,
-    RandomSched, Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
+    fan_out, Addr, AddrMap, DirectRuntime, EventLog, FairSched, LockId, Machine, Memory,
+    ProgramBuilder, RandomSched, Scheduler, SiteId, ThreadId, TraceConsumer, WriteJournal,
 };
 
 fn bench_htm(c: &mut Criterion) {
@@ -238,6 +239,36 @@ fn bench_trace(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_replay_panel(c: &mut Criterion) {
+    // The replay benchmark's panel on one recorded bodytrack run: full
+    // TSan, sampling rates 0.0-1.0, raw FastTrack and lockset, through one
+    // fan-out at width 2 (the sweep fuses into cost-balanced groups).
+    let w = txrace_workloads::by_name("bodytrack", 4).expect("bundled workload");
+    let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
+    let n = log.thread_count();
+    let detectors: Vec<Detector> = txrace_bench::rate_sweep()
+        .into_iter()
+        .map(|s| Detector::new(w.config(s, 42)))
+        .collect();
+    let cost = w.config(Scheme::Tsan, 42).cost;
+    let mut g = c.benchmark_group("replay");
+    g.bench_function("panel_fanout_bodytrack", |b| {
+        b.iter(|| {
+            let mut panel: Vec<PanelConsumer> = detectors
+                .iter()
+                .map(|d| PanelConsumer::Tsan(d.consumer(&w.program)))
+                .collect();
+            panel.push(PanelConsumer::FastTrack(FastTrack::new(
+                n,
+                ShadowMode::Exact,
+            )));
+            panel.push(PanelConsumer::Lockset(LocksetConsumer::new(n, cost)));
+            fan_out(black_box(&log), panel, 2).len()
+        });
+    });
+    g.finish();
+}
+
 fn bench_instrument(c: &mut Criterion) {
     let mut b = ProgramBuilder::new(4);
     let l = b.lock_id("l");
@@ -285,6 +316,7 @@ criterion_group!(
     bench_sched,
     bench_exec_floor,
     bench_trace,
+    bench_replay_panel,
     bench_instrument,
     bench_static_analysis
 );

@@ -67,45 +67,31 @@ impl VarState {
     }
 }
 
-/// The FastTrack detector over a fixed set of threads.
+/// The happens-before half of FastTrack: one vector clock per thread and
+/// per synchronization object (lock, semaphore, channel, barrier), and
+/// the number of sync operations tracked.
 ///
-/// Events arrive only through its [`TraceConsumer`] impl: `read`/`write`
-/// check memory accesses; the sync events update the clocks. TxRace
-/// delivers the sync events on *every* path (fast and slow — paper §5,
-/// Figure 6) but the access checks only on the slow path.
-#[derive(Debug)]
-pub struct FastTrack {
+/// It consumes only the sync events of a [`TraceConsumer`] stream. The
+/// access half is a [`Shadow`], which checks each access against these
+/// clocks; [`FastTrack`] is one of each. Because sync tracking never
+/// depends on which accesses were checked, any number of shadows fed by
+/// the same event stream can share one `SyncClocks` (the TSan sampling
+/// sweep does).
+#[derive(Debug, Clone)]
+pub struct SyncClocks {
     n: usize,
     clocks: Vec<VectorClock>,
     locks: Vec<VectorClock>,
     conds: Vec<VectorClock>,
     chans: Vec<VectorClock>,
     barriers: Vec<VectorClock>,
-    /// Paged map `Addr -> dense shadow index`, assigned on first access
-    /// (O(touched) space — address spans can be hundreds of times larger
-    /// than the touched set).
-    shadow_ids: AddrMap,
-    /// Shadow words indexed by the dense id from `shadow_ids` — the
-    /// data-oriented layout. A slot is pushed as `VarState::fresh()` on
-    /// first touch, which is exactly what the old map's
-    /// `entry(..).or_insert_with(fresh)` produced, so behaviour (and
-    /// every RNG decision) is unchanged.
-    shadow: Vec<VarState>,
-    races: RaceSet,
-    cell_cap: Option<usize>,
-    rng: StdRng,
-    checks: u64,
     sync_ops: u64,
 }
 
-impl FastTrack {
-    /// Creates a detector for `threads` threads.
-    pub fn new(threads: usize, mode: ShadowMode) -> Self {
-        let (cell_cap, seed) = match mode {
-            ShadowMode::Exact => (None, 0),
-            ShadowMode::Cells { per_granule, seed } => (Some(per_granule.max(1)), seed),
-        };
-        FastTrack {
+impl SyncClocks {
+    /// The initial clocks of `threads` threads, with no sync object seen.
+    pub fn new(threads: usize) -> Self {
+        SyncClocks {
             n: threads,
             clocks: (0..threads)
                 .map(|t| VectorClock::initial(ThreadId(t as u32), threads))
@@ -114,29 +100,13 @@ impl FastTrack {
             conds: Vec::new(),
             chans: Vec::new(),
             barriers: Vec::new(),
-            shadow_ids: AddrMap::new(),
-            shadow: Vec::new(),
-            races: RaceSet::new(),
-            cell_cap,
-            rng: StdRng::seed_from_u64(seed),
-            checks: 0,
             sync_ops: 0,
         }
     }
 
-    /// Races found so far.
-    pub fn races(&self) -> &RaceSet {
-        &self.races
-    }
-
-    /// The races found, moved out of the detector.
-    pub fn into_races(self) -> RaceSet {
-        self.races
-    }
-
-    /// Number of access checks performed (slow-path work metric).
-    pub fn checks(&self) -> u64 {
-        self.checks
+    /// Number of threads.
+    pub fn threads(&self) -> usize {
+        self.n
     }
 
     /// Number of synchronization operations tracked.
@@ -145,24 +115,13 @@ impl FastTrack {
     }
 
     /// The current clock of thread `t`.
-    #[cfg(test)]
-    fn clock_of(&self, t: ThreadId) -> &VectorClock {
+    pub fn clock(&self, t: ThreadId) -> &VectorClock {
         &self.clocks[t.index()]
     }
 
-    /// Forgets all happens-before state (thread clocks, lock/cond/
-    /// channel/barrier vector clocks) and every shadow cell, while
-    /// keeping the races found so far, the check/sync counters, and the
-    /// sampling RNG stream.
-    ///
-    /// Duty-cycled monitoring uses this when re-arming after an idle
-    /// gap: accesses from before the gap must not pair with accesses
-    /// after it, because the synchronization between them was never
-    /// observed. Resetting the shadow guarantees any reported pair has
-    /// both endpoints inside one contiguous monitored stretch, so no
-    /// false positives can cross the gap. The address interning table
-    /// is retained so existing dense indices stay valid.
-    pub fn reset_shadow(&mut self) {
+    /// Returns every clock to its initial state, keeping the count of
+    /// sync operations.
+    fn reset(&mut self) {
         for (t, c) in self.clocks.iter_mut().enumerate() {
             *c = VectorClock::initial(ThreadId(t as u32), self.n);
         }
@@ -170,9 +129,6 @@ impl FastTrack {
         self.conds.clear();
         self.chans.clear();
         self.barriers.clear();
-        for s in &mut self.shadow {
-            *s = VarState::fresh();
-        }
     }
 
     fn sync_vc(table: &mut Vec<VectorClock>, idx: usize, n: usize) -> &mut VectorClock {
@@ -181,188 +137,11 @@ impl FastTrack {
         }
         &mut table[idx]
     }
-
-    #[inline]
-    fn shadow_mut<'a>(
-        ids: &mut AddrMap,
-        shadow: &'a mut Vec<VarState>,
-        addr: Addr,
-    ) -> &'a mut VarState {
-        let i = ids.resolve(addr) as usize;
-        if i == shadow.len() {
-            shadow.push(VarState::fresh());
-        }
-        &mut shadow[i]
-    }
 }
 
-/// FastTrack as a pure trace consumer: accesses are checked, sync events
-/// update the clocks, and — matching TSan — atomic RMWs are *not*
-/// checked (atomics are never data races under the C11 model). Driving a
-/// `FastTrack` through [`txrace_sim::Live`] live or through
-/// [`txrace_sim::EventLog::replay`] on a log of the same run produces the
-/// identical race set.
-impl TraceConsumer for FastTrack {
-    /// Checks a read by `t` at `site` against the shadow word for `addr`.
-    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.checks += 1;
-        let ct = &self.clocks[t.index()];
-        let my = ct.epoch(t);
-        let state = Self::shadow_mut(&mut self.shadow_ids, &mut self.shadow, addr);
-
-        // Same-epoch fast path.
-        match &state.r {
-            ReadState::Single(e, _) if *e == my => return,
-            ReadState::Shared(s) if s.vc[t.index()] == my.clock => return,
-            _ => {}
-        }
-
-        // Write-read race check.
-        if !state.w.leq(ct) {
-            let report = RaceReport {
-                addr,
-                prior: AccessInfo {
-                    site: state.w_site,
-                    thread: state.w.tid,
-                    kind: AccessKind::Write,
-                },
-                current: AccessInfo {
-                    site,
-                    thread: t,
-                    kind: AccessKind::Read,
-                },
-            };
-            self.races.record(report);
-        }
-
-        // Update the read state.
-        match &mut state.r {
-            ReadState::Bottom => state.r = ReadState::Single(my, site),
-            ReadState::Single(e, s) => {
-                let (e, s) = (*e, *s);
-                if e.leq(ct) {
-                    state.r = ReadState::Single(my, site);
-                } else if self.cell_cap == Some(1) {
-                    // One shadow cell: the new reader evicts the old one
-                    // (the unsound bounded-cell behaviour being modeled).
-                    state.r = ReadState::Single(my, site);
-                } else {
-                    let mut vc = vec![0u32; self.n];
-                    let mut sites = vec![SiteId(0); self.n];
-                    vc[e.tid.index()] = e.clock;
-                    sites[e.tid.index()] = s;
-                    vc[t.index()] = my.clock;
-                    sites[t.index()] = site;
-                    state.r = ReadState::Shared(Box::new(SharedReaders { vc, sites }));
-                }
-            }
-            ReadState::Shared(shared) => {
-                let SharedReaders { vc, sites } = shared.as_mut();
-                let is_new_reader = vc[t.index()] == 0;
-                if is_new_reader {
-                    if let Some(cap) = self.cell_cap {
-                        let occupied: Vec<usize> = vc
-                            .iter()
-                            .enumerate()
-                            .filter(|&(u, &c)| c > 0 && u != t.index())
-                            .map(|(u, _)| u)
-                            .collect();
-                        if occupied.len() + 1 > cap {
-                            // TSan-style random cell eviction: forget one
-                            // reader, potentially missing a future race.
-                            let victim = occupied[self.rng.gen_range(0..occupied.len())];
-                            vc[victim] = 0;
-                            sites[victim] = SiteId(0);
-                        }
-                    }
-                }
-                vc[t.index()] = my.clock;
-                sites[t.index()] = site;
-            }
-        }
-    }
-
-    /// Checks a write by `t` at `site` against the shadow word for `addr`.
-    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
-        self.checks += 1;
-        let ct = &self.clocks[t.index()];
-        let my = ct.epoch(t);
-        let state = Self::shadow_mut(&mut self.shadow_ids, &mut self.shadow, addr);
-
-        if state.w == my {
-            return; // same-epoch fast path
-        }
-
-        // Write-write race.
-        if !state.w.leq(ct) {
-            let report = RaceReport {
-                addr,
-                prior: AccessInfo {
-                    site: state.w_site,
-                    thread: state.w.tid,
-                    kind: AccessKind::Write,
-                },
-                current: AccessInfo {
-                    site,
-                    thread: t,
-                    kind: AccessKind::Write,
-                },
-            };
-            self.races.record(report);
-        }
-
-        // Read-write races.
-        match &state.r {
-            ReadState::Bottom => {}
-            ReadState::Single(e, s) => {
-                if !e.leq(ct) {
-                    let report = RaceReport {
-                        addr,
-                        prior: AccessInfo {
-                            site: *s,
-                            thread: e.tid,
-                            kind: AccessKind::Read,
-                        },
-                        current: AccessInfo {
-                            site,
-                            thread: t,
-                            kind: AccessKind::Write,
-                        },
-                    };
-                    self.races.record(report);
-                }
-            }
-            ReadState::Shared(shared) => {
-                let SharedReaders { vc, sites } = shared.as_ref();
-                for u in 0..self.n {
-                    if u == t.index() || vc[u] == 0 {
-                        continue;
-                    }
-                    if vc[u] > ct.get(ThreadId(u as u32)) {
-                        let report = RaceReport {
-                            addr,
-                            prior: AccessInfo {
-                                site: sites[u],
-                                thread: ThreadId(u as u32),
-                                kind: AccessKind::Read,
-                            },
-                            current: AccessInfo {
-                                site,
-                                thread: t,
-                                kind: AccessKind::Write,
-                            },
-                        };
-                        self.races.record(report);
-                    }
-                }
-            }
-        }
-
-        state.w = my;
-        state.w_site = site;
-        state.r = ReadState::Bottom;
-    }
-
+/// The sync events: each updates the clocks. Accesses are ignored here;
+/// a [`Shadow`] checks them.
+impl TraceConsumer for SyncClocks {
     /// Tracks a mutex acquire: `C_t ⊔= L`.
     fn acquire(&mut self, t: ThreadId, _site: SiteId, l: LockId) {
         self.sync_ops += 1;
@@ -457,6 +236,387 @@ impl TraceConsumer for FastTrack {
             self.clocks[t.index()].inc(t);
         }
         self.barriers[b.index()] = joined;
+    }
+}
+
+/// The access half of FastTrack: the shadow word (last write epoch and
+/// read state) of every variable, the races found, and the number of
+/// access checks.
+///
+/// Variables are named by a dense id that the owner assigns (an
+/// [`AddrMap`] in first-touch order); the shadow grows to cover every id
+/// it is asked about. [`Shadow::read`] and [`Shadow::write`] are the
+/// FastTrack access checks, the only copy of them: [`FastTrack`] calls
+/// them with its own [`SyncClocks`], and a consumer that runs several
+/// shadows over one event stream calls them with one shared
+/// `SyncClocks`.
+#[derive(Debug, Clone)]
+pub struct Shadow {
+    mode: ShadowMode,
+    /// Shadow words indexed by dense variable id — the data-oriented
+    /// layout. A slot starts as `VarState::fresh()`, what the first
+    /// access to a variable has always seen.
+    cells: Vec<VarState>,
+    races: RaceSet,
+    cell_cap: Option<usize>,
+    /// Eviction RNG of [`ShadowMode::Cells`], drawn only by this shadow.
+    rng: StdRng,
+    checks: u64,
+}
+
+impl Shadow {
+    /// An empty shadow in `mode`.
+    pub fn new(mode: ShadowMode) -> Self {
+        let (cell_cap, seed) = match mode {
+            ShadowMode::Exact => (None, 0),
+            ShadowMode::Cells { per_granule, seed } => (Some(per_granule.max(1)), seed),
+        };
+        Shadow {
+            mode,
+            cells: Vec::new(),
+            races: RaceSet::new(),
+            cell_cap,
+            rng: StdRng::seed_from_u64(seed),
+            checks: 0,
+        }
+    }
+
+    /// The shadow-memory configuration this shadow was built with.
+    pub fn mode(&self) -> ShadowMode {
+        self.mode
+    }
+
+    /// Races found so far.
+    pub fn races(&self) -> &RaceSet {
+        &self.races
+    }
+
+    /// The races found, moved out of the shadow.
+    pub fn into_races(self) -> RaceSet {
+        self.races
+    }
+
+    /// Number of access checks performed.
+    pub fn checks(&self) -> u64 {
+        self.checks
+    }
+
+    /// Forgets every shadow word, keeping the races, the check count and
+    /// the eviction RNG stream.
+    fn reset(&mut self) {
+        for s in &mut self.cells {
+            *s = VarState::fresh();
+        }
+    }
+
+    #[inline]
+    fn cell(cells: &mut Vec<VarState>, var: u32) -> &mut VarState {
+        let i = var as usize;
+        if i >= cells.len() {
+            cells.resize_with(i + 1, VarState::fresh);
+        }
+        &mut cells[i]
+    }
+
+    /// Checks a read by `t` at `site` of variable `var` (at `addr`, which
+    /// only the reports carry) against `sync`, the clocks of the same
+    /// event stream.
+    #[inline]
+    pub fn read(&mut self, sync: &SyncClocks, var: u32, t: ThreadId, site: SiteId, addr: Addr) {
+        self.checks += 1;
+        let ct = &sync.clocks[t.index()];
+        let my = ct.epoch(t);
+        let state = Self::cell(&mut self.cells, var);
+
+        // Same-epoch fast path.
+        match &state.r {
+            ReadState::Single(e, _) if *e == my => return,
+            ReadState::Shared(s) if s.vc[t.index()] == my.clock => return,
+            _ => {}
+        }
+
+        // Write-read race check.
+        if !state.w.leq(ct) {
+            let report = RaceReport {
+                addr,
+                prior: AccessInfo {
+                    site: state.w_site,
+                    thread: state.w.tid,
+                    kind: AccessKind::Write,
+                },
+                current: AccessInfo {
+                    site,
+                    thread: t,
+                    kind: AccessKind::Read,
+                },
+            };
+            self.races.record(report);
+        }
+
+        // Update the read state.
+        match &mut state.r {
+            ReadState::Bottom => state.r = ReadState::Single(my, site),
+            ReadState::Single(e, s) => {
+                let (e, s) = (*e, *s);
+                if e.leq(ct) {
+                    state.r = ReadState::Single(my, site);
+                } else if self.cell_cap == Some(1) {
+                    // One shadow cell: the new reader evicts the old one
+                    // (the unsound bounded-cell behaviour being modeled).
+                    state.r = ReadState::Single(my, site);
+                } else {
+                    let mut vc = vec![0u32; sync.n];
+                    let mut sites = vec![SiteId(0); sync.n];
+                    vc[e.tid.index()] = e.clock;
+                    sites[e.tid.index()] = s;
+                    vc[t.index()] = my.clock;
+                    sites[t.index()] = site;
+                    state.r = ReadState::Shared(Box::new(SharedReaders { vc, sites }));
+                }
+            }
+            ReadState::Shared(shared) => {
+                let SharedReaders { vc, sites } = shared.as_mut();
+                let is_new_reader = vc[t.index()] == 0;
+                if is_new_reader {
+                    if let Some(cap) = self.cell_cap {
+                        let occupied: Vec<usize> = vc
+                            .iter()
+                            .enumerate()
+                            .filter(|&(u, &c)| c > 0 && u != t.index())
+                            .map(|(u, _)| u)
+                            .collect();
+                        if occupied.len() + 1 > cap {
+                            // TSan-style random cell eviction: forget one
+                            // reader, potentially missing a future race.
+                            let victim = occupied[self.rng.gen_range(0..occupied.len())];
+                            vc[victim] = 0;
+                            sites[victim] = SiteId(0);
+                        }
+                    }
+                }
+                vc[t.index()] = my.clock;
+                sites[t.index()] = site;
+            }
+        }
+    }
+
+    /// Checks a write by `t` at `site` of variable `var` (at `addr`)
+    /// against `sync`, the clocks of the same event stream.
+    #[inline]
+    pub fn write(&mut self, sync: &SyncClocks, var: u32, t: ThreadId, site: SiteId, addr: Addr) {
+        self.checks += 1;
+        let ct = &sync.clocks[t.index()];
+        let my = ct.epoch(t);
+        let state = Self::cell(&mut self.cells, var);
+
+        if state.w == my {
+            return; // same-epoch fast path
+        }
+
+        // Write-write race.
+        if !state.w.leq(ct) {
+            let report = RaceReport {
+                addr,
+                prior: AccessInfo {
+                    site: state.w_site,
+                    thread: state.w.tid,
+                    kind: AccessKind::Write,
+                },
+                current: AccessInfo {
+                    site,
+                    thread: t,
+                    kind: AccessKind::Write,
+                },
+            };
+            self.races.record(report);
+        }
+
+        // Read-write races.
+        match &state.r {
+            ReadState::Bottom => {}
+            ReadState::Single(e, s) => {
+                if !e.leq(ct) {
+                    let report = RaceReport {
+                        addr,
+                        prior: AccessInfo {
+                            site: *s,
+                            thread: e.tid,
+                            kind: AccessKind::Read,
+                        },
+                        current: AccessInfo {
+                            site,
+                            thread: t,
+                            kind: AccessKind::Write,
+                        },
+                    };
+                    self.races.record(report);
+                }
+            }
+            ReadState::Shared(shared) => {
+                let SharedReaders { vc, sites } = shared.as_ref();
+                for u in 0..sync.n {
+                    if u == t.index() || vc[u] == 0 {
+                        continue;
+                    }
+                    if vc[u] > ct.get(ThreadId(u as u32)) {
+                        let report = RaceReport {
+                            addr,
+                            prior: AccessInfo {
+                                site: sites[u],
+                                thread: ThreadId(u as u32),
+                                kind: AccessKind::Read,
+                            },
+                            current: AccessInfo {
+                                site,
+                                thread: t,
+                                kind: AccessKind::Write,
+                            },
+                        };
+                        self.races.record(report);
+                    }
+                }
+            }
+        }
+
+        state.w = my;
+        state.w_site = site;
+        state.r = ReadState::Bottom;
+    }
+}
+
+/// The FastTrack detector over a fixed set of threads: one
+/// [`SyncClocks`], one address map, one [`Shadow`].
+///
+/// Events arrive only through its [`TraceConsumer`] impl: `read`/`write`
+/// check memory accesses; the sync events update the clocks. TxRace
+/// delivers the sync events on *every* path (fast and slow — paper §5,
+/// Figure 6) but the access checks only on the slow path.
+#[derive(Debug)]
+pub struct FastTrack {
+    sync: SyncClocks,
+    /// Paged map `Addr -> dense variable id`, assigned on first access
+    /// (O(touched) space — address spans can be hundreds of times larger
+    /// than the touched set).
+    vars: AddrMap,
+    shadow: Shadow,
+}
+
+impl FastTrack {
+    /// Creates a detector for `threads` threads.
+    pub fn new(threads: usize, mode: ShadowMode) -> Self {
+        Self::from_parts(SyncClocks::new(threads), AddrMap::new(), Shadow::new(mode))
+    }
+
+    /// A detector from its parts: clocks, the address map that names the
+    /// shadow's variables, and a shadow fed by the same event stream as
+    /// the clocks.
+    pub fn from_parts(sync: SyncClocks, vars: AddrMap, shadow: Shadow) -> Self {
+        FastTrack { sync, vars, shadow }
+    }
+
+    /// The happens-before clocks.
+    pub fn sync(&self) -> &SyncClocks {
+        &self.sync
+    }
+
+    /// The shadow memory.
+    pub fn shadow(&self) -> &Shadow {
+        &self.shadow
+    }
+
+    /// Races found so far.
+    pub fn races(&self) -> &RaceSet {
+        self.shadow.races()
+    }
+
+    /// The races found, moved out of the detector.
+    pub fn into_races(self) -> RaceSet {
+        self.shadow.into_races()
+    }
+
+    /// Number of access checks performed (slow-path work metric).
+    pub fn checks(&self) -> u64 {
+        self.shadow.checks()
+    }
+
+    /// Number of synchronization operations tracked.
+    pub fn sync_ops(&self) -> u64 {
+        self.sync.sync_ops()
+    }
+
+    /// Forgets all happens-before state (thread clocks, lock/cond/
+    /// channel/barrier vector clocks) and every shadow cell, while
+    /// keeping the races found so far, the check/sync counters, and the
+    /// eviction RNG stream.
+    ///
+    /// Duty-cycled monitoring uses this when re-arming after an idle
+    /// gap: accesses from before the gap must not pair with accesses
+    /// after it, because the synchronization between them was never
+    /// observed. Resetting the shadow guarantees any reported pair has
+    /// both endpoints inside one contiguous monitored stretch, so no
+    /// false positives can cross the gap. The address interning table
+    /// is retained so existing dense indices stay valid.
+    pub fn reset_shadow(&mut self) {
+        self.sync.reset();
+        self.shadow.reset();
+    }
+}
+
+/// FastTrack as a pure trace consumer: accesses are checked, sync events
+/// update the clocks, and — matching TSan — atomic RMWs are *not*
+/// checked (atomics are never data races under the C11 model). Driving a
+/// `FastTrack` through [`txrace_sim::Live`] live or through
+/// [`txrace_sim::EventLog::replay`] on a log of the same run produces the
+/// identical race set.
+impl TraceConsumer for FastTrack {
+    /// Checks a read by `t` at `site` against the shadow word for `addr`.
+    #[inline]
+    fn read(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        let var = self.vars.resolve(addr);
+        self.shadow.read(&self.sync, var, t, site, addr);
+    }
+
+    /// Checks a write by `t` at `site` against the shadow word for `addr`.
+    #[inline]
+    fn write(&mut self, t: ThreadId, site: SiteId, addr: Addr) {
+        let var = self.vars.resolve(addr);
+        self.shadow.write(&self.sync, var, t, site, addr);
+    }
+
+    fn acquire(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.sync.acquire(t, site, l);
+    }
+
+    fn release(&mut self, t: ThreadId, site: SiteId, l: LockId) {
+        self.sync.release(t, site, l);
+    }
+
+    fn signal(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.sync.signal(t, site, c);
+    }
+
+    fn wait(&mut self, t: ThreadId, site: SiteId, c: CondId) {
+        self.sync.wait(t, site, c);
+    }
+
+    fn chan_send(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.sync.chan_send(t, site, ch);
+    }
+
+    fn chan_recv(&mut self, t: ThreadId, site: SiteId, ch: ChanId) {
+        self.sync.chan_recv(t, site, ch);
+    }
+
+    fn spawn(&mut self, parent: ThreadId, site: SiteId, child: ThreadId) {
+        self.sync.spawn(parent, site, child);
+    }
+
+    fn join(&mut self, parent: ThreadId, site: SiteId, child: ThreadId) {
+        self.sync.join(parent, site, child);
+    }
+
+    fn barrier_release(&mut self, b: BarrierId, arrivals: &[(ThreadId, SiteId)]) {
+        self.sync.barrier_release(b, arrivals);
     }
 }
 
@@ -689,10 +849,10 @@ mod tests {
     #[test]
     fn release_increments_own_clock() {
         let mut d = ft(2);
-        let before = d.clock_of(T0).get(T0);
+        let before = d.sync().clock(T0).get(T0);
         d.acquire(T0, S, LockId(0));
         d.release(T0, S, LockId(0));
-        assert_eq!(d.clock_of(T0).get(T0), before + 1);
+        assert_eq!(d.sync().clock(T0).get(T0), before + 1);
         assert_eq!(d.sync_ops(), 2);
     }
 

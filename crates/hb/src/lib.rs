@@ -48,7 +48,7 @@ pub mod sharded;
 pub mod vcref;
 
 pub use clock::{Epoch, VectorClock};
-pub use fasttrack::{FastTrack, ShadowMode};
+pub use fasttrack::{FastTrack, Shadow, ShadowMode, SyncClocks};
 pub use lockset::{Lockset, LocksetReport};
 pub use report::{AccessInfo, AccessKind, RacePair, RaceReport, RaceSet};
 pub use sharded::{shard_of, ShardPlan, ShardStats, ShardedFastTrack, ShardedFtOutcome};

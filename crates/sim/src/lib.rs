@@ -65,7 +65,7 @@ pub use ids::{BarrierId, ChanId, CondId, LockId, LockSet, LoopId, RegionId, Site
 pub use ir::{Op, Program, ProgramBuilder, Stmt, SyscallKind, ThreadBuilder};
 pub use lint::{lint, LintIssue};
 pub use mem::{Memory, WriteJournal};
-pub use replay::{fan_out, par_map, FanOutReport, Live, TraceConsumer};
+pub use replay::{fan_out, par_map, FanOutReport, Fused, Live, TraceConsumer};
 pub use sched::{
     AnySched, FairSched, InterruptKind, InterruptModel, RandomSched, RoundRobin, Scheduler,
 };

@@ -5,7 +5,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::addr::Addr;
-use crate::paged::PagedTable;
+use crate::paged::{PagedTable, PAGE_SIZE};
+
+/// Entries per page of written bits: each covers one page of values.
+const WRITTEN_PAGE: usize = PAGE_SIZE / 64;
 
 /// A word-granular shared memory, paged so its footprint is proportional
 /// to the words actually touched rather than to the program's address
@@ -15,15 +18,16 @@ use crate::paged::PagedTable;
 ///
 /// Values live in one `PagedTable` keyed by word index `w`, and the
 /// written bits (distinguishing "never written" from "written 0") in
-/// another, keyed by `w / 64`. A load is two array indexes, no hashing
-/// and no tree walk. Equality and iteration consider only cells that
+/// another, keyed by `w / 64`, whose pages are 64 times smaller: one
+/// 512-byte block of bits per 32 KiB page of values. A load is two array
+/// indexes, no hashing and no tree walk. Equality and iteration consider only cells that
 /// were actually written, so two memories with different page layouts
 /// but the same written cells compare equal.
 #[derive(Clone, Default)]
 pub struct Memory {
     vals: PagedTable<u64>,
     /// Bit `w % 64` of entry `w / 64` is set once word `w` is written.
-    written: PagedTable<u64>,
+    written: PagedTable<u64, WRITTEN_PAGE>,
     /// Number of distinct written cells.
     count: usize,
 }

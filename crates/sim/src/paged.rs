@@ -12,9 +12,12 @@
 //! on first touch, and allocates a page of [`PAGE_SIZE`] slots only where
 //! a slot is actually written. A lookup is two array indexes, no hashing.
 //!
-//! A fresh page is `vec![T::default(); PAGE_SIZE]`; for integer `T` the
+//! A fresh page is `vec![T::default(); SIZE]`; for integer `T` the
 //! standard library allocates it zeroed, so it is not written at
-//! allocation.
+//! allocation. The page size is a parameter, [`PAGE_SIZE`] slots by
+//! default: a table whose slots each summarize 64 slots of another (the
+//! written bits of `Memory`) uses pages 64 times smaller, so that each of
+//! its pages covers exactly one page of the table it summarizes.
 
 use std::ops::Range;
 
@@ -28,21 +31,29 @@ pub(crate) const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const _: () = assert!(PAGE_SIZE.is_multiple_of(64));
 
 /// A sparse `usize`-indexed table whose unallocated slots read as
-/// `T::default()`.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PagedTable<T> {
-    /// `pages[i >> PAGE_BITS][i & (PAGE_SIZE - 1)]` holds slot `i`;
-    /// a page is allocated on its first [`slot`](PagedTable::slot).
-    pages: Vec<Option<Box<[T; PAGE_SIZE]>>>,
+/// `T::default()`, in pages of `SIZE` slots (a power of two).
+#[derive(Debug, Clone)]
+pub(crate) struct PagedTable<T, const SIZE: usize = PAGE_SIZE> {
+    /// `pages[i / SIZE][i % SIZE]` holds slot `i`; a page is allocated
+    /// on its first [`slot`](PagedTable::slot).
+    pages: Vec<Option<Box<[T; SIZE]>>>,
 }
 
-impl<T: Copy + Default> PagedTable<T> {
+impl<T, const SIZE: usize> Default for PagedTable<T, SIZE> {
+    fn default() -> Self {
+        PagedTable { pages: Vec::new() }
+    }
+}
+
+impl<T: Copy + Default, const SIZE: usize> PagedTable<T, SIZE> {
+    const POWER_OF_TWO: () = assert!(SIZE.is_power_of_two());
+
     /// Slot `i`, or `T::default()` when its page was never allocated.
     /// Never allocates.
     #[inline]
     pub(crate) fn get(&self, i: usize) -> T {
-        match self.pages.get(i >> PAGE_BITS) {
-            Some(Some(page)) => page[i & (PAGE_SIZE - 1)],
+        match self.pages.get(i / SIZE) {
+            Some(Some(page)) => page[i % SIZE],
             _ => T::default(),
         }
     }
@@ -51,17 +62,18 @@ impl<T: Copy + Default> PagedTable<T> {
     /// level) on first touch.
     #[inline]
     pub(crate) fn slot(&mut self, i: usize) -> &mut T {
-        let p = i >> PAGE_BITS;
+        let () = Self::POWER_OF_TWO;
+        let p = i / SIZE;
         if p >= self.pages.len() {
             self.pages.resize_with(p + 1, || None);
         }
         let page = self.pages[p].get_or_insert_with(|| {
-            vec![T::default(); PAGE_SIZE]
+            vec![T::default(); SIZE]
                 .into_boxed_slice()
                 .try_into()
-                .unwrap_or_else(|_| unreachable!("a page is PAGE_SIZE slots"))
+                .unwrap_or_else(|_| unreachable!("a page is SIZE slots"))
         });
-        &mut page[i & (PAGE_SIZE - 1)]
+        &mut page[i % SIZE]
     }
 
     /// The index range of every allocated page, in index order. Every
@@ -71,7 +83,7 @@ impl<T: Copy + Default> PagedTable<T> {
             .iter()
             .enumerate()
             .filter(|(_, page)| page.is_some())
-            .map(|(p, _)| p << PAGE_BITS..(p + 1) << PAGE_BITS)
+            .map(|(p, _)| p * SIZE..(p + 1) * SIZE)
     }
 
     /// Entries in the top level (one past the highest touched page).

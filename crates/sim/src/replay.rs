@@ -121,6 +121,51 @@ pub trait TraceConsumer {
     fn thread_done(&mut self, t: ThreadId) {
         let _ = t;
     }
+
+    /// Splits a [`fan_out`] panel into at most `groups` replay groups,
+    /// fusing members that can share one consumer. Each [`Fused`] entry
+    /// is one consumer of its group, standing for the panel members at
+    /// the input indices it lists; every index appears exactly once.
+    ///
+    /// The default fuses nothing: member `i` goes to group `i % groups`
+    /// on its own. A type that overrides this must make each fused
+    /// consumer, once [`unfuse`](TraceConsumer::unfuse)d after a replay,
+    /// equal to its members replayed one by one.
+    fn fan_out_groups(panel: Vec<Self>, groups: usize) -> Vec<Vec<Fused<Self>>>
+    where
+        Self: Sized,
+    {
+        let groups = groups.max(1);
+        let mut out: Vec<Vec<Fused<Self>>> =
+            (0..groups.min(panel.len())).map(|_| Vec::new()).collect();
+        for (i, consumer) in panel.into_iter().enumerate() {
+            out[i % groups].push(Fused {
+                consumer,
+                members: vec![i],
+            });
+        }
+        out
+    }
+
+    /// The panel members a fused consumer stands for, in the order of its
+    /// [`Fused::members`]. The default is the consumer itself.
+    fn unfuse(self) -> Vec<Self>
+    where
+        Self: Sized,
+    {
+        vec![self]
+    }
+}
+
+/// One consumer of a [`fan_out`] group: a panel member, or several members
+/// fused by [`TraceConsumer::fan_out_groups`] into one consumer that
+/// [`TraceConsumer::unfuse`] turns back into them.
+#[derive(Debug)]
+pub struct Fused<C> {
+    /// The consumer that rides the group's replay pass.
+    pub consumer: C,
+    /// Input indices of the panel members it stands for.
+    pub members: Vec<usize>,
 }
 
 /// The worker count of a pool over `items` jobs at `width`: at most one
@@ -139,8 +184,9 @@ fn pool_workers(width: usize, items: usize) -> usize {
 /// Runs `f(index, item)` over all `items` on
 /// min(`width`, jobs, available parallelism) scoped threads and returns
 /// the results **in input order**, whatever the completion order — so a
-/// deterministic `f` gives byte-identical output at every width. One
-/// worker runs inline on the calling thread.
+/// deterministic `f` gives byte-identical output at every width. The
+/// calling thread is always one of the workers, so one worker spawns no
+/// thread at all.
 ///
 /// Workers claim items through one shared counter: jobs here (replay
 /// groups, shards, benchmark cells) are coarse, so one fetch-add per job
@@ -174,20 +220,23 @@ where
     }
     let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(i) else { break };
+        let item = job
+            .lock()
+            .expect("job poisoned")
+            .take()
+            .expect("claimed once");
+        let r = f(i, item);
+        *slots[i].lock().expect("result slot poisoned") = Some(r);
+    };
+    // The calling thread is one of the workers.
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let item = job
-                    .lock()
-                    .expect("job poisoned")
-                    .take()
-                    .expect("claimed once");
-                let r = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
     slots
         .into_iter()
@@ -209,14 +258,17 @@ pub struct FanOutReport<C> {
 /// Replays one shared [`EventLog`] into every consumer — the
 /// multi-consumer fan-out of the parallel replay engine.
 ///
-/// Consumers are split round-robin into at most `width` groups; each
+/// The consumer type splits the panel into at most `width` groups
+/// ([`TraceConsumer::fan_out_groups`]: round-robin, one consumer per
+/// member, unless the type fuses members that can share work); each
 /// group rides **one** broadcast pass over the log
 /// ([`EventLog::replay_many`]: every event decoded once, dispatched to
 /// the whole group), and groups run concurrently on [`par_map`]. The
 /// group count is capped like the pool's workers, at the machine's
 /// available parallelism — an extra group means an extra walk of the
 /// log, which costs memory bandwidth without buying any concurrency once
-/// every core already has a walk.
+/// every core already has a walk. Each group
+/// [`unfuse`](TraceConsumer::unfuse)s its consumers on its own worker.
 ///
 /// Each consumer observes the *identical* call sequence
 /// [`EventLog::replay`] produces, so results are byte-identical to a
@@ -257,22 +309,34 @@ pub fn fan_out<C: TraceConsumer + Send>(
     if groups == 0 {
         return Vec::new();
     }
-    // Round-robin assignment; each bucket keeps its consumers' input
-    // indices so results scatter back to input order afterwards.
-    let mut buckets: Vec<Vec<(usize, C)>> = (0..groups).map(|_| Vec::new()).collect();
-    for (i, c) in consumers.into_iter().enumerate() {
-        buckets[i % groups].push((i, c));
-    }
-    let finished = par_map(groups, buckets, |_, bucket| {
-        let (idxs, mut cs): (Vec<usize>, Vec<C>) = bucket.into_iter().unzip();
+    // Each fused consumer keeps its members' input indices so results
+    // scatter back to input order afterwards.
+    let plan = C::fan_out_groups(consumers, groups);
+    let finished = par_map(groups, plan, |_, group| {
+        let (idxs, mut cs): (Vec<Vec<usize>>, Vec<C>) =
+            group.into_iter().map(|f| (f.members, f.consumer)).unzip();
         log.replay_many(&mut cs);
-        let reports = cs.into_iter().map(|consumer| FanOutReport { consumer });
-        idxs.into_iter().zip(reports).collect::<Vec<_>>()
+        idxs.into_iter()
+            .zip(cs)
+            .flat_map(|(idxs, c)| {
+                let members = c.unfuse();
+                assert_eq!(
+                    idxs.len(),
+                    members.len(),
+                    "a fused consumer unfuses into its members"
+                );
+                idxs.into_iter().zip(members)
+            })
+            .map(|(i, consumer)| (i, FanOutReport { consumer }))
+            .collect::<Vec<_>>()
     });
 
     let mut out: Vec<Option<FanOutReport<C>>> = (0..n).map(|_| None).collect();
     for (i, r) in finished.into_iter().flatten() {
-        out[i] = Some(r);
+        assert!(
+            out[i].replace(r).is_none(),
+            "panel member {i} returned twice"
+        );
     }
     out.into_iter()
         .map(|r| r.expect("every input index is carried by exactly one group"))

@@ -87,7 +87,15 @@ impl Knobs {
     }
 
     /// Knobs with a slow-path sampling rate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is NaN.
     pub fn with_sampling(mut self, rate: f64) -> Self {
+        assert!(
+            !rate.is_nan(),
+            "sampling rate {rate} is not a rate in [0, 1]"
+        );
         self.sampling = Some(rate);
         self
     }

@@ -617,6 +617,43 @@ mod tests {
         assert!(matches!(Scheme::production(1.0), Scheme::Production(_)));
     }
 
+    fn two_writers() -> Program {
+        let mut b = ProgramBuilder::new(2);
+        let x = b.var("x");
+        for t in 0..2 {
+            b.thread(t).write(x, t as u64);
+        }
+        b.build()
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a rate in [0, 1]")]
+    fn tsan_sampling_rejects_nan_rate() {
+        let scheme = Scheme::TsanSampling { rate: f64::NAN };
+        let _ = Detector::new(RunConfig::new(scheme, 3)).run(&two_writers());
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a rate in [0, 1]")]
+    fn engine_sampling_rejects_nan_rate() {
+        let knobs = Knobs {
+            sampling: Some(f64::NAN),
+            ..Knobs::default()
+        };
+        let cfg = RunConfig::new(Scheme::txrace(), 3).with_knobs(knobs);
+        let _ = Detector::new(cfg).run(&two_writers());
+    }
+
+    #[test]
+    fn finite_out_of_range_sampling_rates_clamp() {
+        let p = two_writers();
+        let run =
+            |rate: f64| Detector::new(RunConfig::new(Scheme::TsanSampling { rate }, 3)).run(&p);
+        assert_eq!(run(7.0).races.reports(), run(1.0).races.reports());
+        assert_eq!(run(7.0).checks, 2);
+        assert_eq!(run(-7.0).checks, 0);
+    }
+
     #[test]
     fn recall_of_empty_truth_is_one() {
         assert_eq!(recall(&RaceSet::new(), &RaceSet::new()), 1.0);

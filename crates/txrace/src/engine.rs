@@ -344,7 +344,18 @@ struct EpochCounters {
 
 impl TxRaceEngine {
     /// Builds an engine for one run of `ip`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slow-path sampling rate ([`Knobs::sampling`]) is
+    /// NaN; a finite rate outside `[0, 1]` is clamped.
     pub fn new(ip: &InstrumentedProgram, cfg: EngineConfig) -> Self {
+        if let Some(rate) = cfg.knobs.sampling {
+            assert!(
+                !rate.is_nan(),
+                "sampling rate {rate} is not a rate in [0, 1]"
+            );
+        }
         let n = ip.program.thread_count();
         let htm = HtmSystem::new(cfg.htm, n);
         let ft = FastTrack::new(n, cfg.shadow);
