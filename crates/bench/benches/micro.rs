@@ -3,6 +3,14 @@
 //! fan-out, and the instrumentation pass. These measure *simulator*
 //! throughput (how fast the reproduction runs), not the modeled cycle
 //! costs.
+//!
+//! Every bench runs in this one process and shares one heap, so a bench
+//! that allocates large blocks reads the allocator state the benches
+//! before it left (see the `criterion` stand-in's module docs). Two are
+//! heap-sensitive: `trace/decode_dedup` (65–68 µs here, 264–308 µs
+//! alone) and `mem/store_load_fresh_pages` (614–641 µs here, 127–138 µs
+//! alone), on a shared 2-vCPU x86-64 host. Compare them only between
+//! runs of this suite.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use txrace::{
@@ -251,7 +259,17 @@ fn bench_replay_panel(c: &mut Criterion) {
         .map(|s| Detector::new(w.config(s, 42)))
         .collect();
     let cost = w.config(Scheme::Tsan, 42).cost;
+    let tsan = Detector::new(w.config(Scheme::Tsan, 42));
     let mut g = c.benchmark_group("replay");
+    // One standalone full-TSan replay of the same log: the one-shadow
+    // consumer outside any fan-out.
+    g.bench_function("tsan_full_bodytrack", |b| {
+        b.iter(|| {
+            tsan.replay(black_box(&log), tsan.consumer(&w.program))
+                .races
+                .distinct_count()
+        });
+    });
     g.bench_function("panel_fanout_bodytrack", |b| {
         b.iter(|| {
             let mut panel: Vec<PanelConsumer> = detectors
@@ -288,6 +306,15 @@ fn bench_instrument(c: &mut Criterion) {
     });
 }
 
+fn bench_build(c: &mut Criterion) {
+    // Building one generated program through `ProgramBuilder`: three
+    // threads of 60 ops with channels, the median `smallprog` shape.
+    let cfg = txrace_workloads::GenConfig::default();
+    c.bench_function("ir/build_genprog", |b| {
+        b.iter(|| txrace_workloads::random_program(black_box(&cfg), 42).site_count());
+    });
+}
+
 fn bench_static_analysis(c: &mut Criterion) {
     // One generated program with channels, the shape of a `smallprog`
     // job: the flow-sensitive analysis alone, and a TxRace+SA-flow run of
@@ -318,6 +345,7 @@ criterion_group!(
     bench_trace,
     bench_replay_panel,
     bench_instrument,
+    bench_build,
     bench_static_analysis
 );
 criterion_main!(benches);

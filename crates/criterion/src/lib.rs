@@ -7,6 +7,23 @@
 //! enough to measure (≥ ~5 ms), reporting the minimum per-iteration
 //! time over the batches. No statistics, plots, or baselines — just a
 //! stable wall-clock number per benchmark on stdout.
+//!
+//! Every bench of a binary runs in one process, after the benches
+//! registered before it, and shares one heap with them. A bench that
+//! allocates and frees large blocks starts from whatever allocator state
+//! the earlier benches left: its blocks come either from the allocator's
+//! free lists or as fresh pages from the kernel (page faults and
+//! zeroing), so its time in the suite can differ severalfold from its
+//! time alone, in either direction. Two benches of `txrace-bench`'s
+//! `micro` suite are heap-sensitive (shared 2-vCPU x86-64 host, five
+//! runs each, best-of-20 batches):
+//!
+//! - `trace/decode_dedup`: 65–68 µs in the suite, 264–308 µs alone;
+//! - `mem/store_load_fresh_pages`: 614–641 µs in the suite, 127–138 µs
+//!   alone.
+//!
+//! Compare such a bench only between runs of the same suite, built from
+//! the same bench list.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::addr::{Addr, VarLayout, WORD_BYTES};
 use crate::ids::{BarrierId, ChanId, CondId, LockId, LoopId, RegionId, SiteId, ThreadId};
@@ -183,18 +184,23 @@ impl Stmt {
 ///
 /// Construct with [`ProgramBuilder`]. Threads that are the target of a
 /// [`Op::Spawn`] start parked; all others start runnable.
+///
+/// Storage is exact-size: every statement list, loop bodies included,
+/// holds no spare capacity, and the per-object tables are boxed slices.
+/// Site labels live in one sparse table of the labelled sites only,
+/// sorted by site and shared by `Arc` with every copy
+/// [`Program::with_transformed_threads`] makes.
 #[derive(Debug, Clone)]
 pub struct Program {
-    pub(crate) threads: Vec<Vec<Stmt>>,
-    pub(crate) n_sites: u32,
-    pub(crate) n_locks: u32,
-    pub(crate) n_conds: u32,
-    pub(crate) n_barriers: u32,
-    pub(crate) chan_caps: Vec<u64>,
-    pub(crate) parked: Vec<bool>,
-    pub(crate) barrier_widths: Vec<u32>,
-    pub(crate) labels: HashMap<String, SiteId>,
-    pub(crate) site_labels: Vec<Option<String>>,
+    threads: Box<[Box<[Stmt]>]>,
+    n_sites: u32,
+    n_locks: u32,
+    n_conds: u32,
+    n_barriers: u32,
+    chan_caps: Box<[u64]>,
+    parked: Box<[bool]>,
+    barrier_widths: Box<[u32]>,
+    labels: Arc<[(SiteId, Box<str>)]>,
 }
 
 impl Program {
@@ -252,16 +258,27 @@ impl Program {
         self.barrier_widths[b.index()]
     }
 
-    /// Looks up the site labeled `name` by the builder.
+    /// Looks up the site labeled `name` by the builder (a scan of the
+    /// label table; no per-event path calls it).
     pub fn site(&self, name: &str) -> Option<SiteId> {
-        self.labels.get(name).copied()
+        self.labels
+            .iter()
+            .find(|(_, l)| **l == *name)
+            .map(|&(s, _)| s)
     }
 
     /// The label attached to `site`, if any.
     pub fn label_of(&self, site: SiteId) -> Option<&str> {
-        self.site_labels
-            .get(site.index())
-            .and_then(|o| o.as_deref())
+        self.labels
+            .binary_search_by_key(&site, |&(s, _)| s)
+            .ok()
+            .map(|i| &*self.labels[i].1)
+    }
+
+    /// The labelled sites with their labels, sorted by site. Copies made
+    /// by [`Program::with_transformed_threads`] share this table.
+    pub fn labels(&self) -> &[(SiteId, Box<str>)] {
+        &self.labels
     }
 
     /// Visits every static op once (loop bodies visited once, not per
@@ -312,9 +329,10 @@ impl Program {
     }
 
     /// Rebuilds this program with transformed thread bodies — the hook an
-    /// instrumentation pass uses. All metadata (labels, sync-object
-    /// counts, loop count) carries over; `n_sites` must cover any new
-    /// sites the transformation minted (marker instructions).
+    /// instrumentation pass uses. All metadata (sync-object counts, loop
+    /// count) carries over and the label table is shared, not copied;
+    /// `n_sites` must cover any new sites the transformation minted
+    /// (marker instructions). The bodies are trimmed to exact size.
     ///
     /// # Panics
     ///
@@ -336,7 +354,7 @@ impl Program {
             self.chan_count(),
         );
         Program {
-            threads,
+            threads: exact_threads(threads),
             n_sites,
             n_locks: self.n_locks,
             n_conds: self.n_conds,
@@ -344,10 +362,28 @@ impl Program {
             chan_caps: self.chan_caps.clone(),
             parked,
             barrier_widths,
-            labels: self.labels.clone(),
-            site_labels: self.site_labels.clone(),
+            labels: Arc::clone(&self.labels),
         }
     }
+}
+
+/// Trims every thread body, loop bodies included, to exact size.
+fn exact_threads(threads: Vec<Vec<Stmt>>) -> Box<[Box<[Stmt]>]> {
+    fn trim(stmts: &mut Vec<Stmt>) {
+        stmts.shrink_to_fit();
+        for s in stmts {
+            if let Stmt::Loop { body, .. } = s {
+                trim(body);
+            }
+        }
+    }
+    threads
+        .into_iter()
+        .map(|mut t| {
+            trim(&mut t);
+            t.into_boxed_slice()
+        })
+        .collect()
 }
 
 /// Validates spawn/join structure, that every lock, condition, barrier
@@ -363,7 +399,7 @@ fn analyze_threads(
     n_conds: u32,
     n_barriers: u32,
     n_chans: u32,
-) -> (Vec<bool>, Vec<u32>) {
+) -> (Box<[bool]>, Box<[u32]>) {
     fn each_op(stmts: &[Stmt], f: &mut impl FnMut(&Op)) {
         for s in stmts {
             match s {
@@ -381,7 +417,7 @@ fn analyze_threads(
         panic!("unaligned {what} {value}: accesses must be 8-byte aligned")
     }
     let n = threads.len();
-    let mut parked = vec![false; n];
+    let mut parked = vec![false; n].into_boxed_slice();
     let mut members: Vec<std::collections::BTreeSet<u32>> =
         vec![Default::default(); n_barriers as usize];
     for (t, stmts) in threads.iter().enumerate() {
@@ -437,7 +473,6 @@ pub struct ProgramBuilder {
     next_barrier: u32,
     layout: VarLayout,
     labels: HashMap<String, SiteId>,
-    site_labels: Vec<Option<String>>,
     lock_names: HashMap<String, LockId>,
     cond_names: HashMap<String, CondId>,
     barrier_names: HashMap<String, BarrierId>,
@@ -462,7 +497,6 @@ impl ProgramBuilder {
             next_barrier: 0,
             layout: VarLayout::new(),
             labels: HashMap::new(),
-            site_labels: Vec::new(),
             lock_names: HashMap::new(),
             cond_names: HashMap::new(),
             barrier_names: HashMap::new(),
@@ -564,7 +598,6 @@ impl ProgramBuilder {
     fn fresh_site(&mut self, label: Option<&str>) -> SiteId {
         let s = SiteId(self.next_site);
         self.next_site += 1;
-        self.site_labels.push(label.map(str::to_owned));
         if let Some(l) = label {
             let prev = self.labels.insert(l.to_owned(), s);
             assert!(prev.is_none(), "duplicate site label {l:?}");
@@ -590,17 +623,22 @@ impl ProgramBuilder {
             self.next_barrier,
             self.chan_caps.len() as u32,
         );
+        let mut labels: Vec<(SiteId, Box<str>)> = self
+            .labels
+            .into_iter()
+            .map(|(l, s)| (s, l.into_boxed_str()))
+            .collect();
+        labels.sort_unstable_by_key(|&(s, _)| s);
         Program {
-            threads: self.threads,
+            threads: exact_threads(self.threads),
             n_sites: self.next_site,
             n_locks: self.next_lock,
             n_conds: self.next_cond,
             n_barriers: self.next_barrier,
-            chan_caps: self.chan_caps,
+            chan_caps: self.chan_caps.into_boxed_slice(),
             parked,
             barrier_widths,
-            labels: self.labels,
-            site_labels: self.site_labels,
+            labels: labels.into(),
         }
     }
 }
