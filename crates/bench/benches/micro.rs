@@ -250,7 +250,8 @@ fn bench_trace(c: &mut Criterion) {
 fn bench_replay_panel(c: &mut Criterion) {
     // The replay benchmark's panel on one recorded bodytrack run: full
     // TSan, sampling rates 0.0-1.0, raw FastTrack and lockset, through one
-    // fan-out at width 2 (the sweep fuses into cost-balanced groups).
+    // fan-out at width 2 (lockset on one group, the fused sweep with raw
+    // FastTrack on the other).
     let w = txrace_workloads::by_name("bodytrack", 4).expect("bundled workload");
     let log = Detector::new(w.config(Scheme::Tsan, 42)).record(&w.program);
     let n = log.thread_count();

@@ -45,15 +45,17 @@
 //! - `total`: `workers`, `seed`, `reps`, `pool`, `wall_ns`, and the
 //!   geomeans `figure_speedup`, `sweep_speedup`, `fanout_speedup`.
 //!
-//! Fingerprints do not depend on `workers`, so two runs at different
-//! widths must emit identical `fingerprint` fields; CI diffs them.
+//! Fingerprints do not depend on `workers`: two runs at different widths
+//! emit identical `fingerprint` fields, which
+//! `tests/parallel_replay_equivalence.rs` checks for this panel on every
+//! workload at widths 1 to 8.
 
 use std::time::Instant;
 
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunOutcome, Scheme};
 use txrace_bench::{
-    geomean, json_rows, pool_width, rate_sweep, record_workload, replay_scheme,
-    replay_schemes_fanout, run_scheme, Args, JsonValue, RACY_APPS,
+    geomean, json_rows, pool_width, rate_sweep, record_workload, replay_schemes_fanout, run_scheme,
+    Args, JsonValue, RACY_APPS,
 };
 use txrace_hb::{FastTrack, RaceReport, ShadowMode, VectorClockDetector};
 use txrace_sim::{fan_out, par_map, EventLog};
@@ -113,13 +115,15 @@ fn record_units(spec: &FigSpec) -> Vec<EventLog> {
     })
 }
 
-/// Serial replay: record each unit once, replay every cell on its own.
+/// Serial replay: record each unit once, replay every cell on its own
+/// (one scheme at width 1).
 fn replayed(spec: &FigSpec) -> Vec<CellResult> {
     let logs = record_units(spec);
     let grid = cells(spec);
     par_map(pool_width(), &grid, |_, (u, scheme)| {
         let (w, seed) = &spec.units[*u];
-        CellResult::of(&replay_scheme(w, &logs[*u], scheme.clone(), *seed))
+        let outs = replay_schemes_fanout(w, &logs[*u], std::slice::from_ref(scheme), *seed, 1);
+        CellResult::of(&outs[0])
     })
 }
 

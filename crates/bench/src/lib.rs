@@ -19,5 +19,5 @@ pub use pool::pool_width;
 pub use report::{fmt_x, geomean, json_rows, JsonValue, Table};
 pub use runner::{
     cost_effectiveness, evaluate_app, normalized_overhead, rate_sweep, record_workload,
-    replay_scheme, replay_schemes_fanout, run_scheme, AppResult, RACY_APPS,
+    replay_schemes_fanout, run_scheme, AppResult, RACY_APPS,
 };

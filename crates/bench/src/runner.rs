@@ -1,7 +1,7 @@
 //! The per-app evaluation driver shared by all table/figure binaries:
 //! live runs ([`run_scheme`], [`evaluate_app`]), the one in-process
 //! recorder ([`record_workload`]), and replay of a recording under one
-//! scheme or many ([`replay_scheme`], [`replay_schemes_fanout`]). A
+//! scheme or many ([`replay_schemes_fanout`]). A
 //! recording lives only as long as the process that made it; nothing is
 //! read from or written to disk.
 //!
@@ -9,7 +9,7 @@
 //! Figure 11 ([`RACY_APPS`]) and the twelve TSan configurations of
 //! Figures 12 and 13 ([`rate_sweep`]).
 
-use txrace::{recall, Detector, RunOutcome, Scheme};
+use txrace::{recall, Detector, PanelConsumer, RunOutcome, Scheme};
 use txrace_sim::EventLog;
 use txrace_workloads::Workload;
 
@@ -96,37 +96,24 @@ pub fn run_scheme(w: &Workload, scheme: Scheme, seed: u64) -> RunOutcome {
 /// Records `w` once at `seed` into a replayable trace. Scheduling depends
 /// only on the workload's scheduler policy and the seed — never on the
 /// detection scheme — so one recording serves every pure-observer scheme
-/// (TSan, all sampling rates, lockset) via [`replay_scheme`].
+/// (TSan, all sampling rates, lockset) via [`replay_schemes_fanout`].
 pub fn record_workload(w: &Workload, seed: u64) -> EventLog {
     Detector::new(w.config(Scheme::Tsan, seed)).record(&w.program)
-}
-
-/// Replays a recorded trace of `w` under `scheme`, producing the exact
-/// outcome a live [`run_scheme`] call with the same seed would.
-///
-/// # Panics
-///
-/// Panics if `scheme` is TxRace (an active engine cannot run from a fixed
-/// trace — use [`run_scheme`]) or if the recorded run did not complete.
-pub fn replay_scheme(w: &Workload, log: &EventLog, scheme: Scheme, seed: u64) -> RunOutcome {
-    let d = Detector::new(w.config(scheme, seed));
-    let consumer = d.consumer(&w.program);
-    let out = d.replay(log, consumer);
-    assert!(out.completed(), "{}: recorded run did not complete", w.name);
-    out
 }
 
 /// Replays one recorded trace of `w` under every scheme in `schemes`
 /// concurrently — a single [`txrace_sim::fan_out`] pass over the shared
 /// log on up to `width` pool workers — and returns the outcomes in scheme
-/// order. Each outcome is byte-identical to the serial
-/// [`replay_scheme`] result for that scheme: consumers are pure
-/// observers with private state, so concurrency cannot change what any
-/// of them sees.
+/// order. Each outcome is the exact outcome a live [`run_scheme`] call
+/// with the same seed would produce, and equals the outcome of replaying
+/// that scheme alone (one scheme at width 1): consumers are pure
+/// observers, and the panel fuses only members whose fused replay
+/// unfuses into exactly their serial results.
 ///
 /// # Panics
 ///
-/// Panics like [`replay_scheme`] (TxRace schemes, incomplete runs).
+/// Panics if a scheme is TxRace (an active engine cannot run from a fixed
+/// trace — use [`run_scheme`]) or if the recorded run did not complete.
 pub fn replay_schemes_fanout(
     w: &Workload,
     log: &EventLog,
@@ -138,12 +125,19 @@ pub fn replay_schemes_fanout(
         .iter()
         .map(|s| Detector::new(w.config(s.clone(), seed)))
         .collect();
-    let consumers = detectors.iter().map(|d| d.consumer(&w.program)).collect();
+    let consumers = detectors
+        .iter()
+        .map(|d| PanelConsumer::Tsan(d.consumer(&w.program)))
+        .collect();
     txrace_sim::fan_out(log, consumers, width)
         .into_iter()
         .zip(&detectors)
         .map(|(r, d)| {
-            let outcome = d.outcome_of_replayed(r.consumer, log);
+            let tsan = r
+                .consumer
+                .into_tsan()
+                .expect("fan_out preserves panel order");
+            let outcome = d.outcome_of_replayed(tsan, log);
             assert!(
                 outcome.completed(),
                 "{}: recorded run did not complete",
@@ -209,6 +203,12 @@ mod tests {
         assert!(r.tsan.htm.is_none());
     }
 
+    /// `scheme` alone over `log` at seed 7: a serial replay.
+    fn replay_one(w: &Workload, log: &EventLog, scheme: Scheme) -> RunOutcome {
+        let mut outs = replay_schemes_fanout(w, log, &[scheme], 7, 1);
+        outs.pop().expect("one scheme, one outcome")
+    }
+
     #[test]
     fn fanout_replay_matches_serial_per_scheme() {
         let w = by_name("bodytrack", 2).unwrap();
@@ -221,7 +221,7 @@ mod tests {
         let fanned = replay_schemes_fanout(&w, &log, &schemes, 7, 3);
         assert_eq!(fanned.len(), schemes.len());
         for (f, scheme) in fanned.iter().zip(&schemes) {
-            let serial = replay_scheme(&w, &log, scheme.clone(), 7);
+            let serial = replay_one(&w, &log, scheme.clone());
             assert_eq!(f.races.reports(), serial.races.reports());
             assert_eq!(f.breakdown, serial.breakdown);
             assert_eq!(f.checks, serial.checks);
@@ -234,7 +234,7 @@ mod tests {
         let log = record_workload(&w, 7);
         for scheme in [Scheme::Tsan, Scheme::TsanSampling { rate: 0.4 }] {
             let live = run_scheme(&w, scheme.clone(), 7);
-            let replayed = replay_scheme(&w, &log, scheme, 7);
+            let replayed = replay_one(&w, &log, scheme);
             assert_eq!(live.races.reports(), replayed.races.reports());
             assert_eq!(live.breakdown, replayed.breakdown);
             assert_eq!(live.baseline_cycles, replayed.baseline_cycles);

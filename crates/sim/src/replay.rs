@@ -122,29 +122,27 @@ pub trait TraceConsumer {
         let _ = t;
     }
 
-    /// Splits a [`fan_out`] panel into at most `groups` replay groups,
-    /// fusing members that can share one consumer. Each [`Fused`] entry
-    /// is one consumer of its group, standing for the panel members at
-    /// the input indices it lists; every index appears exactly once.
+    /// Fuses a [`fan_out`] panel into the consumers that ride its replay
+    /// passes. Each [`Fused`] entry stands for the panel members at the
+    /// input indices it lists; every index appears exactly once. Where an
+    /// entry runs is [`fan_out`]'s choice alone.
     ///
-    /// The default fuses nothing: member `i` goes to group `i % groups`
-    /// on its own. A type that overrides this must make each fused
-    /// consumer, once [`unfuse`](TraceConsumer::unfuse)d after a replay,
-    /// equal to its members replayed one by one.
-    fn fan_out_groups(panel: Vec<Self>, groups: usize) -> Vec<Vec<Fused<Self>>>
+    /// The default fuses nothing: one entry per member, in input order. A
+    /// type that overrides this must make each fused consumer, once
+    /// [`unfuse`](TraceConsumer::unfuse)d after a replay, equal to its
+    /// members replayed one by one.
+    fn fuse(panel: Vec<Self>) -> Vec<Fused<Self>>
     where
         Self: Sized,
     {
-        let groups = groups.max(1);
-        let mut out: Vec<Vec<Fused<Self>>> =
-            (0..groups.min(panel.len())).map(|_| Vec::new()).collect();
-        for (i, consumer) in panel.into_iter().enumerate() {
-            out[i % groups].push(Fused {
+        panel
+            .into_iter()
+            .enumerate()
+            .map(|(i, consumer)| Fused {
                 consumer,
                 members: vec![i],
-            });
-        }
-        out
+            })
+            .collect()
     }
 
     /// The panel members a fused consumer stands for, in the order of its
@@ -157,8 +155,8 @@ pub trait TraceConsumer {
     }
 }
 
-/// One consumer of a [`fan_out`] group: a panel member, or several members
-/// fused by [`TraceConsumer::fan_out_groups`] into one consumer that
+/// One consumer of a [`fan_out`] pass: a panel member, or several members
+/// fused by [`TraceConsumer::fuse`] into one consumer that
 /// [`TraceConsumer::unfuse`] turns back into them.
 #[derive(Debug)]
 pub struct Fused<C> {
@@ -258,17 +256,18 @@ pub struct FanOutReport<C> {
 /// Replays one shared [`EventLog`] into every consumer — the
 /// multi-consumer fan-out of the parallel replay engine.
 ///
-/// The consumer type splits the panel into at most `width` groups
-/// ([`TraceConsumer::fan_out_groups`]: round-robin, one consumer per
-/// member, unless the type fuses members that can share work); each
-/// group rides **one** broadcast pass over the log
+/// The consumer type fuses the panel into entries
+/// ([`TraceConsumer::fuse`]: one per member, unless the type fuses
+/// members that can share work), and the entries are dealt round-robin to
+/// min(`width`, entries, available parallelism) groups, the pool's worker
+/// count. Each group rides **one** broadcast pass over the log
 /// ([`EventLog::replay_many`]: every event decoded once, dispatched to
 /// the whole group), and groups run concurrently on [`par_map`]. The
-/// group count is capped like the pool's workers, at the machine's
-/// available parallelism — an extra group means an extra walk of the
-/// log, which costs memory bandwidth without buying any concurrency once
-/// every core already has a walk. Each group
-/// [`unfuse`](TraceConsumer::unfuse)s its consumers on its own worker.
+/// group count is capped at the machine's available parallelism because
+/// an extra group means an extra walk of the log, which costs memory
+/// bandwidth without buying any concurrency once every core already has
+/// a walk. Each group [`unfuse`](TraceConsumer::unfuse)s its consumers on
+/// its own worker.
 ///
 /// Each consumer observes the *identical* call sequence
 /// [`EventLog::replay`] produces, so results are byte-identical to a
@@ -305,13 +304,17 @@ pub fn fan_out<C: TraceConsumer + Send>(
     width: usize,
 ) -> Vec<FanOutReport<C>> {
     let n = consumers.len();
-    let groups = pool_workers(width.max(1), n);
+    // Each fused consumer keeps its members' input indices so results
+    // scatter back to input order afterwards.
+    let entries = C::fuse(consumers);
+    let groups = pool_workers(width.max(1), entries.len());
     if groups == 0 {
         return Vec::new();
     }
-    // Each fused consumer keeps its members' input indices so results
-    // scatter back to input order afterwards.
-    let plan = C::fan_out_groups(consumers, groups);
+    let mut plan: Vec<Vec<Fused<C>>> = (0..groups).map(|_| Vec::new()).collect();
+    for (k, entry) in entries.into_iter().enumerate() {
+        plan[k % groups].push(entry);
+    }
     let finished = par_map(groups, plan, |_, group| {
         let (idxs, mut cs): (Vec<Vec<usize>>, Vec<C>) =
             group.into_iter().map(|f| (f.members, f.consumer)).unzip();

@@ -7,10 +7,10 @@
 //! `Vec<Box<dyn TraceConsumer + Send>>` also works with `fan_out`, but
 //! type erasure loses the results; [`PanelConsumer`] keeps them.
 //!
-//! A panel also fuses: [`PanelConsumer`]'s
-//! [`TraceConsumer::fan_out_groups`] runs the TSan sampling sweep and raw
-//! FastTrack members of each fan-out group as one [`TsanConsumer`] with
-//! one sync pass, and balances the groups by modeled cost.
+//! A panel also fuses: [`PanelConsumer`]'s [`TraceConsumer::fuse`] runs
+//! the TSan sampling sweep and raw FastTrack members that can share a
+//! sync pass as one [`TsanConsumer`]; `fan_out` alone decides where each
+//! fused entry runs.
 
 use txrace_hb::{FastTrack, VectorClockDetector};
 use txrace_sim::{
@@ -157,11 +157,45 @@ impl TraceConsumer for PanelConsumer {
     }
 
     /// Fuses the panel's fresh, unpruned TSan and raw FastTrack members
-    /// into one [`TsanConsumer`] per group (per thread count and sampling
-    /// seed), and balances the groups by modeled cost; see
-    /// [`balanced_groups`].
-    fn fan_out_groups(panel: Vec<Self>, groups: usize) -> Vec<Vec<Fused<Self>>> {
-        balanced_groups(panel, groups)
+    /// into one [`TsanConsumer`] per sync pass they can share:
+    ///
+    /// - Members that provably see identical inputs share one shadow:
+    ///   equal slots (thread count, rate, sampling seed and shadow mode;
+    ///   full TSan, rate 1.0 and raw FastTrack, all exact, have one). A
+    ///   shadow depends only on its slot and the event stream, so equal
+    ///   slots evolve identically.
+    /// - A shadow joins the first sweep, in input order, with its thread
+    ///   count and, if it draws, its sampling seed.
+    /// - Every other member rides alone.
+    ///
+    /// Lone members come first, so at width 2 the calling thread, which
+    /// claims its job just after spawning the worker, usually takes them
+    /// and the worker takes the sweep. The order matters only for memory:
+    /// unsweeping clones one address map per member, and on the calling
+    /// thread those clones land in the main allocator arena, where they
+    /// raise the peak footprint.
+    fn fuse(panel: Vec<Self>) -> Vec<Fused<Self>> {
+        let mut out = Vec::new();
+        let mut sweeps: Vec<Sweep> = Vec::new();
+        for (i, member) in panel.into_iter().enumerate() {
+            let Some(slot) = sweep_slot(&member) else {
+                out.push(Fused {
+                    consumer: member,
+                    members: vec![i],
+                });
+                continue;
+            };
+            match sweeps.iter_mut().find(|s| s.accepts(&slot)) {
+                Some(s) => s.push(slot, i, member),
+                None => sweeps.push(Sweep {
+                    threads: slot.threads,
+                    seed: slot.seed,
+                    shadows: vec![(slot, vec![(i, member)])],
+                }),
+            }
+        }
+        out.extend(sweeps.into_iter().map(Sweep::into_fused));
+        out
     }
 
     fn unfuse(self) -> Vec<Self> {
@@ -172,28 +206,12 @@ impl TraceConsumer for PanelConsumer {
     }
 }
 
-/// Modeled cost of one sync pass of a fused sweep (the walk, clocks,
-/// address resolution and sampling draw), in units where a shadow at
-/// rate `r` costs `r`. Fitted to serial replays of the nine racy apps:
-/// the twelve-member sweep plus raw FastTrack costs about
-/// `SYNC_PASS + 5.5` units, a sweep of rate-0 members `SYNC_PASS`.
-const SYNC_PASS: f64 = 1.8;
-
-/// Modeled cost of a member that rides a group on its own (lockset,
-/// vcref, a pruned or already-used TSan member), in the same units.
-const WALK: f64 = 2.2;
-
-/// One shadow of a fused sweep: the members that share it.
-struct ShadowItem {
-    slot: SweepSlot,
-    members: Vec<(usize, PanelConsumer)>,
-}
-
-/// The shadows one group's fused sweep runs.
+/// The members one fused [`TsanConsumer`] runs over one sync pass, one
+/// list per shadow.
 struct Sweep {
     threads: usize,
     seed: Option<u64>,
-    shadows: Vec<ShadowItem>,
+    shadows: Vec<(SweepSlot, Vec<(usize, PanelConsumer)>)>,
 }
 
 impl Sweep {
@@ -203,102 +221,30 @@ impl Sweep {
             && (slot.seed.is_none() || self.seed.is_none() || self.seed == slot.seed)
     }
 
-    fn push(&mut self, item: ShadowItem) {
-        self.seed = self.seed.or(item.slot.seed);
-        self.shadows.push(item);
+    /// Adds member `i`, to the shadow of an equal slot if there is one.
+    fn push(&mut self, slot: SweepSlot, i: usize, member: PanelConsumer) {
+        self.seed = self.seed.or(slot.seed);
+        match self.shadows.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, members)) => members.push((i, member)),
+            None => self.shadows.push((slot, vec![(i, member)])),
+        }
     }
 
-    /// The group entry: the lone member as it was, or the fused sweep.
+    /// The entry: the lone member as it was, or the fused sweep.
     fn into_fused(self) -> Fused<PanelConsumer> {
-        let shadows: Vec<Vec<(usize, PanelConsumer)>> =
-            self.shadows.into_iter().map(|s| s.members).collect();
-        let members: Vec<usize> = shadows.iter().flatten().map(|(i, _)| *i).collect();
+        let (members, mut shadows): (Vec<Vec<usize>>, Vec<Vec<PanelConsumer>>) = self
+            .shadows
+            .into_iter()
+            .map(|(_, ms)| ms.into_iter().unzip())
+            .unzip();
+        let members = members.concat();
         let consumer = if members.len() == 1 {
-            shadows.into_iter().flatten().map(|(_, m)| m).next()
+            shadows.remove(0).remove(0)
         } else {
-            let shadows = shadows
-                .into_iter()
-                .map(|s| s.into_iter().map(|(_, m)| m).collect())
-                .collect();
-            Some(PanelConsumer::Tsan(TsanConsumer::sweep(shadows)))
+            PanelConsumer::Tsan(TsanConsumer::sweep(shadows))
         };
-        Fused {
-            consumer: consumer.expect("a sweep has a member"),
-            members,
-        }
+        Fused { consumer, members }
     }
-}
-
-/// Splits a panel into at most `groups` fan-out groups.
-///
-/// - Members that provably see identical inputs share one shadow: equal
-///   [`SweepSlot`]s (full TSan, rate 1.0 and raw FastTrack, all exact).
-///   A shadow depends only on its slot and the event stream, so equal
-///   slots evolve identically.
-/// - Every other member that cannot fuse rides alone and is placed
-///   first, each on the lightest group ([`WALK`]).
-/// - Shadows follow, highest rate first, each onto the group where it
-///   adds the least: its rate, plus [`SYNC_PASS`] when the group has no
-///   sweep it can join yet (longest-processing-time-first balancing).
-fn balanced_groups(panel: Vec<PanelConsumer>, groups: usize) -> Vec<Vec<Fused<PanelConsumer>>> {
-    let groups = groups.max(1);
-    let mut alone = Vec::new();
-    let mut items: Vec<ShadowItem> = Vec::new();
-    for (i, c) in panel.into_iter().enumerate() {
-        let Some(slot) = sweep_slot(&c) else {
-            alone.push((i, c));
-            continue;
-        };
-        match items.iter_mut().find(|it| it.slot == slot) {
-            Some(it) => it.members.push((i, c)),
-            None => items.push(ShadowItem {
-                slot,
-                members: vec![(i, c)],
-            }),
-        }
-    }
-
-    let mut load = vec![0.0f64; groups];
-    let mut out: Vec<Vec<Fused<PanelConsumer>>> = (0..groups).map(|_| Vec::new()).collect();
-    let lightest = |load: &[f64]| (0..load.len()).min_by(|&a, &b| load[a].total_cmp(&load[b]));
-    for (i, consumer) in alone {
-        let g = lightest(&load).expect("at least one group");
-        load[g] += WALK;
-        out[g].push(Fused {
-            consumer,
-            members: vec![i],
-        });
-    }
-    let mut sweeps: Vec<Vec<Sweep>> = (0..groups).map(|_| Vec::new()).collect();
-    items.sort_by(|a, b| b.slot.rate.total_cmp(&a.slot.rate));
-    for item in items {
-        let (g, cost, joins) = (0..groups)
-            .map(|g| {
-                let joins = sweeps[g].iter().position(|s| s.accepts(&item.slot));
-                let pass = if joins.is_some() { 0.0 } else { SYNC_PASS };
-                (g, load[g] + item.slot.rate + pass, joins)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one group");
-        load[g] = cost;
-        match joins {
-            Some(s) => sweeps[g][s].push(item),
-            None => {
-                let mut sweep = Sweep {
-                    threads: item.slot.threads,
-                    seed: None,
-                    shadows: Vec::new(),
-                };
-                sweep.push(item);
-                sweeps[g].push(sweep);
-            }
-        }
-    }
-    for (g, group) in sweeps.into_iter().enumerate() {
-        out[g].extend(group.into_iter().map(Sweep::into_fused));
-    }
-    out.retain(|g| !g.is_empty());
-    out
 }
 
 #[cfg(test)]

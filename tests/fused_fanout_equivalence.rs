@@ -1,9 +1,9 @@
 //! The fused fan-out contract: a panel that [`fan_out`] fuses (the TSan
 //! sampling sweep and raw FastTrack sharing one sync pass, identical
-//! members sharing one shadow, groups balanced by cost) returns every
-//! member exactly as a serial [`EventLog::replay`] of that member alone
-//! would leave it: races, checks, skipped, elided, the cycle breakdown,
-//! and the outcome assembled from it.
+//! members sharing one shadow) returns every member exactly as a serial
+//! [`EventLog::replay`] of that member alone would leave it: races,
+//! checks, skipped, elided, the cycle breakdown, and the outcome
+//! assembled from it.
 //!
 //! The panels mix members that fuse with members that must not, or must
 //! fuse only partly: a FullFlow-pruned TSan member, `ShadowMode::Cells`
@@ -200,48 +200,46 @@ fn sweep_only_panel_fuses_exactly() {
 
 /// Fusion is visible in the plan: identical full-rate members share one
 /// fused consumer, pruned members ride alone, and every member is
-/// carried exactly once.
+/// carried exactly once. Fusion does not depend on the fan-out width.
 #[test]
-fn fan_out_groups_fuse_only_compatible_members() {
+fn fuse_joins_only_compatible_members() {
     let p = random_program(&GenConfig::default(), 3);
     let specs = panel(9);
-    for width in WIDTHS {
-        let groups =
-            PanelConsumer::fan_out_groups(specs.iter().map(|s| s.build(&p)).collect(), width);
-        assert!(groups.len() <= width, "w={width}");
-        let mut seen: Vec<usize> = groups
+    let entries = PanelConsumer::fuse(specs.iter().map(|s| s.build(&p)).collect());
+    let mut seen: Vec<usize> = entries
+        .iter()
+        .flat_map(|f| f.members.iter().copied())
+        .collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
+    let entry_of = |i: usize| {
+        entries
             .iter()
-            .flatten()
-            .flat_map(|f| f.members.iter().copied())
-            .collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>(), "w={width}");
-        let entry_of = |i: usize| {
-            groups
-                .iter()
-                .flatten()
-                .find(|f| f.members.contains(&i))
-                .expect("every member is carried")
-        };
-        // The pruned members (14, 15), lockset (13) and vcref (24) ride
-        // alone.
-        for alone in [13, 14, 15, 24] {
-            assert_eq!(entry_of(alone).members, vec![alone], "w={width}");
-        }
-        // Full TSan (0), rate 1.0 (11), raw FastTrack (12) and their
-        // duplicates (19, 20) share one fused consumer.
-        let full = &entry_of(0).members;
-        for dup in [11, 12, 19, 20] {
-            assert!(full.contains(&dup), "w={width}: {dup} not with full TSan");
-        }
-        // Other sampling seeds never join the first seed's sweep.
-        let other_seed = &entry_of(21).members;
-        for first_seed in 1..=10 {
-            assert!(!other_seed.contains(&first_seed), "w={width}");
-        }
+            .find(|f| f.members.contains(&i))
+            .expect("every member is carried")
+    };
+    // The pruned members (14, 15), lockset (13) and vcref (24) ride
+    // alone.
+    for alone in [13, 14, 15, 24] {
+        assert_eq!(entry_of(alone).members, vec![alone]);
+    }
+    // Full TSan (0), rate 1.0 (11), raw FastTrack (12) and their
+    // duplicates (19, 20) share one fused consumer.
+    let full = &entry_of(0).members;
+    for dup in [11, 12, 19, 20] {
+        assert!(full.contains(&dup), "{dup} not with full TSan");
+    }
+    // So does every sweep member with the first seed (rates 0.0–0.9).
+    for first_seed in 1..=10 {
         assert!(
-            !entry_of(23).members.contains(&21),
-            "w={width}: seeds differ"
+            full.contains(&first_seed),
+            "{first_seed} not with full TSan"
         );
     }
+    // Other sampling seeds never join the first seed's sweep.
+    let other_seed = &entry_of(21).members;
+    for first_seed in 1..=10 {
+        assert!(!other_seed.contains(&first_seed));
+    }
+    assert!(!entry_of(23).members.contains(&21), "seeds differ");
 }

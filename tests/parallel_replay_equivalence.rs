@@ -4,13 +4,14 @@
 //! single-consumer replay — for every detector, every worker count, and
 //! every width.
 //!
-//! Fan-out is trivially equivalent (consumers are pure observers with
-//! private state; concurrency can't change what any of them sees), so
-//! the tests there guard the harness plumbing: ordering, panel
-//! recovery, outcome assembly. Sharding is the interesting case — the
-//! routing/broadcast/merge rules of `txrace_hb::sharded` are what these
-//! tests pin down, including the deterministic reconstruction of the
-//! serial report *order* from per-shard report lists.
+//! Fan-out replays pure observers, so concurrency can't change what any
+//! of them sees; the tests there guard the fusion of the TSan members
+//! and raw FastTrack into one sync pass, and the harness plumbing:
+//! ordering, panel recovery, outcome assembly. Sharding is the
+//! interesting case — the routing/broadcast/merge rules of
+//! `txrace_hb::sharded` are what these tests pin down, including the
+//! deterministic reconstruction of the serial report *order* from
+//! per-shard report lists.
 
 use proptest::prelude::*;
 use txrace::{CostModel, Detector, LocksetConsumer, PanelConsumer, RunConfig, Scheme};
@@ -24,12 +25,27 @@ use txrace_workloads::{all_workloads, random_program, GenConfig};
 /// shards than a small host has cores.
 const WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// Checks both parallel layers against fresh serial replays of `log`.
-fn check_parallel_equivalence(app: &str, p: &Program, d: &Detector, log: &EventLog) {
+/// The TSan members of the fan-out panel: full TSan and the two sampled
+/// members `bench_replay`'s panel runs.
+const TSAN: [Scheme; 3] = [
+    Scheme::Tsan,
+    Scheme::TsanSampling { rate: 0.1 },
+    Scheme::TsanSampling { rate: 0.5 },
+];
+
+/// Checks both parallel layers against fresh serial replays of `log`;
+/// `mk` builds the detector of a TSan scheme at the log's seed.
+fn check_parallel_equivalence(
+    app: &str,
+    p: &Program,
+    mk: impl Fn(Scheme) -> Detector,
+    log: &EventLog,
+) {
     let n = p.thread_count();
+    let tsan: Vec<Detector> = TSAN.into_iter().map(mk).collect();
 
     // --- Serial references: one single-threaded replay per detector. ---
-    let serial_out = d.replay(log, d.consumer(p));
+    let serial_tsan: Vec<_> = tsan.iter().map(|d| d.replay(log, d.consumer(p))).collect();
     let mut serial_ft = FastTrack::new(n, ShadowMode::Exact);
     log.replay(&mut serial_ft);
     let mut serial_vc = VectorClockDetector::new(n);
@@ -39,27 +55,32 @@ fn check_parallel_equivalence(app: &str, p: &Program, d: &Detector, log: &EventL
 
     // --- Layer 1: heterogeneous fan-out at every width. ---
     for width in WORKERS {
-        let panel = vec![
-            PanelConsumer::Tsan(d.consumer(p)),
+        let mut panel: Vec<PanelConsumer> = tsan
+            .iter()
+            .map(|d| PanelConsumer::Tsan(d.consumer(p)))
+            .collect();
+        panel.extend([
             PanelConsumer::FastTrack(FastTrack::new(n, ShadowMode::Exact)),
             PanelConsumer::VcRef(VectorClockDetector::new(n)),
             PanelConsumer::Lockset(LocksetConsumer::new(n, CostModel::default())),
-        ];
+        ]);
         let mut fanned = fan_out(log, panel, width).into_iter();
 
-        let tsan = fanned
-            .next()
-            .and_then(|r| r.consumer.into_tsan())
-            .expect("fan_out preserves panel order");
-        let out = d.outcome_of_replayed(tsan, log);
-        assert_eq!(
-            out.races.reports(),
-            serial_out.races.reports(),
-            "{app}: tsan races diverged at width {width}"
-        );
-        assert_eq!(out.breakdown, serial_out.breakdown, "{app} w={width}");
-        assert_eq!(out.checks, serial_out.checks, "{app} w={width}");
-        assert_eq!(out.memory, serial_out.memory, "{app} w={width}");
+        for (k, (d, want)) in tsan.iter().zip(&serial_tsan).enumerate() {
+            let got = fanned
+                .next()
+                .and_then(|r| r.consumer.into_tsan())
+                .expect("fan_out preserves panel order");
+            let out = d.outcome_of_replayed(got, log);
+            assert_eq!(
+                out.races.reports(),
+                want.races.reports(),
+                "{app}: tsan member {k} races diverged at width {width}"
+            );
+            assert_eq!(out.breakdown, want.breakdown, "{app} w={width} k={k}");
+            assert_eq!(out.checks, want.checks, "{app} w={width} k={k}");
+            assert_eq!(out.memory, want.memory, "{app} w={width} k={k}");
+        }
 
         let ft = fanned
             .next()
@@ -134,9 +155,9 @@ fn check_parallel_equivalence(app: &str, p: &Program, d: &Detector, log: &EventL
 fn all_workloads_parallel_replay_identically_across_seeds() {
     for seed in [11, 42, 1234] {
         for w in all_workloads(4) {
-            let d = Detector::new(w.config(Scheme::Tsan, seed));
-            let log = d.record(&w.program);
-            check_parallel_equivalence(w.name, &w.program, &d, &log);
+            let mk = |s| Detector::new(w.config(s, seed));
+            let log = mk(Scheme::Tsan).record(&w.program);
+            check_parallel_equivalence(w.name, &w.program, mk, &log);
         }
     }
 }
@@ -237,8 +258,8 @@ proptest! {
         sched_seed in 0u64..40,
     ) {
         let p = random_program(&GenConfig::default(), gen_seed);
-        let d = Detector::new(RunConfig::new(Scheme::Tsan, sched_seed));
-        let log = d.record(&p);
-        check_parallel_equivalence("random", &p, &d, &log);
+        let mk = |s| Detector::new(RunConfig::new(s, sched_seed));
+        let log = mk(Scheme::Tsan).record(&p);
+        check_parallel_equivalence("random", &p, mk, &log);
     }
 }

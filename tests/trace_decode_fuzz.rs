@@ -1,7 +1,8 @@
 //! The trace decoder under corruption: a mutated encoding of a recorded
 //! log either fails to decode, or decodes to a log that re-encodes to the
-//! very same bytes and replays through FastTrack and a TSan consumer
-//! without panicking.
+//! very same bytes and replays without panicking through FastTrack, a
+//! TSan consumer, and a fused fan-out panel (the TSan sweep, raw
+//! FastTrack, lockset and the vector-clock reference).
 //!
 //! Logs are recorded from generated programs (locks, conditions and
 //! channels on), then mutated by bit flips, truncations, perturbed event
@@ -13,10 +14,11 @@
 //! ```
 
 use proptest::prelude::*;
-use txrace::{CostModel, TsanConsumer};
-use txrace_hb::{FastTrack, ShadowMode};
+use txrace::{CostModel, LocksetConsumer, PanelConsumer, TsanConsumer};
+use txrace_hb::{FastTrack, ShadowMode, VectorClockDetector};
 use txrace_sim::{
-    record_run, EventLog, RandomSched, StepLimit, TraceEvent, MAX_LOG_LOCKS, MAX_LOG_THREADS,
+    fan_out, record_run, EventLog, RandomSched, StepLimit, TraceEvent, MAX_LOG_LOCKS,
+    MAX_LOG_THREADS,
 };
 use txrace_workloads::{random_program, GenConfig};
 
@@ -111,21 +113,42 @@ fn apply(bytes: &mut Vec<u8>, events_at: usize, events: usize, m: &Mutation) {
     }
 }
 
+/// A TSan consumer for `n` threads: full TSan for `None`, else sampling
+/// at `rate` from one seed.
+fn tsan(n: usize, rate: Option<f64>) -> TsanConsumer {
+    TsanConsumer::new(n, CostModel::default(), 1.0, ShadowMode::Exact, rate, 7)
+}
+
 /// Replays `log` through the detectors a replay pipeline runs, sized
-/// from the decoded header.
+/// from the decoded header: FastTrack and a sampled TSan consumer on
+/// their own, then a panel through [`fan_out`] at width 2, which runs
+/// the TSan members and raw FastTrack as one fused sweep beside lockset
+/// and the vector-clock reference, and must leave the fused members as
+/// their standalone replays left them.
 fn replay_all(log: &EventLog) {
     let n = log.thread_count();
     let mut ft = FastTrack::new(n, ShadowMode::Exact);
     log.replay(&mut ft);
-    let mut tsan = TsanConsumer::new(
-        n,
-        CostModel::default(),
-        1.0,
-        ShadowMode::Exact,
-        Some(0.5),
-        7,
-    );
-    log.replay(&mut tsan);
+    let mut sampled = tsan(n, Some(0.5));
+    log.replay(&mut sampled);
+    let panel = vec![
+        PanelConsumer::Tsan(tsan(n, None)),
+        PanelConsumer::Tsan(tsan(n, Some(0.1))),
+        PanelConsumer::Tsan(tsan(n, Some(0.5))),
+        PanelConsumer::FastTrack(FastTrack::new(n, ShadowMode::Exact)),
+        PanelConsumer::Lockset(LocksetConsumer::new(n, CostModel::default())),
+        PanelConsumer::VcRef(VectorClockDetector::new(n)),
+    ];
+    let fanned = fan_out(log, panel, 2);
+    assert_eq!(fanned.len(), 6);
+    // The fused members equal their standalone replays.
+    let alone = [
+        (2, PanelConsumer::Tsan(sampled)),
+        (3, PanelConsumer::FastTrack(ft)),
+    ];
+    for (i, want) in alone {
+        assert_eq!(fanned[i].consumer.fingerprint(), want.fingerprint());
+    }
 }
 
 /// The unmutated logs decode, so a mutant's rejection is the mutation's
